@@ -65,10 +65,15 @@ impl FrontEnd {
         }
     }
 
-    /// Processes one committed instruction through the predictors,
-    /// updating `perf`, and classifies its fetch redirect.
-    pub fn observe(&mut self, d: &DynInst, perf: &mut PerfCounters) -> FetchOutcome {
-        let class = d.inst.op.exec_class();
+    /// Processes one committed instruction of execution class `class`
+    /// through the predictors, updating `perf`, and classifies its fetch
+    /// redirect.
+    pub fn observe(
+        &mut self,
+        d: &DynInst,
+        class: ExecClass,
+        perf: &mut PerfCounters,
+    ) -> FetchOutcome {
         let taken = d.is_taken_branch();
         let taken_to = taken.then_some(d.next_pc);
         let from_lbuf = self.lbuf.observe(d.pc, taken_to);
@@ -176,6 +181,10 @@ mod tests {
     use crate::config::CoreConfig;
     use xt_isa::{Inst, Op};
 
+    fn observe(fe: &mut FrontEnd, d: &DynInst, perf: &mut PerfCounters) -> FetchOutcome {
+        fe.observe(d, d.inst.op.exec_class(), perf)
+    }
+
     fn branch(pc: u64, taken: bool, target: u64) -> DynInst {
         let inst = Inst::new(Op::Bne).rs1(5).rs2(0).imm(target as i64 - pc as i64);
         DynInst::retired(pc, inst, if taken { target } else { pc + 4 }, None)
@@ -198,11 +207,12 @@ mod tests {
         let mut last = Redirect::None;
         for _ in 0..20 {
             // body
-            fe.observe(
+            observe(
+                &mut fe,
                 &DynInst::retired(0x1000, Inst::new(Op::Addi).rd(5).rs1(5), 0x1004, None),
                 &mut perf,
             );
-            let o = fe.observe(&branch(0x1004, true, 0x1000), &mut perf);
+            let o = observe(&mut fe, &branch(0x1004, true, 0x1000), &mut perf);
             last = o.redirect;
         }
         assert_eq!(last, Redirect::TakenAtIf);
@@ -215,8 +225,8 @@ mod tests {
         let mut perf = PerfCounters::default();
         for k in 0..10u64 {
             let site = 0x2000 + k * 0x40;
-            fe.observe(&call(site, 0x9000), &mut perf);
-            let o = fe.observe(&ret(0x9010, site + 4), &mut perf);
+            observe(&mut fe, &call(site, 0x9000), &mut perf);
+            let o = observe(&mut fe, &ret(0x9010, site + 4), &mut perf);
             assert_eq!(o.redirect, Redirect::TakenAtIf, "call #{k}");
         }
         assert_eq!(perf.target_mispredicts, 0);
@@ -228,7 +238,7 @@ mod tests {
         let mut perf = PerfCounters::default();
         let mut redirects = Vec::new();
         for _ in 0..10 {
-            redirects.push(fe.observe(&branch(0x3000, true, 0x2000), &mut perf).redirect);
+            redirects.push(observe(&mut fe, &branch(0x3000, true, 0x2000), &mut perf).redirect);
         }
         assert_eq!(redirects[0], Redirect::Mispredict, "cold");
         assert_eq!(*redirects.last().unwrap(), Redirect::TakenAtIf, "warm");
@@ -243,7 +253,7 @@ mod tests {
         for k in 0..20u64 {
             let target = if k % 2 == 0 { 0x5000 } else { 0x6000 };
             let jr = DynInst::retired(0x4000, Inst::new(Op::Jalr).rd(0).rs1(6), target, None);
-            fe.observe(&jr, &mut perf);
+            observe(&mut fe, &jr, &mut perf);
         }
         assert!(perf.target_mispredicts >= 8);
     }

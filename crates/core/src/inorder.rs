@@ -79,8 +79,8 @@ impl InOrderCore {
     /// report (see [`crate::OooCore::finish_report`]).
     pub fn finish_report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
         self.perf.cycles = self.max_complete.max(self.last_issue);
-        self.perf.prefetch_hits = mem
-            .stats()
+        let mem_stats = mem.stats();
+        self.perf.prefetch_hits = mem_stats
             .prefetches_useful
             .get(self.core_id)
             .copied()
@@ -94,7 +94,7 @@ impl InOrderCore {
         RunReport {
             machine: self.cfg.name,
             perf: self.perf.clone(),
-            mem: mem.stats(),
+            mem: mem_stats,
             exit_code,
         }
     }
@@ -136,8 +136,9 @@ impl InOrderCore {
 
     /// Advances the model by one committed instruction.
     pub fn step(&mut self, d: &DynInst, mem: &mut MemSystem) {
-        let class = d.inst.op.exec_class();
-        let fo = self.fe.observe(d, &mut self.perf);
+        let traits = d.inst.op.traits_of();
+        let class = traits.class;
+        let fo = self.fe.observe(d, class, &mut self.perf);
 
         // charge the flush bubble left by the previous instruction's
         // redirect (lazy scheme, see the OoO core and `perf` module docs)
@@ -165,7 +166,7 @@ impl InOrderCore {
 
         // in-order issue: operands must be ready, and issue is monotonic
         let mut ready = self.fetch_cycle + 1;
-        for (rf, idx) in d.inst.sources() {
+        for (rf, idx) in d.inst.sources_of(traits) {
             ready = ready.max(self.reg_ready[Self::rf_idx(rf)][idx as usize]);
         }
         ready = ready.max(self.last_issue);
@@ -220,7 +221,7 @@ impl InOrderCore {
             ExecClass::FpCvt => self.fp.issue(issue, 1) + lat.fcvt,
         };
 
-        if let Some((rf, idx)) = d.inst.dest() {
+        if let Some((rf, idx)) = d.inst.dest_of(traits) {
             self.reg_ready[Self::rf_idx(rf)][idx as usize] = complete;
         }
         self.max_complete = self.max_complete.max(complete);

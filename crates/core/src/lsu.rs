@@ -12,7 +12,7 @@
 
 use crate::config::CoreConfig;
 use crate::resources::{PipeGroup, Window};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use xt_mem::MemSystem;
 
 /// Store-to-load forwarding latency (SQ read + align).
@@ -73,7 +73,9 @@ pub struct Lsu {
     /// Store queue (entries held to drain).
     pub sq: Window,
     stores: VecDeque<PendingStore>,
-    dep_pred: HashSet<u64>,
+    /// PCs of loads that have violated before, ascending (almost always
+    /// empty: one binary search per load, no hashing).
+    dep_pred: Vec<u64>,
     sq_track: usize,
     split_stores: bool,
     mem_dep_predict: bool,
@@ -95,7 +97,7 @@ impl Lsu {
             lq: Window::new(cfg.lq_entries),
             sq: Window::new(cfg.sq_entries),
             stores: VecDeque::new(),
-            dep_pred: HashSet::new(),
+            dep_pred: Vec::new(),
             sq_track: cfg.sq_entries,
             split_stores: cfg.split_stores,
             mem_dep_predict: cfg.mem_dep_predict,
@@ -137,7 +139,7 @@ impl Lsu {
 
         // §V-A: predicted-dependent loads block until older store
         // addresses resolve.
-        if self.mem_dep_predict && self.dep_pred.contains(&pc) {
+        if self.mem_dep_predict && self.dep_pred.binary_search(&pc).is_ok() {
             if let Some(max_addr) = self.stores.iter().map(|s| s.addr_ready).max() {
                 addr_known = addr_known.max(max_addr);
             }
@@ -168,7 +170,9 @@ impl Lsu {
                 // store address resolves *after* the load would issue:
                 // the load speculated ahead of a conflicting store
                 self.violations += 1;
-                self.dep_pred.insert(pc);
+                if let Err(at) = self.dep_pred.binary_search(&pc) {
+                    self.dep_pred.insert(at, pc);
+                }
                 LoadResult {
                     complete: s.addr_ready.max(s.data_ready) + FWD_LATENCY,
                     violation: true,
@@ -258,9 +262,7 @@ impl xt_snapshot::SnapshotState for Lsu {
             e.u64(s.addr_ready);
             e.u64(s.data_ready);
         }
-        let mut preds: Vec<u64> = self.dep_pred.iter().copied().collect();
-        preds.sort_unstable();
-        e.u64_seq(&preds);
+        e.u64_seq(&self.dep_pred);
         e.u64(self.forwards);
         e.u64(self.violations);
     }
@@ -281,7 +283,10 @@ impl xt_snapshot::SnapshotState for Lsu {
                 data_ready: d.u64()?,
             });
         }
-        self.dep_pred = d.u64_seq()?.into_iter().collect();
+        // a frame is outside input: re-establish the order, don't trust it
+        self.dep_pred = d.u64_seq()?;
+        self.dep_pred.sort_unstable();
+        self.dep_pred.dedup();
         self.forwards = d.u64()?;
         self.violations = d.u64()?;
         Ok(())

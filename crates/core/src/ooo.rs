@@ -136,8 +136,8 @@ impl OooCore {
     /// [`Self::run_to_end`].
     pub fn finish_report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
         self.perf.cycles = self.last_retire.max(self.max_complete);
-        self.perf.prefetch_hits = mem
-            .stats()
+        let mem_stats = mem.stats();
+        self.perf.prefetch_hits = mem_stats
             .prefetches_useful
             .get(self.core_id)
             .copied()
@@ -151,7 +151,7 @@ impl OooCore {
         RunReport {
             machine: self.cfg.name,
             perf: self.perf.clone(),
-            mem: mem.stats(),
+            mem: mem_stats,
             exit_code,
         }
     }
@@ -214,8 +214,10 @@ impl OooCore {
     /// Advances the model by one committed instruction.
     pub fn step(&mut self, d: &DynInst, mem: &mut MemSystem) {
         let cfg = &self.cfg;
-        let class = d.inst.op.exec_class();
-        let fo = self.fe.observe(d, &mut self.perf);
+        let traits = d.inst.op.traits_of();
+        let class = traits.class;
+        let dest = d.inst.dest_of(traits);
+        let fo = self.fe.observe(d, class, &mut self.perf);
 
         // Charge the flush bubble left by the previous instruction's
         // redirect. The interval ends at this instruction's fetch cycle,
@@ -263,7 +265,7 @@ impl OooCore {
         };
         self.perf.uops += uops;
         let mut ren = self.rename_bw.take_n(dec + 1, uops);
-        if let Some((rf, _)) = d.inst.dest() {
+        if let Some((rf, _)) = dest {
             ren = self.phys[Self::src_file_index(rf)].alloc(ren);
         }
 
@@ -279,18 +281,25 @@ impl OooCore {
         let disp = iq_at;
 
         // ---- RF/EX: operands, issue slots, pipes ----
-        // element width for the vector arms (the trace carries SEW in bits)
-        let sew = xt_isa::vector::Sew::decode(
-            (d.sew_bits.max(8) as u32).trailing_zeros().saturating_sub(3),
-        )
-        .unwrap_or(xt_isa::vector::Sew::E64);
+        // Element width (the trace carries SEW in bits) and the number
+        // of registers an operand group spans (the effective LMUL): only
+        // instructions with an operand in the vector file read either.
+        let touches_vec = [traits.rd, traits.rs1, traits.rs2, traits.rs3].contains(&RegFile::Vec);
+        let (sew, group) = if touches_vec {
+            let sew = xt_isa::vector::Sew::decode(
+                (d.sew_bits.max(8) as u32).trailing_zeros().saturating_sub(3),
+            )
+            .unwrap_or(xt_isa::vector::Sew::E64);
+            let group = xt_vector::chain::group_regs(&self.vec_cfg, d.vl as u64, sew);
+            (sew, group)
+        } else {
+            (xt_isa::vector::Sew::E64, 0)
+        };
         let mut ready = disp + 1;
-        for (rf, idx) in d.inst.sources() {
+        for (rf, idx) in d.inst.sources_of(traits) {
             if rf == RegFile::Vec {
                 // chaining: an element-ordered consumer starts at the
-                // producer's first slice, not the whole-group completion;
-                // the operand group spans the effective LMUL registers
-                let group = xt_vector::chain::group_regs(&self.vec_cfg, d.vl as u64, sew);
+                // producer's first slice, not the whole-group completion
                 for k in 0..group {
                     let vr = &self.vreg[((idx as u64 + k) % 32) as usize];
                     ready = ready.max(xt_vector::source_ready(d.inst.op, vr));
@@ -549,13 +558,12 @@ impl OooCore {
         };
 
         // ---- writeback ----
-        if let Some((rf, idx)) = d.inst.dest() {
+        if let Some((rf, idx)) = dest {
             self.reg_ready[Self::src_file_index(rf)][idx as usize] = complete;
             if rf == RegFile::Vec {
                 // the whole effective-LMUL group becomes ready together;
                 // chain-in points come from the executing arm
                 let vr = vec_dest.unwrap_or(xt_vector::VregReady::at(complete));
-                let group = xt_vector::chain::group_regs(&self.vec_cfg, d.vl as u64, sew);
                 for k in 0..group {
                     self.vreg[((idx as u64 + k) % 32) as usize] = vr;
                 }
@@ -569,7 +577,7 @@ impl OooCore {
         self.perf.instructions += 1;
         self.rob.commit(ret);
         self.iq.commit(complete);
-        if let Some((rf, _)) = d.inst.dest() {
+        if let Some((rf, _)) = dest {
             self.phys[Self::src_file_index(rf)].commit(ret);
         }
         match class {

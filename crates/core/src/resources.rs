@@ -3,8 +3,7 @@
 //! per-cycle bandwidth limiters (decode/rename/retire), and execution
 //! pipes.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A capacity-limited window (ROB, LQ, SQ, issue queue, physical-register
 /// pool). `alloc` returns the earliest cycle at or after `want` when a
@@ -12,7 +11,11 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Clone, Debug)]
 pub struct Window {
     cap: usize,
-    releases: BinaryHeap<Reverse<u64>>,
+    /// Release cycles of the occupied slots, ascending: `alloc` frees
+    /// from the front, `commit` appends at the back — in-order
+    /// structures release in retirement order, so only the issue queue
+    /// ever takes the sorted insert.
+    releases: VecDeque<u64>,
     /// Total cycles callers were delayed waiting for a slot.
     pub stall_cycles: u64,
 }
@@ -22,7 +25,7 @@ impl Window {
     pub fn new(cap: usize) -> Self {
         Window {
             cap,
-            releases: BinaryHeap::new(),
+            releases: VecDeque::new(),
             stall_cycles: 0,
         }
     }
@@ -31,12 +34,12 @@ impl Window {
     pub fn alloc(&mut self, want: u64) -> u64 {
         let mut t = want;
         // drop entries that have already released
-        while self.releases.peek().is_some_and(|&Reverse(r)| r <= t) {
-            self.releases.pop();
+        while self.releases.front().is_some_and(|&r| r <= t) {
+            self.releases.pop_front();
         }
         // still at capacity: wait for the earliest releases
         while self.releases.len() >= self.cap {
-            let Reverse(r) = self.releases.pop().expect("non-empty at capacity");
+            let r = self.releases.pop_front().expect("non-empty at capacity");
             t = t.max(r);
         }
         self.stall_cycles += t - want;
@@ -45,7 +48,14 @@ impl Window {
 
     /// Records the release cycle of the slot just allocated.
     pub fn commit(&mut self, release: u64) {
-        self.releases.push(Reverse(release));
+        if self.releases.back().is_none_or(|&b| b <= release) {
+            self.releases.push_back(release);
+        } else {
+            // out of order: after the last entry that releases no later,
+            // in practice a few steps from the back
+            let at = self.releases.iter().rposition(|&r| r <= release);
+            self.releases.insert(at.map_or(0, |i| i + 1), release);
+        }
     }
 
     /// Current occupancy.
@@ -135,13 +145,27 @@ impl PipeGroup {
     }
 }
 
+/// Cycles a [`SlotLimiter`] remembers; older ones are evicted FIFO.
+const SLOT_RING: usize = 64;
+/// Direct-mapped tag slots of a [`SlotLimiter`] (a power of two).
+const SLOT_TAGS: usize = 256;
+
 /// An out-of-order per-cycle slot limiter (global issue width): unlike
 /// [`Bandwidth`], requests arrive in any cycle order.
 #[derive(Clone, Debug)]
 pub struct SlotLimiter {
     width: u32,
-    // (cycle, used) ring of recent cycles
+    /// `(cycle, used)` for the last [`SLOT_RING`] distinct cycles in
+    /// insertion order. Eviction order is observable (a re-requested
+    /// evicted cycle starts a fresh count), so this ring — not the tag
+    /// table — is the limiter's state.
     recent: VecDeque<(u64, u32)>,
+    /// Entries evicted so far (wrapping): ring index = sequence − popped.
+    popped: u32,
+    /// `cycle % SLOT_TAGS` → insertion sequence number (wrapping) of the
+    /// youngest cycle that mapped there. A tag is trusted only after the
+    /// ring entry it names is checked, so stale tags are never cleared.
+    tags: [u32; SLOT_TAGS],
 }
 
 impl SlotLimiter {
@@ -150,6 +174,37 @@ impl SlotLimiter {
         SlotLimiter {
             width,
             recent: VecDeque::new(),
+            popped: 0,
+            tags: [0; SLOT_TAGS],
+        }
+    }
+
+    fn tag_slot(cycle: u64) -> usize {
+        cycle as usize % SLOT_TAGS
+    }
+
+    /// Ring index of `cycle`, if it is still remembered.
+    fn find(&self, cycle: u64) -> Option<usize> {
+        let i = self.tags[Self::tag_slot(cycle)].wrapping_sub(self.popped) as usize;
+        match self.recent.get(i) {
+            Some(&(c, _)) if c == cycle => Some(i),
+            // A younger cycle owns the tag; `cycle` may sit before it.
+            Some(&(c, _)) if Self::tag_slot(c) == Self::tag_slot(cycle) => {
+                self.recent.iter().rposition(|&(c, _)| c == cycle)
+            }
+            // The tag's owner is gone, and FIFO eviction took every
+            // older cycle of this slot with it.
+            _ => None,
+        }
+    }
+
+    fn remember(&mut self, cycle: u64) {
+        let seq = self.popped.wrapping_add(self.recent.len() as u32);
+        self.tags[Self::tag_slot(cycle)] = seq;
+        self.recent.push_back((cycle, 1));
+        if self.recent.len() > SLOT_RING {
+            self.recent.pop_front();
+            self.popped = self.popped.wrapping_add(1);
         }
     }
 
@@ -157,33 +212,32 @@ impl SlotLimiter {
     pub fn take(&mut self, want: u64) -> u64 {
         let mut t = want;
         loop {
-            match self.recent.iter_mut().find(|(c, _)| *c == t) {
-                Some((_, used)) if *used < self.width => {
-                    *used += 1;
-                    break;
-                }
-                Some(_) => t += 1,
-                None => {
-                    self.recent.push_back((t, 1));
-                    if self.recent.len() > 64 {
-                        self.recent.pop_front();
+            match self.find(t) {
+                Some(i) => {
+                    let used = &mut self.recent[i].1;
+                    if *used < self.width {
+                        *used += 1;
+                        return t;
                     }
-                    break;
+                    t += 1;
+                }
+                None => {
+                    self.remember(t);
+                    return t;
                 }
             }
         }
-        t
     }
 }
 
 impl xt_snapshot::SnapshotState for Window {
-    /// The release heap is serialized as a sorted vector so the encoding
-    /// is canonical regardless of the heap's internal layout.
+    /// The release cycles are written in ascending order.
     fn save(&self, e: &mut xt_snapshot::Enc) {
         e.usize(self.cap);
-        let mut rel: Vec<u64> = self.releases.iter().map(|&Reverse(r)| r).collect();
-        rel.sort_unstable();
-        e.u64_seq(&rel);
+        e.seq(self.releases.len());
+        for &r in &self.releases {
+            e.u64(r);
+        }
         e.u64(self.stall_cycles);
     }
 
@@ -193,11 +247,10 @@ impl xt_snapshot::SnapshotState for Window {
                 what: "window capacity",
             });
         }
-        let rel = d.u64_seq()?;
-        self.releases.clear();
-        for r in rel {
-            self.releases.push(Reverse(r));
-        }
+        // a frame is outside input: re-establish the order, don't trust it
+        let mut rel = d.u64_seq()?;
+        rel.sort_unstable();
+        self.releases = rel.into();
         self.stall_cycles = d.u64()?;
         Ok(())
     }
@@ -238,9 +291,9 @@ impl xt_snapshot::SnapshotState for PipeGroup {
 }
 
 impl xt_snapshot::SnapshotState for SlotLimiter {
-    /// The ring preserves insertion order (it is part of the limiter's
-    /// behavior: full cycles are probed in ring order), so entries are
-    /// serialized verbatim, not sorted.
+    /// The ring is written verbatim, in insertion order: which cycle is
+    /// evicted next is part of the limiter's behavior. The tag table is
+    /// derived state and is rebuilt on restore.
     fn save(&self, e: &mut xt_snapshot::Enc) {
         e.u32(self.width);
         e.seq(self.recent.len());
@@ -258,18 +311,273 @@ impl xt_snapshot::SnapshotState for SlotLimiter {
         }
         let n = d.len(12)?;
         self.recent.clear();
-        for _ in 0..n {
+        self.popped = 0;
+        for seq in 0..n {
             let cycle = d.u64()?;
             let used = d.u32()?;
+            self.tags[Self::tag_slot(cycle)] = seq as u32;
             self.recent.push_back((cycle, used));
         }
         Ok(())
     }
 }
 
+/// Reference models — the obvious min-heap window and linear-scan
+/// limiter — that the differential tests drive side by side with the
+/// O(1) structures above: same cycles, same stalls, same frame bytes.
+#[cfg(test)]
+mod reference {
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, VecDeque};
+    use xt_snapshot::Enc;
+
+    /// [`super::Window`] over a binary min-heap.
+    pub struct HeapWindow {
+        cap: usize,
+        releases: BinaryHeap<Reverse<u64>>,
+        pub stall_cycles: u64,
+    }
+
+    impl HeapWindow {
+        pub fn new(cap: usize) -> Self {
+            HeapWindow {
+                cap,
+                releases: BinaryHeap::new(),
+                stall_cycles: 0,
+            }
+        }
+
+        pub fn alloc(&mut self, want: u64) -> u64 {
+            let mut t = want;
+            while self.releases.peek().is_some_and(|&Reverse(r)| r <= t) {
+                self.releases.pop();
+            }
+            while self.releases.len() >= self.cap {
+                let Reverse(r) = self.releases.pop().expect("non-empty at capacity");
+                t = t.max(r);
+            }
+            self.stall_cycles += t - want;
+            t
+        }
+
+        pub fn commit(&mut self, release: u64) {
+            self.releases.push(Reverse(release));
+        }
+
+        pub fn save(&self, e: &mut Enc) {
+            e.usize(self.cap);
+            let mut rel: Vec<u64> = self.releases.iter().map(|&Reverse(r)| r).collect();
+            rel.sort_unstable();
+            e.u64_seq(&rel);
+            e.u64(self.stall_cycles);
+        }
+    }
+
+    /// [`super::SlotLimiter`] finding a cycle by scanning its ring.
+    pub struct ScanLimiter {
+        width: u32,
+        recent: VecDeque<(u64, u32)>,
+    }
+
+    impl ScanLimiter {
+        pub fn new(width: u32) -> Self {
+            ScanLimiter {
+                width,
+                recent: VecDeque::new(),
+            }
+        }
+
+        pub fn take(&mut self, want: u64) -> u64 {
+            let mut t = want;
+            loop {
+                match self.recent.iter_mut().find(|(c, _)| *c == t) {
+                    Some((_, used)) if *used < self.width => {
+                        *used += 1;
+                        break;
+                    }
+                    Some(_) => t += 1,
+                    None => {
+                        self.recent.push_back((t, 1));
+                        if self.recent.len() > 64 {
+                            self.recent.pop_front();
+                        }
+                        break;
+                    }
+                }
+            }
+            t
+        }
+
+        pub fn save(&self, e: &mut Enc) {
+            e.u32(self.width);
+            e.seq(self.recent.len());
+            for &(cycle, used) in &self.recent {
+                e.u64(cycle);
+                e.u32(used);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{HeapWindow, ScanLimiter};
     use super::*;
+    use xt_harness::gen::{choose, from_fn, ints, vec_of};
+    use xt_harness::prop::{check_with, Config};
+    use xt_harness::rng::Rng;
+    use xt_snapshot::{Dec, Enc, SnapshotState};
+
+    fn bytes_of(save: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        save(&mut e);
+        e.into_bytes()
+    }
+
+    /// One `alloc(want)` + `commit(release)` pair of a window trace.
+    #[derive(Clone, Debug)]
+    struct WindowOp {
+        want: u64,
+        /// Release = the cycle `alloc` returned + this.
+        hold: u64,
+    }
+
+    /// Allocation requests drift forward with occasional jumps far into
+    /// the past and the future; `monotone` holds are constant (releases
+    /// then never decrease, like the ROB's), otherwise they are random
+    /// (out-of-order releases, like the issue queue's).
+    fn window_trace(rng: &mut Rng, monotone: bool) -> Vec<WindowOp> {
+        let n = rng.gen_range_u64(1, 400);
+        let mut now = rng.below(50);
+        (0..n)
+            .map(|_| {
+                now += rng.below(4);
+                let want = match rng.below(16) {
+                    0 => now.saturating_sub(rng.below(5_000)),
+                    1 => now + rng.below(5_000),
+                    _ => now,
+                };
+                let hold = if monotone { 40 } else { 1 + rng.below(300) };
+                WindowOp { want, hold }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn window_matches_the_heap_reference() {
+        let gen = (
+            choose(&[1usize, 8, 48, 192]),
+            choose(&[false, true]),
+            from_fn(|rng: &mut Rng| rng.next_u64()),
+        );
+        check_with(
+            &Config::seeded(0x0910_0013_0001),
+            "window_matches_the_heap_reference",
+            &gen,
+            |&(cap, monotone, seed)| {
+                let mut rng = Rng::new(seed);
+                let trace = window_trace(&mut rng, monotone);
+                // the cut where the new window is rebuilt from its own frame
+                let cut = rng.below(trace.len() as u64) as usize;
+                let mut new = Window::new(cap);
+                let mut old = HeapWindow::new(cap);
+                let mut last_release = 0;
+                for (k, op) in trace.iter().enumerate() {
+                    let at = new.alloc(op.want);
+                    assert_eq!(at, old.alloc(op.want), "alloc #{k}");
+                    // monotone traces never release earlier than before
+                    let release = if monotone {
+                        last_release.max(at + op.hold)
+                    } else {
+                        at + op.hold
+                    };
+                    last_release = release;
+                    new.commit(release);
+                    old.commit(release);
+                    assert_eq!(new.stall_cycles, old.stall_cycles, "stalls after #{k}");
+                    let frame = bytes_of(|e| new.save(e));
+                    assert_eq!(frame, bytes_of(|e| old.save(e)), "frame after #{k}");
+                    if k == cut {
+                        new = Window::new(cap);
+                        let mut d = Dec::new(&frame);
+                        new.restore(&mut d).expect("own frame restores");
+                        d.finish().expect("frame fully consumed");
+                    }
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn window_restore_sorts_an_unsorted_frame() {
+        let mut e = Enc::new();
+        e.usize(4);
+        e.u64_seq(&[30, 10, 20]);
+        e.u64(0);
+        let mut w = Window::new(4);
+        w.restore(&mut Dec::new(e.bytes())).unwrap();
+        w.commit(40);
+        assert_eq!(w.alloc(0), 10, "earliest release first");
+        w.commit(15);
+        assert_eq!(w.alloc(0), 15);
+    }
+
+    #[test]
+    fn slot_limiter_matches_the_scan_reference() {
+        // Requests cluster around a slowly advancing front (so cycles
+        // fill up and more than 64 distinct ones go by), re-request
+        // cycles old enough to have been evicted, and hit cycles exactly
+        // SLOT_TAGS apart so two live cycles share a tag.
+        let gen = (
+            ints(1u32..9),
+            vec_of((ints(0u64..16), ints(0u64..12), ints(0u64..200)), 1..600),
+            ints(0usize..600),
+        );
+        check_with(
+            &Config::seeded(0x0910_0013_0002),
+            "slot_limiter_matches_the_scan_reference",
+            &gen,
+            |(width, trace, cut)| {
+                let mut new = SlotLimiter::new(*width);
+                let mut old = ScanLimiter::new(*width);
+                let mut front = 1_000u64;
+                for (k, &(kind, near, far)) in trace.iter().enumerate() {
+                    front += near / 8;
+                    let want = match kind {
+                        0 => front - far,                         // long evicted
+                        1 => front + SLOT_TAGS as u64,            // aliases `front`
+                        2 => front + 2 * SLOT_TAGS as u64 - near, // aliases, near miss
+                        3 => front + far,                         // ahead of the front
+                        _ => front + near,
+                    };
+                    assert_eq!(new.take(want), old.take(want), "take #{k} at {want}");
+                    let frame = bytes_of(|e| new.save(e));
+                    assert_eq!(frame, bytes_of(|e| old.save(e)), "frame after #{k}");
+                    if k == *cut {
+                        new = SlotLimiter::new(*width);
+                        let mut d = Dec::new(&frame);
+                        new.restore(&mut d).expect("own frame restores");
+                        d.finish().expect("frame fully consumed");
+                    }
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn slot_limiter_aliased_and_evicted_cycles() {
+        let t = 5_000u64;
+        let mut s = SlotLimiter::new(1);
+        assert_eq!(s.take(t), t);
+        // a younger cycle takes over t's tag: t must still be found full
+        assert_eq!(s.take(t + SLOT_TAGS as u64), t + SLOT_TAGS as u64);
+        assert_eq!(s.take(t), t + 1, "aliased-away cycle still remembered");
+        // push t out of the ring: a re-request starts a fresh count
+        for k in 0..SLOT_RING as u64 {
+            s.take(10 * t + k);
+        }
+        assert_eq!(s.take(t), t, "evicted cycle is forgotten");
+    }
 
     #[test]
     fn window_stalls_when_full() {

@@ -122,16 +122,32 @@ impl GuestMem {
         self.write_bytes(addr, val, 8)
     }
 
-    /// Copies a byte slice into memory at `addr`.
-    pub fn write_slice(&mut self, addr: u64, bytes: &[u8]) {
-        for (k, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + k as u64, *b);
+    /// Copies a byte slice into memory at `addr`, a page at a time.
+    pub fn write_slice(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE - off));
+            self.page_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
+            addr += chunk.len() as u64;
+            bytes = rest;
         }
     }
 
-    /// Copies `len` bytes out of memory into a fresh vector.
-    pub fn read_vec(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|k| self.read_u8(addr + k as u64)).collect()
+    /// Copies `len` bytes out of memory into a fresh vector, a page at a
+    /// time (unmapped memory reads as zero).
+    pub fn read_vec(&self, mut addr: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0; len];
+        let mut rest = out.as_mut_slice();
+        while !rest.is_empty() {
+            let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE - off));
+            if let Some(p) = self.pages.get(&(addr >> PAGE_BITS)) {
+                chunk.copy_from_slice(&p[off..off + chunk.len()]);
+            }
+            addr += chunk.len() as u64;
+            rest = tail;
+        }
+        out
     }
 
     /// Sorted `(page index, contents)` snapshot of every page holding a
@@ -212,6 +228,30 @@ mod tests {
         let mut m = GuestMem::new();
         m.write_slice(100, b"hello world");
         assert_eq!(m.read_vec(100, 11), b"hello world");
+    }
+
+    #[test]
+    fn unaligned_slice_spanning_three_pages() {
+        let mut m = GuestMem::new();
+        // last 5 bytes of one page, a whole page, first 9 of the next
+        let addr = 0x3_0000 - 5;
+        let bytes: Vec<u8> = (0..5 + PAGE_SIZE + 9).map(|k| (k * 7 + 1) as u8).collect();
+        m.write_slice(addr, &bytes);
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.read_vec(addr, bytes.len()), bytes);
+        // a wider window reads the untouched neighbours as zero
+        let wide = m.read_vec(addr - 2, bytes.len() + 4);
+        assert_eq!(wide[..2], [0, 0]);
+        assert_eq!(wide[2..2 + bytes.len()], bytes[..]);
+        assert_eq!(wide[2 + bytes.len()..], [0, 0]);
+        // word reads agree at the seams, including across them
+        for at in [0, 1, 5, 5 + PAGE_SIZE - 3, bytes.len() - 8] {
+            let want = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            assert_eq!(m.read_u64(addr + at as u64), want, "offset {at}");
+        }
+        // reading never maps a page
+        assert_eq!(m.read_vec(0x9_0000, 2 * PAGE_SIZE), vec![0; 2 * PAGE_SIZE]);
+        assert_eq!(m.resident_pages(), 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The decoded-instruction type shared by the assembler, functional
 //! emulator and the timing models.
 
-use crate::op::{Op, RegFile};
+use crate::op::{Op, OpTraits, RegFile};
 
 /// A decoded instruction: an [`Op`] plus its operand values.
 ///
@@ -86,7 +86,12 @@ impl Inst {
 
     /// Destination register and its file, if any (writes to `x0` excluded).
     pub fn dest(&self) -> Option<(RegFile, u8)> {
-        let t = self.op.traits_of();
+        self.dest_of(self.op.traits_of())
+    }
+
+    /// [`Self::dest`] for a caller that already holds `self.op.traits_of()`.
+    #[inline]
+    pub fn dest_of(&self, t: OpTraits) -> Option<(RegFile, u8)> {
         match t.rd {
             RegFile::None => None,
             RegFile::Int if self.rd == 0 => None,
@@ -99,7 +104,13 @@ impl Inst {
     /// Reads of integer `x0` are omitted (hard-wired zero never creates a
     /// dependence).
     pub fn sources(&self) -> impl Iterator<Item = (RegFile, u8)> {
-        let t = self.op.traits_of();
+        self.sources_of(self.op.traits_of())
+    }
+
+    /// [`Self::sources`] for a caller that already holds
+    /// `self.op.traits_of()`.
+    #[inline]
+    pub fn sources_of(&self, t: OpTraits) -> impl Iterator<Item = (RegFile, u8)> {
         let mk = |rf: RegFile, idx: u8| match rf {
             RegFile::None => None,
             RegFile::Int if idx == 0 => None,

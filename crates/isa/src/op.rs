@@ -77,6 +77,7 @@ pub enum ExecClass {
 
 impl ExecClass {
     /// Whether this class executes in the vector unit.
+    #[inline]
     pub fn is_vector(self) -> bool {
         matches!(
             self,
@@ -111,6 +112,21 @@ impl ExecClass {
     }
 }
 
+/// Declares [`Op`] together with [`Op::ALL`], so the list of variants
+/// exists once.
+macro_rules! ops {
+    ($(#[$meta:meta])* pub enum Op { $($(#[$vmeta:meta])* $name:ident,)* }) => {
+        $(#[$meta])*
+        pub enum Op { $($(#[$vmeta])* $name,)* }
+
+        impl Op {
+            /// Every operation, in discriminant order (`ALL[op as usize] == op`).
+            pub const ALL: &'static [Op] = &[$(Op::$name),*];
+        }
+    };
+}
+
+ops! {
 /// Every operation of the simulated ISA.
 ///
 /// Naming follows the assembly mnemonic, camel-cased; `W`-suffixed variants
@@ -428,10 +444,11 @@ pub enum Op {
     /// Full pipeline/memory synchronization barrier.
     XSync,
 }
+}
 
 /// How many source/destination register operands an [`Op`] has and where
 /// they live. Produced by [`Op::traits_of`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OpTraits {
     /// Execution class for pipe routing and latency.
     pub class: ExecClass,
@@ -446,26 +463,42 @@ pub struct OpTraits {
     pub rs3: RegFile,
 }
 
-impl OpTraits {
-    const fn new(class: ExecClass, rd: RegFile, rs1: RegFile, rs2: RegFile, rs3: RegFile) -> Self {
-        Self {
-            class,
-            rd,
-            rs1,
-            rs2,
-            rs3,
-        }
-    }
-}
-
 use ExecClass as C;
 use RegFile::{Fp, Int, None as NoR, Vec as Vc};
 
+const fn t(class: ExecClass, rd: RegFile, rs1: RegFile, rs2: RegFile, rs3: RegFile) -> OpTraits {
+    OpTraits {
+        class,
+        rd,
+        rs1,
+        rs2,
+        rs3,
+    }
+}
+
+/// [`Op::describe`] evaluated once per operation at compile time: the
+/// timing models ask for an op's traits on every instruction, and an
+/// indexed load inlines where a 261-arm match does not.
+static TRAITS: [OpTraits; Op::ALL.len()] = {
+    let mut table = [t(C::Alu, NoR, NoR, NoR, NoR); Op::ALL.len()];
+    let mut i = 0;
+    while i < table.len() {
+        table[Op::ALL[i] as usize] = Op::ALL[i].describe();
+        i += 1;
+    }
+    table
+};
+
 impl Op {
     /// Static operand/class information for this operation.
+    #[inline]
     pub fn traits_of(self) -> OpTraits {
+        TRAITS[self as usize]
+    }
+
+    /// The definition behind [`Self::traits_of`].
+    const fn describe(self) -> OpTraits {
         use Op::*;
-        let t = OpTraits::new;
         match self {
             Lui => t(C::Alu, Int, NoR, NoR, NoR),
             Auipc => t(C::Alu, Int, NoR, NoR, NoR),
@@ -571,6 +604,7 @@ impl Op {
     }
 
     /// Execution class shortcut.
+    #[inline]
     pub fn exec_class(self) -> ExecClass {
         self.traits_of().class
     }
@@ -581,6 +615,7 @@ impl Op {
     }
 
     /// Whether this op belongs to the vector extension.
+    #[inline]
     pub fn is_vector(self) -> bool {
         self.exec_class().is_vector() || matches!(self, Op::Vsetvl | Op::Vsetvli)
     }
@@ -911,6 +946,15 @@ mod tests {
         assert_eq!(Op::Sd.mem_size(), 8);
         assert_eq!(Op::Add.mem_size(), 0);
         assert_eq!(Op::AmoAddW.mem_size(), 4);
+    }
+
+    #[test]
+    fn traits_table_matches_the_definition_for_every_op() {
+        assert_eq!(Op::ALL.len(), Op::XSync as usize + 1);
+        for (i, &op) in Op::ALL.iter().enumerate() {
+            assert_eq!(op as usize, i, "{op:?} out of discriminant order");
+            assert_eq!(op.traits_of(), op.describe(), "{op:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build (release, all targets, offline) =="
-cargo build --release --offline --all-targets
+# --workspace: the report binaries the later legs run (xt-report,
+# xt-stat, xt-figures) belong to xt-bench, which the root package does
+# not depend on.
+cargo build --release --offline --workspace --all-targets
 
 echo "== test (workspace, offline) =="
 cargo test -q --offline --workspace
@@ -241,6 +244,16 @@ done
 snap_dir=$(mktemp -d)
 (cd "$snap_dir" && "$repo_root/target/release/xt-report" --smoke --snapshot-every 1000)
 rm -rf "$snap_dir"
+
+echo "== xt-hostbench self-test (benchmark/README.md) =="
+# The host-speed benchmark is a workspace of its own, so nothing above
+# builds it. Its unit tests cover the estimators and the result
+# contract; --smoke runs shrunken jobs of all four workloads and exits
+# non-zero on a wrong exit code, instruction count or digest, so a
+# change that breaks what BENCHMARK.json measures fails here, not in a
+# later measurement.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke
 
 echo "== hermetic dependency check =="
 # Workspace-local (path) packages have "source": null in cargo metadata;

@@ -135,6 +135,42 @@ fn dense_cut_sweep_preserves_lr_reservation() {
     }
 }
 
+/// Issue-queue pressure: a serial divide chain whose consumers wait in
+/// the queue until it fills, interleaved with independent adds that
+/// leave at once. The queue's release cycles therefore arrive out of
+/// order (every other window releases in retirement order), and a cut
+/// after any such add lands in a frame holding them. Cut at every
+/// instruction of a few steady-state iterations.
+#[test]
+fn iq_pressure_kernel_resumes_with_out_of_order_releases() {
+    let mut a = Asm::new();
+    a.li(Gpr::A2, 60);
+    a.li(Gpr::A4, i64::MAX);
+    a.li(Gpr::A5, 3);
+    let top = a.here();
+    a.div(Gpr::A4, Gpr::A4, Gpr::A5);
+    for _ in 0..4 {
+        a.add(Gpr::A6, Gpr::A6, Gpr::A4); // waits for the divide
+        a.addi(Gpr::A7, Gpr::A7, 1); // independent: completes first
+    }
+    a.addi(Gpr::A2, Gpr::A2, -1);
+    a.bnez(Gpr::A2, top);
+    a.andi(Gpr::A0, Gpr::A7, 0xff);
+    a.halt();
+    let prog = a.finish().unwrap();
+
+    let mut whole = session_fastpath(&prog, true);
+    let reference = whole.run_to_end();
+    assert_eq!(reference.exit_code, Some(240), "4 independent adds x 60");
+    assert!(
+        reference.perf.iq_stall_cycles() > 0,
+        "kernel must fill the issue queue"
+    );
+    for cut in 330..375 {
+        assert_resume_identical(&prog, cut, true, true);
+    }
+}
+
 // ---------------------------------------------------------------------
 // cluster matrix
 // ---------------------------------------------------------------------
