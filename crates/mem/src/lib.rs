@@ -40,6 +40,7 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod ecc;
+mod linemap;
 pub mod missclass;
 pub mod prefetch;
 pub mod stats;

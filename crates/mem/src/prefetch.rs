@@ -52,6 +52,9 @@ pub struct Prefetcher {
     line_bits: u32,
     streams: Vec<Stream>,
     stamp: u64,
+    /// Requests of the latest [`Self::on_access`] call (scratch, not
+    /// state: cleared per call, absent from snapshots).
+    reqs: Vec<PrefetchReq>,
     /// Total prefetch requests issued.
     pub issued: u64,
     /// Streams that were confirmed at least once.
@@ -76,6 +79,7 @@ impl Prefetcher {
                 cfg.max_streams
             ],
             stamp: 0,
+            reqs: Vec::new(),
             issued: 0,
             streams_confirmed: 0,
         }
@@ -86,16 +90,22 @@ impl Prefetcher {
         &self.cfg
     }
 
-    /// Observes a demand access at virtual address `va`; returns the
-    /// prefetch requests to issue now, plus the stream-table slot that
-    /// crossed the confirmation threshold on this access (if any).
-    pub fn on_access(&mut self, va: u64) -> (Vec<PrefetchReq>, Option<usize>) {
+    /// The prefetch requests to issue now: those the latest
+    /// [`Self::on_access`] call produced, in issue order.
+    pub fn requests(&self) -> &[PrefetchReq] {
+        &self.reqs
+    }
+
+    /// Observes a demand access at virtual address `va`, replacing
+    /// [`Self::requests`]; returns the stream-table slot that crossed the
+    /// confirmation threshold on this access (if any).
+    pub fn on_access(&mut self, va: u64) -> Option<usize> {
+        self.reqs.clear();
         if !self.cfg.enabled() {
-            return (Vec::new(), None);
+            return None;
         }
         self.stamp += 1;
         let line = va >> self.line_bits;
-        let mut out = Vec::new();
 
         // 1. stride calculation: find the stream this access extends.
         let mut best: Option<usize> = None;
@@ -125,7 +135,7 @@ impl Prefetcher {
                 let delta = line as i64 - s.last as i64;
                 s.lru = self.stamp;
                 if delta == 0 {
-                    return (out, None); // same line, nothing to learn
+                    return None; // same line, nothing to learn
                 }
                 if s.confidence == 0 {
                     // candidate stride established
@@ -133,7 +143,7 @@ impl Prefetcher {
                     s.confidence = 1;
                     s.last = line;
                     s.next = line as i64 + s.stride;
-                    return (out, None);
+                    return None;
                 }
                 // stride confirmed again
                 s.confidence = (s.confidence + 1).min(8);
@@ -168,7 +178,7 @@ impl Prefetcher {
                     };
                     while (step > 0 && next <= bound) || (step < 0 && next >= bound) {
                         if next >= 0 {
-                            out.push(PrefetchReq {
+                            self.reqs.push(PrefetchReq {
                                 va: (next as u64) << self.line_bits,
                                 stream: i,
                             });
@@ -195,8 +205,8 @@ impl Prefetcher {
                 };
             }
         }
-        self.issued += out.len() as u64;
-        (out, confirmed)
+        self.issued += self.reqs.len() as u64;
+        confirmed
     }
 }
 
@@ -255,29 +265,50 @@ mod tests {
         Prefetcher::new(cfg, 64)
     }
 
+    /// One access: the requests it produced and the confirmed slot.
+    fn access(p: &mut Prefetcher, va: u64) -> (Vec<PrefetchReq>, Option<usize>) {
+        let confirmed = p.on_access(va);
+        (p.requests().to_vec(), confirmed)
+    }
+
     #[test]
     fn unit_stride_confirms_and_issues() {
         let mut p = engine(PrefetchDistance::Small);
-        assert!(p.on_access(0).0.is_empty(), "first touch allocates");
-        assert!(p.on_access(64).0.is_empty(), "second touch sets stride");
-        let (reqs, confirmed) = p.on_access(128); // third touch confirms
+        assert!(access(&mut p, 0).0.is_empty(), "first touch allocates");
+        assert!(access(&mut p, 64).0.is_empty(), "second touch sets stride");
+        let (reqs, confirmed) = access(&mut p, 128); // third touch confirms
         assert!(!reqs.is_empty(), "confirmed stream prefetches");
         assert_eq!(reqs[0].va, 192, "starts one line ahead");
         assert!(p.streams_confirmed >= 1);
         let slot = confirmed.expect("confirmation slot reported");
         assert!(reqs.iter().all(|r| r.stream == slot), "requests carry the slot");
         // later accesses on the same stream don't re-confirm
-        assert_eq!(p.on_access(192).1, None);
+        assert_eq!(access(&mut p, 192).1, None);
+    }
+
+    #[test]
+    fn requests_are_those_of_the_latest_access_only() {
+        let mut p = engine(PrefetchDistance::Small);
+        for k in 0..3u64 {
+            p.on_access(k * 64);
+        }
+        let issued = p.issued;
+        assert_eq!(p.requests().len() as u64, issued, "confirmed: requests out");
+        // the same line again returns early: nothing to learn or issue,
+        // and the buffer must not still offer the previous requests
+        p.on_access(2 * 64);
+        assert!(p.requests().is_empty());
+        assert_eq!(p.issued, issued);
     }
 
     #[test]
     fn steady_state_issues_one_per_access() {
         let mut p = engine(PrefetchDistance::Small);
         for k in 0..8u64 {
-            p.on_access(k * 64);
+            access(&mut p, k * 64);
         }
         // In steady state each new demand line extends the run by ~stride.
-        let reqs = p.on_access(8 * 64).0;
+        let reqs = access(&mut p, 8 * 64).0;
         assert_eq!(reqs.len(), 1);
         // small distance is 4 lines; the L2 engine doubles the reach
         assert_eq!(reqs[0].va, (8 + 8) * 64, "reach 8 lines ahead");
@@ -290,10 +321,10 @@ mod tests {
         let mut tail_small = 0;
         let mut tail_large = 0;
         for k in 0..16u64 {
-            if let Some(r) = small.on_access(k * 64).0.last() {
+            if let Some(r) = access(&mut small, k * 64).0.last() {
                 tail_small = r.va;
             }
-            if let Some(r) = large.on_access(k * 64).0.last() {
+            if let Some(r) = access(&mut large, k * 64).0.last() {
                 tail_large = r.va;
             }
         }
@@ -304,9 +335,9 @@ mod tests {
     fn non_unit_stride_detected() {
         let mut p = engine(PrefetchDistance::Small);
         // stride of 3 lines
-        p.on_access(0);
-        p.on_access(3 * 64);
-        let reqs = p.on_access(6 * 64).0;
+        access(&mut p, 0);
+        access(&mut p, 3 * 64);
+        let reqs = access(&mut p, 6 * 64).0;
         assert!(!reqs.is_empty());
         assert_eq!(reqs[0].va, 9 * 64);
     }
@@ -314,9 +345,9 @@ mod tests {
     #[test]
     fn negative_stride_supported() {
         let mut p = engine(PrefetchDistance::Small);
-        p.on_access(100 * 64);
-        p.on_access(99 * 64);
-        let reqs = p.on_access(98 * 64).0;
+        access(&mut p, 100 * 64);
+        access(&mut p, 99 * 64);
+        let reqs = access(&mut p, 98 * 64).0;
         assert!(!reqs.is_empty());
         assert_eq!(reqs[0].va, 97 * 64);
     }
@@ -330,10 +361,10 @@ mod tests {
         let mut got_a = false;
         let mut got_b = false;
         for k in 0..8u64 {
-            for r in p.on_access(base_a + k * 64).0 {
+            for r in access(&mut p, base_a + k * 64).0 {
                 got_a |= r.va > base_a;
             }
-            for r in p.on_access(base_b + k * 64).0 {
+            for r in access(&mut p, base_b + k * 64).0 {
                 got_b |= r.va > base_b;
             }
         }
@@ -347,7 +378,7 @@ mod tests {
         // ahead into page 1 without a gap at the boundary
         let mut vas = Vec::new();
         for k in 56..64u64 {
-            vas.extend(p.on_access(k * 64).0.into_iter().map(|r| r.va));
+            vas.extend(access(&mut p, k * 64).0.into_iter().map(|r| r.va));
         }
         assert!(
             vas.iter().any(|&va| va >= 4096),
@@ -365,7 +396,7 @@ mod tests {
         // descend through the bottom of page 1 into page 0
         let mut vas = Vec::new();
         for k in (64..=70u64).rev() {
-            vas.extend(p.on_access(k * 64).0.into_iter().map(|r| r.va));
+            vas.extend(access(&mut p, k * 64).0.into_iter().map(|r| r.va));
         }
         assert!(
             vas.iter().any(|&va| va < 4096),
@@ -378,7 +409,7 @@ mod tests {
         let mut p = engine(PrefetchDistance::Large);
         let mut vas = Vec::new();
         for k in (0..=4u64).rev() {
-            vas.extend(p.on_access(k * 64).0.into_iter().map(|r| r.va));
+            vas.extend(access(&mut p, k * 64).0.into_iter().map(|r| r.va));
         }
         // the run-ahead target is far below line 0; requests clamp there
         // instead of wrapping to the top of the address space
@@ -395,7 +426,7 @@ mod tests {
         let addrs = [0u64, 1 << 20, 5 << 20, 2 << 20, 9 << 20, 3 << 20];
         let mut total = 0;
         for a in addrs {
-            total += p.on_access(a).0.len();
+            total += access(&mut p, a).0.len();
         }
         assert_eq!(total, 0, "no pattern, no prefetch");
     }
@@ -404,7 +435,7 @@ mod tests {
     fn disabled_config_is_silent() {
         let mut p = Prefetcher::new(PrefetchConfig::off(), 64);
         for k in 0..10u64 {
-            assert!(p.on_access(k * 64).0.is_empty());
+            assert!(access(&mut p, k * 64).0.is_empty());
         }
     }
 }

@@ -23,12 +23,12 @@
 use crate::cache::{Cache, LineState, ProbeResult};
 use crate::config::MemConfig;
 use crate::dram::Dram;
+use crate::linemap::LineMap;
 use crate::missclass::MissClassifier;
 use crate::prefetch::Prefetcher;
 use crate::stats::{MemStats, StreamScore};
 use crate::tlb::{Mapping, PageSize, Tlb, TlbResult};
 use crate::trace::{Level, MemEvent, MemEventKind, MemTracer};
-use std::collections::HashMap;
 
 /// Synthetic physical region where page-table entries live, so that walk
 /// accesses go through the cache hierarchy and exhibit locality (one
@@ -74,6 +74,17 @@ pub enum MemOp {
     FlushAll,
 }
 
+/// The cores named by a holder bit mask, in ascending order.
+fn cores_of(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let c = mask.trailing_zeros() as usize;
+            mask &= mask - 1; // clear the lowest set bit
+            c
+        })
+    })
+}
+
 /// The cluster memory hierarchy (paper Fig. 2: up to 4 cores sharing an
 /// inclusive L2).
 ///
@@ -89,10 +100,10 @@ pub struct MemSystem {
     pfs: Vec<Prefetcher>,
     l2: Cache,
     /// Snoop filter: L2 line address -> presence bitmask over cores' L1D.
-    dir: HashMap<u64, u16>,
+    dir: LineMap<u16>,
     dram: Dram,
     /// Prefetches still in flight: PA line address -> ready cycle.
-    inflight: HashMap<u64, u64>,
+    inflight: LineMap<u64>,
     /// Per-core contributions to shared-L2 demand (hits, misses).
     l2_demand: Vec<(u64, u64)>,
     /// Per-core late prefetches (demand arrived while the fill was
@@ -117,7 +128,7 @@ pub struct MemSystem {
     pf_score: Vec<Vec<StreamScore>>,
     /// Per-core ownership of not-yet-demanded prefetched L1D lines:
     /// line address -> stream-table slot that prefetched it.
-    pf_owner: Vec<HashMap<u64, usize>>,
+    pf_owner: Vec<LineMap<usize>>,
     line_bytes: u64,
     /// When `Some`, every public access is appended here (epoch replay).
     recorder: Option<Vec<MemOp>>,
@@ -154,9 +165,9 @@ impl MemSystem {
                 .map(|_| Prefetcher::new(cfg.prefetch, cfg.line_bytes))
                 .collect(),
             l2: Cache::new("L2", cfg.l2_kib, cfg.l2_ways, cfg.line_bytes),
-            dir: HashMap::new(),
+            dir: LineMap::default(),
             dram: Dram::new(cfg.dram_latency, cfg.dram_transfer),
-            inflight: HashMap::new(),
+            inflight: LineMap::default(),
             l2_demand: vec![(0, 0); cores],
             prefetches_late: vec![0; cores],
             snoops_filtered: 0,
@@ -171,7 +182,7 @@ impl MemSystem {
             snoop_matrix: vec![0; cores * cores],
             cls: (0..cores).map(|_| MissClassifier::new(l1d_lines)).collect(),
             pf_score: vec![vec![StreamScore::default(); cfg.prefetch.max_streams]; cores],
-            pf_owner: vec![HashMap::new(); cores],
+            pf_owner: vec![LineMap::default(); cores],
             line_bytes: cfg.line_bytes as u64,
             recorder: None,
             tracer: None,
@@ -268,15 +279,16 @@ impl MemSystem {
     }
 
     /// Other cores currently holding the line in L1D (via the snoop
-    /// filter, then verified against the actual caches).
-    fn sharers(&mut self, core: usize, cycle: u64, line: u64) -> Vec<usize> {
+    /// filter, then verified against the actual caches), as a bit mask
+    /// over cores; [`cores_of`] iterates it.
+    fn sharers(&mut self, core: usize, cycle: u64, line: u64) -> u16 {
         let mask = self.dir.get(&line).copied().unwrap_or(0) & !(1u16 << core);
         if mask == 0 {
             self.snoops_filtered += 1;
             self.emit(cycle, core, line, MemEventKind::SnoopFiltered);
-            return Vec::new();
+            return 0;
         }
-        let mut out = Vec::new();
+        let mut out = 0;
         for c in 0..self.cfg.cores {
             if mask & (1 << c) != 0 {
                 self.probe_candidates += 1;
@@ -292,7 +304,7 @@ impl MemSystem {
                             sent: true,
                         },
                     );
-                    out.push(c);
+                    out |= 1 << c;
                 } else {
                     // directory said "maybe", cache says "gone": the probe
                     // is suppressed rather than sent
@@ -747,7 +759,7 @@ impl MemSystem {
                 self.emit(cycle, core, line, MemEventKind::CohUpgrade);
                 let sharers = self.sharers(core, cycle, line);
                 let mut extra = self.cfg.l2_hit; // upgrade round-trip
-                for c in sharers {
+                for c in cores_of(sharers) {
                     if self.l1d[c].state_of(line).is_dirty() {
                         extra += self.cfg.c2c_penalty;
                         self.c2c_transfers += 1;
@@ -783,31 +795,31 @@ impl MemSystem {
                 let mut c2c = 0;
                 let mut fill_state = if is_store {
                     LineState::Modified
-                } else if sharers.is_empty() {
+                } else if sharers == 0 {
                     LineState::Exclusive
                 } else {
                     LineState::Shared
                 };
-                for c in &sharers {
-                    let st = self.l1d[*c].state_of(line);
+                for c in cores_of(sharers) {
+                    let st = self.l1d[c].state_of(line);
                     if is_store {
                         if st.is_dirty() {
                             c2c = self.cfg.c2c_penalty;
                             self.c2c_transfers += 1;
-                            self.emit(cycle, core, line, MemEventKind::C2CTransfer { from: *c });
+                            self.emit(cycle, core, line, MemEventKind::C2CTransfer { from: c });
                         }
-                        self.l1d[*c].set_state(line, LineState::Invalid);
-                        self.note_l1d_evict(*c, line);
+                        self.l1d[c].set_state(line, LineState::Invalid);
+                        self.note_l1d_evict(c, line);
                         self.coh_invalidations += 1;
-                        self.emit(cycle, core, line, MemEventKind::CohInvalidate { victim: *c });
-                        self.cls[*c].on_coherence_invalidate(line);
-                        self.pf_useless(cycle, *c, line);
+                        self.emit(cycle, core, line, MemEventKind::CohInvalidate { victim: c });
+                        self.cls[c].on_coherence_invalidate(line);
+                        self.pf_useless(cycle, c, line);
                     } else if st == LineState::Modified {
                         // dirty sharing: supplier keeps an Owned copy
-                        self.l1d[*c].set_state(line, LineState::Owned);
+                        self.l1d[c].set_state(line, LineState::Owned);
                         c2c = self.cfg.c2c_penalty;
                         self.c2c_transfers += 1;
-                        self.emit(cycle, core, line, MemEventKind::C2CTransfer { from: *c });
+                        self.emit(cycle, core, line, MemEventKind::C2CTransfer { from: c });
                         fill_state = LineState::Shared;
                         self.coh_downgrades += 1;
                         self.emit(
@@ -815,12 +827,12 @@ impl MemSystem {
                             core,
                             line,
                             MemEventKind::CohDowngrade {
-                                victim: *c,
+                                victim: c,
                                 to: LineState::Owned,
                             },
                         );
                     } else if st == LineState::Exclusive {
-                        self.l1d[*c].set_state(line, LineState::Shared);
+                        self.l1d[c].set_state(line, LineState::Shared);
                         fill_state = LineState::Shared;
                         self.coh_downgrades += 1;
                         self.emit(
@@ -828,7 +840,7 @@ impl MemSystem {
                             core,
                             line,
                             MemEventKind::CohDowngrade {
-                                victim: *c,
+                                victim: c,
                                 to: LineState::Shared,
                             },
                         );
@@ -880,8 +892,7 @@ impl MemSystem {
         if !pf_cfg.enabled() {
             return;
         }
-        let (reqs, confirmed) = self.pfs[core].on_access(va);
-        if let Some(slot) = confirmed {
+        if let Some(slot) = self.pfs[core].on_access(va) {
             self.emit(
                 cycle,
                 core,
@@ -889,13 +900,11 @@ impl MemSystem {
                 MemEventKind::StreamConfirmed { stream: slot },
             );
         }
-        if reqs.is_empty() {
-            return;
-        }
         // L1 prefetch reaches `distance` lines; with the L2 prefetcher on,
         // a second engine runs the same stream further ahead into L2 only.
         let l1_reach = pf_cfg.distance.lines() * self.line_bytes;
-        for req in reqs {
+        for k in 0..self.pfs[core].requests().len() {
+            let req = self.pfs[core].requests()[k];
             let delta = req.va.wrapping_sub(va);
             let req_pa = pa.wrapping_add(delta);
             let line = self.line_of(req_pa);

@@ -272,4 +272,22 @@ if [ -n "$external" ]; then
 fi
 echo "OK: dependency graph contains only workspace-local crates"
 
+echo "== fixtures untouched =="
+# Every leg above compares against the committed fixtures and baselines;
+# none may rewrite them. A stray XT_BLESS=1 in the environment re-blesses
+# instead of comparing and every gate still passes, so look at the files
+# themselves. Outside a git checkout (a source tarball) there is nothing
+# to compare against.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    touched=$(git status --porcelain -- tests/fixtures baselines BENCH_perf.json REPORT_perf.md)
+    if [ -n "$touched" ]; then
+        echo "ERROR: fixtures differ from the commit (a deliberate re-bless is committed before ci.sh runs):" >&2
+        echo "$touched" >&2
+        exit 1
+    fi
+    echo "OK: tests/fixtures, baselines, BENCH_perf.json, REPORT_perf.md as committed"
+else
+    echo "skipped: not a git checkout"
+fi
+
 echo "== ci.sh: all gates green =="

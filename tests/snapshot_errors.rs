@@ -141,3 +141,91 @@ fn cross_config_restore_reports_mismatch() {
         Err(SnapshotError::Mismatch { .. })
     ));
 }
+
+// ---- the miss classifier's shadow LRU list ----
+
+/// Stores to four distinct lines, then halts: the L1D miss classifier's
+/// shadow store ends up with at least four residents.
+fn four_line_prog() -> Program {
+    let mut a = Asm::new();
+    let buf = a.data_zeros("buf", 4 * 64);
+    a.la(Gpr::A1, buf);
+    for k in 0..4 {
+        a.sd(Gpr::ZERO, Gpr::A1, k * 64);
+    }
+    a.li(Gpr::A0, 7);
+    a.halt();
+    a.finish().unwrap()
+}
+
+fn field(payload: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
+}
+
+fn set_field(payload: &mut [u8], at: usize, v: u64) {
+    payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The payload of a session frame taken after `four_line_prog` ran, the
+/// offset of the shadow list's `cap` field in it, and the resident count.
+///
+/// The memory system is the last part of a session payload, the one
+/// core's classifier the last part of that but for the "no tracer" byte,
+/// and a classifier ends `cap, n, n × (stamp, line), next_stamp, 4 × u64`.
+fn shadow_payload() -> (Vec<u8>, usize, usize) {
+    let mut s = OooSession::new_ooo(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
+    s.run_to_end();
+    let frame = s.save();
+    let payload = xt_snapshot::open(&frame, xt_snapshot::KIND_CORE)
+        .unwrap()
+        .to_vec();
+    let pairs_end = payload.len() - 1 - 5 * 8;
+    // walking back over the pairs, the would-be `n` field lands on line
+    // addresses (never small numbers) until it is the real one
+    let (n, cap_at) = (0..64usize)
+        .map(|n| (n, pairs_end - n * 16 - 16))
+        .find(|&(n, cap_at)| field(&payload, cap_at + 8) == n as u64)
+        .expect("shadow list at the end of the payload");
+    assert!(n >= 4, "four stored lines are resident: {n}");
+    (payload, cap_at, n)
+}
+
+/// Frames whose checksum is right but whose shadow LRU list no save
+/// could have written: the map-based restore took all of them; the
+/// linked list must refuse them instead of mis-linking or panicking.
+#[test]
+fn inconsistent_shadow_lru_is_rejected() {
+    let (good, cap_at, n) = shadow_payload();
+    let pair = |k: usize| cap_at + 16 + k * 16; // (stamp, line) number k
+    let next_stamp_at = pair(n);
+    let restore_payload = |payload: &[u8]| {
+        let mut s = OooSession::new_ooo(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
+        s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
+    };
+    restore_payload(&good).expect("the untouched payload restores");
+
+    let mut hostile: Vec<(&str, Vec<u8>)> = Vec::new();
+    let mut p = good.clone();
+    let (s1, s2) = (field(&p, pair(1)), field(&p, pair(2)));
+    set_field(&mut p, pair(1), s2);
+    set_field(&mut p, pair(2), s1);
+    hostile.push(("stamps not ascending", p));
+    let mut p = good.clone();
+    let line = field(&p, pair(0) + 8);
+    set_field(&mut p, pair(n - 1) + 8, line);
+    hostile.push(("duplicate line", p));
+    let mut p = good.clone();
+    set_field(&mut p, cap_at, n as u64 - 1);
+    hostile.push(("more residents than cap", p));
+    let mut p = good.clone();
+    let last = field(&p, pair(n - 1));
+    set_field(&mut p, next_stamp_at, last);
+    hostile.push(("stamp not below next_stamp", p));
+
+    for (name, payload) in &hostile {
+        match restore_payload(payload) {
+            Err(SnapshotError::Corrupt { what: "shadow lru" }) => {}
+            other => panic!("{name}: expected Corrupt(shadow lru), got {other:?}"),
+        }
+    }
+}
