@@ -17,9 +17,11 @@
 //!                  trace as `TRACE_depchain.kanata` (Konata) and
 //!                  `TRACE_depchain_chrome.json` (chrome://tracing)
 //!   --mips-sanity  measure the functional emulator's MIPS with the
-//!                  decoded-block cache on vs. off, print both, and exit
-//!                  non-zero if the cache made it slower (CI guard; writes
-//!                  no files)
+//!                  decoded-block cache on vs. off and through the
+//!                  by-reference step driver, print all three, and exit
+//!                  non-zero if the cache made it slower or stepping fell
+//!                  under `multicore::STEP_DRIVER_FLOOR` of `Emulator::run`
+//!                  (CI guard; writes no files)
 //!   --snapshot-every N
 //!                  run every single-core cell through a save/restore
 //!                  cycle each N retired instructions (docs/SNAPSHOT.md),
@@ -73,14 +75,29 @@ fn main() {
     }
 
     if mips_sanity {
-        let (fast, slow) = multicore::emu_speed();
+        let s = multicore::emu_speed();
+        let (fast, slow) = (s.fastpath, s.slowpath);
         println!(
             "emulator speed: {fast:.2} MIPS with the decoded-block cache, \
              {slow:.2} MIPS per-step decode ({:.2}x)",
             fast / slow
         );
+        let ratio = s.step_driver / fast;
+        println!(
+            "step driver: {:.2} MIPS through TraceSource by reference, \
+             {ratio:.2} of Emulator::run (floor {})",
+            s.step_driver,
+            multicore::STEP_DRIVER_FLOOR
+        );
         if fast < slow {
             eprintln!("xt-report: MIPS sanity FAILED — fast path slower than per-step decode");
+            std::process::exit(1);
+        }
+        if ratio < multicore::STEP_DRIVER_FLOOR {
+            eprintln!(
+                "xt-report: MIPS sanity FAILED — stepping costs more than {:.1}x Emulator::run",
+                1.0 / multicore::STEP_DRIVER_FLOOR
+            );
             std::process::exit(1);
         }
         return;

@@ -320,47 +320,89 @@ pub fn host_speed() -> HostSpeed {
     };
     let mips_1_thread = mips(1);
     let mips_4_threads = mips(4);
-    let (emu_mips_fastpath, emu_mips_slowpath) = emu_speed();
+    let emu = emu_speed();
     HostSpeed {
         mips_1_thread,
         mips_4_threads,
         speedup: mips_4_threads / mips_1_thread,
-        emu_mips_fastpath,
-        emu_mips_slowpath,
-        emu_speedup: emu_mips_fastpath / emu_mips_slowpath,
+        emu_mips_fastpath: emu.fastpath,
+        emu_mips_slowpath: emu.slowpath,
+        emu_speedup: emu.fastpath / emu.slowpath,
     }
 }
 
-/// Measures the functional emulator's raw host MIPS with the
-/// decoded-block cache on vs. off (docs/FASTPATH.md), on a single-core
-/// ALU/branch loop. Returns `(fastpath, slowpath)` MIPS. Also used by
-/// `xt-report --mips-sanity`, the CI guard that the cache never makes
-/// the emulator slower.
-pub fn emu_speed() -> (f64, f64) {
+/// What [`emu_speed`] measured, in host MIPS.
+#[derive(Clone, Copy, Debug)]
+pub struct EmuSpeed {
+    /// `Emulator::run` with the decoded-block cache.
+    pub fastpath: f64,
+    /// `Emulator::run` decoding every step (the seed interpreter).
+    pub slowpath: f64,
+    /// `TraceSource::advance` + `current`, one record at a time — what
+    /// every timing model pays before its own work starts.
+    pub step_driver: f64,
+}
+
+/// The step driver must reach this fraction of `Emulator::run`'s MIPS on
+/// the loop below: two thirds of the 0.58 measured after PR 15 built the
+/// retired record in place (17 runs, 0.55-0.63). The by-value drain it
+/// replaced measured 0.39 of its own `Emulator::run` (10 runs,
+/// 0.377-0.405; EXPERIMENTS.md, "Host speed, PR 15").
+pub const STEP_DRIVER_FLOOR: f64 = 0.39;
+
+/// Measures the functional emulator's raw host MIPS (docs/FASTPATH.md)
+/// on a single-core ALU/branch loop with one load and one store: with
+/// the decoded-block cache on and off, and drained one borrowed record
+/// at a time. Also used by `xt-report --mips-sanity`, the CI guard that
+/// the cache never makes the emulator slower and that handing records
+/// to a timing model never costs more than [`STEP_DRIVER_FLOOR`] allows.
+pub fn emu_speed() -> EmuSpeed {
     let mut a = Asm::new();
-    a.li(Gpr::A2, 2_000_000);
+    let cell = a.data_zeros("cell", 8);
+    a.la(Gpr::A1, cell);
+    a.li(Gpr::A2, 1_500_000);
     let top = a.here();
+    a.ld(Gpr::A3, Gpr::A1, 0);
     a.addi(Gpr::A3, Gpr::A3, 3);
     a.xor_(Gpr::A4, Gpr::A3, Gpr::A2);
     a.add(Gpr::A5, Gpr::A5, Gpr::A4);
+    a.sd(Gpr::A5, Gpr::A1, 0);
     a.addi(Gpr::A2, Gpr::A2, -1);
     a.bnez(Gpr::A2, top);
     a.halt();
     let p = a.finish().unwrap();
-    let mips = |fastpath: bool| {
+    let loaded = |fastpath: bool| {
         let mut emu = xt_emu::Emulator::new();
         emu.set_fastpath(fastpath);
         emu.load(&p);
+        emu
+    };
+    let mips = |insts: u64, t0: std::time::Instant| {
+        insts as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e6
+    };
+    let run = |fastpath: bool| {
+        let mut emu = loaded(fastpath);
         let t0 = std::time::Instant::now();
         emu.run(100_000_000).expect("bench loop halts");
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        emu.cpu.instret as f64 / secs / 1e6
+        mips(emu.cpu.instret, t0)
     };
     // the slow path is the reference interpreter: measure it first so
     // the fast number never benefits from a warmer cache hierarchy
-    let slow = mips(false);
-    let fast = mips(true);
-    (fast, slow)
+    let slowpath = run(false);
+    let fastpath = run(true);
+    let mut trace = xt_emu::TraceSource::new(loaded(true), 100_000_000);
+    let mut taken = 0u64;
+    let t0 = std::time::Instant::now();
+    while trace.advance() == xt_emu::TraceStatus::Inst {
+        taken += trace.current().is_taken_branch() as u64;
+    }
+    let step_driver = mips(trace.retired(), t0);
+    assert!(trace.exit_code.is_some() && taken >= 1_499_999, "bench loop ran");
+    EmuSpeed {
+        fastpath,
+        slowpath,
+        step_driver,
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 
 use crate::progen::ProgSpec;
 use xt_core::{CoreConfig, InOrderCore, OooCore};
-use xt_emu::{Emulator, TraceSource};
+use xt_emu::{Emulator, TraceSource, TraceStatus};
 use xt_mem::{MemStats, MemSystem};
 use xt_perf::Sampler;
 
@@ -133,8 +133,9 @@ pub fn check_invariants(spec: &ProgSpec) -> Result<TimingSummary, String> {
     let mut sampler = Sampler::new(0, SAMPLE_INTERVAL);
     let mut last_retire = 0u64;
     let mut insts = 0u64;
-    for d in trace.by_ref() {
-        core.step(&d, &mut mem);
+    while trace.advance() == TraceStatus::Inst {
+        let d = trace.current();
+        core.step(d, &mut mem);
         if sampler.due(core.cycles()) {
             sampler.observe(core.cycles(), core.perf(), &mem.stats());
         }

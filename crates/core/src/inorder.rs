@@ -12,7 +12,7 @@ use crate::config::CoreConfig;
 use crate::ifu::{FrontEnd, Redirect};
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup};
-use xt_emu::{DynInst, TraceSource};
+use xt_emu::{DynInst, TraceSource, TraceStatus};
 use xt_isa::ExecClass;
 use xt_mem::MemSystem;
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
@@ -69,8 +69,8 @@ impl InOrderCore {
 
     /// Consumes the whole trace and produces the report.
     pub fn run_to_end(&mut self, mut trace: TraceSource, mem: &mut MemSystem) -> RunReport {
-        for d in trace.by_ref() {
-            self.step(&d, mem);
+        while trace.advance() == TraceStatus::Inst {
+            self.step(trace.current(), mem);
         }
         self.finish_report(mem, trace.exit_code)
     }

@@ -15,7 +15,7 @@ use crate::ifu::{FrontEnd, Redirect};
 use crate::lsu::Lsu;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup, SlotLimiter, Window};
-use xt_emu::{DynInst, TraceSource};
+use xt_emu::{DynInst, TraceSource, TraceStatus};
 use xt_isa::{ExecClass, Op, RegFile};
 use xt_mem::MemSystem;
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
@@ -124,8 +124,8 @@ impl OooCore {
 
     /// Consumes the whole trace and produces the report.
     pub fn run_to_end(&mut self, mut trace: TraceSource, mem: &mut MemSystem) -> RunReport {
-        for d in trace.by_ref() {
-            self.step(&d, mem);
+        while trace.advance() == TraceStatus::Inst {
+            self.step(trace.current(), mem);
         }
         self.finish_report(mem, trace.exit_code)
     }

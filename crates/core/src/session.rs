@@ -13,7 +13,7 @@ use crate::inorder::InOrderCore;
 use crate::ooo::OooCore;
 use crate::perf::RunReport;
 use xt_asm::Program;
-use xt_emu::{DynInst, Emulator, TraceEvent, TraceSource};
+use xt_emu::{DynInst, Emulator, TraceSource, TraceStatus};
 use xt_mem::{MemConfig, MemSystem};
 use xt_snapshot::SnapshotState;
 use xt_trace::TraceBuffer;
@@ -151,14 +151,13 @@ impl<C: CoreModel> Session<C> {
     /// Advances by one committed instruction. Returns `false` once the
     /// trace is exhausted (halt, error, or instruction limit).
     pub fn step(&mut self) -> bool {
-        match self.trace.try_next() {
-            TraceEvent::Inst(d) => {
-                self.core.step_inst(&d, &mut self.mem);
-                true
-            }
-            // single-core sessions never run gated cluster guests
-            TraceEvent::Barrier | TraceEvent::Done => false,
+        // single-core sessions never run gated cluster guests, so a
+        // `Barrier` ends the run like `Done`
+        let retired = self.trace.advance() == TraceStatus::Inst;
+        if retired {
+            self.core.step_inst(self.trace.current(), &mut self.mem);
         }
+        retired
     }
 
     /// Runs at most `n` further instructions; returns how many actually

@@ -100,7 +100,7 @@ struct Slot {
 /// one page's map entry is a complete invalidation of every cached
 /// instruction on that page.
 pub struct BlockCache {
-    pages: std::collections::HashMap<u64, Vec<(u16, u32)>>,
+    pages: crate::gmem::PageMap<Vec<(u16, u32)>>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Telemetry counters.
@@ -127,7 +127,7 @@ impl BlockCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         BlockCache {
-            pages: std::collections::HashMap::new(),
+            pages: Default::default(),
             slots: Vec::new(),
             free: Vec::new(),
             stats: CacheStats::default(),
@@ -213,12 +213,15 @@ impl BlockCache {
 
     /// Store-to-code hook: drops every block on any page overlapped by
     /// the `len`-byte store at `pa`. Returns whether anything was
-    /// invalidated. Pages with no cached code cost one map probe.
+    /// invalidated. Pages with no cached code cost one map probe. A span
+    /// running off the top of the address space wraps, like the store
+    /// itself: it ends on page 0.
     pub fn invalidate_span(&mut self, pa: u64, len: usize) -> bool {
-        let first = pa >> PAGE_BITS;
-        let last = (pa + len.max(1) as u64 - 1) >> PAGE_BITS;
-        let mut any = false;
-        for page in first..=last {
+        let last = pa.wrapping_add(len.max(1) as u64 - 1) >> PAGE_BITS;
+        let mut page = pa >> PAGE_BITS;
+        let mut any = self.invalidate_page(page);
+        while page != last {
+            page = (page + 1) & (u64::MAX >> PAGE_BITS);
             any |= self.invalidate_page(page);
         }
         any
@@ -319,6 +322,17 @@ mod tests {
         c.insert(blk(0x8000_1000, 1));
         assert!(c.invalidate_span(0x8000_0ffe, 4));
         assert_eq!(c.live_blocks(), 0);
+    }
+
+    #[test]
+    fn span_wrapping_the_address_space_invalidates_last_and_first_page() {
+        let mut c = BlockCache::new();
+        c.insert(blk(0xffff_ffff_ffff_f000, 1));
+        c.insert(blk(0x0000_0000_0000_0010, 1));
+        c.insert(blk(0x0000_0000_0000_1000, 1));
+        assert!(c.invalidate_span(0xffff_ffff_ffff_fffc, 8));
+        assert_eq!(c.live_blocks(), 1, "pages !0 >> 12 and 0, not page 1");
+        assert_eq!(c.stats.blocks_invalidated, 2);
     }
 
     #[test]

@@ -39,6 +39,19 @@ pub enum StepOutcome {
     NeedsBarrier,
 }
 
+/// Status of one [`Emulator::step_into`]: [`StepOutcome`] without the
+/// payloads, which stay where they already are — the record in the
+/// caller's [`DynInst`], the exit code in [`Emulator::halted`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StepStatus {
+    /// An instruction retired into the caller's record.
+    Retired,
+    /// The guest has halted; the record was not touched.
+    Halted,
+    /// See [`StepOutcome::NeedsBarrier`]; the record was not touched.
+    NeedsBarrier,
+}
+
 /// One plain-memory store, logged for cross-core propagation at the
 /// cluster epoch barrier (MMIO stores — halt, console — are never
 /// logged: they are core-local by definition).
@@ -258,6 +271,7 @@ impl Emulator {
         let mut left = fuel;
         // last-block memo: (start pa, slot, epoch); pa u64::MAX = none
         let mut memo = (u64::MAX, 0u32, 0u64);
+        let mut rec = DynInst::trap_entry(0, 0);
         while left > 0 {
             if let Some(code) = self.halted {
                 return Ok(code);
@@ -265,10 +279,10 @@ impl Emulator {
             if !(self.fastpath && self.cpu.mode == PrivMode::Machine && self.pmp.is_empty())
                 || self.cluster.is_some()
             {
-                match self.step()? {
-                    StepOutcome::Halted(code) => return Ok(code),
-                    StepOutcome::Retired(_) => left -= 1,
-                    StepOutcome::NeedsBarrier => {
+                match self.step_into(&mut rec)? {
+                    StepStatus::Retired => left -= 1,
+                    StepStatus::Halted => unreachable!("`halted` was checked above"),
+                    StepStatus::NeedsBarrier => {
                         unreachable!("Emulator::run is not cluster-aware; clear ClusterCtl::gate")
                     }
                 }
@@ -299,7 +313,8 @@ impl Emulator {
                         // undecodable or page-straddling first instruction:
                         // one reference step for the exact error/trap shape
                         None => {
-                            if let StepOutcome::Retired(_) = self.step_slow()? {
+                            let mut rec = DynInst::trap_entry(0, 0);
+                            if self.step_slow(&mut rec)? == StepStatus::Retired {
                                 left -= 1;
                             }
                             return Ok(left);
@@ -329,15 +344,15 @@ impl Emulator {
                 left -= 1;
                 break;
             }
-            match self.execute(pc, e.inst) {
-                Ok(d) => {
+            match self.exec(pc, e.inst, &mut None) {
+                Ok(next_pc) => {
                     self.cpu.instret += 1;
                     if let Some(p) = self.platform.as_mut() {
                         p.tick(1);
                     }
                     left -= 1;
                     executed += 1;
-                    pc = d.next_pc;
+                    pc = next_pc;
                     self.cpu.pc = pc;
                     if self.halted.is_some() {
                         break;
@@ -557,7 +572,26 @@ impl Emulator {
         Some(DynInst::trap_entry(pc, target))
     }
 
-    /// Fetches, decodes and executes one instruction.
+    /// Fetches, decodes and executes one instruction, by value: a
+    /// convenience over [`Emulator::step_into`] for tests and tools that
+    /// want to own each record. Per-instruction drivers borrow instead —
+    /// copying a freshly written 80-byte record out costs about as much
+    /// as executing the instruction (docs/FASTPATH.md, "Step driver").
+    ///
+    /// # Errors
+    ///
+    /// Fatal errors only; architectural traps are delivered to the guest.
+    pub fn step(&mut self) -> Result<StepOutcome, ExecError> {
+        let mut rec = DynInst::trap_entry(0, 0);
+        Ok(match self.step_into(&mut rec)? {
+            StepStatus::Retired => StepOutcome::Retired(rec),
+            StepStatus::Halted => StepOutcome::Halted(self.halted.expect("halted has a code")),
+            StepStatus::NeedsBarrier => StepOutcome::NeedsBarrier,
+        })
+    }
+
+    /// Fetches, decodes and executes one instruction, writing its
+    /// retired record — every field — into the caller's `rec`.
     ///
     /// Dispatches to the decoded-block fast path when it is enabled and
     /// the step is eligible (machine mode — so instruction fetch is
@@ -568,24 +602,25 @@ impl Emulator {
     /// # Errors
     ///
     /// Fatal errors only; architectural traps are delivered to the guest.
-    pub fn step(&mut self) -> Result<StepOutcome, ExecError> {
-        if let Some(code) = self.halted {
-            return Ok(StepOutcome::Halted(code));
+    pub fn step_into(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
+        if self.halted.is_some() {
+            return Ok(StepStatus::Halted);
         }
         if self.fastpath && self.cpu.mode == PrivMode::Machine && self.pmp.is_empty() {
-            self.step_fast()
+            self.step_cached(rec)
         } else {
-            self.step_slow()
+            self.step_slow(rec)
         }
     }
 
     /// The decoded-block fast path. Eligibility (machine mode, no PMP)
-    /// was checked by [`Emulator::step`], so `pc == fetch_pa` and the
-    /// fetch can neither fault nor be translated.
-    fn step_fast(&mut self) -> Result<StepOutcome, ExecError> {
+    /// was checked by [`Emulator::step_into`], so `pc == fetch_pa` and
+    /// the fetch can neither fault nor be translated.
+    fn step_cached(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
         if self.platform.is_some() {
             if let Some(d) = self.poll_interrupt() {
-                return Ok(StepOutcome::Retired(d));
+                *rec = d;
+                return Ok(StepStatus::Retired);
             }
         }
         let pc = self.cpu.pc;
@@ -606,7 +641,7 @@ impl Emulator {
                         // one-shot reference step (exact error/trap shape).
                         None => {
                             self.cursor = None;
-                            return self.step_slow();
+                            return self.step_slow(rec);
                         }
                     }
                 }
@@ -630,44 +665,70 @@ impl Emulator {
                             idx,
                             next_va: pc,
                         });
-                        return Ok(StepOutcome::NeedsBarrier);
+                        return Ok(StepStatus::NeedsBarrier);
                     }
                 }
             }
         }
-        match self.execute(pc, inst) {
-            Ok(mut dyninst) => {
-                dyninst.fetch_pa = pc;
+        self.cursor = None;
+        let done = self.exec(pc, inst, &mut rec.mem);
+        self.retire(rec, pc, pc, inst, done)?;
+        // Fall-through entries advance the cursor; block ends, traps
+        // (and mid-block stores that bumped the epoch) resolve on the
+        // next step's validity check.
+        if !rec.trapped && idx + 1 < self.icache.block_len(slot) {
+            self.cursor = Some(Cursor {
+                slot,
+                epoch,
+                idx: idx + 1,
+                next_va: pc.wrapping_add(inst.len as u64),
+            });
+        }
+        Ok(StepStatus::Retired)
+    }
+
+    /// Commits what [`Emulator::exec`] returned for `inst` and finishes
+    /// the retired record: `exec` wrote `rec.mem`, every other field is
+    /// written here, so nothing of the record's previous occupant (a
+    /// vector op's `vl`, a trap's `trapped`) survives.
+    #[inline(always)]
+    fn retire(
+        &mut self,
+        rec: &mut DynInst,
+        pc: u64,
+        fetch_pa: u64,
+        inst: Inst,
+        done: Result<u64, Trap>,
+    ) -> Result<(), ExecError> {
+        match done {
+            Ok(next_pc) => {
                 self.cpu.instret += 1;
                 if let Some(p) = self.platform.as_mut() {
                     p.tick(1);
                 }
-                self.cpu.pc = dyninst.next_pc;
-                let next_idx = idx + 1;
-                // Fall-through entries advance the cursor; block ends
-                // (and mid-block stores that bumped the epoch) resolve
-                // on the next step's validity check.
-                self.cursor = if next_idx < self.icache.block_len(slot) {
-                    Some(Cursor {
-                        slot,
-                        epoch,
-                        idx: next_idx,
-                        next_va: pc.wrapping_add(inst.len as u64),
-                    })
+                self.cpu.pc = next_pc;
+                rec.pc = pc;
+                rec.fetch_pa = fetch_pa;
+                rec.inst = inst;
+                rec.next_pc = next_pc;
+                rec.trapped = false;
+                (rec.vl, rec.sew_bits) = if inst.op.is_vector() {
+                    let vl = self.cpu.vl.min(u16::MAX as u64) as u16;
+                    (vl, self.cpu.vtype.sew.bits() as u8)
                 } else {
-                    None
+                    (0, 0)
                 };
-                Ok(StepOutcome::Retired(dyninst))
             }
             Err(trap) => {
-                self.cursor = None;
                 let target = self.take_trap(pc, trap)?;
                 self.cpu.pc = target;
-                let mut d = DynInst::trapping(pc, inst, target);
-                d.fetch_pa = pc;
-                Ok(StepOutcome::Retired(d))
+                *rec = DynInst {
+                    fetch_pa,
+                    ..DynInst::trapping(pc, inst, target)
+                };
             }
         }
+        Ok(())
     }
 
     /// Lowers the straight-line run starting at `pa` into a cached
@@ -675,13 +736,14 @@ impl Emulator {
     /// not decode or straddles the page end (those execute via the
     /// reference path, one step at a time).
     fn build_block(&mut self, pa: u64) -> Option<(u32, u64)> {
-        let page_end = (pa | (blockcache::PAGE_SIZE - 1)) + 1;
+        // last byte of the page (`+ 1` would overflow on the top page)
+        let last = pa | (blockcache::PAGE_SIZE - 1);
         let mut entries = Vec::new();
         let mut addr = pa;
-        while addr < page_end {
+        loop {
             let lo = self.mem.read_u16(addr);
             let inst = if lo & 3 == 3 {
-                if addr + 4 > page_end {
+                if last - addr < 3 {
                     // 4-byte instruction straddling the page: never
                     // cached (its tail lives on a page this block's
                     // invalidation would not cover).
@@ -697,15 +759,14 @@ impl Emulator {
                     Err(_) => break,
                 }
             };
-            let ends = blockcache::ends_block(inst.op);
             entries.push(BlockEntry {
                 inst,
                 barrier: is_barrier_op(inst.op),
             });
-            addr += inst.len as u64;
-            if ends {
+            if blockcache::ends_block(inst.op) || last - addr < inst.len as u64 {
                 break;
             }
+            addr += inst.len as u64;
         }
         if entries.is_empty() {
             return None;
@@ -719,10 +780,11 @@ impl Emulator {
     /// The per-step fetch-translate-decode reference path (the seed
     /// interpreter, unchanged) — also the differential oracle the fast
     /// path is tested against.
-    fn step_slow(&mut self) -> Result<StepOutcome, ExecError> {
+    fn step_slow(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
         if self.platform.is_some() {
             if let Some(d) = self.poll_interrupt() {
-                return Ok(StepOutcome::Retired(d));
+                *rec = d;
+                return Ok(StepStatus::Retired);
             }
         }
         let pc = self.cpu.pc;
@@ -731,9 +793,8 @@ impl Emulator {
             Err(trap) => {
                 let target = self.take_trap(pc, trap)?;
                 self.cpu.pc = target;
-                let mut d = DynInst::trap_entry(pc, target);
-                d.fetch_pa = pc;
-                return Ok(StepOutcome::Retired(d));
+                *rec = DynInst::trap_entry(pc, target);
+                return Ok(StepStatus::Retired);
             }
         };
         let lo = self.mem.read_u16(fetch_pa);
@@ -752,37 +813,19 @@ impl Emulator {
                 if ctl.release_one {
                     ctl.release_one = false;
                 } else {
-                    return Ok(StepOutcome::NeedsBarrier);
+                    return Ok(StepStatus::NeedsBarrier);
                 }
             }
         }
-        match self.execute(pc, inst) {
-            Ok(mut dyninst) => {
-                dyninst.fetch_pa = fetch_pa;
-                self.cpu.instret += 1;
-                if let Some(p) = self.platform.as_mut() {
-                    p.tick(1);
-                }
-                self.cpu.pc = dyninst.next_pc;
-                if let Some(code) = self.halted {
-                    // The halting store still retires.
-                    self.cpu.pc = dyninst.next_pc;
-                    let _ = code;
-                }
-                Ok(StepOutcome::Retired(dyninst))
-            }
-            Err(trap) => {
-                let target = self.take_trap(pc, trap)?;
-                self.cpu.pc = target;
-                let mut d = DynInst::trapping(pc, inst, target);
-                d.fetch_pa = fetch_pa;
-                Ok(StepOutcome::Retired(d))
-            }
-        }
+        let done = self.exec(pc, inst, &mut rec.mem);
+        self.retire(rec, pc, fetch_pa, inst, done)?;
+        Ok(StepStatus::Retired)
     }
 
-    /// Executes a decoded instruction at `pc`; returns the retired record.
-    fn execute(&mut self, pc: u64, inst: Inst) -> Result<DynInst, Trap> {
+    /// Executes a decoded instruction at `pc`; returns the architectural
+    /// next PC and writes the data access it made (or `None`) to `mem`,
+    /// which the step bodies point at the caller's record.
+    fn exec(&mut self, pc: u64, inst: Inst, mem: &mut Option<MemAccess>) -> Result<u64, Trap> {
         use Op::*;
 
         let step = pc.wrapping_add(inst.len as u64);
@@ -790,7 +833,7 @@ impl Emulator {
         let rs2 = self.cpu.rx(inst.rs2);
         let imm = inst.imm;
         let mut next = step;
-        let mut mem: Option<MemAccess> = None;
+        *mem = None;
 
         macro_rules! wd {
             ($v:expr) => {{
@@ -802,7 +845,7 @@ impl Emulator {
             ($va:expr, $n:expr, $sext:expr) => {{
                 let va = $va;
                 let (raw, pa) = self.load_mem(va, $n)?;
-                mem = Some(MemAccess::load(va, pa, $n as u16));
+                *mem = Some(MemAccess::load(va, pa, $n as u16));
                 if $sext {
                     let sh = 64 - 8 * $n as u32;
                     (((raw as i64) << sh) >> sh) as u64
@@ -816,7 +859,7 @@ impl Emulator {
                 let va = $va;
                 let v = $v;
                 let pa = self.store_mem(va, v, $n)?;
-                mem = Some(MemAccess::store(va, pa, $n as u16));
+                *mem = Some(MemAccess::store(va, pa, $n as u16));
             }};
         }
 
@@ -1232,8 +1275,7 @@ impl Emulator {
             }
             // ---- vector ----
             op if op.is_vector() => {
-                let vm = vecexec::exec_vector(self, inst)?;
-                mem = vm;
+                *mem = vecexec::exec_vector(self, inst)?;
             }
             // ---- XT-910 custom extensions ----
             XLrb | XLrbu | XLrh | XLrhu | XLrw | XLrwu | XLrd => {
@@ -1322,12 +1364,7 @@ impl Emulator {
                 debug_assert!(false, "unhandled op {other:?}");
             }
         }
-        let mut rec = DynInst::retired(pc, inst, next, mem);
-        if inst.op.is_vector() {
-            rec.vl = self.cpu.vl.min(u16::MAX as u64) as u16;
-            rec.sew_bits = self.cpu.vtype.sew.bits() as u8;
-        }
-        Ok(rec)
+        Ok(next)
     }
 }
 

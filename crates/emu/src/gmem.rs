@@ -1,17 +1,66 @@
 //! Sparse guest physical memory.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// log2 of the guest page size; shared with the decoded-block cache
 /// ([`crate::blockcache`]), whose invalidation is page-granular.
 pub const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
+/// `HashMap` from a guest physical page index to `V`, hashed by
+/// [`PageHasher`]: the page table of [`GuestMem`] and the page map of the
+/// decoded-block cache, both probed by every load, store and block entry.
+///
+/// Iteration order is as unspecified as the default hasher's:
+/// [`GuestMem::snapshot_nonzero`] sorts, and the block cache's
+/// `invalidate_all` order reaches only host-side slot numbers.
+pub(crate) type PageMap<V> = HashMap<u64, V, BuildHasherDefault<PageHasher>>;
+
+/// Multiplicative hasher for `u64` page indices — `xt-mem`'s `LineHasher`
+/// repeated here rather than a dependency edge between the functional
+/// and the timing half of the workspace, with the rotation re-picked for
+/// these keys.
+///
+/// A page index is a guest address the emulator already translated and
+/// is about to dereference; a colliding set costs that guest its own
+/// host time and nothing else, so SipHash's ~20 ns per probe bought
+/// nothing. hashbrown indexes buckets with the hash's *low* bits and
+/// takes its 7 control bits from the top; an odd-constant multiply
+/// leaves a key's trailing zeros in the low bits (64 KiB and 1 MiB
+/// strides), so the product is rotated. Page indices are small and
+/// dense, unlike line addresses: rotating by 45 hands the bucket index
+/// bits 19..31 of the product and the control byte bits 12..19, the
+/// one window that fills >= 88 % of the buckets at all three strides
+/// the workloads walk pages with (`LineHasher`'s 32 fills 43 % at
+/// 1 MiB; the guard in the tests measures both).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct PageHasher(u64);
+
+/// 2^64 / golden ratio, odd.
+const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PageHasher hashes u64 page indices only");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, page: u64) {
+        self.0 = page.wrapping_mul(MULTIPLIER).rotate_left(45);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Sparse, page-granular guest physical memory supporting unaligned
 /// accesses (the XT-910 LSU supports unaligned data access, paper §II).
 #[derive(Default)]
 pub struct GuestMem {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageMap<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl std::fmt::Debug for GuestMem {
@@ -56,7 +105,8 @@ impl GuestMem {
     /// Reads `N <= 8` bytes little-endian (may straddle pages).
     ///
     /// The common same-page case resolves the page once; only accesses
-    /// that actually straddle a boundary fall back to per-byte reads.
+    /// that actually straddle a boundary fall back to per-byte reads,
+    /// which wrap from the last byte of the address space to address 0.
     pub fn read_bytes(&self, addr: u64, n: usize) -> u64 {
         debug_assert!(n <= 8);
         let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
@@ -74,7 +124,7 @@ impl GuestMem {
         }
         let mut v = 0u64;
         for k in 0..n {
-            v |= (self.read_u8(addr + k as u64) as u64) << (8 * k);
+            v |= (self.read_u8(addr.wrapping_add(k as u64)) as u64) << (8 * k);
         }
         v
     }
@@ -93,7 +143,7 @@ impl GuestMem {
             return;
         }
         for k in 0..n {
-            self.write_u8(addr + k as u64, (val >> (8 * k)) as u8);
+            self.write_u8(addr.wrapping_add(k as u64), (val >> (8 * k)) as u8);
         }
     }
 
@@ -260,5 +310,70 @@ mod tests {
         m.write_bytes(8, 0xAABBCCDD, 4);
         assert_eq!(m.read_u16(8), 0xCCDD);
         assert_eq!(m.read_u8(11), 0xAA);
+    }
+
+    /// Distinct values of hashbrown's bucket index (low 12 bits: a
+    /// 4096-bucket table) and of its control byte (top 7 bits) over 4096
+    /// page indices `base + k * stride`.
+    fn spread(hash: impl Fn(u64) -> u64, base: u64, stride: u64) -> (usize, usize) {
+        use std::collections::HashSet;
+        let hashes: Vec<u64> = (0..4096u64).map(|k| hash(base + k * stride)).collect();
+        let low: HashSet<u64> = hashes.iter().map(|h| h & 0xFFF).collect();
+        let top: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        (low.len(), top.len())
+    }
+
+    /// Near-full: random hashing would fill 1 - 1/e = 63 % of 4096
+    /// buckets with 4096 keys.
+    fn spreads_well((low, top): (usize, usize)) -> bool {
+        low >= 3400 && top == 128
+    }
+
+    /// Page indices of the workloads' text, data and stack, walked page
+    /// by page, 64 KiB by 64 KiB and 1 MiB by 1 MiB.
+    const BASES: [u64; 3] = [0x80000, 0x81000, 0x8f000];
+    const STRIDES: [u64; 3] = [1, 16, 256];
+
+    #[test]
+    fn page_hasher_spreads_page_indices_over_index_and_control_bits() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<PageHasher>::default();
+        for base in BASES {
+            for stride in STRIDES {
+                let got = spread(|k| build.hash_one(k), base, stride);
+                assert!(spreads_well(got), "base {base:#x} stride {stride}: {got:?}");
+            }
+        }
+    }
+
+    /// The guard must reject what a later "simplification" would try:
+    /// the identity (no control bits), a bare multiply (a stride's
+    /// trailing zeros stay in the index) and `LineHasher`'s rotation.
+    #[test]
+    fn identity_bare_multiply_and_line_rotation_fail_the_spread_guard() {
+        let passes = |hash: &dyn Fn(u64) -> u64| {
+            BASES
+                .iter()
+                .all(|&b| STRIDES.iter().all(|&s| spreads_well(spread(hash, b, s))))
+        };
+        assert!(!passes(&|k| k), "identity");
+        assert!(!passes(&|k| k.wrapping_mul(MULTIPLIER)), "bare multiply");
+        assert!(!passes(&|k| k.wrapping_mul(MULTIPLIER).rotate_left(32)), "rotate by 32");
+    }
+
+    #[test]
+    #[should_panic(expected = "u64 page indices only")]
+    fn page_hasher_rejects_byte_slices() {
+        PageHasher::default().write(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn straddling_the_top_of_the_address_space_wraps_to_zero() {
+        let mut m = GuestMem::new();
+        m.write_u64(u64::MAX - 2, 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u64(u64::MAX - 2), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u8(u64::MAX), 0x66);
+        assert_eq!(m.read_u8(0), 0x55);
+        assert_eq!(m.resident_pages(), 2);
     }
 }

@@ -51,7 +51,7 @@ pub mod vecexec;
 
 pub use blockcache::CacheStats;
 pub use cpu::{Cpu, PrivMode};
-pub use exec::{ClusterCtl, Emulator, ExecError, StepOutcome, StoreRec};
+pub use exec::{ClusterCtl, Emulator, ExecError, StepOutcome, StepStatus, StoreRec};
 pub use gmem::GuestMem;
 pub use platform::{BusFault, IrqLines, Platform};
-pub use trace::{DynInst, MemAccess, TraceEvent, TraceSource};
+pub use trace::{DynInst, MemAccess, TraceEvent, TraceSource, TraceStatus};

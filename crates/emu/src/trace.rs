@@ -1,7 +1,7 @@
 //! Committed dynamic instruction trace — the interface between the
 //! functional emulator and the `xt-core` timing models.
 
-use crate::exec::{Emulator, ExecError, StepOutcome};
+use crate::exec::{Emulator, ExecError, StepStatus};
 use xt_isa::{Inst, Op};
 
 /// One memory access performed by a retired instruction.
@@ -120,7 +120,8 @@ impl DynInst {
 }
 
 /// Streaming trace source: executes the emulator one instruction per
-/// `next()` call and yields the committed records.
+/// [`advance`](Self::advance) and holds the committed record for the
+/// consumer to borrow.
 ///
 /// The timing model pulls instructions as its fetch stage consumes them,
 /// so memory stays bounded regardless of trace length.
@@ -133,6 +134,10 @@ pub struct TraceSource {
     pub error: Option<ExecError>,
     retired: u64,
     limit: u64,
+    /// The record [`advance`](Self::advance) last retired into. Scratch:
+    /// every consumer is done with it before the next `advance`, so it
+    /// is not part of the snapshot.
+    rec: DynInst,
 }
 
 impl TraceSource {
@@ -145,6 +150,7 @@ impl TraceSource {
             error: None,
             retired: 0,
             limit,
+            rec: DynInst::trap_entry(0, 0),
         }
     }
 
@@ -165,43 +171,70 @@ impl TraceSource {
         &mut self.emu
     }
 
-    /// Advances the trace by one event. Unlike the [`Iterator`] view,
-    /// this surfaces cluster barrier requests instead of treating them
-    /// as end-of-trace.
-    pub fn try_next(&mut self) -> TraceEvent {
+    /// Advances the trace by one event. On [`TraceStatus::Inst`] the
+    /// retired record is [`current`](Self::current); on the other two
+    /// nothing retired and `current` still holds the previous record.
+    pub fn advance(&mut self) -> TraceStatus {
         if self.exit_code.is_some() || self.error.is_some() || self.retired >= self.limit {
-            return TraceEvent::Done;
+            return TraceStatus::Done;
         }
-        match self.emu.step() {
-            Ok(StepOutcome::Retired(d)) => {
+        match self.emu.step_into(&mut self.rec) {
+            Ok(StepStatus::Retired) => {
                 self.retired += 1;
-                if self.emu.halted.is_some() {
-                    self.exit_code = self.emu.halted;
-                }
-                TraceEvent::Inst(d)
+                self.exit_code = self.emu.halted;
+                TraceStatus::Inst
             }
-            Ok(StepOutcome::Halted(code)) => {
-                self.exit_code = Some(code);
-                TraceEvent::Done
+            Ok(StepStatus::Halted) => {
+                self.exit_code = self.emu.halted;
+                TraceStatus::Done
             }
-            Ok(StepOutcome::NeedsBarrier) => TraceEvent::Barrier,
+            Ok(StepStatus::NeedsBarrier) => TraceStatus::Barrier,
             Err(e) => {
                 self.error = Some(e);
-                TraceEvent::Done
+                TraceStatus::Done
             }
+        }
+    }
+
+    /// The record the last [`TraceStatus::Inst`] retired. The timing
+    /// models borrow it: they read a few fields each, and copying all 80
+    /// bytes out of a just-written record stalls on every one of them.
+    pub fn current(&self) -> &DynInst {
+        &self.rec
+    }
+
+    /// [`advance`](Self::advance) by value, for callers that keep the
+    /// records (tests, trace collectors).
+    pub fn try_next(&mut self) -> TraceEvent {
+        match self.advance() {
+            TraceStatus::Inst => TraceEvent::Inst(self.rec),
+            TraceStatus::Barrier => TraceEvent::Barrier,
+            TraceStatus::Done => TraceEvent::Done,
         }
     }
 }
 
-/// One event from [`TraceSource::try_next`].
-#[derive(Clone, Debug)]
-pub enum TraceEvent {
-    /// An instruction retired.
-    Inst(DynInst),
+/// What one [`TraceSource::advance`] did.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TraceStatus {
+    /// An instruction retired into [`TraceSource::current`].
+    Inst,
     /// Cluster mode: the core is parked in front of a globally visible
     /// operation and needs the epoch barrier to proceed.
     Barrier,
     /// The trace ended (halt, fatal error, or instruction limit).
+    Done,
+}
+
+/// One event from [`TraceSource::try_next`]: [`TraceStatus`] carrying
+/// the record by value.
+#[derive(Clone, Debug)]
+pub enum TraceEvent {
+    /// An instruction retired.
+    Inst(DynInst),
+    /// See [`TraceStatus::Barrier`].
+    Barrier,
+    /// See [`TraceStatus::Done`].
     Done,
 }
 

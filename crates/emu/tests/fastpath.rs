@@ -13,12 +13,12 @@
 //! `XT_HARNESS_SEED=<seed> cargo test`.
 
 use xt_asm::{Asm, Program};
-use xt_emu::{Emulator, StepOutcome, TraceSource};
+use xt_emu::{DynInst, Emulator, ExecError, StepOutcome, TraceEvent, TraceSource, TraceStatus};
 use xt_harness::gen;
 use xt_harness::prop::{check_with, Config};
 use xt_harness::rng::Rng;
 use xt_isa::reg::Gpr;
-use xt_isa::{Inst, Op};
+use xt_isa::{ExecClass, Inst, Op};
 
 const SEED: u64 = 0xFA57_0001;
 const FUEL: u64 = 200_000;
@@ -375,6 +375,14 @@ fn assert_fast_equals_slow_irq(p: &Program, cmp0: u64, ctx: &str) -> Emulator {
 /// entry. The handler counts interrupts in s3; the loop counts down a5.
 #[test]
 fn timer_interrupt_delivery_identical() {
+    let fast = assert_fast_equals_slow_irq(&timer_loop_program(20_000), 61, "timer preemption");
+    let hits = fast.halted.unwrap();
+    assert!(hits > 100, "the loop was preempted many times: {hits}");
+}
+
+/// The guest of [`timer_interrupt_delivery_identical`], `iters` loop
+/// iterations long; exits with the number of interrupts taken.
+fn timer_loop_program(iters: i64) -> Program {
     let mut a = Asm::new();
     let boot = a.new_label();
     a.jump(boot);
@@ -395,7 +403,7 @@ fn timer_interrupt_delivery_identical() {
     a.csrw(xt_isa::csr::MIE, Gpr::T0);
     a.li(Gpr::T0, xt_isa::csr::mstatus::MIE as i64);
     a.csrs(xt_isa::csr::MSTATUS, Gpr::T0);
-    a.li(Gpr::A5, 20_000);
+    a.li(Gpr::A5, iters);
     let top = a.here();
     a.addi(Gpr::A4, Gpr::A4, 3);
     a.xori(Gpr::A4, Gpr::A4, 5);
@@ -403,10 +411,7 @@ fn timer_interrupt_delivery_identical() {
     a.bnez(Gpr::A5, top);
     a.mv(Gpr::A0, Gpr::S3);
     a.halt();
-    let p = a.finish().unwrap();
-    let fast = assert_fast_equals_slow_irq(&p, 61, "timer preemption");
-    let hits = fast.halted.unwrap();
-    assert!(hits > 100, "the loop was preempted many times: {hits}");
+    a.finish().unwrap()
 }
 
 /// Random loop bodies under a periodically re-armed timer: the
@@ -462,4 +467,420 @@ fn random_programs_with_interrupts_identical() {
             assert_fast_equals_slow_irq(&p, cmp0, &format!("irq seed {seed:#x}"));
         },
     );
+}
+
+// ---------------------------------------------------------------------
+// the step driver: one retired record, built in place
+// (docs/FASTPATH.md, "Step driver")
+// ---------------------------------------------------------------------
+
+/// A way of pulling retired records out of a guest.
+#[derive(Clone, Copy, Debug)]
+enum Drive {
+    /// `TraceSource::advance` + `current`: one record, reused.
+    Advance,
+    /// `TraceSource::try_next`: the same, copied out.
+    TryNext,
+    /// `Emulator::step`: a fresh record per call, decoded blocks.
+    Step,
+    /// `Emulator::step` on the per-step reference path.
+    Reference,
+}
+
+/// Everything a drain observed: the records, every barrier request as
+/// (records retired before it, PC), and how the guest ended.
+#[derive(Debug, PartialEq)]
+struct Drained {
+    recs: Vec<DynInst>,
+    parked_at: Vec<(usize, u64)>,
+    exit_code: Option<u64>,
+    error: Option<ExecError>,
+}
+
+/// Drains `emu` through `how`. A gated guest is granted every barrier
+/// it asks for at once, after checking that asking retired nothing:
+/// the PC stays on the gated instruction and, by reference, `current()`
+/// still holds the record before it.
+fn drain(mut emu: Emulator, how: Drive) -> Drained {
+    emu.set_fastpath(!matches!(how, Drive::Reference));
+    let mut out = Drained {
+        recs: Vec::new(),
+        parked_at: Vec::new(),
+        exit_code: None,
+        error: None,
+    };
+    let grant = |emu: &mut Emulator, out: &mut Drained| {
+        out.parked_at.push((out.recs.len(), emu.cpu.pc));
+        emu.cluster.as_mut().expect("only gated guests park").release_one = true;
+    };
+    if matches!(how, Drive::Step | Drive::Reference) {
+        while out.recs.len() as u64 <= FUEL {
+            match emu.step() {
+                Ok(StepOutcome::Retired(d)) => out.recs.push(d),
+                Ok(StepOutcome::NeedsBarrier) => grant(&mut emu, &mut out),
+                Ok(StepOutcome::Halted(code)) => {
+                    out.exit_code = Some(code);
+                    return out;
+                }
+                Err(e) => {
+                    out.error = Some(e);
+                    return out;
+                }
+            }
+        }
+        panic!("{how:?}: no halt in {FUEL} steps");
+    }
+    let mut trace = TraceSource::new(emu, FUEL + 1);
+    while out.recs.len() as u64 <= FUEL {
+        let before = *trace.current();
+        let event = match how {
+            Drive::Advance => match trace.advance() {
+                TraceStatus::Inst => TraceEvent::Inst(*trace.current()),
+                TraceStatus::Barrier => TraceEvent::Barrier,
+                TraceStatus::Done => TraceEvent::Done,
+            },
+            _ => trace.try_next(),
+        };
+        match event {
+            TraceEvent::Inst(d) => {
+                assert_eq!(trace.retired(), out.recs.len() as u64 + 1);
+                out.recs.push(d);
+            }
+            TraceEvent::Barrier => {
+                assert_eq!(*trace.current(), before, "{how:?}: a barrier request wrote the record");
+                grant(trace.emulator_mut(), &mut out);
+            }
+            TraceEvent::Done => {
+                assert_eq!(*trace.current(), before, "{how:?}: Done wrote the record");
+                out.exit_code = trace.exit_code;
+                out.error = trace.error.clone();
+                return out;
+            }
+        }
+    }
+    panic!("{how:?}: no end of trace in {FUEL} events");
+}
+
+/// The four drains of the guest `mk` builds must agree field for field;
+/// returns what they agreed on. `step()` starts every record from a
+/// blank and `advance()` from the previous instruction's, so a field
+/// the in-place body forgets to write shows up as a difference here.
+fn assert_drains_agree(mk: impl Fn() -> Emulator, ctx: &str) -> Drained {
+    let want = drain(mk(), Drive::Reference);
+    assert!(!want.recs.is_empty(), "{ctx}: nothing retired");
+    for how in [Drive::Step, Drive::TryNext, Drive::Advance] {
+        let got = drain(mk(), how);
+        for (k, (g, w)) in got.recs.iter().zip(&want.recs).enumerate() {
+            assert_eq!(g, w, "{ctx}: {how:?} record #{k}");
+        }
+        assert_eq!(got.recs.len(), want.recs.len(), "{ctx}: {how:?} stream length");
+        assert_eq!(got, want, "{ctx}: {how:?}");
+    }
+    want
+}
+
+fn loaded(p: &Program) -> Emulator {
+    let mut emu = Emulator::new();
+    emu.load(p);
+    emu
+}
+
+#[test]
+fn step_drivers_agree_on_smc_torture_programs() {
+    check_with(
+        &cfg(24),
+        "step_drivers_agree_on_smc_torture_programs",
+        &gen::any::<u64>(),
+        |&seed| {
+            let p = gen_program(seed, seed % 4 != 0);
+            let d = assert_drains_agree(|| loaded(&p), &format!("seed {seed:#x}"));
+            assert!(d.exit_code.is_some() && d.error.is_none());
+        },
+    );
+}
+
+/// Interrupt entries are records too (`trapped`, no `instret`), and
+/// they reach the caller's record by a different assignment than
+/// retired instructions do.
+#[test]
+fn step_drivers_agree_under_timer_interrupts() {
+    let p = timer_loop_program(600);
+    let d = assert_drains_agree(
+        || {
+            let mut emu = loaded(&p);
+            emu.attach_platform(Box::new(TimerPlatform {
+                mtime: 0,
+                mtimecmp: 61,
+            }));
+            emu
+        },
+        "timer loop",
+    );
+    let entries = d.recs.iter().filter(|r| r.trapped).count() as u64;
+    assert_eq!(Some(entries), d.exit_code, "one trapped record per interrupt");
+    assert!(entries > 10);
+}
+
+/// A gated guest: every AMO, LR/SC and fence asks for the barrier
+/// first. The request must leave `current()` unread-able as news (it
+/// still equals the previous record) and the cursor parked on the gated
+/// instruction, which then retires as the very next record.
+#[test]
+fn step_drivers_agree_on_a_gated_cluster_guest() {
+    let mut a = Asm::new();
+    let cell = a.data_u64("cell", &[5]);
+    a.la(Gpr::A1, cell);
+    a.li(Gpr::A2, 10);
+    a.li(Gpr::T2, 3);
+    let top = a.here();
+    a.amoadd_d(Gpr::A3, Gpr::A2, Gpr::A1);
+    a.addi(Gpr::A4, Gpr::A4, 1);
+    a.fence();
+    a.lr_d(Gpr::A5, Gpr::A1);
+    a.sc_d(Gpr::A6, Gpr::A5, Gpr::A1);
+    a.addi(Gpr::T2, Gpr::T2, -1);
+    a.bnez(Gpr::T2, top);
+    a.ld(Gpr::A0, Gpr::A1, 0);
+    a.halt();
+    let p = a.finish().unwrap();
+    let d = assert_drains_agree(
+        || {
+            let mut emu = loaded(&p);
+            emu.cluster = Some(xt_emu::ClusterCtl {
+                gate: true,
+                ..Default::default()
+            });
+            emu
+        },
+        "gated guest",
+    );
+    assert_eq!(d.exit_code, Some(35));
+    assert_eq!(d.parked_at.len(), 3 * 4, "amo, fence, lr, sc per iteration");
+    for &(k, pc) in &d.parked_at {
+        let gated = &d.recs[k];
+        assert_eq!(gated.pc, pc, "the parked instruction retires next: {gated:?}");
+        let class = gated.inst.op.exec_class();
+        assert!(matches!(class, ExecClass::Amo | ExecClass::Fence), "{gated:?}");
+    }
+}
+
+/// Trap records: `ecall` and a misaligned AMO from cached blocks, a
+/// fetch access fault (PMP, reference path) — each followed by the
+/// handler's first instruction, which must not inherit `trapped`.
+#[test]
+fn step_drivers_agree_on_trap_records() {
+    let mut a = Asm::new();
+    let main = a.new_label();
+    a.jump(main);
+    // handler: count, skip the faulting instruction (or, for the fetch
+    // fault, return to the caller in ra)
+    a.addi(Gpr::A6, Gpr::A6, 1);
+    a.csrr(Gpr::A4, xt_isa::csr::MCAUSE);
+    a.addi(Gpr::A4, Gpr::A4, -1);
+    let fetch_fault = a.new_label();
+    a.beqz(Gpr::A4, fetch_fault);
+    a.csrr(Gpr::A5, xt_isa::csr::MEPC);
+    a.addi(Gpr::A5, Gpr::A5, 4);
+    a.csrw(xt_isa::csr::MEPC, Gpr::A5);
+    a.mret();
+    a.bind(fetch_fault).unwrap();
+    a.csrw(xt_isa::csr::MEPC, Gpr::RA);
+    a.mret();
+    a.bind(main).unwrap();
+    a.li(Gpr::T0, (xt_asm::DEFAULT_TEXT_BASE + 4) as i64);
+    a.csrw(xt_isa::csr::MTVEC, Gpr::T0);
+    a.ecall();
+    let cell = a.data_zeros("cell", 16);
+    a.la(Gpr::A1, cell);
+    a.ld(Gpr::A2, Gpr::A1, 0);
+    a.addi(Gpr::A1, Gpr::A1, 2);
+    a.amoadd_w(Gpr::A2, Gpr::A3, Gpr::A1);
+    a.li(Gpr::T0, NO_EXEC as i64);
+    a.jalr(Gpr::RA, Gpr::T0, 0);
+    a.mv(Gpr::A0, Gpr::A6);
+    a.halt();
+    let p = a.finish().unwrap();
+    const NO_EXEC: u64 = 0x9000_0000;
+    for pmp in [false, true] {
+        let d = assert_drains_agree(
+            || {
+                let mut emu = loaded(&p);
+                if pmp {
+                    let locked_rw = xt_emu::pmp::PmpPerms {
+                        x: false,
+                        locked: true,
+                        ..xt_emu::pmp::PmpPerms::rwx()
+                    };
+                    emu.pmp
+                        .add(xt_emu::pmp::PmpRegion {
+                            start: NO_EXEC,
+                            end: NO_EXEC + 0x1000,
+                            perms: locked_rw,
+                        })
+                        .unwrap();
+                }
+                emu
+            },
+            &format!("traps, pmp {pmp}"),
+        );
+        let traps: Vec<&DynInst> = d.recs.iter().filter(|r| r.trapped).collect();
+        if !pmp {
+            // no PMP: the jump lands on zeroes, which do not decode
+            assert!(matches!(d.error, Some(ExecError::Decode { pc: NO_EXEC, .. })));
+            assert_eq!(traps.len(), 2);
+            continue;
+        }
+        assert_eq!(d.exit_code, Some(3), "three traps handled");
+        let ops: Vec<Op> = traps.iter().map(|r| r.inst.op).collect();
+        assert_eq!(ops, [Op::Ecall, Op::AmoAddW, Op::Ebreak]);
+        assert_eq!(traps[2].pc, NO_EXEC, "the fetch fault's record sits at the faulting pc");
+        for (k, r) in d.recs.iter().enumerate() {
+            assert_eq!(r.fetch_pa, r.pc, "untranslated: record #{k}");
+            if r.trapped {
+                assert_eq!(r.next_pc, xt_asm::DEFAULT_TEXT_BASE + 4);
+                assert_eq!(r.mem, None);
+                let next = &d.recs[k + 1];
+                assert!(!next.trapped && next.pc == r.next_pc, "handler entry: {next:?}");
+            }
+        }
+    }
+}
+
+/// What one record leaves behind must not reach the next: the in-place
+/// body overwrites a record whose previous occupant set `mem` (a load),
+/// `vl`/`sew_bits` (a vector op) or `trapped` (a trap).
+#[test]
+fn in_place_records_carry_nothing_over() {
+    use xt_isa::reg::Vr;
+    use xt_isa::vector::Sew;
+    let mut a = Asm::new();
+    let main = a.new_label();
+    a.jump(main);
+    a.li(Gpr::A0, 9); // trap handler
+    a.halt();
+    a.bind(main).unwrap();
+    a.li(Gpr::T0, (xt_asm::DEFAULT_TEXT_BASE + 4) as i64);
+    a.csrw(xt_isa::csr::MTVEC, Gpr::T0);
+    let x = a.data_u32("x", &[1, 2, 3, 4]);
+    a.la(Gpr::A2, x);
+    a.li(Gpr::A1, 4);
+    a.vsetvli(Gpr::A0, Gpr::A1, Sew::E32, 1);
+    a.vle(Vr::new(1), Gpr::A2);
+    a.addi(Gpr::A3, Gpr::A3, 1); // after a vector load
+    a.vadd_vv(Vr::new(2), Vr::new(1), Vr::new(1));
+    a.ld(Gpr::A4, Gpr::A2, 0);
+    a.add(Gpr::A4, Gpr::A4, Gpr::A3); // after a load
+    a.sd(Gpr::A4, Gpr::A2, 8);
+    a.xor_(Gpr::A5, Gpr::A4, Gpr::A3); // after a store
+    a.ecall(); // and the handler's `li` after a trap
+    let p = a.finish().unwrap();
+    let d = assert_drains_agree(|| loaded(&p), "carry-over");
+    assert_eq!(d.exit_code, Some(9));
+    let mut seen = [false; 4];
+    for w in d.recs.windows(2) {
+        let (prev, next) = (&w[0], &w[1]);
+        if next.inst.op.is_vector() {
+            assert_eq!((next.vl, next.sew_bits), (4, 32), "{next:?}");
+            continue;
+        }
+        assert_eq!((next.vl, next.sew_bits), (0, 0), "after {prev:?}: {next:?}");
+        seen[0] |= prev.inst.op.is_vector();
+        let is_mem = matches!(next.inst.op, Op::Ld | Op::Sd);
+        assert_eq!(next.mem.is_some(), is_mem, "after {prev:?}: {next:?}");
+        seen[1] |= prev.mem.is_some_and(|m| !m.is_store) && !is_mem;
+        seen[2] |= prev.mem.is_some_and(|m| m.is_store) && !is_mem;
+        assert_eq!(next.trapped, next.inst.op == Op::Ecall, "after {prev:?}: {next:?}");
+        seen[3] |= prev.trapped && !next.trapped && next.fetch_pa == next.pc;
+    }
+    assert_eq!(seen, [true; 4], "vector->scalar, load->alu, store->alu, trap->normal");
+}
+
+/// Translated user code: `fetch_pa` differs from `pc` in every record,
+/// the trapping `ecall`'s included — the one arm where writing `pc`
+/// into `fetch_pa` (what the untranslated fast path may do) is wrong.
+#[test]
+fn translated_records_keep_fetch_pa_on_the_trap_arm() {
+    use xt_emu::mmu::{pte, PageTableBuilder};
+    use xt_isa::csr;
+    const ALIAS: u64 = 0x4000_0000; // 1 GiB user window onto text + data
+    let mut a = Asm::new();
+    let main = a.new_label();
+    a.jump(main);
+    a.li(Gpr::A0, 7); // M-mode trap handler, untranslated
+    a.halt();
+    a.bind(main).unwrap();
+    let user = a.pc() - xt_asm::DEFAULT_TEXT_BASE;
+    a.ld(Gpr::A2, Gpr::A1, 0);
+    a.addi(Gpr::A2, Gpr::A2, 1);
+    a.ecall();
+    let cell = a.data_u64("cell", &[41]);
+    let p = a.finish().unwrap();
+    let d = assert_drains_agree(
+        || {
+            let mut emu = loaded(&p);
+            let mut pt = PageTableBuilder::new(&mut emu.mem, 0x10_0000);
+            let perms = pte::R | pte::W | pte::X | pte::U;
+            pt.map(&mut emu.mem, ALIAS, xt_asm::DEFAULT_TEXT_BASE, 2, perms);
+            let satp = csr::satp::pack(csr::satp::MODE_SV39, 0, pt.root_ppn());
+            emu.cpu.write_csr(csr::SATP, satp);
+            emu.cpu.write_csr(csr::MTVEC, xt_asm::DEFAULT_TEXT_BASE + 4);
+            emu.cpu.mode = xt_emu::PrivMode::User;
+            emu.cpu.pc = ALIAS + user;
+            emu.cpu.wx(Gpr::A1.index(), ALIAS + (cell - xt_asm::DEFAULT_TEXT_BASE));
+            emu
+        },
+        "user alias",
+    );
+    assert_eq!(d.exit_code, Some(7));
+    let pa_of = |va: u64| va - ALIAS + xt_asm::DEFAULT_TEXT_BASE;
+    for r in &d.recs[..3] {
+        assert_eq!(r.fetch_pa, pa_of(r.pc), "{r:?}");
+    }
+    let load = d.recs[0].mem.expect("ld");
+    assert_eq!((load.paddr, load.vaddr), (cell, ALIAS + (cell - xt_asm::DEFAULT_TEXT_BASE)));
+    assert!(d.recs[2].trapped && d.recs[2].inst.op == Op::Ecall);
+    assert!(!d.recs[3].trapped && d.recs[3].fetch_pa == d.recs[3].pc);
+}
+
+// ---------------------------------------------------------------------
+// the top of the address space: accesses wrap, on both engines and in
+// both build profiles (a debug build used to panic, release to wrap)
+// ---------------------------------------------------------------------
+
+/// `sd a1, -4(zero)` puts four bytes at `!0 - 3..` and four at `0..`;
+/// the load back sees all eight.
+#[test]
+fn store_straddling_the_top_of_the_address_space_wraps() {
+    let mut a = Asm::new();
+    a.li(Gpr::A1, 0x1122_3344_5566_7788);
+    a.sd(Gpr::A1, Gpr::ZERO, -4);
+    a.ld(Gpr::A0, Gpr::ZERO, -4);
+    a.halt();
+    let p = a.finish().unwrap();
+    let fast = assert_fast_equals_slow(&p, "wrapping store");
+    assert_eq!(fast.halted, Some(0x1122_3344_5566_7788));
+    assert_eq!(fast.mem.read_u32(0), 0x1122_3344);
+    assert_eq!(fast.mem.read_u32(u64::MAX - 3), 0x5566_7788);
+    let d = assert_drains_agree(|| loaded(&p), "wrapping store");
+    let store = d.recs.iter().find_map(|r| r.mem.filter(|m| m.is_store)).unwrap();
+    assert_eq!((store.paddr, store.size), (u64::MAX - 3, 8));
+}
+
+/// Code on the last page: the block builder's page-end arithmetic must
+/// not overflow, and the block ends with the page.
+#[test]
+fn code_on_the_top_page_executes_from_cached_blocks() {
+    let word = |i: Inst| xt_isa::encode::encode(&i).unwrap() as i64;
+    let mut a = Asm::new();
+    a.li(Gpr::T0, -4096);
+    a.li(Gpr::T1, word(Inst::new(Op::Addi).rd(Gpr::A0.index()).rs1(0).imm(7)));
+    a.sw(Gpr::T1, Gpr::T0, 0);
+    a.li(Gpr::T1, word(Inst::new(Op::Jalr).rd(0).rs1(Gpr::RA.index())));
+    a.sw(Gpr::T1, Gpr::T0, 4);
+    a.jalr(Gpr::RA, Gpr::T0, 0);
+    a.halt();
+    let p = a.finish().unwrap();
+    let fast = assert_fast_equals_slow(&p, "top page");
+    assert_eq!(fast.halted, Some(7));
+    assert_drains_agree(|| loaded(&p), "top page");
 }

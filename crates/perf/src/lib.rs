@@ -31,7 +31,7 @@ pub use topdown::TopDown;
 
 use xt_asm::Program;
 use xt_core::{CoreConfig, InOrderCore, OooCore, RunReport};
-use xt_emu::{Emulator, TraceSource};
+use xt_emu::{Emulator, TraceSource, TraceStatus};
 use xt_mem::{MemConfig, MemSystem};
 
 /// Runs `prog` on the out-of-order model with a [`Sampler`] attached,
@@ -50,8 +50,8 @@ pub fn run_ooo_sampled(
     let mut mem = MemSystem::new(mem_cfg);
     let mut core = OooCore::new(cfg.clone(), 0);
     let mut sampler = Sampler::new(0, interval);
-    for d in trace.by_ref() {
-        core.step(&d, &mut mem);
+    while trace.advance() == TraceStatus::Inst {
+        core.step(trace.current(), &mut mem);
         if sampler.due(core.cycles()) {
             sampler.observe(core.cycles(), core.perf(), &mem.stats());
         }
@@ -76,8 +76,8 @@ pub fn run_inorder_sampled(
     let mut mem = MemSystem::new(mem_cfg);
     let mut core = InOrderCore::new(cfg.clone(), 0);
     let mut sampler = Sampler::new(0, interval);
-    for d in trace.by_ref() {
-        core.step(&d, &mut mem);
+    while trace.advance() == TraceStatus::Inst {
+        core.step(trace.current(), &mut mem);
         if sampler.due(core.cycles()) {
             sampler.observe(core.cycles(), core.perf(), &mem.stats());
         }

@@ -35,7 +35,7 @@ use std::thread;
 use std::time::Instant;
 use xt_asm::Program;
 use xt_core::{CoreConfig, OooCore, PerfCounters};
-use xt_emu::{ClusterCtl, Emulator, StoreRec, TraceEvent, TraceSource};
+use xt_emu::{ClusterCtl, Emulator, StoreRec, TraceSource, TraceStatus};
 use xt_mem::{MemConfig, MemOp, MemStats, MemSystem, MemTracer};
 
 /// Default epoch length in simulated cycles. Long enough to amortize
@@ -164,16 +164,16 @@ impl CoreSlot {
             }
         }
         while !self.done && !self.parked && self.core.cycles() < epoch_end {
-            match self.trace.try_next() {
-                TraceEvent::Inst(d) => {
-                    self.core.step(&d, &mut self.mem);
+            match self.trace.advance() {
+                TraceStatus::Inst => {
+                    self.core.step(self.trace.current(), &mut self.mem);
                     self.steps += 1;
                     if self.steps >= max_insts {
                         self.done = true;
                     }
                 }
-                TraceEvent::Barrier => self.parked = true,
-                TraceEvent::Done => self.done = true,
+                TraceStatus::Barrier => self.parked = true,
+                TraceStatus::Done => self.done = true,
             }
         }
     }
@@ -404,16 +404,16 @@ impl ClusterSim {
             let t0 = Instant::now();
             let slot = &mut self.slots[0];
             while !slot.done && slot.core.cycles() < epoch_end {
-                match slot.trace.try_next() {
-                    TraceEvent::Inst(d) => {
-                        slot.core.step(&d, &mut self.master);
+                match slot.trace.advance() {
+                    TraceStatus::Inst => {
+                        slot.core.step(slot.trace.current(), &mut self.master);
                         slot.steps += 1;
                         if slot.steps >= self.max_insts {
                             slot.done = true;
                         }
                     }
-                    TraceEvent::Done => slot.done = true,
-                    TraceEvent::Barrier => unreachable!("no cluster gating on a single core"),
+                    TraceStatus::Done => slot.done = true,
+                    TraceStatus::Barrier => unreachable!("no cluster gating on a single core"),
                 }
             }
             let par_ns = t0.elapsed().as_nanos() as u64;
@@ -495,16 +495,16 @@ impl ClusterSim {
         let t0 = Instant::now();
         let slot = &mut self.slots[0];
         loop {
-            match slot.trace.try_next() {
-                TraceEvent::Inst(d) => {
-                    slot.core.step(&d, &mut self.master);
+            match slot.trace.advance() {
+                TraceStatus::Inst => {
+                    slot.core.step(slot.trace.current(), &mut self.master);
                     slot.steps += 1;
                     if slot.steps >= self.max_insts {
                         break;
                     }
                 }
-                TraceEvent::Done => break,
-                TraceEvent::Barrier => unreachable!("no cluster gating on a single core"),
+                TraceStatus::Done => break,
+                TraceStatus::Barrier => unreachable!("no cluster gating on a single core"),
             }
         }
         let par_ns = t0.elapsed().as_nanos() as u64;
@@ -682,10 +682,10 @@ impl ClusterSim {
             if let Some(ctl) = self.slots[i].trace.emulator_mut().cluster.as_mut() {
                 ctl.release_one = true;
             }
-            match self.slots[i].trace.try_next() {
-                TraceEvent::Inst(d) => {
+            match self.slots[i].trace.advance() {
+                TraceStatus::Inst => {
                     let slot = &mut self.slots[i];
-                    slot.core.step(&d, &mut slot.mem);
+                    slot.core.step(slot.trace.current(), &mut slot.mem);
                     slot.steps += 1;
                     if slot.steps >= self.max_insts {
                         slot.done = true;
@@ -697,8 +697,8 @@ impl ClusterSim {
                     let log = self.take_store_log(i);
                     self.propagate_stores(i, &log);
                 }
-                TraceEvent::Done => self.slots[i].done = true,
-                TraceEvent::Barrier => unreachable!("released instruction parked again"),
+                TraceStatus::Done => self.slots[i].done = true,
+                TraceStatus::Barrier => unreachable!("released instruction parked again"),
             }
         }
         self.sync_mtime();

@@ -66,6 +66,52 @@ fn scheduler_identical_with_fastpath_off() {
     assert_eq!(emu.cpu.instret, SCHED_1CORE_RETIRED);
 }
 
+/// The scheduler's retired records — interrupt entries, MMIO loads and
+/// stores, `wfi`, `mret` — come out the same whichever way they are
+/// pulled: borrowed from `TraceSource::advance`/`current` (one record,
+/// rewritten in place), copied by `try_next`, or built fresh per call by
+/// `Emulator::step` with decoded blocks on or off.
+#[test]
+fn scheduler_records_identical_through_every_step_driver() {
+    use xt_emu::{DynInst, StepOutcome, TraceEvent, TraceSource, TraceStatus};
+    let mk = |fast: bool| {
+        let mut emu = Emulator::new();
+        emu.load(&sched::scheduler_program(1));
+        emu.set_fastpath(fast);
+        attach_bus(&mut emu, 1);
+        emu
+    };
+    let by_step = |fast: bool| {
+        let mut emu = mk(fast);
+        let mut recs: Vec<DynInst> = Vec::new();
+        while let StepOutcome::Retired(d) = emu.step().expect("no fatal error") {
+            recs.push(d);
+        }
+        recs
+    };
+    let want = by_step(false);
+    assert_eq!(want.iter().filter(|d| !d.trapped).count() as u64, SCHED_1CORE_RETIRED);
+    assert!(want.iter().any(|d| d.trapped), "timer interrupts were taken");
+    assert_eq!(by_step(true), want, "Emulator::step, decoded blocks");
+
+    let mut by_value = Vec::new();
+    let mut trace = TraceSource::new(mk(true), FUEL);
+    while by_value.len() <= want.len() {
+        let TraceEvent::Inst(d) = trace.try_next() else { break };
+        by_value.push(d);
+    }
+    assert_eq!(trace.exit_code, Some(sched::EXIT_OK));
+    assert_eq!(by_value, want, "TraceSource::try_next");
+
+    let mut trace = TraceSource::new(mk(true), FUEL);
+    let mut k = 0;
+    while trace.advance() == TraceStatus::Inst {
+        assert_eq!(*trace.current(), want[k], "advance/current record #{k}");
+        k += 1;
+    }
+    assert_eq!((k, trace.exit_code), (want.len(), Some(sched::EXIT_OK)));
+}
+
 /// The full engine-identity matrix for the supervisor workload: 1, 2,
 /// and 4 cores, fast path on/off, 1 and 4 worker threads, plus the
 /// sequential oracle — every configuration must agree bit-for-bit on
