@@ -17,10 +17,12 @@
 //!                  trace as `TRACE_depchain.kanata` (Konata) and
 //!                  `TRACE_depchain_chrome.json` (chrome://tracing)
 //!   --mips-sanity  measure the functional emulator's MIPS with the
-//!                  decoded-block cache on vs. off and through the
-//!                  by-reference step driver, print all three, and exit
-//!                  non-zero if the cache made it slower or stepping fell
-//!                  under `multicore::STEP_DRIVER_FLOOR` of `Emulator::run`
+//!                  decoded-block cache on vs. off, through the
+//!                  by-reference step driver and under an `OooSession`,
+//!                  print all four, and exit non-zero if the cache made
+//!                  it slower, stepping fell under
+//!                  `multicore::STEP_DRIVER_FLOOR` of `Emulator::run`, or
+//!                  the session under `multicore::OOO_SESSION_FLOOR` of it
 //!                  (CI guard; writes no files)
 //!   --snapshot-every N
 //!                  run every single-core cell through a save/restore
@@ -97,6 +99,20 @@ fn main() {
             eprintln!(
                 "xt-report: MIPS sanity FAILED — stepping costs more than {:.1}x Emulator::run",
                 1.0 / multicore::STEP_DRIVER_FLOOR
+            );
+            std::process::exit(1);
+        }
+        let ooo_ratio = s.ooo_session / fast;
+        println!(
+            "timing model: {:.2} MIPS through an OooSession, \
+             {ooo_ratio:.3} of Emulator::run (floor {})",
+            s.ooo_session,
+            multicore::OOO_SESSION_FLOOR
+        );
+        if ooo_ratio < multicore::OOO_SESSION_FLOOR {
+            eprintln!(
+                "xt-report: MIPS sanity FAILED — the OoO model costs more than {:.0}x Emulator::run",
+                1.0 / multicore::OOO_SESSION_FLOOR
             );
             std::process::exit(1);
         }

@@ -341,21 +341,37 @@ pub struct EmuSpeed {
     /// `TraceSource::advance` + `current`, one record at a time — what
     /// every timing model pays before its own work starts.
     pub step_driver: f64,
+    /// The same records through an `OooSession`: emulator, out-of-order
+    /// core model and memory hierarchy together.
+    pub ooo_session: f64,
 }
 
 /// The step driver must reach this fraction of `Emulator::run`'s MIPS on
 /// the loop below: two thirds of the 0.58 measured after PR 15 built the
 /// retired record in place (17 runs, 0.55-0.63). The by-value drain it
 /// replaced measured 0.39 of its own `Emulator::run` (10 runs,
-/// 0.377-0.405; EXPERIMENTS.md, "Host speed, PR 15").
+/// 0.377-0.405; EXPERIMENTS.md, "Host speed, PR 15"). PR 16 made
+/// `Emulator::run` 1.22x faster on this loop and stepping 1.07x, so the
+/// ratio now measures 0.51 (20 runs, 0.43-0.53) with both speeds up; the
+/// floor stands where PR 15 set it.
 pub const STEP_DRIVER_FLOOR: f64 = 0.39;
+
+/// An `OooSession` must reach this fraction of `Emulator::run`'s MIPS on
+/// the loop below: two thirds of the 0.131 measured after PR 16 took heap
+/// containers and divisions off `OooCore::step` (20 runs, 0.119-0.147;
+/// 13.0 of 99.4 MIPS). The parent measured 0.121 (0.116-0.138; 9.9 of
+/// 81.7 MIPS): both sides of the ratio rose (EXPERIMENTS.md, "Host speed,
+/// PR 16").
+pub const OOO_SESSION_FLOOR: f64 = 0.087;
 
 /// Measures the functional emulator's raw host MIPS (docs/FASTPATH.md)
 /// on a single-core ALU/branch loop with one load and one store: with
-/// the decoded-block cache on and off, and drained one borrowed record
-/// at a time. Also used by `xt-report --mips-sanity`, the CI guard that
-/// the cache never makes the emulator slower and that handing records
-/// to a timing model never costs more than [`STEP_DRIVER_FLOOR`] allows.
+/// the decoded-block cache on and off, drained one borrowed record at a
+/// time, and under the out-of-order timing model. Also used by
+/// `xt-report --mips-sanity`, the CI guard that the cache never makes
+/// the emulator slower, that handing records to a timing model never
+/// costs more than [`STEP_DRIVER_FLOOR`] allows, and that the timing
+/// model itself stays above [`OOO_SESSION_FLOOR`].
 pub fn emu_speed() -> EmuSpeed {
     let mut a = Asm::new();
     let cell = a.data_zeros("cell", 8);
@@ -398,10 +414,17 @@ pub fn emu_speed() -> EmuSpeed {
     }
     let step_driver = mips(trace.retired(), t0);
     assert!(trace.exit_code.is_some() && taken >= 1_499_999, "bench loop ran");
+    let cfg = xt_core::CoreConfig::xt910();
+    let mut session = xt_core::OooSession::new_ooo(&p, &cfg, 100_000_000);
+    let t0 = std::time::Instant::now();
+    let report = session.run_to_end();
+    let ooo_session = mips(session.retired(), t0);
+    assert!(report.exit_code.is_some(), "bench loop ran under OoO");
     EmuSpeed {
         fastpath,
         slowpath,
         step_driver,
+        ooo_session,
     }
 }
 

@@ -167,7 +167,9 @@ impl InOrderCore {
         // in-order issue: operands must be ready, and issue is monotonic
         let mut ready = self.fetch_cycle + 1;
         for (rf, idx) in d.inst.sources_of(traits) {
-            ready = ready.max(self.reg_ready[Self::rf_idx(rf)][idx as usize]);
+            if rf != xt_isa::RegFile::None {
+                ready = ready.max(self.reg_ready[Self::rf_idx(rf)][idx as usize]);
+            }
         }
         ready = ready.max(self.last_issue);
         let issue = self.issue_bw.take(ready);

@@ -38,6 +38,8 @@ pub struct OooCore {
     fetch_cycle: u64,
     fetch_bytes: u64,
     cur_fetch_line: u64,
+    /// Cycles fetch may run ahead of decode: IBUF depth ÷ decode width.
+    ibuf_cycles: u64,
     // stage bandwidth
     decode_bw: Bandwidth,
     rename_bw: Bandwidth,
@@ -91,6 +93,7 @@ impl OooCore {
             fetch_cycle: 0,
             fetch_bytes: 0,
             cur_fetch_line: u64::MAX,
+            ibuf_cycles: (cfg.ibuf_entries as u64 / cfg.decode_width).max(1),
             decode_bw: Bandwidth::new(cfg.decode_width),
             rename_bw: Bandwidth::new(cfg.rename_width),
             retire_bw: Bandwidth::new(cfg.retire_width),
@@ -251,9 +254,8 @@ impl OooCore {
         let dec = self.decode_bw.take(fetched + 1);
         // IBUF back-pressure: fetch cannot run more than the buffer depth
         // ahead of decode.
-        let ibuf_cycles = (cfg.ibuf_entries as u64 / cfg.decode_width).max(1);
-        if dec > self.fetch_cycle + ibuf_cycles {
-            self.fetch_cycle = dec - ibuf_cycles;
+        if dec > self.fetch_cycle + self.ibuf_cycles {
+            self.fetch_cycle = dec - self.ibuf_cycles;
             self.fetch_bytes = 0;
         }
 
@@ -297,15 +299,19 @@ impl OooCore {
         };
         let mut ready = disp + 1;
         for (rf, idx) in d.inst.sources_of(traits) {
-            if rf == RegFile::Vec {
-                // chaining: an element-ordered consumer starts at the
-                // producer's first slice, not the whole-group completion
-                for k in 0..group {
-                    let vr = &self.vreg[((idx as u64 + k) % 32) as usize];
-                    ready = ready.max(xt_vector::source_ready(d.inst.op, vr));
+            match rf {
+                RegFile::None => {}
+                RegFile::Vec => {
+                    // chaining: an element-ordered consumer starts at the
+                    // producer's first slice, not the whole-group completion
+                    for k in 0..group {
+                        let vr = &self.vreg[((idx as u64 + k) % 32) as usize];
+                        ready = ready.max(xt_vector::source_ready(d.inst.op, vr));
+                    }
                 }
-            } else {
-                ready = ready.max(self.reg_ready[Self::src_file_index(rf)][idx as usize]);
+                RegFile::Int | RegFile::Fp => {
+                    ready = ready.max(self.reg_ready[Self::src_file_index(rf)][idx as usize]);
+                }
             }
         }
         ready = ready.max(self.serialize_point);

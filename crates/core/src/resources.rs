@@ -11,11 +11,16 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug)]
 pub struct Window {
     cap: usize,
-    /// Release cycles of the occupied slots, ascending: `alloc` frees
-    /// from the front, `commit` appends at the back — in-order
-    /// structures release in retirement order, so only the issue queue
-    /// ever takes the sorted insert.
-    releases: VecDeque<u64>,
+    /// Release cycles of the occupied slots, ascending, in a ring of
+    /// power-of-two length: entry `k` is `ring[(head + k) & mask]`.
+    /// `alloc` frees from the head, `commit` writes at the tail —
+    /// in-order structures release in retirement order, so only the
+    /// issue queue ever shifts entries to keep the order. Occupancy
+    /// never exceeds `cap`; the ring is at least two entries longer, so
+    /// a stray `commit` trips the assertion before it overwrites the head.
+    ring: Box<[u64]>,
+    head: usize,
+    len: usize,
     /// Total cycles callers were delayed waiting for a slot.
     pub stall_cycles: u64,
 }
@@ -25,42 +30,56 @@ impl Window {
     pub fn new(cap: usize) -> Self {
         Window {
             cap,
-            releases: VecDeque::new(),
+            ring: vec![0; (cap + 2).next_power_of_two()].into_boxed_slice(),
+            head: 0,
+            len: 0,
             stall_cycles: 0,
         }
     }
 
     /// Earliest cycle ≥ `want` with a free slot.
+    #[inline]
     pub fn alloc(&mut self, want: u64) -> u64 {
+        let mask = self.ring.len() - 1;
+        let (mut head, mut len) = (self.head, self.len);
         let mut t = want;
         // drop entries that have already released
-        while self.releases.front().is_some_and(|&r| r <= t) {
-            self.releases.pop_front();
+        while len > 0 && self.ring[head & mask] <= t {
+            head += 1;
+            len -= 1;
         }
         // still at capacity: wait for the earliest releases
-        while self.releases.len() >= self.cap {
-            let r = self.releases.pop_front().expect("non-empty at capacity");
-            t = t.max(r);
+        while len >= self.cap {
+            assert!(len > 0, "a window needs at least one entry");
+            t = t.max(self.ring[head & mask]);
+            head += 1;
+            len -= 1;
         }
+        (self.head, self.len) = (head & mask, len);
         self.stall_cycles += t - want;
         t
     }
 
     /// Records the release cycle of the slot just allocated.
+    #[inline]
     pub fn commit(&mut self, release: u64) {
-        if self.releases.back().is_none_or(|&b| b <= release) {
-            self.releases.push_back(release);
-        } else {
-            // out of order: after the last entry that releases no later,
-            // in practice a few steps from the back
-            let at = self.releases.iter().rposition(|&r| r <= release);
-            self.releases.insert(at.map_or(0, |i| i + 1), release);
+        assert!(self.len <= self.cap, "commit without a preceding alloc");
+        let mask = self.ring.len() - 1;
+        // after the last entry that releases no later: the tail, or for an
+        // out-of-order release a few steps before it, the later entries
+        // moving up one
+        let mut at = self.head + self.len;
+        while at > self.head && self.ring[(at - 1) & mask] > release {
+            self.ring[at & mask] = self.ring[(at - 1) & mask];
+            at -= 1;
         }
+        self.ring[at & mask] = release;
+        self.len += 1;
     }
 
     /// Current occupancy.
     pub fn occupancy(&self) -> usize {
-        self.releases.len()
+        self.len
     }
 }
 
@@ -102,10 +121,15 @@ impl Bandwidth {
             self.used = 0;
         }
         if self.used >= self.width {
-            self.cycle += 1 + (self.used - self.width) / self.width;
-            self.used %= self.width;
-            if self.used >= self.width {
-                self.used = 0;
+            // the slots taken beyond this cycle's width carry over; only a
+            // request wider than a whole cycle skips cycles
+            let over = self.used - self.width;
+            if over < self.width {
+                self.cycle += 1;
+                self.used = over;
+            } else {
+                self.cycle += 1 + over / self.width;
+                self.used = over % self.width;
             }
         }
         let first = self.cycle;
@@ -119,14 +143,25 @@ impl Bandwidth {
 /// the full occupancy.
 #[derive(Clone, Debug)]
 pub struct PipeGroup {
-    next_free: Vec<u64>,
+    /// Cycle each pipe is next free; the first `n` are in use.
+    next_free: [u64; MAX_PIPES],
+    n: usize,
 }
+
+/// Pipes a [`PipeGroup`] holds inline (XT-910 has two of a kind).
+const MAX_PIPES: usize = 4;
 
 impl PipeGroup {
     /// Creates `n` pipes.
     pub fn new(n: usize) -> Self {
+        assert!(
+            n <= MAX_PIPES,
+            "{n} pipes in one group, at most {MAX_PIPES} are modeled \
+             (CoreConfig::alu_pipes, fp_pipes, vec_pipes)"
+        );
         PipeGroup {
-            next_free: vec![0; n.max(1)],
+            next_free: [0; MAX_PIPES],
+            n: n.max(1),
         }
     }
 
@@ -134,13 +169,16 @@ impl PipeGroup {
     /// for `occupancy` cycles (1 for fully-pipelined units). Returns the
     /// actual issue cycle.
     pub fn issue(&mut self, ready: u64, occupancy: u64) -> u64 {
-        let slot = self
-            .next_free
-            .iter_mut()
-            .min()
-            .expect("at least one pipe");
-        let start = (*slot).max(ready);
-        *slot = start + occupancy.max(1);
+        // the first of the earliest-free pipes
+        let pipes = &mut self.next_free[..self.n];
+        let mut slot = 0;
+        for k in 1..pipes.len() {
+            if pipes[k] < pipes[slot] {
+                slot = k;
+            }
+        }
+        let start = pipes[slot].max(ready);
+        pipes[slot] = start + occupancy.max(1);
         start
     }
 }
@@ -234,9 +272,10 @@ impl xt_snapshot::SnapshotState for Window {
     /// The release cycles are written in ascending order.
     fn save(&self, e: &mut xt_snapshot::Enc) {
         e.usize(self.cap);
-        e.seq(self.releases.len());
-        for &r in &self.releases {
-            e.u64(r);
+        e.seq(self.len);
+        let mask = self.ring.len() - 1;
+        for k in 0..self.len {
+            e.u64(self.ring[(self.head + k) & mask]);
         }
         e.u64(self.stall_cycles);
     }
@@ -247,10 +286,20 @@ impl xt_snapshot::SnapshotState for Window {
                 what: "window capacity",
             });
         }
-        // a frame is outside input: re-establish the order, don't trust it
-        let mut rel = d.u64_seq()?;
-        rel.sort_unstable();
-        self.releases = rel.into();
+        // a frame is outside input: bound the count by what the ring was
+        // sized for, and re-establish the order, don't trust it
+        let n = d.usize()?;
+        if n > self.cap {
+            return Err(xt_snapshot::SnapshotError::Corrupt {
+                what: "window occupancy",
+            });
+        }
+        for r in &mut self.ring[..n] {
+            *r = d.u64()?;
+        }
+        self.ring[..n].sort_unstable();
+        self.head = 0;
+        self.len = n;
         self.stall_cycles = d.u64()?;
         Ok(())
     }
@@ -277,15 +326,15 @@ impl xt_snapshot::SnapshotState for Bandwidth {
 
 impl xt_snapshot::SnapshotState for PipeGroup {
     fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u64_seq(&self.next_free);
+        e.u64_seq(&self.next_free[..self.n]);
     }
 
     fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
         let nf = d.u64_seq()?;
-        if nf.len() != self.next_free.len() {
+        if nf.len() != self.n {
             return Err(xt_snapshot::SnapshotError::Mismatch { what: "pipe count" });
         }
-        self.next_free = nf;
+        self.next_free[..self.n].copy_from_slice(&nf);
         Ok(())
     }
 }
@@ -322,9 +371,10 @@ impl xt_snapshot::SnapshotState for SlotLimiter {
     }
 }
 
-/// Reference models — the obvious min-heap window and linear-scan
-/// limiter — that the differential tests drive side by side with the
-/// O(1) structures above: same cycles, same stalls, same frame bytes.
+/// Reference models — the obvious min-heap window, linear-scan limiter,
+/// `iter_mut().min()` pipe group and always-dividing bandwidth limiter —
+/// that the differential tests drive side by side with the structures
+/// above: same cycles, same stalls, same frame bytes.
 #[cfg(test)]
 mod reference {
     use std::cmp::Reverse;
@@ -370,6 +420,72 @@ mod reference {
             rel.sort_unstable();
             e.u64_seq(&rel);
             e.u64(self.stall_cycles);
+        }
+    }
+
+    /// [`super::PipeGroup`] over a heap vector and `Iterator::min`, which
+    /// returns the first of several equal minima.
+    pub struct MinPipes {
+        next_free: Vec<u64>,
+    }
+
+    impl MinPipes {
+        pub fn new(n: usize) -> Self {
+            MinPipes {
+                next_free: vec![0; n.max(1)],
+            }
+        }
+
+        pub fn issue(&mut self, ready: u64, occupancy: u64) -> u64 {
+            let slot = self.next_free.iter_mut().min().expect("at least one pipe");
+            let start = (*slot).max(ready);
+            *slot = start + occupancy.max(1);
+            start
+        }
+
+        pub fn save(&self, e: &mut Enc) {
+            e.u64_seq(&self.next_free);
+        }
+    }
+
+    /// [`super::Bandwidth`] dividing on every cycle change.
+    pub struct DividingBandwidth {
+        width: u64,
+        cycle: u64,
+        used: u64,
+    }
+
+    impl DividingBandwidth {
+        pub fn new(width: u64) -> Self {
+            DividingBandwidth {
+                width,
+                cycle: 0,
+                used: 0,
+            }
+        }
+
+        pub fn break_group(&mut self) {
+            self.used = self.width;
+        }
+
+        pub fn take_n(&mut self, min_cycle: u64, n: u64) -> u64 {
+            if min_cycle > self.cycle {
+                self.cycle = min_cycle;
+                self.used = 0;
+            }
+            if self.used >= self.width {
+                self.cycle += 1 + (self.used - self.width) / self.width;
+                self.used %= self.width;
+            }
+            let first = self.cycle;
+            self.used += n;
+            first
+        }
+
+        pub fn save(&self, e: &mut Enc) {
+            e.u64(self.width);
+            e.u64(self.cycle);
+            e.u64(self.used);
         }
     }
 
@@ -421,7 +537,7 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{HeapWindow, ScanLimiter};
+    use super::reference::{DividingBandwidth, HeapWindow, MinPipes, ScanLimiter};
     use super::*;
     use xt_harness::gen::{choose, from_fn, ints, vec_of};
     use xt_harness::prop::{check_with, Config};
@@ -445,9 +561,10 @@ mod tests {
     /// Allocation requests drift forward with occasional jumps far into
     /// the past and the future; `monotone` holds are constant (releases
     /// then never decrease, like the ROB's), otherwise they are random
-    /// (out-of-order releases, like the issue queue's).
-    fn window_trace(rng: &mut Rng, monotone: bool) -> Vec<WindowOp> {
-        let n = rng.gen_range_u64(1, 400);
+    /// (out-of-order releases, like the issue queue's). At least four
+    /// ring lengths of operations, so the head wraps several times.
+    fn window_trace(rng: &mut Rng, cap: usize, monotone: bool) -> Vec<WindowOp> {
+        let n = 4 * (cap + 2).next_power_of_two() as u64 + rng.below(400);
         let mut now = rng.below(50);
         (0..n)
             .map(|_| {
@@ -466,7 +583,7 @@ mod tests {
     #[test]
     fn window_matches_the_heap_reference() {
         let gen = (
-            choose(&[1usize, 8, 48, 192]),
+            choose(&[1usize, 2, 8, 48, 192]),
             choose(&[false, true]),
             from_fn(|rng: &mut Rng| rng.next_u64()),
         );
@@ -476,7 +593,7 @@ mod tests {
             &gen,
             |&(cap, monotone, seed)| {
                 let mut rng = Rng::new(seed);
-                let trace = window_trace(&mut rng, monotone);
+                let trace = window_trace(&mut rng, cap, monotone);
                 // the cut where the new window is rebuilt from its own frame
                 let cut = rng.below(trace.len() as u64) as usize;
                 let mut new = Window::new(cap);
@@ -508,6 +625,65 @@ mod tests {
         );
     }
 
+    /// The issue queue's worst case at every position of the ring: a full
+    /// window takes a release earlier than everything it holds, which
+    /// lands at index 0 and moves every other entry up one — across the
+    /// wrap when the head sits near the end of the ring.
+    #[test]
+    fn out_of_order_commit_lands_at_index_0_wherever_the_head_is() {
+        let cap = 6; // a ring of 8
+        for turns in 0..20u64 {
+            let mut new = Window::new(cap);
+            let mut old = HeapWindow::new(cap);
+            // walk the head `turns` slots round the ring
+            for k in 0..turns {
+                assert_eq!(new.alloc(k), old.alloc(k));
+                new.commit(k);
+                old.commit(k);
+            }
+            let base = 1_000;
+            for k in 0..cap as u64 {
+                assert_eq!(new.alloc(base), old.alloc(base));
+                // descending: each lands in front of all the others
+                new.commit(base + 100 - k);
+                old.commit(base + 100 - k);
+                let frame = bytes_of(|e| new.save(e));
+                assert_eq!(frame, bytes_of(|e| old.save(e)), "turn {turns}, entry {k}");
+            }
+            assert_eq!(new.occupancy(), cap);
+            // full: waits for the earliest release, the last one committed
+            assert_eq!(new.alloc(base), base + 100 - (cap as u64 - 1));
+            assert_eq!(old.alloc(base), base + 100 - (cap as u64 - 1));
+        }
+    }
+
+    #[test]
+    fn window_restore_rejects_more_releases_than_entries() {
+        for n in [5u64, 1 << 32, u64::MAX] {
+            let mut e = Enc::new();
+            e.usize(4);
+            e.u64(n);
+            for r in 0..5 {
+                e.u64(r);
+            }
+            e.u64(0);
+            let got = Window::new(4).restore(&mut Dec::new(e.bytes()));
+            let want = xt_snapshot::SnapshotError::Corrupt {
+                what: "window occupancy",
+            };
+            assert_eq!(got, Err(want), "{n} releases in 4 entries");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "commit without a preceding alloc")]
+    fn window_commit_needs_a_free_entry() {
+        let mut w = Window::new(2);
+        for r in 0..4 {
+            w.commit(r);
+        }
+    }
+
     #[test]
     fn window_restore_sorts_an_unsorted_frame() {
         let mut e = Enc::new();
@@ -520,6 +696,97 @@ mod tests {
         assert_eq!(w.alloc(0), 10, "earliest release first");
         w.commit(15);
         assert_eq!(w.alloc(0), 15);
+    }
+
+    #[test]
+    fn pipe_group_matches_the_min_reference() {
+        // few distinct ready cycles and occupancies, so pipes tie often
+        let gen = (
+            ints(0usize..MAX_PIPES + 1),
+            vec_of((ints(0u64..6), ints(0u64..4)), 1..200),
+            ints(0usize..200),
+        );
+        check_with(
+            &Config::seeded(0x0910_0016_0001),
+            "pipe_group_matches_the_min_reference",
+            &gen,
+            |(n, trace, cut)| {
+                let mut new = PipeGroup::new(*n);
+                let mut old = MinPipes::new(*n);
+                let mut now = 0;
+                for (k, &(ahead, occupancy)) in trace.iter().enumerate() {
+                    now += ahead / 2;
+                    let at = new.issue(now, occupancy);
+                    assert_eq!(at, old.issue(now, occupancy), "issue #{k}");
+                    let frame = bytes_of(|e| new.save(e));
+                    assert_eq!(frame, bytes_of(|e| old.save(e)), "frame after #{k}");
+                    if k == *cut {
+                        new = PipeGroup::new(*n);
+                        let mut d = Dec::new(&frame);
+                        new.restore(&mut d).expect("own frame restores");
+                        d.finish().expect("frame fully consumed");
+                    }
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn pipe_group_ties_go_to_the_first_pipe() {
+        let mut p = PipeGroup::new(3);
+        p.issue(0, 5);
+        // pipes 1 and 2 are both free at 0: the frame shows which one took it
+        p.issue(0, 7);
+        assert_eq!(bytes_of(|e| p.save(e)), bytes_of(|e| e.u64_seq(&[5, 7, 0])));
+    }
+
+    #[test]
+    #[should_panic(expected = "CoreConfig::alu_pipes")]
+    fn pipe_group_names_the_config_field_when_too_wide() {
+        PipeGroup::new(MAX_PIPES + 1);
+    }
+
+    #[test]
+    fn pipe_group_restore_checks_the_pipe_count() {
+        let frame = bytes_of(|e| PipeGroup::new(2).save(e));
+        for n in [1, 3] {
+            let got = PipeGroup::new(n).restore(&mut Dec::new(&frame));
+            let want = xt_snapshot::SnapshotError::Mismatch { what: "pipe count" };
+            assert_eq!(got, Err(want), "a 2-pipe frame into {n} pipes");
+        }
+    }
+
+    #[test]
+    fn bandwidth_matches_the_dividing_reference() {
+        // n up to 4 against widths from 1: requests wider than a cycle
+        // (the only ones that still divide) are common
+        let gen = (
+            ints(1u64..9),
+            vec_of((ints(0u64..8), ints(1u64..5), ints(0u32..6)), 1..300),
+        );
+        check_with(
+            &Config::seeded(0x0910_0016_0002),
+            "bandwidth_matches_the_dividing_reference",
+            &gen,
+            |(width, trace)| {
+                let mut new = Bandwidth::new(*width);
+                let mut old = DividingBandwidth::new(*width);
+                let mut now = 0;
+                for (k, &(ahead, n, kind)) in trace.iter().enumerate() {
+                    // mostly the same cycle again, sometimes a few ahead
+                    if ahead >= 6 {
+                        now += ahead;
+                    }
+                    if kind == 0 {
+                        new.break_group();
+                        old.break_group();
+                    }
+                    assert_eq!(new.take_n(now, n), old.take_n(now, n), "take #{k}");
+                    let frame = bytes_of(|e| new.save(e));
+                    assert_eq!(frame, bytes_of(|e| old.save(e)), "frame after #{k}");
+                }
+            },
+        );
     }
 
     #[test]

@@ -103,6 +103,10 @@ pub struct BlockCache {
     pages: crate::gmem::PageMap<Vec<(u16, u32)>>,
     slots: Vec<Slot>,
     free: Vec<u32>,
+    /// Blocks ever invalidated: monotone, never reset.
+    /// `Emulator::run_block` relies on it standing still while no block
+    /// died, which `stats` — public telemetry — cannot promise.
+    invalidations: u64,
     /// Telemetry counters.
     pub stats: CacheStats,
 }
@@ -130,6 +134,7 @@ impl BlockCache {
             pages: Default::default(),
             slots: Vec::new(),
             free: Vec::new(),
+            invalidations: 0,
             stats: CacheStats::default(),
         }
     }
@@ -194,21 +199,10 @@ impl BlockCache {
         self.slots[slot as usize].block.entries.len() as u32
     }
 
-    /// Moves `slot`'s entries out for a batched run. The slot stays
-    /// live (and keyed) meanwhile; the executing instructions can at
-    /// most invalidate it, which clears an already-empty vector and
-    /// bumps the epoch — [`Self::restore_entries`] then discards.
-    pub fn take_entries(&mut self, slot: u32) -> Vec<BlockEntry> {
-        std::mem::take(&mut self.slots[slot as usize].block.entries)
-    }
-
-    /// Returns entries taken by [`Self::take_entries`], unless the slot
-    /// was invalidated (epoch advanced) while they were out.
-    pub fn restore_entries(&mut self, slot: u32, epoch: u64, entries: Vec<BlockEntry>) {
-        let s = &mut self.slots[slot as usize];
-        if s.live && s.epoch == epoch {
-            s.block.entries = entries;
-        }
+    /// A number that moves whenever a live block is invalidated.
+    #[inline]
+    pub(crate) fn invalidations(&self) -> u64 {
+        self.invalidations
     }
 
     /// Store-to-code hook: drops every block on any page overlapped by
@@ -239,6 +233,7 @@ impl BlockCache {
                 s.epoch += 1;
                 s.block.entries.clear();
                 self.free.push(slot);
+                self.invalidations += 1;
                 self.stats.blocks_invalidated += 1;
             }
         }

@@ -192,9 +192,13 @@ impl Cpu {
         self.read_csr(csr::SATP)
     }
 
-    /// True when address translation is active for data accesses.
+    /// True when address translation is active, for fetches and data
+    /// accesses alike (no MPRV is modelled): Sv39 below machine mode.
+    /// The mode is tested first: machine mode answers without reading
+    /// `satp`.
+    #[inline]
     pub fn translation_on(&self) -> bool {
-        csr::satp::mode(self.satp()) == csr::satp::MODE_SV39 && self.mode != PrivMode::Machine
+        self.mode != PrivMode::Machine && csr::satp::mode(self.satp()) == csr::satp::MODE_SV39
     }
 }
 

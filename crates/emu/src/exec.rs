@@ -276,9 +276,7 @@ impl Emulator {
             if let Some(code) = self.halted {
                 return Ok(code);
             }
-            if !(self.fastpath && self.cpu.mode == PrivMode::Machine && self.pmp.is_empty())
-                || self.cluster.is_some()
-            {
+            if !self.fetch_is_physical() || self.cluster.is_some() {
                 match self.step_into(&mut rec)? {
                     StepStatus::Retired => left -= 1,
                     StepStatus::Halted => unreachable!("`halted` was checked above"),
@@ -293,10 +291,19 @@ impl Emulator {
         Err(ExecError::OutOfFuel)
     }
 
+    /// Whether the decoded-block engine may execute the instruction at
+    /// the PC: it is enabled, and the fetch is neither translated (Sv39
+    /// applies below machine mode only) nor checked (no PMP region), so
+    /// `pc == fetch_pa` and the fetch cannot fault.
+    #[inline]
+    fn fetch_is_physical(&self) -> bool {
+        self.fastpath && self.pmp.is_empty() && !self.cpu.translation_on()
+    }
+
     /// Batched fast path for [`Emulator::run`]: executes (up to) one
     /// cached block with `left` fuel remaining, returning the fuel left
-    /// over. Caller guarantees eligibility (machine mode, no PMP, no
-    /// cluster hooks, not halted), so `pc == fetch_pa`. `memo` caches
+    /// over. Caller guarantees eligibility ([`Self::fetch_is_physical`],
+    /// no cluster hooks, not halted), so `pc == fetch_pa`. `memo` caches
     /// the last block executed so tight loops (branch back to the same
     /// block) skip the page-map lookup.
     fn run_block(&mut self, mut left: u64, memo: &mut (u64, u32, u64)) -> Result<u64, ExecError> {
@@ -324,14 +331,15 @@ impl Emulator {
             }
         };
         *memo = (pc0, slot, epoch);
-        // Move the entries out while executing them: a store inside the
-        // block may invalidate the very slot that holds it (the epoch
-        // check below catches that; `restore_entries` then drops them).
-        let entries = self.icache.take_entries(slot);
+        // The entries are read in place, one copy per instruction. A store
+        // inside the block may invalidate the very slot that holds it; no
+        // block dies without this counter moving, so while it stands still
+        // the slot needs no look.
+        let invalidations = self.icache.invalidations();
         let mut pc = pc0;
         let mut executed = 0u64;
         let mut fatal = None;
-        for e in &entries {
+        for idx in 0..self.icache.block_len(slot) {
             if left == 0 {
                 break;
             }
@@ -344,7 +352,8 @@ impl Emulator {
                 left -= 1;
                 break;
             }
-            match self.exec(pc, e.inst, &mut None) {
+            let inst = self.icache.entry(slot, idx).inst;
+            match self.exec(pc, inst, &mut None) {
                 Ok(next_pc) => {
                     self.cpu.instret += 1;
                     if let Some(p) = self.platform.as_mut() {
@@ -357,9 +366,11 @@ impl Emulator {
                     if self.halted.is_some() {
                         break;
                     }
-                    // self-modifying code dropped this block: the rest
-                    // of the moved-out entries are stale bytes
-                    if !self.icache.slot_live(slot, epoch) {
+                    // self-modifying code dropped this block: its entries
+                    // are gone, what follows in memory is new bytes
+                    if self.icache.invalidations() != invalidations
+                        && !self.icache.slot_live(slot, epoch)
+                    {
                         break;
                     }
                 }
@@ -375,7 +386,6 @@ impl Emulator {
             }
         }
         self.icache.stats.hits += executed;
-        self.icache.restore_entries(slot, epoch, entries);
         match fatal {
             Some(e) => Err(e),
             None => Ok(left),
@@ -383,14 +393,7 @@ impl Emulator {
     }
 
     fn translate(&self, va: u64, access: Access) -> Result<u64, Trap> {
-        let active = match access {
-            Access::Fetch => {
-                csr::satp::mode(self.cpu.satp()) == csr::satp::MODE_SV39
-                    && self.cpu.mode != PrivMode::Machine
-            }
-            _ => self.cpu.translation_on(),
-        };
-        let pa = if !active {
+        let pa = if !self.cpu.translation_on() {
             va
         } else {
             let root = csr::satp::ppn(self.cpu.satp());
@@ -594,8 +597,8 @@ impl Emulator {
     /// retired record — every field — into the caller's `rec`.
     ///
     /// Dispatches to the decoded-block fast path when it is enabled and
-    /// the step is eligible (machine mode — so instruction fetch is
-    /// untranslated — and no PMP regions configured); otherwise takes
+    /// the step is eligible (instruction fetch untranslated — machine
+    /// mode, or bare `satp` — and no PMP regions configured); otherwise takes
     /// the per-step fetch-decode reference path. Both paths produce
     /// bit-identical architectural state, retired records and traps.
     ///
@@ -606,16 +609,16 @@ impl Emulator {
         if self.halted.is_some() {
             return Ok(StepStatus::Halted);
         }
-        if self.fastpath && self.cpu.mode == PrivMode::Machine && self.pmp.is_empty() {
+        if self.fetch_is_physical() {
             self.step_cached(rec)
         } else {
             self.step_slow(rec)
         }
     }
 
-    /// The decoded-block fast path. Eligibility (machine mode, no PMP)
-    /// was checked by [`Emulator::step_into`], so `pc == fetch_pa` and
-    /// the fetch can neither fault nor be translated.
+    /// The decoded-block fast path. Eligibility (untranslated fetch, no
+    /// PMP) was checked by [`Emulator::step_into`], so `pc == fetch_pa`
+    /// and the fetch can neither fault nor be translated.
     fn step_cached(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
         if self.platform.is_some() {
             if let Some(d) = self.poll_interrupt() {

@@ -5,9 +5,9 @@
 //! 2 MiB / 1 GiB huge-page support the paper's §V-D/§V-E build on.
 //!
 //! Translation and the decoded-block fast path (docs/FASTPATH.md):
-//! block caching engages only while fetch is untranslated (machine
-//! mode, no PMP), so any guest that turns on SV39 executes through the
-//! per-step reference path. Page-table edits therefore can never
+//! block caching engages only while fetch is untranslated (machine mode
+//! or bare `satp`, no PMP), so a guest running under SV39 executes through
+//! the per-step reference path. Page-table edits therefore can never
 //! desync cached code — the cache only ever holds blocks whose `pc`
 //! *is* their physical address, and stores invalidate by physical span.
 

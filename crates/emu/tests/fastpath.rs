@@ -270,6 +270,109 @@ fn trace_source_stream_identical() {
 }
 
 // ---------------------------------------------------------------------
+// `run`'s block loop reads a block's entries in place: a store may kill
+// the block under it, another block, or nothing
+// ---------------------------------------------------------------------
+
+/// Where a self-modifying guest's store lands, seen from the block that
+/// executes it. Invalidation is page-granular, so a store to any code on
+/// the running block's page kills the running block too; only a store to
+/// another page kills blocks and leaves the running one alive.
+#[derive(Clone, Copy, Debug)]
+enum Patch {
+    OwnBlock,
+    OtherBlockSamePage,
+    OtherPage,
+}
+
+/// Page 0 holds `f`, page 1 holds `g` and the main loop. Every iteration
+/// re-patches one `li` (its own, `g`'s or `f`'s) with a new immediate,
+/// runs on in the same block, then calls both functions and folds what
+/// they return into the exit code.
+fn patching_program(kind: Patch) -> Program {
+    let mut a = Asm::new();
+    let main = a.new_label();
+    a.jump(main);
+    let (f, f_site) = (a.here(), a.pc());
+    a.li(Gpr::A4, 1);
+    a.ret();
+    while a.pc() < xt_asm::DEFAULT_TEXT_BASE + 4096 {
+        a.nop();
+    }
+    let (g, g_site) = (a.here(), a.pc());
+    a.li(Gpr::A4, 2);
+    a.ret();
+    a.bind(main).unwrap();
+    a.li(Gpr::T2, 5);
+    a.call(f);
+    a.call(g); // both callees are cached before the first patch
+    let (top, own_site) = (a.here(), a.pc());
+    a.li(Gpr::A2, 7);
+    a.add(Gpr::A5, Gpr::A5, Gpr::A2);
+    let (site, rd) = match kind {
+        Patch::OwnBlock => (own_site, Gpr::A2),
+        Patch::OtherBlockSamePage => (g_site, Gpr::A4),
+        Patch::OtherPage => (f_site, Gpr::A4),
+    };
+    // the new word: `addi rd, x0, 100 + t2` (the immediate is bits 31:20)
+    a.li(Gpr::T0, site as i64);
+    a.li(Gpr::T1, addi_word(rd, 100) as i64);
+    a.slli(Gpr::T3, Gpr::T2, 20);
+    a.add(Gpr::T1, Gpr::T1, Gpr::T3);
+    a.sw(Gpr::T1, Gpr::T0, 0);
+    a.addi(Gpr::A3, Gpr::A3, 3); // the rest of the storing block
+    a.add(Gpr::A5, Gpr::A5, Gpr::A3);
+    a.call(f);
+    a.add(Gpr::A5, Gpr::A5, Gpr::A4);
+    a.call(g);
+    a.add(Gpr::A5, Gpr::A5, Gpr::A4);
+    a.addi(Gpr::T2, Gpr::T2, -1);
+    a.bnez(Gpr::T2, top);
+    a.mv(Gpr::A0, Gpr::A5);
+    a.halt();
+    a.finish().unwrap()
+}
+
+/// `run` (whole blocks, entries read in place) against `step` (one
+/// cursor step at a time) and the reference interpreter: same registers
+/// and memory from all three, and from the two block engines the same
+/// hits, misses, builds and invalidations — a `run` that left a block
+/// early, or late, would look up and build blocks `step` does not.
+#[test]
+fn run_and_step_agree_on_self_modifying_blocks_stats_included() {
+    for kind in [Patch::OwnBlock, Patch::OtherBlockSamePage, Patch::OtherPage] {
+        let p = patching_program(kind);
+        let ran = assert_fast_equals_slow(&p, &format!("{kind:?}"));
+        let mut stepped = loaded(&p);
+        stepped.set_fastpath(true);
+        let mut steps = 0;
+        while let StepOutcome::Retired(_) = stepped.step().unwrap() {
+            steps += 1;
+            assert!(steps < FUEL, "{kind:?}: no halt");
+        }
+        assert_eq!(stepped.halted, ran.halted, "{kind:?}: exit code");
+        assert_eq!(stepped.cpu.x, ran.cpu.x, "{kind:?}: integer registers");
+        assert_eq!(stepped.cpu.instret, ran.cpu.instret, "{kind:?}: instret");
+        assert_eq!(
+            stepped.mem.snapshot_nonzero(),
+            ran.mem.snapshot_nonzero(),
+            "{kind:?}: guest memory"
+        );
+        assert_eq!(stepped.cache_stats(), ran.cache_stats(), "{kind:?}: block cache counters");
+        let stats = ran.cache_stats();
+        assert!(stats.blocks_invalidated >= 5, "{kind:?}: every patch killed a block: {stats:?}");
+        // 5 iterations, patches 105..101: a2 sees one an iteration late,
+        // f and g the same iteration; a3 adds 3, 6, .. 15
+        let want = match kind {
+            Patch::OwnBlock => 7 + 105 + 104 + 103 + 102 + 5 * 3,
+            Patch::OtherBlockSamePage => 5 * 7 + 5 + 105 + 104 + 103 + 102 + 101,
+            Patch::OtherPage => 5 * 7 + 105 + 104 + 103 + 102 + 101 + 5 * 2,
+        } + 3 * (1 + 2 + 3 + 4 + 5);
+        assert_eq!(ran.halted, Some(want), "{kind:?}: the patches took effect when they should");
+    }
+}
+
+// ---------------------------------------------------------------------
 // asynchronous interrupts: block-boundary polling must be invisible
 // ---------------------------------------------------------------------
 
@@ -465,6 +568,127 @@ fn random_programs_with_interrupts_identical() {
             let p = a.finish().unwrap();
             let cmp0 = 31 + seed % 97;
             assert_fast_equals_slow_irq(&p, cmp0, &format!("irq seed {seed:#x}"));
+        },
+    );
+}
+
+/// A user-mode task under bare `satp` — what `xt_workloads::sched` runs:
+/// fetch is untranslated and unchecked, so the task belongs on decoded
+/// blocks. Machine-mode boot drops to U through `mret`; the task counts
+/// down a random body, asks the kernel for a service with `ecall` every
+/// iteration (the handler counts it and steps `mepc`), is preempted by a
+/// re-arming timer, patches its own first instruction half of the time,
+/// and exits through a last `ecall`. Exit code = timer hits × 2¹⁶ +
+/// service calls.
+fn user_mode_program(seed: u64) -> (Program, i64) {
+    let mut rng = Rng::new(seed);
+    let pool = [Gpr::A2, Gpr::A3, Gpr::A4, Gpr::A6];
+    let mut a = Asm::new();
+    let data = a.data_zeros("scratch", 64);
+    let boot = a.new_label();
+    a.jump(boot);
+    // the handler, M-mode, direct `mtvec`: t3-t6 and s3/s4 are its own
+    let (timer, exit) = (a.new_label(), a.new_label());
+    a.csrr(Gpr::T3, xt_isa::csr::MCAUSE);
+    a.bltz(Gpr::T3, timer);
+    a.bnez(Gpr::A7, exit);
+    a.addi(Gpr::S4, Gpr::S4, 1);
+    a.csrr(Gpr::T4, xt_isa::csr::MEPC);
+    a.addi(Gpr::T4, Gpr::T4, 4);
+    a.csrw(xt_isa::csr::MEPC, Gpr::T4);
+    a.mret();
+    a.bind(timer).unwrap();
+    a.addi(Gpr::S3, Gpr::S3, 1);
+    a.li(Gpr::T5, TIMER_MTIME_PA as i64);
+    a.ld(Gpr::T6, Gpr::T5, 0);
+    a.addi(Gpr::T6, Gpr::T6, 53 + rng.gen_range(0, 90));
+    a.li(Gpr::T5, TIMER_CMP_PA as i64);
+    a.sd(Gpr::T6, Gpr::T5, 0);
+    a.mret();
+    a.bind(exit).unwrap();
+    a.slli(Gpr::A0, Gpr::S3, 16);
+    a.add(Gpr::A0, Gpr::A0, Gpr::S4);
+    a.halt();
+
+    // the task, U-mode: a1 data, a5 countdown, a7 service number
+    let iters = rng.gen_range(200, 900);
+    let task_pc = a.pc();
+    let top = a.here();
+    a.li(Gpr::A2, 1); // the patch site
+    for _ in 0..rng.gen_range(3, 10) {
+        let rd = *rng.choose(&pool);
+        let rs = *rng.choose(&pool);
+        match rng.below(4) {
+            0 => a.addi(rd, rs, rng.gen_range(-64, 64)),
+            1 => a.add(rd, rd, rs),
+            2 => a.sd(rs, Gpr::A1, rng.gen_range(0, 7) * 8),
+            _ => a.ld(rd, Gpr::A1, rng.gen_range(0, 7) * 8),
+        };
+    }
+    if rng.gen_bool(0.5) {
+        a.li(Gpr::T0, task_pc as i64);
+        a.li(Gpr::T1, addi_word(Gpr::A2, rng.gen_range(2, 2048)) as i64);
+        a.sw(Gpr::T1, Gpr::T0, 0);
+    }
+    a.ecall();
+    a.addi(Gpr::A5, Gpr::A5, -1);
+    a.bnez(Gpr::A5, top);
+    a.li(Gpr::A7, 1);
+    a.ecall();
+
+    a.bind(boot).unwrap();
+    a.li(Gpr::T0, (xt_asm::DEFAULT_TEXT_BASE + 4) as i64);
+    a.csrw(xt_isa::csr::MTVEC, Gpr::T0);
+    a.li(Gpr::T0, 1 << xt_isa::csr::irq::MTI);
+    a.csrw(xt_isa::csr::MIE, Gpr::T0);
+    a.la(Gpr::A1, data);
+    a.li(Gpr::A5, iters);
+    // mepc = task, MPP = U, MPIE = 1
+    a.li(Gpr::T0, task_pc as i64);
+    a.csrw(xt_isa::csr::MEPC, Gpr::T0);
+    a.li(Gpr::T0, xt_isa::csr::mstatus::MPP_MASK as i64);
+    a.csrc(xt_isa::csr::MSTATUS, Gpr::T0);
+    a.li(Gpr::T0, xt_isa::csr::mstatus::MPIE as i64);
+    a.csrs(xt_isa::csr::MSTATUS, Gpr::T0);
+    a.mret();
+    (a.finish().unwrap(), iters)
+}
+
+/// The U-mode leg: state-identical on both engines and through all four
+/// step drivers, `ecall` and timer round trips included — and actually
+/// on decoded blocks, which a machine-mode-only gate would not be.
+#[test]
+fn user_mode_tasks_run_on_decoded_blocks() {
+    check_with(
+        &cfg(16),
+        "user_mode_tasks_run_on_decoded_blocks",
+        &gen::any::<u64>(),
+        |&seed| {
+            let (p, iters) = user_mode_program(seed);
+            let cmp0 = 40 + seed % 61;
+            let ctx = format!("user seed {seed:#x}");
+            let fast = assert_fast_equals_slow_irq(&p, cmp0, &ctx);
+            let code = fast.halted.expect("the task exits through the kernel");
+            assert_eq!(code & 0xFFFF, iters as u64, "{ctx}: one service call per iteration");
+            assert!(code >> 16 > 2, "{ctx}: the task was preempted: {code:#x}");
+            let stats = fast.cache_stats();
+            assert!(
+                stats.hits * 10 >= fast.cpu.instret * 9,
+                "{ctx}: user instructions came from cached blocks: {stats:?} of {}",
+                fast.cpu.instret
+            );
+            let d = assert_drains_agree(
+                || {
+                    let mut emu = loaded(&p);
+                    emu.attach_platform(Box::new(TimerPlatform {
+                        mtime: 0,
+                        mtimecmp: cmp0,
+                    }));
+                    emu
+                },
+                &ctx,
+            );
+            assert_eq!(d.exit_code, Some(code));
         },
     );
 }
@@ -798,6 +1022,8 @@ fn in_place_records_carry_nothing_over() {
 /// Translated user code: `fetch_pa` differs from `pc` in every record,
 /// the trapping `ecall`'s included — the one arm where writing `pc`
 /// into `fetch_pa` (what the untranslated fast path may do) is wrong.
+/// User mode alone does not make a guest eligible for decoded blocks:
+/// under Sv39 it stays on the reference path.
 #[test]
 fn translated_records_keep_fetch_pa_on_the_trap_arm() {
     use xt_emu::mmu::{pte, PageTableBuilder};
@@ -826,6 +1052,11 @@ fn translated_records_keep_fetch_pa_on_the_trap_arm() {
             emu.cpu.write_csr(csr::MTVEC, xt_asm::DEFAULT_TEXT_BASE + 4);
             emu.cpu.mode = xt_emu::PrivMode::User;
             emu.cpu.pc = ALIAS + user;
+            // decoy code where the PC points if read as a physical address:
+            // what an engine that took this fetch for untranslated would run
+            for k in 0..3 {
+                emu.mem.write_u32(ALIAS + user + 4 * k, addi_word(Gpr::A3, 77));
+            }
             emu.cpu.wx(Gpr::A1.index(), ALIAS + (cell - xt_asm::DEFAULT_TEXT_BASE));
             emu
         },

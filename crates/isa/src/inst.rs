@@ -105,20 +105,25 @@ impl Inst {
     /// dependence).
     pub fn sources(&self) -> impl Iterator<Item = (RegFile, u8)> {
         self.sources_of(self.op.traits_of())
+            .into_iter()
+            .filter(|&(rf, _)| rf != RegFile::None)
     }
 
-    /// [`Self::sources`] for a caller that already holds
-    /// `self.op.traits_of()`.
+    /// The three operand positions of [`Self::sources`], for a caller
+    /// that already holds `self.op.traits_of()` and loops once per
+    /// instruction: a position that names no register, or reads integer
+    /// `x0`, has file [`RegFile::None`].
     #[inline]
-    pub fn sources_of(&self, t: OpTraits) -> impl Iterator<Item = (RegFile, u8)> {
+    pub fn sources_of(&self, t: OpTraits) -> [(RegFile, u8); 3] {
         let mk = |rf: RegFile, idx: u8| match rf {
-            RegFile::None => None,
-            RegFile::Int if idx == 0 => None,
-            rf => Some((rf, idx)),
+            RegFile::Int if idx == 0 => (RegFile::None, 0),
+            rf => (rf, idx),
         };
-        [mk(t.rs1, self.rs1), mk(t.rs2, self.rs2), mk(t.rs3, self.rs3)]
-            .into_iter()
-            .flatten()
+        [
+            mk(t.rs1, self.rs1),
+            mk(t.rs2, self.rs2),
+            mk(t.rs3, self.rs3),
+        ]
     }
 
     /// For `x.ext`/`x.extu`: the `(msb, lsb)` bit-field bounds.
@@ -158,6 +163,11 @@ mod tests {
         assert_eq!(i.dest(), None);
         let srcs: Vec<_> = i.sources().collect();
         assert_eq!(srcs, vec![(RegFile::Int, 5)]);
+        // positional form: x0 and the unused rs3 read as "no register"
+        assert_eq!(
+            i.sources_of(i.op.traits_of()),
+            [(RegFile::None, 0), (RegFile::Int, 5), (RegFile::None, 0)]
+        );
     }
 
     #[test]

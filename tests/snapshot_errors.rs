@@ -229,3 +229,83 @@ fn inconsistent_shadow_lru_is_rejected() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// the core's fixed-size structural resources
+// ---------------------------------------------------------------------
+
+/// The payload of [`frame`] and the offset of the ROB window in it. A
+/// window is written `cap, n, n × release, stall_cycles`; the ROB is the
+/// one with 192 entries that the 48-entry issue queue follows.
+fn rob_payload() -> (Vec<u8>, usize, usize) {
+    let cfg = CoreConfig::xt910();
+    let payload = xt_snapshot::open(&frame(), xt_snapshot::KIND_CORE)
+        .unwrap()
+        .to_vec();
+    let (at, n) = (0..payload.len() - 24)
+        .filter(|&at| field(&payload, at) == cfg.rob_entries as u64)
+        .map(|at| (at, field(&payload, at + 8) as usize))
+        .find(|&(at, n)| {
+            let next = at + 16 + 8 * n + 8;
+            n <= cfg.rob_entries
+                && next + 8 <= payload.len()
+                && field(&payload, next) == cfg.iq_entries as u64
+        })
+        .expect("a 192-entry window followed by a 48-entry one");
+    assert!(n >= 2, "fifty instructions in, the ROB holds some: {n}");
+    (payload, at, n)
+}
+
+/// Skips the window at `at`; returns the offset just past it.
+fn past_window(payload: &[u8], at: usize) -> usize {
+    at + 16 + 8 * field(payload, at + 8) as usize + 8
+}
+
+/// Core frames with a valid checksum that no save could have written.
+/// The windows and pipe groups are fixed-size now: a count the
+/// `VecDeque` would have swallowed must come back as a typed error
+/// before anything is written past the end of a ring.
+#[test]
+fn forged_core_resources_are_rejected_or_repaired() {
+    let (good, rob_at, n) = rob_payload();
+    let restore_payload = |payload: &[u8]| {
+        let mut s = OooSession::new_ooo(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+        s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
+            .map(|()| s)
+    };
+    restore_payload(&good).expect("the untouched payload restores");
+
+    for occupancy in [CoreConfig::xt910().rob_entries as u64 + 1, 1 << 32] {
+        let mut p = good.clone();
+        set_field(&mut p, rob_at + 8, occupancy);
+        match restore_payload(&p) {
+            Err(SnapshotError::Corrupt {
+                what: "window occupancy",
+            }) => {}
+            other => panic!("ROB occupancy {occupancy}: got {:?}", other.map(|_| ())),
+        }
+    }
+
+    // rob, iq, three register files, then the ALU pipe group's count
+    let alu_at = (0..5).fold(rob_at, |at, _| past_window(&good, at));
+    assert_eq!(field(&good, alu_at), CoreConfig::xt910().alu_pipes as u64);
+    for pipes in [1, 3] {
+        let mut p = good.clone();
+        set_field(&mut p, alu_at, pipes);
+        match restore_payload(&p) {
+            Err(SnapshotError::Mismatch { what: "pipe count" }) => {}
+            other => panic!("{pipes} ALU pipes: got {:?}", other.map(|_| ())),
+        }
+    }
+
+    // releases out of order are put back in order, as they always were:
+    // the session that took them writes the frame a save would have
+    let mut p = good.clone();
+    let (first, last) = (rob_at + 16, rob_at + 16 + 8 * (n - 1));
+    let (lo, hi) = (field(&p, first), field(&p, last));
+    assert!(lo < hi, "distinct release cycles to swap: {lo} {hi}");
+    set_field(&mut p, first, hi);
+    set_field(&mut p, last, lo);
+    let repaired = restore_payload(&p).expect("unsorted releases restore");
+    assert_eq!(repaired.save(), frame(), "and are re-sorted");
+}
