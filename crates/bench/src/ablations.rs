@@ -6,11 +6,11 @@
 
 use crate::figures::{Figure, Row};
 use xt_asm::{Asm, Program};
-use xt_core::{run_ooo, CoreConfig};
+use xt_core::{CoreConfig, OooSession};
 use xt_isa::reg::Gpr;
 
 fn cycles(prog: &Program, cfg: &CoreConfig) -> u64 {
-    run_ooo(prog, cfg, 100_000_000).perf.cycles
+    OooSession::new(prog, cfg, 100_000_000).run_to_end().perf.cycles
 }
 
 fn onoff_row(name: &str, prog: &Program, flip: impl Fn(&mut CoreConfig)) -> Row {

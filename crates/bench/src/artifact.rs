@@ -21,13 +21,16 @@
 //! randomness outside the fixed-seed workload generators — so the
 //! document is byte-identical across runs and machines, and CI diffs it
 //! against `baselines/BENCH_figures_smoke.json` at tolerance **0**
-//! (`xt-figures diff`; see docs/VECTOR.md §"The figures artifact").
+//! (`xt-figures diff`, which is [`xt_perf::gate`] told about this
+//! document by [`ARTIFACT`]; see docs/VECTOR.md §"The figures
+//! artifact").
 
 use crate::figures::{fig18, fig19, fig20, Figure};
 use crate::run_on_xt910;
 use xt_compiler::CompileOpts;
 use xt_core::StallCause;
-use xt_perf::json::Value;
+use xt_perf::gate::{expect_schema, Artifact};
+use xt_trace::lanes::esc;
 use xt_workloads::vecbench;
 
 /// One cell of the ablation grid: a kernel under one (ISA, tuning)
@@ -109,10 +112,6 @@ pub fn speedups(grid: &[GridRun]) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn figure_json(name: &str, f: &Figure, out: &mut String) {
     out.push_str(&format!(
         "    {{\"name\": \"{}\", \"title\": \"{}\", \"unit\": \"{}\", \"rows\": [\n",
@@ -185,217 +184,33 @@ pub fn render_json(grid: &[GridRun], figs: &[(&str, Figure)], smoke: bool) -> St
     s
 }
 
-/// Runs everything and renders the document (what `xt-figures` writes).
-pub fn generate(smoke: bool) -> String {
+/// Runs everything and renders the document (what `xt-figures`
+/// writes), returning the grid it was rendered from as well.
+pub fn generate(smoke: bool) -> (Vec<GridRun>, String) {
     let grid = run_grid();
     let figs = [("fig18", fig18()), ("fig19", fig19()), ("fig20", fig20())];
-    render_json(&grid, &figs, smoke)
+    let js = render_json(&grid, &figs, smoke);
+    (grid, js)
 }
 
-/// Result of comparing two artifacts.
-#[derive(Debug)]
-pub struct DiffOutcome {
-    /// Number of scalar metrics compared.
-    pub compared: usize,
-    /// Human-readable out-of-tolerance reports (empty = clean).
-    pub issues: Vec<String>,
-}
-
-fn rel_dev(a: f64, b: f64) -> f64 {
-    if a == b {
-        0.0
-    } else {
-        (a - b).abs() / a.abs().max(b.abs()).max(1e-12)
-    }
-}
-
-fn num(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_num)
-        .ok_or_else(|| format!("{ctx}: missing numeric field {key}"))
-}
-
-fn st<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{ctx}: missing string field {key}"))
-}
-
-/// Compares two `xt-figures/v1` documents. `Err` means the documents
-/// are structurally incomparable (wrong schema, missing run/figure —
-/// exit code 2 in the CLI); `Ok` with non-empty issues means at least
-/// one metric deviates beyond `tol` (relative, exit code 1).
-pub fn diff_documents(base: &Value, cand: &Value, tol: f64) -> Result<DiffOutcome, String> {
-    for (side, doc) in [("baseline", base), ("candidate", cand)] {
-        match doc.get("schema").and_then(Value::as_str) {
-            Some("xt-figures/v1") => {}
-            other => return Err(format!("{side}: schema {other:?}, want xt-figures/v1")),
-        }
-    }
-    let mut out = DiffOutcome {
-        compared: 0,
-        issues: Vec::new(),
-    };
-    let mut check = |name: &str, b: f64, c: f64| {
-        out.compared += 1;
-        let dev = rel_dev(b, c);
-        if dev > tol {
-            out.issues
-                .push(format!("{name}: baseline {b:.6} vs candidate {c:.6} ({:+.2}%)", (c / b - 1.0) * 100.0));
-        }
-    };
-
-    let arr = |doc: &Value, key: &str, side: &str| -> Result<Vec<Value>, String> {
-        doc.get(key)
-            .and_then(Value::as_arr)
-            .map(|a| a.to_vec())
-            .ok_or_else(|| format!("{side}: missing array {key}"))
-    };
-
-    // grid: match cells by (kernel, isa, tuning), both directions
-    let key_of = |cell: &Value| -> Result<String, String> {
-        Ok(format!(
-            "{}/{}/{}",
-            st(cell, "kernel", "grid cell")?,
-            st(cell, "isa", "grid cell")?,
-            st(cell, "tuning", "grid cell")?
-        ))
-    };
-    let bg = arr(base, "grid", "baseline")?;
-    let cg = arr(cand, "grid", "candidate")?;
-    let mut cmap = std::collections::BTreeMap::new();
-    for cell in &cg {
-        cmap.insert(key_of(cell)?, cell.clone());
-    }
-    if bg.len() != cg.len() {
-        return Err(format!("grid size {} vs {}", bg.len(), cg.len()));
-    }
-    for bcell in &bg {
-        let k = key_of(bcell)?;
-        let ccell = cmap
-            .get(&k)
-            .ok_or_else(|| format!("candidate lacks grid cell {k}"))?;
-        for m in ["cycles", "instructions", "vec_busy_cycles", "inst_ipc", "elem_ipc"] {
-            check(&format!("grid {k} {m}"), num(bcell, m, &k)?, num(ccell, m, &k)?);
-        }
-    }
-
-    // speedups by kernel
-    let bs = arr(base, "speedup", "baseline")?;
-    let cs = arr(cand, "speedup", "candidate")?;
-    if bs.len() != cs.len() {
-        return Err(format!("speedup size {} vs {}", bs.len(), cs.len()));
-    }
-    for (b, c) in bs.iter().zip(&cs) {
-        let (kb, kc) = (st(b, "kernel", "speedup")?, st(c, "kernel", "speedup")?);
-        if kb != kc {
-            return Err(format!("speedup order mismatch: {kb} vs {kc}"));
-        }
-        check(
-            &format!("speedup {kb}"),
-            num(b, "elem_ipc_ratio", kb)?,
-            num(c, "elem_ipc_ratio", kc)?,
-        );
-    }
-
-    // figures by name, rows by label
-    let bf = arr(base, "figures", "baseline")?;
-    let cf = arr(cand, "figures", "candidate")?;
-    if bf.len() != cf.len() {
-        return Err(format!("figure count {} vs {}", bf.len(), cf.len()));
-    }
-    for (b, c) in bf.iter().zip(&cf) {
-        let (nb, nc) = (st(b, "name", "figure")?, st(c, "name", "figure")?);
-        if nb != nc {
-            return Err(format!("figure order mismatch: {nb} vs {nc}"));
-        }
-        let br = b
-            .get("rows")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{nb}: missing rows"))?;
-        let cr = c
-            .get("rows")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{nc}: missing rows"))?;
-        if br.len() != cr.len() {
-            return Err(format!("{nb}: row count {} vs {}", br.len(), cr.len()));
-        }
-        for (rb, rc) in br.iter().zip(cr) {
-            let (lb, lc) = (st(rb, "label", nb)?, st(rc, "label", nc)?);
-            if lb != lc {
-                return Err(format!("{nb}: row label {lb} vs {lc}"));
-            }
-            check(
-                &format!("{nb} {lb}"),
-                num(rb, "value", lb)?,
-                num(rc, "value", lb)?,
-            );
-        }
-    }
-    Ok(out)
-}
-
-/// Proves the gate works: the baseline must diff clean against itself,
-/// and an injected past-tolerance cycle regression must be flagged.
-pub fn selftest(base: &Value, tol: f64) -> Result<(), String> {
-    let clean = diff_documents(base, base, tol)?;
-    if !clean.issues.is_empty() {
-        return Err(format!(
-            "baseline differs from itself: {}",
-            clean.issues.join("; ")
-        ));
-    }
-    if clean.compared == 0 {
-        return Err("self-diff compared zero metrics".into());
-    }
-    let factor = 1.0 + 2.0 * tol + 0.2;
-    let hurt = perturb(base, factor);
-    let flagged = diff_documents(base, &hurt, tol)?;
-    if flagged.issues.is_empty() {
-        return Err(format!(
-            "injected {:.0}% cycle regression was not flagged at tolerance {tol}",
-            (factor - 1.0) * 100.0
-        ));
-    }
-    Ok(())
-}
-
-/// Returns a copy of `doc` with every `cycles` figure scaled by `mul`
-/// (the injected regression for [`selftest`]).
-fn perturb(doc: &Value, mul: f64) -> Value {
-    match doc {
-        Value::Obj(fields) => Value::Obj(
-            fields
-                .iter()
-                .map(|(k, v)| {
-                    let nv = match (k.as_str(), v) {
-                        ("cycles", Value::Num(n)) => Value::Num(n * mul),
-                        _ => perturb(v, mul),
-                    };
-                    (k.clone(), nv)
-                })
-                .collect(),
-        ),
-        Value::Arr(items) => Value::Arr(items.iter().map(|x| perturb(x, mul)).collect()),
-        other => other.clone(),
-    }
-}
+/// `BENCH_figures.json` as [`xt_perf::gate`] sees it: no host time
+/// anywhere, and no internal law to forge against.
+pub const ARTIFACT: Artifact = Artifact {
+    tool: "xt-figures",
+    validate: |doc| expect_schema(doc, "xt-figures/v1"),
+    host_keys: &[],
+    forgeries: &[],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt_perf::json::parse;
-
-    fn doc() -> (Vec<GridRun>, String) {
-        let grid = run_grid();
-        let figs = [("fig18", fig18()), ("fig19", fig19()), ("fig20", fig20())];
-        let js = render_json(&grid, &figs, true);
-        (grid, js)
-    }
+    use xt_perf::gate::{diff, selftest};
+    use xt_perf::json::{parse, Value};
 
     #[test]
     fn artifact_is_deterministic_gated_and_shows_vector_uplift() {
-        let (grid, js) = doc();
+        let (grid, js) = generate(true);
         assert_eq!(grid.len(), 16, "4 kernels x 4 cells");
 
         // headline acceptance: at least one Fig. 18-class kernel shows
@@ -417,7 +232,7 @@ mod tests {
             .any(|g| g.isa == "rv64gcv" && g.vec_busy > 0));
 
         // byte determinism of a second full generation
-        let (_, js2) = doc();
+        let (_, js2) = generate(true);
         assert_eq!(js, js2, "artifact must be byte-identical across runs");
 
         // parses, self-diffs clean at tolerance 0, and the gate's
@@ -427,10 +242,13 @@ mod tests {
             d.get("schema").and_then(Value::as_str),
             Some("xt-figures/v1")
         );
-        let out = diff_documents(&d, &d, 0.0).expect("comparable");
+        let out = diff(&ARTIFACT, &d, &d, 0.0).expect("comparable");
         assert!(out.issues.is_empty());
         assert!(out.compared > 0);
-        selftest(&d, 0.0).expect("gate selftest at tolerance 0");
-        selftest(&d, 0.05).expect("gate selftest with a band");
+        selftest(&ARTIFACT, &d, 0.0).expect("gate selftest at tolerance 0");
+        selftest(&ARTIFACT, &d, 0.05).expect("gate selftest with a band");
+        let foreign = parse(&js.replace("xt-figures/v1", "xt-stat/v2")).unwrap();
+        let err = diff(&ARTIFACT, &d, &foreign, 0.0).expect_err("another tool's document");
+        assert!(err.starts_with("candidate: schema"), "{err}");
     }
 }

@@ -122,7 +122,7 @@ fn main() {
     let mc = multicore::report_section(smoke);
     let results = match snapshot_every {
         Some(n) => {
-            let snapped = report::run_all_snapshotted(smoke, n);
+            let snapped = report::run_all_with(smoke, Some(n));
             let plain = report::run_all(smoke);
             let a = report::render_json(&snapped, &mc, smoke);
             let b = report::render_json(&plain, &mc, smoke);

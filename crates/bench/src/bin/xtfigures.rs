@@ -9,164 +9,24 @@
 //!   is byte-identical across runs; `--smoke` merely labels the
 //!   artifact as the CI-gate variant.
 //! * `xt-figures diff <baseline.json> <candidate.json> [--tolerance T]`
-//!   — compare two artifacts. Exit 0 = within tolerance, 1 = at least
-//!   one metric out of tolerance, 2 = structurally incomparable.
-//! * `xt-figures selftest <baseline.json> [--tolerance T]` — prove the
-//!   gate works: clean self-diff AND an injected past-tolerance cycle
-//!   regression must be flagged.
+//!   and `xt-figures selftest <baseline.json> [--tolerance T]` — the
+//!   artifact gate, [`xt_perf::gate`] (which documents what is compared
+//!   and the exit codes), told about this document by
+//!   [`artifact::ARTIFACT`].
 
 use xt_bench::artifact;
-use xt_perf::json;
-
-fn split_args(args: &[String]) -> Result<(Vec<&str>, f64), String> {
-    let mut positional = Vec::new();
-    let mut tol = 0.0;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tolerance" {
-            tol = args
-                .get(i + 1)
-                .ok_or_else(|| "--tolerance needs a value".to_string())?
-                .parse::<f64>()
-                .map_err(|e| format!("bad --tolerance value: {e}"))?;
-            i += 2;
-        } else if args[i].starts_with("--") {
-            return Err(format!("unknown flag {}", args[i]));
-        } else {
-            positional.push(args[i].as_str());
-            i += 1;
-        }
-    }
-    Ok((positional, tol))
-}
-
-fn load(path: &str) -> Result<json::Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    json::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
+use xt_perf::gate;
 
 fn cmd_generate(smoke: bool) {
-    let js = artifact::generate(smoke);
-    std::fs::write("BENCH_figures.json", &js).expect("write BENCH_figures.json");
-    let doc = json::parse(&js).expect("own JSON parses");
-    let grid = doc.get("grid").and_then(json::Value::as_arr).unwrap();
+    let (grid, js) = artifact::generate(smoke);
+    std::fs::write("BENCH_figures.json", js).expect("write BENCH_figures.json");
     println!("wrote BENCH_figures.json ({} grid cells)", grid.len());
-    for sp in doc
-        .get("speedup")
-        .and_then(json::Value::as_arr)
-        .unwrap_or(&[])
-    {
-        println!(
-            "  {:<12} rv64gcv/tuned vs rv64gc/base: {:.2}x elements/cycle",
-            sp.get("kernel").and_then(json::Value::as_str).unwrap_or("?"),
-            sp.get("elem_ipc_ratio")
-                .and_then(json::Value::as_num)
-                .unwrap_or(0.0)
-        );
-    }
-}
-
-fn cmd_diff(base_path: &str, cand_path: &str, tol: f64) -> i32 {
-    let (base, cand) = match (load(base_path), load(cand_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("xt-figures diff: {e}");
-            return 2;
-        }
-    };
-    match artifact::diff_documents(&base, &cand, tol) {
-        Err(e) => {
-            eprintln!("xt-figures diff: structural mismatch: {e}");
-            2
-        }
-        Ok(out) if out.issues.is_empty() => {
-            println!(
-                "xt-figures diff: OK — {} metrics within tolerance {tol}",
-                out.compared
-            );
-            0
-        }
-        Ok(out) => {
-            eprintln!(
-                "xt-figures diff: {} of {} metrics out of tolerance {tol}:",
-                out.issues.len(),
-                out.compared
-            );
-            for issue in &out.issues {
-                eprintln!("  {issue}");
-            }
-            1
-        }
-    }
-}
-
-fn cmd_selftest(base_path: &str, tol: f64) -> i32 {
-    let base = match load(base_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("xt-figures selftest: {e}");
-            return 2;
-        }
-    };
-    match artifact::selftest(&base, tol) {
-        Ok(()) => {
-            println!(
-                "xt-figures selftest: OK — gate detects injected regressions at tolerance {tol}"
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("xt-figures selftest: FAILED: {e}");
-            1
-        }
+    for (kernel, ratio) in artifact::speedups(&grid) {
+        println!("  {kernel:<12} rv64gcv/tuned vs rv64gc/base: {ratio:.2}x elements/cycle");
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("diff") => {
-            let (paths, tol) = match split_args(&args[1..]) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("xt-figures diff: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if paths.len() != 2 {
-                eprintln!(
-                    "usage: xt-figures diff <baseline.json> <candidate.json> [--tolerance T]"
-                );
-                std::process::exit(2);
-            }
-            std::process::exit(cmd_diff(paths[0], paths[1], tol));
-        }
-        Some("selftest") => {
-            let (paths, tol) = match split_args(&args[1..]) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("xt-figures selftest: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if paths.len() != 1 {
-                eprintln!("usage: xt-figures selftest <baseline.json> [--tolerance T]");
-                std::process::exit(2);
-            }
-            std::process::exit(cmd_selftest(paths[0], tol));
-        }
-        Some("--smoke") | None => {
-            if let Some(bad) = args.iter().find(|a| *a != "--smoke") {
-                eprintln!("xt-figures: unknown argument {bad} (try: [--smoke] | diff | selftest)");
-                std::process::exit(2);
-            }
-            cmd_generate(!args.is_empty());
-        }
-        Some(other) => {
-            eprintln!(
-                "xt-figures: unknown subcommand {other} (known: diff, selftest, or no subcommand to generate)"
-            );
-            std::process::exit(2);
-        }
-    }
+    std::process::exit(gate::main(&artifact::ARTIFACT, &args, cmd_generate));
 }

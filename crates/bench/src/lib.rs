@@ -16,7 +16,8 @@ pub mod report;
 
 pub use figures::*;
 
-use xt_core::{run_inorder, run_ooo, run_ooo_with_mem, CoreConfig, RunReport};
+use xt_core::session::CoreModel;
+use xt_core::{CoreConfig, InOrderCore, OooCore, RunReport, Session};
 use xt_mem::MemConfig;
 use xt_workloads::Kernel;
 
@@ -28,33 +29,30 @@ pub const COREMARK_SCALE: f64 = 100.0;
 
 /// Runs `kernel` on the XT-910 out-of-order model.
 pub fn run_on_xt910(kernel: &Kernel) -> RunReport {
-    let r = run_ooo(&kernel.program, &CoreConfig::xt910(), 500_000_000);
-    check(kernel, &r);
-    r
+    run_on_xt910_mem(kernel, CoreConfig::xt910().mem)
 }
 
 /// Runs `kernel` on the A73-class reference machine.
 pub fn run_on_a73like(kernel: &Kernel) -> RunReport {
-    let r = run_ooo(&kernel.program, &CoreConfig::a73_like(), 500_000_000);
-    check(kernel, &r);
-    r
+    let cfg = CoreConfig::a73_like();
+    run_checked::<OooCore>(kernel, &cfg, cfg.mem)
 }
 
 /// Runs `kernel` on the U74-class in-order baseline.
 pub fn run_on_u74like(kernel: &Kernel) -> RunReport {
-    let r = run_inorder(&kernel.program, &CoreConfig::u74_like(), 500_000_000);
-    check(kernel, &r);
-    r
+    let cfg = CoreConfig::u74_like();
+    run_checked::<InOrderCore>(kernel, &cfg, cfg.mem)
 }
 
 /// Runs `kernel` on XT-910 with an explicit memory configuration.
 pub fn run_on_xt910_mem(kernel: &Kernel, mem: MemConfig) -> RunReport {
-    let r = run_ooo_with_mem(&kernel.program, &CoreConfig::xt910(), mem, 500_000_000);
-    check(kernel, &r);
-    r
+    run_checked::<OooCore>(kernel, &CoreConfig::xt910(), mem)
 }
 
-fn check(kernel: &Kernel, r: &RunReport) {
+/// Runs `kernel` on core model `C` and holds the run to the kernel's
+/// self-check.
+fn run_checked<C: CoreModel>(kernel: &Kernel, cfg: &CoreConfig, mem: MemConfig) -> RunReport {
+    let r = Session::<C>::with_mem(&kernel.program, cfg, mem, 500_000_000).run_to_end();
     if let (Some(want), Some(got)) = (kernel.expected, r.exit_code) {
         assert_eq!(
             got, want,
@@ -62,6 +60,7 @@ fn check(kernel: &Kernel, r: &RunReport) {
             kernel.name
         );
     }
+    r
 }
 
 /// Geometric mean of a slice of ratios.

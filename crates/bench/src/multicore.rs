@@ -415,7 +415,7 @@ pub fn emu_speed() -> EmuSpeed {
     let step_driver = mips(trace.retired(), t0);
     assert!(trace.exit_code.is_some() && taken >= 1_499_999, "bench loop ran");
     let cfg = xt_core::CoreConfig::xt910();
-    let mut session = xt_core::OooSession::new_ooo(&p, &cfg, 100_000_000);
+    let mut session = xt_core::OooSession::new(&p, &cfg, 100_000_000);
     let t0 = std::time::Instant::now();
     let report = session.run_to_end();
     let ooo_session = mips(session.retired(), t0);

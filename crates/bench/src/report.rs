@@ -14,13 +14,15 @@
 //! `xt-report --smoke` CI gate).
 
 use crate::multicore::MulticoreSection;
-use xt_asm::{Asm, Program};
+use xt_asm::Program;
+use xt_core::session::CoreModel;
 use xt_core::{
-    run_inorder_with_mem, run_ooo_traced, run_ooo_with_mem, CoreConfig, InOrderSession,
-    OooSession, RunReport, StallCause, TraceBuffer,
+    CoreConfig, InOrderCore, OooCore, OooSession, RunReport, Session, StallCause, TraceBuffer,
 };
-use xt_isa::reg::Gpr;
 use xt_mem::{MemConfig, PrefetchConfig};
+use xt_perf::json::json_f64;
+pub use xt_perf::stat::{branchy, depchain};
+use xt_perf::stat::mem_cfg;
 use xt_workloads::stream::{stream, STREAM_ELEMS};
 
 /// Dynamic-instruction budget per report run.
@@ -39,55 +41,6 @@ pub struct WorkloadResult {
     pub report: RunReport,
 }
 
-/// Builds the dependency-chain microbench: a loop whose body is one
-/// long serially dependent ALU chain, so IPC is bounded by the chain
-/// and the issue queue fills behind it.
-pub fn depchain(iters: i64) -> Program {
-    let mut a = Asm::new();
-    a.li(Gpr::S0, iters);
-    let top = a.here();
-    for _ in 0..16 {
-        a.addi(Gpr::A1, Gpr::A1, 1);
-    }
-    a.addi(Gpr::S0, Gpr::S0, -1);
-    a.bnez(Gpr::S0, top);
-    a.halt();
-    a.finish().expect("depchain assembles")
-}
-
-/// Builds the branchy microbench: an LCG-parity data-dependent branch
-/// per iteration, essentially unpredictable, so the run is dominated by
-/// mispredict flushes.
-pub fn branchy(iters: i64) -> Program {
-    let mut a = Asm::new();
-    a.li(Gpr::S0, 12345);
-    a.li(Gpr::S1, 1103515245);
-    a.li(Gpr::S2, 12345);
-    a.li(Gpr::A2, 0);
-    a.li(Gpr::A3, iters);
-    let top = a.new_label();
-    a.bind(top).expect("label binds");
-    a.mul(Gpr::S0, Gpr::S0, Gpr::S1);
-    a.add(Gpr::S0, Gpr::S0, Gpr::S2);
-    a.srli(Gpr::T0, Gpr::S0, 17);
-    a.andi(Gpr::T0, Gpr::T0, 1);
-    let skip = a.new_label();
-    a.beqz(Gpr::T0, skip);
-    a.addi(Gpr::A2, Gpr::A2, 1);
-    a.bind(skip).expect("label binds");
-    a.addi(Gpr::A3, Gpr::A3, -1);
-    a.bnez(Gpr::A3, top);
-    a.halt();
-    a.finish().expect("branchy assembles")
-}
-
-fn mem_cfg(prefetch: PrefetchConfig) -> MemConfig {
-    MemConfig {
-        prefetch,
-        ..MemConfig::default()
-    }
-}
-
 /// Workload blurbs for the Markdown report.
 const WHAT_STREAM_OFF: &str =
     "STREAM copy/scale/add/triad (Fig. 21), hardware prefetch disabled — every array \
@@ -103,55 +56,28 @@ const WHAT_BRANCHY: &str =
     "An LCG-parity data-dependent branch per iteration (essentially unpredictable): \
      mispredict flushes dominate (MispredictFlush attribution, §III-A penalty).";
 
-/// Runs `prog` on the out-of-order model, interrupting it with a
-/// save/restore cycle every `every` retired instructions: each snapshot
-/// is restored into a *fresh* session which then carries the run
-/// forward. The report must be bit-identical to an uninterrupted run
-/// (docs/SNAPSHOT.md); `xt-report --snapshot-every` asserts exactly
-/// that.
-fn run_ooo_snapshotted(
+/// Runs `prog` on core model `C`. With `snapshot_every`, the run is
+/// interrupted by a save/restore cycle every that many retired
+/// instructions: each snapshot is restored into a *fresh* session which
+/// then carries the run forward. The report must be bit-identical to an
+/// uninterrupted run (docs/SNAPSHOT.md); `xt-report --snapshot-every`
+/// asserts exactly that.
+fn run_cell<C: CoreModel>(
     prog: &Program,
     cfg: &CoreConfig,
     mem_cfg: MemConfig,
-    max_insts: u64,
-    every: u64,
+    snapshot_every: Option<u64>,
 ) -> RunReport {
-    let every = every.max(1);
-    let mut s = OooSession::ooo_with_mem(prog, cfg, mem_cfg, max_insts);
-    loop {
-        if s.run_insts(every) < every {
-            break;
-        }
+    let fresh = || Session::<C>::with_mem(prog, cfg, mem_cfg, MAX_INSTS);
+    let mut s = fresh();
+    let Some(every) = snapshot_every.map(|n| n.max(1)) else {
+        return s.run_to_end();
+    };
+    while s.run_insts(every) == every {
         let snap = s.save();
-        let mut fresh = OooSession::ooo_with_mem(prog, cfg, mem_cfg, max_insts);
-        fresh
-            .restore(&snap)
+        s = fresh();
+        s.restore(&snap)
             .expect("snapshot restores into an identically configured session");
-        s = fresh;
-    }
-    s.finish_report()
-}
-
-/// In-order twin of [`run_ooo_snapshotted`].
-fn run_inorder_snapshotted(
-    prog: &Program,
-    cfg: &CoreConfig,
-    mem_cfg: MemConfig,
-    max_insts: u64,
-    every: u64,
-) -> RunReport {
-    let every = every.max(1);
-    let mut s = InOrderSession::inorder_with_mem(prog, cfg, mem_cfg, max_insts);
-    loop {
-        if s.run_insts(every) < every {
-            break;
-        }
-        let snap = s.save();
-        let mut fresh = InOrderSession::inorder_with_mem(prog, cfg, mem_cfg, max_insts);
-        fresh
-            .restore(&snap)
-            .expect("snapshot restores into an identically configured session");
-        s = fresh;
     }
     s.finish_report()
 }
@@ -162,15 +88,10 @@ pub fn run_all(smoke: bool) -> Vec<WorkloadResult> {
     run_all_with(smoke, None)
 }
 
-/// [`run_all`], but routed through a save/restore cycle every `every`
-/// retired instructions: each snapshot is restored into a fresh
-/// session which then carries the run forward. The output must be
-/// bit-identical to [`run_all`]'s (docs/SNAPSHOT.md).
-pub fn run_all_snapshotted(smoke: bool, every: u64) -> Vec<WorkloadResult> {
-    run_all_with(smoke, Some(every))
-}
-
-fn run_all_with(smoke: bool, snapshot_every: Option<u64>) -> Vec<WorkloadResult> {
+/// [`run_all`], optionally routed through a save/restore cycle every
+/// `snapshot_every` retired instructions (see `run_cell`); the
+/// output must be bit-identical either way (docs/SNAPSHOT.md).
+pub fn run_all_with(smoke: bool, snapshot_every: Option<u64>) -> Vec<WorkloadResult> {
     let stream_elems = if smoke { 2048 } else { STREAM_ELEMS };
     let depchain_iters = if smoke { 200 } else { 5000 };
     let branchy_iters = if smoke { 500 } else { 5000 };
@@ -187,14 +108,8 @@ fn run_all_with(smoke: bool, snapshot_every: Option<u64>) -> Vec<WorkloadResult>
         machine: report.machine,
         report,
     };
-    let run_o = |prog: &Program, cfg: &CoreConfig, mem: MemConfig| match snapshot_every {
-        Some(n) => run_ooo_snapshotted(prog, cfg, mem, MAX_INSTS, n),
-        None => run_ooo_with_mem(prog, cfg, mem, MAX_INSTS),
-    };
-    let run_i = |prog: &Program, cfg: &CoreConfig, mem: MemConfig| match snapshot_every {
-        Some(n) => run_inorder_snapshotted(prog, cfg, mem, MAX_INSTS, n),
-        None => run_inorder_with_mem(prog, cfg, mem, MAX_INSTS),
-    };
+    let run_o = |prog, cfg, mem| run_cell::<OooCore>(prog, cfg, mem, snapshot_every);
+    let run_i = |prog, cfg, mem| run_cell::<InOrderCore>(prog, cfg, mem, snapshot_every);
 
     vec![
         cell(
@@ -230,19 +145,6 @@ fn run_all_with(smoke: bool, snapshot_every: Option<u64>) -> Vec<WorkloadResult>
         cell("branchy", WHAT_BRANCHY, run_o(&brn, &xt910, xt910.mem)),
         cell("branchy", WHAT_BRANCHY, run_i(&brn, &u74, u74.mem)),
     ]
-}
-
-/// Formats a float the way the workspace's hand-rolled JSON does:
-/// finite values with a decimal point, non-finite as `null`.
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let mut s = format!("{v}");
-    if !s.contains('.') {
-        s.push_str(".0");
-    }
-    s
 }
 
 /// Renders the multicore section as a JSON fragment (the `"multicore"`
@@ -421,8 +323,9 @@ pub fn render_markdown(
 /// Runs the dependency-chain microbench traced on the XT-910 model and
 /// returns the trace buffer (for `xt-report --trace`).
 pub fn traced_depchain(iters: i64) -> TraceBuffer {
-    let (_, trace) = run_ooo_traced(&depchain(iters), &CoreConfig::xt910(), MAX_INSTS);
-    trace
+    OooSession::new(&depchain(iters), &CoreConfig::xt910(), MAX_INSTS)
+        .run_traced()
+        .1
 }
 
 #[cfg(test)]
@@ -449,7 +352,7 @@ mod tests {
     #[test]
     fn snapshotted_matrix_matches_uninterrupted() {
         let plain = run_all(true);
-        let snapped = run_all_snapshotted(true, 777);
+        let snapped = run_all_with(true, Some(777));
         let mc = crate::multicore::report_section(true);
         assert_eq!(
             render_json(&plain, &mc, true),

@@ -26,9 +26,8 @@
 //!    candidates).
 
 use crate::progen::ProgSpec;
-use xt_core::{CoreConfig, InOrderCore, OooCore};
-use xt_emu::{Emulator, TraceSource, TraceStatus};
-use xt_mem::{MemStats, MemSystem};
+use xt_core::{CoreConfig, InOrderSession, OooSession};
+use xt_mem::MemStats;
 use xt_perf::Sampler;
 
 /// Dynamic instruction budget per checked program (specs are tiny).
@@ -124,33 +123,27 @@ pub fn check_invariants(spec: &ProgSpec) -> Result<TimingSummary, String> {
     let (prog, _) = spec.emit();
 
     // ---- OoO model, stepped incrementally for the ordering check ----
-    let mut emu = Emulator::new();
-    emu.load(&prog);
-    let mut trace = TraceSource::new(emu, MAX_INSTS);
-    let mut mem = MemSystem::new(cfg.mem);
-    mem.start_tracing();
-    let mut core = OooCore::new(cfg.clone(), 0);
+    let mut ooo = OooSession::new(&prog, &cfg, MAX_INSTS);
+    ooo.mem_mut().start_tracing();
     let mut sampler = Sampler::new(0, SAMPLE_INTERVAL);
     let mut last_retire = 0u64;
     let mut insts = 0u64;
-    while trace.advance() == TraceStatus::Inst {
-        let d = trace.current();
-        core.step(d, &mut mem);
-        if sampler.due(core.cycles()) {
-            sampler.observe(core.cycles(), core.perf(), &mem.stats());
+    while ooo.step() {
+        if sampler.due(ooo.cycles()) {
+            sampler.observe(ooo.cycles(), ooo.core().perf(), &ooo.mem().stats());
         }
-        let r = core.last_retire_cycle();
+        let r = ooo.core().last_retire_cycle();
         if r < last_retire {
             return Err(format!(
                 "retirement violates program order: inst {insts} (pc {:#x}) \
                  retired at cycle {r}, an older instruction at {last_retire}",
-                d.pc
+                ooo.trace().current().pc
             ));
         }
         last_retire = r;
         insts += 1;
     }
-    let report = core.finish_report(&mem, trace.exit_code);
+    let report = ooo.finish_report();
     let cycles = report.perf.cycles;
     let perf = &report.perf;
 
@@ -162,7 +155,7 @@ pub fn check_invariants(spec: &ProgSpec) -> Result<TimingSummary, String> {
     }
 
     check_memory_observability(&report.mem)?;
-    let tracer = mem.stop_tracing().expect("tracing was started");
+    let tracer = ooo.mem_mut().stop_tracing().expect("tracing was started");
     tracer
         .reconcile(&report.mem)
         .map_err(|e| format!("memory event stream does not reconcile with counters: {e}"))?;
@@ -194,12 +187,7 @@ pub fn check_invariants(spec: &ProgSpec) -> Result<TimingSummary, String> {
     }
 
     // ---- in-order baseline ----
-    let mut emu = Emulator::new();
-    emu.load(&prog);
-    let trace = TraceSource::new(emu, MAX_INSTS);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut inorder = InOrderCore::new(cfg.clone(), 0);
-    let report = inorder.run_to_end(trace, &mut mem);
+    let report = InOrderSession::new(&prog, &cfg, MAX_INSTS).run_to_end();
     let inorder_cycles = report.perf.cycles;
     // the classifier is always-on, so the conservation laws must hold
     // on the in-order core's hierarchy too

@@ -147,16 +147,16 @@ fn mem_cfg(cores: usize) -> MemConfig {
 /// Single-core path: instruction-granular cut through [`OooSession`].
 fn check_session(prog: &Program, cut: u64) -> Result<(), String> {
     let cfg = CoreConfig::xt910();
-    let mut whole = OooSession::new_ooo(prog, &cfg, MAX_INSTS);
+    let mut whole = OooSession::new(prog, &cfg, MAX_INSTS);
     let reference = whole.run_to_end();
     let retired = whole.retired().max(1);
     let point = cut % retired;
 
-    let mut first = OooSession::new_ooo(prog, &cfg, MAX_INSTS);
+    let mut first = OooSession::new(prog, &cfg, MAX_INSTS);
     first.run_insts(point);
     let snap = first.save();
 
-    let mut resumed = OooSession::new_ooo(prog, &cfg, MAX_INSTS);
+    let mut resumed = OooSession::new(prog, &cfg, MAX_INSTS);
     resumed
         .restore(&snap)
         .map_err(|e| format!("restore at inst {point}/{retired} failed: {e}"))?;

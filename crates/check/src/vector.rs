@@ -25,7 +25,7 @@
 //! replay from the printed `XT_HARNESS_SEED`.
 
 use xt_compiler::{CompileOpts, FuncBuilder, MemWidth, Rval};
-use xt_core::{run_ooo, CoreConfig, StallCause, NUM_STALL_CAUSES};
+use xt_core::{CoreConfig, OooSession, StallCause, NUM_STALL_CAUSES};
 use xt_emu::Emulator;
 use xt_harness::{Gen, Rng};
 use xt_perf::TopDown;
@@ -272,7 +272,7 @@ pub fn check_vector(spec: &VecSpec) -> Result<(), String> {
 
     // vector top-down invariants on the tuned rv64gcv cell
     let prog = vec_prog.expect("cells() always contains rv64gcv/tuned");
-    let r = run_ooo(&prog, &CoreConfig::xt910(), MAX_INSTS);
+    let r = OooSession::new(&prog, &CoreConfig::xt910(), MAX_INSTS).run_to_end();
     if r.exit_code != Some(want) {
         return Err(format!(
             "OoO model: wrong result for {spec:?}: got {:?}, want {want:#x}",

@@ -12,7 +12,7 @@ use crate::config::CoreConfig;
 use crate::ifu::{FrontEnd, Redirect};
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup};
-use xt_emu::{DynInst, TraceSource, TraceStatus};
+use xt_emu::DynInst;
 use xt_isa::ExecClass;
 use xt_mem::MemSystem;
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
@@ -65,14 +65,6 @@ impl InOrderCore {
             core_id,
             cfg,
         }
-    }
-
-    /// Consumes the whole trace and produces the report.
-    pub fn run_to_end(&mut self, mut trace: TraceSource, mem: &mut MemSystem) -> RunReport {
-        while trace.advance() == TraceStatus::Inst {
-            self.step(trace.current(), mem);
-        }
-        self.finish_report(mem, trace.exit_code)
     }
 
     /// Seals the counters after the last [`Self::step`] and produces the
@@ -376,7 +368,7 @@ mod tests {
         build(&mut a);
         a.halt();
         let p = a.finish().unwrap();
-        crate::run_inorder(&p, &cfg, 10_000_000)
+        crate::InOrderSession::new(&p, &cfg, 10_000_000).run_to_end()
     }
 
     #[test]
@@ -417,8 +409,8 @@ mod tests {
         build(&mut a1);
         a1.halt();
         let p = a1.finish().unwrap();
-        let ooo = crate::run_ooo(&p, &CoreConfig::xt910(), 10_000_000);
-        let ino = crate::run_inorder(&p, &CoreConfig::u74_like(), 10_000_000);
+        let ooo = crate::OooSession::new(&p, &CoreConfig::xt910(), 10_000_000).run_to_end();
+        let ino = crate::InOrderSession::new(&p, &CoreConfig::u74_like(), 10_000_000).run_to_end();
         assert!(
             ooo.perf.cycles < ino.perf.cycles,
             "OoO {} vs in-order {}",

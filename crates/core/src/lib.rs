@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use xt_asm::Asm;
-//! use xt_core::{CoreConfig, run_ooo};
+//! use xt_core::{CoreConfig, OooSession};
 //! use xt_isa::reg::Gpr;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +42,7 @@
 //! a.halt();
 //! let prog = a.finish()?;
 //!
-//! let report = run_ooo(&prog, &CoreConfig::xt910(), 1_000_000);
+//! let report = OooSession::new(&prog, &CoreConfig::xt910(), 1_000_000).run_to_end();
 //! assert!(report.perf.ipc() > 1.0, "tight loop should sustain >1 IPC");
 //! # Ok(())
 //! # }
@@ -67,93 +67,17 @@ pub use session::{InOrderSession, OooSession, Session};
 pub use xt_trace::TraceBuffer;
 
 use xt_asm::Program;
-use xt_emu::{Emulator, TraceSource};
-use xt_mem::{MemConfig, MemSystem};
+use xt_mem::MemConfig;
 
-/// Convenience: run `prog` on the out-of-order model with a private
-/// memory system, returning the performance report.
-pub fn run_ooo(prog: &Program, cfg: &CoreConfig, max_insts: u64) -> RunReport {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut core = OooCore::new(cfg.clone(), 0);
-    core.run_to_end(trace, &mut mem)
-}
-
-/// Convenience: run `prog` on the in-order baseline model.
-pub fn run_inorder(prog: &Program, cfg: &CoreConfig, max_insts: u64) -> RunReport {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut core = InOrderCore::new(cfg.clone(), 0);
-    core.run_to_end(trace, &mut mem)
-}
-
-/// Convenience: run with an explicit memory configuration.
+/// One-expression shim over [`OooSession`], which is the driver. It
+/// stays only because `benchmark/src/ladder.rs` calls it and no PR but
+/// a `[benchmark]` one may edit that directory (ROADMAP item 3 moves
+/// the ladder onto `Session` and deletes this).
 pub fn run_ooo_with_mem(
     prog: &Program,
     cfg: &CoreConfig,
     mem_cfg: MemConfig,
     max_insts: u64,
 ) -> RunReport {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(mem_cfg);
-    let mut core = OooCore::new(cfg.clone(), 0);
-    core.run_to_end(trace, &mut mem)
-}
-
-/// Convenience: run the in-order baseline with an explicit memory
-/// configuration.
-pub fn run_inorder_with_mem(
-    prog: &Program,
-    cfg: &CoreConfig,
-    mem_cfg: MemConfig,
-    max_insts: u64,
-) -> RunReport {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(mem_cfg);
-    let mut core = InOrderCore::new(cfg.clone(), 0);
-    core.run_to_end(trace, &mut mem)
-}
-
-/// Like [`run_ooo`], but with per-instruction pipeline tracing enabled:
-/// also returns the [`TraceBuffer`] holding one record per committed
-/// instruction (render with [`TraceBuffer::to_konata`] /
-/// [`TraceBuffer::to_chrome_json`]).
-pub fn run_ooo_traced(
-    prog: &Program,
-    cfg: &CoreConfig,
-    max_insts: u64,
-) -> (RunReport, TraceBuffer) {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut core = OooCore::new(cfg.clone(), 0);
-    core.attach_tracer();
-    let report = core.run_to_end(trace, &mut mem);
-    (report, core.take_tracer().expect("tracer was attached"))
-}
-
-/// Like [`run_inorder`], but with per-instruction pipeline tracing
-/// enabled (see [`run_ooo_traced`]).
-pub fn run_inorder_traced(
-    prog: &Program,
-    cfg: &CoreConfig,
-    max_insts: u64,
-) -> (RunReport, TraceBuffer) {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut core = InOrderCore::new(cfg.clone(), 0);
-    core.attach_tracer();
-    let report = core.run_to_end(trace, &mut mem);
-    (report, core.take_tracer().expect("tracer was attached"))
+    OooSession::with_mem(prog, cfg, mem_cfg, max_insts).run_to_end()
 }

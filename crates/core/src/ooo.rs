@@ -15,15 +15,15 @@ use crate::ifu::{FrontEnd, Redirect};
 use crate::lsu::Lsu;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup, SlotLimiter, Window};
-use xt_emu::{DynInst, TraceSource, TraceStatus};
+use xt_emu::DynInst;
 use xt_isa::{ExecClass, Op, RegFile};
 use xt_mem::MemSystem;
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
 
 /// The out-of-order core.
 ///
-/// Besides whole-trace runs ([`Self::run_to_end`]), the core supports
-/// *bounded-epoch* stepping: call [`Self::step`] instruction by
+/// A [`crate::Session`] drives it over a whole trace; the interface
+/// itself is *bounded-epoch* stepping: call [`Self::step`] instruction by
 /// instruction and watch [`Self::cycles`] to stop at an epoch boundary.
 /// All state is plain data (`Send`, asserted below), so the `xt-soc`
 /// epoch engine can move each core onto a worker thread for a cycle
@@ -125,18 +125,9 @@ impl OooCore {
         }
     }
 
-    /// Consumes the whole trace and produces the report.
-    pub fn run_to_end(&mut self, mut trace: TraceSource, mem: &mut MemSystem) -> RunReport {
-        while trace.advance() == TraceStatus::Inst {
-            self.step(trace.current(), mem);
-        }
-        self.finish_report(mem, trace.exit_code)
-    }
-
     /// Seals the counters after the last [`Self::step`] and produces the
-    /// report. External drivers (the `xt-perf` sampled runners, the
-    /// epoch engine) that step the core themselves call this instead of
-    /// [`Self::run_to_end`].
+    /// report. Its drivers ([`crate::Session`], the `xt-soc` epoch
+    /// engine) call it once the trace is exhausted.
     pub fn finish_report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
         self.perf.cycles = self.last_retire.max(self.max_complete);
         let mem_stats = mem.stats();
@@ -809,7 +800,7 @@ mod tests {
         build(&mut a);
         a.halt();
         let p = a.finish().unwrap();
-        crate::run_ooo(&p, &cfg, 10_000_000)
+        crate::OooSession::new(&p, &cfg, 10_000_000).run_to_end()
     }
 
     #[test]
@@ -986,7 +977,7 @@ mod tests {
                 prefetch: pf,
                 ..MemConfig::default()
             };
-            crate::run_ooo_with_mem(&p, &CoreConfig::xt910(), mem_cfg, 10_000_000)
+            crate::OooSession::with_mem(&p, &CoreConfig::xt910(), mem_cfg, 10_000_000).run_to_end()
         };
         let off = stream(PrefetchConfig::off());
         let on = stream(PrefetchConfig::all_large());

@@ -1,17 +1,21 @@
-//! Resumable single-core simulation sessions.
+//! Resumable single-core simulation sessions — the one way to run a
+//! core.
 //!
 //! A [`Session`] bundles the three pieces a single-core run owns — the
 //! functional [`TraceSource`] (emulator), a timing core, and its
 //! [`MemSystem`] — behind one stepping surface with whole-run
-//! [`Session::save`]/[`Session::restore`]. Snapshots are
-//! [`xt_snapshot::KIND_CORE`] frames; the resume-identity argument
+//! [`Session::save`]/[`Session::restore`]. Every single-core run in
+//! the workspace (report binaries, tests, examples, `xt-check`) is
+//! `OooSession::new(&prog, &cfg, max_insts).run_to_end()` or a loop
+//! over [`Session::step`]; nothing else assembles the three parts.
+//! Snapshots are [`xt_snapshot::KIND_CORE`] frames; the resume-identity argument
 //! (restore at cycle *c*, continue, get bit-identical results) is laid
 //! out in `docs/SNAPSHOT.md` and enforced by the `snapshot_resume`
 //! integration suite and the `xt-check` snapshot phase.
 
 use crate::inorder::InOrderCore;
 use crate::ooo::OooCore;
-use crate::perf::RunReport;
+use crate::perf::{PerfCounters, RunReport};
 use xt_asm::Program;
 use xt_emu::{DynInst, Emulator, TraceSource, TraceStatus};
 use xt_mem::{MemConfig, MemSystem};
@@ -22,7 +26,9 @@ use crate::config::CoreConfig;
 
 /// The stepping surface shared by the two core models, so [`Session`]
 /// can wrap either.
-pub trait CoreModel: SnapshotState {
+pub trait CoreModel: SnapshotState + Sized {
+    /// Builds the model for core `core_id` of a `cfg` machine.
+    fn new_core(cfg: CoreConfig, core_id: usize) -> Self;
     /// Advances the timing model by one committed instruction.
     fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem);
     /// Seals the counters and produces the run report.
@@ -33,43 +39,40 @@ pub trait CoreModel: SnapshotState {
     fn take_tracer_buf(&mut self) -> Option<TraceBuffer>;
     /// Current cycle count.
     fn cycle(&self) -> u64;
+    /// The live counters (sealed only by [`CoreModel::report`]).
+    fn counters(&self) -> &PerfCounters;
 }
 
-impl CoreModel for OooCore {
-    fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem) {
-        self.step(d, mem);
-    }
-    fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
-        self.finish_report(mem, exit_code)
-    }
-    fn enable_tracer(&mut self) {
-        self.attach_tracer();
-    }
-    fn take_tracer_buf(&mut self) -> Option<TraceBuffer> {
-        self.take_tracer()
-    }
-    fn cycle(&self) -> u64 {
-        self.cycles()
-    }
+/// The two cores have the same inherent surface; forward it.
+macro_rules! impl_core_model {
+    ($core:ty) => {
+        impl CoreModel for $core {
+            fn new_core(cfg: CoreConfig, core_id: usize) -> Self {
+                <$core>::new(cfg, core_id)
+            }
+            fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem) {
+                self.step(d, mem);
+            }
+            fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
+                self.finish_report(mem, exit_code)
+            }
+            fn enable_tracer(&mut self) {
+                self.attach_tracer();
+            }
+            fn take_tracer_buf(&mut self) -> Option<TraceBuffer> {
+                self.take_tracer()
+            }
+            fn cycle(&self) -> u64 {
+                self.cycles()
+            }
+            fn counters(&self) -> &PerfCounters {
+                self.perf()
+            }
+        }
+    };
 }
-
-impl CoreModel for InOrderCore {
-    fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem) {
-        self.step(d, mem);
-    }
-    fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
-        self.finish_report(mem, exit_code)
-    }
-    fn enable_tracer(&mut self) {
-        self.attach_tracer();
-    }
-    fn take_tracer_buf(&mut self) -> Option<TraceBuffer> {
-        self.take_tracer()
-    }
-    fn cycle(&self) -> u64 {
-        self.cycles()
-    }
-}
+impl_core_model!(OooCore);
+impl_core_model!(InOrderCore);
 
 /// A resumable single-core run: emulator trace + timing core + memory
 /// system, with [`save`](Self::save)/[`restore`](Self::restore).
@@ -85,53 +88,24 @@ pub type OooSession = Session<OooCore>;
 /// A resumable in-order-baseline run.
 pub type InOrderSession = Session<InOrderCore>;
 
-impl OooSession {
-    /// Loads `prog` into a fresh out-of-order session.
-    pub fn new_ooo(prog: &Program, cfg: &CoreConfig, max_insts: u64) -> Self {
-        Self::ooo_with_mem(prog, cfg, cfg.mem, max_insts)
-    }
-
-    /// Loads `prog` with an explicit memory configuration.
-    pub fn ooo_with_mem(
-        prog: &Program,
-        cfg: &CoreConfig,
-        mem_cfg: MemConfig,
-        max_insts: u64,
-    ) -> Self {
-        let mut emu = Emulator::new();
-        emu.load(prog);
-        Session {
-            trace: TraceSource::new(emu, max_insts),
-            core: OooCore::new(cfg.clone(), 0),
-            mem: MemSystem::new(mem_cfg),
-        }
-    }
-}
-
-impl InOrderSession {
-    /// Loads `prog` into a fresh in-order session.
-    pub fn new_inorder(prog: &Program, cfg: &CoreConfig, max_insts: u64) -> Self {
-        Self::inorder_with_mem(prog, cfg, cfg.mem, max_insts)
-    }
-
-    /// Loads `prog` with an explicit memory configuration.
-    pub fn inorder_with_mem(
-        prog: &Program,
-        cfg: &CoreConfig,
-        mem_cfg: MemConfig,
-        max_insts: u64,
-    ) -> Self {
-        let mut emu = Emulator::new();
-        emu.load(prog);
-        Session {
-            trace: TraceSource::new(emu, max_insts),
-            core: InOrderCore::new(cfg.clone(), 0),
-            mem: MemSystem::new(mem_cfg),
-        }
-    }
-}
-
 impl<C: CoreModel> Session<C> {
+    /// Loads `prog` into a fresh session with `cfg`'s own memory
+    /// configuration.
+    pub fn new(prog: &Program, cfg: &CoreConfig, max_insts: u64) -> Self {
+        Self::with_mem(prog, cfg, cfg.mem, max_insts)
+    }
+
+    /// Loads `prog` with an explicit memory configuration.
+    pub fn with_mem(prog: &Program, cfg: &CoreConfig, mem_cfg: MemConfig, max_insts: u64) -> Self {
+        let mut emu = Emulator::new();
+        emu.load(prog);
+        Session {
+            trace: TraceSource::new(emu, max_insts),
+            core: C::new_core(cfg.clone(), 0),
+            mem: MemSystem::new(mem_cfg),
+        }
+    }
+
     /// Assembles a session from already-built parts (e.g. a core with
     /// ablation knobs or a pre-warmed emulator).
     pub fn from_parts(trace: TraceSource, core: C, mem: MemSystem) -> Self {
@@ -176,6 +150,16 @@ impl<C: CoreModel> Session<C> {
         self.finish_report()
     }
 
+    /// Runs to the end with a per-instruction pipeline tracer attached
+    /// and returns it with the report: one record per committed
+    /// instruction (render with [`TraceBuffer::to_konata`] /
+    /// [`TraceBuffer::to_chrome_json`]). Tracing is read-only.
+    pub fn run_traced(&mut self) -> (RunReport, TraceBuffer) {
+        self.attach_tracer();
+        let report = self.run_to_end();
+        (report, self.take_tracer().expect("tracer was attached"))
+    }
+
     /// Seals the counters and produces the report for the instructions
     /// consumed so far.
     pub fn finish_report(&mut self) -> RunReport {
@@ -205,6 +189,11 @@ impl<C: CoreModel> Session<C> {
     /// The memory system.
     pub fn mem(&self) -> &MemSystem {
         &self.mem
+    }
+
+    /// The memory system, mutably (to attach a memory-event tracer).
+    pub fn mem_mut(&mut self) -> &mut MemSystem {
+        &mut self.mem
     }
 
     /// The underlying trace source / emulator.
@@ -255,24 +244,13 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_run_ooo() {
-        let p = loop_prog(500);
-        let cfg = CoreConfig::xt910();
-        let direct = crate::run_ooo(&p, &cfg, 100_000);
-        let mut s = OooSession::new_ooo(&p, &cfg, 100_000);
-        let viasession = s.run_to_end();
-        assert_eq!(direct.perf, viasession.perf);
-        assert_eq!(viasession.exit_code, Some(42));
-    }
-
-    #[test]
     fn save_restore_roundtrip_is_byte_stable() {
         let p = loop_prog(300);
         let cfg = CoreConfig::xt910();
-        let mut s = OooSession::new_ooo(&p, &cfg, 100_000);
+        let mut s = OooSession::new(&p, &cfg, 100_000);
         s.run_insts(100);
         let snap = s.save();
-        let mut fresh = OooSession::new_ooo(&p, &cfg, 100_000);
+        let mut fresh = OooSession::new(&p, &cfg, 100_000);
         fresh.restore(&snap).unwrap();
         assert_eq!(fresh.save(), snap, "save∘restore∘save byte-equal");
     }
@@ -282,14 +260,14 @@ mod tests {
         let p = loop_prog(400);
         let cfg = CoreConfig::xt910();
 
-        let mut whole = OooSession::new_ooo(&p, &cfg, 100_000);
+        let mut whole = OooSession::new(&p, &cfg, 100_000);
         let ref_report = whole.run_to_end();
 
-        let mut first = OooSession::new_ooo(&p, &cfg, 100_000);
+        let mut first = OooSession::new(&p, &cfg, 100_000);
         first.run_insts(137);
         let snap = first.save();
 
-        let mut resumed = OooSession::new_ooo(&p, &cfg, 100_000);
+        let mut resumed = OooSession::new(&p, &cfg, 100_000);
         resumed.restore(&snap).unwrap();
         let resumed_report = resumed.run_to_end();
 
@@ -301,10 +279,10 @@ mod tests {
     #[test]
     fn restore_rejects_wrong_config() {
         let p = loop_prog(100);
-        let mut a = OooSession::new_ooo(&p, &CoreConfig::xt910(), 100_000);
+        let mut a = OooSession::new(&p, &CoreConfig::xt910(), 100_000);
         a.run_insts(50);
         let snap = a.save();
-        let mut b = OooSession::new_ooo(&p, &CoreConfig::a73_like(), 100_000);
+        let mut b = OooSession::new(&p, &CoreConfig::a73_like(), 100_000);
         assert!(matches!(
             b.restore(&snap),
             Err(xt_snapshot::SnapshotError::Mismatch { .. })
@@ -315,13 +293,13 @@ mod tests {
     fn inorder_session_resumes() {
         let p = loop_prog(200);
         let cfg = CoreConfig::u74_like();
-        let mut whole = InOrderSession::new_inorder(&p, &cfg, 100_000);
+        let mut whole = InOrderSession::new(&p, &cfg, 100_000);
         let ref_report = whole.run_to_end();
 
-        let mut first = InOrderSession::new_inorder(&p, &cfg, 100_000);
+        let mut first = InOrderSession::new(&p, &cfg, 100_000);
         first.run_insts(77);
         let snap = first.save();
-        let mut resumed = InOrderSession::new_inorder(&p, &cfg, 100_000);
+        let mut resumed = InOrderSession::new(&p, &cfg, 100_000);
         resumed.restore(&snap).unwrap();
         let r = resumed.run_to_end();
         assert_eq!(ref_report.perf, r.perf);

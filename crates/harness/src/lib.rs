@@ -1,11 +1,11 @@
 //! # xt-harness — zero-dependency deterministic verification substrate
 //!
-//! Everything in this workspace that needs randomness, property
-//! testing, or benchmark timing goes through this crate, so the whole
+//! Everything in this workspace that needs randomness or property
+//! testing goes through this crate, so the whole
 //! tree builds and tests **offline with an empty cargo registry**
 //! (the hermetic-build policy; `scripts/ci.sh` enforces it).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`Rng`] — a seedable SplitMix64 generator ([`rng`]). Same seed,
 //!   same stream, every platform. This is the only randomness source
@@ -16,8 +16,9 @@
 //!   [`prop::check`]/[`prop::check_with`] runs cases and greedily
 //!   shrinks the first failure to a minimal counterexample, printing
 //!   the seed for replay via `XT_HARNESS_SEED`.
-//! * [`mod@bench`] — a wall-clock timing harness standing in for criterion
-//!   (warm-up + fixed sample count, min/median/mean report).
+//!
+//! Host-speed measurement is not here: `benchmark/` (`xt-hostbench`,
+//! CPU time, fixed work, digest-checked) is the one instrument.
 //!
 //! ## Porting cheat-sheet (proptest → xt-harness)
 //!
@@ -36,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod gen;
 pub mod prop;
 pub mod rng;

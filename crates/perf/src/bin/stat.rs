@@ -11,50 +11,16 @@
 //!   every workload to CI-gate size; smoke output is
 //!   byte-deterministic (the full run's `cluster.engine` block reports
 //!   measured host time and is the one non-deterministic field).
-//! * `xt-stat diff <baseline.json> <candidate.json> [--tolerance T]` —
-//!   compare two artifacts. Both must pass the memory conservation
-//!   laws (`validate_memory`). Exit 0 = within tolerance, 1 = at
-//!   least one metric out of tolerance, 2 = structurally incomparable
-//!   (missing run, wrong schema, broken conservation, unreadable
-//!   file).
-//! * `xt-stat selftest <baseline.json> [--tolerance T]` — prove the
-//!   gate works: the baseline must diff clean against itself, an
-//!   injected ≥tolerance IPC/cycle regression must be flagged, AND a
-//!   fabricated event-count mismatch (miss classes no longer summing
-//!   to the miss total) must be rejected.
-//!   Exit 0 = gate healthy, 1 = gate broken, 2 = structural error.
+//! * `xt-stat diff <baseline.json> <candidate.json> [--tolerance T]`
+//!   and `xt-stat selftest <baseline.json> [--tolerance T]` — the
+//!   artifact gate, [`xt_perf::gate`] (which documents what is compared
+//!   and the exit codes), told about this document by
+//!   [`stat::ARTIFACT`]: the `engine` block is host time and not
+//!   compared; both sides must pass the memory conservation laws
+//!   (`validate_memory`), and `selftest` forges a miss-class count and
+//!   a snoop count that those laws must refuse.
 
-use xt_perf::json;
-use xt_perf::stat;
-
-/// Splits `args` into positional arguments and the `--tolerance` value.
-fn split_args(args: &[String]) -> Result<(Vec<&str>, f64), String> {
-    let mut positional = Vec::new();
-    let mut tol = 0.0;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tolerance" {
-            tol = args
-                .get(i + 1)
-                .ok_or_else(|| "--tolerance needs a value".to_string())?
-                .parse::<f64>()
-                .map_err(|e| format!("bad --tolerance value: {e}"))?;
-            i += 2;
-        } else if args[i].starts_with("--") {
-            return Err(format!("unknown flag {}", args[i]));
-        } else {
-            positional.push(args[i].as_str());
-            i += 1;
-        }
-    }
-    Ok((positional, tol))
-}
-
-fn load(path: &str) -> Result<json::Value, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    json::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
+use xt_perf::{gate, stat};
 
 fn cmd_generate(smoke: bool) {
     let runs = stat::run_all(smoke);
@@ -87,101 +53,7 @@ fn cmd_generate(smoke: bool) {
     }
 }
 
-fn cmd_diff(base_path: &str, cand_path: &str, tol: f64) -> i32 {
-    let (base, cand) = match (load(base_path), load(cand_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("xt-stat diff: {e}");
-            return 2;
-        }
-    };
-    match stat::diff_documents(&base, &cand, tol) {
-        Err(e) => {
-            eprintln!("xt-stat diff: structural mismatch: {e}");
-            2
-        }
-        Ok(out) if out.issues.is_empty() => {
-            println!(
-                "xt-stat diff: OK — {} metrics within tolerance {tol}",
-                out.compared
-            );
-            0
-        }
-        Ok(out) => {
-            eprintln!(
-                "xt-stat diff: {} of {} metrics out of tolerance {tol}:",
-                out.issues.len(),
-                out.compared
-            );
-            for issue in &out.issues {
-                eprintln!("  {issue}");
-            }
-            1
-        }
-    }
-}
-
-fn cmd_selftest(base_path: &str, tol: f64) -> i32 {
-    let base = match load(base_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("xt-stat selftest: {e}");
-            return 2;
-        }
-    };
-    match stat::selftest(&base, tol) {
-        Ok(()) => {
-            println!("xt-stat selftest: OK — gate detects injected regressions at tolerance {tol}");
-            0
-        }
-        Err(e) => {
-            eprintln!("xt-stat selftest: FAILED: {e}");
-            1
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("diff") => {
-            let (paths, tol) = match split_args(&args[1..]) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("xt-stat diff: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if paths.len() != 2 {
-                eprintln!("usage: xt-stat diff <baseline.json> <candidate.json> [--tolerance T]");
-                std::process::exit(2);
-            }
-            std::process::exit(cmd_diff(paths[0], paths[1], tol));
-        }
-        Some("selftest") => {
-            let (paths, tol) = match split_args(&args[1..]) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("xt-stat selftest: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if paths.len() != 1 {
-                eprintln!("usage: xt-stat selftest <baseline.json> [--tolerance T]");
-                std::process::exit(2);
-            }
-            std::process::exit(cmd_selftest(paths[0], tol));
-        }
-        Some("--smoke") | None => {
-            if let Some(bad) = args.iter().find(|a| *a != "--smoke") {
-                eprintln!("xt-stat: unknown argument {bad} (try: [--smoke] | diff | selftest)");
-                std::process::exit(2);
-            }
-            cmd_generate(!args.is_empty());
-        }
-        Some(other) => {
-            eprintln!("xt-stat: unknown subcommand {other} (known: diff, selftest, or no subcommand to generate)");
-            std::process::exit(2);
-        }
-    }
+    std::process::exit(gate::main(&stat::ARTIFACT, &args, cmd_generate));
 }

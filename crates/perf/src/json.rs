@@ -1,11 +1,18 @@
-//! Minimal JSON reader for the `xt-stat diff` gate.
+//! Minimal JSON reader for the artifact gate ([`crate::gate`]).
 //!
 //! The workspace is hermetic (no external crates), so the regression
-//! gate parses its own `BENCH_perf.json` documents with this ~150-line
+//! gate parses its own `BENCH_*.json` documents with this ~150-line
 //! recursive-descent reader. It supports exactly the JSON subset the
 //! emitters produce — objects, arrays, strings without exotic escapes,
 //! numbers, booleans, `null` — and rejects everything else loudly;
 //! it is a reader for our own artifacts, not a general-purpose parser.
+//! Files are still untrusted input: nesting is bounded by
+//! [`MAX_DEPTH`], so a hostile document is an `Err`, never a stack
+//! overflow.
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. The
+/// committed artifacts nest 6 deep.
+pub const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,7 +70,7 @@ impl Value {
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -92,12 +99,17 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value; `depth` counts the containers it is inside.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nested deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => parse_str(b, pos).map(Value::Str),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -158,7 +170,7 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -167,7 +179,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -180,7 +192,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -192,7 +204,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         skip_ws(b, pos);
         let key = parse_str(b, pos)?;
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         fields.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -243,6 +255,21 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}"), ("[{\"k\":", "}]")] {
+            let per = open.matches(['[', '{']).count();
+            let fits = nest(open, close, MAX_DEPTH / per);
+            assert!(parse(&fits).is_ok(), "{MAX_DEPTH} levels of {open} parse");
+            let err = parse(&nest(open, close, MAX_DEPTH / per + 1)).expect_err("one level too deep");
+            assert!(err.contains(&format!("deeper than {MAX_DEPTH}")), "{err}");
+            // what used to overflow the stack (and abort the diff tools)
+            let hostile = open.repeat(200_000) + &close.repeat(200_000);
+            assert!(parse(&hostile).is_err(), "200k levels of {open} is an Err, not a crash");
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! (schema `xt-stat/v2`: v1 plus a per-run `memory` block — miss-class
 //! mix, prefetch scorecard — and per-core-pair snoop matrices on the
 //! cluster cells), `render_markdown` the sparkline dashboard, and
-//! `diff_documents` / `selftest` implement the CI gate that compares a
-//! candidate run against a committed baseline. The gate also validates
-//! the memory block's internal conservation laws
-//! ([`validate_memory`]) so a fabricated count mismatch fails CI.
+//! [`ARTIFACT`] describes the document to [`crate::gate`], whose
+//! `diff` / `selftest` are the CI gate that compares a candidate run
+//! against a committed baseline. Part of that description is the
+//! memory block's internal conservation laws ([`validate_memory`]), so
+//! a fabricated count mismatch fails CI.
 //!
 //! Everything except the full-mode `engine` block (measured host time,
 //! explicitly informational) is deterministic: same binary, same
@@ -16,12 +17,13 @@
 //! `"engine": null` and is therefore byte-reproducible end to end —
 //! that is what `scripts/ci.sh` pins with `diff --tolerance 0`.
 
+use crate::gate::{expect_schema, Artifact};
 use crate::json::{json_f64, Value};
+use crate::run_sampled;
 use crate::sampler::TimeSeries;
 use crate::topdown::TopDown;
-use crate::{run_inorder_sampled, run_ooo_sampled};
 use xt_asm::{Asm, Program};
-use xt_core::{CoreConfig, RunReport};
+use xt_core::{CoreConfig, InOrderSession, OooSession, RunReport};
 use xt_isa::reg::Gpr;
 use xt_mem::{MemConfig, PrefetchConfig};
 use xt_soc::ClusterSim;
@@ -98,7 +100,7 @@ pub struct ClusterSection {
 
 /// Dependency-chain microbench: one long serial ALU chain per
 /// iteration, so IPC pins near 1 and the issue queue fills behind it.
-fn depchain(iters: i64) -> Program {
+pub fn depchain(iters: i64) -> Program {
     let mut a = Asm::new();
     a.li(Gpr::S0, iters);
     let top = a.here();
@@ -113,7 +115,7 @@ fn depchain(iters: i64) -> Program {
 
 /// Branchy microbench: an LCG-parity data-dependent branch per
 /// iteration — essentially unpredictable, mispredict-flush dominated.
-fn branchy(iters: i64) -> Program {
+pub fn branchy(iters: i64) -> Program {
     let mut a = Asm::new();
     a.li(Gpr::S0, 12345);
     a.li(Gpr::S1, 1103515245);
@@ -202,7 +204,8 @@ fn cluster_kernel(id: u64, loads: i64) -> Program {
     a.finish().expect("cluster kernel assembles")
 }
 
-fn mem_cfg(prefetch: PrefetchConfig) -> MemConfig {
+/// The default memory system with `prefetch` swapped in.
+pub fn mem_cfg(prefetch: PrefetchConfig) -> MemConfig {
     MemConfig {
         prefetch,
         ..MemConfig::default()
@@ -229,23 +232,19 @@ pub fn run_all(smoke: bool) -> Vec<StatRun> {
     let brn = branchy(branchy_iters);
     let phs = phased(alu_i, chase_i, brn_i, chain);
 
+    let cell = |workload, (report, series): (RunReport, TimeSeries)| StatRun {
+        workload,
+        machine: report.machine,
+        report,
+        series,
+    };
     let ooo = |workload, prog: &Program, mc: MemConfig| {
-        let (report, series) = run_ooo_sampled(prog, &xt910, mc, MAX_INSTS, interval);
-        StatRun {
-            workload,
-            machine: report.machine,
-            report,
-            series,
-        }
+        let mut s = OooSession::with_mem(prog, &xt910, mc, MAX_INSTS);
+        cell(workload, run_sampled(&mut s, interval))
     };
     let ino = |workload, prog: &Program, mc: MemConfig| {
-        let (report, series) = run_inorder_sampled(prog, &u74, mc, MAX_INSTS, interval);
-        StatRun {
-            workload,
-            machine: report.machine,
-            report,
-            series,
-        }
+        let mut s = InOrderSession::with_mem(prog, &u74, mc, MAX_INSTS);
+        cell(workload, run_sampled(&mut s, interval))
     };
 
     vec![
@@ -655,59 +654,7 @@ pub fn render_markdown(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) 
     s
 }
 
-// ---- the diff gate ----
-
-/// Outcome of a baseline/candidate comparison.
-#[derive(Clone, Debug, Default)]
-pub struct DiffOutcome {
-    /// Out-of-tolerance metrics, human-readable.
-    pub issues: Vec<String>,
-    /// Metrics compared.
-    pub compared: usize,
-}
-
-fn rel_exceeds(base: f64, cand: f64, tol: f64) -> bool {
-    (cand - base).abs() > tol * base.abs().max(1.0)
-}
-
-fn compare_num(
-    out: &mut DiffOutcome,
-    ctx: &str,
-    key: &str,
-    base: &Value,
-    cand: &Value,
-    tol: f64,
-) -> Result<(), String> {
-    let b = base
-        .get(key)
-        .and_then(Value::as_num)
-        .ok_or_else(|| format!("{ctx}: baseline missing numeric \"{key}\""))?;
-    let c = cand
-        .get(key)
-        .and_then(Value::as_num)
-        .ok_or_else(|| format!("{ctx}: candidate missing numeric \"{key}\""))?;
-    out.compared += 1;
-    if rel_exceeds(b, c, tol) {
-        let dir = if (key == "ipc") == (c < b) {
-            "regression"
-        } else {
-            "change (refresh baseline if intended)"
-        };
-        out.issues.push(format!(
-            "{ctx}: {key} {b} -> {c} ({:+.2}%) — {dir}",
-            (c - b) / b.abs().max(1e-12) * 100.0
-        ));
-    }
-    Ok(())
-}
-
-/// Finds the run object matching (workload, machine).
-fn find_run<'a>(doc: &'a Value, workload: &str, machine: &str) -> Option<&'a Value> {
-    doc.get("runs")?.as_arr()?.iter().find(|r| {
-        r.get("workload").and_then(Value::as_str) == Some(workload)
-            && r.get("machine").and_then(Value::as_str) == Some(machine)
-    })
-}
+// ---- what the gate needs to know (crate::gate does the rest) ----
 
 /// Reads a required numeric field out of `obj`, for the conservation
 /// checks in [`validate_memory`].
@@ -725,9 +672,10 @@ fn req_num(obj: &Value, ctx: &str, key: &str) -> Result<f64, String> {
 ///   pf_useful` (a late prefetch is by definition also useful);
 /// * per cluster cell: `snoop_matrix` sums to `snoops_sent`.
 ///
-/// [`diff_documents`] runs this on both documents, so a fabricated or
-/// stale artifact that breaks event-count accounting fails the CI gate
-/// even when every compared metric matches.
+/// [`crate::gate::diff`] runs this on both documents (through
+/// [`ARTIFACT`]), so a fabricated or stale artifact that breaks
+/// event-count accounting fails the CI gate even when every number
+/// matches.
 pub fn validate_memory(doc: &Value) -> Result<(), String> {
     let runs = doc.get("runs").and_then(Value::as_arr).ok_or("no runs array")?;
     for r in runs {
@@ -776,182 +724,26 @@ pub fn validate_memory(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Compares `cand` against `base` with relative tolerance `tol`.
-/// Simulated-cycle metrics (totals, top-down buckets, per-run memory
-/// blocks, cluster cells) are compared; `engine` host-time blocks and
-/// the raw series are informational and ignored. Both documents must
-/// also pass [`validate_memory`]. `Err` means the documents are
-/// structurally incomparable (missing runs, wrong schema, broken
-/// conservation laws) — the CI gate treats that as failure too.
-pub fn diff_documents(base: &Value, cand: &Value, tol: f64) -> Result<DiffOutcome, String> {
-    for (doc, who) in [(base, "baseline"), (cand, "candidate")] {
-        match doc.get("schema").and_then(Value::as_str) {
-            Some("xt-stat/v2") => {}
-            other => return Err(format!("{who}: unsupported schema {other:?}")),
-        }
-        validate_memory(doc).map_err(|e| format!("{who}: {e}"))?;
-    }
-    let mut out = DiffOutcome::default();
-    let base_runs = base
-        .get("runs")
-        .and_then(Value::as_arr)
-        .ok_or("baseline: no runs array")?;
-    for br in base_runs {
-        let w = br
-            .get("workload")
-            .and_then(Value::as_str)
-            .ok_or("baseline run without workload")?;
-        let m = br
-            .get("machine")
-            .and_then(Value::as_str)
-            .ok_or("baseline run without machine")?;
-        let ctx = format!("{w}@{m}");
-        let cr = find_run(cand, w, m)
-            .ok_or_else(|| format!("candidate is missing run {ctx}"))?;
-        let bt = br.get("totals").ok_or_else(|| format!("{ctx}: baseline has no totals"))?;
-        let ct = cr.get("totals").ok_or_else(|| format!("{ctx}: candidate has no totals"))?;
-        for key in ["cycles", "instructions", "ipc"] {
-            compare_num(&mut out, &ctx, key, bt, ct, tol)?;
-        }
-        let btd = bt.get("topdown").ok_or_else(|| format!("{ctx}: baseline has no topdown"))?;
-        let ctd = ct.get("topdown").ok_or_else(|| format!("{ctx}: candidate has no topdown"))?;
-        for key in TopDown::NAMES {
-            compare_num(&mut out, &format!("{ctx} topdown"), key, btd, ctd, tol)?;
-        }
-        let bm = br.get("memory").ok_or_else(|| format!("{ctx}: baseline has no memory"))?;
-        let cm = cr.get("memory").ok_or_else(|| format!("{ctx}: candidate has no memory"))?;
-        for key in [
-            "misses", "compulsory", "capacity", "conflict", "coherence",
-            "pf_issued", "pf_useful", "pf_late", "pf_useless",
-        ] {
-            compare_num(&mut out, &format!("{ctx} memory"), key, bm, cm, tol)?;
-        }
-    }
-    let base_cells = base
-        .get("cluster")
-        .and_then(|c| c.get("cells"))
-        .and_then(Value::as_arr)
-        .ok_or("baseline: no cluster cells")?;
-    let cand_cells = cand
-        .get("cluster")
-        .and_then(|c| c.get("cells"))
-        .and_then(Value::as_arr)
-        .ok_or("candidate: no cluster cells")?;
-    for bc in base_cells {
-        let w = bc
-            .get("workload")
-            .and_then(Value::as_str)
-            .ok_or("baseline cell without workload")?;
-        let cc = cand_cells
-            .iter()
-            .find(|c| c.get("workload").and_then(Value::as_str) == Some(w))
-            .ok_or_else(|| format!("candidate is missing cluster cell {w}"))?;
-        for key in ["makespan", "instructions", "ipc", "snoops_sent", "coh_transitions"] {
-            compare_num(&mut out, &format!("cluster {w}"), key, bc, cc, tol)?;
-        }
-    }
-    Ok(out)
+/// An `xt-stat/v2` document that conserves.
+fn validate(doc: &Value) -> Result<(), String> {
+    expect_schema(doc, "xt-stat/v2")?;
+    validate_memory(doc)
 }
 
-/// Deep-copies `doc` with every run's `totals.ipc` scaled by `ipc_mul`
-/// and `totals.cycles` by `cycle_mul` (the injected regression for
-/// [`selftest`]).
-fn perturb(doc: &Value, ipc_mul: f64, cycle_mul: f64) -> Value {
-    fn walk(v: &Value, in_totals: bool, ipc_mul: f64, cycle_mul: f64) -> Value {
-        match v {
-            Value::Obj(fields) => Value::Obj(
-                fields
-                    .iter()
-                    .map(|(k, val)| {
-                        let scaled = match (in_totals, k.as_str(), val) {
-                            (true, "ipc", Value::Num(n)) => Value::Num(n * ipc_mul),
-                            (true, "cycles", Value::Num(n)) => Value::Num(n * cycle_mul),
-                            _ => walk(val, k == "totals", ipc_mul, cycle_mul),
-                        };
-                        (k.clone(), scaled)
-                    })
-                    .collect(),
-            ),
-            Value::Arr(items) => Value::Arr(
-                items
-                    .iter()
-                    .map(|x| walk(x, in_totals, ipc_mul, cycle_mul))
-                    .collect(),
-            ),
-            other => other.clone(),
-        }
-    }
-    walk(doc, false, ipc_mul, cycle_mul)
-}
-
-/// Deep-copies `doc` with every `memory.compulsory` bumped by one
-/// *without* bumping `misses` — a fabricated event-count mismatch that
-/// breaks the miss-classification conservation law (the injected fault
-/// for [`selftest`]).
-fn break_conservation(doc: &Value) -> Value {
-    fn walk(v: &Value, in_memory: bool) -> Value {
-        match v {
-            Value::Obj(fields) => Value::Obj(
-                fields
-                    .iter()
-                    .map(|(k, val)| {
-                        let next = match (in_memory, k.as_str(), val) {
-                            (true, "compulsory", Value::Num(n)) => Value::Num(n + 1.0),
-                            _ => walk(val, k == "memory"),
-                        };
-                        (k.clone(), next)
-                    })
-                    .collect(),
-            ),
-            Value::Arr(items) => Value::Arr(items.iter().map(|x| walk(x, in_memory)).collect()),
-            other => other.clone(),
-        }
-    }
-    walk(doc, false)
-}
-
-/// Self-test of the gate: a baseline must diff clean against itself,
-/// an injected ≥tolerance IPC/cycle regression must be flagged, and a
-/// fabricated event-count mismatch (miss classes no longer summing to
-/// the miss total) must be rejected by [`validate_memory`]. Returns
-/// `Err` if any direction fails — CI runs this so a broken comparator
-/// can never silently wave regressions through.
-pub fn selftest(base: &Value, tol: f64) -> Result<(), String> {
-    let clean = diff_documents(base, base, tol)?;
-    if !clean.issues.is_empty() {
-        return Err(format!(
-            "baseline differs from itself: {}",
-            clean.issues.join("; ")
-        ));
-    }
-    if clean.compared == 0 {
-        return Err("self-diff compared zero metrics".into());
-    }
-    // inject a regression comfortably past the tolerance band
-    let factor = 2.0 * tol + 0.2;
-    let hurt = perturb(base, 1.0 - factor, 1.0 + factor);
-    let flagged = diff_documents(base, &hurt, tol)?;
-    if flagged.issues.is_empty() {
-        return Err(format!(
-            "injected {:.0}% IPC regression was not flagged at tolerance {tol}",
-            factor * 100.0
-        ));
-    }
-    // inject an event-count mismatch; the conservation gate must refuse
-    // to compare the document at all
-    let forged = break_conservation(base);
-    match diff_documents(base, &forged, tol) {
-        Err(e) if e.contains("conservation") => Ok(()),
-        Err(e) => Err(format!(
-            "forged miss-class mismatch rejected for the wrong reason: {e}"
-        )),
-        Ok(_) => Err("forged miss-class mismatch was not rejected".into()),
-    }
-}
+/// `BENCH_perf.json` as [`crate::gate`] sees it: the `engine` block is
+/// measured host time; a miss class or a snoop count bumped on its own
+/// breaks a conservation law and must be refused.
+pub const ARTIFACT: Artifact = Artifact {
+    tool: "xt-stat",
+    validate,
+    host_keys: &["engine"],
+    forgeries: &["compulsory", "snoops_sent"],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{diff, map_key, selftest};
     use crate::json::parse;
 
     fn smoke_artifacts() -> (Vec<StatRun>, ClusterSection) {
@@ -981,27 +773,27 @@ mod tests {
         let doc = parse(&render_json(&runs, &cluster, true)).expect("own JSON parses");
         assert_eq!(doc.get("schema").and_then(Value::as_str), Some("xt-stat/v2"));
         assert!(doc.get("cluster").and_then(|c| c.get("engine")) == Some(&Value::Null));
-        let out = diff_documents(&doc, &doc, 0.0).expect("comparable");
+        let out = diff(&ARTIFACT, &doc, &doc, 0.0).expect("comparable");
         assert!(out.issues.is_empty());
         assert!(out.compared > 0);
-        selftest(&doc, 0.0).expect("gate self-test");
-        selftest(&doc, 0.05).expect("gate self-test with a tolerance band");
+        selftest(&ARTIFACT, &doc, 0.0).expect("gate self-test");
+        selftest(&ARTIFACT, &doc, 0.05).expect("gate self-test with a tolerance band");
     }
 
     #[test]
     fn diff_flags_an_injected_ipc_regression() {
         let (runs, cluster) = smoke_artifacts();
         let doc = parse(&render_json(&runs, &cluster, true)).unwrap();
-        let hurt = perturb(&doc, 0.8, 1.0);
-        let out = diff_documents(&doc, &hurt, 0.05).expect("comparable");
+        let hurt = map_key(&doc, "ipc", &|n| n * 0.8);
+        let out = diff(&ARTIFACT, &doc, &hurt, 0.05).expect("comparable");
         assert!(
-            out.issues.iter().any(|i| i.contains("ipc") && i.contains("regression")),
+            out.issues.iter().any(|i| i.contains("totals.ipc") && i.contains("-20.00%")),
             "20% IPC drop flagged at 5% tolerance: {:?}",
             out.issues
         );
         // within tolerance: clean
-        let nudge = perturb(&doc, 0.999, 1.0);
-        let out = diff_documents(&doc, &nudge, 0.05).expect("comparable");
+        let nudge = map_key(&doc, "ipc", &|n| n * 0.999);
+        let out = diff(&ARTIFACT, &doc, &nudge, 0.05).expect("comparable");
         assert!(out.issues.is_empty(), "0.1% wiggle passes 5%: {:?}", out.issues);
     }
 
@@ -1010,10 +802,10 @@ mod tests {
         let (runs, cluster) = smoke_artifacts();
         let doc = parse(&render_json(&runs, &cluster, true)).unwrap();
         validate_memory(&doc).expect("generated artifact conserves");
-        let forged = break_conservation(&doc);
+        let forged = map_key(&doc, "compulsory", &|n| n + 1.0);
         let err = validate_memory(&forged).expect_err("forged counts rejected");
         assert!(err.contains("conservation"), "got: {err}");
-        let err = diff_documents(&doc, &forged, 0.5).expect_err("diff refuses forged candidate");
+        let err = diff(&ARTIFACT, &doc, &forged, 0.5).expect_err("diff refuses forged candidate");
         assert!(err.starts_with("candidate:"), "got: {err}");
     }
 

@@ -98,16 +98,6 @@ impl TopDown {
             (self.retiring.max(0)) as f64 / c,
         ]
     }
-
-    /// Stable bucket names, matching the JSON keys.
-    pub const NAMES: [&'static str; 6] = [
-        "frontend",
-        "bad_speculation",
-        "backend_core",
-        "backend_memory",
-        "vector",
-        "retiring",
-    ];
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! sampler must not change timing at all.
 
 use xt_check::progen::{ProgGen, ProgSpec};
-use xt_core::CoreConfig;
+use xt_core::{CoreConfig, InOrderSession, OooSession};
 use xt_harness::{check_with, Config, Gen, Rng};
-use xt_perf::{run_inorder_sampled, run_ooo_sampled};
+use xt_perf::run_sampled;
 
 const MAX_INSTS: u64 = 200_000;
 
@@ -74,20 +74,20 @@ fn sampling_conserves_and_is_read_only_on_both_cores() {
             let u74 = CoreConfig::u74_like();
 
             let (report, series) =
-                run_ooo_sampled(&prog, &xt910, xt910.mem, MAX_INSTS, case.interval);
+                run_sampled(&mut OooSession::new(&prog, &xt910, MAX_INSTS), case.interval);
             series
                 .conserves(&report.perf, &report.mem, 0)
                 .unwrap_or_else(|e| panic!("ooo interval {}: {e}", case.interval));
-            let plain = xt_core::run_ooo(&prog, &xt910, MAX_INSTS);
+            let plain = OooSession::new(&prog, &xt910, MAX_INSTS).run_to_end();
             assert_eq!(report.perf, plain.perf, "ooo: sampling changed timing");
             assert_eq!(report.mem, plain.mem, "ooo: sampling changed memory stats");
 
             let (report, series) =
-                run_inorder_sampled(&prog, &u74, u74.mem, MAX_INSTS, case.interval);
+                run_sampled(&mut InOrderSession::new(&prog, &u74, MAX_INSTS), case.interval);
             series
                 .conserves(&report.perf, &report.mem, 0)
                 .unwrap_or_else(|e| panic!("inorder interval {}: {e}", case.interval));
-            let plain = xt_core::run_inorder(&prog, &u74, MAX_INSTS);
+            let plain = InOrderSession::new(&prog, &u74, MAX_INSTS).run_to_end();
             assert_eq!(report.perf, plain.perf, "inorder: sampling changed timing");
             assert_eq!(report.mem, plain.mem, "inorder: sampling changed memory stats");
         },
@@ -108,7 +108,7 @@ fn interval_one_is_the_stress_case() {
         |case| {
             let (prog, _expect) = case.spec.emit();
             let cfg = CoreConfig::xt910();
-            let (report, series) = run_ooo_sampled(&prog, &cfg, cfg.mem, MAX_INSTS, 1);
+            let (report, series) = run_sampled(&mut OooSession::new(&prog, &cfg, MAX_INSTS), 1);
             series
                 .conserves(&report.perf, &report.mem, 0)
                 .expect("interval-1 conservation");

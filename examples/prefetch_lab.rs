@@ -6,7 +6,7 @@
 //! cargo run --release --example prefetch_lab
 //! ```
 
-use xt_core::{run_ooo_with_mem, CoreConfig};
+use xt_core::{CoreConfig, OooSession};
 use xt_mem::{MemConfig, PrefetchConfig};
 use xt_workloads::stream;
 
@@ -35,7 +35,7 @@ fn main() {
                 prefetch: pf,
                 ..MemConfig::default()
             };
-            let r = run_ooo_with_mem(&kernel.program, &CoreConfig::xt910(), mem, 100_000_000);
+            let r = OooSession::with_mem(&kernel.program, &CoreConfig::xt910(), mem, 100_000_000).run_to_end();
             if baselines[k] == 0 {
                 baselines[k] = r.perf.cycles;
             }

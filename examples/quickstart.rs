@@ -6,7 +6,7 @@
 //! ```
 
 use xt_asm::Asm;
-use xt_core::{run_inorder, run_ooo, CoreConfig};
+use xt_core::{CoreConfig, InOrderSession, OooSession};
 use xt_emu::Emulator;
 use xt_isa::reg::Gpr;
 
@@ -34,11 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("functional result: {exit} (expected {expect})  ✓");
 
     // 3. Replay it through the XT-910 out-of-order pipeline model.
-    let xt = run_ooo(&prog, &CoreConfig::xt910(), 10_000_000);
+    let xt = OooSession::new(&prog, &CoreConfig::xt910(), 10_000_000).run_to_end();
     println!("XT-910   : {}", xt.summary());
 
     // 4. Compare with the dual-issue in-order baseline.
-    let u74 = run_inorder(&prog, &CoreConfig::u74_like(), 10_000_000);
+    let u74 = InOrderSession::new(&prog, &CoreConfig::u74_like(), 10_000_000).run_to_end();
     println!("in-order : {}", u74.summary());
 
     println!(

@@ -7,7 +7,7 @@
 //! ```
 
 use xt_compiler::{CompileOpts, FuncBuilder, Rval};
-use xt_core::{run_ooo, CoreConfig};
+use xt_core::{CoreConfig, OooSession};
 
 fn saxpy_like() -> FuncBuilder {
     // y[i] += a * x[i] over 64 elements — indexed loads, a MAC, a
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut emu = xt_emu::Emulator::new();
         emu.load(&prog);
         let exit = emu.run(1_000_000)?;
-        let r = run_ooo(&prog, &CoreConfig::xt910(), 1_000_000);
+        let r = OooSession::new(&prog, &CoreConfig::xt910(), 1_000_000).run_to_end();
         println!("== {name} ==");
         println!(
             "result {exit}, {} static bytes, {} retired insts, {} cycles (IPC {:.2})",

@@ -7,7 +7,7 @@
 //! cargo run --release --example vector_ai
 //! ```
 
-use xt_core::{run_ooo, CoreConfig};
+use xt_core::{CoreConfig, OooSession};
 use xt_workloads::ai;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     for (name, k) in variants {
         // verify functionally first (self-checking kernels)
         k.verify(100_000_000);
-        let r = run_ooo(&k.program, &CoreConfig::xt910(), 100_000_000);
+        let r = OooSession::new(&k.program, &CoreConfig::xt910(), 100_000_000).run_to_end();
         if scalar_cycles == 0 {
             scalar_cycles = r.perf.cycles;
         }

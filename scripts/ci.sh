@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate + hermetic-build policy check.
 #
-# The workspace must build, test, and bench **offline with an empty
-# cargo registry**: every crate in the dependency graph has to live in
-# this repository. xt-harness (crates/harness) supplies the PRNG,
-# property-testing, and bench-timing substrate that external crates
-# (rand/proptest/criterion/serde) used to provide.
+# The workspace must build and test **offline with an empty cargo
+# registry**: every crate in the dependency graph has to live in this
+# repository. xt-harness (crates/harness) supplies the PRNG and
+# property-testing substrate that external crates (rand/proptest/serde)
+# used to provide; host speed is measured by benchmark/ (its own leg
+# below), not by `cargo bench`.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -131,9 +132,10 @@ echo "== xt-stat smoke (telemetry dashboard + regression gate) =="
 # top-down buckets sum (signed) to each interval's cycles and whose
 # memory blocks obey the miss-class and snoop-matrix conservation laws,
 # match the committed smoke baseline exactly (simulated-cycle
-# determinism), and prove its own diff gate catches injected
-# regressions — including a fabricated event-count mismatch, which the
-# selftest injects and must see rejected.
+# determinism; every number in the file is compared), and prove its own
+# diff gate catches injected regressions — including fabricated
+# event-count mismatches, which the selftest injects and must see
+# rejected.
 stat_dir=$(mktemp -d)
 repo_root=$(pwd)
 (cd "$stat_dir" && "$repo_root/target/release/xt-stat" --smoke)
@@ -173,20 +175,38 @@ print("OK: BENCH_perf.json parses, 6 sampled runs + cluster cell, "
     baselines/BENCH_perf_smoke.json "$stat_dir/BENCH_perf.json" --tolerance 0
 "$repo_root/target/release/xt-stat" selftest \
     baselines/BENCH_perf_smoke.json --tolerance 0.05
-# A hand-forged event-count mismatch (miss classes no longer summing to
-# the miss total) must make the diff gate exit non-zero.
+# Hand-forged candidates must be refused with the right exit code: an
+# event-count mismatch (miss classes no longer summing to the miss
+# total) is structural (2) even at a loose tolerance; a changed series
+# point, which no conservation law covers, is a number out of tolerance
+# (1); a hostile 200k-deep document is a parse error (2), not a crash.
 python3 -c '
 import json, sys
-doc = json.load(open(sys.argv[1]))
+src, out = sys.argv[1], sys.argv[2]
+doc = json.load(open(src))
 doc["runs"][0]["memory"]["compulsory"] += 1
-json.dump(doc, open(sys.argv[2], "w"))
-' "$stat_dir/BENCH_perf.json" "$stat_dir/forged.json"
-if "$repo_root/target/release/xt-stat" diff \
-    baselines/BENCH_perf_smoke.json "$stat_dir/forged.json" --tolerance 0.5; then
-    echo "ERROR: forged event counts passed the xt-stat diff gate" >&2
-    exit 1
-fi
-echo "OK: forged event-count mismatch rejected by the diff gate"
+json.dump(doc, open(out + "/forged_count.json", "w"))
+doc = json.load(open(src))
+doc["runs"][0]["series"]["ipc"][1] += 0.5
+json.dump(doc, open(out + "/forged_series.json", "w"))
+open(out + "/deep.json", "w").write("[" * 200000 + "]" * 200000)
+' "$stat_dir/BENCH_perf.json" "$stat_dir"
+expect_exit() {
+    local want=$1 got=0
+    shift
+    "$@" >/dev/null 2>&1 || got=$?
+    if [ "$got" -ne "$want" ]; then
+        echo "ERROR: exit $got, expected $want: $*" >&2
+        exit 1
+    fi
+}
+expect_exit 2 "$repo_root/target/release/xt-stat" diff \
+    baselines/BENCH_perf_smoke.json "$stat_dir/forged_count.json" --tolerance 0.5
+expect_exit 1 "$repo_root/target/release/xt-stat" diff \
+    baselines/BENCH_perf_smoke.json "$stat_dir/forged_series.json" --tolerance 0
+expect_exit 2 "$repo_root/target/release/xt-stat" diff \
+    "$stat_dir/deep.json" "$stat_dir/deep.json"
+echo "OK: forged event count, forged series point and over-nested file refused by the diff gate"
 rm -rf "$stat_dir"
 
 echo "== xt-figures smoke (vector figure artifact + gate) =="
@@ -226,6 +246,27 @@ print("OK: BENCH_figures.json parses, 16-cell grid, >=2x vector uplift "
     baselines/BENCH_figures_smoke.json "$fig_dir/BENCH_figures.json" --tolerance 0
 "$repo_root/target/release/xt-figures" selftest \
     baselines/BENCH_figures_smoke.json --tolerance 0.05
+# The same refusals as the xt-stat leg: one changed cycle count is out
+# of tolerance (1), one changed kernel name is structural (2), and a
+# hostile nest of objects is a parse error (2).
+python3 -c '
+import json, sys
+src, out = sys.argv[1], sys.argv[2]
+doc = json.load(open(src))
+doc["grid"][0]["cycles"] += 1
+json.dump(doc, open(out + "/forged_cycles.json", "w"))
+doc = json.load(open(src))
+doc["grid"][0]["kernel"] += "x"
+json.dump(doc, open(out + "/forged_kernel.json", "w"))
+open(out + "/deep.json", "w").write("{\"k\":" * 200000 + "1" + "}" * 200000)
+' "$fig_dir/BENCH_figures.json" "$fig_dir"
+expect_exit 1 "$repo_root/target/release/xt-figures" diff \
+    baselines/BENCH_figures_smoke.json "$fig_dir/forged_cycles.json" --tolerance 0
+expect_exit 2 "$repo_root/target/release/xt-figures" diff \
+    baselines/BENCH_figures_smoke.json "$fig_dir/forged_kernel.json" --tolerance 0.5
+expect_exit 2 "$repo_root/target/release/xt-figures" diff \
+    "$fig_dir/deep.json" "$fig_dir/deep.json"
+echo "OK: forged cycle count, forged kernel name and over-nested file refused by the diff gate"
 rm -rf "$fig_dir"
 
 echo "== snapshot/resume identity (docs/SNAPSHOT.md) =="

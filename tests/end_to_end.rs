@@ -2,7 +2,7 @@
 //! timing models → cluster, cross-checked at every level.
 
 use xt_compiler::{CompileOpts, FuncBuilder, Rval};
-use xt_core::{run_inorder, run_ooo, CoreConfig};
+use xt_core::{CoreConfig, InOrderSession, OooSession};
 use xt_emu::Emulator;
 use xt_mem::MemConfig;
 use xt_soc::ClusterSim;
@@ -59,10 +59,10 @@ fn every_layer_agrees_on_the_result() {
         emu.load(&prog);
         assert_eq!(emu.run(10_000_000).unwrap(), expected, "{opts:?} emu");
         // out-of-order model (exit code travels through the trace)
-        let r = run_ooo(&prog, &CoreConfig::xt910(), 10_000_000);
+        let r = OooSession::new(&prog, &CoreConfig::xt910(), 10_000_000).run_to_end();
         assert_eq!(r.exit_code, Some(expected), "{opts:?} ooo");
         // in-order model
-        let r = run_inorder(&prog, &CoreConfig::u74_like(), 10_000_000);
+        let r = InOrderSession::new(&prog, &CoreConfig::u74_like(), 10_000_000).run_to_end();
         assert_eq!(r.exit_code, Some(expected), "{opts:?} inorder");
     }
 }
@@ -71,9 +71,9 @@ fn every_layer_agrees_on_the_result() {
 fn machines_rank_as_expected() {
     let (f, _) = build_kernel();
     let prog = f.compile(&CompileOpts::optimized()).unwrap();
-    let xt = run_ooo(&prog, &CoreConfig::xt910(), 10_000_000).perf.cycles;
-    let a73 = run_ooo(&prog, &CoreConfig::a73_like(), 10_000_000).perf.cycles;
-    let u74 = run_inorder(&prog, &CoreConfig::u74_like(), 10_000_000)
+    let xt = OooSession::new(&prog, &CoreConfig::xt910(), 10_000_000).run_to_end().perf.cycles;
+    let a73 = OooSession::new(&prog, &CoreConfig::a73_like(), 10_000_000).run_to_end().perf.cycles;
+    let u74 = InOrderSession::new(&prog, &CoreConfig::u74_like(), 10_000_000).run_to_end()
         .perf
         .cycles;
     assert!(xt <= a73, "3-wide XT-910 ({xt}) <= 2-wide reference ({a73})");

@@ -12,7 +12,7 @@ use xt_harness::gen::{self, Gen};
 use xt_harness::prop::{check_with, Config};
 use xt_harness::Rng;
 use xt_asm::Asm;
-use xt_core::{run_inorder, run_ooo, CoreConfig};
+use xt_core::{CoreConfig, InOrderSession, OooSession};
 use xt_emu::Emulator;
 use xt_isa::reg::Gpr;
 
@@ -200,10 +200,10 @@ fn emulator_and_timing_models_agree() {
         emu.load(&prog);
         let functional = emu.run(5_000_000).expect("fuzz program terminates");
 
-        let ooo = run_ooo(&prog, &CoreConfig::xt910(), 5_000_000);
+        let ooo = OooSession::new(&prog, &CoreConfig::xt910(), 5_000_000).run_to_end();
         assert_eq!(ooo.exit_code, Some(functional), "ooo agrees");
 
-        let ino = run_inorder(&prog, &CoreConfig::u74_like(), 5_000_000);
+        let ino = InOrderSession::new(&prog, &CoreConfig::u74_like(), 5_000_000).run_to_end();
         assert_eq!(ino.exit_code, Some(functional), "inorder agrees");
 
         // cycle sanity: both models retire every instruction, and cannot
@@ -240,7 +240,7 @@ fn ablation_configs_preserve_correctness() {
                 3 => cfg.split_stores = false,
                 _ => cfg.mem_dep_predict = false,
             }
-            let r = run_ooo(&prog, &cfg, 5_000_000);
+            let r = OooSession::new(&prog, &cfg, 5_000_000).run_to_end();
             assert_eq!(r.exit_code, Some(functional), "flip {}", flip);
         }
     });

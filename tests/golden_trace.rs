@@ -17,7 +17,7 @@
 //! way to DRAM (200-cycle latency plus L1/L2 probe and transfer).
 
 use xt_asm::Asm;
-use xt_core::{run_inorder_traced, run_ooo_traced, CoreConfig};
+use xt_core::{CoreConfig, InOrderSession, OooSession};
 use xt_isa::reg::Gpr;
 use xt_trace::{InstRecord, NUM_STAGES};
 
@@ -112,7 +112,7 @@ fn assert_table(records: &[InstRecord], expect: &[[u64; NUM_STAGES]; 10], model:
 #[test]
 fn golden_ooo_stage_table() {
     let p = golden_program();
-    let (report, trace) = run_ooo_traced(&p, &CoreConfig::xt910(), 1000);
+    let (report, trace) = OooSession::new(&p, &CoreConfig::xt910(), 1000).run_traced();
     assert_eq!(report.perf.instructions, 10);
     assert_eq!(report.perf.cycles, 227);
     assert!(report.perf.stalls_conserved());
@@ -124,7 +124,7 @@ fn golden_ooo_stage_table() {
 #[test]
 fn golden_inorder_stage_table() {
     let p = golden_program();
-    let (report, trace) = run_inorder_traced(&p, &CoreConfig::u74_like(), 1000);
+    let (report, trace) = InOrderSession::new(&p, &CoreConfig::u74_like(), 1000).run_traced();
     assert_eq!(report.perf.instructions, 10);
     assert_eq!(report.perf.cycles, 1088);
     assert!(report.perf.stalls_conserved());
@@ -134,7 +134,7 @@ fn golden_inorder_stage_table() {
 #[test]
 fn golden_renders_match_fixtures() {
     let p = golden_program();
-    let (_, trace) = run_ooo_traced(&p, &CoreConfig::xt910(), 1000);
+    let (_, trace) = OooSession::new(&p, &CoreConfig::xt910(), 1000).run_traced();
     assert_eq!(
         trace.to_konata(),
         include_str!("fixtures/golden.kanata"),
@@ -158,12 +158,12 @@ fn golden_renders_identical_without_fastpath() {
     let mut emu = xt_emu::Emulator::new();
     emu.set_fastpath(false);
     emu.load(&p);
-    let trace = xt_emu::TraceSource::new(emu, 1000);
-    let mut mem = xt_mem::MemSystem::new(cfg.mem);
-    let mut core = xt_core::OooCore::new(cfg.clone(), 0);
-    core.attach_tracer();
-    let report = core.run_to_end(trace, &mut mem);
-    let buf = core.take_tracer().expect("tracer was attached");
+    let (report, buf) = OooSession::from_parts(
+        xt_emu::TraceSource::new(emu, 1000),
+        xt_core::OooCore::new(cfg.clone(), 0),
+        xt_mem::MemSystem::new(cfg.mem),
+    )
+    .run_traced();
     assert_eq!(report.perf.cycles, 227, "slow-path timing unchanged");
     assert_table(buf.records(), &GOLDEN_OOO, "ooo-slowpath");
     assert_eq!(
@@ -183,8 +183,8 @@ fn tracing_does_not_change_timing() {
     // the tracer must be observational: cycle counts with and without it
     // attached are identical
     let p = golden_program();
-    let traced = run_ooo_traced(&p, &CoreConfig::xt910(), 1000).0;
-    let plain = xt_core::run_ooo(&p, &CoreConfig::xt910(), 1000);
+    let traced = OooSession::new(&p, &CoreConfig::xt910(), 1000).run_traced().0;
+    let plain = OooSession::new(&p, &CoreConfig::xt910(), 1000).run_to_end();
     assert_eq!(traced.perf.cycles, plain.perf.cycles);
     assert_eq!(
         traced.perf.attributed_stall_cycles(),

@@ -23,13 +23,13 @@ fn prog() -> Program {
 }
 
 fn frame() -> Vec<u8> {
-    let mut s = OooSession::new_ooo(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+    let mut s = OooSession::new(&prog(), &CoreConfig::xt910(), MAX_INSTS);
     s.run_insts(50);
     s.save()
 }
 
 fn restore(bytes: &[u8]) -> Result<(), SnapshotError> {
-    let mut s = OooSession::new_ooo(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+    let mut s = OooSession::new(&prog(), &CoreConfig::xt910(), MAX_INSTS);
     s.restore(bytes)
 }
 
@@ -135,7 +135,7 @@ fn empty_and_tiny_inputs_never_panic() {
 #[test]
 fn cross_config_restore_reports_mismatch() {
     let snap = frame();
-    let mut other = OooSession::new_ooo(&prog(), &CoreConfig::a73_like(), MAX_INSTS);
+    let mut other = OooSession::new(&prog(), &CoreConfig::a73_like(), MAX_INSTS);
     assert!(matches!(
         other.restore(&snap),
         Err(SnapshotError::Mismatch { .. })
@@ -173,7 +173,7 @@ fn set_field(payload: &mut [u8], at: usize, v: u64) {
 /// core's classifier the last part of that but for the "no tracer" byte,
 /// and a classifier ends `cap, n, n × (stamp, line), next_stamp, 4 × u64`.
 fn shadow_payload() -> (Vec<u8>, usize, usize) {
-    let mut s = OooSession::new_ooo(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
+    let mut s = OooSession::new(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
     s.run_to_end();
     let frame = s.save();
     let payload = xt_snapshot::open(&frame, xt_snapshot::KIND_CORE)
@@ -199,7 +199,7 @@ fn inconsistent_shadow_lru_is_rejected() {
     let pair = |k: usize| cap_at + 16 + k * 16; // (stamp, line) number k
     let next_stamp_at = pair(n);
     let restore_payload = |payload: &[u8]| {
-        let mut s = OooSession::new_ooo(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
+        let mut s = OooSession::new(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
         s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
     };
     restore_payload(&good).expect("the untouched payload restores");
@@ -269,7 +269,7 @@ fn past_window(payload: &[u8], at: usize) -> usize {
 fn forged_core_resources_are_rejected_or_repaired() {
     let (good, rob_at, n) = rob_payload();
     let restore_payload = |payload: &[u8]| {
-        let mut s = OooSession::new_ooo(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+        let mut s = OooSession::new(&prog(), &CoreConfig::xt910(), MAX_INSTS);
         s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
             .map(|()| s)
     };

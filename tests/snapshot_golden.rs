@@ -37,7 +37,7 @@ fn golden_prog() -> Program {
 }
 
 fn fresh_session() -> OooSession {
-    OooSession::new_ooo(&golden_prog(), &CoreConfig::xt910(), MAX_INSTS)
+    OooSession::new(&golden_prog(), &CoreConfig::xt910(), MAX_INSTS)
 }
 
 fn fixture_path() -> std::path::PathBuf {

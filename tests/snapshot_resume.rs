@@ -49,6 +49,17 @@ fn session_fastpath(prog: &Program, fastpath: bool) -> OooSession {
     )
 }
 
+/// A session assembled from parts is the session `new` builds.
+#[test]
+fn from_parts_equals_new() {
+    let k = vecbench::dot(&CompileOpts::vector_tuned());
+    let by_hand = session_fastpath(&k.program, true).run_to_end();
+    let built = OooSession::new(&k.program, &CoreConfig::xt910(), MAX_INSTS).run_to_end();
+    assert_eq!(by_hand.perf, built.perf);
+    assert_eq!(by_hand.mem, built.mem);
+    assert_eq!(built.exit_code, k.expected);
+}
+
 /// Cut `prog` at `cut` instructions under `fp_save`, restore into a
 /// fresh `fp_resume` session, and require the continuation to match the
 /// uninterrupted reference exactly.
@@ -334,7 +345,7 @@ fn interrupt_scheduler_cluster_resumes() {
 /// interval series must be identical to an uninterrupted run's.
 fn sampled_series(prog: &Program, interval: u64, cut: Option<u64>) -> xt_perf::TimeSeries {
     let cfg = CoreConfig::xt910();
-    let mut s = OooSession::new_ooo(prog, &cfg, MAX_INSTS);
+    let mut s = OooSession::new(prog, &cfg, MAX_INSTS);
     let mut sampler = Sampler::new(0, interval);
     let mut stepped: u64 = 0;
     loop {
@@ -351,7 +362,7 @@ fn sampled_series(prog: &Program, interval: u64, cut: Option<u64>) -> xt_perf::T
             xt_snapshot::SnapshotState::save(&sampler, &mut e);
             let sampler_frame = e.into_bytes();
 
-            s = OooSession::new_ooo(prog, &cfg, MAX_INSTS);
+            s = OooSession::new(prog, &cfg, MAX_INSTS);
             s.restore(&session_frame).expect("session restore");
             sampler = Sampler::new(0, interval);
             let mut d = xt_snapshot::Dec::new(&sampler_frame);
@@ -379,7 +390,7 @@ fn measure_snapshot_size_and_latency() {
 
     // single-core session mid-kernel
     let k = vecbench::saxpy(&CompileOpts::vector_tuned());
-    let mut s = OooSession::new_ooo(&k.program, &CoreConfig::xt910(), MAX_INSTS);
+    let mut s = OooSession::new(&k.program, &CoreConfig::xt910(), MAX_INSTS);
     s.run_insts(5000);
     let snap = s.save();
     let t0 = Instant::now();
@@ -387,7 +398,7 @@ fn measure_snapshot_size_and_latency() {
         std::hint::black_box(s.save());
     }
     let save_us = t0.elapsed().as_secs_f64() * 1e6 / REPS as f64;
-    let mut fresh = OooSession::new_ooo(&k.program, &CoreConfig::xt910(), MAX_INSTS);
+    let mut fresh = OooSession::new(&k.program, &CoreConfig::xt910(), MAX_INSTS);
     let t0 = Instant::now();
     for _ in 0..REPS {
         fresh.restore(&snap).unwrap();

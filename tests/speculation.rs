@@ -3,7 +3,7 @@
 //! the dependence predictor.
 
 use xt_asm::Asm;
-use xt_core::{run_ooo, CoreConfig};
+use xt_core::{CoreConfig, OooSession};
 use xt_emu::{Emulator, StepOutcome};
 use xt_isa::csr;
 use xt_isa::reg::Gpr;
@@ -34,7 +34,7 @@ fn exception_flushes_younger_work() {
     assert_eq!(emu.run(100_000).unwrap(), 7, "younger write squashed");
 
     // the timing model charges a flush for the trap
-    let r = run_ooo(&p, &CoreConfig::xt910(), 100_000);
+    let r = OooSession::new(&p, &CoreConfig::xt910(), 100_000).run_to_end();
     assert!(r.perf.exception_flushes >= 1);
 }
 
@@ -104,7 +104,7 @@ fn mispredict_penalty_visible() {
         a.bnez(Gpr::S1, top);
         a.halt();
         let p = a.finish().unwrap();
-        run_ooo(&p, &CoreConfig::xt910(), 10_000_000)
+        OooSession::new(&p, &CoreConfig::xt910(), 10_000_000).run_to_end()
     };
     let predictable = branchy(false);
     let chaotic = branchy(true);
@@ -144,10 +144,10 @@ fn memory_order_violation_and_learning() {
     a.halt();
     let p = a.finish().unwrap();
 
-    let with_pred = run_ooo(&p, &CoreConfig::xt910(), 10_000_000);
+    let with_pred = OooSession::new(&p, &CoreConfig::xt910(), 10_000_000).run_to_end();
     let mut cfg = CoreConfig::xt910();
     cfg.mem_dep_predict = false;
-    let without = xt_core::run_ooo(&p, &cfg, 10_000_000);
+    let without = xt_core::OooSession::new(&p, &cfg, 10_000_000).run_to_end();
     assert!(
         with_pred.perf.mem_order_flushes <= 4,
         "predictor caps violations: {}",

@@ -2,7 +2,7 @@
 //! latencies, slice occupancy and the vsetvl speculation rule.
 
 use xt_asm::Asm;
-use xt_core::{run_ooo, CoreConfig};
+use xt_core::{CoreConfig, OooSession};
 use xt_isa::reg::{Gpr, Vr};
 use xt_isa::vector::Sew;
 use xt_isa::{Inst, Op};
@@ -28,9 +28,9 @@ fn vec_loop(op: Op, iters: i64) -> xt_asm::Program {
 
 #[test]
 fn dependent_vector_chains_expose_latency() {
-    let add = run_ooo(&vec_loop(Op::VaddVV, 2000), &CoreConfig::xt910(), 10_000_000);
-    let mul = run_ooo(&vec_loop(Op::VmulVV, 2000), &CoreConfig::xt910(), 10_000_000);
-    let div = run_ooo(&vec_loop(Op::VdivVV, 2000), &CoreConfig::xt910(), 10_000_000);
+    let add = OooSession::new(&vec_loop(Op::VaddVV, 2000), &CoreConfig::xt910(), 10_000_000).run_to_end();
+    let mul = OooSession::new(&vec_loop(Op::VmulVV, 2000), &CoreConfig::xt910(), 10_000_000).run_to_end();
+    let div = OooSession::new(&vec_loop(Op::VdivVV, 2000), &CoreConfig::xt910(), 10_000_000).run_to_end();
     // §VII: most ops 3-4 cycles, divides 6-25 — the dependent chain
     // makes the latency the loop period
     assert!(
@@ -71,7 +71,7 @@ fn fp_vector_multiply_is_five_cycles() {
     a.li(Gpr::A0, 0);
     a.halt();
     let p = a.finish().unwrap();
-    let r = run_ooo(&p, &CoreConfig::xt910(), 10_000_000);
+    let r = OooSession::new(&p, &CoreConfig::xt910(), 10_000_000).run_to_end();
     let per_iter = r.perf.cycles as f64 / 2000.0;
     assert!(
         (4.5..6.5).contains(&per_iter),
@@ -108,8 +108,8 @@ fn vsetvl_speculation_only_fails_on_vl_change() {
         a.halt();
         a.finish().unwrap()
     };
-    let stable = run_ooo(&steady(false), &CoreConfig::xt910(), 10_000_000);
-    let churn = run_ooo(&steady(true), &CoreConfig::xt910(), 10_000_000);
+    let stable = OooSession::new(&steady(false), &CoreConfig::xt910(), 10_000_000).run_to_end();
+    let churn = OooSession::new(&steady(true), &CoreConfig::xt910(), 10_000_000).run_to_end();
     assert!(
         churn.perf.cycles > stable.perf.cycles,
         "vtype churn costs speculation failures: {} vs {}",
