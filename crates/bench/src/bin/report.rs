@@ -19,10 +19,13 @@
 //!   --mips-sanity  measure the functional emulator's MIPS with the
 //!                  decoded-block cache on vs. off, through the
 //!                  by-reference step driver and under an `OooSession`,
-//!                  print all four, and exit non-zero if the cache made
-//!                  it slower, stepping fell under
-//!                  `multicore::STEP_DRIVER_FLOOR` of `Emulator::run`, or
-//!                  the session under `multicore::OOO_SESSION_FLOOR` of it
+//!                  then a 4-core `ClusterSim` against one `OooSession`
+//!                  on the private-slice kernel; print all, and exit
+//!                  non-zero if the cache made the emulator slower,
+//!                  stepping fell under `multicore::STEP_DRIVER_FLOOR`
+//!                  of `Emulator::run`, the session under
+//!                  `multicore::OOO_SESSION_FLOOR` of it, or the cluster
+//!                  under `multicore::CLUSTER4_FLOOR` of the session
 //!                  (CI guard; writes no files)
 //!   --snapshot-every N
 //!                  run every single-core cell through a save/restore
@@ -113,6 +116,23 @@ fn main() {
             eprintln!(
                 "xt-report: MIPS sanity FAILED — the OoO model costs more than {:.0}x Emulator::run",
                 1.0 / multicore::OOO_SESSION_FLOOR
+            );
+            std::process::exit(1);
+        }
+        let c = multicore::cluster_speed();
+        let cluster_ratio = c.cluster4 / c.one_session;
+        println!(
+            "cluster engine: {:.2} MIPS on four private slices at one host thread, \
+             {cluster_ratio:.2} of one slice's {:.2} under an OooSession (floor {})",
+            c.cluster4,
+            c.one_session,
+            multicore::CLUSTER4_FLOOR
+        );
+        if cluster_ratio < multicore::CLUSTER4_FLOOR {
+            eprintln!(
+                "xt-report: MIPS sanity FAILED — a guest instruction costs more than {:.1}x \
+                 in the 4-core cluster what it costs alone",
+                1.0 / multicore::CLUSTER4_FLOOR
             );
             std::process::exit(1);
         }

@@ -428,6 +428,88 @@ pub fn emu_speed() -> EmuSpeed {
     }
 }
 
+/// What [`cluster_speed`] measured, in host MIPS.
+#[derive(Clone, Copy, Debug)]
+pub struct ClusterSpeed {
+    /// Four private-slice kernels under a 4-core `ClusterSim` on one host
+    /// thread: every recorded `MemOp` is replayed into the master and
+    /// the three peer replicas.
+    pub cluster4: f64,
+    /// One of the four kernels alone under an `OooSession`.
+    pub one_session: f64,
+}
+
+/// The 4-core cluster must reach this fraction of one `OooSession`'s MIPS
+/// on the private-slice kernel: two thirds of the 0.65 measured after
+/// PR 20 stopped a replayed `MemOp` recomputing its core's TLB and
+/// stream-table outcome and took the statistics-only observers out of
+/// the replicas (13 runs, 0.61-0.74; 6.8 of 10.4 MIPS). The parent
+/// measured 0.52 on the same rung (10 runs, 0.44-0.54; 5.1 of 9.9 MIPS;
+/// EXPERIMENTS.md, "Host speed, PR 20").
+pub const CLUSTER4_FLOOR: f64 = 0.43;
+
+/// One core's private STREAM slice: `b[i] = a[0] + ... + a[i]` over 12 Ki
+/// 8-byte elements in the core's own 16 MiB region.
+fn slice_core(id: u64) -> Program {
+    const ELEMS: u64 = 12 * 1024;
+    let init: Vec<u64> = (0..ELEMS).map(|k| (k * 7 + id) % 13).collect();
+    let mut a = Asm::new().with_data_base(0x8200_0000 + id * 0x0100_0000);
+    let src = a.data_u64("a", &init);
+    let dst = a.data_zeros("b", (ELEMS * 8) as usize);
+    a.la(Gpr::A1, src);
+    a.la(Gpr::A2, dst);
+    a.li(Gpr::A3, ELEMS as i64);
+    let top = a.here();
+    a.ld(Gpr::A4, Gpr::A1, 0);
+    a.add(Gpr::A0, Gpr::A0, Gpr::A4);
+    a.sd(Gpr::A0, Gpr::A2, 0);
+    a.addi(Gpr::A1, Gpr::A1, 8);
+    a.addi(Gpr::A2, Gpr::A2, 8);
+    a.addi(Gpr::A3, Gpr::A3, -1);
+    a.bnez(Gpr::A3, top);
+    a.halt();
+    a.finish().unwrap()
+}
+
+/// Measures what the cluster engine costs per guest instruction against
+/// the same models without it: the private-slice kernel on all four
+/// cores of a `ClusterSim` at one host thread, and on one `OooSession`.
+/// Construction is outside the clock; each side runs six times.
+/// Used by `xt-report --mips-sanity` ([`CLUSTER4_FLOOR`]).
+pub fn cluster_speed() -> ClusterSpeed {
+    const REPS: u32 = 6;
+    let cfg = CoreConfig::xt910();
+    let progs: Vec<Program> = (0..4).map(slice_core).collect();
+    let mem = MemConfig {
+        cores: 4,
+        ..MemConfig::default()
+    };
+    let (mut insts, mut secs) = ([0u64; 2], [0f64; 2]);
+    for _ in 0..REPS {
+        let sim = ClusterSim::new(&progs, &cfg, mem, 100_000_000);
+        let t0 = std::time::Instant::now();
+        let r = sim.run_threads(1);
+        secs[0] += t0.elapsed().as_secs_f64();
+        insts[0] += r.total_instructions();
+        assert!(
+            r.exit_codes.iter().all(|c| c.is_some()),
+            "slices ran in the cluster"
+        );
+
+        let mut session = xt_core::OooSession::new(&progs[0], &cfg, 100_000_000);
+        let t0 = std::time::Instant::now();
+        let r = session.run_to_end();
+        secs[1] += t0.elapsed().as_secs_f64();
+        insts[1] += session.retired();
+        assert!(r.exit_code.is_some(), "slice ran alone");
+    }
+    let mips = |k: usize| insts[k] as f64 / secs[k].max(1e-9) / 1e6;
+    ClusterSpeed {
+        cluster4: mips(0),
+        one_session: mips(1),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -174,7 +174,7 @@ pub fn check_fastpath(spec: &FastSpec) -> Result<(), String> {
             ));
         }
     }
-    if fast.cpu.csrs != slow.cpu.csrs {
+    if fast.cpu.csrs != slow.cpu.csrs || fast.cpu.satp() != slow.cpu.satp() {
         diffs.push("  CSR files differ".to_string());
     }
     if fast.console != slow.console {

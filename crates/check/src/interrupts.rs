@@ -201,7 +201,7 @@ pub fn check_interrupts(spec: &IrqSpec) -> Result<(), String> {
             ));
         }
     }
-    if fast.cpu.csrs != slow.cpu.csrs {
+    if fast.cpu.csrs != slow.cpu.csrs || fast.cpu.satp() != slow.cpu.satp() {
         diffs.push("  CSR files differ".to_string());
     }
     if fast.mem.snapshot_nonzero() != slow.mem.snapshot_nonzero() {

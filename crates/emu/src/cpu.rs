@@ -41,6 +41,10 @@ pub struct Cpu {
     pub mode: PrivMode,
     /// CSR file (sparse).
     pub csrs: HashMap<u16, u64>,
+    /// `satp`, kept out of the map: [`Cpu::translation_on`] reads it on
+    /// every fetch and every data access below machine mode. `None`
+    /// until first written, as a map entry would be.
+    satp: Option<u64>,
     /// Retired instruction count.
     pub instret: u64,
     /// Reservation address for LR/SC, if any.
@@ -68,6 +72,7 @@ impl Cpu {
             vlen_bits: DEFAULT_VLEN,
             mode: PrivMode::Machine,
             csrs: HashMap::new(),
+            satp: None,
             instret: 0,
             reservation: None,
             hart_id,
@@ -153,6 +158,7 @@ impl Cpu {
             csr::VL => self.vl,
             csr::VTYPE => self.vtype.to_bits(),
             csr::MHARTID => self.hart_id,
+            csr::SATP => self.satp(),
             csr::FCSR => (self.read_csr(csr::FRM) << 5) | self.read_csr(csr::FFLAGS),
             _ => self.csrs.get(&addr).copied().unwrap_or(0),
         }
@@ -172,6 +178,7 @@ impl Cpu {
                 self.csrs.insert(csr::FFLAGS, val & 0x1f);
                 self.csrs.insert(csr::FRM, (val >> 5) & 0x7);
             }
+            csr::SATP => self.satp = Some(val),
             _ => {
                 self.csrs.insert(addr, val);
             }
@@ -188,8 +195,9 @@ impl Cpu {
     }
 
     /// Current SV39 configuration from `satp` (mode, asid, root PPN).
+    #[inline]
     pub fn satp(&self) -> u64 {
-        self.read_csr(csr::SATP)
+        self.satp.unwrap_or(0)
     }
 
     /// True when address translation is active, for fetches and data
@@ -219,6 +227,8 @@ impl xt_snapshot::SnapshotState for Cpu {
         e.u64(self.vtype.to_bits());
         e.u8(self.mode as u8);
         let mut csrs: Vec<(u16, u64)> = self.csrs.iter().map(|(k, v)| (*k, *v)).collect();
+        // where the sorted list had it while it lived in the map
+        csrs.extend(self.satp.map(|v| (csr::SATP, v)));
         csrs.sort_unstable();
         e.seq(csrs.len());
         for (k, v) in csrs {
@@ -267,10 +277,15 @@ impl xt_snapshot::SnapshotState for Cpu {
         };
         let n = d.len(10)?;
         self.csrs.clear();
+        self.satp = None;
         for _ in 0..n {
             let k = d.u16()?;
             let v = d.u64()?;
-            self.csrs.insert(k, v);
+            if k == csr::SATP {
+                self.satp = Some(v);
+            } else {
+                self.csrs.insert(k, v);
+            }
         }
         self.instret = d.u64()?;
         self.reservation = d.opt_u64()?;
@@ -320,6 +335,58 @@ mod tests {
     #[should_panic]
     fn bad_vlen_panics() {
         Cpu::new(0).set_vlen(100);
+    }
+
+    /// `satp` lives in a field; a frame still lists it between its
+    /// neighbours in CSR-address order, and only once written.
+    #[test]
+    fn satp_field_is_saved_where_the_map_had_it() {
+        use xt_isa::csr::{MSTATUS, SATP, SSCRATCH};
+        use xt_snapshot::SnapshotState;
+        let frame = |c: &Cpu| {
+            let mut e = xt_snapshot::Enc::new();
+            c.save(&mut e);
+            e.into_bytes()
+        };
+        let mut c = Cpu::new(0);
+        c.write_csr(MSTATUS, 0x8);
+        c.write_csr(SSCRATCH, 0x55);
+        let unwritten = frame(&c);
+        assert_eq!(c.read_csr(SATP), 0);
+        c.write_csr(SATP, 0);
+        let zero = frame(&c);
+        assert_eq!(
+            zero.len(),
+            unwritten.len() + 10,
+            "a written zero is an entry"
+        );
+        c.write_csr(SATP, 0x8000_0000_0000_1234);
+        assert_eq!(c.read_csr(SATP), c.satp());
+        assert!(!c.csrs.contains_key(&SATP));
+        // the same frame from a map that holds satp itself
+        let bytes = frame(&c);
+        let entry = |k: u16, v: u64| [&k.to_le_bytes()[..], &v.to_le_bytes()[..]].concat();
+        let sorted = [
+            entry(SSCRATCH, 0x55),
+            entry(SATP, 0x8000_0000_0000_1234),
+            entry(MSTATUS, 0x8),
+        ]
+        .concat();
+        const { assert!(SSCRATCH < SATP && SATP < MSTATUS) };
+        assert!(
+            bytes.windows(sorted.len()).any(|w| w == sorted),
+            "satp sits between sscratch and mstatus"
+        );
+        let mut r = Cpu::new(0);
+        r.write_csr(SATP, 7); // overwritten, or cleared by a frame without it
+        r.restore(&mut xt_snapshot::Dec::new(&bytes))
+            .expect("restore");
+        assert_eq!(r.satp(), c.satp());
+        assert_eq!(frame(&r), bytes);
+        r.restore(&mut xt_snapshot::Dec::new(&unwritten))
+            .expect("restore");
+        assert_eq!(r.satp, None);
+        assert_eq!(frame(&r), unwritten);
     }
 
     #[test]

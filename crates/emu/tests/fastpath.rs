@@ -49,6 +49,7 @@ fn assert_fast_equals_slow(p: &Program, ctx: &str) -> Emulator {
     assert_eq!(fast.cpu.instret, slow.cpu.instret, "{ctx}: instret");
     assert_eq!(fast.cpu.mode, slow.cpu.mode, "{ctx}: privilege mode");
     assert_eq!(fast.cpu.csrs, slow.cpu.csrs, "{ctx}: CSR file");
+    assert_eq!(fast.cpu.satp(), slow.cpu.satp(), "{ctx}: satp");
     assert_eq!(fast.cpu.reservation, slow.cpu.reservation, "{ctx}: LR reservation");
     assert_eq!(fast.console, slow.console, "{ctx}: console bytes");
     assert_eq!(
@@ -463,6 +464,7 @@ fn assert_fast_equals_slow_irq(p: &Program, cmp0: u64, ctx: &str) -> Emulator {
     assert_eq!(fast.cpu.instret, slow.cpu.instret, "{ctx}: instret");
     assert_eq!(fast.cpu.mode, slow.cpu.mode, "{ctx}: privilege mode");
     assert_eq!(fast.cpu.csrs, slow.cpu.csrs, "{ctx}: CSR file");
+    assert_eq!(fast.cpu.satp(), slow.cpu.satp(), "{ctx}: satp");
     assert_eq!(
         fast.mem.snapshot_nonzero(),
         slow.mem.snapshot_nonzero(),

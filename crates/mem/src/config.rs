@@ -191,6 +191,14 @@ impl MemConfig {
         if !self.line_bytes.is_power_of_two() {
             return Err("line size must be a power of two".into());
         }
+        // a recorded access names its stream slot in 16 bits
+        if self.prefetch.max_streams >= u16::MAX as usize {
+            return Err(format!(
+                "prefetch streams must be below {} (got {})",
+                u16::MAX,
+                self.prefetch.max_streams
+            ));
+        }
         Ok(())
     }
 }
@@ -219,6 +227,8 @@ mod tests {
         assert!(c.validate().is_err());
         c.l2_kib = 8192;
         assert!(c.validate().is_ok());
+        c.prefetch.max_streams = u16::MAX as usize;
+        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -55,6 +55,6 @@ pub use ecc::{ecc_decode, ecc_encode, parity, parity_ok, EccResult};
 pub use missclass::{MissClass, MissClassifier};
 pub use prefetch::Prefetcher;
 pub use stats::{MemStats, StreamScore};
-pub use system::{MemOp, MemSystem};
+pub use system::{Front, MemOp, MemSystem};
 pub use tlb::{Tlb, TlbResult};
 pub use trace::{Level, MemEvent, MemEventKind, MemTracer};

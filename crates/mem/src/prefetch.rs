@@ -96,6 +96,14 @@ impl Prefetcher {
         &self.reqs
     }
 
+    /// Counts an [`Self::on_access`] made on this core's behalf by
+    /// another instance's engine (see `MemOp`): the requests it issued
+    /// and whether it confirmed a stream. The stream table is untouched.
+    pub fn credit(&mut self, issued: u64, confirmed: bool) {
+        self.issued += issued;
+        self.streams_confirmed += confirmed as u64;
+    }
+
     /// Observes a demand access at virtual address `va`, replacing
     /// [`Self::requests`]; returns the stream-table slot that crossed the
     /// confirmation threshold on this access (if any).

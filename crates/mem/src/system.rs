@@ -6,10 +6,12 @@
 //! Two observability layers sit on top of the timing model:
 //!
 //! * the **miss classifier** ([`crate::missclass`]) and the per-stream
-//!   **prefetch scorecard** are *always on* — they are modeled state,
-//!   captured by snapshots and reproduced by [`MemSystem::apply_op`]
-//!   replay, so their counters are identical whether or not tracing is
-//!   attached;
+//!   **prefetch scorecard** are on in every instance built by
+//!   [`MemSystem::new`] — they are modeled state, captured by snapshots
+//!   and reproduced by [`MemSystem::apply_op`] replay, so their counters
+//!   are identical whether or not tracing is attached. They feed
+//!   counters and event payloads, never a latency, so an instance nobody
+//!   reads statistics from ([`MemSystem::replica`]) leaves them at reset;
 //! * the optional **[`MemTracer`]** ([`MemSystem::start_tracing`])
 //!   records one structured event per modeled action. The off path is a
 //!   single `Option` test and tracing never changes a returned latency
@@ -21,11 +23,11 @@
 //! access paths.
 
 use crate::cache::{Cache, LineState, ProbeResult};
-use crate::config::MemConfig;
+use crate::config::{MemConfig, PrefetchConfig};
 use crate::dram::Dram;
 use crate::linemap::LineMap;
-use crate::missclass::MissClassifier;
-use crate::prefetch::Prefetcher;
+use crate::missclass::{MissClass, MissClassifier};
+use crate::prefetch::{PrefetchReq, Prefetcher};
 use crate::stats::{MemStats, StreamScore};
 use crate::tlb::{Mapping, PageSize, Tlb, TlbResult};
 use crate::trace::{Level, MemEvent, MemEventKind, MemTracer};
@@ -35,14 +37,127 @@ use crate::trace::{Level, MemEvent, MemEventKind, MemTracer};
 /// 64-byte line covers 8 adjacent PTEs).
 const PTE_REGION: u64 = 0x40_0000_0000;
 
+/// Stream-slot value of a [`Front`] that names no slot.
+const NO_SLOT: u16 = u16::MAX;
+
+/// What a core's private front end — µTLB/jTLB and stream table —
+/// decided about one data access. Both evolve as a pure function of
+/// that core's own `(va, pa)` stream, so the outcome is the same in
+/// every instance that sees the stream: the instance the core runs on
+/// computes it once ([`MemSystem::dload`]/[`MemSystem::dstore`]), the
+/// [`MemOp`] carries it, and [`MemSystem::apply_op`] replays only what
+/// lies behind it.
+///
+/// The prefetch requests of one [`Prefetcher::on_access`] call are an
+/// arithmetic run issued by a single stream slot, at most `max_depth`
+/// long, so the burst is four numbers rather than a list
+/// (`front_reproduces_the_request_list` pins that).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Front {
+    /// Virtual address of the burst's first prefetch request.
+    pf_va: u64,
+    /// Byte distance from one request to the next (wrapping; a
+    /// descending stream's step is the two's complement).
+    pf_step: u64,
+    /// Requests in the burst.
+    pf_count: u16,
+    /// Stream-table slot that issued the burst.
+    pf_slot: u16,
+    /// Slot that crossed the confirmation threshold on this access, or
+    /// [`NO_SLOT`].
+    confirmed: u16,
+    /// 0 = µTLB hit, 1–3 = jTLB hit after that many probes,
+    /// [`Front::WALK`] = miss everywhere.
+    tlb: u8,
+}
+
+impl Front {
+    /// TLB outcome of an access that needs a page walk.
+    const WALK: u8 = 4;
+
+    /// Packs a TLB outcome, the confirmed slot and the request list of
+    /// one [`Prefetcher::on_access`] call.
+    fn new(tlb: u8, confirmed: Option<usize>, reqs: &[PrefetchReq]) -> Front {
+        let (pf_va, pf_slot) = reqs.first().map_or((0, 0), |r| (r.va, r.stream));
+        let pf_step = reqs.get(1).map_or(0, |r| r.va.wrapping_sub(pf_va));
+        debug_assert!(reqs.iter().enumerate().all(|(k, r)| r.stream == pf_slot
+            && r.va == pf_va.wrapping_add(pf_step.wrapping_mul(k as u64))));
+        Front {
+            pf_va,
+            pf_step,
+            pf_count: reqs.len() as u16,
+            pf_slot: pf_slot as u16,
+            confirmed: confirmed.map_or(NO_SLOT, |s| s as u16),
+            tlb,
+        }
+    }
+
+    /// The prefetch requests of the access, in issue order.
+    fn requests(&self) -> impl Iterator<Item = PrefetchReq> {
+        let (step, stream) = (self.pf_step, self.pf_slot as usize);
+        let mut va = self.pf_va;
+        (0..self.pf_count).map(move |_| {
+            let req = PrefetchReq { va, stream };
+            va = va.wrapping_add(step);
+            req
+        })
+    }
+
+    fn save(&self, e: &mut xt_snapshot::Enc) {
+        e.u64(self.pf_va);
+        e.u64(self.pf_step);
+        e.u16(self.pf_count);
+        e.u16(self.pf_slot);
+        e.u16(self.confirmed);
+        e.u8(self.tlb);
+    }
+
+    /// Decodes a record for an instance configured with `pf`: a frame
+    /// is outside input, and the slots index that instance's scorecard.
+    fn restore(d: &mut xt_snapshot::Dec, pf: &PrefetchConfig) -> xt_snapshot::Result<Front> {
+        let front = Front {
+            pf_va: d.u64()?,
+            pf_step: d.u64()?,
+            pf_count: d.u16()?,
+            pf_slot: d.u16()?,
+            confirmed: d.u16()?,
+            tlb: d.u8()?,
+        };
+        let slot_ok = |s: u16| (s as usize) < pf.max_streams;
+        if front.tlb > Front::WALK
+            || front.pf_count as u64 > pf.max_depth
+            || (front.pf_count > 0 && !slot_ok(front.pf_slot))
+            || (front.confirmed != NO_SLOT && !slot_ok(front.confirmed))
+        {
+            return Err(xt_snapshot::SnapshotError::Corrupt {
+                what: "mem op front",
+            });
+        }
+        Ok(front)
+    }
+}
+
 /// One access through a [`MemSystem`] entry point, recorded for epoch
 /// replay by the parallel cluster engine (see `xt-soc`).
 ///
 /// A recording system logs every call to [`MemSystem::icache_fetch`],
 /// [`MemSystem::dload`], [`MemSystem::dstore`] and
-/// [`MemSystem::dcache_flush_all`]; replaying the log with
-/// [`MemSystem::apply_op`] against another instance reproduces the same
-/// state transitions (timing side effects included) in a chosen order.
+/// [`MemSystem::dcache_flush_all`]. Replaying the log with
+/// [`MemSystem::apply_op`] against another instance, in a chosen order,
+/// reproduces every state transition behind the issuing core's front
+/// end — L1s, L2, directory, in-flight fills, DRAM channel, classifier,
+/// scorecard, every counter and traced event, so the mirror's
+/// [`MemSystem::stats`] are the recorder's and a core that runs live on
+/// the mirror is returned the latencies it would have been returned on
+/// the recorder. What it does *not* reproduce
+/// is the replayed core's TLB entries and stream table: a data access
+/// carries their verdict ([`Front`]) and replay credits the counters
+/// (`tlb_micro_hits`, `tlb_joint_hits`, `tlb_walks`, `prefetches_issued`,
+/// `prefetch_streams`) without touching the entries, so the mirror's
+/// `save()` bytes equal the recorder's everywhere except the `tlbs` and
+/// `pfs` sections of the replayed cores. A core must therefore run live
+/// on one instance for its whole life (the cluster engine's replicas
+/// do); an instance that only mirrors a core can never take it over.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MemOp {
     /// An [`MemSystem::icache_fetch`] call.
@@ -60,6 +175,8 @@ pub enum MemOp {
         va: u64,
         /// Physical address.
         pa: u64,
+        /// What the issuing core's TLB and stream table decided.
+        front: Front,
     },
     /// A [`MemSystem::dstore`] call.
     Store {
@@ -69,6 +186,8 @@ pub enum MemOp {
         va: u64,
         /// Physical address.
         pa: u64,
+        /// What the issuing core's TLB and stream table decided.
+        front: Front,
     },
     /// A [`MemSystem::dcache_flush_all`] call.
     FlushAll,
@@ -122,7 +241,13 @@ pub struct MemSystem {
     /// Requester-major snoop-traffic matrix (`cores * cores` entries);
     /// sums to `snoops_sent`.
     snoop_matrix: Vec<u64>,
-    /// Per-core always-on 3C+coherence miss classifiers.
+    /// Whether the statistics-only observers below are fed: the miss
+    /// classifiers, the scorecard and its ownership map. They feed
+    /// counters and event payloads, never a latency, so an instance
+    /// nobody reads statistics from ([`Self::replica`]) leaves them at
+    /// reset; which it is gets decided once per access ([`Self::back`]).
+    observe: bool,
+    /// Per-core 3C+coherence miss classifiers.
     cls: Vec<MissClassifier>,
     /// Per-core, per-stream-slot prefetch scorecard.
     pf_score: Vec<Vec<StreamScore>>,
@@ -148,6 +273,26 @@ impl MemSystem {
     /// Panics if the configuration is invalid (see
     /// [`MemConfig::validate`]).
     pub fn new(cfg: MemConfig) -> Self {
+        Self::build(cfg, true)
+    }
+
+    /// Builds a hierarchy whose statistics nobody reads — a cluster
+    /// core's private replica, whose job is to return the right latency.
+    /// Every latency and every state transition outside the miss
+    /// classifier and the prefetch scorecard is that of [`Self::new`];
+    /// those two stay at reset, so [`Self::stats`] is not a report
+    /// (miss classes and scorecard read zero) and the instance cannot
+    /// trace (its events would lack the payloads the two supply).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see
+    /// [`MemConfig::validate`]).
+    pub fn replica(cfg: MemConfig) -> Self {
+        Self::build(cfg, false)
+    }
+
+    fn build(cfg: MemConfig, observe: bool) -> Self {
         cfg.validate().expect("invalid memory configuration");
         let cores = cfg.cores;
         let l1d_lines = cfg.l1d_kib as usize * 1024 / cfg.line_bytes as usize;
@@ -180,6 +325,7 @@ impl MemSystem {
             coh_upgrades: 0,
             walk_cycles: 0,
             snoop_matrix: vec![0; cores * cores],
+            observe,
             cls: (0..cores).map(|_| MissClassifier::new(l1d_lines)).collect(),
             pf_score: vec![vec![StreamScore::default(); cfg.prefetch.max_streams]; cores],
             pf_owner: vec![LineMap::default(); cores],
@@ -199,7 +345,11 @@ impl MemSystem {
     /// Drains the recorded access log (empty if not recording).
     pub fn take_log(&mut self) -> Vec<MemOp> {
         match self.recorder.as_mut() {
-            Some(log) => std::mem::take(log),
+            // the next epoch's log is about as long as this one's
+            Some(log) => {
+                let next = Vec::with_capacity(log.len());
+                std::mem::replace(log, next)
+            }
             None => Vec::new(),
         }
     }
@@ -207,7 +357,12 @@ impl MemSystem {
     /// Attaches a fresh [`MemTracer`]: from now on every modeled action
     /// appends one structured event. Purely observational — no latency
     /// or counter changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an instance built by [`Self::replica`].
     pub fn start_tracing(&mut self) {
+        assert!(self.observe, "an observer-less replica cannot trace");
         self.tracer = Some(MemTracer::new());
     }
 
@@ -235,27 +390,44 @@ impl MemSystem {
     }
 
     /// Replays one recorded access on behalf of `core`, reproducing its
-    /// state side effects (the returned latency is discarded). The
-    /// recorder is suspended for the duration so replayed traffic never
-    /// pollutes this instance's own log; the tracer is NOT suspended —
-    /// replayed operations advance this instance's counters, so their
-    /// events must appear in this instance's stream for
-    /// [`MemTracer::reconcile`] to hold.
+    /// state side effects behind the core's front end (the returned
+    /// latency is discarded; see [`MemOp`] for what "behind" leaves
+    /// out). Replayed traffic never enters this instance's own log; the
+    /// tracer does see it — replayed operations advance this instance's
+    /// counters, so their events must appear in this instance's stream
+    /// for [`MemTracer::reconcile`] to hold.
     pub fn apply_op(&mut self, core: usize, op: &MemOp) {
-        let saved = self.recorder.take();
         match *op {
             MemOp::IFetch { cycle, pa } => {
-                let _ = self.icache_fetch(core, cycle, pa);
+                let _ = self.fetch_line(core, cycle, pa);
             }
-            MemOp::Load { cycle, va, pa } => {
-                let _ = self.dload(core, cycle, va, pa);
+            MemOp::Load {
+                cycle,
+                va,
+                pa,
+                front,
+            } => {
+                self.credit(core, &front);
+                let _ = self.back(core, cycle, va, pa, front, false);
             }
-            MemOp::Store { cycle, va, pa } => {
-                let _ = self.dstore(core, cycle, va, pa);
+            MemOp::Store {
+                cycle,
+                va,
+                pa,
+                front,
+            } => {
+                self.credit(core, &front);
+                let _ = self.back(core, cycle, va, pa, front, true);
             }
-            MemOp::FlushAll => self.dcache_flush_all(core),
+            MemOp::FlushAll => self.flush_l1d(core),
         }
-        self.recorder = saved;
+    }
+
+    /// Counts what `core`'s front end decided elsewhere: the counters a
+    /// live [`Self::front_access`] would have advanced, not the entries.
+    fn credit(&mut self, core: usize, front: &Front) {
+        self.tlbs[core].credit(front.tlb);
+        self.pfs[core].credit(front.pf_count as u64, front.confirmed != NO_SLOT);
     }
 
     /// The active configuration.
@@ -330,8 +502,27 @@ impl MemSystem {
     fn pf_useless(&mut self, cycle: u64, core: usize, line: u64) {
         if let Some(slot) = self.pf_owner[core].remove(&line) {
             self.pf_score[core][slot].useless += 1;
-            self.emit(cycle, core, line, MemEventKind::PrefetchUseless { stream: slot });
+            self.emit(
+                cycle,
+                core,
+                line,
+                MemEventKind::PrefetchUseless { stream: slot },
+            );
         }
+    }
+
+    /// First demand touch of a prefetched L1D line: the stream that
+    /// fetched it, credited one `useful` (nothing, unobserved).
+    #[inline]
+    fn pf_claim<const OBSERVE: bool>(&mut self, core: usize, line: u64) -> Option<usize> {
+        if !OBSERVE {
+            return None;
+        }
+        let slot = self.pf_owner[core].remove(&line);
+        if let Some(s) = slot {
+            self.pf_score[core][s].useful += 1;
+        }
+        slot
     }
 
     /// Brings a line into the L2 (if absent), returning the ready cycle.
@@ -461,6 +652,10 @@ impl MemSystem {
         if let Some(log) = self.recorder.as_mut() {
             log.push(MemOp::IFetch { cycle, pa });
         }
+        self.fetch_line(core, cycle, pa)
+    }
+
+    fn fetch_line(&mut self, core: usize, cycle: u64, pa: u64) -> u64 {
         let line = self.line_of(pa);
         let done = match self.l1i[core].access(pa, false) {
             ProbeResult::Hit { was_prefetched } => {
@@ -599,43 +794,51 @@ impl MemSystem {
         done
     }
 
-    /// Translates `va` on core `core`, charging µTLB/jTLB/walk costs.
-    /// `pa` is the known physical target (from the functional trace); on
-    /// a miss the mapping is installed so later accesses hit.
-    /// Returns the cycle when translation is available.
-    pub fn translate(&mut self, core: usize, cycle: u64, va: u64, pa: u64) -> u64 {
-        match self.tlbs[core].lookup(va) {
-            TlbResult::MicroHit { .. } => {
-                self.emit(cycle, core, va, MemEventKind::TlbMicroHit);
-                cycle + self.cfg.utlb_hit
-            }
-            TlbResult::JointHit { probes, .. } => {
-                self.emit(cycle, core, va, MemEventKind::TlbJointHit { probes });
-                cycle + self.cfg.jtlb_hit * probes as u64
-            }
+    /// The half of a data access that is private to `core`, in the order
+    /// the hardware does it: µTLB/jTLB lookup (a miss installs the
+    /// mapping the walk will return — `pa` is the known physical target
+    /// from the functional trace), the stream table's verdict, and §V-C's
+    /// cross-page request for the next page's translation. Costs no
+    /// cycle and touches nothing shared: [`Self::back_access`] charges
+    /// for what the returned record says happened.
+    fn front_access(&mut self, core: usize, va: u64, pa: u64) -> Front {
+        let tlb = &mut self.tlbs[core];
+        let mapping = |va, pa, asid| Mapping {
+            va,
+            pa,
+            size: PageSize::P4K,
+            asid,
+            global: false,
+        };
+        let outcome = match tlb.lookup(va) {
+            TlbResult::MicroHit { .. } => 0,
+            TlbResult::JointHit { probes, .. } => probes as u8,
             TlbResult::Miss => {
-                let start = cycle + self.cfg.jtlb_hit * 3;
-                let done = self.walk(core, start, va);
-                let asid = self.tlbs[core].asid;
-                self.tlbs[core].install(Mapping {
-                    va,
-                    pa,
-                    size: PageSize::P4K,
-                    asid,
-                    global: false,
-                });
-                self.walk_cycles += done - cycle;
-                self.emit(
-                    cycle,
-                    core,
-                    va,
-                    MemEventKind::TlbWalk {
-                        cycles: done - cycle,
-                    },
-                );
-                done
+                tlb.install(mapping(va, pa, tlb.asid));
+                Front::WALK
+            }
+        };
+        let pf = &mut self.pfs[core];
+        let pf_cfg = *pf.config();
+        if !pf_cfg.enabled() {
+            return Front::new(outcome, None, &[]);
+        }
+        let confirmed = pf.on_access(va);
+        if pf_cfg.tlb {
+            for req in pf.requests() {
+                // §V-C: a request on another page asks for that page's
+                // translation automatically. Without TLB prefetch the
+                // physical prefetch stream continues all the same
+                // (sequential pages are physically contiguous here), but
+                // the demand access at the new page pays its own jTLB
+                // probes / walk — the small Fig. 21 (d) vs (e) delta.
+                if (req.va >> 12) != (va >> 12) && !tlb.peek(req.va) {
+                    let req_pa = pa.wrapping_add(req.va.wrapping_sub(va));
+                    tlb.install_prefetch(mapping(req.va, req_pa, tlb.asid));
+                }
             }
         }
+        Front::new(outcome, confirmed, pf.requests())
     }
 
     /// Hardware page walk: three dependent PTE reads through the cache
@@ -669,38 +872,70 @@ impl MemSystem {
 
     /// Data load at (`va`, `pa`). Returns the completion cycle.
     pub fn dload(&mut self, core: usize, cycle: u64, va: u64, pa: u64) -> u64 {
+        let front = self.front_access(core, va, pa);
         if let Some(log) = self.recorder.as_mut() {
-            log.push(MemOp::Load { cycle, va, pa });
+            log.push(MemOp::Load {
+                cycle,
+                va,
+                pa,
+                front,
+            });
         }
-        let after_tlb = self.translate(core, cycle, va, pa);
-        self.run_prefetcher(core, after_tlb, va, pa);
-        self.data_path(core, after_tlb, pa, false)
+        self.back(core, cycle, va, pa, front, false)
     }
 
     /// Data store at (`va`, `pa`). Returns the completion cycle (store
     /// commit into the cache).
     pub fn dstore(&mut self, core: usize, cycle: u64, va: u64, pa: u64) -> u64 {
+        let front = self.front_access(core, va, pa);
         if let Some(log) = self.recorder.as_mut() {
-            log.push(MemOp::Store { cycle, va, pa });
+            log.push(MemOp::Store {
+                cycle,
+                va,
+                pa,
+                front,
+            });
         }
-        let after_tlb = self.translate(core, cycle, va, pa);
-        self.run_prefetcher(core, after_tlb, va, pa);
-        self.data_path(core, after_tlb, pa, true)
+        self.back(core, cycle, va, pa, front, true)
     }
 
-    fn data_path(&mut self, core: usize, cycle: u64, pa: u64, is_store: bool) -> u64 {
+    /// [`Self::back_access`], with or without the observers: the one
+    /// place an access asks which kind of instance it is on.
+    #[inline]
+    fn back(
+        &mut self,
+        core: usize,
+        cycle: u64,
+        va: u64,
+        pa: u64,
+        front: Front,
+        is_store: bool,
+    ) -> u64 {
+        if self.observe {
+            self.back_access::<true>(core, cycle, va, pa, front, is_store)
+        } else {
+            self.back_access::<false>(core, cycle, va, pa, front, is_store)
+        }
+    }
+
+    fn data_path<const OBSERVE: bool>(
+        &mut self,
+        core: usize,
+        cycle: u64,
+        pa: u64,
+        is_store: bool,
+    ) -> u64 {
         let line = self.line_of(pa);
         match self.l1d[core].access(pa, is_store) {
             ProbeResult::Hit { was_prefetched } => {
-                self.cls[core].on_hit(line);
+                if OBSERVE {
+                    self.cls[core].on_hit(line);
+                }
                 self.emit(cycle, core, line, MemEventKind::L1DHit { store: is_store });
                 let mut slot = None;
                 if was_prefetched {
                     // first demand touch of a prefetched line
-                    slot = self.pf_owner[core].remove(&line);
-                    if let Some(s) = slot {
-                        self.pf_score[core][s].useful += 1;
-                    }
+                    slot = self.pf_claim::<OBSERVE>(core, line);
                     self.emit(
                         cycle,
                         core,
@@ -738,12 +973,11 @@ impl MemSystem {
             ProbeResult::UpgradeNeeded { was_prefetched } => {
                 // a hit for the classifier and the scorecard, even though
                 // the store still needs a coherence upgrade
-                self.cls[core].on_hit(line);
+                if OBSERVE {
+                    self.cls[core].on_hit(line);
+                }
                 if was_prefetched {
-                    let slot = self.pf_owner[core].remove(&line);
-                    if let Some(s) = slot {
-                        self.pf_score[core][s].useful += 1;
-                    }
+                    let slot = self.pf_claim::<OBSERVE>(core, line);
                     self.emit(
                         cycle,
                         core,
@@ -769,19 +1003,26 @@ impl MemSystem {
                     self.note_l1d_evict(c, line);
                     self.coh_invalidations += 1;
                     self.emit(cycle, core, line, MemEventKind::CohInvalidate { victim: c });
-                    self.cls[c].on_coherence_invalidate(line);
-                    self.pf_useless(cycle, c, line);
+                    if OBSERVE {
+                        self.cls[c].on_coherence_invalidate(line);
+                        self.pf_useless(cycle, c, line);
+                    }
                 }
                 self.l1d[core].set_state(line, LineState::Modified);
                 cycle + self.cfg.l1_hit + extra
             }
             ProbeResult::Miss => {
-                let class = self.cls[core].on_miss(line);
-                debug_assert_eq!(
-                    self.l1d[core].misses,
-                    self.cls[core].total(),
-                    "miss-class conservation: l1d misses == compulsory+capacity+conflict+coherence"
-                );
+                let class = if OBSERVE {
+                    let class = self.cls[core].on_miss(line);
+                    debug_assert_eq!(
+                        self.l1d[core].misses,
+                        self.cls[core].total(),
+                        "miss-class conservation: l1d misses == compulsory+capacity+conflict+coherence"
+                    );
+                    class
+                } else {
+                    MissClass::Compulsory // never emitted: a replica has no tracer
+                };
                 self.emit(
                     cycle,
                     core,
@@ -812,8 +1053,10 @@ impl MemSystem {
                         self.note_l1d_evict(c, line);
                         self.coh_invalidations += 1;
                         self.emit(cycle, core, line, MemEventKind::CohInvalidate { victim: c });
-                        self.cls[c].on_coherence_invalidate(line);
-                        self.pf_useless(cycle, c, line);
+                        if OBSERVE {
+                            self.cls[c].on_coherence_invalidate(line);
+                            self.pf_useless(cycle, c, line);
+                        }
                     } else if st == LineState::Modified {
                         // dirty sharing: supplier keeps an Owned copy
                         self.l1d[c].set_state(line, LineState::Owned);
@@ -849,7 +1092,9 @@ impl MemSystem {
                 let done = self.l2_fill_path(core, cycle + self.cfg.l1_hit, pa, false);
                 if let Some(v) = self.l1d[core].fill(pa, fill_state, false) {
                     self.note_l1d_evict(core, v.addr);
-                    self.pf_useless(cycle, core, v.addr);
+                    if OBSERVE {
+                        self.pf_useless(cycle, core, v.addr);
+                    }
                     self.emit(
                         cycle,
                         core,
@@ -862,7 +1107,12 @@ impl MemSystem {
                     );
                     if v.state.is_dirty() {
                         self.l2.set_state(v.addr, LineState::Modified);
-                        self.emit(cycle, core, v.addr, MemEventKind::Writeback { level: Level::L1D });
+                        self.emit(
+                            cycle,
+                            core,
+                            v.addr,
+                            MemEventKind::Writeback { level: Level::L1D },
+                        );
                     }
                 }
                 self.emit(
@@ -886,52 +1136,75 @@ impl MemSystem {
         }
     }
 
-    /// Feeds the prefetch engine and issues its requests.
-    fn run_prefetcher(&mut self, core: usize, cycle: u64, va: u64, pa: u64) {
-        let pf_cfg = *self.pfs[core].config();
-        if !pf_cfg.enabled() {
-            return;
-        }
-        if let Some(slot) = self.pfs[core].on_access(va) {
+    /// The half of a data access that costs cycles or touches shared
+    /// state, given what the issuing core's front end decided
+    /// (`front`): the walk through L2 on a TLB miss, the prefetch
+    /// engine's fills, then the demand access itself. Live accesses and
+    /// replayed ones both end here. `OBSERVE` says whether the miss
+    /// classifier and the scorecard are fed (see [`Self::replica`]).
+    fn back_access<const OBSERVE: bool>(
+        &mut self,
+        core: usize,
+        cycle: u64,
+        va: u64,
+        pa: u64,
+        front: Front,
+        is_store: bool,
+    ) -> u64 {
+        let cycle = match front.tlb {
+            0 => {
+                self.emit(cycle, core, va, MemEventKind::TlbMicroHit);
+                cycle + self.cfg.utlb_hit
+            }
+            Front::WALK => {
+                let start = cycle + self.cfg.jtlb_hit * 3;
+                let done = self.walk(core, start, va);
+                self.walk_cycles += done - cycle;
+                self.emit(
+                    cycle,
+                    core,
+                    va,
+                    MemEventKind::TlbWalk {
+                        cycles: done - cycle,
+                    },
+                );
+                done
+            }
+            probes => {
+                let probes = probes as u32;
+                self.emit(cycle, core, va, MemEventKind::TlbJointHit { probes });
+                cycle + self.cfg.jtlb_hit * probes as u64
+            }
+        };
+        if front.confirmed != NO_SLOT {
             self.emit(
                 cycle,
                 core,
                 self.line_of(pa),
-                MemEventKind::StreamConfirmed { stream: slot },
+                MemEventKind::StreamConfirmed {
+                    stream: front.confirmed as usize,
+                },
             );
         }
         // L1 prefetch reaches `distance` lines; with the L2 prefetcher on,
         // a second engine runs the same stream further ahead into L2 only.
+        let pf_cfg = self.cfg.prefetch;
         let l1_reach = pf_cfg.distance.lines() * self.line_bytes;
-        for k in 0..self.pfs[core].requests().len() {
-            let req = self.pfs[core].requests()[k];
+        for req in front.requests() {
             let delta = req.va.wrapping_sub(va);
             let req_pa = pa.wrapping_add(delta);
             let line = self.line_of(req_pa);
             // issued counts every emitted request, including ones the
             // fill path below elides (mirrors `Prefetcher::issued`)
-            self.pf_score[core][req.stream].issued += 1;
-            self.emit(cycle, core, line, MemEventKind::PrefetchIssue { stream: req.stream });
-            // cross-page handling
-            if (req.va >> 12) != (va >> 12)
-                && pf_cfg.tlb {
-                    // §V-C: request the next-page translation automatically
-                    let asid = self.tlbs[core].asid;
-                    if !self.tlbs[core].peek(req.va) {
-                        self.tlbs[core].install_prefetch(Mapping {
-                            va: req.va,
-                            pa: req_pa,
-                            size: PageSize::P4K,
-                            asid,
-                            global: false,
-                        });
-                    }
-                }
-                // Without TLB prefetch the physical prefetch stream
-                // continues (sequential pages are physically contiguous
-                // here), but the demand access at the new page pays its
-                // own jTLB probes / walk — the small Fig. 21 (d) vs (e)
-                // delta.
+            if OBSERVE {
+                self.pf_score[core][req.stream].issued += 1;
+            }
+            self.emit(
+                cycle,
+                core,
+                line,
+                MemEventKind::PrefetchIssue { stream: req.stream },
+            );
             // skip only if a fill for this line is genuinely in flight;
             // drop entries that completed long ago (earlier phases)
             match self.inflight.get(&line) {
@@ -981,7 +1254,9 @@ impl MemSystem {
             if into_l1 {
                 if let Some(v) = self.l1d[core].fill(req_pa, LineState::Exclusive, true) {
                     self.note_l1d_evict(core, v.addr);
-                    self.pf_useless(cycle, core, v.addr);
+                    if OBSERVE {
+                        self.pf_useless(cycle, core, v.addr);
+                    }
                     self.emit(
                         cycle,
                         core,
@@ -994,11 +1269,18 @@ impl MemSystem {
                     );
                     if v.state.is_dirty() {
                         self.l2.set_state(v.addr, LineState::Modified);
-                        self.emit(cycle, core, v.addr, MemEventKind::Writeback { level: Level::L1D });
+                        self.emit(
+                            cycle,
+                            core,
+                            v.addr,
+                            MemEventKind::Writeback { level: Level::L1D },
+                        );
                     }
                 }
                 self.note_l1d_fill(core, req_pa);
-                self.pf_owner[core].insert(line, req.stream);
+                if OBSERVE {
+                    self.pf_owner[core].insert(line, req.stream);
+                }
                 self.emit(
                     cycle,
                     core,
@@ -1031,6 +1313,7 @@ impl MemSystem {
             }
             self.inflight.insert(line, ready);
         }
+        self.data_path::<OBSERVE>(core, cycle, pa, is_store)
     }
 
     // ---- maintenance operations (custom extensions / OS events) ----
@@ -1041,6 +1324,10 @@ impl MemSystem {
         if let Some(log) = self.recorder.as_mut() {
             log.push(MemOp::FlushAll);
         }
+        self.flush_l1d(core);
+    }
+
+    fn flush_l1d(&mut self, core: usize) {
         let dirty = self.l1d[core].invalidate_all();
         self.emit(0, core, 0, MemEventKind::CacheFlush { dirty_lines: dirty });
         // every not-yet-demanded prefetched line is gone: charge the
@@ -1135,24 +1422,38 @@ pub fn save_mem_op(e: &mut xt_snapshot::Enc, op: &MemOp) {
             e.u64(cycle);
             e.u64(pa);
         }
-        MemOp::Load { cycle, va, pa } => {
+        MemOp::Load {
+            cycle,
+            va,
+            pa,
+            front,
+        } => {
             e.u8(1);
             e.u64(cycle);
             e.u64(va);
             e.u64(pa);
+            front.save(e);
         }
-        MemOp::Store { cycle, va, pa } => {
+        MemOp::Store {
+            cycle,
+            va,
+            pa,
+            front,
+        } => {
             e.u8(2);
             e.u64(cycle);
             e.u64(va);
             e.u64(pa);
+            front.save(e);
         }
         MemOp::FlushAll => e.u8(3),
     }
 }
 
-/// Decodes one [`MemOp`] written by [`save_mem_op`].
-pub fn restore_mem_op(d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<MemOp> {
+/// Decodes one [`MemOp`] written by [`save_mem_op`], for replay into an
+/// instance whose prefetcher is configured as `pf` (a [`Front`] no such
+/// instance could have recorded is `Corrupt`).
+pub fn restore_mem_op(d: &mut xt_snapshot::Dec, pf: &PrefetchConfig) -> xt_snapshot::Result<MemOp> {
     Ok(match d.u8()? {
         0 => MemOp::IFetch {
             cycle: d.u64()?,
@@ -1162,11 +1463,13 @@ pub fn restore_mem_op(d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<MemOp> {
             cycle: d.u64()?,
             va: d.u64()?,
             pa: d.u64()?,
+            front: Front::restore(d, pf)?,
         },
         2 => MemOp::Store {
             cycle: d.u64()?,
             va: d.u64()?,
             pa: d.u64()?,
+            front: Front::restore(d, pf)?,
         },
         3 => MemOp::FlushAll,
         _ => return Err(xt_snapshot::SnapshotError::Corrupt { what: "mem op tag" }),
@@ -1326,7 +1629,7 @@ impl xt_snapshot::SnapshotState for MemSystem {
             let n = d.len(1)?;
             let mut log = Vec::with_capacity(n);
             for _ in 0..n {
-                log.push(restore_mem_op(d)?);
+                log.push(restore_mem_op(d, &self.cfg.prefetch)?);
             }
             self.recorder = Some(log);
         } else {
@@ -1375,6 +1678,11 @@ impl xt_snapshot::SnapshotState for MemSystem {
             c.restore(d)?;
         }
         if d.bool()? {
+            if !self.observe {
+                return Err(SnapshotError::Mismatch {
+                    what: "tracer on an observer-less replica",
+                });
+            }
             let mut t = MemTracer::new();
             t.restore(d)?;
             self.tracer = Some(t);
@@ -1476,6 +1784,24 @@ mod tests {
         };
         assert_eq!(run(PrefetchConfig::all_large()), 1);
         assert_eq!(run(PrefetchConfig::no_tlb_large()), 2);
+    }
+
+    #[test]
+    fn tlb_prefetch_is_requested_even_when_the_fill_is_elided() {
+        // second sweep over two pages whose lines are all still cached:
+        // every prefetch request is dropped before it fills anything,
+        // but the request that crosses into page 1 still asks for that
+        // page's translation (the front end decides that, not the fill)
+        let mut m = sys(1, PrefetchConfig::all_large());
+        let mut t = 0;
+        for sweep in 1..=2u64 {
+            for k in 0..(2 * 512u64) {
+                let a = 0x9000_0000 + k * 8;
+                t = m.dload(0, t, a, a);
+            }
+            assert_eq!(m.stats().total_walks(), sweep, "page 0 walks, page 1 never");
+            m.context_switch(0, 0, true); // drop the translations, keep the lines
+        }
     }
 
     #[test]
@@ -1731,8 +2057,14 @@ mod tests {
         };
         let (plain_cycles, plain_stats) = run(false);
         let (traced_cycles, traced_stats) = run(true);
-        assert_eq!(plain_cycles, traced_cycles, "tracing must not change timing");
-        assert_eq!(plain_stats, traced_stats, "tracing must not change counters");
+        assert_eq!(
+            plain_cycles, traced_cycles,
+            "tracing must not change timing"
+        );
+        assert_eq!(
+            plain_stats, traced_stats,
+            "tracing must not change counters"
+        );
     }
 
     #[test]
@@ -1852,5 +2184,397 @@ mod tests {
             m.stop_tracing().unwrap().events,
             r.stop_tracing().unwrap().events
         );
+    }
+
+    // ---- front/back split, replay and observer-less replicas ----
+
+    use xt_harness::gen::{choose, ints, vec_of, Gen};
+    use xt_harness::prop::{check_with, Config};
+
+    /// Byte strides of the generated streams: within a line, whole
+    /// lines, several lines, a page and a line (so every access is on a
+    /// new page and the stream never trains), and the same descending.
+    const STRIDES: [i64; 10] = [8, 64, 192, 1024, 4032, 4160, -8, -64, -320, -4160];
+    const SCENARIOS: [(usize, u8, u32); 8] = [
+        // cores, prefetch (0 off, 1 all_small, 2 all_large), L2 KiB
+        (2, 0, 256),
+        (2, 1, 256),
+        (2, 2, 2048),
+        (4, 0, 2048),
+        (4, 1, 256),
+        (4, 1, 2048),
+        (4, 2, 256),
+        (4, 2, 2048),
+    ];
+    const STREAMS_PER_CORE: usize = 4;
+
+    /// One generated case: the hierarchy's shape, a stride per (core,
+    /// stream), and the accesses as `(core pick, kind, pick)`.
+    type Case = ((usize, u8, u32), Vec<i64>, Vec<(u32, u32, u64)>);
+
+    fn case_gen() -> impl Gen<Value = Case> {
+        (
+            choose(&SCENARIOS),
+            vec_of(
+                choose(&STRIDES),
+                4 * STREAMS_PER_CORE..4 * STREAMS_PER_CORE + 1,
+            ),
+            vec_of((ints(0u32..4), ints(0u32..16), ints(0u64..1 << 16)), 1..500),
+        )
+    }
+
+    fn case_cfg(case: &Case) -> MemConfig {
+        let (cores, pf, l2_kib) = case.0;
+        MemConfig {
+            cores,
+            l2_kib,
+            l2_ways: 8,
+            prefetch: match pf {
+                0 => PrefetchConfig::off(),
+                1 => PrefetchConfig::all_small(),
+                _ => PrefetchConfig::all_large(),
+            },
+            ..MemConfig::default()
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Access {
+        Load { va: u64, pa: u64 },
+        Store { va: u64, pa: u64 },
+        Fetch { pa: u64 },
+        Flush,
+    }
+
+    /// Performs `a` live on `m`; the completion cycle, if it has one.
+    fn perform(m: &mut MemSystem, core: usize, cycle: u64, a: Access) -> Option<u64> {
+        match a {
+            Access::Load { va, pa } => Some(m.dload(core, cycle, va, pa)),
+            Access::Store { va, pa } => Some(m.dstore(core, cycle, va, pa)),
+            Access::Fetch { pa } => Some(m.icache_fetch(core, cycle, pa)),
+            Access::Flush => {
+                m.dcache_flush_all(core);
+                None
+            }
+        }
+    }
+
+    /// Walks the case's accesses: every core advances four strided
+    /// streams through its own region (virtual pages map 1 GiB up),
+    /// touches a few lines all cores share, fetches, and now and then
+    /// flushes. `each` performs the access wherever the test wants it
+    /// and returns the completion cycle the core's clock moves to.
+    fn drive(case: &Case, mut each: impl FnMut(usize, u64, Access) -> Option<u64>) {
+        const VA_TO_PA: u64 = 0x4000_0000;
+        let ((cores, _, _), strides, ops) = case;
+        let mut cursor: Vec<u64> = (0..4 * STREAMS_PER_CORE as u64)
+            .map(|k| 0x9000_0000 + k * 0x0008_0000 + 0x0004_0000)
+            .collect();
+        let mut clock = vec![0u64; *cores];
+        for &(core_pick, kind, pick) in ops {
+            let core = core_pick as usize % cores;
+            let stream = core * STREAMS_PER_CORE + pick as usize % STREAMS_PER_CORE;
+            let shared = 0xA000_0000 + (pick % 16) * 64;
+            let access = match kind {
+                0..=11 => {
+                    let va = cursor[stream];
+                    cursor[stream] = va.wrapping_add(strides[stream] as u64);
+                    if kind <= 8 {
+                        Access::Load {
+                            va,
+                            pa: va + VA_TO_PA,
+                        }
+                    } else {
+                        Access::Store {
+                            va,
+                            pa: va + VA_TO_PA,
+                        }
+                    }
+                }
+                12 => Access::Load {
+                    va: shared,
+                    pa: shared + VA_TO_PA,
+                },
+                13 => Access::Store {
+                    va: shared,
+                    pa: shared + VA_TO_PA,
+                },
+                14 => Access::Fetch {
+                    pa: 0x8000_0000 + (pick % 1024) * 64,
+                },
+                _ if pick % 4 == 0 => Access::Flush,
+                _ => Access::Load {
+                    va: shared,
+                    pa: shared + VA_TO_PA,
+                },
+            };
+            if let Some(done) = each(core, clock[core], access) {
+                clock[core] = done;
+            }
+        }
+    }
+
+    fn frame_of(m: &impl SnapshotState) -> Vec<u8> {
+        let mut e = xt_snapshot::Enc::new();
+        m.save(&mut e);
+        e.into_bytes()
+    }
+
+    /// Gives `dst` what the contract says it does not keep — the TLB
+    /// entries and stream tables of the cores it only `mirrored`, the
+    /// observers if it has none, a log — so that the rest can be
+    /// compared as whole frames.
+    fn graft(dst: &mut MemSystem, src: &MemSystem, mirrored: impl Fn(usize) -> bool) {
+        for c in (0..dst.cfg.cores).filter(|&c| mirrored(c)) {
+            dst.tlbs[c] = src.tlbs[c].clone();
+            dst.pfs[c] = src.pfs[c].clone();
+        }
+        if !dst.observe {
+            dst.cls.clone_from(&src.cls);
+            dst.pf_score.clone_from(&src.pf_score);
+            dst.pf_owner.clone_from(&src.pf_owner);
+        }
+        dst.recorder = None;
+    }
+
+    /// The cluster engine in miniature, one access per epoch: core `c`
+    /// runs live on observer-less replica `c`, which records; the op
+    /// goes through the snapshot codec and is replayed into the other
+    /// replicas and into a traced master. Beside them, one traced
+    /// instance runs every core live. Every latency a replica is asked
+    /// for, the master's statistics and event stream, and every saved
+    /// byte outside the mirrored cores' `tlbs`/`pfs` sections (and a
+    /// replica's observers) must be those of the all-live instance.
+    #[test]
+    fn replayed_mirrors_agree_with_the_recorder() {
+        check_with(
+            &Config::seeded_cases(0x0910_0020_000A, 48),
+            "replayed_mirrors_agree_with_the_recorder",
+            &case_gen(),
+            |case| {
+                let cfg = case_cfg(case);
+                let mut live = MemSystem::new(cfg);
+                let mut master = MemSystem::new(cfg);
+                live.start_tracing();
+                master.start_tracing();
+                let mut replicas: Vec<MemSystem> = (0..cfg.cores)
+                    .map(|_| {
+                        let mut r = MemSystem::replica(cfg);
+                        r.start_recording();
+                        r
+                    })
+                    .collect();
+                drive(case, |core, cycle, access| {
+                    let want = perform(&mut live, core, cycle, access);
+                    let got = perform(&mut replicas[core], core, cycle, access);
+                    assert_eq!(got, want, "core {core} at {cycle}: {access:?}");
+                    let log = replicas[core].take_log();
+                    assert_eq!(log.len(), 1, "one op per public access");
+                    let mut e = xt_snapshot::Enc::new();
+                    save_mem_op(&mut e, &log[0]);
+                    let bytes = e.into_bytes();
+                    let mut d = xt_snapshot::Dec::new(&bytes);
+                    let op = restore_mem_op(&mut d, &cfg.prefetch).expect("own op decodes");
+                    d.finish().expect("op fully consumed");
+                    assert_eq!(op, log[0]);
+                    for (j, r) in replicas.iter_mut().enumerate() {
+                        if j != core {
+                            r.apply_op(core, &op);
+                        }
+                    }
+                    master.apply_op(core, &op);
+                    want
+                });
+                assert_eq!(master.stats(), live.stats());
+                let events = master.stop_tracing().expect("traced");
+                events.reconcile(&master.stats()).expect("events reconcile");
+                assert_eq!(events.events, live.stop_tracing().expect("traced").events);
+                graft(&mut master, &live, |_| true);
+                assert_eq!(frame_of(&master), frame_of(&live), "master");
+                for (i, r) in replicas.iter_mut().enumerate() {
+                    assert!(r.take_log().is_empty(), "replay is not recorded");
+                    graft(r, &live, |c| c != i);
+                    assert_eq!(frame_of(r), frame_of(&live), "replica {i}");
+                }
+            },
+        );
+    }
+
+    /// The same accesses live on an instance with observers and on one
+    /// without: equal latencies op for op, equal frames outside the
+    /// classifier, the scorecard and its ownership map — which the
+    /// observer-less instance leaves at reset.
+    #[test]
+    fn observers_never_change_a_latency_or_the_rest_of_the_frame() {
+        check_with(
+            &Config::seeded_cases(0x0910_0020_000B, 48),
+            "observers_never_change_a_latency_or_the_rest_of_the_frame",
+            &case_gen(),
+            |case| {
+                let cfg = case_cfg(case);
+                let mut full = MemSystem::new(cfg);
+                let mut lean = MemSystem::replica(cfg);
+                drive(case, |core, cycle, access| {
+                    let want = perform(&mut full, core, cycle, access);
+                    assert_eq!(perform(&mut lean, core, cycle, access), want, "{access:?}");
+                    want
+                });
+                let (got, want) = (lean.stats(), full.stats());
+                assert_eq!(got.l1d, want.l1d);
+                assert_eq!(got.prefetches_useful, want.prefetches_useful);
+                assert_eq!(got.prefetches_late, want.prefetches_late);
+                assert_eq!(
+                    frame_of(&lean.cls[0]),
+                    frame_of(&MemSystem::replica(cfg).cls[0])
+                );
+                assert!(lean.pf_owner.iter().all(|o| o.is_empty()));
+                assert!(lean
+                    .pf_score
+                    .iter()
+                    .flatten()
+                    .all(|s| *s == StreamScore::default()));
+                graft(&mut lean, &full, |_| false);
+                assert_eq!(frame_of(&lean), frame_of(&full));
+            },
+        );
+    }
+
+    /// `Front` carries a request list as `first, step, count, slot`:
+    /// over descending, page-crossing and near-zero streams, at both
+    /// depth limits, the list rebuilt from those four numbers is the
+    /// list, no longer than `max_depth`.
+    #[test]
+    fn front_reproduces_the_request_list() {
+        assert_eq!(std::mem::size_of::<Front>(), 24);
+        assert_eq!(std::mem::size_of::<MemOp>(), 56);
+        let gen = (
+            choose(&[(8usize, 32u64), (1, 64), (8, 64), (2, 3)]),
+            choose(&[false, true]),
+            vec_of((ints(0usize..3), ints(0u32..8)), 1..400),
+            vec_of(choose(&STRIDES), 3..4),
+        );
+        check_with(
+            &Config::seeded(0x0910_0020_000C),
+            "front_reproduces_the_request_list",
+            &gen,
+            |((max_streams, max_depth), large, ops, strides)| {
+                let cfg = PrefetchConfig {
+                    max_streams: *max_streams,
+                    max_depth: *max_depth,
+                    ..if *large {
+                        PrefetchConfig::all_large()
+                    } else {
+                        PrefetchConfig::all_small()
+                    }
+                };
+                let mut p = Prefetcher::new(cfg, 64);
+                // the second stream starts a few lines above address zero
+                let mut cursor = [0x9000_0000u64, 0x300, 1 << 40];
+                for &(stream, jump) in ops {
+                    let va = cursor[stream];
+                    let stride = if jump == 0 {
+                        0x10_0000
+                    } else {
+                        strides[stream]
+                    };
+                    cursor[stream] = va.wrapping_add(stride as u64);
+                    let confirmed = p.on_access(va);
+                    let front = Front::new(3, confirmed, p.requests());
+                    let rebuilt: Vec<PrefetchReq> = front.requests().collect();
+                    assert_eq!(rebuilt, p.requests(), "access at {va:#x}");
+                    assert!(rebuilt.len() as u64 <= cfg.max_depth);
+                    assert_eq!(front.confirmed != NO_SLOT, confirmed.is_some());
+                    assert_eq!(front.tlb, 3);
+                    // what a frame would carry decodes to the same record
+                    let mut e = xt_snapshot::Enc::new();
+                    front.save(&mut e);
+                    let bytes = e.into_bytes();
+                    let decoded = Front::restore(&mut xt_snapshot::Dec::new(&bytes), &cfg);
+                    assert_eq!(decoded.expect("own record decodes"), front);
+                }
+            },
+        );
+    }
+
+    /// Replay credits a jTLB hit as a jTLB hit whichever probe found it:
+    /// a 2 MiB and a 1 GiB mapping answer on the second and third probe
+    /// once a sweep over 4 KiB pages has pushed them out of the µTLB.
+    #[test]
+    fn replay_credits_each_tlb_outcome_to_its_own_counter() {
+        let mut rec = sys(1, PrefetchConfig::off());
+        let mut mirror = sys(1, PrefetchConfig::off());
+        rec.start_recording();
+        let huge = |va, size| Mapping {
+            va,
+            pa: va,
+            size,
+            asid: 0,
+            global: false,
+        };
+        rec.tlb_mut(0).install(huge(0x4000_0000, PageSize::P1G));
+        rec.tlb_mut(0).install(huge(0x2000_0000, PageSize::P2M));
+        let mut t = 0;
+        for round in 0..3u64 {
+            for page in 0..40u64 {
+                let a = 0x9000_0000 + page * 4096 + round * 64;
+                t = rec.dload(0, t, a, a);
+                t = rec.dload(0, t, a + 8, a + 8); // same page: a µTLB hit
+            }
+            t = rec.dload(0, t, 0x4123_4560 + round * 8, 0x4123_4560 + round * 8);
+            t = rec.dstore(0, t, 0x2001_2340 + round * 8, 0x2001_2340 + round * 8);
+        }
+        let log = rec.take_log();
+        let outcomes = |want: u8| {
+            log.iter()
+                .filter(|op| matches!(op, MemOp::Load { front, .. } | MemOp::Store { front, .. } if front.tlb == want))
+                .count()
+        };
+        for outcome in 0..=Front::WALK {
+            assert!(
+                outcomes(outcome) > 0,
+                "the log exercises TLB outcome {outcome}"
+            );
+        }
+        for op in &log {
+            mirror.apply_op(0, op);
+        }
+        let (got, want) = (mirror.stats(), rec.stats());
+        assert_eq!(got.tlb_micro_hits, want.tlb_micro_hits);
+        assert_eq!(got.tlb_joint_hits, want.tlb_joint_hits);
+        assert_eq!(got.tlb_walks, want.tlb_walks);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn take_log_leaves_room_for_the_next_epoch() {
+        let mut m = sys(1, PrefetchConfig::off());
+        assert!(m.take_log().is_empty(), "not recording: nothing to take");
+        m.start_recording();
+        for k in 0..100u64 {
+            let _ = m.dload(0, k, 0x9000_0000 + k * 8, 0x9000_0000 + k * 8);
+        }
+        assert_eq!(m.take_log().len(), 100);
+        assert!(m
+            .recorder
+            .as_ref()
+            .is_some_and(|log| log.is_empty() && log.capacity() >= 100));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot trace")]
+    fn a_replica_refuses_a_tracer() {
+        MemSystem::replica(MemConfig::default()).start_tracing();
+    }
+
+    #[test]
+    fn a_replica_refuses_a_traced_frame() {
+        let mut traced = sys(1, PrefetchConfig::off());
+        traced.start_tracing();
+        let bytes = frame_of(&traced);
+        let mut lean = MemSystem::replica(*traced.config());
+        match lean.restore(&mut xt_snapshot::Dec::new(&bytes)) {
+            Err(xt_snapshot::SnapshotError::Mismatch { .. }) => {}
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
     }
 }

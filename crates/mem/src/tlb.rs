@@ -214,6 +214,18 @@ impl Tlb {
         self.joint[victim] = e;
     }
 
+    /// Counts a lookup made on this core's behalf by another instance's
+    /// TLB (see `MemOp`): `outcome` is 0 for a µTLB hit, 1–3 for a jTLB
+    /// hit after that many probes, anything above for a walk. Entries
+    /// and recency are untouched.
+    pub fn credit(&mut self, outcome: u8) {
+        match outcome {
+            0 => self.micro_hits += 1,
+            1..=3 => self.joint_hits += 1,
+            _ => self.walks += 1,
+        }
+    }
+
     /// Installs a mapping (from the walker); fills jTLB and µTLB.
     pub fn install(&mut self, m: Mapping) {
         self.stamp += 1;

@@ -222,7 +222,9 @@ impl ClusterSim {
             .map(|(i, p)| {
                 let mut emu = Emulator::new();
                 emu.load(p);
-                let mut mem = MemSystem::new(mem_cfg);
+                // statistics come from the master alone, so a replica
+                // keeps no miss classifier and no prefetch scorecard
+                let mut mem = MemSystem::replica(mem_cfg);
                 if n > 1 {
                     // multicore: buffer stores and park at AMO/fence
                     emu.cluster = Some(ClusterCtl {
@@ -625,13 +627,14 @@ impl ClusterSim {
             s.core.restore(&mut d)?;
             s.mem.restore(&mut d)?;
             s.pending = if d.bool()? {
+                let pf = &s.mem.config().prefetch;
                 let n_logs = d.len(8)?;
                 let mut logs = Vec::with_capacity(n_logs);
                 for _ in 0..n_logs {
                     let n_ops = d.len(8)?;
                     let mut log = Vec::with_capacity(n_ops);
                     for _ in 0..n_ops {
-                        log.push(xt_mem::system::restore_mem_op(&mut d)?);
+                        log.push(xt_mem::system::restore_mem_op(&mut d, pf)?);
                     }
                     logs.push(log);
                 }
@@ -1055,6 +1058,32 @@ mod tests {
         assert!(!e1.is_empty());
         assert_eq!(e1.events, e2.events, "event stream bit-identical");
         e1.reconcile(&r1.mem).expect("events reconcile with stats");
+    }
+
+    /// The replicas keep no miss classifier and no prefetch scorecard;
+    /// the report is the master's, which keeps both.
+    #[test]
+    fn reported_statistics_come_from_an_observing_master() {
+        let progs: Vec<Program> = (0..2u64).map(private_kernel).collect();
+        let mem_cfg = MemConfig {
+            cores: 2,
+            ..MemConfig::default()
+        };
+        let r = ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000).run_threads(1);
+        for c in 0..2 {
+            assert!(r.mem.l1d[c].1 > 0, "core {c} missed in its L1D");
+            assert_eq!(
+                r.mem.miss_class_sum(c),
+                r.mem.l1d[c].1,
+                "core {c}: every miss classified"
+            );
+            let scored: u64 = r.mem.pf_scorecard[c].iter().map(|s| s.issued).sum();
+            assert!(scored > 0, "core {c}: the stream prefetched");
+            assert_eq!(
+                scored, r.mem.prefetches_issued[c],
+                "core {c}: every request scored"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,10 @@ use xt_emu::BusFault;
 pub struct Plic {
     priority: Vec<u32>,
     pending: Vec<bool>,
+    /// How many of `pending` are set. [`Plic::pending_for`] is asked
+    /// before every instruction of a bus-attached run and the answer is
+    /// almost always "no line is raised".
+    raised: usize,
     /// enables[context][source]
     enables: Vec<Vec<bool>>,
     threshold: Vec<u32>,
@@ -35,6 +39,7 @@ impl Plic {
         Plic {
             priority: vec![0; sources + 1],
             pending: vec![false; sources + 1],
+            raised: 0,
             enables: vec![vec![false; sources + 1]; contexts],
             threshold: vec![0; contexts],
             claimed: vec![None; contexts],
@@ -64,10 +69,20 @@ impl Plic {
 
     /// Raises an interrupt line.
     pub fn raise(&mut self, source: u32) {
-        self.pending[source as usize] = true;
+        let line = &mut self.pending[source as usize];
+        self.raised += !*line as usize;
+        *line = true;
     }
 
     fn best_for(&self, context: usize) -> Option<u32> {
+        if self.raised == 0 {
+            return None;
+        }
+        self.scan_for(context)
+    }
+
+    /// [`Plic::best_for`] by looking at every source.
+    fn scan_for(&self, context: usize) -> Option<u32> {
         let mut best: Option<(u32, u32)> = None; // (prio, source)
         for s in 1..self.pending.len() {
             if !self.pending[s]
@@ -99,6 +114,7 @@ impl Plic {
         match self.best_for(context) {
             Some(s) => {
                 self.pending[s as usize] = false;
+                self.raised -= 1;
                 self.claimed[context] = Some(s);
                 s
             }
@@ -336,6 +352,7 @@ impl xt_snapshot::SnapshotState for Plic {
         if pending.len() != self.pending.len() {
             return Err(mismatch("plic source count"));
         }
+        self.raised = pending.iter().filter(|&&p| p).count();
         self.pending = pending;
         let n_en = d.len(8)?;
         if n_en != self.enables.len() {
@@ -447,6 +464,55 @@ mod tests {
         assert!(!p.pending_for(1), "context 1 revoked");
         assert_eq!(p.claim(1), 0);
         assert_eq!(p.claim(0), 7);
+    }
+
+    /// The raised-line count against a recount, and the gated
+    /// `pending_for` against the scan, after every step of a random
+    /// raise / claim / complete / restore sequence.
+    #[test]
+    fn raised_count_tracks_pending_through_random_sequences() {
+        use xt_harness::gen::{ints, vec_of};
+        use xt_harness::prop::{check_with, Config};
+        use xt_snapshot::SnapshotState;
+        let gen = vec_of((ints(0u32..8), ints(0u32..9), ints(0usize..2)), 1..200);
+        check_with(
+            &Config::seeded(0x0910_0020_0001),
+            "raised_count_tracks_pending_through_random_sequences",
+            &gen,
+            |ops| {
+                let mut p = plic();
+                p.set_threshold(1, 4);
+                p.revoke_permission(0, 6);
+                let mut last_claim = [0u32; 2];
+                for (k, &(kind, source, ctx)) in ops.iter().enumerate() {
+                    match kind {
+                        // source 0 is reserved but its line can be raised
+                        0..=3 => p.raise(source),
+                        4 | 5 => last_claim[ctx] = p.claim(ctx),
+                        6 => p.complete(ctx, last_claim[ctx]),
+                        _ => {
+                            let mut e = xt_snapshot::Enc::new();
+                            p.save(&mut e);
+                            let bytes = e.into_bytes();
+                            let mut fresh = plic();
+                            fresh.raise(1 + source % 8); // a count to overwrite
+                            let mut d = xt_snapshot::Dec::new(&bytes);
+                            fresh.restore(&mut d).expect("own frame restores");
+                            p = fresh;
+                        }
+                    }
+                    let recount = p.pending.iter().filter(|&&b| b).count();
+                    assert_eq!(p.raised, recount, "after #{k} ({kind})");
+                    for c in 0..2 {
+                        assert_eq!(
+                            p.pending_for(c),
+                            p.scan_for(c).is_some(),
+                            "context {c} after #{k} ({kind})"
+                        );
+                    }
+                }
+            },
+        );
     }
 
     #[test]

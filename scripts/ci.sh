@@ -124,7 +124,9 @@ echo "== xt-report MIPS sanity (fast path never slower) =="
 # Wall-clock guard on the decoded-block engine: the cached emulator must
 # be at least as fast as per-step decode (in practice ~5-10x), and the
 # step driver and an OooSession must each keep their stated fraction of
-# Emulator::run's speed (multicore::STEP_DRIVER_FLOOR, OOO_SESSION_FLOOR).
+# Emulator::run's speed (multicore::STEP_DRIVER_FLOOR, OOO_SESSION_FLOOR),
+# and a 4-core ClusterSim its fraction of one OooSession's on the
+# private-slice kernel (multicore::CLUSTER4_FLOOR).
 "$repo_root/target/release/xt-report" --mips-sanity
 
 echo "== xt-stat smoke (telemetry dashboard + regression gate) =="

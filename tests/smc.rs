@@ -40,6 +40,7 @@ fn run_both(p: &Program, ctx: &str) -> u64 {
     assert_eq!(fast.halted, slow.halted, "{ctx}: exit code");
     assert_eq!(fast.cpu.x, slow.cpu.x, "{ctx}: registers");
     assert_eq!(fast.cpu.csrs, slow.cpu.csrs, "{ctx}: CSRs");
+    assert_eq!(fast.cpu.satp(), slow.cpu.satp(), "{ctx}: satp");
     assert_eq!(
         fast.mem.snapshot_nonzero(),
         slow.mem.snapshot_nonzero(),

@@ -309,3 +309,114 @@ fn forged_core_resources_are_rejected_or_repaired() {
     let repaired = restore_payload(&p).expect("unsorted releases restore");
     assert_eq!(repaired.save(), frame(), "and are re-sorted");
 }
+
+// ---------------------------------------------------------------------
+// a cluster frame's recorded memory traffic
+// ---------------------------------------------------------------------
+
+const STREAM_BASE: u64 = 0x8100_0000;
+
+/// Core `id` walks its own 32 KiB buffer one line at a time: a
+/// confirmed stream, so the recorded loads carry prefetch bursts.
+fn stream_prog(id: u64) -> Program {
+    let mut a = Asm::new().with_data_base(STREAM_BASE + id * 0x0010_0000);
+    let buf = a.data_zeros("buf", 32 * 1024);
+    a.la(Gpr::A1, buf);
+    a.li(Gpr::A2, 512);
+    let top = a.here();
+    a.ld(Gpr::A4, Gpr::A1, 0);
+    a.addi(Gpr::A1, Gpr::A1, 64);
+    a.addi(Gpr::A2, Gpr::A2, -1);
+    a.bnez(Gpr::A2, top);
+    a.halt();
+    a.finish().unwrap()
+}
+
+fn stream_cluster() -> xt_soc::ClusterSim {
+    let progs: Vec<Program> = (0..2).map(stream_prog).collect();
+    let mem_cfg = xt_mem::MemConfig {
+        cores: 2,
+        ..xt_mem::MemConfig::default()
+    };
+    xt_soc::ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, MAX_INSTS).with_epoch(512)
+}
+
+/// Offsets of the `Front` records of the data loads in `payload` that
+/// issued a prefetch burst. A load is written `1u8, cycle, va, pa` and
+/// then its front end's verdict `first va, byte step, count: u16,
+/// slot: u16, confirmed: u16, tlb: u8`; these guests run untranslated,
+/// so `va == pa`, both inside core 0's buffer.
+fn burst_fronts(payload: &[u8]) -> Vec<usize> {
+    let u16_at = |at: usize| u16::from_le_bytes(payload[at..at + 2].try_into().unwrap());
+    (9..payload.len() - 16 - 23)
+        .filter(|&at| {
+            let va = field(payload, at);
+            (STREAM_BASE..STREAM_BASE + 32 * 1024).contains(&va)
+                && field(payload, at + 8) == va
+                && payload[at - 9] == 1
+        })
+        .map(|at| at + 16)
+        .filter(|&front| {
+            let (first, count) = (field(payload, front), u16_at(front + 16));
+            (1..=64).contains(&count) && first > STREAM_BASE && payload[front + 22] <= 4
+        })
+        .collect()
+}
+
+/// Cluster frames with a valid checksum whose pending logs carry a
+/// front-end verdict no instance of this shape could have recorded.
+/// Replay indexes the master's scorecard by the slot and loops over the
+/// count, so each must come back `Corrupt` from `restore` — not as a
+/// panic or an out-of-bounds index at the next barrier.
+#[test]
+fn forged_mem_op_front_is_rejected() {
+    let mut sim = stream_cluster();
+    sim.step_epochs(3, 1);
+    assert!(!sim.finished(), "cut mid-run, with resync logs pending");
+    let good = xt_snapshot::open(&sim.save(), xt_snapshot::KIND_CLUSTER)
+        .unwrap()
+        .to_vec();
+    let restore_payload = |payload: &[u8]| {
+        stream_cluster().restore(&xt_snapshot::seal(xt_snapshot::KIND_CLUSTER, payload))
+    };
+    restore_payload(&good).expect("the untouched payload restores");
+
+    let fronts = burst_fronts(&good);
+    assert!(
+        !fronts.is_empty(),
+        "the pending logs hold prefetching loads"
+    );
+    let pf = xt_mem::MemConfig::default().prefetch;
+    // core 0's log is pending on both cores: one record in each copy
+    for &front in [fronts[0], fronts[fronts.len() - 1]].iter() {
+        let forge = |at: usize, bytes: &[u8]| {
+            let mut p = good.clone();
+            p[front + at..front + at + bytes.len()].copy_from_slice(bytes);
+            p
+        };
+        let hostile = [
+            (
+                "count above max_depth",
+                forge(16, &(pf.max_depth as u16 + 1).to_le_bytes()),
+            ),
+            ("count 65535", forge(16, &u16::MAX.to_le_bytes())),
+            (
+                "slot past max_streams",
+                forge(18, &(pf.max_streams as u16).to_le_bytes()),
+            ),
+            (
+                "confirmed slot past max_streams",
+                forge(20, &(pf.max_streams as u16).to_le_bytes()),
+            ),
+            ("tlb outcome 5", forge(22, &[5])),
+        ];
+        for (name, payload) in &hostile {
+            match restore_payload(payload) {
+                Err(SnapshotError::Corrupt {
+                    what: "mem op front",
+                }) => {}
+                other => panic!("{name} at {front}: expected Corrupt(mem op front), got {other:?}"),
+            }
+        }
+    }
+}
