@@ -76,7 +76,7 @@ pub enum ProbeResult {
     /// (requires a coherence upgrade).
     UpgradeNeeded {
         /// True when this is the first demand touch of a prefetched line
-        /// (the touch still counts toward `useful_prefetches`).
+        /// (the touch is a useful prefetch all the same).
         was_prefetched: bool,
     },
 }
@@ -104,14 +104,6 @@ pub struct Cache {
     line_bits: u32,
     lines: Vec<Line>,
     stamp: u64,
-    /// Demand hits.
-    pub hits: u64,
-    /// Demand misses.
-    pub misses: u64,
-    /// Lines evicted.
-    pub evictions: u64,
-    /// Prefetched lines that saw a demand hit.
-    pub useful_prefetches: u64,
 }
 
 impl Cache {
@@ -132,10 +124,6 @@ impl Cache {
             line_bits: line_bytes.trailing_zeros(),
             lines: vec![INVALID; total_lines],
             stamp: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            useful_prefetches: 0,
         }
     }
 
@@ -157,7 +145,8 @@ impl Cache {
         set * self.ways..(set + 1) * self.ways
     }
 
-    /// Probes for `addr`; updates LRU and hit/miss counters.
+    /// Probes for `addr` and updates LRU; a first demand touch clears the
+    /// line's prefetched mark.
     /// `is_store` reports `UpgradeNeeded` for hits in non-writable states.
     pub fn access(&mut self, addr: u64, is_store: bool) -> ProbeResult {
         let la = self.line_addr(addr);
@@ -168,25 +157,20 @@ impl Cache {
             if line.state.is_valid() && line.tag == la {
                 line.lru = self.stamp;
                 let was_prefetched = line.prefetched;
-                if was_prefetched {
-                    line.prefetched = false;
-                    self.useful_prefetches += 1;
-                }
+                line.prefetched = false;
                 if is_store && !line.state.is_writable() {
                     return ProbeResult::UpgradeNeeded { was_prefetched };
                 }
                 if is_store {
                     line.state = LineState::Modified;
                 }
-                self.hits += 1;
                 return ProbeResult::Hit { was_prefetched };
             }
         }
-        self.misses += 1;
         ProbeResult::Miss
     }
 
-    /// Peeks without updating replacement state or counters.
+    /// Peeks without updating replacement state.
     pub fn contains(&self, addr: u64) -> bool {
         let la = self.line_addr(addr);
         let set = self.set_of(la);
@@ -235,13 +219,10 @@ impl Cache {
             }
         }
         let old = self.lines[victim_i];
-        let victim = old.state.is_valid().then(|| {
-            self.evictions += 1;
-            Victim {
-                addr: old.tag << self.line_bits,
-                state: old.state,
-                wasted_prefetch: old.prefetched,
-            }
+        let victim = old.state.is_valid().then(|| Victim {
+            addr: old.tag << self.line_bits,
+            state: old.state,
+            wasted_prefetch: old.prefetched,
         });
         self.lines[victim_i] = Line {
             tag: la,
@@ -283,16 +264,6 @@ impl Cache {
         }
         dirty
     }
-
-    /// Demand hit rate.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 impl LineState {
@@ -330,10 +301,6 @@ impl xt_snapshot::SnapshotState for Cache {
             e.bool(line.prefetched);
         }
         e.u64(self.stamp);
-        e.u64(self.hits);
-        e.u64(self.misses);
-        e.u64(self.evictions);
-        e.u64(self.useful_prefetches);
     }
 
     fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
@@ -351,10 +318,6 @@ impl xt_snapshot::SnapshotState for Cache {
             line.prefetched = d.bool()?;
         }
         self.stamp = d.u64()?;
-        self.hits = d.u64()?;
-        self.misses = d.u64()?;
-        self.evictions = d.u64()?;
-        self.useful_prefetches = d.u64()?;
         Ok(())
     }
 }
@@ -409,7 +372,8 @@ mod tests {
                 was_prefetched: false
             }
         );
-        // a store-upgrade touch of a prefetched line still counts useful
+        // a store-upgrade touch of a prefetched line still counts useful,
+        // once
         c.fill(0x200, LineState::Shared, true);
         assert_eq!(
             c.access(0x200, true),
@@ -417,7 +381,12 @@ mod tests {
                 was_prefetched: true
             }
         );
-        assert_eq!(c.useful_prefetches, 1);
+        assert_eq!(
+            c.access(0x200, true),
+            ProbeResult::UpgradeNeeded {
+                was_prefetched: false
+            }
+        );
     }
 
     #[test]
@@ -440,7 +409,6 @@ mod tests {
                 was_prefetched: true
             }
         ));
-        assert_eq!(c.useful_prefetches, 1);
         // second touch is a plain hit
         assert!(matches!(
             c.access(0x100, false),

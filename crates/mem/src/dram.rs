@@ -14,10 +14,6 @@ pub struct Dram {
     latency: u64,
     transfer: u64,
     busy_until: u64,
-    /// Total line requests served.
-    pub requests: u64,
-    /// Requests that had to wait for the channel (bandwidth-bound).
-    pub queued: u64,
 }
 
 impl Dram {
@@ -28,20 +24,16 @@ impl Dram {
             latency,
             transfer,
             busy_until: 0,
-            requests: 0,
-            queued: 0,
         }
     }
 
-    /// Issues a line request at `cycle`; returns the completion cycle.
-    pub fn access(&mut self, cycle: u64) -> u64 {
-        self.requests += 1;
+    /// Issues a line request at `cycle`; returns the completion cycle
+    /// and whether the request had to wait for the channel
+    /// (bandwidth-bound).
+    pub fn access(&mut self, cycle: u64) -> (u64, bool) {
         let start = cycle.max(self.busy_until);
-        if start > cycle {
-            self.queued += 1;
-        }
         self.busy_until = start + self.transfer;
-        start + self.latency
+        (start + self.latency, start > cycle)
     }
 
     /// Configured end-to-end latency.
@@ -55,8 +47,6 @@ impl xt_snapshot::SnapshotState for Dram {
         e.u64(self.latency);
         e.u64(self.transfer);
         e.u64(self.busy_until);
-        e.u64(self.requests);
-        e.u64(self.queued);
     }
 
     fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
@@ -66,8 +56,6 @@ impl xt_snapshot::SnapshotState for Dram {
             });
         }
         self.busy_until = d.u64()?;
-        self.requests = d.u64()?;
-        self.queued = d.u64()?;
         Ok(())
     }
 }
@@ -79,19 +67,15 @@ mod tests {
     #[test]
     fn single_access_pays_full_latency() {
         let mut d = Dram::new(200, 4);
-        assert_eq!(d.access(1000), 1200);
+        assert_eq!(d.access(1000), (1200, false));
     }
 
     #[test]
     fn overlapping_accesses_pipeline() {
         let mut d = Dram::new(200, 4);
-        let a = d.access(0);
-        let b = d.access(0);
-        let c = d.access(0);
-        assert_eq!(a, 200);
-        assert_eq!(b, 204, "second starts after one transfer slot");
-        assert_eq!(c, 208);
-        assert_eq!(d.queued, 2);
+        assert_eq!(d.access(0), (200, false));
+        assert_eq!(d.access(0), (204, true), "starts after one transfer slot");
+        assert_eq!(d.access(0), (208, true));
     }
 
     #[test]
@@ -99,7 +83,6 @@ mod tests {
         let mut d = Dram::new(100, 10);
         d.access(0);
         // Much later the channel is free again.
-        assert_eq!(d.access(1000), 1100);
-        assert_eq!(d.queued, 0);
+        assert_eq!(d.access(1000), (1100, false));
     }
 }

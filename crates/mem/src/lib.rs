@@ -27,19 +27,20 @@
 //!
 //! ## Observability
 //!
-//! Two observability layers ride on the model without perturbing it:
-//! the always-on **miss classifier** ([`missclass`]) attributing every
-//! L1D miss to compulsory/capacity/conflict/coherence with an exact
-//! conservation law, and the opt-in **event tracer** ([`trace`])
-//! recording one structured event per modeled action, reconcilable
-//! against the counters and renderable as chrome://tracing JSON.
+//! Every modeled action is one [`MemEventKind`], and the statistics
+//! ([`MemStats`]) are the fold of those events ([`MemStats::record`]) —
+//! there is no second place a counter is kept. Two layers ride on that
+//! without perturbing the model: the always-on **miss classifier**
+//! ([`missclass`]) attributing every L1D miss to
+//! compulsory/capacity/conflict/coherence with an exact conservation
+//! law, and the opt-in **event tracer** ([`trace`]) collecting the
+//! events, renderable as chrome://tracing JSON.
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod config;
 pub mod dram;
-pub mod ecc;
 mod linemap;
 pub mod missclass;
 pub mod prefetch;
@@ -51,7 +52,6 @@ pub mod trace;
 pub use cache::{Cache, LineState};
 pub use config::{MemConfig, PrefetchConfig, PrefetchDistance};
 pub use dram::Dram;
-pub use ecc::{ecc_decode, ecc_encode, parity, parity_ok, EccResult};
 pub use missclass::{MissClass, MissClassifier};
 pub use prefetch::Prefetcher;
 pub use stats::{MemStats, StreamScore};

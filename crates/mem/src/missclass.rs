@@ -9,10 +9,14 @@
 //! ```
 //!
 //! The classifier is **always on** (it is part of the modeled state, not
-//! of the optional tracer), so the attributed counters are independent
+//! of the optional tracer), so the attributed classes are independent
 //! of whether a [`crate::trace::MemTracer`] is attached, and replaying a
 //! recorded [`crate::system::MemOp`] log reproduces them exactly — which
 //! is what keeps traced cluster runs bit-identical across `XT_THREADS`.
+//! It decides the class and keeps no totals: the class rides in the
+//! `L1DMiss` event and [`crate::MemStats::record`] bumps the miss and
+//! its class in one arm, which is why the law above holds by
+//! construction.
 //!
 //! ## Method
 //!
@@ -228,14 +232,6 @@ pub struct MissClassifier {
     seen: LineSet,
     coh: LineSet,
     shadow: ShadowFa,
-    /// Misses attributed compulsory.
-    pub compulsory: u64,
-    /// Misses attributed capacity.
-    pub capacity: u64,
-    /// Misses attributed conflict.
-    pub conflict: u64,
-    /// Misses attributed coherence.
-    pub coherence: u64,
 }
 
 impl MissClassifier {
@@ -245,12 +241,6 @@ impl MissClassifier {
             shadow: ShadowFa::new(capacity_lines),
             ..Default::default()
         }
-    }
-
-    /// Sum of all four attributed counters; the conservation law pins
-    /// this to the real L1D miss counter.
-    pub fn total(&self) -> u64 {
-        self.compulsory + self.capacity + self.conflict + self.coherence
     }
 
     /// Records a demand access that hit in the real L1D (including
@@ -270,12 +260,6 @@ impl MissClassifier {
         } else {
             MissClass::Capacity
         };
-        match class {
-            MissClass::Compulsory => self.compulsory += 1,
-            MissClass::Capacity => self.capacity += 1,
-            MissClass::Conflict => self.conflict += 1,
-            MissClass::Coherence => self.coherence += 1,
-        }
         self.shadow.touch(line);
         class
     }
@@ -319,10 +303,6 @@ impl SnapshotState for MissClassifier {
             e.u64(line);
         }
         e.u64(self.shadow.next_stamp);
-        e.u64(self.compulsory);
-        e.u64(self.capacity);
-        e.u64(self.conflict);
-        e.u64(self.coherence);
     }
 
     fn restore(&mut self, d: &mut Dec) -> SnapResult<()> {
@@ -352,10 +332,6 @@ impl SnapshotState for MissClassifier {
         }
         shadow.next_stamp = next_stamp;
         self.shadow = shadow;
-        self.compulsory = d.u64()?;
-        self.capacity = d.u64()?;
-        self.conflict = d.u64()?;
-        self.coherence = d.u64()?;
         Ok(())
     }
 }
@@ -427,7 +403,7 @@ mod reference {
         }
 
         /// What [`super::MissClassifier::save`] writes for a classifier
-        /// holding this shadow, no seen/coherence marks and zero counters.
+        /// holding this shadow and no seen/coherence marks.
         pub fn classifier_frame(&self) -> Vec<u8> {
             let pairs: Vec<(u64, u64)> = self.stamps.iter().map(|(&s, &l)| (s, l)).collect();
             classifier_frame(self.cap, &pairs, self.next_stamp)
@@ -435,8 +411,7 @@ mod reference {
     }
 
     /// A classifier frame written field by field: no seen/coherence marks,
-    /// a shadow of `cap` lines holding `pairs` of `(stamp, line)`, zero
-    /// counters.
+    /// a shadow of `cap` lines holding `pairs` of `(stamp, line)`.
     pub fn classifier_frame(cap: usize, pairs: &[(u64, u64)], next_stamp: u64) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64_seq(&[]);
@@ -448,9 +423,6 @@ mod reference {
             e.u64(line);
         }
         e.u64(next_stamp);
-        for _ in 0..4 {
-            e.u64(0);
-        }
         e.into_bytes()
     }
 }
@@ -621,8 +593,6 @@ mod tests {
         let mut c = MissClassifier::new(4);
         assert_eq!(c.on_miss(0x40), MissClass::Compulsory);
         assert_eq!(c.on_miss(0x80), MissClass::Compulsory);
-        assert_eq!(c.total(), 2);
-        assert_eq!(c.compulsory, 2);
     }
 
     #[test]
@@ -630,14 +600,16 @@ mod tests {
         let mut c = MissClassifier::new(2);
         // touch 3 distinct lines round-robin: after the compulsory pass,
         // every revisit misses even fully-associatively
-        for _ in 0..3 {
+        for round in 0..3 {
             for l in [0x0u64, 0x40, 0x80] {
-                c.on_miss(l);
+                let want = if round == 0 {
+                    MissClass::Compulsory
+                } else {
+                    MissClass::Capacity
+                };
+                assert_eq!(c.on_miss(l), want, "round {round}, line {l:#x}");
             }
         }
-        assert_eq!(c.compulsory, 3);
-        assert_eq!(c.capacity, 6);
-        assert_eq!(c.conflict, 0);
     }
 
     #[test]
@@ -649,7 +621,6 @@ mod tests {
         c.on_miss(0x1000); // same set in a small direct-mapped L1, say
         assert_eq!(c.on_miss(0x0), MissClass::Conflict);
         assert_eq!(c.on_miss(0x1000), MissClass::Conflict);
-        assert_eq!(c.conflict, 2);
     }
 
     #[test]
@@ -707,6 +678,5 @@ mod tests {
         for l in [0x80u64, 0x0, 0x40, 0x100] {
             assert_eq!(c.on_miss(l), r.on_miss(l), "line {l:#x}");
         }
-        assert_eq!(c.total(), r.total());
     }
 }

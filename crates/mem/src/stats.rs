@@ -1,5 +1,14 @@
 //! Aggregated memory-system statistics, reported by the bench harness
 //! and sampled as interval deltas by `xt-perf`.
+//!
+//! [`MemStats`] is the counter table of a [`crate::MemSystem`] and
+//! [`MemStats::record`] the one definition of what each
+//! [`MemEventKind`] does to it: a counter is the fold of the events, in
+//! the live hierarchy and in [`crate::MemTracer::reconcile`] alike.
+
+use crate::missclass::MissClass;
+use crate::trace::{Level, MemEventKind};
+use xt_snapshot::{Dec, Enc, Result as SnapResult, SnapshotError, SnapshotState};
 
 /// Per-stream prefetch scorecard entry: how one stream-table slot's
 /// prefetches fared (see `MemStats::pf_scorecard`).
@@ -128,7 +137,230 @@ pub struct MemStats {
     pub walk_cycles: u64,
 }
 
+/// The hit or the miss half of a `(hits, misses)` pair.
+fn side(pair: &mut (u64, u64), hit: bool) -> &mut u64 {
+    if hit {
+        &mut pair.0
+    } else {
+        &mut pair.1
+    }
+}
+
 impl MemStats {
+    /// A zeroed table for `cores` cores with `slots` stream-table slots
+    /// each.
+    pub fn zeroed(cores: usize, slots: usize) -> MemStats {
+        let per_core = || vec![0; cores];
+        MemStats {
+            l1i: vec![(0, 0); cores],
+            l1d: vec![(0, 0); cores],
+            miss_compulsory: per_core(),
+            miss_capacity: per_core(),
+            miss_conflict: per_core(),
+            miss_coherence: per_core(),
+            l2_demand: vec![(0, 0); cores],
+            tlb_micro_hits: per_core(),
+            tlb_joint_hits: per_core(),
+            tlb_walks: per_core(),
+            tlb_flushes: per_core(),
+            prefetches_issued: per_core(),
+            prefetches_useful: per_core(),
+            prefetches_late: per_core(),
+            prefetch_streams: per_core(),
+            pf_scorecard: vec![vec![StreamScore::default(); slots]; cores],
+            snoop_matrix: vec![0; cores * cores],
+            ..MemStats::default()
+        }
+    }
+
+    /// Counts one event of `core`: the single definition of which
+    /// counters each [`MemEventKind`] moves (docs/OBSERVABILITY.md
+    /// tabulates it). Exhaustive on purpose — a new kind does not
+    /// compile until its counters are decided here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event names a core or stream slot outside the
+    /// table.
+    #[inline]
+    pub fn record(&mut self, core: usize, kind: MemEventKind) {
+        self.fold(core, kind, true);
+    }
+
+    /// [`Self::record`] for an instance that may keep no observers
+    /// (`observed == false`: [`crate::MemSystem::replica`]): the miss
+    /// class and the issuing slot are theirs to count, so those two
+    /// columns stay at zero there.
+    ///
+    /// Always inlined: every caller in the hierarchy passes a `kind` whose
+    /// variant is known at compile time, which leaves one or two
+    /// increments of this `match`; left to the inliner, some of the forty
+    /// sites called it out of line and paid for the whole dispatch.
+    #[inline(always)]
+    pub(crate) fn fold(&mut self, c: usize, kind: MemEventKind, observed: bool) {
+        match kind {
+            MemEventKind::L1IAccess { hit } => *side(&mut self.l1i[c], hit) += 1,
+            MemEventKind::L1DHit { .. } => self.l1d[c].0 += 1,
+            MemEventKind::L1DMiss { class, .. } => {
+                self.l1d[c].1 += 1;
+                if observed {
+                    let column = match class {
+                        MissClass::Compulsory => &mut self.miss_compulsory,
+                        MissClass::Capacity => &mut self.miss_capacity,
+                        MissClass::Conflict => &mut self.miss_conflict,
+                        MissClass::Coherence => &mut self.miss_coherence,
+                    };
+                    column[c] += 1;
+                }
+            }
+            MemEventKind::L2Access { hit } => *side(&mut self.l2_demand[c], hit) += 1,
+            // line movement is state, not a statistic
+            MemEventKind::Fill { .. }
+            | MemEventKind::Eviction { .. }
+            | MemEventKind::Writeback { .. }
+            | MemEventKind::BackInvalidate { .. }
+            | MemEventKind::CacheFlush { .. }
+            | MemEventKind::PrefetchFill { .. } => {}
+            MemEventKind::DramRequest { queued } => {
+                self.dram_requests += 1;
+                self.dram_queued += queued as u64;
+            }
+            MemEventKind::SnoopFiltered => self.snoops_filtered += 1,
+            MemEventKind::SnoopProbe { holder, sent } => {
+                self.probe_candidates += 1;
+                if sent {
+                    self.snoops_sent += 1;
+                    let cores = self.l1d.len();
+                    self.snoop_matrix[c * cores + holder] += 1;
+                } else {
+                    self.snoops_suppressed += 1;
+                }
+            }
+            MemEventKind::C2CTransfer { .. } => self.c2c_transfers += 1,
+            MemEventKind::CohInvalidate { .. } => self.coh_invalidations += 1,
+            MemEventKind::CohDowngrade { .. } => self.coh_downgrades += 1,
+            MemEventKind::CohUpgrade => self.coh_upgrades += 1,
+            MemEventKind::TlbMicroHit => self.tlb_micro_hits[c] += 1,
+            MemEventKind::TlbJointHit { .. } => self.tlb_joint_hits[c] += 1,
+            MemEventKind::TlbWalk { cycles } => {
+                self.tlb_walks[c] += 1;
+                self.walk_cycles += cycles;
+            }
+            MemEventKind::TlbFlush => self.tlb_flushes[c] += 1,
+            MemEventKind::PrefetchIssue { stream } => {
+                self.prefetches_issued[c] += 1;
+                if observed {
+                    self.pf_scorecard[c][stream].issued += 1;
+                }
+            }
+            MemEventKind::PrefetchUseful { level, stream } => {
+                // the instruction side reports only in the event stream
+                if level == Level::L1D {
+                    self.prefetches_useful[c] += 1;
+                }
+                if let Some(s) = stream {
+                    self.pf_scorecard[c][s].useful += 1;
+                }
+            }
+            MemEventKind::PrefetchLate { stream, .. } => {
+                self.prefetches_late[c] += 1;
+                if let Some(s) = stream {
+                    self.pf_scorecard[c][s].late += 1;
+                }
+            }
+            MemEventKind::PrefetchUseless { stream } => self.pf_scorecard[c][stream].useless += 1,
+            MemEventKind::StreamConfirmed { .. } => self.prefetch_streams[c] += 1,
+        }
+    }
+
+    /// Every counter by name with its words, in declaration order: the
+    /// one walk of the table that the snapshot codec and the
+    /// reconciliation diagnostic share. The destructuring is
+    /// exhaustive, so a new field cannot be left out.
+    pub(crate) fn columns(&mut self) -> Vec<(&'static str, Vec<&mut u64>)> {
+        fn pairs(v: &mut [(u64, u64)]) -> Vec<&mut u64> {
+            v.iter_mut().flat_map(|(a, b)| [a, b]).collect()
+        }
+        fn words(v: &mut [u64]) -> Vec<&mut u64> {
+            v.iter_mut().collect()
+        }
+        let MemStats {
+            l1i,
+            l1d,
+            miss_compulsory,
+            miss_capacity,
+            miss_conflict,
+            miss_coherence,
+            l2_demand,
+            tlb_micro_hits,
+            tlb_joint_hits,
+            tlb_walks,
+            tlb_flushes,
+            prefetches_issued,
+            prefetches_useful,
+            prefetches_late,
+            prefetch_streams,
+            pf_scorecard,
+            dram_requests,
+            dram_queued,
+            snoops_filtered,
+            snoops_sent,
+            probe_candidates,
+            snoops_suppressed,
+            snoop_matrix,
+            c2c_transfers,
+            coh_invalidations,
+            coh_downgrades,
+            coh_upgrades,
+            walk_cycles,
+        } = self;
+        vec![
+            ("l1i", pairs(l1i)),
+            ("l1d", pairs(l1d)),
+            ("miss_compulsory", words(miss_compulsory)),
+            ("miss_capacity", words(miss_capacity)),
+            ("miss_conflict", words(miss_conflict)),
+            ("miss_coherence", words(miss_coherence)),
+            ("l2_demand", pairs(l2_demand)),
+            ("tlb_micro_hits", words(tlb_micro_hits)),
+            ("tlb_joint_hits", words(tlb_joint_hits)),
+            ("tlb_walks", words(tlb_walks)),
+            ("tlb_flushes", words(tlb_flushes)),
+            ("prefetches_issued", words(prefetches_issued)),
+            ("prefetches_useful", words(prefetches_useful)),
+            ("prefetches_late", words(prefetches_late)),
+            ("prefetch_streams", words(prefetch_streams)),
+            (
+                "pf_scorecard",
+                pf_scorecard
+                    .iter_mut()
+                    .flatten()
+                    .flat_map(|s| [&mut s.issued, &mut s.useful, &mut s.late, &mut s.useless])
+                    .collect(),
+            ),
+            ("dram_requests", vec![dram_requests]),
+            ("dram_queued", vec![dram_queued]),
+            ("snoops_filtered", vec![snoops_filtered]),
+            ("snoops_sent", vec![snoops_sent]),
+            ("probe_candidates", vec![probe_candidates]),
+            ("snoops_suppressed", vec![snoops_suppressed]),
+            ("snoop_matrix", words(snoop_matrix)),
+            ("c2c_transfers", vec![c2c_transfers]),
+            ("coh_invalidations", vec![coh_invalidations]),
+            ("coh_downgrades", vec![coh_downgrades]),
+            ("coh_upgrades", vec![coh_upgrades]),
+            ("walk_cycles", vec![walk_cycles]),
+        ]
+    }
+
+    /// Cores and stream-table slots per core the table was built for.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (
+            self.l1d.len(),
+            self.pf_scorecard.first().map_or(0, Vec::len),
+        )
+    }
+
     /// Shared-L2 demand (hits, misses), derived as the sum of the
     /// per-core contributions in [`Self::l2_demand`]. This is the tuple
     /// that used to be stored directly; kept as an accessor so existing
@@ -195,6 +427,43 @@ impl MemStats {
     pub fn snoop_pair(&self, r: usize, h: usize) -> u64 {
         let cores = self.l1d.len();
         self.snoop_matrix.get(r * cores + h).copied().unwrap_or(0)
+    }
+}
+
+impl SnapshotState for MemStats {
+    /// The table's shape (cores, slots per core), then every counter
+    /// word in declaration order.
+    fn save(&self, e: &mut Enc) {
+        let (cores, slots) = self.shape();
+        e.usize(cores);
+        e.usize(slots);
+        for (_, words) in self.clone().columns() {
+            for w in words {
+                e.u64(*w);
+            }
+        }
+    }
+
+    /// Refuses a table of another shape before reading a word of it:
+    /// the instance indexes its table by its own cores and slots.
+    fn restore(&mut self, d: &mut Dec) -> SnapResult<()> {
+        let (cores, slots) = self.shape();
+        if d.usize()? != cores {
+            return Err(SnapshotError::Mismatch {
+                what: "counter table core count",
+            });
+        }
+        if d.usize()? != slots {
+            return Err(SnapshotError::Mismatch {
+                what: "counter table stream count",
+            });
+        }
+        for (_, words) in self.columns() {
+            for w in words {
+                *w = d.u64()?;
+            }
+        }
+        Ok(())
     }
 }
 

@@ -102,16 +102,6 @@ pub struct Tlb {
     stamp: u64,
     /// Current ASID (set by `satp` writes).
     pub asid: u16,
-    /// µTLB hits.
-    pub micro_hits: u64,
-    /// jTLB hits.
-    pub joint_hits: u64,
-    /// Full misses (walks).
-    pub walks: u64,
-    /// Number of full flushes performed.
-    pub flushes: u64,
-    /// Entries installed by the prefetcher.
-    pub prefetch_fills: u64,
 }
 
 const JOINT_WAYS: usize = 4;
@@ -131,11 +121,6 @@ impl Tlb {
             joint_sets,
             stamp: 0,
             asid: 0,
-            micro_hits: 0,
-            joint_hits: 0,
-            walks: 0,
-            flushes: 0,
-            prefetch_fills: 0,
         }
     }
 
@@ -148,7 +133,7 @@ impl Tlb {
         (e.ppn << e.size.bits()) | off
     }
 
-    /// Looks up `va` under the current ASID, updating recency and stats.
+    /// Looks up `va` under the current ASID, updating recency.
     pub fn lookup(&mut self, va: u64) -> TlbResult {
         self.stamp += 1;
         let asid = self.asid;
@@ -156,7 +141,6 @@ impl Tlb {
         for e in &mut self.micro {
             if Self::matches(e, va, asid) {
                 e.lru = self.stamp;
-                self.micro_hits += 1;
                 return TlbResult::MicroHit { pa: Self::pa_of(e, va) };
             }
         }
@@ -169,7 +153,6 @@ impl Tlb {
                 if e.size == *size && Self::matches(e, va, asid) {
                     let entry = *e;
                     self.joint[i].lru = self.stamp;
-                    self.joint_hits += 1;
                     // refill the µTLB from the jTLB hit
                     self.fill_micro(entry);
                     return TlbResult::JointHit {
@@ -179,7 +162,6 @@ impl Tlb {
                 }
             }
         }
-        self.walks += 1;
         TlbResult::Miss
     }
 
@@ -214,18 +196,6 @@ impl Tlb {
         self.joint[victim] = e;
     }
 
-    /// Counts a lookup made on this core's behalf by another instance's
-    /// TLB (see `MemOp`): `outcome` is 0 for a µTLB hit, 1–3 for a jTLB
-    /// hit after that many probes, anything above for a walk. Entries
-    /// and recency are untouched.
-    pub fn credit(&mut self, outcome: u8) {
-        match outcome {
-            0 => self.micro_hits += 1,
-            1..=3 => self.joint_hits += 1,
-            _ => self.walks += 1,
-        }
-    }
-
     /// Installs a mapping (from the walker); fills jTLB and µTLB.
     pub fn install(&mut self, m: Mapping) {
         self.stamp += 1;
@@ -245,7 +215,6 @@ impl Tlb {
     /// Installs a mapping from the TLB-prefetch engine (jTLB only).
     pub fn install_prefetch(&mut self, m: Mapping) {
         self.stamp += 1;
-        self.prefetch_fills += 1;
         let e = Entry {
             vpn: m.size.vpn(m.va),
             ppn: m.pa >> m.size.bits(),
@@ -276,7 +245,6 @@ impl Tlb {
     /// Full flush (what a narrow-ASID design is forced to do on context
     /// switch when ASIDs overflow — §V-E).
     pub fn flush_all(&mut self) {
-        self.flushes += 1;
         self.micro.fill(INVALID);
         self.joint.fill(INVALID);
     }
@@ -340,11 +308,6 @@ impl xt_snapshot::SnapshotState for Tlb {
         }
         e.u64(self.stamp);
         e.u16(self.asid);
-        e.u64(self.micro_hits);
-        e.u64(self.joint_hits);
-        e.u64(self.walks);
-        e.u64(self.flushes);
-        e.u64(self.prefetch_fills);
     }
 
     fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
@@ -358,11 +321,6 @@ impl xt_snapshot::SnapshotState for Tlb {
         }
         self.stamp = d.u64()?;
         self.asid = d.u16()?;
-        self.micro_hits = d.u64()?;
-        self.joint_hits = d.u64()?;
-        self.walks = d.u64()?;
-        self.flushes = d.u64()?;
-        self.prefetch_fills = d.u64()?;
         Ok(())
     }
 }

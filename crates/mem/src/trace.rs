@@ -10,11 +10,11 @@
 //! guarantee, proven by an identity test in `crate::system`).
 //!
 //! The event stream is the *ground truth* and the [`crate::MemStats`]
-//! counters are the summary: [`MemTracer::reconcile`] recounts every
-//! counter from the events and demands exact equality. This is the same
-//! conservation discipline the rest of the workspace applies to cycles
-//! and snoops, extended to the whole memory-event taxonomy
-//! (`docs/OBSERVABILITY.md`).
+//! counters are its fold: the hierarchy passes every event through
+//! [`MemStats::record`] whether or not a tracer listens, so the two
+//! cannot drift. [`MemTracer::reconcile`] runs the same fold over a
+//! collected stream and demands the counters — a check that the stream
+//! arrived whole (`docs/OBSERVABILITY.md`).
 //!
 //! [`MemTracer::to_chrome_json`] renders the stream as one
 //! `chrome://tracing` lane per core (instant events at simulated-cycle
@@ -86,8 +86,9 @@ impl MissClass {
     }
 }
 
-/// What happened (the memory-event taxonomy; `docs/OBSERVABILITY.md`
-/// maps each variant to the counter it mirrors, if any).
+/// What happened (the memory-event taxonomy; [`MemStats::record`] says
+/// which counters each variant moves and `docs/OBSERVABILITY.md`
+/// tabulates it).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MemEventKind {
     /// An L1I demand fetch probed the cache.
@@ -247,6 +248,42 @@ pub enum MemEventKind {
     },
 }
 
+impl MemEventKind {
+    /// The other core and the stream slot the payload names, if any —
+    /// what a stream from outside must have in range before
+    /// [`MemStats::record`] indexes by them.
+    fn names(&self) -> (Option<usize>, Option<usize>) {
+        match *self {
+            MemEventKind::SnoopProbe { holder: c, .. }
+            | MemEventKind::C2CTransfer { from: c }
+            | MemEventKind::CohInvalidate { victim: c }
+            | MemEventKind::CohDowngrade { victim: c, .. }
+            | MemEventKind::BackInvalidate { victim: c, .. } => (Some(c), None),
+            MemEventKind::PrefetchIssue { stream }
+            | MemEventKind::PrefetchUseless { stream }
+            | MemEventKind::StreamConfirmed { stream } => (None, Some(stream)),
+            MemEventKind::PrefetchFill { stream, .. }
+            | MemEventKind::PrefetchUseful { stream, .. }
+            | MemEventKind::PrefetchLate { stream, .. } => (None, stream),
+            MemEventKind::L1IAccess { .. }
+            | MemEventKind::L1DHit { .. }
+            | MemEventKind::L1DMiss { .. }
+            | MemEventKind::L2Access { .. }
+            | MemEventKind::Fill { .. }
+            | MemEventKind::Eviction { .. }
+            | MemEventKind::Writeback { .. }
+            | MemEventKind::CacheFlush { .. }
+            | MemEventKind::DramRequest { .. }
+            | MemEventKind::SnoopFiltered
+            | MemEventKind::CohUpgrade
+            | MemEventKind::TlbMicroHit
+            | MemEventKind::TlbJointHit { .. }
+            | MemEventKind::TlbWalk { .. }
+            | MemEventKind::TlbFlush => (None, None),
+        }
+    }
+}
+
 /// One cycle-stamped structured memory event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MemEvent {
@@ -264,44 +301,13 @@ pub struct MemEvent {
 }
 
 /// In-memory sink for [`MemEvent`]s plus the renderers and the
-/// counter-reconciliation checker. Attach with
+/// reconciliation check. Attach with
 /// `MemSystem::start_tracing`; the buffer is unbounded (tracing is
 /// opt-in, and reconciliation requires the complete stream).
 #[derive(Clone, Debug, Default)]
 pub struct MemTracer {
     /// The collected events, in emission order.
     pub events: Vec<MemEvent>,
-}
-
-/// Per-core counters rebuilt from an event stream (the reconciliation
-/// accumulator).
-#[derive(Default)]
-struct Recount {
-    l1i: Vec<(u64, u64)>,
-    l1d: Vec<(u64, u64)>,
-    miss_class: Vec<[u64; 4]>,
-    l2_demand: Vec<(u64, u64)>,
-    tlb_micro: Vec<u64>,
-    tlb_joint: Vec<u64>,
-    tlb_walks: Vec<u64>,
-    tlb_flushes: Vec<u64>,
-    pf_issued: Vec<u64>,
-    pf_useful: Vec<u64>,
-    pf_late: Vec<u64>,
-    pf_streams: Vec<u64>,
-    pf_slot: Vec<Vec<[u64; 4]>>, // issued, useful, late, useless
-    walk_cycles: u64,
-    dram_requests: u64,
-    dram_queued: u64,
-    snoops_filtered: u64,
-    snoops_sent: u64,
-    probe_candidates: u64,
-    snoops_suppressed: u64,
-    snoop_matrix: Vec<u64>,
-    c2c: u64,
-    coh_inv: u64,
-    coh_down: u64,
-    coh_up: u64,
 }
 
 impl MemTracer {
@@ -320,266 +326,35 @@ impl MemTracer {
         self.events.is_empty()
     }
 
-    fn recount(&self, cores: usize, slots: usize) -> Result<Recount, String> {
-        let mut r = Recount {
-            l1i: vec![(0, 0); cores],
-            l1d: vec![(0, 0); cores],
-            miss_class: vec![[0; 4]; cores],
-            l2_demand: vec![(0, 0); cores],
-            tlb_micro: vec![0; cores],
-            tlb_joint: vec![0; cores],
-            tlb_walks: vec![0; cores],
-            tlb_flushes: vec![0; cores],
-            pf_issued: vec![0; cores],
-            pf_useful: vec![0; cores],
-            pf_late: vec![0; cores],
-            pf_streams: vec![0; cores],
-            pf_slot: vec![vec![[0; 4]; slots]; cores],
-            snoop_matrix: vec![0; cores * cores],
-            ..Recount::default()
-        };
-        for (i, ev) in self.events.iter().enumerate() {
-            let c = ev.core;
-            if c >= cores {
-                return Err(format!("event {i} names core {c} of {cores}"));
-            }
-            let slot_of = |s: usize| -> Result<usize, String> {
-                if s < slots {
-                    Ok(s)
-                } else {
-                    Err(format!("event {i} names stream slot {s} of {slots}"))
-                }
-            };
-            match ev.kind {
-                MemEventKind::L1IAccess { hit } => {
-                    if hit {
-                        r.l1i[c].0 += 1;
-                    } else {
-                        r.l1i[c].1 += 1;
-                    }
-                }
-                MemEventKind::L1DHit { .. } => r.l1d[c].0 += 1,
-                MemEventKind::L1DMiss { class, .. } => {
-                    r.l1d[c].1 += 1;
-                    r.miss_class[c][class.tag() as usize] += 1;
-                }
-                MemEventKind::L2Access { hit } => {
-                    if hit {
-                        r.l2_demand[c].0 += 1;
-                    } else {
-                        r.l2_demand[c].1 += 1;
-                    }
-                }
-                MemEventKind::Fill { .. }
-                | MemEventKind::Eviction { .. }
-                | MemEventKind::Writeback { .. }
-                | MemEventKind::BackInvalidate { .. }
-                | MemEventKind::CacheFlush { .. } => {}
-                MemEventKind::DramRequest { queued } => {
-                    r.dram_requests += 1;
-                    if queued {
-                        r.dram_queued += 1;
-                    }
-                }
-                MemEventKind::SnoopFiltered => r.snoops_filtered += 1,
-                MemEventKind::SnoopProbe { holder, sent } => {
-                    if holder >= cores {
-                        return Err(format!("event {i} names holder {holder} of {cores}"));
-                    }
-                    r.probe_candidates += 1;
-                    if sent {
-                        r.snoops_sent += 1;
-                        r.snoop_matrix[c * cores + holder] += 1;
-                    } else {
-                        r.snoops_suppressed += 1;
-                    }
-                }
-                MemEventKind::C2CTransfer { .. } => r.c2c += 1,
-                MemEventKind::CohInvalidate { .. } => r.coh_inv += 1,
-                MemEventKind::CohDowngrade { .. } => r.coh_down += 1,
-                MemEventKind::CohUpgrade => r.coh_up += 1,
-                MemEventKind::TlbMicroHit => r.tlb_micro[c] += 1,
-                MemEventKind::TlbJointHit { .. } => r.tlb_joint[c] += 1,
-                MemEventKind::TlbWalk { cycles } => {
-                    r.tlb_walks[c] += 1;
-                    r.walk_cycles += cycles;
-                }
-                MemEventKind::TlbFlush => r.tlb_flushes[c] += 1,
-                MemEventKind::PrefetchIssue { stream } => {
-                    r.pf_issued[c] += 1;
-                    r.pf_slot[c][slot_of(stream)?][0] += 1;
-                }
-                MemEventKind::PrefetchFill { .. } => {}
-                MemEventKind::PrefetchUseful { level, stream } => {
-                    if level == Level::L1D {
-                        r.pf_useful[c] += 1;
-                    }
-                    if let Some(s) = stream {
-                        r.pf_slot[c][slot_of(s)?][1] += 1;
-                    }
-                }
-                MemEventKind::PrefetchLate { stream, .. } => {
-                    r.pf_late[c] += 1;
-                    if let Some(s) = stream {
-                        r.pf_slot[c][slot_of(s)?][2] += 1;
-                    }
-                }
-                MemEventKind::PrefetchUseless { stream } => {
-                    r.pf_slot[c][slot_of(stream)?][3] += 1;
-                }
-                MemEventKind::StreamConfirmed { stream } => {
-                    slot_of(stream)?;
-                    r.pf_streams[c] += 1;
-                }
-            }
-        }
-        Ok(r)
-    }
-
-    /// Recounts every mirrored [`MemStats`] counter from the event
-    /// stream and demands exact equality — the events are the ground
-    /// truth, the counters the summary. Returns a description of every
-    /// divergent counter on failure.
+    /// Folds the stream into a fresh table with [`MemStats::record`] —
+    /// the definition the hierarchy itself counts by — and demands
+    /// `stats`. A live hierarchy's counters *are* that fold, so what
+    /// this checks is the stream's transport: the snapshot codec, the
+    /// cluster's barrier merge, a mid-run restore. Returns every
+    /// divergent counter by name, or the first event that names a core
+    /// or stream slot `stats` has no column for.
     pub fn reconcile(&self, stats: &MemStats) -> Result<(), String> {
-        let cores = stats.l1d.len();
-        let slots = stats.pf_scorecard.first().map_or(0, |s| s.len());
-        let r = self.recount(cores, slots)?;
-        let mut diffs = Vec::new();
-        let mut check = |what: &str, got: String, want: String| {
-            if got != want {
-                diffs.push(format!("  {what}: events {got} != stats {want}"));
+        let (cores, slots) = stats.shape();
+        let mut folded = MemStats::zeroed(cores, slots);
+        for (i, ev) in self.events.iter().enumerate() {
+            let (peer, slot) = ev.kind.names();
+            for c in [Some(ev.core), peer].into_iter().flatten() {
+                if c >= cores {
+                    return Err(format!("event {i} names core {c} of {cores}"));
+                }
             }
-        };
-        check("l1i", format!("{:?}", r.l1i), format!("{:?}", stats.l1i));
-        check("l1d", format!("{:?}", r.l1d), format!("{:?}", stats.l1d));
-        for (name, idx, have) in [
-            ("miss_compulsory", 0, &stats.miss_compulsory),
-            ("miss_capacity", 1, &stats.miss_capacity),
-            ("miss_conflict", 2, &stats.miss_conflict),
-            ("miss_coherence", 3, &stats.miss_coherence),
-        ] {
-            let got: Vec<u64> = r.miss_class.iter().map(|m| m[idx]).collect();
-            check(name, format!("{got:?}"), format!("{have:?}"));
+            if let Some(s) = slot.filter(|&s| s >= slots) {
+                return Err(format!("event {i} names stream slot {s} of {slots}"));
+            }
+            folded.record(ev.core, ev.kind);
         }
-        check(
-            "l2_demand",
-            format!("{:?}", r.l2_demand),
-            format!("{:?}", stats.l2_demand),
-        );
-        check(
-            "tlb_micro_hits",
-            format!("{:?}", r.tlb_micro),
-            format!("{:?}", stats.tlb_micro_hits),
-        );
-        check(
-            "tlb_joint_hits",
-            format!("{:?}", r.tlb_joint),
-            format!("{:?}", stats.tlb_joint_hits),
-        );
-        check(
-            "tlb_walks",
-            format!("{:?}", r.tlb_walks),
-            format!("{:?}", stats.tlb_walks),
-        );
-        check(
-            "tlb_flushes",
-            format!("{:?}", r.tlb_flushes),
-            format!("{:?}", stats.tlb_flushes),
-        );
-        check(
-            "walk_cycles",
-            r.walk_cycles.to_string(),
-            stats.walk_cycles.to_string(),
-        );
-        check(
-            "prefetches_issued",
-            format!("{:?}", r.pf_issued),
-            format!("{:?}", stats.prefetches_issued),
-        );
-        check(
-            "prefetches_useful",
-            format!("{:?}", r.pf_useful),
-            format!("{:?}", stats.prefetches_useful),
-        );
-        check(
-            "prefetches_late",
-            format!("{:?}", r.pf_late),
-            format!("{:?}", stats.prefetches_late),
-        );
-        check(
-            "prefetch_streams",
-            format!("{:?}", r.pf_streams),
-            format!("{:?}", stats.prefetch_streams),
-        );
-        let scorecard_names: Vec<String> = (0..cores)
-            .flat_map(|c| (0..slots).map(move |s| format!("pf_scorecard[{c}][{s}]")))
+        let diffs: Vec<String> = folded
+            .columns()
+            .into_iter()
+            .zip(stats.clone().columns())
+            .filter(|((_, got), (_, want))| got != want)
+            .map(|((what, got), (_, want))| format!("  {what}: events {got:?} != stats {want:?}"))
             .collect();
-        for (c, per_slot) in stats.pf_scorecard.iter().enumerate() {
-            for (s, score) in per_slot.iter().enumerate() {
-                let got = r.pf_slot[c][s];
-                let want = [score.issued, score.useful, score.late, score.useless];
-                check(
-                    &scorecard_names[c * slots + s],
-                    format!("{got:?}"),
-                    format!("{want:?}"),
-                );
-            }
-        }
-        check(
-            "dram_requests",
-            r.dram_requests.to_string(),
-            stats.dram_requests.to_string(),
-        );
-        check(
-            "dram_queued",
-            r.dram_queued.to_string(),
-            stats.dram_queued.to_string(),
-        );
-        check(
-            "snoops_filtered",
-            r.snoops_filtered.to_string(),
-            stats.snoops_filtered.to_string(),
-        );
-        check(
-            "snoops_sent",
-            r.snoops_sent.to_string(),
-            stats.snoops_sent.to_string(),
-        );
-        check(
-            "probe_candidates",
-            r.probe_candidates.to_string(),
-            stats.probe_candidates.to_string(),
-        );
-        check(
-            "snoops_suppressed",
-            r.snoops_suppressed.to_string(),
-            stats.snoops_suppressed.to_string(),
-        );
-        check(
-            "snoop_matrix",
-            format!("{:?}", r.snoop_matrix),
-            format!("{:?}", stats.snoop_matrix),
-        );
-        check(
-            "c2c_transfers",
-            r.c2c.to_string(),
-            stats.c2c_transfers.to_string(),
-        );
-        check(
-            "coh_invalidations",
-            r.coh_inv.to_string(),
-            stats.coh_invalidations.to_string(),
-        );
-        check(
-            "coh_downgrades",
-            r.coh_down.to_string(),
-            stats.coh_downgrades.to_string(),
-        );
-        check(
-            "coh_upgrades",
-            r.coh_up.to_string(),
-            stats.coh_upgrades.to_string(),
-        );
         if diffs.is_empty() {
             Ok(())
         } else {
@@ -1089,6 +864,112 @@ mod tests {
         assert!(err.contains("miss_compulsory"), "{err}");
         assert!(err.contains("miss_capacity"), "{err}");
         assert!(!err.contains("snoops_sent"), "{err}");
+
+        // a stream that lost, repeated or re-attributed any one event in
+        // transit names exactly the counters that event moves
+        let whole = every_variant_events();
+        let mut table = MemStats::zeroed(2, 8);
+        for ev in &whole {
+            table.record(ev.core, ev.kind);
+        }
+        let named = |events: Vec<MemEvent>| -> Vec<String> {
+            match through_codec(&MemTracer { events }).reconcile(&table) {
+                Ok(()) => Vec::new(),
+                Err(e) => e
+                    .lines()
+                    .skip(1)
+                    .map(|l| l.trim().split(':').next().unwrap().to_string())
+                    .collect(),
+            }
+        };
+        assert_eq!(named(whole.clone()), Vec::<String>::new());
+        for (i, ev) in whole.iter().enumerate() {
+            let moved = moves(ev.kind);
+            let mut dropped = whole.clone();
+            dropped.remove(i);
+            assert_eq!(named(dropped), moved, "event {i} dropped: {ev:?}");
+            let mut doubled = whole.clone();
+            doubled.insert(i, *ev);
+            assert_eq!(named(doubled), moved, "event {i} duplicated: {ev:?}");
+            let mut recored = whole.clone();
+            recored[i].core ^= 1;
+            let per_core: Vec<&str> = moved
+                .iter()
+                .copied()
+                .filter(|name| !GLOBAL.contains(name))
+                .collect();
+            assert_eq!(named(recored), per_core, "event {i} re-cored: {ev:?}");
+        }
+    }
+
+    /// Counters kept once for the cluster, not per core.
+    const GLOBAL: [&str; 11] = [
+        "dram_requests",
+        "dram_queued",
+        "snoops_filtered",
+        "snoops_sent",
+        "probe_candidates",
+        "snoops_suppressed",
+        "c2c_transfers",
+        "coh_invalidations",
+        "coh_downgrades",
+        "coh_upgrades",
+        "walk_cycles",
+    ];
+
+    /// The counters an event moves, by name and in table order: the
+    /// event → counter table of docs/OBSERVABILITY.md written out by
+    /// hand, as the oracle of the fold.
+    fn moves(kind: MemEventKind) -> Vec<&'static str> {
+        let slot = |s: Option<usize>| s.map(|_| "pf_scorecard");
+        match kind {
+            MemEventKind::L1IAccess { .. } => vec!["l1i"],
+            MemEventKind::L1DHit { .. } => vec!["l1d"],
+            MemEventKind::L1DMiss { class, .. } => vec![
+                "l1d",
+                match class {
+                    MissClass::Compulsory => "miss_compulsory",
+                    MissClass::Capacity => "miss_capacity",
+                    MissClass::Conflict => "miss_conflict",
+                    MissClass::Coherence => "miss_coherence",
+                },
+            ],
+            MemEventKind::L2Access { .. } => vec!["l2_demand"],
+            MemEventKind::Fill { .. }
+            | MemEventKind::Eviction { .. }
+            | MemEventKind::Writeback { .. }
+            | MemEventKind::BackInvalidate { .. }
+            | MemEventKind::CacheFlush { .. }
+            | MemEventKind::PrefetchFill { .. } => vec![],
+            MemEventKind::DramRequest { queued: false } => vec!["dram_requests"],
+            MemEventKind::DramRequest { queued: true } => vec!["dram_requests", "dram_queued"],
+            MemEventKind::SnoopFiltered => vec!["snoops_filtered"],
+            MemEventKind::SnoopProbe { sent: true, .. } => {
+                vec!["snoops_sent", "probe_candidates", "snoop_matrix"]
+            }
+            MemEventKind::SnoopProbe { sent: false, .. } => {
+                vec!["probe_candidates", "snoops_suppressed"]
+            }
+            MemEventKind::C2CTransfer { .. } => vec!["c2c_transfers"],
+            MemEventKind::CohInvalidate { .. } => vec!["coh_invalidations"],
+            MemEventKind::CohDowngrade { .. } => vec!["coh_downgrades"],
+            MemEventKind::CohUpgrade => vec!["coh_upgrades"],
+            MemEventKind::TlbMicroHit => vec!["tlb_micro_hits"],
+            MemEventKind::TlbJointHit { .. } => vec!["tlb_joint_hits"],
+            MemEventKind::TlbWalk { .. } => vec!["tlb_walks", "walk_cycles"],
+            MemEventKind::TlbFlush => vec!["tlb_flushes"],
+            MemEventKind::PrefetchIssue { .. } => vec!["prefetches_issued", "pf_scorecard"],
+            MemEventKind::PrefetchUseful { level, stream } => (level == Level::L1D)
+                .then_some("prefetches_useful")
+                .into_iter()
+                .chain(slot(stream))
+                .collect(),
+            MemEventKind::PrefetchLate { stream, .. } => std::iter::once("prefetches_late")
+                .chain(slot(stream))
+                .collect(),
+            MemEventKind::PrefetchUseless { .. } => vec!["pf_scorecard"],
+            MemEventKind::StreamConfirmed { .. } => vec!["prefetch_streams"],
+        }
     }
 
     #[test]
@@ -1103,6 +984,55 @@ mod tests {
         };
         let err = t.reconcile(&matching_stats()).expect_err("bad core");
         assert!(err.contains("core 7"), "{err}");
+
+        // the codec carries a core, a peer or a slot of any size: each
+        // event of a stream that decodes, forged to name one the table
+        // has no column for, is refused by name instead of indexed
+        let whole = every_variant_events();
+        let table = matching_stats();
+        for i in 0..whole.len() {
+            let refused = |forge: &dyn Fn(&mut MemEvent)| {
+                let mut events = whole.clone();
+                forge(&mut events[i]);
+                let forged = through_codec(&MemTracer { events });
+                forged.reconcile(&table).expect_err("out of range")
+            };
+            let err = refused(&|ev| ev.core = 7);
+            assert!(
+                err.contains(&format!("event {i} names core 7 of 2")),
+                "{err}"
+            );
+            let (peer, slot) = whole[i].kind.names();
+            if peer.is_some() {
+                let err = refused(&|ev| match &mut ev.kind {
+                    MemEventKind::SnoopProbe { holder: c, .. }
+                    | MemEventKind::C2CTransfer { from: c }
+                    | MemEventKind::CohInvalidate { victim: c }
+                    | MemEventKind::CohDowngrade { victim: c, .. }
+                    | MemEventKind::BackInvalidate { victim: c, .. } => *c = 2,
+                    other => panic!("{other:?} names no peer"),
+                });
+                assert!(
+                    err.contains(&format!("event {i} names core 2 of 2")),
+                    "{err}"
+                );
+            }
+            if slot.is_some() {
+                let err = refused(&|ev| match &mut ev.kind {
+                    MemEventKind::PrefetchIssue { stream }
+                    | MemEventKind::PrefetchUseless { stream }
+                    | MemEventKind::StreamConfirmed { stream } => *stream = 8,
+                    MemEventKind::PrefetchFill { stream, .. }
+                    | MemEventKind::PrefetchUseful { stream, .. }
+                    | MemEventKind::PrefetchLate { stream, .. } => *stream = Some(8),
+                    other => panic!("{other:?} names no slot"),
+                });
+                assert!(
+                    err.contains(&format!("event {i} names stream slot 8 of 8")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1119,9 +1049,9 @@ mod tests {
         assert_eq!(j, t.to_chrome_json(2));
     }
 
-    #[test]
-    fn events_snapshot_roundtrip_every_variant() {
-        // one event of every tagged variant shape
+    /// One event of every tagged variant shape (and both values of the
+    /// payloads that decide which counters move), over two cores.
+    fn every_variant_events() -> Vec<MemEvent> {
         let mut evs = sample_events();
         evs.extend([
             MemEvent {
@@ -1248,16 +1178,52 @@ mod tests {
                 addr: 0x3000,
                 kind: MemEventKind::StreamConfirmed { stream: 4 },
             },
+            MemEvent {
+                cycle: 8,
+                core: 0,
+                addr: 0x140,
+                kind: MemEventKind::DramRequest { queued: true },
+            },
+            MemEvent {
+                cycle: 8,
+                core: 0,
+                addr: 0x140,
+                kind: MemEventKind::SnoopProbe {
+                    holder: 1,
+                    sent: false,
+                },
+            },
+            MemEvent {
+                cycle: 8,
+                core: 0,
+                addr: 0x140,
+                kind: MemEventKind::PrefetchUseful {
+                    level: Level::L1D,
+                    stream: Some(1),
+                },
+            },
         ]);
-        let t = MemTracer { events: evs };
+        evs
+    }
+
+    /// `stream` as it comes back out of the snapshot codec.
+    fn through_codec(stream: &MemTracer) -> MemTracer {
         let mut e = Enc::new();
-        t.save(&mut e);
+        stream.save(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        let mut r = MemTracer::new();
-        r.restore(&mut d).expect("restore");
+        let mut back = MemTracer::new();
+        back.restore(&mut d).expect("restore");
         d.finish().expect("fully consumed");
-        assert_eq!(t.events, r.events);
+        back
+    }
+
+    #[test]
+    fn events_snapshot_roundtrip_every_variant() {
+        let t = MemTracer {
+            events: every_variant_events(),
+        };
+        assert_eq!(t.events, through_codec(&t).events);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub const MAGIC: [u8; 4] = *b"XTSN";
 /// [`SnapshotState`] encoding changes shape; the golden-fixture test
 /// (`tests/snapshot_golden.rs`) exists to make accidental layout drift
 /// a test failure instead of a silent corruption.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Kind byte: a single-core timing session (`CoreSnapshot`).
 pub const KIND_CORE: u8 = 1;

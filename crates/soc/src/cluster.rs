@@ -1061,7 +1061,9 @@ mod tests {
     }
 
     /// The replicas keep no miss classifier and no prefetch scorecard;
-    /// the report is the master's, which keeps both.
+    /// the report is the master's, which keeps both. A replica still
+    /// counts everything else about its own core, and an unclassed miss
+    /// is in no class — not even compulsory.
     #[test]
     fn reported_statistics_come_from_an_observing_master() {
         let progs: Vec<Program> = (0..2u64).map(private_kernel).collect();
@@ -1069,8 +1071,11 @@ mod tests {
             cores: 2,
             ..MemConfig::default()
         };
-        let r = ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000).run_threads(1);
-        for c in 0..2 {
+        let mut sim = ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000);
+        while !sim.step_epochs(64, 1) {}
+        let replicas: Vec<xt_mem::MemStats> = sim.slots.iter().map(|s| s.mem.stats()).collect();
+        let r = sim.into_report();
+        for (c, own) in replicas.iter().enumerate() {
             assert!(r.mem.l1d[c].1 > 0, "core {c} missed in its L1D");
             assert_eq!(
                 r.mem.miss_class_sum(c),
@@ -1083,6 +1088,16 @@ mod tests {
                 scored, r.mem.prefetches_issued[c],
                 "core {c}: every request scored"
             );
+            // core c's own replica: the master's counts for core c, with
+            // the observers' columns at zero
+            assert_eq!(own.l1d[c], r.mem.l1d[c]);
+            assert_eq!(own.tlb_walks[c], r.mem.tlb_walks[c]);
+            assert_eq!(own.prefetches_issued[c], r.mem.prefetches_issued[c]);
+            assert_eq!(own.prefetches_useful[c], r.mem.prefetches_useful[c]);
+            assert_eq!(own.miss_class_sum(c), 0, "core {c}: no observer, no class");
+            assert!(own.pf_scorecard[c]
+                .iter()
+                .all(|s| *s == xt_mem::StreamScore::default()));
         }
     }
 

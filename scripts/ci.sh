@@ -21,6 +21,13 @@ cargo build --release --offline --workspace --all-targets
 echo "== test (workspace, offline) =="
 cargo test -q --offline --workspace
 
+echo "== test (xt-mem, release profile) =="
+# benchmark/ and the report binaries run the memory hierarchy only in
+# release, the suites above only in debug; its unit and property tests
+# (counters == fold of the events, live and replayed) must hold in the
+# profile that is measured too.
+cargo test -q --release --offline -p xt-mem
+
 echo "== test matrix: cluster engine thread counts =="
 # The epoch-barriered cluster engine promises bit-identical results for
 # any XT_THREADS value; run the multicore-sensitive suites at both ends

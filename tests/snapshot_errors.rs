@@ -171,7 +171,7 @@ fn set_field(payload: &mut [u8], at: usize, v: u64) {
 ///
 /// The memory system is the last part of a session payload, the one
 /// core's classifier the last part of that but for the "no tracer" byte,
-/// and a classifier ends `cap, n, n × (stamp, line), next_stamp, 4 × u64`.
+/// and a classifier ends `cap, n, n × (stamp, line), next_stamp`.
 fn shadow_payload() -> (Vec<u8>, usize, usize) {
     let mut s = OooSession::new(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
     s.run_to_end();
@@ -179,7 +179,7 @@ fn shadow_payload() -> (Vec<u8>, usize, usize) {
     let payload = xt_snapshot::open(&frame, xt_snapshot::KIND_CORE)
         .unwrap()
         .to_vec();
-    let pairs_end = payload.len() - 1 - 5 * 8;
+    let pairs_end = payload.len() - 1 - 8;
     // walking back over the pairs, the would-be `n` field lands on line
     // addresses (never small numbers) until it is the real one
     let (n, cap_at) = (0..64usize)
@@ -228,6 +228,72 @@ fn inconsistent_shadow_lru_is_rejected() {
             other => panic!("{name}: expected Corrupt(shadow lru), got {other:?}"),
         }
     }
+}
+
+// ---- the memory system's counter table ----
+
+/// Frames with a valid checksum whose counter table claims another
+/// shape than the restoring hierarchy's. The table is written `cores,
+/// slots` and then bare words the instance indexes by its own cores and
+/// slots, so a wrong shape must be refused up front — `Mismatch`, or
+/// `Corrupt`/`Truncated` once the bytes behind it stop making sense —
+/// never restored into a table that a later event indexes past the end
+/// of, and never sized from the frame.
+#[test]
+fn forged_counter_table_shape_is_rejected() {
+    use xt_snapshot::SnapshotState;
+    let mut s = OooSession::new(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
+    s.run_to_end();
+    let good = xt_snapshot::open(&s.save(), xt_snapshot::KIND_CORE)
+        .unwrap()
+        .to_vec();
+    // the table's own encoding is long and unlike anything else in the
+    // payload: find it there
+    let stats = s.mem().stats();
+    let mut e = xt_snapshot::Enc::new();
+    stats.save(&mut e);
+    let table = e.into_bytes();
+    let slots = stats.pf_scorecard[0].len() as u64;
+    let at = good
+        .windows(table.len())
+        .position(|w| w == table)
+        .expect("the counter table is in the payload");
+    assert_eq!((field(&good, at), field(&good, at + 8)), (1, slots));
+
+    let restore_payload = |payload: &[u8]| {
+        let mut s = OooSession::new(&four_line_prog(), &CoreConfig::xt910(), MAX_INSTS);
+        s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
+    };
+    restore_payload(&good).expect("the untouched payload restores");
+    for (what, offset, forged) in [
+        ("no core", 0, 0),
+        ("a core too many", 0, 2),
+        ("an absurd core count", 0, 1 << 40),
+        ("no slot", 8, 0),
+        ("a slot too few", 8, slots - 1),
+        ("a slot too many", 8, slots + 1),
+        ("an absurd slot count", 8, u64::MAX),
+    ] {
+        let mut p = good.clone();
+        set_field(&mut p, at + offset, forged);
+        match restore_payload(&p) {
+            Err(SnapshotError::Mismatch { what }) if what.starts_with("counter table") => {}
+            other => panic!("{what}: expected Mismatch(counter table …), got {other:?}"),
+        }
+    }
+    // a table cut short is a table of the right shape with the next
+    // section's bytes read as counters: the layout check catches it
+    let mut p = good.clone();
+    p.drain(at + 16..at + 24);
+    assert!(
+        matches!(
+            restore_payload(&p),
+            Err(SnapshotError::Corrupt { .. }
+                | SnapshotError::Truncated { .. }
+                | SnapshotError::Mismatch { .. })
+        ),
+        "a table one word short"
+    );
 }
 
 // ---------------------------------------------------------------------
