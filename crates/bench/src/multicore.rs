@@ -357,12 +357,13 @@ pub struct EmuSpeed {
 pub const STEP_DRIVER_FLOOR: f64 = 0.39;
 
 /// An `OooSession` must reach this fraction of `Emulator::run`'s MIPS on
-/// the loop below: two thirds of the 0.131 measured after PR 16 took heap
-/// containers and divisions off `OooCore::step` (20 runs, 0.119-0.147;
-/// 13.0 of 99.4 MIPS). The parent measured 0.121 (0.116-0.138; 9.9 of
-/// 81.7 MIPS): both sides of the ratio rose (EXPERIMENTS.md, "Host speed,
-/// PR 16").
-pub const OOO_SESSION_FLOOR: f64 = 0.087;
+/// the loop below: two thirds of the 0.166 measured after PR 22 took the
+/// loops out of the retirement-ordered windows and inlined the issue-slot
+/// limiter (10 runs, 0.146-0.181; 19.1 of about 115 MIPS). The parent
+/// measured 0.153 in alternation (9 runs, 0.141-0.176; 17.5 MIPS), and
+/// 0.131 when PR 16 set the floor at 0.087 (EXPERIMENTS.md, "Host speed,
+/// PR 16" and "PR 22").
+pub const OOO_SESSION_FLOOR: f64 = 0.11;
 
 /// Measures the functional emulator's raw host MIPS (docs/FASTPATH.md)
 /// on a single-core ALU/branch loop with one load and one store: with
@@ -443,9 +444,11 @@ pub struct ClusterSpeed {
 /// on the private-slice kernel: two thirds of the 0.65 measured after
 /// PR 20 stopped a replayed `MemOp` recomputing its core's TLB and
 /// stream-table outcome and took the statistics-only observers out of
-/// the replicas (13 runs, 0.61-0.74; 6.8 of 10.4 MIPS). The parent
-/// measured 0.52 on the same rung (10 runs, 0.44-0.54; 5.1 of 9.9 MIPS;
-/// EXPERIMENTS.md, "Host speed, PR 20").
+/// the replicas (13 runs, 0.61-0.74; 6.8 of 10.4 MIPS; the parent 0.52,
+/// EXPERIMENTS.md, "Host speed, PR 20"). Re-measured after PR 22 made
+/// `OooCore::step` cheaper on both sides of the ratio: 0.642 (10 runs,
+/// 0.56-0.73; 8.8 of 14.1 MIPS) against the parent's 0.645 (9 runs,
+/// 0.62-0.67; 8.4 of 12.7) — two thirds is still 0.43.
 pub const CLUSTER4_FLOOR: f64 = 0.43;
 
 /// One core's private STREAM slice: `b[i] = a[0] + ... + a[i]` over 12 Ki

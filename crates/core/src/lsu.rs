@@ -11,7 +11,7 @@
 //!   before and blocks them until older store addresses resolve (§V-A).
 
 use crate::config::CoreConfig;
-use crate::resources::{PipeGroup, Window};
+use crate::resources::{PipeGroup, RetireWindow};
 use std::collections::VecDeque;
 use xt_mem::MemSystem;
 
@@ -69,9 +69,9 @@ pub struct Lsu {
     st_addr_pipe: PipeGroup,
     st_data_pipe: PipeGroup,
     /// Load queue (entries held to retirement).
-    pub lq: Window,
+    pub lq: RetireWindow,
     /// Store queue (entries held to drain).
-    pub sq: Window,
+    pub sq: RetireWindow,
     stores: VecDeque<PendingStore>,
     /// PCs of loads that have violated before, ascending (almost always
     /// empty: one binary search per load, no hashing).
@@ -94,8 +94,8 @@ impl Lsu {
             load_pipe: PipeGroup::new(1),
             st_addr_pipe: PipeGroup::new(1),
             st_data_pipe: PipeGroup::new(1),
-            lq: Window::new(cfg.lq_entries),
-            sq: Window::new(cfg.sq_entries),
+            lq: RetireWindow::new(cfg.lq_entries),
+            sq: RetireWindow::new(cfg.sq_entries),
             stores: VecDeque::new(),
             dep_pred: Vec::new(),
             sq_track: cfg.sq_entries,

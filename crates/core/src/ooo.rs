@@ -14,7 +14,7 @@ use crate::config::CoreConfig;
 use crate::ifu::{FrontEnd, Redirect};
 use crate::lsu::Lsu;
 use crate::perf::{PerfCounters, RunReport, StallCause};
-use crate::resources::{Bandwidth, PipeGroup, SlotLimiter, Window};
+use crate::resources::{Bandwidth, PipeGroup, RetireWindow, SlotLimiter, Window};
 use xt_emu::DynInst;
 use xt_isa::{ExecClass, Op, RegFile};
 use xt_mem::MemSystem;
@@ -45,10 +45,11 @@ pub struct OooCore {
     rename_bw: Bandwidth,
     retire_bw: Bandwidth,
     issue_slots: SlotLimiter,
-    // windows
-    rob: Window,
+    // windows: everything held to retirement releases in order; only the
+    // issue queue, left at completion, does not
+    rob: RetireWindow,
     iq: Window,
-    phys: [Window; 3],
+    phys: [RetireWindow; 3],
     // execution pipes
     alu: PipeGroup,
     bju: PipeGroup,
@@ -98,12 +99,12 @@ impl OooCore {
             rename_bw: Bandwidth::new(cfg.rename_width),
             retire_bw: Bandwidth::new(cfg.retire_width),
             issue_slots: SlotLimiter::new(cfg.issue_width as u32),
-            rob: Window::new(cfg.rob_entries),
+            rob: RetireWindow::new(cfg.rob_entries),
             iq: Window::new(cfg.iq_entries),
             phys: [
-                Window::new(cfg.phys_int),
-                Window::new(cfg.phys_fp),
-                Window::new(cfg.phys_vec),
+                RetireWindow::new(cfg.phys_int),
+                RetireWindow::new(cfg.phys_fp),
+                RetireWindow::new(cfg.phys_vec),
             ],
             alu: PipeGroup::new(cfg.alu_pipes),
             bju: PipeGroup::new(1),
@@ -289,19 +290,28 @@ impl OooCore {
             (xt_isa::vector::Sew::E64, 0)
         };
         let mut ready = disp + 1;
-        for (rf, idx) in d.inst.sources_of(traits) {
-            match rf {
-                RegFile::None => {}
-                RegFile::Vec => {
+        // Scalar operands: three unconditional scoreboard reads. A
+        // position that names no register contributes 0, as does a vector
+        // one (those chain, below), and integer `x0` is never written, so
+        // its entry stays 0.
+        let inst = &d.inst;
+        for (rf, idx) in [
+            (traits.rs1, inst.rs1),
+            (traits.rs2, inst.rs2),
+            (traits.rs3, inst.rs3),
+        ] {
+            let scalar = matches!(rf, RegFile::Int | RegFile::Fp) as u64;
+            ready = ready.max(scalar * self.reg_ready[Self::src_file_index(rf)][idx as usize % 32]);
+        }
+        if touches_vec {
+            for (rf, idx) in inst.sources_of(traits) {
+                if rf == RegFile::Vec {
                     // chaining: an element-ordered consumer starts at the
                     // producer's first slice, not the whole-group completion
                     for k in 0..group {
                         let vr = &self.vreg[((idx as u64 + k) % 32) as usize];
-                        ready = ready.max(xt_vector::source_ready(d.inst.op, vr));
+                        ready = ready.max(xt_vector::source_ready(inst.op, vr));
                     }
-                }
-                RegFile::Int | RegFile::Fp => {
-                    ready = ready.max(self.reg_ready[Self::src_file_index(rf)][idx as usize]);
                 }
             }
         }
@@ -313,34 +323,61 @@ impl OooCore {
         // destination; None means the generic writeback (whole group at
         // `complete`, no chaining) applies
         let mut vec_dest: Option<xt_vector::VregReady> = None;
+        // The one issue slot of the µop, taken before anything else it
+        // does: stores issue st.addr as soon as they are dispatched,
+        // serialising classes wait for the machine to drain instead.
+        // No wildcard: a new class must say here whether it takes one.
+        let slot_want = match class {
+            ExecClass::Fence | ExecClass::Csr | ExecClass::System | ExecClass::CacheOp => None,
+            ExecClass::Store | ExecClass::VecStore => Some(disp + 1),
+            ExecClass::Alu
+            | ExecClass::Mul
+            | ExecClass::Div
+            | ExecClass::Branch
+            | ExecClass::Jump
+            | ExecClass::JumpInd
+            | ExecClass::Load
+            | ExecClass::Amo
+            | ExecClass::VSet
+            | ExecClass::FpAdd
+            | ExecClass::FpMul
+            | ExecClass::FpDiv
+            | ExecClass::FpCvt
+            | ExecClass::VecAlu
+            | ExecClass::VecFAdd
+            | ExecClass::VecMul
+            | ExecClass::VecDiv
+            | ExecClass::VecPerm
+            | ExecClass::VecLoad => Some(ready),
+        };
+        let at = slot_want.map_or(0, |want| self.issue_slots.take(want));
         // cycle the µop won an issue slot and a pipe — EX1 in the trace
         let exec_start;
         let complete = match class {
             ExecClass::Alu => {
-                let start = self.alu.issue(self.issue_slots.take(ready), 1);
+                let start = self.alu.issue(at, 1);
                 exec_start = start;
                 start + lat.alu
             }
             ExecClass::Mul => {
                 // multiplier shares the ALU pipe pair (§II)
-                let start = self.alu.issue(self.issue_slots.take(ready), 1);
+                let start = self.alu.issue(at, 1);
                 exec_start = start;
                 start + lat.mul
             }
             ExecClass::Div => {
                 // divider shares the multi-cycle pipe, unpipelined
-                let start = self.mdu.issue(self.issue_slots.take(ready), lat.div);
+                let start = self.mdu.issue(at, lat.div);
                 exec_start = start;
                 start + lat.div
             }
             ExecClass::Branch | ExecClass::Jump | ExecClass::JumpInd => {
-                let start = self.bju.issue(self.issue_slots.take(ready), 1);
+                let start = self.bju.issue(at, 1);
                 exec_start = start;
                 start + lat.alu
             }
             ExecClass::Load => {
                 let mem_info = d.mem.expect("load has a memory access");
-                let at = self.issue_slots.take(ready);
                 exec_start = at;
                 let r = self.lsu.load(
                     self.core_id,
@@ -369,7 +406,6 @@ impl OooCore {
                 // scalar stores) gates st.data
                 let base_rdy = self.reg_ready[0][d.inst.rs1 as usize].max(disp + 1);
                 let data_rdy = ready; // includes all sources
-                let at = self.issue_slots.take(disp + 1);
                 exec_start = at;
                 let s = self.lsu.store(
                     mem_info.paddr,
@@ -389,7 +425,7 @@ impl OooCore {
                 s.complete
             }
             ExecClass::Amo => {
-                let start = self.issue_slots.take(ready);
+                let start = at;
                 exec_start = start;
                 // an AMO is a read-modify-write: it needs the line in a
                 // writable state, so it takes the store coherence path
@@ -435,7 +471,7 @@ impl OooCore {
             ExecClass::VSet => {
                 // §VII: vector parameters are predicted and vector ops
                 // execute speculatively; failure only when vl changes.
-                let start = self.alu.issue(self.issue_slots.take(ready), 1);
+                let start = self.alu.issue(at, 1);
                 exec_start = start;
                 let imm = d.inst.imm;
                 let fail =
@@ -454,22 +490,22 @@ impl OooCore {
                 }
             }
             ExecClass::FpAdd => {
-                let start = self.fpvec.issue(self.issue_slots.take(ready), 1);
+                let start = self.fpvec.issue(at, 1);
                 exec_start = start;
                 start + lat.fadd
             }
             ExecClass::FpMul => {
-                let start = self.fpvec.issue(self.issue_slots.take(ready), 1);
+                let start = self.fpvec.issue(at, 1);
                 exec_start = start;
                 start + lat.fmul
             }
             ExecClass::FpDiv => {
-                let start = self.fpvec.issue(self.issue_slots.take(ready), lat.fdiv);
+                let start = self.fpvec.issue(at, lat.fdiv);
                 exec_start = start;
                 start + lat.fdiv
             }
             ExecClass::FpCvt => {
-                let start = self.fpvec.issue(self.issue_slots.take(ready), 1);
+                let start = self.fpvec.issue(at, 1);
                 exec_start = start;
                 start + lat.fcvt
             }
@@ -479,7 +515,6 @@ impl OooCore {
                 // busy, first/last slice results for the chaining
                 // scoreboard (docs/VECTOR.md)
                 let plan = xt_vector::VecPlan::crack(&self.vec_cfg, d.inst.op, d.vl as u64, sew);
-                let at = self.issue_slots.take(ready);
                 let start = self.fpvec.issue(at, plan.occupancy);
                 // a ready vector µop held back by busy vector pipes is a
                 // vector-unit stall, not core back-pressure
@@ -493,7 +528,6 @@ impl OooCore {
                 let bytes = mem_info.size as u64;
                 // the LSU moves 128 bits per cycle (§VII)
                 let beats = bytes.div_ceil(16).max(1);
-                let at = self.issue_slots.take(ready);
                 exec_start = at;
                 let r = self.lsu.load(
                     self.core_id,
@@ -543,7 +577,6 @@ impl OooCore {
                 let bytes = mem_info.size as u64;
                 let beats = bytes.div_ceil(16).max(1);
                 let base_rdy = self.reg_ready[0][d.inst.rs1 as usize].max(disp + 1);
-                let at = self.issue_slots.take(disp + 1);
                 exec_start = at;
                 let s = self.lsu.store(mem_info.paddr, bytes, at, base_rdy, ready);
                 if let Some((f, t)) = s.queue_wait {
@@ -556,6 +589,8 @@ impl OooCore {
 
         // ---- writeback ----
         if let Some((rf, idx)) = dest {
+            // the scalar operand read relies on x0's entry staying 0
+            debug_assert!(idx != 0 || rf != RegFile::Int, "x0 is never written");
             self.reg_ready[Self::src_file_index(rf)][idx as usize] = complete;
             if rf == RegFile::Vec {
                 // the whole effective-LMUL group becomes ready together;
@@ -764,6 +799,12 @@ impl xt_snapshot::SnapshotState for OooCore {
             }
             file.copy_from_slice(&v);
         }
+        // the operand read takes x0's entry as it stands: no run writes it
+        if self.reg_ready[0][0] != 0 {
+            return Err(xt_snapshot::SnapshotError::Corrupt {
+                what: "scoreboard x0",
+            });
+        }
         for v in &mut self.vreg {
             v.first = d.u64()?;
             v.last = d.u64()?;
@@ -772,6 +813,17 @@ impl xt_snapshot::SnapshotState for OooCore {
         self.serialize_point = d.u64()?;
         self.max_complete = d.u64()?;
         self.last_retire = d.u64()?;
+        // a frame is outside input: every retirement-ordered entry was
+        // released at a retirement (the store queue's one cycle after), and
+        // the next one must not come before it
+        let mut held = [&self.rob, &self.lsu.lq].into_iter().chain(&self.phys);
+        if held.any(|w| w.newest_release() > self.last_retire)
+            || self.lsu.sq.newest_release() > self.last_retire.saturating_add(1)
+        {
+            return Err(xt_snapshot::SnapshotError::Corrupt {
+                what: "window release after the last retirement",
+            });
+        }
         self.pending_flush = crate::perf::restore_pending_flush(d)?;
         self.tracer = crate::perf::restore_opt_tracer(d)?;
         self.last_vset_imm = match d.u8()? {
@@ -1001,26 +1053,12 @@ mod tests {
         let mut cfg = CoreConfig::xt910();
         cfg.rob_entries = 16;
         cfg.iq_entries = 8;
-        let r = report(cfg, |a| {
-            let n = 256u64;
-            let base_addr = xt_asm::DEFAULT_DATA_BASE;
-            let mut chain = vec![0u64; n as usize * 512];
-            for k in 0..n {
-                let next_idx = ((k + 1) % n) * 512;
-                chain[(k * 512) as usize] = base_addr + next_idx * 8;
-            }
-            let base = a.data_u64("chain", &chain);
-            assert_eq!(base, base_addr);
-            a.la(Gpr::A1, base);
-            a.li(Gpr::A3, 500);
-            let top = a.here();
-            a.ld(Gpr::A1, Gpr::A1, 0); // L1-missing chase head
+        let alu_fill = |a: &mut Asm| {
             for _ in 0..32 {
                 a.addi(Gpr::A2, Gpr::A2, 1); // independent fill
             }
-            a.addi(Gpr::A3, Gpr::A3, -1);
-            a.bnez(Gpr::A3, top);
-        });
+        };
+        let r = crate::OooSession::new(&chase_with(alu_fill), &cfg, 10_000_000).run_to_end();
         let p = &r.perf;
         assert!(
             p.rob_stall_cycles() > 0,
@@ -1032,6 +1070,77 @@ mod tests {
             p.attributed_stall_cycles(),
             p.cycles
         );
+    }
+
+    /// A chase whose every hop misses L1 (4 KiB apart), `fill` after each
+    /// hop: the hop blocks retirement while the fill keeps allocating.
+    fn chase_with(fill: impl Fn(&mut Asm)) -> xt_asm::Program {
+        let mut a = Asm::new();
+        let n = 256u64;
+        let base_addr = xt_asm::DEFAULT_DATA_BASE;
+        let mut chain = vec![0u64; n as usize * 512];
+        for k in 0..n {
+            chain[(k * 512) as usize] = base_addr + ((k + 1) % n) * 512 * 8;
+        }
+        let base = a.data_u64("chain", &chain);
+        assert_eq!(base, base_addr);
+        a.la(Gpr::A1, base);
+        a.mv(Gpr::A5, Gpr::A1);
+        a.li(Gpr::A3, 500);
+        let top = a.here();
+        a.ld(Gpr::A1, Gpr::A1, 0); // L1-missing chase head
+        fill(&mut a);
+        a.addi(Gpr::A3, Gpr::A3, -1);
+        a.bnez(Gpr::A3, top);
+        a.halt();
+        a.finish().unwrap()
+    }
+
+    /// A frame holds a retirement-ordered window's occupied entries only;
+    /// restore rebuilds its ring position and watermark from them. Cut a
+    /// run where such a window is full — the next `alloc` waits for the
+    /// oldest restored entry — and the rest of it must not notice.
+    #[test]
+    fn a_run_resumes_from_a_full_retirement_ordered_window() {
+        let mut rob_bound = CoreConfig::xt910();
+        rob_bound.rob_entries = 16;
+        rob_bound.iq_entries = 8;
+        let rob_full = |c: &OooCore| c.rob.occupancy() == c.cfg.rob_entries;
+        let alu_fill = |a: &mut Asm| {
+            for _ in 0..32 {
+                a.addi(Gpr::A2, Gpr::A2, 1);
+            }
+        };
+        let mut lq_bound = CoreConfig::xt910();
+        lq_bound.lq_entries = 4;
+        let lq_full = |c: &OooCore| c.lsu.lq.occupancy() == c.cfg.lq_entries;
+        let load_fill = |a: &mut Asm| {
+            for k in 0..8 {
+                a.ld(Gpr::A4, Gpr::A5, 8 * k);
+            }
+        };
+        type Full<'a> = &'a dyn Fn(&OooCore) -> bool;
+        let cases: [(&str, CoreConfig, xt_asm::Program, Full); 2] = [
+            ("ROB", rob_bound, chase_with(alu_fill), &rob_full),
+            ("LQ", lq_bound, chase_with(load_fill), &lq_full),
+        ];
+        for (name, cfg, p, full) in cases {
+            let whole = crate::OooSession::new(&p, &cfg, 1_000_000).run_to_end();
+            let mut first = crate::OooSession::new(&p, &cfg, 1_000_000);
+            // well into the run, so the ring has wrapped
+            first.run_insts(2_000);
+            while !full(first.core()) {
+                assert!(first.step(), "the {name} never fills");
+            }
+            let snap = first.save();
+            let mut resumed = crate::OooSession::new(&p, &cfg, 1_000_000);
+            resumed.restore(&snap).unwrap();
+            assert_eq!(resumed.save(), snap, "{name}: save∘restore∘save");
+            let r = resumed.run_to_end();
+            assert_eq!(r.perf, whole.perf, "{name}: counters");
+            assert_eq!(r.mem, whole.mem, "{name}: memory counters");
+            assert_eq!(r.exit_code, whole.exit_code, "{name}: exit code");
+        }
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //! per-cycle bandwidth limiters (decode/rename/retire), and execution
 //! pipes.
 
-use std::collections::VecDeque;
-
-/// A capacity-limited window (ROB, LQ, SQ, issue queue, physical-register
-/// pool). `alloc` returns the earliest cycle at or after `want` when a
-/// slot is free; `commit` records when the allocated slot releases.
+/// A capacity-limited window whose slots release in any order — the
+/// issue queue, which an instruction leaves when it completes. `alloc`
+/// returns the earliest cycle at or after `want` when a slot is free;
+/// `commit` records when the allocated slot releases. The structures an
+/// instruction holds until it retires are [`RetireWindow`]s.
 #[derive(Clone, Debug)]
 pub struct Window {
     cap: usize,
     /// Release cycles of the occupied slots, ascending, in a ring of
     /// power-of-two length: entry `k` is `ring[(head + k) & mask]`.
-    /// `alloc` frees from the head, `commit` writes at the tail —
-    /// in-order structures release in retirement order, so only the
-    /// issue queue ever shifts entries to keep the order. Occupancy
+    /// `alloc` frees from the head, `commit` writes at the tail and
+    /// shifts later releases up to keep the order. Occupancy
     /// never exceeds `cap`; the ring is at least two entries longer, so
     /// a stray `commit` trips the assertion before it overwrites the head.
     ring: Box<[u64]>,
@@ -80,6 +79,110 @@ impl Window {
     /// Current occupancy.
     pub fn occupancy(&self) -> usize {
         self.len
+    }
+}
+
+/// A capacity-limited window whose slots release in the order they were
+/// allocated: the ROB, the three physical-register pools, the load queue
+/// and the store queue, each held until its instruction retires (a store,
+/// one cycle longer). Same contract and same frame as [`Window`], without
+/// a loop: `alloc` is one load and two compares, `commit` one store.
+///
+/// With releases that never decrease the occupied slots are a FIFO, so
+/// entry *k* can only wait for entry *k − cap*, and does so exactly when
+/// that entry's release lies above `hi`, the largest `want` any `alloc`
+/// has asked for: [`Window`]'s lazy drop frees an entry at the first
+/// `alloc` whose `want` reaches its release, and a release lies above the
+/// `want` of every `alloc` before its own (`release > want` for each
+/// entry, and later releases are no smaller). The watermark is over
+/// *wants*, not over returned cycles — an entry releasing at exactly the
+/// cycle a stalled `alloc` returned stays occupied, as the lazy drop
+/// leaves it, and a later, smaller `want` waits for it (the ROB sees such
+/// wants: the three register pools ahead of it stall independently).
+///
+/// The law this relies on — retirement never goes back — is `xt-check`'s
+/// `last_retire_cycle` invariant; `commit` asserts it.
+#[derive(Clone, Debug)]
+pub struct RetireWindow {
+    cap: usize,
+    /// Entry `k`'s release cycle is `ring[k & mask]`; the ring is at least
+    /// `cap` long, so the last `cap` entries are always there. A slot no
+    /// entry has reached holds 0, which is never above `hi`.
+    ring: Box<[u64]>,
+    /// Entries committed so far.
+    count: usize,
+    /// The largest `want` so far: an entry is occupied while its release
+    /// is above it.
+    hi: u64,
+    /// An `alloc` is waiting for its `commit`: entry `count − cap` is gone
+    /// whatever its release.
+    claimed: bool,
+    /// Total cycles callers were delayed waiting for a slot.
+    pub stall_cycles: u64,
+}
+
+impl RetireWindow {
+    /// Creates a window with `cap` entries.
+    pub fn new(cap: usize) -> Self {
+        assert!(cap > 0, "a window needs at least one entry");
+        RetireWindow {
+            cap,
+            ring: vec![0; cap.next_power_of_two()].into_boxed_slice(),
+            count: 0,
+            hi: 0,
+            claimed: false,
+            stall_cycles: 0,
+        }
+    }
+
+    /// Release cycle of the entry `back` entries before the next one.
+    #[inline]
+    fn entry(&self, back: usize) -> u64 {
+        self.ring[self.count.wrapping_sub(back) & (self.ring.len() - 1)]
+    }
+
+    /// Earliest cycle ≥ `want` with a free slot. Every `alloc` is followed
+    /// by its [`Self::commit`].
+    #[inline]
+    pub fn alloc(&mut self, want: u64) -> u64 {
+        let oldest = self.entry(self.cap);
+        self.hi = self.hi.max(want);
+        let t = if oldest > self.hi { oldest } else { want };
+        self.claimed = true;
+        self.stall_cycles += t - want;
+        t
+    }
+
+    /// Records the release cycle of the slot just allocated: no earlier
+    /// than the entry before it, and after every cycle asked for so far.
+    #[inline]
+    pub fn commit(&mut self, release: u64) {
+        assert!(self.claimed, "commit without a preceding alloc");
+        assert!(
+            release >= self.newest_release() && release > self.hi,
+            "retirement-ordered window released out of order"
+        );
+        let mask = self.ring.len() - 1;
+        self.ring[self.count & mask] = release;
+        self.count += 1;
+        self.claimed = false;
+    }
+
+    /// Release cycles of the occupied entries, ascending.
+    fn live(&self) -> impl Iterator<Item = u64> + '_ {
+        (self.claimed as usize..self.cap)
+            .map(|k| self.entry(self.cap - k))
+            .filter(|&r| r > self.hi)
+    }
+
+    /// Current occupancy.
+    pub fn occupancy(&self) -> usize {
+        self.live().count()
+    }
+
+    /// Release cycle of the youngest entry (0 before the first).
+    pub fn newest_release(&self) -> u64 {
+        self.entry(1)
     }
 }
 
@@ -193,16 +296,21 @@ const SLOT_TAGS: usize = 256;
 #[derive(Clone, Debug)]
 pub struct SlotLimiter {
     width: u32,
-    /// `(cycle, used)` for the last [`SLOT_RING`] distinct cycles in
-    /// insertion order. Eviction order is observable (a re-requested
-    /// evicted cycle starts a fresh count), so this ring — not the tag
-    /// table — is the limiter's state.
-    recent: VecDeque<(u64, u32)>,
-    /// Entries evicted so far (wrapping): ring index = sequence − popped.
-    popped: u32,
-    /// `cycle % SLOT_TAGS` → insertion sequence number (wrapping) of the
-    /// youngest cycle that mapped there. A tag is trusted only after the
-    /// ring entry it names is checked, so stale tags are never cleared.
+    /// The last [`SLOT_RING`] distinct cycles in insertion order and the
+    /// slots used in each: the cycle with sequence number `s` sits at
+    /// index `s % SLOT_RING`, so remembering a new one overwrites the
+    /// oldest. Eviction order is observable (a re-requested evicted cycle
+    /// starts a fresh count), so this ring — not the tag table — is the
+    /// limiter's state.
+    cycles: [u64; SLOT_RING],
+    used: [u32; SLOT_RING],
+    /// Sequence number (wrapping) the next remembered cycle gets.
+    next: u32,
+    /// Cycles remembered: sequence numbers `next − len .. next`.
+    len: u32,
+    /// `cycle % SLOT_TAGS` → sequence number of the youngest cycle that
+    /// mapped there. A tag is trusted only after the ring entry it names
+    /// is checked, so stale tags are never cleared.
     tags: [u32; SLOT_TAGS],
 }
 
@@ -211,8 +319,10 @@ impl SlotLimiter {
     pub fn new(width: u32) -> Self {
         SlotLimiter {
             width,
-            recent: VecDeque::new(),
-            popped: 0,
+            cycles: [0; SLOT_RING],
+            used: [0; SLOT_RING],
+            next: 0,
+            len: 0,
             tags: [0; SLOT_TAGS],
         }
     }
@@ -221,44 +331,54 @@ impl SlotLimiter {
         cycle as usize % SLOT_TAGS
     }
 
+    /// Ring index of the cycle remembered `age` insertions ago (1 = youngest).
+    fn index(&self, age: u32) -> usize {
+        self.next.wrapping_sub(age) as usize % SLOT_RING
+    }
+
     /// Ring index of `cycle`, if it is still remembered.
+    #[inline]
     fn find(&self, cycle: u64) -> Option<usize> {
-        let i = self.tags[Self::tag_slot(cycle)].wrapping_sub(self.popped) as usize;
-        match self.recent.get(i) {
-            Some(&(c, _)) if c == cycle => Some(i),
-            // A younger cycle owns the tag; `cycle` may sit before it.
-            Some(&(c, _)) if Self::tag_slot(c) == Self::tag_slot(cycle) => {
-                self.recent.iter().rposition(|&(c, _)| c == cycle)
-            }
+        let age = self.next.wrapping_sub(self.tags[Self::tag_slot(cycle)]);
+        if age.wrapping_sub(1) >= self.len {
             // The tag's owner is gone, and FIFO eviction took every
             // older cycle of this slot with it.
-            _ => None,
+            return None;
+        }
+        let i = self.index(age);
+        let owner = self.cycles[i];
+        if owner == cycle {
+            Some(i)
+        } else if Self::tag_slot(owner) == Self::tag_slot(cycle) {
+            // A younger cycle owns the tag; `cycle` may sit before it.
+            (1..=self.len)
+                .map(|age| self.index(age))
+                .find(|&i| self.cycles[i] == cycle)
+        } else {
+            None
         }
     }
 
     fn remember(&mut self, cycle: u64) {
-        let seq = self.popped.wrapping_add(self.recent.len() as u32);
-        self.tags[Self::tag_slot(cycle)] = seq;
-        self.recent.push_back((cycle, 1));
-        if self.recent.len() > SLOT_RING {
-            self.recent.pop_front();
-            self.popped = self.popped.wrapping_add(1);
-        }
+        let i = self.next as usize % SLOT_RING;
+        self.tags[Self::tag_slot(cycle)] = self.next;
+        self.cycles[i] = cycle;
+        self.used[i] = 1;
+        self.next = self.next.wrapping_add(1);
+        self.len = (self.len + 1).min(SLOT_RING as u32);
     }
 
     /// Takes a slot at the first cycle ≥ `want` with spare width.
+    #[inline]
     pub fn take(&mut self, want: u64) -> u64 {
         let mut t = want;
         loop {
             match self.find(t) {
-                Some(i) => {
-                    let used = &mut self.recent[i].1;
-                    if *used < self.width {
-                        *used += 1;
-                        return t;
-                    }
-                    t += 1;
+                Some(i) if self.used[i] < self.width => {
+                    self.used[i] += 1;
+                    return t;
                 }
+                Some(_) => t += 1,
                 None => {
                     self.remember(t);
                     return t;
@@ -266,6 +386,33 @@ impl SlotLimiter {
             }
         }
     }
+}
+
+/// Reads the head of a window frame — `cap`, then the occupied entries'
+/// release cycles — into `ring[..n]`, ascending; returns `n`.
+fn restore_releases(
+    cap: usize,
+    ring: &mut [u64],
+    d: &mut xt_snapshot::Dec,
+) -> xt_snapshot::Result<usize> {
+    if d.usize()? != cap {
+        return Err(xt_snapshot::SnapshotError::Mismatch {
+            what: "window capacity",
+        });
+    }
+    // a frame is outside input: bound the count by what the ring was
+    // sized for, and re-establish the order, don't trust it
+    let n = d.usize()?;
+    if n > cap {
+        return Err(xt_snapshot::SnapshotError::Corrupt {
+            what: "window occupancy",
+        });
+    }
+    for r in &mut ring[..n] {
+        *r = d.u64()?;
+    }
+    ring[..n].sort_unstable();
+    Ok(n)
 }
 
 impl xt_snapshot::SnapshotState for Window {
@@ -281,25 +428,36 @@ impl xt_snapshot::SnapshotState for Window {
     }
 
     fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.usize()? != self.cap {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "window capacity",
-            });
-        }
-        // a frame is outside input: bound the count by what the ring was
-        // sized for, and re-establish the order, don't trust it
-        let n = d.usize()?;
-        if n > self.cap {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "window occupancy",
-            });
-        }
-        for r in &mut self.ring[..n] {
-            *r = d.u64()?;
-        }
-        self.ring[..n].sort_unstable();
+        let n = restore_releases(self.cap, &mut self.ring, d)?;
         self.head = 0;
         self.len = n;
+        self.stall_cycles = d.u64()?;
+        Ok(())
+    }
+}
+
+impl xt_snapshot::SnapshotState for RetireWindow {
+    /// [`Window`]'s frame: `cap`, the occupied entries' release cycles in
+    /// ascending order, `stall_cycles`.
+    fn save(&self, e: &mut xt_snapshot::Enc) {
+        e.usize(self.cap);
+        e.seq(self.occupancy());
+        for r in self.live() {
+            e.u64(r);
+        }
+        e.u64(self.stall_cycles);
+    }
+
+    /// The frame holds the occupied entries only, so they become entries
+    /// `0..n` of an otherwise empty ring, and the watermark starts again
+    /// from 0: every release in a frame, and every later one, lies above
+    /// all the wants the saved window had seen.
+    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
+        self.ring.fill(0);
+        let n = restore_releases(self.cap, &mut self.ring, d)?;
+        self.count = n;
+        self.hi = 0;
+        self.claimed = false;
         self.stall_cycles = d.u64()?;
         Ok(())
     }
@@ -340,15 +498,16 @@ impl xt_snapshot::SnapshotState for PipeGroup {
 }
 
 impl xt_snapshot::SnapshotState for SlotLimiter {
-    /// The ring is written verbatim, in insertion order: which cycle is
-    /// evicted next is part of the limiter's behavior. The tag table is
+    /// The ring is written oldest first, in insertion order: which cycle
+    /// is evicted next is part of the limiter's behavior. The tag table is
     /// derived state and is rebuilt on restore.
     fn save(&self, e: &mut xt_snapshot::Enc) {
         e.u32(self.width);
-        e.seq(self.recent.len());
-        for &(cycle, used) in &self.recent {
-            e.u64(cycle);
-            e.u32(used);
+        e.seq(self.len as usize);
+        for age in (1..=self.len).rev() {
+            let i = self.index(age);
+            e.u64(self.cycles[i]);
+            e.u32(self.used[i]);
         }
     }
 
@@ -358,15 +517,22 @@ impl xt_snapshot::SnapshotState for SlotLimiter {
                 what: "slot limiter width",
             });
         }
+        // a frame is outside input: no live limiter remembers more cycles
+        // than its ring holds
         let n = d.len(12)?;
-        self.recent.clear();
-        self.popped = 0;
+        if n > SLOT_RING {
+            return Err(xt_snapshot::SnapshotError::Corrupt {
+                what: "slot limiter ring",
+            });
+        }
         for seq in 0..n {
             let cycle = d.u64()?;
-            let used = d.u32()?;
+            self.cycles[seq] = cycle;
+            self.used[seq] = d.u32()?;
             self.tags[Self::tag_slot(cycle)] = seq as u32;
-            self.recent.push_back((cycle, used));
         }
+        self.next = n as u32;
+        self.len = n as u32;
         Ok(())
     }
 }
@@ -381,7 +547,7 @@ mod reference {
     use std::collections::{BinaryHeap, VecDeque};
     use xt_snapshot::Enc;
 
-    /// [`super::Window`] over a binary min-heap.
+    /// [`super::Window`] and [`super::RetireWindow`] over a binary min-heap.
     pub struct HeapWindow {
         cap: usize,
         releases: BinaryHeap<Reverse<u64>>,
@@ -412,6 +578,10 @@ mod reference {
 
         pub fn commit(&mut self, release: u64) {
             self.releases.push(Reverse(release));
+        }
+
+        pub fn occupancy(&self) -> usize {
+            self.releases.len()
         }
 
         pub fn save(&self, e: &mut Enc) {
@@ -667,11 +837,13 @@ mod tests {
                 e.u64(r);
             }
             e.u64(0);
-            let got = Window::new(4).restore(&mut Dec::new(e.bytes()));
-            let want = xt_snapshot::SnapshotError::Corrupt {
+            let want = Err(xt_snapshot::SnapshotError::Corrupt {
                 what: "window occupancy",
-            };
-            assert_eq!(got, Err(want), "{n} releases in 4 entries");
+            });
+            let got = Window::new(4).restore(&mut Dec::new(e.bytes()));
+            assert_eq!(got, want, "{n} releases in 4 entries");
+            let got = RetireWindow::new(4).restore(&mut Dec::new(e.bytes()));
+            assert_eq!(got, want, "{n} releases in 4 retirement-ordered entries");
         }
     }
 
@@ -696,6 +868,153 @@ mod tests {
         assert_eq!(w.alloc(0), 10, "earliest release first");
         w.commit(15);
         assert_eq!(w.alloc(0), 15);
+
+        let mut w = RetireWindow::new(4);
+        w.restore(&mut Dec::new(e.bytes())).unwrap();
+        assert_eq!(w.alloc(0), 0, "three of four entries held");
+        w.commit(40);
+        assert_eq!(w.alloc(0), 10, "earliest release first");
+        w.commit(40);
+        assert_eq!(w.alloc(0), 20);
+    }
+
+    /// The state a window shows from outside, after any operation.
+    fn assert_same_window(new: &RetireWindow, old: &HeapWindow, at: &str) {
+        assert_eq!(new.stall_cycles, old.stall_cycles, "stalls {at}");
+        assert_eq!(new.occupancy(), old.occupancy(), "occupancy {at}");
+        let frame = bytes_of(|e| new.save(e));
+        assert_eq!(frame, bytes_of(|e| old.save(e)), "frame {at}");
+    }
+
+    /// What the core does to a retirement-ordered window: wants drift
+    /// forward but go back and leap ahead (the ROB's, behind three pools
+    /// that stall independently), some land exactly on the release of an
+    /// entry still held, releases never decrease and often repeat (a
+    /// retire group), and each lies after its own want.
+    #[test]
+    fn retire_window_matches_the_heap_reference() {
+        let gen = (
+            choose(&[1usize, 2, 24, 192]),
+            from_fn(|rng: &mut Rng| rng.next_u64()),
+        );
+        check_with(
+            &Config::seeded(0x0910_0022_0001),
+            "retire_window_matches_the_heap_reference",
+            &gen,
+            |&(cap, seed)| {
+                let mut rng = Rng::new(seed);
+                let n = 4 * cap.next_power_of_two() + rng.below(400) as usize;
+                // the cut where the new window is rebuilt from its own frame
+                let cut = n / 2;
+                let mut new = RetireWindow::new(cap);
+                let mut old = HeapWindow::new(cap);
+                let mut now = rng.below(50);
+                let mut releases: Vec<u64> = Vec::new();
+                for k in 0..n {
+                    now += rng.below(4);
+                    let recent = releases.len().min(cap + 2) as u64;
+                    let want = match rng.below(16) {
+                        0 => now.saturating_sub(rng.below(2_000)),
+                        1 => now + rng.below(500),
+                        // the release of an entry held now or just freed
+                        2 | 3 if recent > 0 => {
+                            releases[releases.len() - 1 - rng.below(recent) as usize]
+                        }
+                        _ => now,
+                    };
+                    let at = new.alloc(want);
+                    assert_eq!(at, old.alloc(want), "alloc #{k}");
+                    assert_same_window(&new, &old, &format!("after alloc #{k}"));
+                    // a short hold under a release far ahead repeats it
+                    let hold = match rng.below(4) {
+                        0 => 1,
+                        1 => 1 + rng.below(300),
+                        _ => 40,
+                    };
+                    let release = (at + hold).max(releases.last().copied().unwrap_or(0));
+                    releases.push(release);
+                    new.commit(release);
+                    old.commit(release);
+                    assert_same_window(&new, &old, &format!("after commit #{k}"));
+                    // wants follow the front the window has reached
+                    now = now.max(at.saturating_sub(rng.below(64)));
+                    if k == cut {
+                        let frame = bytes_of(|e| new.save(e));
+                        new = RetireWindow::new(cap);
+                        let mut d = Dec::new(&frame);
+                        new.restore(&mut d).expect("own frame restores");
+                        d.finish().expect("frame fully consumed");
+                        assert_same_window(&new, &old, "after the restore");
+                    }
+                }
+            },
+        );
+    }
+
+    /// The watermark is over wants, not over returned cycles: an entry
+    /// released at exactly the cycle a stalled `alloc` returned is still
+    /// held, and a later, smaller want waits for it.
+    #[test]
+    fn retire_window_holds_an_entry_released_at_a_returned_cycle() {
+        let mut new = RetireWindow::new(2);
+        let mut old = HeapWindow::new(2);
+        for (want, at, release) in [(0, 0, 10), (0, 0, 10), (0, 10, 20), (5, 10, 30)] {
+            assert_eq!(new.alloc(want), at);
+            assert_eq!(old.alloc(want), at);
+            new.commit(release);
+            old.commit(release);
+            assert_same_window(&new, &old, &format!("after the entry released at {release}"));
+        }
+        assert_eq!(new.stall_cycles, 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "commit without a preceding alloc")]
+    fn retire_window_commit_needs_an_alloc() {
+        let mut w = RetireWindow::new(2);
+        w.alloc(0);
+        w.commit(1);
+        w.commit(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "released out of order")]
+    fn retire_window_refuses_a_release_before_the_last() {
+        let mut w = RetireWindow::new(2);
+        w.alloc(0);
+        w.commit(9);
+        w.alloc(0);
+        w.commit(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "released out of order")]
+    fn retire_window_refuses_a_release_at_a_cycle_already_asked_for() {
+        let mut w = RetireWindow::new(2);
+        w.alloc(7);
+        w.commit(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one entry")]
+    fn retire_window_needs_an_entry() {
+        RetireWindow::new(0);
+    }
+
+    #[test]
+    fn slot_limiter_restore_rejects_more_cycles_than_the_ring() {
+        let mut e = Enc::new();
+        e.u32(8);
+        e.seq(SLOT_RING + 1);
+        for cycle in 0..=SLOT_RING as u64 {
+            e.u64(cycle);
+            e.u32(1);
+        }
+        let got = SlotLimiter::new(8).restore(&mut Dec::new(e.bytes()));
+        let want = xt_snapshot::SnapshotError::Corrupt {
+            what: "slot limiter ring",
+        };
+        assert_eq!(got, Err(want));
     }
 
     #[test]

@@ -28,6 +28,13 @@ echo "== test (xt-mem, release profile) =="
 # profile that is measured too.
 cargo test -q --release --offline -p xt-mem
 
+echo "== test (xt-core, release profile) =="
+# Likewise the core: the structural-resource differentials
+# (crates/core/src/resources.rs) and the full-window resume test must
+# hold with debug_assert! off and wrapping arithmetic, the profile every
+# host-speed number is measured under.
+cargo test -q --release --offline -p xt-core
+
 echo "== test matrix: cluster engine thread counts =="
 # The epoch-barriered cluster engine promises bit-identical results for
 # any XT_THREADS value; run the multicore-sensitive suites at both ends
@@ -306,6 +313,11 @@ echo "== xt-hostbench self-test (benchmark/README.md) =="
 # later measurement.
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
+
+echo "== scripts/profile.sh parses =="
+# The SIGPROF profiler (EXPERIMENTS.md, "Host speed, PR 22") is a
+# measuring tool, not a gate: only its syntax is checked here.
+bash -n scripts/profile.sh
 
 echo "== hermetic dependency check =="
 # Workspace-local (path) packages have "source": null in cargo metadata;

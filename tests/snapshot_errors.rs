@@ -364,6 +364,31 @@ fn forged_core_resources_are_rejected_or_repaired() {
         }
     }
 
+    // four pipe groups, each `n, n × next_free`, then the integer
+    // scoreboard: x0 is ready at cycle 0 in every run, and the operand
+    // read relies on it
+    let x0_at = (0..4).fold(alu_at, |at, _| at + 8 + 8 * field(&good, at) as usize) + 8;
+    assert_eq!((field(&good, x0_at - 8), field(&good, x0_at)), (32, 0));
+    let mut p = good.clone();
+    set_field(&mut p, x0_at, 1 << 20);
+    match restore_payload(&p) {
+        Err(SnapshotError::Corrupt {
+            what: "scoreboard x0",
+        }) => {}
+        other => panic!("x0 ready at cycle 2^20: got {:?}", other.map(|_| ())),
+    }
+
+    // an entry held to retirement cannot release after the last
+    // retirement: the core would retire before it next
+    let mut p = good.clone();
+    set_field(&mut p, rob_at + 16 + 8 * (n - 1), u64::MAX);
+    match restore_payload(&p) {
+        Err(SnapshotError::Corrupt {
+            what: "window release after the last retirement",
+        }) => {}
+        other => panic!("a ROB entry released at the end of time: got {:?}", other.map(|_| ())),
+    }
+
     // releases out of order are put back in order, as they always were:
     // the session that took them writes the frame a save would have
     let mut p = good.clone();
@@ -374,6 +399,58 @@ fn forged_core_resources_are_rejected_or_repaired() {
     set_field(&mut p, last, lo);
     let repaired = restore_payload(&p).expect("unsorted releases restore");
     assert_eq!(repaired.save(), frame(), "and are re-sorted");
+}
+
+/// A core frame whose issue-slot limiter remembers more cycles than its
+/// ring of 64 holds: no save writes one, and restored it would stay
+/// over-long for ever (one eviction per insertion) — or, the ring being a
+/// fixed array, be written past its end. The limiter is written `width:
+/// u32, n, n × (cycle, used: u32)` right before the ROB window.
+#[test]
+fn forged_slot_limiter_ring_is_rejected() {
+    const RING: usize = 64;
+    let (good, rob_at, _) = rob_payload();
+    let width = CoreConfig::xt910().issue_width as u32;
+    let width_at = |n: usize| rob_at - 12 * n - 8 - 4;
+    let n = (0..=RING)
+        .find(|&n| {
+            let at = width_at(n);
+            good[at..at + 4] == width.to_le_bytes() && field(&good, at + 4) == n as u64
+        })
+        .expect("the limiter's ring right before the ROB");
+    assert!(n >= 2, "fifty instructions in, some cycles are remembered: {n}");
+    let restore_payload = |payload: &[u8]| {
+        let mut s = OooSession::new(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+        s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
+    };
+    restore_payload(&good).expect("the untouched payload restores");
+
+    // a well-formed ring of `len` entries: the youngest one repeated
+    let ring_of = |len: usize| {
+        let mut p = good.clone();
+        set_field(&mut p, width_at(n) + 4, len as u64);
+        let youngest = good[rob_at - 12..rob_at].to_vec();
+        for _ in n..len {
+            p.splice(rob_at..rob_at, youngest.iter().copied());
+        }
+        p
+    };
+    restore_payload(&ring_of(RING)).expect("a full ring restores");
+    for len in [RING + 1, 4 * RING] {
+        match restore_payload(&ring_of(len)) {
+            Err(SnapshotError::Corrupt {
+                what: "slot limiter ring",
+            }) => {}
+            other => panic!("{len} remembered cycles: expected a corrupt ring, got {other:?}"),
+        }
+    }
+    // a count no payload could hold is refused before it is believed
+    let mut p = good.clone();
+    set_field(&mut p, width_at(n) + 4, 1 << 40);
+    assert!(
+        matches!(restore_payload(&p), Err(SnapshotError::Corrupt { .. })),
+        "an absurd ring length"
+    );
 }
 
 // ---------------------------------------------------------------------
