@@ -7,6 +7,8 @@
 //! IBUF). The indirect predictor hashes recent target history into a
 //! table of last-seen targets for `jalr`-style branches.
 
+use xt_snapshot::{Result, SnapshotError, SnapshotState, Stream};
+
 /// 16-entry fully-associative L0 BTB.
 #[derive(Clone, Debug)]
 pub struct L0Btb {
@@ -211,117 +213,55 @@ impl ReturnStack {
     }
 }
 
-impl xt_snapshot::SnapshotState for L0Btb {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.bool(self.enabled);
-        for &(pc, target, lru) in &self.entries {
-            e.u64(pc);
-            e.u64(target);
-            e.u64(lru);
-        }
-        e.u64(self.stamp);
-    }
+/// A `(pc, target, lru)` entry of either BTB.
+fn transfer_entry<S: Stream>(s: &mut S, (pc, target, lru): &mut (u64, u64, u64)) -> Result<()> {
+    s.u64(pc)?;
+    s.u64(target)?;
+    s.u64(lru)
+}
 
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.bool()? != self.enabled {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "l0 btb enable",
-            });
-        }
+impl SnapshotState for L0Btb {
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()> {
+        s.expect("l0 btb enable", self.enabled)?;
         for e in &mut self.entries {
-            *e = (d.u64()?, d.u64()?, d.u64()?);
+            transfer_entry(s, e)?;
         }
-        self.stamp = d.u64()?;
-        Ok(())
+        s.u64(&mut self.stamp)
     }
 }
 
-impl xt_snapshot::SnapshotState for L1Btb {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.sets);
-        e.usize(self.ways);
-        e.seq(self.entries.len());
-        for &(pc, target, lru) in &self.entries {
-            e.u64(pc);
-            e.u64(target);
-            e.u64(lru);
-        }
-        e.u64(self.stamp);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.usize()? != self.sets || d.usize()? != self.ways {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "l1 btb geometry",
-            });
-        }
-        let n = d.len(24)?;
-        if n != self.entries.len() {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "l1 btb entry count",
-            });
-        }
-        for e in &mut self.entries {
-            *e = (d.u64()?, d.u64()?, d.u64()?);
-        }
-        self.stamp = d.u64()?;
-        Ok(())
+impl SnapshotState for L1Btb {
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()> {
+        s.expect("l1 btb geometry", self.sets)?;
+        s.expect("l1 btb geometry", self.ways)?;
+        let count = SnapshotError::Corrupt {
+            what: "l1 btb entry count",
+        };
+        s.fixed(&mut self.entries, count, transfer_entry)?;
+        s.u64(&mut self.stamp)
     }
 }
 
-impl xt_snapshot::SnapshotState for IndirectPredictor {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u32(self.bits);
-        e.seq(self.table.len());
-        for &(tag, target) in &self.table {
-            e.u64(tag);
-            e.u64(target);
-        }
-        e.u64(self.history);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.u32()? != self.bits {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "indirect predictor bits",
-            });
-        }
-        let n = d.len(16)?;
-        if n != self.table.len() {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "indirect table size",
-            });
-        }
-        for e in &mut self.table {
-            *e = (d.u64()?, d.u64()?);
-        }
-        self.history = d.u64()?;
-        Ok(())
+impl SnapshotState for IndirectPredictor {
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()> {
+        s.expect("indirect predictor bits", self.bits)?;
+        let size = SnapshotError::Corrupt {
+            what: "indirect table size",
+        };
+        s.fixed(&mut self.table, size, |s, (tag, target)| {
+            s.u64(tag)?;
+            s.u64(target)
+        })?;
+        s.u64(&mut self.history)
     }
 }
 
-impl xt_snapshot::SnapshotState for ReturnStack {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.depth);
-        e.u64_seq(&self.stack);
-        e.u64(self.overflows);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.usize()? != self.depth {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "return stack depth",
-            });
-        }
-        let stack = d.u64_seq()?;
-        if stack.len() > self.depth {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "return stack size",
-            });
-        }
-        self.stack = stack;
-        self.overflows = d.u64()?;
-        Ok(())
+impl SnapshotState for ReturnStack {
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()> {
+        s.expect("return stack depth", self.depth)?;
+        s.vec(&mut self.stack, 8, S::u64)?;
+        s.check(self.stack.len() <= self.depth, "return stack size")?;
+        s.u64(&mut self.overflows)
     }
 }
 

@@ -102,52 +102,16 @@ impl DirectionPredictor {
 }
 
 impl xt_snapshot::SnapshotState for DirectionPredictor {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.bool(self.delayed_history);
-        e.bytes_seq(&self.bimodal);
-        e.bytes_seq(&self.gshare);
-        e.bytes_seq(&self.chooser);
-        e.u64(self.history);
-        match self.pending {
-            None => e.u8(0),
-            Some(o) => {
-                e.u8(1);
-                e.bool(o);
-            }
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.bool()? != self.delayed_history {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "direction predictor mode",
-            });
-        }
-        let bimodal = d.bytes_seq()?;
-        let gshare = d.bytes_seq()?;
-        let chooser = d.bytes_seq()?;
-        if bimodal.len() != self.bimodal.len()
-            || gshare.len() != self.gshare.len()
-            || chooser.len() != self.chooser.len()
-        {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "predictor table size",
-            });
-        }
-        self.bimodal.copy_from_slice(bimodal);
-        self.gshare.copy_from_slice(gshare);
-        self.chooser.copy_from_slice(chooser);
-        self.history = d.u64()?;
-        self.pending = match d.u8()? {
-            0 => None,
-            1 => Some(d.bool()?),
-            _ => {
-                return Err(xt_snapshot::SnapshotError::Corrupt {
-                    what: "pending outcome tag",
-                })
-            }
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("direction predictor mode", self.delayed_history)?;
+        let size = xt_snapshot::SnapshotError::Corrupt {
+            what: "predictor table size",
         };
-        Ok(())
+        for table in [&mut self.bimodal, &mut self.gshare, &mut self.chooser] {
+            s.fixed_bytes(table, size)?;
+        }
+        s.u64(&mut self.history)?;
+        s.opt(&mut self.pending, S::bool)
     }
 }
 

@@ -110,48 +110,18 @@ impl LoopBuffer {
     }
 }
 
-fn save_opt_pair(e: &mut xt_snapshot::Enc, v: Option<(u64, u64)>) {
-    match v {
-        None => e.u8(0),
-        Some((a, b)) => {
-            e.u8(1);
-            e.u64(a);
-            e.u64(b);
-        }
-    }
-}
-
-fn restore_opt_pair(d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<Option<(u64, u64)>> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some((d.u64()?, d.u64()?))),
-        _ => Err(xt_snapshot::SnapshotError::Corrupt {
-            what: "option tag",
-        }),
-    }
-}
-
 impl xt_snapshot::SnapshotState for LoopBuffer {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u64(self.capacity_insts);
-        e.bool(self.enabled);
-        save_opt_pair(e, self.candidate);
-        save_opt_pair(e, self.active);
-        e.u64(self.served);
-        e.u64(self.captures);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.u64()? != self.capacity_insts || d.bool()? != self.enabled {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "loop buffer config",
-            });
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("loop buffer config", self.capacity_insts)?;
+        s.expect("loop buffer config", self.enabled)?;
+        for pair in [&mut self.candidate, &mut self.active] {
+            s.opt(pair, |s, (a, b)| {
+                s.u64(a)?;
+                s.u64(b)
+            })?;
         }
-        self.candidate = restore_opt_pair(d)?;
-        self.active = restore_opt_pair(d)?;
-        self.served = d.u64()?;
-        self.captures = d.u64()?;
-        Ok(())
+        s.u64(&mut self.served)?;
+        s.u64(&mut self.captures)
     }
 }
 

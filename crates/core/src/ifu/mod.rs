@@ -156,22 +156,13 @@ impl FrontEnd {
 }
 
 impl xt_snapshot::SnapshotState for FrontEnd {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        self.dir.save(e);
-        self.l0.save(e);
-        self.l1.save(e);
-        self.indirect.save(e);
-        self.ras.save(e);
-        self.lbuf.save(e);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        self.dir.restore(d)?;
-        self.l0.restore(d)?;
-        self.l1.restore(d)?;
-        self.indirect.restore(d)?;
-        self.ras.restore(d)?;
-        self.lbuf.restore(d)
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        self.dir.transfer(s)?;
+        self.l0.transfer(s)?;
+        self.l1.transfer(s)?;
+        self.indirect.transfer(s)?;
+        self.ras.transfer(s)?;
+        self.lbuf.transfer(s)
     }
 }
 

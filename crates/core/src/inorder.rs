@@ -15,6 +15,7 @@ use crate::resources::{Bandwidth, PipeGroup};
 use xt_emu::DynInst;
 use xt_isa::ExecClass;
 use xt_mem::MemSystem;
+use xt_snapshot::Stream;
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
 
 /// The in-order core model.
@@ -300,60 +301,31 @@ impl InOrderCore {
 impl xt_snapshot::SnapshotState for InOrderCore {
     /// Same discipline as the OoO core: configuration is checked, not
     /// overwritten; all dynamic state round-trips.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.str(self.cfg.name);
-        e.usize(self.core_id);
-        self.fe.save(e);
-        e.u64(self.fetch_cycle);
-        e.u64(self.fetch_bytes);
-        e.u64(self.cur_fetch_line);
-        self.issue_bw.save(e);
-        self.alu.save(e);
-        self.mdu.save(e);
-        self.fp.save(e);
-        self.agu.save(e);
-        for file in &self.reg_ready {
-            e.u64_seq(file);
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("core config name", self.cfg.name.to_string())?;
+        s.expect("core id", self.core_id)?;
+        self.fe.transfer(s)?;
+        s.u64(&mut self.fetch_cycle)?;
+        s.u64(&mut self.fetch_bytes)?;
+        s.u64(&mut self.cur_fetch_line)?;
+        self.issue_bw.transfer(s)?;
+        for p in [&mut self.alu, &mut self.mdu, &mut self.fp, &mut self.agu] {
+            p.transfer(s)?;
         }
-        e.u64(self.last_issue);
-        e.u64(self.max_complete);
-        crate::perf::save_pending_flush(e, self.pending_flush);
-        crate::perf::save_opt_tracer(e, self.tracer.as_ref());
-        self.perf.save(e);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.string()? != self.cfg.name {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "core config name",
-            });
-        }
-        if d.usize()? != self.core_id {
-            return Err(xt_snapshot::SnapshotError::Mismatch { what: "core id" });
-        }
-        self.fe.restore(d)?;
-        self.fetch_cycle = d.u64()?;
-        self.fetch_bytes = d.u64()?;
-        self.cur_fetch_line = d.u64()?;
-        self.issue_bw.restore(d)?;
-        self.alu.restore(d)?;
-        self.mdu.restore(d)?;
-        self.fp.restore(d)?;
-        self.agu.restore(d)?;
+        let size = xt_snapshot::SnapshotError::Corrupt {
+            what: "scoreboard size",
+        };
         for file in &mut self.reg_ready {
-            let v = d.u64_seq()?;
-            if v.len() != file.len() {
-                return Err(xt_snapshot::SnapshotError::Corrupt {
-                    what: "scoreboard size",
-                });
-            }
-            file.copy_from_slice(&v);
+            s.fixed(file, size, S::u64)?;
         }
-        self.last_issue = d.u64()?;
-        self.max_complete = d.u64()?;
-        self.pending_flush = crate::perf::restore_pending_flush(d)?;
-        self.tracer = crate::perf::restore_opt_tracer(d)?;
-        self.perf.restore(d)
+        s.u64(&mut self.last_issue)?;
+        s.u64(&mut self.max_complete)?;
+        s.opt(&mut self.pending_flush, |s, (from, cause)| {
+            s.u64(from)?;
+            s.variant(cause, &StallCause::ALL, "stall cause tag")
+        })?;
+        s.opt(&mut self.tracer, |s, t| t.transfer(s))?;
+        self.perf.transfer(s)
     }
 }
 

@@ -18,7 +18,7 @@ use xt_mem::MemSystem;
 /// Store-to-load forwarding latency (SQ read + align).
 const FWD_LATENCY: u64 = 2;
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct PendingStore {
     start: u64,
     end: u64,
@@ -249,47 +249,36 @@ impl Lsu {
 }
 
 impl xt_snapshot::SnapshotState for Lsu {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        self.load_pipe.save(e);
-        self.st_addr_pipe.save(e);
-        self.st_data_pipe.save(e);
-        self.lq.save(e);
-        self.sq.save(e);
-        e.seq(self.stores.len());
-        for s in &self.stores {
-            e.u64(s.start);
-            e.u64(s.end);
-            e.u64(s.addr_ready);
-            e.u64(s.data_ready);
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        for pipe in [
+            &mut self.load_pipe,
+            &mut self.st_addr_pipe,
+            &mut self.st_data_pipe,
+        ] {
+            pipe.transfer(s)?;
         }
-        e.u64_seq(&self.dep_pred);
-        e.u64(self.forwards);
-        e.u64(self.violations);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        self.load_pipe.restore(d)?;
-        self.st_addr_pipe.restore(d)?;
-        self.st_data_pipe.restore(d)?;
-        self.lq.restore(d)?;
-        self.sq.restore(d)?;
-        let n = d.len(32)?;
-        self.stores.clear();
-        for _ in 0..n {
-            self.stores.push_back(PendingStore {
-                start: d.u64()?,
-                end: d.u64()?,
-                addr_ready: d.u64()?,
-                data_ready: d.u64()?,
-            });
+        self.lq.transfer(s)?;
+        self.sq.transfer(s)?;
+        let mut n = self.stores.len();
+        s.len(&mut n, 32)?;
+        if S::DECODING {
+            self.stores.clear();
+            self.stores.resize(n, PendingStore::default());
         }
-        // a frame is outside input: re-establish the order, don't trust it
-        self.dep_pred = d.u64_seq()?;
-        self.dep_pred.sort_unstable();
-        self.dep_pred.dedup();
-        self.forwards = d.u64()?;
-        self.violations = d.u64()?;
-        Ok(())
+        for st in &mut self.stores {
+            s.u64(&mut st.start)?;
+            s.u64(&mut st.end)?;
+            s.u64(&mut st.addr_ready)?;
+            s.u64(&mut st.data_ready)?;
+        }
+        s.vec(&mut self.dep_pred, 8, S::u64)?;
+        if S::DECODING {
+            // a frame is outside input: re-establish the order, don't trust it
+            self.dep_pred.sort_unstable();
+            self.dep_pred.dedup();
+        }
+        s.u64(&mut self.forwards)?;
+        s.u64(&mut self.violations)
     }
 }
 

@@ -18,6 +18,7 @@ use crate::resources::{Bandwidth, PipeGroup, RetireWindow, SlotLimiter, Window};
 use xt_emu::DynInst;
 use xt_isa::{ExecClass, Op, RegFile};
 use xt_mem::MemSystem;
+use xt_snapshot::Stream;
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
 
 /// The out-of-order core.
@@ -711,132 +712,59 @@ impl xt_snapshot::SnapshotState for OooCore {
     /// restore [`Mismatch`](xt_snapshot::SnapshotError::Mismatch)es
     /// against the live instance rather than overwriting it. Every
     /// sub-resource additionally checks its own width/capacity.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.str(self.cfg.name);
-        e.usize(self.core_id);
-        e.u32(self.vec_cfg.vlen_bits);
-        e.u32(self.vec_cfg.slen_bits);
-        self.fe.save(e);
-        self.lsu.save(e);
-        e.u64(self.fetch_cycle);
-        e.u64(self.fetch_bytes);
-        e.u64(self.cur_fetch_line);
-        self.decode_bw.save(e);
-        self.rename_bw.save(e);
-        self.retire_bw.save(e);
-        self.issue_slots.save(e);
-        self.rob.save(e);
-        self.iq.save(e);
-        for w in &self.phys {
-            w.save(e);
-        }
-        self.alu.save(e);
-        self.bju.save(e);
-        self.mdu.save(e);
-        self.fpvec.save(e);
-        for file in &self.reg_ready {
-            e.u64_seq(file);
-        }
-        for v in &self.vreg {
-            e.u64(v.first);
-            e.u64(v.last);
-            e.bool(v.chainable);
-        }
-        e.u64(self.serialize_point);
-        e.u64(self.max_complete);
-        e.u64(self.last_retire);
-        crate::perf::save_pending_flush(e, self.pending_flush);
-        crate::perf::save_opt_tracer(e, self.tracer.as_ref());
-        match self.last_vset_imm {
-            None => e.u8(0),
-            Some(v) => {
-                e.u8(1);
-                e.i64(v);
-            }
-        }
-        e.u64(self.vset_spec_fails);
-        self.perf.save(e);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.string()? != self.cfg.name {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "core config name",
-            });
-        }
-        if d.usize()? != self.core_id {
-            return Err(xt_snapshot::SnapshotError::Mismatch { what: "core id" });
-        }
-        if d.u32()? != self.vec_cfg.vlen_bits || d.u32()? != self.vec_cfg.slen_bits {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "vector geometry",
-            });
-        }
-        self.fe.restore(d)?;
-        self.lsu.restore(d)?;
-        self.fetch_cycle = d.u64()?;
-        self.fetch_bytes = d.u64()?;
-        self.cur_fetch_line = d.u64()?;
-        self.decode_bw.restore(d)?;
-        self.rename_bw.restore(d)?;
-        self.retire_bw.restore(d)?;
-        self.issue_slots.restore(d)?;
-        self.rob.restore(d)?;
-        self.iq.restore(d)?;
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("core config name", self.cfg.name.to_string())?;
+        s.expect("core id", self.core_id)?;
+        s.expect("vector geometry", self.vec_cfg.vlen_bits)?;
+        s.expect("vector geometry", self.vec_cfg.slen_bits)?;
+        self.fe.transfer(s)?;
+        self.lsu.transfer(s)?;
+        s.u64(&mut self.fetch_cycle)?;
+        s.u64(&mut self.fetch_bytes)?;
+        s.u64(&mut self.cur_fetch_line)?;
+        self.decode_bw.transfer(s)?;
+        self.rename_bw.transfer(s)?;
+        self.retire_bw.transfer(s)?;
+        self.issue_slots.transfer(s)?;
+        self.rob.transfer(s)?;
+        self.iq.transfer(s)?;
         for w in &mut self.phys {
-            w.restore(d)?;
+            w.transfer(s)?;
         }
-        self.alu.restore(d)?;
-        self.bju.restore(d)?;
-        self.mdu.restore(d)?;
-        self.fpvec.restore(d)?;
+        for p in [&mut self.alu, &mut self.bju, &mut self.mdu, &mut self.fpvec] {
+            p.transfer(s)?;
+        }
+        let size = xt_snapshot::SnapshotError::Corrupt {
+            what: "scoreboard size",
+        };
         for file in &mut self.reg_ready {
-            let v = d.u64_seq()?;
-            if v.len() != file.len() {
-                return Err(xt_snapshot::SnapshotError::Corrupt {
-                    what: "scoreboard size",
-                });
-            }
-            file.copy_from_slice(&v);
+            s.fixed(file, size, S::u64)?;
         }
         // the operand read takes x0's entry as it stands: no run writes it
-        if self.reg_ready[0][0] != 0 {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "scoreboard x0",
-            });
-        }
+        s.check(self.reg_ready[0][0] == 0, "scoreboard x0")?;
         for v in &mut self.vreg {
-            v.first = d.u64()?;
-            v.last = d.u64()?;
-            v.chainable = d.bool()?;
+            s.u64(&mut v.first)?;
+            s.u64(&mut v.last)?;
+            s.bool(&mut v.chainable)?;
         }
-        self.serialize_point = d.u64()?;
-        self.max_complete = d.u64()?;
-        self.last_retire = d.u64()?;
+        s.u64(&mut self.serialize_point)?;
+        s.u64(&mut self.max_complete)?;
+        s.u64(&mut self.last_retire)?;
         // a frame is outside input: every retirement-ordered entry was
         // released at a retirement (the store queue's one cycle after), and
         // the next one must not come before it
         let mut held = [&self.rob, &self.lsu.lq].into_iter().chain(&self.phys);
-        if held.any(|w| w.newest_release() > self.last_retire)
-            || self.lsu.sq.newest_release() > self.last_retire.saturating_add(1)
-        {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "window release after the last retirement",
-            });
-        }
-        self.pending_flush = crate::perf::restore_pending_flush(d)?;
-        self.tracer = crate::perf::restore_opt_tracer(d)?;
-        self.last_vset_imm = match d.u8()? {
-            0 => None,
-            1 => Some(d.i64()?),
-            _ => {
-                return Err(xt_snapshot::SnapshotError::Corrupt {
-                    what: "vset imm tag",
-                })
-            }
-        };
-        self.vset_spec_fails = d.u64()?;
-        self.perf.restore(d)
+        let late = held.any(|w| w.newest_release() > self.last_retire)
+            || self.lsu.sq.newest_release() > self.last_retire.saturating_add(1);
+        s.check(!late, "window release after the last retirement")?;
+        s.opt(&mut self.pending_flush, |s, (from, cause)| {
+            s.u64(from)?;
+            s.variant(cause, &StallCause::ALL, "stall cause tag")
+        })?;
+        s.opt(&mut self.tracer, |s, t| t.transfer(s))?;
+        s.opt(&mut self.last_vset_imm, S::i64)?;
+        s.u64(&mut self.vset_spec_fails)?;
+        self.perf.transfer(s)
     }
 }
 

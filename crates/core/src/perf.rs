@@ -37,10 +37,11 @@ use xt_mem::MemStats;
 /// not retiring at full width. See the module docs for the accounting
 /// discipline; `docs/PIPELINE.md` maps each cause to the pipeline stage
 /// where it is charged.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum StallCause {
     /// Dispatch waited for a re-order-buffer entry (§IV).
+    #[default]
     RobFull = 0,
     /// Dispatch waited for an issue-queue slot (§IV).
     IqFull = 1,
@@ -66,7 +67,7 @@ pub enum StallCause {
 pub const NUM_STALL_CAUSES: usize = 8;
 
 impl StallCause {
-    /// All causes, in charge-priority order.
+    /// All causes, in charge-priority order (and snapshot tag order).
     pub const ALL: [StallCause; NUM_STALL_CAUSES] = [
         StallCause::RobFull,
         StallCause::IqFull,
@@ -222,113 +223,25 @@ impl PerfCounters {
 }
 
 impl xt_snapshot::SnapshotState for PerfCounters {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u64(self.cycles);
-        e.u64(self.instructions);
-        e.u64(self.uops);
-        e.u64(self.branches);
-        e.u64(self.branch_mispredicts);
-        e.u64(self.l0_btb_jumps);
-        e.u64(self.ip_jumps);
-        e.u64(self.target_mispredicts);
-        e.u64(self.lbuf_insts);
-        e.u64(self.mem_order_flushes);
-        e.u64(self.store_forwards);
-        e.u64(self.exception_flushes);
-        e.u64(self.prefetch_hits);
-        e.u64_seq(&self.stall);
-        e.u64(self.frontier);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        self.cycles = d.u64()?;
-        self.instructions = d.u64()?;
-        self.uops = d.u64()?;
-        self.branches = d.u64()?;
-        self.branch_mispredicts = d.u64()?;
-        self.l0_btb_jumps = d.u64()?;
-        self.ip_jumps = d.u64()?;
-        self.target_mispredicts = d.u64()?;
-        self.lbuf_insts = d.u64()?;
-        self.mem_order_flushes = d.u64()?;
-        self.store_forwards = d.u64()?;
-        self.exception_flushes = d.u64()?;
-        self.prefetch_hits = d.u64()?;
-        let stall = d.u64_seq()?;
-        if stall.len() != NUM_STALL_CAUSES {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "stall cause count",
-            });
-        }
-        self.stall.copy_from_slice(&stall);
-        self.frontier = d.u64()?;
-        Ok(())
-    }
-}
-
-/// Serializes a pending-flush slot (`Option<(from_cycle, cause)>`),
-/// shared by the two core models.
-pub(crate) fn save_pending_flush(e: &mut xt_snapshot::Enc, v: Option<(u64, StallCause)>) {
-    match v {
-        None => e.u8(0),
-        Some((from, cause)) => {
-            e.u8(1);
-            e.u64(from);
-            e.u8(cause as u8);
-        }
-    }
-}
-
-/// Inverse of [`save_pending_flush`]; rejects unknown cause tags.
-pub(crate) fn restore_pending_flush(
-    d: &mut xt_snapshot::Dec,
-) -> xt_snapshot::Result<Option<(u64, StallCause)>> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => {
-            let from = d.u64()?;
-            let idx = d.u8()? as usize;
-            if idx >= NUM_STALL_CAUSES {
-                return Err(xt_snapshot::SnapshotError::Corrupt {
-                    what: "stall cause tag",
-                });
-            }
-            Ok(Some((from, StallCause::ALL[idx])))
-        }
-        _ => Err(xt_snapshot::SnapshotError::Corrupt {
-            what: "pending flush tag",
-        }),
-    }
-}
-
-/// Serializes an optional attached tracer, shared by the two core models.
-pub(crate) fn save_opt_tracer(e: &mut xt_snapshot::Enc, t: Option<&xt_trace::TraceBuffer>) {
-    use xt_snapshot::SnapshotState;
-    match t {
-        None => e.u8(0),
-        Some(buf) => {
-            e.u8(1);
-            buf.save(e);
-        }
-    }
-}
-
-/// Inverse of [`save_opt_tracer`]: tracer attachment follows the
-/// snapshot, so a resumed core reproduces the same Konata bytes.
-pub(crate) fn restore_opt_tracer(
-    d: &mut xt_snapshot::Dec,
-) -> xt_snapshot::Result<Option<xt_trace::TraceBuffer>> {
-    use xt_snapshot::SnapshotState;
-    match d.u8()? {
-        0 => Ok(None),
-        1 => {
-            let mut buf = xt_trace::TraceBuffer::new();
-            buf.restore(d)?;
-            Ok(Some(buf))
-        }
-        _ => Err(xt_snapshot::SnapshotError::Corrupt {
-            what: "tracer tag",
-        }),
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.u64(&mut self.cycles)?;
+        s.u64(&mut self.instructions)?;
+        s.u64(&mut self.uops)?;
+        s.u64(&mut self.branches)?;
+        s.u64(&mut self.branch_mispredicts)?;
+        s.u64(&mut self.l0_btb_jumps)?;
+        s.u64(&mut self.ip_jumps)?;
+        s.u64(&mut self.target_mispredicts)?;
+        s.u64(&mut self.lbuf_insts)?;
+        s.u64(&mut self.mem_order_flushes)?;
+        s.u64(&mut self.store_forwards)?;
+        s.u64(&mut self.exception_flushes)?;
+        s.u64(&mut self.prefetch_hits)?;
+        let count = xt_snapshot::SnapshotError::Corrupt {
+            what: "stall cause count",
+        };
+        s.fixed(&mut self.stall, count, S::u64)?;
+        s.u64(&mut self.frontier)
     }
 }
 

@@ -388,112 +388,67 @@ impl SlotLimiter {
     }
 }
 
-/// Reads the head of a window frame — `cap`, then the occupied entries'
-/// release cycles — into `ring[..n]`, ascending; returns `n`.
-fn restore_releases(
-    cap: usize,
-    ring: &mut [u64],
-    d: &mut xt_snapshot::Dec,
-) -> xt_snapshot::Result<usize> {
-    if d.usize()? != cap {
-        return Err(xt_snapshot::SnapshotError::Mismatch {
-            what: "window capacity",
-        });
-    }
-    // a frame is outside input: bound the count by what the ring was
-    // sized for, and re-establish the order, don't trust it
-    let n = d.usize()?;
-    if n > cap {
-        return Err(xt_snapshot::SnapshotError::Corrupt {
-            what: "window occupancy",
-        });
-    }
-    for r in &mut ring[..n] {
-        *r = d.u64()?;
-    }
-    ring[..n].sort_unstable();
-    Ok(n)
-}
-
 impl xt_snapshot::SnapshotState for Window {
-    /// The release cycles are written in ascending order.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.cap);
-        e.seq(self.len);
+    /// `cap`, the occupied entries' release cycles in ascending order,
+    /// `stall_cycles`. A frame is outside input: decoding bounds the count
+    /// by what the ring was sized for, and re-establishes the order
+    /// rather than trusting it.
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("window capacity", self.cap)?;
+        s.usize(&mut self.len)?;
+        s.check(self.len <= self.cap, "window occupancy")?;
+        if S::DECODING {
+            self.head = 0;
+        }
         let mask = self.ring.len() - 1;
         for k in 0..self.len {
-            e.u64(self.ring[(self.head + k) & mask]);
+            s.u64(&mut self.ring[(self.head + k) & mask])?;
         }
-        e.u64(self.stall_cycles);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        let n = restore_releases(self.cap, &mut self.ring, d)?;
-        self.head = 0;
-        self.len = n;
-        self.stall_cycles = d.u64()?;
-        Ok(())
+        if S::DECODING {
+            self.ring[..self.len].sort_unstable();
+        }
+        s.u64(&mut self.stall_cycles)
     }
 }
 
 impl xt_snapshot::SnapshotState for RetireWindow {
-    /// [`Window`]'s frame: `cap`, the occupied entries' release cycles in
-    /// ascending order, `stall_cycles`.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.cap);
-        e.seq(self.occupancy());
-        for r in self.live() {
-            e.u64(r);
+    /// [`Window`]'s frame. The occupied entries are the newest ones, so a
+    /// restore makes them entries `0..n` of an otherwise empty ring, and
+    /// the watermark starts again from 0: every release in a frame, and
+    /// every later one, lies above all the wants the saved window had
+    /// seen.
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("window capacity", self.cap)?;
+        let mut n = self.occupancy();
+        s.usize(&mut n)?;
+        s.check(n <= self.cap, "window occupancy")?;
+        if S::DECODING {
+            self.ring.fill(0);
+            (self.count, self.hi, self.claimed) = (n, 0, false);
         }
-        e.u64(self.stall_cycles);
-    }
-
-    /// The frame holds the occupied entries only, so they become entries
-    /// `0..n` of an otherwise empty ring, and the watermark starts again
-    /// from 0: every release in a frame, and every later one, lies above
-    /// all the wants the saved window had seen.
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        self.ring.fill(0);
-        let n = restore_releases(self.cap, &mut self.ring, d)?;
-        self.count = n;
-        self.hi = 0;
-        self.claimed = false;
-        self.stall_cycles = d.u64()?;
-        Ok(())
+        let mask = self.ring.len() - 1;
+        for back in (1..=n).rev() {
+            s.u64(&mut self.ring[self.count.wrapping_sub(back) & mask])?;
+        }
+        if S::DECODING {
+            self.ring[..n].sort_unstable();
+        }
+        s.u64(&mut self.stall_cycles)
     }
 }
 
 impl xt_snapshot::SnapshotState for Bandwidth {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u64(self.width);
-        e.u64(self.cycle);
-        e.u64(self.used);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.u64()? != self.width {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "bandwidth width",
-            });
-        }
-        self.cycle = d.u64()?;
-        self.used = d.u64()?;
-        Ok(())
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("bandwidth width", self.width)?;
+        s.u64(&mut self.cycle)?;
+        s.u64(&mut self.used)
     }
 }
 
 impl xt_snapshot::SnapshotState for PipeGroup {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u64_seq(&self.next_free[..self.n]);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        let nf = d.u64_seq()?;
-        if nf.len() != self.n {
-            return Err(xt_snapshot::SnapshotError::Mismatch { what: "pipe count" });
-        }
-        self.next_free[..self.n].copy_from_slice(&nf);
-        Ok(())
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        let count = xt_snapshot::SnapshotError::Mismatch { what: "pipe count" };
+        s.fixed(&mut self.next_free[..self.n], count, S::u64)
     }
 }
 
@@ -501,38 +456,24 @@ impl xt_snapshot::SnapshotState for SlotLimiter {
     /// The ring is written oldest first, in insertion order: which cycle
     /// is evicted next is part of the limiter's behavior. The tag table is
     /// derived state and is rebuilt on restore.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u32(self.width);
-        e.seq(self.len as usize);
-        for age in (1..=self.len).rev() {
-            let i = self.index(age);
-            e.u64(self.cycles[i]);
-            e.u32(self.used[i]);
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.u32()? != self.width {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "slot limiter width",
-            });
-        }
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("slot limiter width", self.width)?;
+        let mut n = self.len as usize;
+        s.len(&mut n, 12)?;
         // a frame is outside input: no live limiter remembers more cycles
         // than its ring holds
-        let n = d.len(12)?;
-        if n > SLOT_RING {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "slot limiter ring",
-            });
+        s.check(n <= SLOT_RING, "slot limiter ring")?;
+        if S::DECODING {
+            (self.next, self.len) = (n as u32, n as u32);
         }
-        for seq in 0..n {
-            let cycle = d.u64()?;
-            self.cycles[seq] = cycle;
-            self.used[seq] = d.u32()?;
-            self.tags[Self::tag_slot(cycle)] = seq as u32;
+        for age in (1..=self.len).rev() {
+            let i = self.index(age);
+            s.u64(&mut self.cycles[i])?;
+            s.u32(&mut self.used[i])?;
+            if S::DECODING {
+                self.tags[Self::tag_slot(self.cycles[i])] = self.next - age;
+            }
         }
-        self.next = n as u32;
-        self.len = n as u32;
         Ok(())
     }
 }
@@ -540,7 +481,8 @@ impl xt_snapshot::SnapshotState for SlotLimiter {
 /// Reference models — the obvious min-heap window, linear-scan limiter,
 /// `iter_mut().min()` pipe group and always-dividing bandwidth limiter —
 /// that the differential tests drive side by side with the structures
-/// above: same cycles, same stalls, same frame bytes.
+/// above: same cycles, same stalls, same frame bytes (each model's
+/// `frame` writes what the structure's `transfer` encodes).
 #[cfg(test)]
 mod reference {
     use std::cmp::Reverse;
@@ -584,7 +526,7 @@ mod reference {
             self.releases.len()
         }
 
-        pub fn save(&self, e: &mut Enc) {
+        pub fn frame(&self, e: &mut Enc) {
             e.usize(self.cap);
             let mut rel: Vec<u64> = self.releases.iter().map(|&Reverse(r)| r).collect();
             rel.sort_unstable();
@@ -613,7 +555,7 @@ mod reference {
             start
         }
 
-        pub fn save(&self, e: &mut Enc) {
+        pub fn frame(&self, e: &mut Enc) {
             e.u64_seq(&self.next_free);
         }
     }
@@ -652,7 +594,7 @@ mod reference {
             first
         }
 
-        pub fn save(&self, e: &mut Enc) {
+        pub fn frame(&self, e: &mut Enc) {
             e.u64(self.width);
             e.u64(self.cycle);
             e.u64(self.used);
@@ -694,7 +636,7 @@ mod reference {
             t
         }
 
-        pub fn save(&self, e: &mut Enc) {
+        pub fn frame(&self, e: &mut Enc) {
             e.u32(self.width);
             e.seq(self.recent.len());
             for &(cycle, used) in &self.recent {
@@ -783,7 +725,7 @@ mod tests {
                     old.commit(release);
                     assert_eq!(new.stall_cycles, old.stall_cycles, "stalls after #{k}");
                     let frame = bytes_of(|e| new.save(e));
-                    assert_eq!(frame, bytes_of(|e| old.save(e)), "frame after #{k}");
+                    assert_eq!(frame, bytes_of(|e| old.frame(e)), "frame after #{k}");
                     if k == cut {
                         new = Window::new(cap);
                         let mut d = Dec::new(&frame);
@@ -818,7 +760,7 @@ mod tests {
                 new.commit(base + 100 - k);
                 old.commit(base + 100 - k);
                 let frame = bytes_of(|e| new.save(e));
-                assert_eq!(frame, bytes_of(|e| old.save(e)), "turn {turns}, entry {k}");
+                assert_eq!(frame, bytes_of(|e| old.frame(e)), "turn {turns}, entry {k}");
             }
             assert_eq!(new.occupancy(), cap);
             // full: waits for the earliest release, the last one committed
@@ -882,8 +824,8 @@ mod tests {
     fn assert_same_window(new: &RetireWindow, old: &HeapWindow, at: &str) {
         assert_eq!(new.stall_cycles, old.stall_cycles, "stalls {at}");
         assert_eq!(new.occupancy(), old.occupancy(), "occupancy {at}");
-        let frame = bytes_of(|e| new.save(e));
-        assert_eq!(frame, bytes_of(|e| old.save(e)), "frame {at}");
+        let frame = bytes_of(|e| new.clone().save(e));
+        assert_eq!(frame, bytes_of(|e| old.frame(e)), "frame {at}");
     }
 
     /// What the core does to a retirement-ordered window: wants drift
@@ -1038,7 +980,7 @@ mod tests {
                     let at = new.issue(now, occupancy);
                     assert_eq!(at, old.issue(now, occupancy), "issue #{k}");
                     let frame = bytes_of(|e| new.save(e));
-                    assert_eq!(frame, bytes_of(|e| old.save(e)), "frame after #{k}");
+                    assert_eq!(frame, bytes_of(|e| old.frame(e)), "frame after #{k}");
                     if k == *cut {
                         new = PipeGroup::new(*n);
                         let mut d = Dec::new(&frame);
@@ -1102,7 +1044,7 @@ mod tests {
                     }
                     assert_eq!(new.take_n(now, n), old.take_n(now, n), "take #{k}");
                     let frame = bytes_of(|e| new.save(e));
-                    assert_eq!(frame, bytes_of(|e| old.save(e)), "frame after #{k}");
+                    assert_eq!(frame, bytes_of(|e| old.frame(e)), "frame after #{k}");
                 }
             },
         );
@@ -1138,7 +1080,7 @@ mod tests {
                     };
                     assert_eq!(new.take(want), old.take(want), "take #{k} at {want}");
                     let frame = bytes_of(|e| new.save(e));
-                    assert_eq!(frame, bytes_of(|e| old.save(e)), "frame after #{k}");
+                    assert_eq!(frame, bytes_of(|e| old.frame(e)), "frame after #{k}");
                     if k == *cut {
                         new = SlotLimiter::new(*width);
                         let mut d = Dec::new(&frame);

@@ -202,12 +202,11 @@ impl<C: CoreModel> Session<C> {
     }
 
     /// Serializes the whole session into a [`xt_snapshot::KIND_CORE`]
-    /// frame.
-    pub fn save(&self) -> Vec<u8> {
+    /// frame. Encoding changes nothing: the session runs on as if it had
+    /// not been saved.
+    pub fn save(&mut self) -> Vec<u8> {
         let mut e = xt_snapshot::Enc::new();
-        self.trace.save(&mut e);
-        self.core.save(&mut e);
-        self.mem.save(&mut e);
+        self.transfer(&mut e).expect("encoding never fails");
         xt_snapshot::seal(xt_snapshot::KIND_CORE, e.bytes())
     }
 
@@ -217,12 +216,17 @@ impl<C: CoreModel> Session<C> {
     /// is restored); on any mismatch the session is left partially
     /// restored and must be discarded.
     pub fn restore(&mut self, bytes: &[u8]) -> xt_snapshot::Result<()> {
-        let payload = xt_snapshot::open(bytes, xt_snapshot::KIND_CORE)?;
-        let mut d = xt_snapshot::Dec::new(payload);
-        self.trace.restore(&mut d)?;
-        self.core.restore(&mut d)?;
-        self.mem.restore(&mut d)?;
+        let mut d = xt_snapshot::Dec::new(xt_snapshot::open(bytes, xt_snapshot::KIND_CORE)?);
+        self.transfer(&mut d)?;
         d.finish()
+    }
+
+    /// The frame's payload: the trace source, the core, the memory
+    /// system.
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        self.trace.transfer(s)?;
+        self.core.transfer(s)?;
+        self.mem.transfer(s)
     }
 }
 

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use xt_isa::csr;
 use xt_isa::vector::VType;
+use xt_snapshot::Stream;
 
 /// Privilege mode (paper Fig. 1: U/S/M).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -211,86 +212,59 @@ impl Cpu {
 }
 
 impl xt_snapshot::SnapshotState for Cpu {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u64(self.pc);
-        for &x in &self.x {
-            e.u64(x);
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        use xt_snapshot::SnapshotError::Corrupt;
+        s.u64(&mut self.pc)?;
+        self.x
+            .iter_mut()
+            .chain(&mut self.f)
+            .try_for_each(|r| s.u64(r))?;
+        if S::DECODING {
+            self.x[0] = 0;
         }
-        for &f in &self.f {
-            e.u64(f);
-        }
-        e.u32(self.vlen_bits);
-        for vr in &self.v {
-            e.bytes_seq(vr);
-        }
-        e.u64(self.vl);
-        e.u64(self.vtype.to_bits());
-        e.u8(self.mode as u8);
-        let mut csrs: Vec<(u16, u64)> = self.csrs.iter().map(|(k, v)| (*k, *v)).collect();
-        // where the sorted list had it while it lived in the map
-        csrs.extend(self.satp.map(|v| (csr::SATP, v)));
-        csrs.sort_unstable();
-        e.seq(csrs.len());
-        for (k, v) in csrs {
-            e.u16(k);
-            e.u64(v);
-        }
-        e.u64(self.instret);
-        e.opt_u64(self.reservation);
-        e.u64(self.hart_id);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        use xt_snapshot::SnapshotError;
-        self.pc = d.u64()?;
-        for x in &mut self.x {
-            *x = d.u64()?;
-        }
-        self.x[0] = 0;
-        for f in &mut self.f {
-            *f = d.u64()?;
-        }
-        let vlen = d.u32()?;
-        if !(64..=1024).contains(&vlen) || !vlen.is_power_of_two() {
-            return Err(SnapshotError::Corrupt { what: "vlen_bits" });
-        }
+        let mut vlen = self.vlen_bits;
+        s.u32(&mut vlen)?;
+        s.check(
+            (64..=1024).contains(&vlen) && vlen.is_power_of_two(),
+            "vlen_bits",
+        )?;
         if vlen != self.vlen_bits {
             self.set_vlen(vlen);
         }
-        let bytes = (vlen / 8) as usize;
         for vr in &mut self.v {
-            let b = d.bytes_seq()?;
-            if b.len() != bytes {
-                return Err(SnapshotError::Corrupt {
+            s.fixed_bytes(
+                vr,
+                Corrupt {
                     what: "vector register length",
-                });
-            }
-            vr.copy_from_slice(b);
+                },
+            )?;
         }
-        self.vl = d.u64()?;
-        self.vtype = VType::from_bits(d.u64()?);
-        self.mode = match d.u8()? {
+        s.u64(&mut self.vl)?;
+        let mut vtype = self.vtype.to_bits();
+        s.u64(&mut vtype)?;
+        if S::DECODING {
+            self.vtype = VType::from_bits(vtype);
+        }
+        let mut mode = self.mode as u8;
+        s.u8(&mut mode)?;
+        self.mode = match mode {
             0 => PrivMode::User,
             1 => PrivMode::Supervisor,
             3 => PrivMode::Machine,
-            _ => return Err(SnapshotError::Corrupt { what: "priv mode" }),
+            _ => return Err(Corrupt { what: "priv mode" }),
         };
-        let n = d.len(10)?;
-        self.csrs.clear();
-        self.satp = None;
-        for _ in 0..n {
-            let k = d.u16()?;
-            let v = d.u64()?;
-            if k == csr::SATP {
-                self.satp = Some(v);
-            } else {
-                self.csrs.insert(k, v);
-            }
+        // `satp` lives outside the map, and is written where the sorted
+        // list had it while it lived in the map
+        let mut csrs = self.csrs.clone();
+        csrs.extend(self.satp.map(|v| (csr::SATP, v)));
+        s.map(&mut csrs, 10, S::u64)?;
+        if S::DECODING {
+            self.satp = csrs.remove(&csr::SATP);
+            self.csrs = csrs;
         }
-        self.instret = d.u64()?;
-        self.reservation = d.opt_u64()?;
-        self.hart_id = d.u64()?;
-        Ok(())
+        s.u64(&mut self.instret)?;
+        s.opt(&mut self.reservation, S::u64)?;
+        s.u64(&mut self.hart_id)
     }
 }
 
@@ -345,7 +319,7 @@ mod tests {
         use xt_snapshot::SnapshotState;
         let frame = |c: &Cpu| {
             let mut e = xt_snapshot::Enc::new();
-            c.save(&mut e);
+            c.clone().save(&mut e);
             e.into_bytes()
         };
         let mut c = Cpu::new(0);

@@ -55,7 +55,7 @@ pub enum StepStatus {
 /// One plain-memory store, logged for cross-core propagation at the
 /// cluster epoch barrier (MMIO stores — halt, console — are never
 /// logged: they are core-local by definition).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct StoreRec {
     /// Physical address.
     pub pa: u64,
@@ -1513,32 +1513,15 @@ impl Emulator {
 }
 
 impl xt_snapshot::SnapshotState for ClusterCtl {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.seq(self.store_log.len());
-        for s in &self.store_log {
-            e.u64(s.pa);
-            e.u64(s.val);
-            e.u8(s.size);
-        }
-        e.bool(self.gate);
-        e.bool(self.release_one);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        let n = d.len(17)?;
-        self.store_log.clear();
-        for _ in 0..n {
-            let pa = d.u64()?;
-            let val = d.u64()?;
-            let size = d.u8()?;
-            if !(1..=8).contains(&size) {
-                return Err(xt_snapshot::SnapshotError::Corrupt { what: "store size" });
-            }
-            self.store_log.push(StoreRec { pa, val, size });
-        }
-        self.gate = d.bool()?;
-        self.release_one = d.bool()?;
-        Ok(())
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.vec(&mut self.store_log, 17, |s, rec| {
+            s.u64(&mut rec.pa)?;
+            s.u64(&mut rec.val)?;
+            s.u8(&mut rec.size)?;
+            s.check((1..=8).contains(&rec.size), "store size")
+        })?;
+        s.bool(&mut self.gate)?;
+        s.bool(&mut self.release_one)
     }
 }
 
@@ -1551,38 +1534,19 @@ impl xt_snapshot::SnapshotState for Emulator {
     /// blocks happened to be cached. The attached [`Platform`] is NOT
     /// captured here (a trait object); `xt-soc` serializes its concrete
     /// devices alongside this payload.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        self.cpu.save(e);
-        self.mem.save(e);
-        e.opt_u64(self.halted);
-        e.bytes_seq(&self.console);
-        self.pmp.save(e);
-        match &self.cluster {
-            Some(c) => {
-                e.bool(true);
-                c.save(e);
-            }
-            None => e.bool(false),
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        self.cpu.transfer(s)?;
+        self.mem.transfer(s)?;
+        s.opt(&mut self.halted, S::u64)?;
+        s.bytes(&mut self.console)?;
+        self.pmp.transfer(s)?;
+        s.opt(&mut self.cluster, |s, ctl| ctl.transfer(s))?;
+        if S::DECODING {
+            // Decoded blocks may describe pre-restore code bytes: drop them
+            // all and re-enter the interpreter cleanly.
+            self.icache.invalidate_all();
+            self.cursor = None;
         }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        self.cpu.restore(d)?;
-        self.mem.restore(d)?;
-        self.halted = d.opt_u64()?;
-        self.console = d.bytes_seq()?.to_vec();
-        self.pmp.restore(d)?;
-        if d.bool()? {
-            let mut ctl = self.cluster.take().unwrap_or_default();
-            ctl.restore(d)?;
-            self.cluster = Some(ctl);
-        } else {
-            self.cluster = None;
-        }
-        // Decoded blocks may describe pre-restore code bytes: drop them
-        // all and re-enter the interpreter cleanly.
-        self.icache.invalidate_all();
-        self.cursor = None;
         Ok(())
     }
 }

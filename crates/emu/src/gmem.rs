@@ -245,30 +245,29 @@ impl xt_snapshot::SnapshotState for GuestMem {
     /// table from scratch. Zero pages are architecturally equivalent to
     /// unmapped ones, so dropping them preserves every guest-visible
     /// read while keeping `save ∘ restore ∘ save` byte-stable.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        let pages = self.snapshot_nonzero();
-        e.seq(pages.len());
-        for (idx, data) in pages {
-            e.u64(idx);
-            e.bytes_seq(&data);
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        let mut pages = if S::DECODING {
+            Vec::new()
+        } else {
+            self.snapshot_nonzero()
+        };
         // 8 (index) + 8 (length prefix) + PAGE_SIZE bytes per entry: a
-        // corrupted page count larger than the payload is rejected here
-        // before any allocation happens.
-        let n = d.len(16 + PAGE_SIZE)?;
-        self.pages.clear();
-        for _ in 0..n {
-            let idx = d.u64()?;
-            let data = d.bytes_seq()?;
-            if data.len() != PAGE_SIZE {
-                return Err(xt_snapshot::SnapshotError::Corrupt { what: "page size" });
-            }
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            page.copy_from_slice(data);
-            self.pages.insert(idx, page);
+        // corrupted page count larger than the payload is rejected before
+        // any allocation happens
+        s.vec(&mut pages, 16 + PAGE_SIZE, |s, (idx, data)| {
+            s.u64(idx)?;
+            data.resize(PAGE_SIZE, 0);
+            s.fixed_bytes(
+                data,
+                xt_snapshot::SnapshotError::Corrupt { what: "page size" },
+            )
+        })?;
+        if S::DECODING {
+            let page = |data: Vec<u8>| data.into_boxed_slice().try_into().expect("a whole page");
+            self.pages = pages
+                .into_iter()
+                .map(|(idx, data)| (idx, page(data)))
+                .collect();
         }
         Ok(())
     }

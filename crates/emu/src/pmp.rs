@@ -9,7 +9,7 @@
 use crate::mmu::Access;
 
 /// Permission bits of a PMP region.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct PmpPerms {
     /// Read allowed.
     pub r: bool,
@@ -52,7 +52,7 @@ impl PmpPerms {
 }
 
 /// One address-range region.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Default, Debug)]
 pub struct PmpRegion {
     /// Inclusive start address.
     pub start: u64,
@@ -127,46 +127,22 @@ impl Pmp {
 }
 
 impl xt_snapshot::SnapshotState for Pmp {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.capacity);
-        e.seq(self.regions.len());
-        for r in &self.regions {
-            e.u64(r.start);
-            e.u64(r.end);
-            e.bool(r.perms.r);
-            e.bool(r.perms.w);
-            e.bool(r.perms.x);
-            e.bool(r.perms.locked);
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        use xt_snapshot::SnapshotError;
-        let capacity = d.usize()?;
-        if capacity != self.capacity {
-            return Err(SnapshotError::Mismatch {
-                what: "pmp capacity",
-            });
-        }
-        let n = d.len(20)?;
-        if n > capacity {
-            return Err(SnapshotError::Corrupt {
-                what: "pmp region count",
-            });
-        }
-        self.regions.clear();
-        for _ in 0..n {
-            let start = d.u64()?;
-            let end = d.u64()?;
-            let perms = PmpPerms {
-                r: d.bool()?,
-                w: d.bool()?,
-                x: d.bool()?,
-                locked: d.bool()?,
-            };
-            self.regions.push(PmpRegion { start, end, perms });
-        }
-        Ok(())
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("pmp capacity", self.capacity)?;
+        s.vec(&mut self.regions, 20, |s, r| {
+            s.u64(&mut r.start)?;
+            s.u64(&mut r.end)?;
+            for bit in [
+                &mut r.perms.r,
+                &mut r.perms.w,
+                &mut r.perms.x,
+                &mut r.perms.locked,
+            ] {
+                s.bool(bit)?;
+            }
+            Ok(())
+        })?;
+        s.check(self.regions.len() <= self.capacity, "pmp region count")
     }
 }
 

@@ -239,50 +239,42 @@ pub enum TraceEvent {
 }
 
 impl xt_snapshot::SnapshotState for TraceSource {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        self.emu.save(e);
-        e.opt_u64(self.exit_code);
-        match &self.error {
-            None => e.u8(0),
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        use std::mem::discriminant;
+        self.emu.transfer(s)?;
+        s.opt(&mut self.exit_code, S::u64)?;
+        // one tag for the error and its kind: 0 is none
+        const ERRORS: [Option<ExecError>; 4] = [
+            None,
+            Some(ExecError::Decode { pc: 0, word: 0 }),
+            Some(ExecError::UnhandledTrap { pc: 0, cause: 0 }),
+            Some(ExecError::OutOfFuel),
+        ];
+        let kind = |e: &Option<ExecError>| e.as_ref().map(discriminant);
+        let at = ERRORS.iter().position(|e| kind(e) == kind(&self.error));
+        let mut tag = at.expect("every error kind is tagged") as u8;
+        s.u8(&mut tag)?;
+        if S::DECODING {
+            let error = ERRORS.get(tag as usize);
+            self.error = error
+                .ok_or(xt_snapshot::SnapshotError::Corrupt {
+                    what: "exec error tag",
+                })?
+                .clone();
+        }
+        match &mut self.error {
             Some(ExecError::Decode { pc, word }) => {
-                e.u8(1);
-                e.u64(*pc);
-                e.u32(*word);
+                s.u64(pc)?;
+                s.u32(word)?;
             }
             Some(ExecError::UnhandledTrap { pc, cause }) => {
-                e.u8(2);
-                e.u64(*pc);
-                e.u64(*cause);
+                s.u64(pc)?;
+                s.u64(cause)?;
             }
-            Some(ExecError::OutOfFuel) => e.u8(3),
+            Some(ExecError::OutOfFuel) | None => {}
         }
-        e.u64(self.retired);
-        e.u64(self.limit);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        self.emu.restore(d)?;
-        self.exit_code = d.opt_u64()?;
-        self.error = match d.u8()? {
-            0 => None,
-            1 => Some(ExecError::Decode {
-                pc: d.u64()?,
-                word: d.u32()?,
-            }),
-            2 => Some(ExecError::UnhandledTrap {
-                pc: d.u64()?,
-                cause: d.u64()?,
-            }),
-            3 => Some(ExecError::OutOfFuel),
-            _ => {
-                return Err(xt_snapshot::SnapshotError::Corrupt {
-                    what: "exec error tag",
-                })
-            }
-        };
-        self.retired = d.u64()?;
-        self.limit = d.u64()?;
-        Ok(())
+        s.u64(&mut self.retired)?;
+        s.u64(&mut self.limit)
     }
 }
 

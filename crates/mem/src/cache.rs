@@ -17,6 +17,15 @@ pub enum LineState {
 }
 
 impl LineState {
+    /// Every state, in snapshot tag order.
+    pub const ALL: [LineState; 5] = [
+        LineState::Modified,
+        LineState::Owned,
+        LineState::Exclusive,
+        LineState::Shared,
+        LineState::Invalid,
+    ];
+
     /// Whether the line holds data at all.
     pub fn is_valid(self) -> bool {
         self != LineState::Invalid
@@ -266,59 +275,18 @@ impl Cache {
     }
 }
 
-impl LineState {
-    pub(crate) fn snapshot_tag(self) -> u8 {
-        match self {
-            LineState::Modified => 0,
-            LineState::Owned => 1,
-            LineState::Exclusive => 2,
-            LineState::Shared => 3,
-            LineState::Invalid => 4,
-        }
-    }
-
-    pub(crate) fn from_snapshot_tag(t: u8) -> Option<Self> {
-        Some(match t {
-            0 => LineState::Modified,
-            1 => LineState::Owned,
-            2 => LineState::Exclusive,
-            3 => LineState::Shared,
-            4 => LineState::Invalid,
-            _ => return None,
-        })
-    }
-}
-
 impl xt_snapshot::SnapshotState for Cache {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.sets);
-        e.usize(self.ways);
-        e.u32(self.line_bits);
-        for line in &self.lines {
-            e.u64(line.tag);
-            e.u8(line.state.snapshot_tag());
-            e.u64(line.lru);
-            e.bool(line.prefetched);
-        }
-        e.u64(self.stamp);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        use xt_snapshot::SnapshotError;
-        if d.usize()? != self.sets || d.usize()? != self.ways || d.u32()? != self.line_bits {
-            return Err(SnapshotError::Mismatch {
-                what: "cache geometry",
-            });
-        }
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("cache geometry", self.sets)?;
+        s.expect("cache geometry", self.ways)?;
+        s.expect("cache geometry", self.line_bits)?;
         for line in &mut self.lines {
-            line.tag = d.u64()?;
-            line.state = LineState::from_snapshot_tag(d.u8()?)
-                .ok_or(SnapshotError::Corrupt { what: "line state" })?;
-            line.lru = d.u64()?;
-            line.prefetched = d.bool()?;
+            s.u64(&mut line.tag)?;
+            s.variant(&mut line.state, &LineState::ALL, "line state")?;
+            s.u64(&mut line.lru)?;
+            s.bool(&mut line.prefetched)?;
         }
-        self.stamp = d.u64()?;
-        Ok(())
+        s.u64(&mut self.stamp)
     }
 }
 

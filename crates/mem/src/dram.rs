@@ -43,20 +43,10 @@ impl Dram {
 }
 
 impl xt_snapshot::SnapshotState for Dram {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u64(self.latency);
-        e.u64(self.transfer);
-        e.u64(self.busy_until);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.u64()? != self.latency || d.u64()? != self.transfer {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "dram timing",
-            });
-        }
-        self.busy_until = d.u64()?;
-        Ok(())
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("dram timing", self.latency)?;
+        s.expect("dram timing", self.transfer)?;
+        s.u64(&mut self.busy_until)
     }
 }
 

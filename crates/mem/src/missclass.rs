@@ -56,7 +56,7 @@
 //!   perturbing the attribution of the misses that remain.
 
 use crate::linemap::{LineMap, LineSet};
-use xt_snapshot::{Dec, Enc, Result as SnapResult, SnapshotError, SnapshotState};
+use xt_snapshot::{Result as SnapResult, SnapshotState, Stream};
 
 /// The attributed cause of one L1D demand miss.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,6 +75,14 @@ pub enum MissClass {
 }
 
 impl MissClass {
+    /// Every class, in snapshot tag order.
+    pub const ALL: [MissClass; 4] = [
+        MissClass::Compulsory,
+        MissClass::Capacity,
+        MissClass::Conflict,
+        MissClass::Coherence,
+    ];
+
     /// Stable display name (used in reports and trace events).
     pub fn name(self) -> &'static str {
         match self {
@@ -287,51 +295,42 @@ impl MissClassifier {
 }
 
 impl SnapshotState for MissClassifier {
-    fn save(&self, e: &mut Enc) {
-        let mut seen: Vec<u64> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
-        e.u64_seq(&seen);
-        let mut coh: Vec<u64> = self.coh.iter().copied().collect();
-        coh.sort_unstable();
-        e.u64_seq(&coh);
-        e.usize(self.shadow.cap);
-        // residents in stamp (recency) order so restore rebuilds the
-        // identical LRU ordering
-        e.seq(self.shadow.lines.len());
-        for (stamp, line) in self.shadow.residents() {
-            e.u64(stamp);
-            e.u64(line);
-        }
-        e.u64(self.shadow.next_stamp);
-    }
-
-    fn restore(&mut self, d: &mut Dec) -> SnapResult<()> {
-        self.seen = d.u64_seq()?.into_iter().collect();
-        self.coh = d.u64_seq()?.into_iter().collect();
-        // a frame is outside input: the list is rebuilt only from pairs
-        // that a save could have written
-        const CORRUPT: SnapshotError = SnapshotError::Corrupt { what: "shadow lru" };
-        let mut shadow = ShadowFa::new(d.usize()?);
-        let n = d.len(16)?;
-        if n > shadow.cap {
-            return Err(CORRUPT);
-        }
-        for _ in 0..n {
-            let stamp = d.u64()?;
-            let line = d.u64()?;
-            // stamps ascend strictly and stay below the frame's next_stamp
-            if stamp < shadow.next_stamp || stamp == u64::MAX || shadow.contains(line) {
-                return Err(CORRUPT);
+    /// The sets in ascending order, then the shadow's capacity, its
+    /// residents from LRU to MRU as `(stamp, line)` and `next_stamp`.
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> SnapResult<()> {
+        for set in [&mut self.seen, &mut self.coh] {
+            let mut lines: Vec<u64> = set.iter().copied().collect();
+            lines.sort_unstable();
+            s.vec(&mut lines, 8, S::u64)?;
+            if S::DECODING {
+                *set = lines.into_iter().collect();
             }
-            shadow.next_stamp = stamp;
-            shadow.touch(line); // appends at the MRU end, leaves stamp + 1
         }
-        let next_stamp = d.u64()?;
-        if shadow.next_stamp > next_stamp {
-            return Err(CORRUPT);
+        let mut cap = self.shadow.cap;
+        s.usize(&mut cap)?;
+        let mut residents: Vec<(u64, u64)> = self.shadow.residents().collect();
+        s.vec(&mut residents, 16, |s, (stamp, line)| {
+            s.u64(stamp)?;
+            s.u64(line)
+        })?;
+        let mut next_stamp = self.shadow.next_stamp;
+        s.u64(&mut next_stamp)?;
+        if S::DECODING {
+            // a frame is outside input: the list is rebuilt only from pairs
+            // that a save could have written
+            let mut shadow = ShadowFa::new(cap);
+            s.check(residents.len() <= cap, "shadow lru")?;
+            for (stamp, line) in residents {
+                // stamps ascend strictly and stay below the frame's next_stamp
+                let fresh = stamp >= shadow.next_stamp && !shadow.contains(line);
+                s.check(fresh && stamp != u64::MAX, "shadow lru")?;
+                shadow.next_stamp = stamp;
+                shadow.touch(line); // appends at the MRU end, leaves stamp + 1
+            }
+            s.check(shadow.next_stamp <= next_stamp, "shadow lru")?;
+            shadow.next_stamp = next_stamp;
+            self.shadow = shadow;
         }
-        shadow.next_stamp = next_stamp;
-        self.shadow = shadow;
         Ok(())
     }
 }
@@ -433,6 +432,7 @@ mod tests {
     use super::*;
     use xt_harness::gen::{choose, ints, vec_of};
     use xt_harness::prop::{check_with, Config};
+    use xt_snapshot::{Dec, Enc, SnapshotError};
 
     /// One operation on a shadow store.
     enum Op {
@@ -441,7 +441,7 @@ mod tests {
         Clear,
     }
 
-    fn frame_of(c: &MissClassifier) -> Vec<u8> {
+    fn frame_of(c: &mut MissClassifier) -> Vec<u8> {
         let mut e = Enc::new();
         c.save(&mut e);
         e.into_bytes()
@@ -519,7 +519,7 @@ mod tests {
                         }
                     }
                     assert_eq!(new.shadow.contains(line), old.contains(line), "after #{k}");
-                    let frame = frame_of(&new);
+                    let frame = frame_of(&mut new);
                     assert_eq!(frame, old.classifier_frame(), "frame after #{k} ({kind})");
                     if k == *cut {
                         new = MissClassifier::default();

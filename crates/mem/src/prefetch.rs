@@ -203,36 +203,18 @@ impl Prefetcher {
 }
 
 impl xt_snapshot::SnapshotState for Prefetcher {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.streams.len());
-        e.u32(self.line_bits);
-        for s in &self.streams {
-            e.u64(s.last);
-            e.i64(s.stride);
-            e.u32(s.confidence);
-            e.i64(s.next);
-            e.u64(s.lru);
-            e.bool(s.valid);
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("prefetcher geometry", self.streams.len())?;
+        s.expect("prefetcher geometry", self.line_bits)?;
+        for st in &mut self.streams {
+            s.u64(&mut st.last)?;
+            s.i64(&mut st.stride)?;
+            s.u32(&mut st.confidence)?;
+            s.i64(&mut st.next)?;
+            s.u64(&mut st.lru)?;
+            s.bool(&mut st.valid)?;
         }
-        e.u64(self.stamp);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.usize()? != self.streams.len() || d.u32()? != self.line_bits {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "prefetcher geometry",
-            });
-        }
-        for s in &mut self.streams {
-            s.last = d.u64()?;
-            s.stride = d.i64()?;
-            s.confidence = d.u32()?;
-            s.next = d.i64()?;
-            s.lru = d.u64()?;
-            s.valid = d.bool()?;
-        }
-        self.stamp = d.u64()?;
-        Ok(())
+        s.u64(&mut self.stamp)
     }
 }
 

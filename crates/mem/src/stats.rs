@@ -8,7 +8,7 @@
 
 use crate::missclass::MissClass;
 use crate::trace::{Level, MemEventKind};
-use xt_snapshot::{Dec, Enc, Result as SnapResult, SnapshotError, SnapshotState};
+use xt_snapshot::{Result as SnapResult, SnapshotState, Stream};
 
 /// Per-stream prefetch scorecard entry: how one stream-table slot's
 /// prefetches fared (see `MemStats::pf_scorecard`).
@@ -432,36 +432,15 @@ impl MemStats {
 
 impl SnapshotState for MemStats {
     /// The table's shape (cores, slots per core), then every counter
-    /// word in declaration order.
-    fn save(&self, e: &mut Enc) {
+    /// word in declaration order. A table of another shape is refused
+    /// before a word of it is read: the instance indexes its table by its
+    /// own cores and slots.
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> SnapResult<()> {
         let (cores, slots) = self.shape();
-        e.usize(cores);
-        e.usize(slots);
-        for (_, words) in self.clone().columns() {
-            for w in words {
-                e.u64(*w);
-            }
-        }
-    }
-
-    /// Refuses a table of another shape before reading a word of it:
-    /// the instance indexes its table by its own cores and slots.
-    fn restore(&mut self, d: &mut Dec) -> SnapResult<()> {
-        let (cores, slots) = self.shape();
-        if d.usize()? != cores {
-            return Err(SnapshotError::Mismatch {
-                what: "counter table core count",
-            });
-        }
-        if d.usize()? != slots {
-            return Err(SnapshotError::Mismatch {
-                what: "counter table stream count",
-            });
-        }
+        s.expect("counter table core count", cores)?;
+        s.expect("counter table stream count", slots)?;
         for (_, words) in self.columns() {
-            for w in words {
-                *w = d.u64()?;
-            }
+            words.into_iter().try_for_each(|w| s.u64(w))?;
         }
         Ok(())
     }

@@ -30,6 +30,7 @@ use crate::prefetch::{PrefetchReq, Prefetcher};
 use crate::stats::MemStats;
 use crate::tlb::{Mapping, PageSize, Tlb, TlbResult};
 use crate::trace::{Level, MemEvent, MemEventKind, MemTracer};
+use xt_snapshot::Stream;
 
 /// Synthetic physical region where page-table entries live, so that walk
 /// accesses go through the cache hierarchy and exhibit locality (one
@@ -102,37 +103,21 @@ impl Front {
         })
     }
 
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.u64(self.pf_va);
-        e.u64(self.pf_step);
-        e.u16(self.pf_count);
-        e.u16(self.pf_slot);
-        e.u16(self.confirmed);
-        e.u8(self.tlb);
-    }
-
-    /// Decodes a record for an instance configured with `pf`: a frame
-    /// is outside input, and the slots index that instance's scorecard.
-    fn restore(d: &mut xt_snapshot::Dec, pf: &PrefetchConfig) -> xt_snapshot::Result<Front> {
-        let front = Front {
-            pf_va: d.u64()?,
-            pf_step: d.u64()?,
-            pf_count: d.u16()?,
-            pf_slot: d.u16()?,
-            confirmed: d.u16()?,
-            tlb: d.u8()?,
-        };
+    /// The record, for an instance configured with `pf`: a frame is
+    /// outside input, and the slots index that instance's scorecard.
+    fn transfer<S: Stream>(&mut self, s: &mut S, pf: &PrefetchConfig) -> xt_snapshot::Result<()> {
+        s.u64(&mut self.pf_va)?;
+        s.u64(&mut self.pf_step)?;
+        s.u16(&mut self.pf_count)?;
+        s.u16(&mut self.pf_slot)?;
+        s.u16(&mut self.confirmed)?;
+        s.u8(&mut self.tlb)?;
         let slot_ok = |s: u16| (s as usize) < pf.max_streams;
-        if front.tlb > Front::WALK
-            || front.pf_count as u64 > pf.max_depth
-            || (front.pf_count > 0 && !slot_ok(front.pf_slot))
-            || (front.confirmed != NO_SLOT && !slot_ok(front.confirmed))
-        {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "mem op front",
-            });
-        }
-        Ok(front)
+        let ok = self.tlb <= Front::WALK
+            && self.pf_count as u64 <= pf.max_depth
+            && (self.pf_count == 0 || slot_ok(self.pf_slot))
+            && (self.confirmed == NO_SLOT || slot_ok(self.confirmed));
+        s.check(ok, "mem op front")
     }
 }
 
@@ -156,7 +141,7 @@ impl Front {
 /// of the replayed cores. A core must therefore run live
 /// on one instance for its whole life (the cluster engine's replicas
 /// do); an instance that only mirrors a core can never take it over.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub enum MemOp {
     /// An [`MemSystem::icache_fetch`] call.
     IFetch {
@@ -188,7 +173,69 @@ pub enum MemOp {
         front: Front,
     },
     /// A [`MemSystem::dcache_flush_all`] call.
+    #[default]
     FlushAll,
+}
+
+impl MemOp {
+    /// One record of a recorded log — its tag, then its fields — for an
+    /// instance whose prefetcher is configured as `pf`: a [`Front`] no
+    /// such instance could have recorded is `Corrupt`.
+    pub fn transfer<S: Stream>(
+        &mut self,
+        s: &mut S,
+        pf: &PrefetchConfig,
+    ) -> xt_snapshot::Result<()> {
+        const BLANK: Front = Front {
+            pf_va: 0,
+            pf_step: 0,
+            pf_count: 0,
+            pf_slot: 0,
+            confirmed: NO_SLOT,
+            tlb: 0,
+        };
+        const OPS: [MemOp; 4] = [
+            MemOp::IFetch { cycle: 0, pa: 0 },
+            MemOp::Load {
+                cycle: 0,
+                va: 0,
+                pa: 0,
+                front: BLANK,
+            },
+            MemOp::Store {
+                cycle: 0,
+                va: 0,
+                pa: 0,
+                front: BLANK,
+            },
+            MemOp::FlushAll,
+        ];
+        s.variant(self, &OPS, "mem op tag")?;
+        match self {
+            MemOp::IFetch { cycle, pa } => {
+                s.u64(cycle)?;
+                s.u64(pa)
+            }
+            MemOp::Load {
+                cycle,
+                va,
+                pa,
+                front,
+            }
+            | MemOp::Store {
+                cycle,
+                va,
+                pa,
+                front,
+            } => {
+                s.u64(cycle)?;
+                s.u64(va)?;
+                s.u64(pa)?;
+                front.transfer(s, pf)
+            }
+            MemOp::FlushAll => Ok(()),
+        }
+    }
 }
 
 /// The cores named by a holder bit mask, in ascending order.
@@ -1153,68 +1200,6 @@ impl MemSystem {
     }
 }
 
-/// Encodes one [`MemOp`] (tagged).
-pub fn save_mem_op(e: &mut xt_snapshot::Enc, op: &MemOp) {
-    match *op {
-        MemOp::IFetch { cycle, pa } => {
-            e.u8(0);
-            e.u64(cycle);
-            e.u64(pa);
-        }
-        MemOp::Load {
-            cycle,
-            va,
-            pa,
-            front,
-        } => {
-            e.u8(1);
-            e.u64(cycle);
-            e.u64(va);
-            e.u64(pa);
-            front.save(e);
-        }
-        MemOp::Store {
-            cycle,
-            va,
-            pa,
-            front,
-        } => {
-            e.u8(2);
-            e.u64(cycle);
-            e.u64(va);
-            e.u64(pa);
-            front.save(e);
-        }
-        MemOp::FlushAll => e.u8(3),
-    }
-}
-
-/// Decodes one [`MemOp`] written by [`save_mem_op`], for replay into an
-/// instance whose prefetcher is configured as `pf` (a [`Front`] no such
-/// instance could have recorded is `Corrupt`).
-pub fn restore_mem_op(d: &mut xt_snapshot::Dec, pf: &PrefetchConfig) -> xt_snapshot::Result<MemOp> {
-    Ok(match d.u8()? {
-        0 => MemOp::IFetch {
-            cycle: d.u64()?,
-            pa: d.u64()?,
-        },
-        1 => MemOp::Load {
-            cycle: d.u64()?,
-            va: d.u64()?,
-            pa: d.u64()?,
-            front: Front::restore(d, pf)?,
-        },
-        2 => MemOp::Store {
-            cycle: d.u64()?,
-            va: d.u64()?,
-            pa: d.u64()?,
-            front: Front::restore(d, pf)?,
-        },
-        3 => MemOp::FlushAll,
-        _ => return Err(xt_snapshot::SnapshotError::Corrupt { what: "mem op tag" }),
-    })
-}
-
 impl xt_snapshot::SnapshotState for MemSystem {
     /// Captures the whole hierarchy: per-core L1s/TLBs/prefetchers, the
     /// shared L2, snoop-filter directory, in-flight fills, DRAM channel
@@ -1223,137 +1208,45 @@ impl xt_snapshot::SnapshotState for MemSystem {
     /// and the optional tracer (with its event buffer), so traced runs resume
     /// byte-exact. Hash maps are written in sorted key order so the
     /// encoding is canonical.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.cfg.cores);
-        for c in self.l1i.iter().chain(self.l1d.iter()) {
-            c.save(e);
-        }
-        for t in &self.tlbs {
-            t.save(e);
-        }
-        for p in &self.pfs {
-            p.save(e);
-        }
-        self.l2.save(e);
-        let mut dir: Vec<(u64, u16)> = self.dir.iter().map(|(k, v)| (*k, *v)).collect();
-        dir.sort_unstable();
-        e.seq(dir.len());
-        for (line, mask) in dir {
-            e.u64(line);
-            e.u16(mask);
-        }
-        self.dram.save(e);
-        let mut inflight: Vec<(u64, u64)> = self.inflight.iter().map(|(k, v)| (*k, *v)).collect();
-        inflight.sort_unstable();
-        e.seq(inflight.len());
-        for (line, ready) in inflight {
-            e.u64(line);
-            e.u64(ready);
-        }
-        self.stats.save(e);
-        match &self.recorder {
-            Some(log) => {
-                e.bool(true);
-                e.seq(log.len());
-                for op in log {
-                    save_mem_op(e, op);
-                }
-            }
-            None => e.bool(false),
-        }
-        e.seq(self.pf_owner.len());
-        for owner in &self.pf_owner {
-            let mut pairs: Vec<(u64, usize)> = owner.iter().map(|(k, v)| (*k, *v)).collect();
-            pairs.sort_unstable();
-            e.seq(pairs.len());
-            for (line, slot) in pairs {
-                e.u64(line);
-                e.usize(slot);
-            }
-        }
-        for c in &self.cls {
-            c.save(e);
-        }
-        match &self.tracer {
-            Some(t) => {
-                e.bool(true);
-                t.save(e);
-            }
-            None => e.bool(false),
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
         use xt_snapshot::SnapshotError;
-        if d.usize()? != self.cfg.cores {
-            return Err(SnapshotError::Mismatch { what: "core count" });
-        }
-        for c in self.l1i.iter_mut().chain(self.l1d.iter_mut()) {
-            c.restore(d)?;
+        s.expect("core count", self.cfg.cores)?;
+        for c in self.l1i.iter_mut().chain(&mut self.l1d) {
+            c.transfer(s)?;
         }
         for t in &mut self.tlbs {
-            t.restore(d)?;
+            t.transfer(s)?;
         }
         for p in &mut self.pfs {
-            p.restore(d)?;
+            p.transfer(s)?;
         }
-        self.l2.restore(d)?;
-        let n = d.len(10)?;
-        self.dir.clear();
-        for _ in 0..n {
-            let line = d.u64()?;
-            let mask = d.u16()?;
-            self.dir.insert(line, mask);
-        }
-        self.dram.restore(d)?;
-        let n = d.len(16)?;
-        self.inflight.clear();
-        for _ in 0..n {
-            let line = d.u64()?;
-            let ready = d.u64()?;
-            self.inflight.insert(line, ready);
-        }
-        self.stats.restore(d)?;
-        if d.bool()? {
-            let n = d.len(1)?;
-            let mut log = Vec::with_capacity(n);
-            for _ in 0..n {
-                log.push(restore_mem_op(d, &self.cfg.prefetch)?);
-            }
-            self.recorder = Some(log);
-        } else {
-            self.recorder = None;
-        }
-        if d.len(1)? != self.pf_owner.len() {
-            return Err(SnapshotError::Mismatch {
-                what: "prefetch owner core count",
-            });
-        }
-        for owner in &mut self.pf_owner {
-            let n = d.len(9)?;
-            owner.clear();
-            for _ in 0..n {
-                let line = d.u64()?;
-                let slot = d.usize()?;
-                owner.insert(line, slot);
-            }
-        }
+        self.l2.transfer(s)?;
+        s.map(&mut self.dir, 10, S::u16)?;
+        self.dram.transfer(s)?;
+        s.map(&mut self.inflight, 16, S::u64)?;
+        self.stats.transfer(s)?;
+        let pf = self.cfg.prefetch;
+        s.opt(&mut self.recorder, |s, log| {
+            s.vec(log, 1, |s, op| op.transfer(s, &pf))
+        })?;
+        let cores = SnapshotError::Mismatch {
+            what: "prefetch owner core count",
+        };
+        s.fixed(&mut self.pf_owner, cores, |s, owner| {
+            s.map(owner, 9, S::usize)
+        })?;
         for c in &mut self.cls {
-            c.restore(d)?;
+            c.transfer(s)?;
         }
-        if d.bool()? {
-            if !self.observe {
+        let observe = self.observe;
+        s.opt(&mut self.tracer, |s, t| {
+            if S::DECODING && !observe {
                 return Err(SnapshotError::Mismatch {
                     what: "tracer on an observer-less replica",
                 });
             }
-            let mut t = MemTracer::new();
-            t.restore(d)?;
-            self.tracer = Some(t);
-        } else {
-            self.tracer = None;
-        }
-        Ok(())
+            t.transfer(s)
+        })
     }
 }
 
@@ -1981,7 +1874,7 @@ mod tests {
         }
     }
 
-    fn frame_of(m: &impl SnapshotState) -> Vec<u8> {
+    fn frame_of(m: &mut impl SnapshotState) -> Vec<u8> {
         let mut e = xt_snapshot::Enc::new();
         m.save(&mut e);
         e.into_bytes()
@@ -2016,7 +1909,7 @@ mod tests {
     }
 
     /// `m` rebuilt from its own frame, as a mid-run restore does.
-    fn resumed(m: &MemSystem) -> MemSystem {
+    fn resumed(m: &mut MemSystem) -> MemSystem {
         let mut fresh = if m.observe {
             MemSystem::new(m.cfg)
         } else {
@@ -2071,9 +1964,9 @@ mod tests {
                 let (mut n, cut) = (0, case.2.len() / 2);
                 drive(case, |core, cycle, access| {
                     if n == cut {
-                        live = resumed(&live);
-                        master = resumed(&master);
-                        replicas = replicas.iter().map(resumed).collect();
+                        live = resumed(&mut live);
+                        master = resumed(&mut master);
+                        replicas = replicas.iter_mut().map(resumed).collect();
                     }
                     n += 1;
                     let want = perform(&mut live, core, cycle, access);
@@ -2082,10 +1975,11 @@ mod tests {
                     let log = replicas[core].take_log();
                     assert_eq!(log.len(), 1, "one op per public access");
                     let mut e = xt_snapshot::Enc::new();
-                    save_mem_op(&mut e, &log[0]);
+                    log[0].clone().transfer(&mut e, &cfg.prefetch).unwrap();
                     let bytes = e.into_bytes();
                     let mut d = xt_snapshot::Dec::new(&bytes);
-                    let op = restore_mem_op(&mut d, &cfg.prefetch).expect("own op decodes");
+                    let mut op = MemOp::default();
+                    op.transfer(&mut d, &cfg.prefetch).expect("own op decodes");
                     d.finish().expect("op fully consumed");
                     assert_eq!(op, log[0]);
                     for (j, r) in replicas.iter_mut().enumerate() {
@@ -2104,11 +1998,11 @@ mod tests {
                 assert_eq!(folded(&live_events, &cfg), live.stats(), "live");
                 assert_eq!(events.events, live_events.events);
                 graft(&mut master, &live, |_| true);
-                assert_eq!(frame_of(&master), frame_of(&live), "master");
+                assert_eq!(frame_of(&mut master), frame_of(&mut live), "master");
                 for (i, r) in replicas.iter_mut().enumerate() {
                     assert!(r.take_log().is_empty(), "replay is not recorded");
                     graft(r, &live, |c| c != i);
-                    assert_eq!(frame_of(r), frame_of(&live), "replica {i}");
+                    assert_eq!(frame_of(r), frame_of(&mut live), "replica {i}");
                 }
             },
         );
@@ -2141,12 +2035,12 @@ mod tests {
                     with_observer_columns(full.stats(), &unobserved)
                 );
                 assert_eq!(
-                    frame_of(&lean.cls[0]),
-                    frame_of(&MemSystem::replica(cfg).cls[0])
+                    frame_of(&mut lean.cls[0]),
+                    frame_of(&mut MemSystem::replica(cfg).cls[0])
                 );
                 assert!(lean.pf_owner.iter().all(|o| o.is_empty()));
                 graft(&mut lean, &full, |_| false);
-                assert_eq!(frame_of(&lean), frame_of(&full));
+                assert_eq!(frame_of(&mut lean), frame_of(&mut full));
             },
         );
     }
@@ -2199,10 +2093,12 @@ mod tests {
                     assert_eq!(front.tlb, 3);
                     // what a frame would carry decodes to the same record
                     let mut e = xt_snapshot::Enc::new();
-                    front.save(&mut e);
+                    front.clone().transfer(&mut e, &cfg).unwrap();
                     let bytes = e.into_bytes();
-                    let decoded = Front::restore(&mut xt_snapshot::Dec::new(&bytes), &cfg);
-                    assert_eq!(decoded.expect("own record decodes"), front);
+                    let mut decoded = Front::new(0, None, &[]);
+                    let d = &mut xt_snapshot::Dec::new(&bytes);
+                    decoded.transfer(d, &cfg).expect("own record decodes");
+                    assert_eq!(decoded, front);
                 }
             },
         );
@@ -2283,7 +2179,7 @@ mod tests {
     fn a_replica_refuses_a_traced_frame() {
         let mut traced = sys(1, PrefetchConfig::off());
         traced.start_tracing();
-        let bytes = frame_of(&traced);
+        let bytes = frame_of(&mut traced);
         let mut lean = MemSystem::replica(*traced.config());
         match lean.restore(&mut xt_snapshot::Dec::new(&bytes)) {
             Err(xt_snapshot::SnapshotError::Mismatch { .. }) => {}

@@ -269,59 +269,22 @@ impl Tlb {
     }
 }
 
-fn save_entry(e: &mut xt_snapshot::Enc, entry: &Entry) {
-    e.u64(entry.vpn);
-    e.u64(entry.ppn);
-    e.u16(entry.asid);
-    e.u8(match entry.size {
-        PageSize::P4K => 0,
-        PageSize::P2M => 1,
-        PageSize::P1G => 2,
-    });
-    e.bool(entry.global);
-    e.u64(entry.lru);
-    e.bool(entry.valid);
-}
-
-fn restore_entry(d: &mut xt_snapshot::Dec, entry: &mut Entry) -> xt_snapshot::Result<()> {
-    entry.vpn = d.u64()?;
-    entry.ppn = d.u64()?;
-    entry.asid = d.u16()?;
-    entry.size = match d.u8()? {
-        0 => PageSize::P4K,
-        1 => PageSize::P2M,
-        2 => PageSize::P1G,
-        _ => return Err(xt_snapshot::SnapshotError::Corrupt { what: "page size" }),
-    };
-    entry.global = d.bool()?;
-    entry.lru = d.u64()?;
-    entry.valid = d.bool()?;
-    Ok(())
-}
-
 impl xt_snapshot::SnapshotState for Tlb {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.micro.len());
-        e.usize(self.joint_sets);
-        for entry in self.micro.iter().chain(self.joint.iter()) {
-            save_entry(e, entry);
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("tlb geometry", self.micro.len())?;
+        s.expect("tlb geometry", self.joint_sets)?;
+        for e in self.micro.iter_mut().chain(&mut self.joint) {
+            s.u64(&mut e.vpn)?;
+            s.u64(&mut e.ppn)?;
+            s.u16(&mut e.asid)?;
+            // page sizes are tagged in probe order
+            s.variant(&mut e.size, &PageSize::PROBE_ORDER, "page size")?;
+            s.bool(&mut e.global)?;
+            s.u64(&mut e.lru)?;
+            s.bool(&mut e.valid)?;
         }
-        e.u64(self.stamp);
-        e.u16(self.asid);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.usize()? != self.micro.len() || d.usize()? != self.joint_sets {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "tlb geometry",
-            });
-        }
-        for entry in self.micro.iter_mut().chain(self.joint.iter_mut()) {
-            restore_entry(d, entry)?;
-        }
-        self.stamp = d.u64()?;
-        self.asid = d.u16()?;
-        Ok(())
+        s.u64(&mut self.stamp)?;
+        s.u16(&mut self.asid)
     }
 }
 

@@ -23,7 +23,7 @@
 use crate::cache::LineState;
 use crate::missclass::MissClass;
 use crate::stats::MemStats;
-use xt_snapshot::{Dec, Enc, Result as SnapResult, SnapshotError, SnapshotState};
+use xt_snapshot::{Result as SnapResult, SnapshotState, Stream};
 use xt_trace::lanes::LaneTrace;
 
 /// Which cache level an event refers to.
@@ -38,6 +38,9 @@ pub enum Level {
 }
 
 impl Level {
+    /// Every level, in snapshot tag order.
+    pub const ALL: [Level; 3] = [Level::L1I, Level::L1D, Level::L2];
+
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -46,50 +49,12 @@ impl Level {
             Level::L2 => "l2",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            Level::L1I => 0,
-            Level::L1D => 1,
-            Level::L2 => 2,
-        }
-    }
-
-    fn from_tag(t: u8) -> Option<Self> {
-        Some(match t {
-            0 => Level::L1I,
-            1 => Level::L1D,
-            2 => Level::L2,
-            _ => return None,
-        })
-    }
-}
-
-impl MissClass {
-    fn tag(self) -> u8 {
-        match self {
-            MissClass::Compulsory => 0,
-            MissClass::Capacity => 1,
-            MissClass::Conflict => 2,
-            MissClass::Coherence => 3,
-        }
-    }
-
-    fn from_tag(t: u8) -> Option<Self> {
-        Some(match t {
-            0 => MissClass::Compulsory,
-            1 => MissClass::Capacity,
-            2 => MissClass::Conflict,
-            3 => MissClass::Coherence,
-            _ => return None,
-        })
-    }
 }
 
 /// What happened (the memory-event taxonomy; [`MemStats::record`] says
 /// which counters each variant moves and `docs/OBSERVABILITY.md`
 /// tabulates it).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub enum MemEventKind {
     /// An L1I demand fetch probed the cache.
     L1IAccess {
@@ -161,6 +126,7 @@ pub enum MemEventKind {
     },
     /// The snoop filter answered a whole lookup with an empty mask — no
     /// probe was sent at all.
+    #[default]
     SnoopFiltered,
     /// The snoop filter named `holder` a candidate; the probe was either
     /// sent or suppressed (the holder had silently dropped the line).
@@ -285,7 +251,7 @@ impl MemEventKind {
 }
 
 /// One cycle-stamped structured memory event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct MemEvent {
     /// Simulated cycle of the access that produced the event
     /// (maintenance events — flushes — carry 0).
@@ -491,253 +457,142 @@ impl MemTracer {
     }
 }
 
-fn save_level(e: &mut Enc, l: Level) {
-    e.u8(l.tag());
-}
+/// One blank kind per variant, in snapshot tag order.
+const KINDS: [MemEventKind; 26] = {
+    use MemEventKind::*;
+    [
+        L1IAccess { hit: false },
+        L1DHit { store: false },
+        L1DMiss {
+            store: false,
+            class: MissClass::Compulsory,
+        },
+        L2Access { hit: false },
+        Fill {
+            level: Level::L1I,
+            state: LineState::Invalid,
+            prefetched: false,
+        },
+        Eviction {
+            level: Level::L1I,
+            dirty: false,
+            wasted_prefetch: false,
+        },
+        Writeback { level: Level::L1I },
+        BackInvalidate {
+            victim: 0,
+            level: Level::L1I,
+        },
+        CacheFlush { dirty_lines: 0 },
+        DramRequest { queued: false },
+        SnoopFiltered,
+        SnoopProbe {
+            holder: 0,
+            sent: false,
+        },
+        C2CTransfer { from: 0 },
+        CohInvalidate { victim: 0 },
+        CohDowngrade {
+            victim: 0,
+            to: LineState::Invalid,
+        },
+        CohUpgrade,
+        TlbMicroHit,
+        TlbJointHit { probes: 0 },
+        TlbWalk { cycles: 0 },
+        TlbFlush,
+        PrefetchIssue { stream: 0 },
+        PrefetchFill {
+            level: Level::L1I,
+            stream: None,
+        },
+        PrefetchUseful {
+            level: Level::L1I,
+            stream: None,
+        },
+        PrefetchLate {
+            level: Level::L1I,
+            stream: None,
+        },
+        PrefetchUseless { stream: 0 },
+        StreamConfirmed { stream: 0 },
+    ]
+};
 
-fn restore_level(d: &mut Dec) -> SnapResult<Level> {
-    Level::from_tag(d.u8()?).ok_or(SnapshotError::Corrupt {
-        what: "cache level",
-    })
-}
-
-fn save_opt_usize(e: &mut Enc, v: Option<usize>) {
-    match v {
-        Some(x) => {
-            e.bool(true);
-            e.usize(x);
-        }
-        None => e.bool(false),
-    }
-}
-
-fn restore_opt_usize(d: &mut Dec) -> SnapResult<Option<usize>> {
-    Ok(if d.bool()? { Some(d.usize()?) } else { None })
-}
-
-fn save_event(e: &mut Enc, ev: &MemEvent) {
-    e.u64(ev.cycle);
-    e.usize(ev.core);
-    e.u64(ev.addr);
-    match ev.kind {
-        MemEventKind::L1IAccess { hit } => {
-            e.u8(0);
-            e.bool(hit);
-        }
-        MemEventKind::L1DHit { store } => {
-            e.u8(1);
-            e.bool(store);
-        }
-        MemEventKind::L1DMiss { store, class } => {
-            e.u8(2);
-            e.bool(store);
-            e.u8(class.tag());
-        }
-        MemEventKind::L2Access { hit } => {
-            e.u8(3);
-            e.bool(hit);
-        }
-        MemEventKind::Fill {
-            level,
-            state,
-            prefetched,
-        } => {
-            e.u8(4);
-            save_level(e, level);
-            e.u8(state.snapshot_tag());
-            e.bool(prefetched);
-        }
-        MemEventKind::Eviction {
-            level,
-            dirty,
-            wasted_prefetch,
-        } => {
-            e.u8(5);
-            save_level(e, level);
-            e.bool(dirty);
-            e.bool(wasted_prefetch);
-        }
-        MemEventKind::Writeback { level } => {
-            e.u8(6);
-            save_level(e, level);
-        }
-        MemEventKind::BackInvalidate { victim, level } => {
-            e.u8(7);
-            e.usize(victim);
-            save_level(e, level);
-        }
-        MemEventKind::CacheFlush { dirty_lines } => {
-            e.u8(8);
-            e.u64(dirty_lines);
-        }
-        MemEventKind::DramRequest { queued } => {
-            e.u8(9);
-            e.bool(queued);
-        }
-        MemEventKind::SnoopFiltered => e.u8(10),
-        MemEventKind::SnoopProbe { holder, sent } => {
-            e.u8(11);
-            e.usize(holder);
-            e.bool(sent);
-        }
-        MemEventKind::C2CTransfer { from } => {
-            e.u8(12);
-            e.usize(from);
-        }
-        MemEventKind::CohInvalidate { victim } => {
-            e.u8(13);
-            e.usize(victim);
-        }
-        MemEventKind::CohDowngrade { victim, to } => {
-            e.u8(14);
-            e.usize(victim);
-            e.u8(to.snapshot_tag());
-        }
-        MemEventKind::CohUpgrade => e.u8(15),
-        MemEventKind::TlbMicroHit => e.u8(16),
-        MemEventKind::TlbJointHit { probes } => {
-            e.u8(17);
-            e.u32(probes);
-        }
-        MemEventKind::TlbWalk { cycles } => {
-            e.u8(18);
-            e.u64(cycles);
-        }
-        MemEventKind::TlbFlush => e.u8(19),
-        MemEventKind::PrefetchIssue { stream } => {
-            e.u8(20);
-            e.usize(stream);
-        }
-        MemEventKind::PrefetchFill { level, stream } => {
-            e.u8(21);
-            save_level(e, level);
-            save_opt_usize(e, stream);
-        }
-        MemEventKind::PrefetchUseful { level, stream } => {
-            e.u8(22);
-            save_level(e, level);
-            save_opt_usize(e, stream);
-        }
-        MemEventKind::PrefetchLate { level, stream } => {
-            e.u8(23);
-            save_level(e, level);
-            save_opt_usize(e, stream);
-        }
-        MemEventKind::PrefetchUseless { stream } => {
-            e.u8(24);
-            e.usize(stream);
-        }
-        MemEventKind::StreamConfirmed { stream } => {
-            e.u8(25);
-            e.usize(stream);
+impl MemEvent {
+    /// `cycle, core, addr`, the kind's tag, then the kind's fields in
+    /// declaration order.
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> SnapResult<()> {
+        use MemEventKind::*;
+        s.u64(&mut self.cycle)?;
+        s.usize(&mut self.core)?;
+        s.u64(&mut self.addr)?;
+        s.variant(&mut self.kind, &KINDS, "mem event tag")?;
+        let level = |s: &mut S, l: &mut Level| s.variant(l, &Level::ALL, "cache level");
+        match &mut self.kind {
+            L1IAccess { hit: b } | L1DHit { store: b } | L2Access { hit: b } => s.bool(b),
+            DramRequest { queued: b } => s.bool(b),
+            L1DMiss { store, class } => {
+                s.bool(store)?;
+                s.variant(class, &MissClass::ALL, "miss class")
+            }
+            Fill {
+                level: l,
+                state,
+                prefetched,
+            } => {
+                level(s, l)?;
+                s.variant(state, &LineState::ALL, "line state")?;
+                s.bool(prefetched)
+            }
+            Eviction {
+                level: l,
+                dirty,
+                wasted_prefetch,
+            } => {
+                level(s, l)?;
+                s.bool(dirty)?;
+                s.bool(wasted_prefetch)
+            }
+            Writeback { level: l } => level(s, l),
+            BackInvalidate { victim, level: l } => {
+                s.usize(victim)?;
+                level(s, l)
+            }
+            CacheFlush { dirty_lines: v } | TlbWalk { cycles: v } => s.u64(v),
+            SnoopProbe { holder, sent } => {
+                s.usize(holder)?;
+                s.bool(sent)
+            }
+            C2CTransfer { from: c } | CohInvalidate { victim: c } => s.usize(c),
+            PrefetchIssue { stream: c } | PrefetchUseless { stream: c } => s.usize(c),
+            StreamConfirmed { stream: c } => s.usize(c),
+            CohDowngrade { victim, to } => {
+                s.usize(victim)?;
+                s.variant(to, &LineState::ALL, "line state")
+            }
+            TlbJointHit { probes } => s.u32(probes),
+            PrefetchFill { level: l, stream }
+            | PrefetchUseful { level: l, stream }
+            | PrefetchLate { level: l, stream } => {
+                level(s, l)?;
+                s.opt(stream, S::usize)
+            }
+            SnoopFiltered | CohUpgrade | TlbMicroHit | TlbFlush => Ok(()),
         }
     }
-}
-
-fn restore_state(d: &mut Dec) -> SnapResult<LineState> {
-    LineState::from_snapshot_tag(d.u8()?).ok_or(SnapshotError::Corrupt { what: "line state" })
-}
-
-fn restore_event(d: &mut Dec) -> SnapResult<MemEvent> {
-    let cycle = d.u64()?;
-    let core = d.usize()?;
-    let addr = d.u64()?;
-    let kind = match d.u8()? {
-        0 => MemEventKind::L1IAccess { hit: d.bool()? },
-        1 => MemEventKind::L1DHit { store: d.bool()? },
-        2 => MemEventKind::L1DMiss {
-            store: d.bool()?,
-            class: MissClass::from_tag(d.u8()?)
-                .ok_or(SnapshotError::Corrupt { what: "miss class" })?,
-        },
-        3 => MemEventKind::L2Access { hit: d.bool()? },
-        4 => MemEventKind::Fill {
-            level: restore_level(d)?,
-            state: restore_state(d)?,
-            prefetched: d.bool()?,
-        },
-        5 => MemEventKind::Eviction {
-            level: restore_level(d)?,
-            dirty: d.bool()?,
-            wasted_prefetch: d.bool()?,
-        },
-        6 => MemEventKind::Writeback {
-            level: restore_level(d)?,
-        },
-        7 => MemEventKind::BackInvalidate {
-            victim: d.usize()?,
-            level: restore_level(d)?,
-        },
-        8 => MemEventKind::CacheFlush {
-            dirty_lines: d.u64()?,
-        },
-        9 => MemEventKind::DramRequest { queued: d.bool()? },
-        10 => MemEventKind::SnoopFiltered,
-        11 => MemEventKind::SnoopProbe {
-            holder: d.usize()?,
-            sent: d.bool()?,
-        },
-        12 => MemEventKind::C2CTransfer { from: d.usize()? },
-        13 => MemEventKind::CohInvalidate { victim: d.usize()? },
-        14 => MemEventKind::CohDowngrade {
-            victim: d.usize()?,
-            to: restore_state(d)?,
-        },
-        15 => MemEventKind::CohUpgrade,
-        16 => MemEventKind::TlbMicroHit,
-        17 => MemEventKind::TlbJointHit { probes: d.u32()? },
-        18 => MemEventKind::TlbWalk { cycles: d.u64()? },
-        19 => MemEventKind::TlbFlush,
-        20 => MemEventKind::PrefetchIssue { stream: d.usize()? },
-        21 => MemEventKind::PrefetchFill {
-            level: restore_level(d)?,
-            stream: restore_opt_usize(d)?,
-        },
-        22 => MemEventKind::PrefetchUseful {
-            level: restore_level(d)?,
-            stream: restore_opt_usize(d)?,
-        },
-        23 => MemEventKind::PrefetchLate {
-            level: restore_level(d)?,
-            stream: restore_opt_usize(d)?,
-        },
-        24 => MemEventKind::PrefetchUseless { stream: d.usize()? },
-        25 => MemEventKind::StreamConfirmed { stream: d.usize()? },
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                what: "mem event tag",
-            })
-        }
-    };
-    Ok(MemEvent {
-        cycle,
-        core,
-        addr,
-        kind,
-    })
 }
 
 impl SnapshotState for MemTracer {
-    fn save(&self, e: &mut Enc) {
-        e.seq(self.events.len());
-        for ev in &self.events {
-            save_event(e, ev);
-        }
-    }
-
-    fn restore(&mut self, d: &mut Dec) -> SnapResult<()> {
-        let n = d.len(18)?;
-        self.events.clear();
-        for _ in 0..n {
-            self.events.push(restore_event(d)?);
-        }
-        Ok(())
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> SnapResult<()> {
+        s.vec(&mut self.events, 18, |s, ev| ev.transfer(s))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xt_snapshot::{Dec, Enc};
 
     fn sample_events() -> Vec<MemEvent> {
         vec![
@@ -1209,7 +1064,7 @@ mod tests {
     /// `stream` as it comes back out of the snapshot codec.
     fn through_codec(stream: &MemTracer) -> MemTracer {
         let mut e = Enc::new();
-        stream.save(&mut e);
+        stream.clone().save(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         let mut back = MemTracer::new();

@@ -37,6 +37,7 @@
 use crate::topdown::TopDown;
 use xt_core::{PerfCounters, StallCause, NUM_STALL_CAUSES};
 use xt_mem::MemStats;
+use xt_snapshot::Stream;
 
 /// Core-counter snapshot/delta: one value per [`PerfCounters`] field
 /// the dashboard tracks, plus the per-cause stall array. The same
@@ -248,7 +249,7 @@ impl MemDelta {
 
 /// One interval of the time-series: everything that changed between
 /// two successive sampling boundaries.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct IntervalSample {
     /// The interval's end boundary in simulated cycles. Interior
     /// samples end at multiples of the sampling interval; the final
@@ -420,70 +421,36 @@ impl Sampler {
     }
 }
 
-fn save_perf_delta(e: &mut xt_snapshot::Enc, p: &PerfDelta) {
-    e.u64(p.cycles);
-    e.u64(p.instructions);
-    e.u64(p.uops);
-    e.u64(p.branches);
-    e.u64(p.branch_mispredicts);
-    e.u64(p.mem_order_flushes);
-    e.u64(p.store_forwards);
-    for &s in &p.stalls {
-        e.u64(s);
+impl PerfDelta {
+    /// The scalar fields in declaration order, then the stall array.
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.u64(&mut self.cycles)?;
+        s.u64(&mut self.instructions)?;
+        s.u64(&mut self.uops)?;
+        s.u64(&mut self.branches)?;
+        s.u64(&mut self.branch_mispredicts)?;
+        s.u64(&mut self.mem_order_flushes)?;
+        s.u64(&mut self.store_forwards)?;
+        self.stalls.iter_mut().try_for_each(|v| s.u64(v))
     }
 }
 
-fn restore_perf_delta(d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<PerfDelta> {
-    let mut p = PerfDelta {
-        cycles: d.u64()?,
-        instructions: d.u64()?,
-        uops: d.u64()?,
-        branches: d.u64()?,
-        branch_mispredicts: d.u64()?,
-        mem_order_flushes: d.u64()?,
-        store_forwards: d.u64()?,
-        stalls: [0; NUM_STALL_CAUSES],
-    };
-    for s in &mut p.stalls {
-        *s = d.u64()?;
+impl MemDelta {
+    /// Every field in declaration order.
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.u64(&mut self.l1i_misses)?;
+        s.u64(&mut self.l1d_hits)?;
+        s.u64(&mut self.l1d_misses)?;
+        s.u64(&mut self.l2_hits)?;
+        s.u64(&mut self.l2_misses)?;
+        s.u64(&mut self.pf_issued)?;
+        s.u64(&mut self.pf_useful)?;
+        s.u64(&mut self.pf_late)?;
+        s.u64(&mut self.pf_streams)?;
+        s.u64(&mut self.tlb_walks)?;
+        s.u64(&mut self.coh_transitions)?;
+        s.u64(&mut self.dram_requests)
     }
-    Ok(p)
-}
-
-fn save_mem_delta(e: &mut xt_snapshot::Enc, m: &MemDelta) {
-    for v in [
-        m.l1i_misses,
-        m.l1d_hits,
-        m.l1d_misses,
-        m.l2_hits,
-        m.l2_misses,
-        m.pf_issued,
-        m.pf_useful,
-        m.pf_late,
-        m.pf_streams,
-        m.tlb_walks,
-        m.coh_transitions,
-        m.dram_requests,
-    ] {
-        e.u64(v);
-    }
-}
-
-fn restore_mem_delta(d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<MemDelta> {
-    Ok(MemDelta {
-        l1i_misses: d.u64()?,
-        l1d_hits: d.u64()?,
-        l1d_misses: d.u64()?,
-        l2_hits: d.u64()?,
-        l2_misses: d.u64()?,
-        pf_issued: d.u64()?,
-        pf_useful: d.u64()?,
-        pf_late: d.u64()?,
-        pf_streams: d.u64()?,
-        tlb_walks: d.u64()?,
-        coh_transitions: d.u64()?,
-        dram_requests: d.u64()?,
-    })
 }
 
 /// A [`Sampler`] snapshots mid-run so a resumed run's time-series is
@@ -493,50 +460,21 @@ fn restore_mem_delta(d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<MemDelta> 
 /// delta on restore (they are a pure function of it), keeping the
 /// signed identity intact by construction.
 impl xt_snapshot::SnapshotState for Sampler {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.core_id);
-        e.u64(self.interval);
-        e.u64(self.next_boundary);
-        save_perf_delta(e, &self.prev_perf);
-        save_mem_delta(e, &self.prev_mem);
-        e.seq(self.samples.len());
-        for s in &self.samples {
-            e.u64(s.end_cycle);
-            save_perf_delta(e, &s.perf);
-            save_mem_delta(e, &s.mem);
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.usize()? != self.core_id {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "sampler core id",
-            });
-        }
-        if d.u64()? != self.interval {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "sampler interval",
-            });
-        }
-        self.next_boundary = d.u64()?;
-        self.prev_perf = restore_perf_delta(d)?;
-        self.prev_mem = restore_mem_delta(d)?;
-        let n = d.len(8)?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let end_cycle = d.u64()?;
-            let perf = restore_perf_delta(d)?;
-            let mem = restore_mem_delta(d)?;
-            let topdown = TopDown::from_delta(&perf);
-            samples.push(IntervalSample {
-                end_cycle,
-                perf,
-                mem,
-                topdown,
-            });
-        }
-        self.samples = samples;
-        Ok(())
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("sampler core id", self.core_id)?;
+        s.expect("sampler interval", self.interval)?;
+        s.u64(&mut self.next_boundary)?;
+        self.prev_perf.transfer(s)?;
+        self.prev_mem.transfer(s)?;
+        s.vec(&mut self.samples, 8, |s, x| {
+            s.u64(&mut x.end_cycle)?;
+            x.perf.transfer(s)?;
+            x.mem.transfer(s)?;
+            if S::DECODING {
+                x.topdown = TopDown::from_delta(&x.perf);
+            }
+            Ok(())
+        })
     }
 }
 

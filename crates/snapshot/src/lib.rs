@@ -4,10 +4,13 @@
 //! capturing and restoring every stateful structure of the simulator:
 //! the functional `xt-emu` architectural state, the `xt-core` timing
 //! models, the `xt-mem` hierarchy, the `xt-soc` devices and cluster
-//! engine. Each owning crate implements [`SnapshotState`] for its types;
-//! the driver-level aggregates (`CoreSnapshot` in `xt-core`,
-//! `ClusterSnapshot` in `xt-soc`) wrap the payload in the framed
-//! container produced by [`seal`] / opened by [`open`]:
+//! engine. Each owning crate implements [`SnapshotState`] for its types
+//! as one [`SnapshotState::transfer`]: a single list of the fields, run
+//! by the encoder ([`Enc`]) and the decoder ([`Dec`]) alike through the
+//! [`Stream`] trait, so the two halves of the codec cannot disagree. The
+//! driver-level aggregates (`Session` in `xt-core`, `ClusterSim` in
+//! `xt-soc`) wrap the payload in the framed container produced by
+//! [`seal`] / opened by [`open`]:
 //!
 //! ```text
 //! offset  size  field
@@ -23,24 +26,27 @@
 //! input, wrong magic, wrong version, corrupted counts and checksums are
 //! errors, never panics. `save ∘ restore ∘ save` is byte-equal by
 //! construction: every container-order collection round-trips verbatim,
-//! and the owning crates serialize unordered collections (hash maps,
-//! binary heaps) in sorted order. `docs/SNAPSHOT.md` documents the
-//! format, the versioning policy, and the resume-identity argument.
+//! and unordered ones are written sorted ([`Stream::map`] writes a hash
+//! map in key order). `docs/SNAPSHOT.md` documents the format, how to
+//! write a `transfer`, the versioning policy, and the resume-identity
+//! argument.
 //!
 //! A small hand-rolled JSON *manifest* ([`describe`]) renders the frame
 //! header for tooling and error reports without decoding the payload.
 
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// Magic bytes at the start of every snapshot frame.
 pub const MAGIC: [u8; 4] = *b"XTSN";
 
 /// Snapshot format version. Bump **deliberately** whenever any
-/// [`SnapshotState`] encoding changes shape; the golden-fixture test
-/// (`tests/snapshot_golden.rs`) exists to make accidental layout drift
-/// a test failure instead of a silent corruption.
+/// [`SnapshotState::transfer`] field list changes; the pinned frames
+/// (`tests/snapshot_golden.rs`, `tests/snapshot_frames.rs`) exist to make
+/// accidental layout drift a test failure instead of a silent corruption.
 pub const VERSION: u16 = 4;
 
 /// Kind byte: a single-core timing session (`CoreSnapshot`).
@@ -131,7 +137,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Binary encoder: little-endian, append-only.
+/// Binary encoder: little-endian, append-only. As a [`Stream`] it
+/// writes every field it is handed; its inherent writers build frames by
+/// hand (tests forge hostile ones with them).
 #[derive(Clone, Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
@@ -153,29 +161,9 @@ impl Enc {
         self.buf
     }
 
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Appends a `bool` as one byte (0/1).
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
@@ -188,41 +176,14 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `usize` as a `u64`.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    /// Appends a collection length (u64) — pair with [`Dec::len`].
+    /// Appends a collection length (u64).
     pub fn seq(&mut self, n: usize) {
         self.u64(n as u64);
-    }
-
-    /// Appends raw bytes, length-prefixed.
-    pub fn bytes_seq(&mut self, b: &[u8]) {
-        self.seq(b.len());
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Appends a UTF-8 string, length-prefixed.
-    pub fn str(&mut self, s: &str) {
-        self.bytes_seq(s.as_bytes());
-    }
-
-    /// Appends an `Option<u64>` (presence byte + value).
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
-        }
     }
 
     /// Appends a slice of `u64`s, length-prefixed.
@@ -230,14 +191,6 @@ impl Enc {
         self.seq(xs.len());
         for &x in xs {
             self.u64(x);
-        }
-    }
-
-    /// Appends a slice of `bool`s, length-prefixed.
-    pub fn bool_seq(&mut self, xs: &[bool]) {
-        self.seq(xs.len());
-        for &x in xs {
-            self.bool(x);
         }
     }
 }
@@ -273,111 +226,8 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `bool`; any byte other than 0/1 is corrupt.
-    pub fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt { what: "bool" }),
-        }
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// Reads a `usize` (stored as u64); values that do not fit are
-    /// corrupt.
-    pub fn usize(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| SnapshotError::Corrupt { what: "usize" })
-    }
-
-    /// Reads a collection length and validates it against the bytes
-    /// remaining: a count that could not possibly be satisfied (even at
-    /// one byte per element) is reported as corrupt rather than driving
-    /// a huge allocation or a confusing truncation later.
-    pub fn len(&mut self, min_elem_bytes: usize) -> Result<usize> {
-        let n = self.usize()?;
-        let need = n.saturating_mul(min_elem_bytes.max(1));
-        if need > self.remaining() {
-            return Err(SnapshotError::Corrupt {
-                what: "collection count exceeds payload",
-            });
-        }
-        Ok(n)
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed byte sequence.
-    pub fn bytes_seq(&mut self) -> Result<&'a [u8]> {
-        let n = self.len(1)?;
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String> {
-        let b = self.bytes_seq()?;
-        String::from_utf8(b.to_vec()).map_err(|_| SnapshotError::Corrupt { what: "utf-8" })
-    }
-
-    /// Reads an `Option<u64>`.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-
-    /// Reads a length-prefixed `Vec<u64>`.
-    pub fn u64_seq(&mut self) -> Result<Vec<u64>> {
-        let n = self.len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed `Vec<bool>`.
-    pub fn bool_seq(&mut self) -> Result<Vec<bool>> {
-        let n = self.len(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.bool()?);
-        }
-        Ok(out)
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
     }
 
     /// Asserts the payload is fully consumed.
@@ -391,22 +241,377 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// One direction of the codec, so that a structure lists its fields once
+/// ([`SnapshotState::transfer`]): [`Enc`] writes each field it is handed,
+/// [`Dec`] overwrites it from the frame. Every method takes the field by
+/// `&mut`; a value the restoring instance must already agree with goes
+/// through [`Stream::expect`], and a value no save could have written is
+/// refused by [`Stream::check`].
+///
+/// Encoding never fails: every `Err` below is a decoder's.
+pub trait Stream: Sized {
+    /// `true` for [`Dec`]. Derived state — a rebuilt index, a recomputed
+    /// cache, a re-sorted list — is an `if S::DECODING { … }` block in
+    /// the `transfer` that owns it.
+    const DECODING: bool;
+
+    /// A `u8`.
+    fn u8(&mut self, v: &mut u8) -> Result<()>;
+    /// A little-endian `u16`.
+    fn u16(&mut self, v: &mut u16) -> Result<()>;
+    /// A little-endian `u32`.
+    fn u32(&mut self, v: &mut u32) -> Result<()>;
+    /// A little-endian `u64`.
+    fn u64(&mut self, v: &mut u64) -> Result<()>;
+    /// `v.len()` raw bytes, no length prefix.
+    fn raw(&mut self, v: &mut [u8]) -> Result<()>;
+    /// A collection length (u64). Decoding refuses a count the rest of
+    /// the payload could not hold at `min_elem_bytes` per element (at
+    /// least one) as `Corrupt`, before anything is sized from it.
+    fn len(&mut self, n: &mut usize, min_elem_bytes: usize) -> Result<()>;
+
+    /// A `bool` as one byte; any byte but 0 or 1 is corrupt.
+    fn bool(&mut self, v: &mut bool) -> Result<()> {
+        let mut b = *v as u8;
+        self.u8(&mut b)?;
+        *v = match b {
+            0 => false,
+            1 => true,
+            _ => return Err(SnapshotError::Corrupt { what: "bool" }),
+        };
+        Ok(())
+    }
+
+    /// An `i64`, as its two's-complement `u64`.
+    fn i64(&mut self, v: &mut i64) -> Result<()> {
+        let mut u = *v as u64;
+        self.u64(&mut u)?;
+        *v = u as i64;
+        Ok(())
+    }
+
+    /// A `usize` as a `u64`; a value that does not fit is corrupt.
+    fn usize(&mut self, v: &mut usize) -> Result<()> {
+        let mut u = *v as u64;
+        self.u64(&mut u)?;
+        *v = usize::try_from(u).map_err(|_| SnapshotError::Corrupt { what: "usize" })?;
+        Ok(())
+    }
+
+    /// Length-prefixed bytes.
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<()> {
+        let mut n = v.len();
+        self.len(&mut n, 1)?;
+        v.resize(n, 0);
+        self.raw(v)
+    }
+
+    /// A length-prefixed UTF-8 string.
+    fn string(&mut self, v: &mut String) -> Result<()> {
+        let mut b = std::mem::take(v).into_bytes();
+        self.bytes(&mut b)?;
+        *v = String::from_utf8(b).map_err(|_| SnapshotError::Corrupt { what: "utf-8" })?;
+        Ok(())
+    }
+
+    /// A value the restoring instance already holds (its configuration):
+    /// written as it is, and decoding a frame that disagrees answers
+    /// `Mismatch { what }`.
+    fn expect<T: Primitive>(&mut self, what: &'static str, v: T) -> Result<()> {
+        let mut got = v.clone();
+        got.transfer(self)?;
+        if got != v {
+            return Err(SnapshotError::Mismatch { what });
+        }
+        Ok(())
+    }
+
+    /// Refuses a decoded value no save could have written: `Corrupt {
+    /// what }` unless `ok`. Encoding checks nothing.
+    fn check(&self, ok: bool, what: &'static str) -> Result<()> {
+        if Self::DECODING && !ok {
+            return Err(SnapshotError::Corrupt { what });
+        }
+        Ok(())
+    }
+
+    /// An enum as a one-byte tag: its variant's index in `all`, which
+    /// holds one value per variant in tag order. Decoding replaces `v`
+    /// with that value (a variant with fields then has them filled by the
+    /// caller); a tag past the table's end is `Corrupt { what }`.
+    fn variant<T: Clone>(&mut self, v: &mut T, all: &[T], what: &'static str) -> Result<()> {
+        let mut tag = if Self::DECODING {
+            0
+        } else {
+            let mine = std::mem::discriminant(v);
+            let at = all.iter().position(|x| std::mem::discriminant(x) == mine);
+            at.expect("every variant is in its tag table") as u8
+        };
+        self.u8(&mut tag)?;
+        if Self::DECODING {
+            *v = all
+                .get(tag as usize)
+                .ok_or(SnapshotError::Corrupt { what })?
+                .clone();
+        }
+        Ok(())
+    }
+
+    /// An `Option`: a presence `bool`, then the value through `f`.
+    /// Decoding builds a present value from `T::default()`.
+    fn opt<T: Default>(
+        &mut self,
+        v: &mut Option<T>,
+        f: impl FnOnce(&mut Self, &mut T) -> Result<()>,
+    ) -> Result<()> {
+        let mut some = v.is_some();
+        self.bool(&mut some)?;
+        if Self::DECODING {
+            *v = some.then(T::default);
+        }
+        v.as_mut().map_or(Ok(()), |x| f(self, x))
+    }
+
+    /// A part the restoring instance has or lacks by construction (a
+    /// device, an opt-in recorder): a presence `bool`, then the part
+    /// through `f`; decoding a frame that disagrees answers `Mismatch {
+    /// what }`.
+    fn present<T>(
+        &mut self,
+        v: Option<&mut T>,
+        what: &'static str,
+        f: impl FnOnce(&mut Self, &mut T) -> Result<()>,
+    ) -> Result<()> {
+        let mut some = v.is_some();
+        self.bool(&mut some)?;
+        match (some, v) {
+            (true, Some(x)) => f(self, x),
+            (false, None) => Ok(()),
+            _ => Err(SnapshotError::Mismatch { what }),
+        }
+    }
+
+    /// A `Vec`: its length (guarded at `min_elem_bytes`, see
+    /// [`Stream::len`]), then each element through `f`. Decoding
+    /// reserves the guarded length and pushes each element, decoded into
+    /// a `T::default()`.
+    fn vec<T: Default>(
+        &mut self,
+        v: &mut Vec<T>,
+        min_elem_bytes: usize,
+        mut f: impl FnMut(&mut Self, &mut T) -> Result<()>,
+    ) -> Result<()> {
+        let mut n = v.len();
+        self.len(&mut n, min_elem_bytes)?;
+        if !Self::DECODING {
+            return v.iter_mut().try_for_each(|x| f(self, x));
+        }
+        v.clear();
+        v.reserve(n);
+        for _ in 0..n {
+            let mut x = T::default();
+            f(self, &mut x)?;
+            v.push(x);
+        }
+        Ok(())
+    }
+
+    /// A slice whose length the restoring instance fixes: the length,
+    /// then each element through `f`. Decoding a frame of another length
+    /// answers `err` before reading an element.
+    fn fixed<T>(
+        &mut self,
+        v: &mut [T],
+        err: SnapshotError,
+        mut f: impl FnMut(&mut Self, &mut T) -> Result<()>,
+    ) -> Result<()> {
+        let mut n = v.len();
+        self.usize(&mut n)?;
+        if n != v.len() {
+            return Err(err);
+        }
+        v.iter_mut().try_for_each(|x| f(self, x))
+    }
+
+    /// [`Stream::fixed`] for bytes, copied as one block.
+    fn fixed_bytes(&mut self, v: &mut [u8], err: SnapshotError) -> Result<()> {
+        let mut n = v.len();
+        self.usize(&mut n)?;
+        if n != v.len() {
+            return Err(err);
+        }
+        self.raw(v)
+    }
+
+    /// A hash map in ascending key order, so equal maps encode equally
+    /// whatever their iteration order: the length (guarded at
+    /// `min_elem_bytes`), then each key and its value through `f`.
+    fn map<K, V, H>(
+        &mut self,
+        m: &mut HashMap<K, V, H>,
+        min_elem_bytes: usize,
+        mut f: impl FnMut(&mut Self, &mut V) -> Result<()>,
+    ) -> Result<()>
+    where
+        K: Primitive + Ord + Hash + Default,
+        V: Default,
+        H: BuildHasher,
+    {
+        let mut n = m.len();
+        self.len(&mut n, min_elem_bytes)?;
+        if !Self::DECODING {
+            let mut entries: Vec<(&K, &mut V)> = m.iter_mut().collect();
+            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            for (k, x) in entries {
+                k.clone().transfer(self)?;
+                f(self, x)?;
+            }
+            return Ok(());
+        }
+        m.clear();
+        for _ in 0..n {
+            let (mut k, mut x) = (K::default(), V::default());
+            k.transfer(self)?;
+            f(self, &mut x)?;
+            m.insert(k, x);
+        }
+        Ok(())
+    }
+}
+
+/// A value with one primitive encoding: what [`Stream::expect`] checks
+/// and [`Stream::map`] keys by.
+pub trait Primitive: Clone + PartialEq {
+    /// Moves the value through `s` with its primitive method.
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()>;
+}
+
+macro_rules! primitive {
+    ($($t:ident),*) => {$(
+        impl Primitive for $t {
+            fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()> {
+                s.$t(self)
+            }
+        }
+    )*};
+}
+primitive!(u8, bool, u16, u32, u64, i64, usize);
+
+impl Primitive for String {
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()> {
+        s.string(self)
+    }
+}
+
+impl Stream for Enc {
+    const DECODING: bool = false;
+
+    #[inline]
+    fn u8(&mut self, v: &mut u8) -> Result<()> {
+        self.buf.push(*v);
+        Ok(())
+    }
+
+    #[inline]
+    fn u16(&mut self, v: &mut u16) -> Result<()> {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
+    }
+
+    #[inline]
+    fn u32(&mut self, v: &mut u32) -> Result<()> {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
+    }
+
+    #[inline]
+    fn u64(&mut self, v: &mut u64) -> Result<()> {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
+    }
+
+    #[inline]
+    fn raw(&mut self, v: &mut [u8]) -> Result<()> {
+        self.buf.extend_from_slice(v);
+        Ok(())
+    }
+
+    #[inline]
+    fn len(&mut self, n: &mut usize, _: usize) -> Result<()> {
+        self.buf.extend_from_slice(&(*n as u64).to_le_bytes());
+        Ok(())
+    }
+}
+
+impl Stream for Dec<'_> {
+    const DECODING: bool = true;
+
+    #[inline]
+    fn u8(&mut self, v: &mut u8) -> Result<()> {
+        *v = self.take(1)?[0];
+        Ok(())
+    }
+
+    #[inline]
+    fn u16(&mut self, v: &mut u16) -> Result<()> {
+        *v = u16::from_le_bytes(self.array()?);
+        Ok(())
+    }
+
+    #[inline]
+    fn u32(&mut self, v: &mut u32) -> Result<()> {
+        *v = u32::from_le_bytes(self.array()?);
+        Ok(())
+    }
+
+    #[inline]
+    fn u64(&mut self, v: &mut u64) -> Result<()> {
+        *v = u64::from_le_bytes(self.array()?);
+        Ok(())
+    }
+
+    #[inline]
+    fn raw(&mut self, v: &mut [u8]) -> Result<()> {
+        v.copy_from_slice(self.take(v.len())?);
+        Ok(())
+    }
+
+    fn len(&mut self, n: &mut usize, min_elem_bytes: usize) -> Result<()> {
+        self.usize(n)?;
+        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
+            return Err(SnapshotError::Corrupt {
+                what: "collection count exceeds payload",
+            });
+        }
+        Ok(())
+    }
+}
+
 /// State that can be captured into an [`Enc`] and restored from a
-/// [`Dec`].
+/// [`Dec`], written once as a [`SnapshotState::transfer`].
 ///
 /// `restore` writes **into an existing instance built with the same
 /// configuration** as the one that was saved (timing structures need
-/// their construction parameters); implementations must verify any
-/// embedded shape against the target and report
-/// [`SnapshotError::Mismatch`] on disagreement. Anything derived or
-/// host-only (decoded-block caches, host-time stats) is *recomputed*
-/// rather than captured — docs/SNAPSHOT.md keeps the captured/recomputed
-/// inventory.
+/// their construction parameters); a `transfer` passes any embedded shape
+/// through [`Stream::expect`], which reports [`SnapshotError::Mismatch`]
+/// on disagreement. Anything derived or host-only (decoded-block caches,
+/// host-time stats) is *recomputed* rather than captured —
+/// docs/SNAPSHOT.md keeps the captured/recomputed inventory.
 pub trait SnapshotState {
+    /// Moves every field through `s`, in frame order: [`Enc`] reads
+    /// them, [`Dec`] overwrites them. Encoding leaves `self` as it was —
+    /// `&mut` only because decoding needs the same access path.
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()>;
+
     /// Appends this value's state to `e`.
-    fn save(&self, e: &mut Enc);
+    fn save(&mut self, e: &mut Enc) {
+        self.transfer(e).expect("encoding never fails");
+    }
+
     /// Overwrites this value's state from `d`.
-    fn restore(&mut self, d: &mut Dec) -> Result<()>;
+    fn restore(&mut self, d: &mut Dec) -> Result<()> {
+        self.transfer(d)
+    }
 }
 
 /// Frames `payload` into a versioned container: magic, version, `kind`,
@@ -509,53 +714,133 @@ pub fn describe(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
 
+    /// Every primitive and helper, encoded and decoded by the same list.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct All {
+        a: u8,
+        b: bool,
+        c: u16,
+        d: u32,
+        e: u64,
+        f: i64,
+        g: usize,
+        h: String,
+        i: Option<u64>,
+        j: Vec<u64>,
+        k: [bool; 2],
+        l: HashMap<u16, u64>,
+        m: Vec<u8>,
+    }
+
+    impl SnapshotState for All {
+        fn transfer<S: Stream>(&mut self, s: &mut S) -> Result<()> {
+            s.expect("shape", 7u32)?;
+            s.u8(&mut self.a)?;
+            s.bool(&mut self.b)?;
+            s.u16(&mut self.c)?;
+            s.u32(&mut self.d)?;
+            s.u64(&mut self.e)?;
+            s.i64(&mut self.f)?;
+            s.usize(&mut self.g)?;
+            s.string(&mut self.h)?;
+            s.opt(&mut self.i, S::u64)?;
+            s.vec(&mut self.j, 8, S::u64)?;
+            s.fixed(&mut self.k, SnapshotError::Mismatch { what: "k" }, S::bool)?;
+            s.map(&mut self.l, 10, S::u64)?;
+            s.bytes(&mut self.m)
+        }
+    }
+
     #[test]
     fn primitives_roundtrip() {
+        let mut v = All {
+            a: 7,
+            b: true,
+            c: 0xbeef,
+            d: 0xdead_beef,
+            e: u64::MAX - 3,
+            f: -42,
+            g: 123_456,
+            h: "héllo".into(),
+            i: Some(9),
+            j: vec![1, 2, 3],
+            k: [true, false],
+            l: [(3, 30), (1, 10), (2, 20)].into_iter().collect(),
+            m: b"raw".to_vec(),
+        };
         let mut e = Enc::new();
-        e.u8(7);
-        e.bool(true);
-        e.u16(0xbeef);
-        e.u32(0xdead_beef);
-        e.u64(u64::MAX - 3);
-        e.i64(-42);
-        e.usize(123_456);
-        e.str("héllo");
-        e.opt_u64(Some(9));
-        e.opt_u64(None);
-        e.u64_seq(&[1, 2, 3]);
-        e.bool_seq(&[true, false]);
+        v.save(&mut e);
         let bytes = e.into_bytes();
+        let mut back = All::default();
         let mut d = Dec::new(&bytes);
-        assert_eq!(d.u8().unwrap(), 7);
-        assert!(d.bool().unwrap());
-        assert_eq!(d.u16().unwrap(), 0xbeef);
-        assert_eq!(d.u32().unwrap(), 0xdead_beef);
-        assert_eq!(d.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(d.i64().unwrap(), -42);
-        assert_eq!(d.usize().unwrap(), 123_456);
-        assert_eq!(d.string().unwrap(), "héllo");
-        assert_eq!(d.opt_u64().unwrap(), Some(9));
-        assert_eq!(d.opt_u64().unwrap(), None);
-        assert_eq!(d.u64_seq().unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.bool_seq().unwrap(), vec![true, false]);
+        back.restore(&mut d).unwrap();
         d.finish().unwrap();
+        assert_eq!(back, v);
+        let mut again = Enc::new();
+        back.save(&mut again);
+        assert_eq!(again.bytes(), bytes, "map keys are written sorted");
+    }
+
+    #[test]
+    fn expect_and_check_refuse_on_decode_only() {
+        let mut e = Enc::new();
+        e.u32(8);
+        assert_eq!(
+            All::default().restore(&mut Dec::new(e.bytes())),
+            Err(SnapshotError::Mismatch { what: "shape" })
+        );
+        let e = Enc::new();
+        assert_eq!(e.check(false, "x"), Ok(()), "encoding checks nothing");
+        assert_eq!(
+            Dec::new(&[]).check(false, "x"),
+            Err(SnapshotError::Corrupt { what: "x" })
+        );
+    }
+
+    #[test]
+    fn variant_tags_by_table_index() {
+        #[derive(Clone, Debug, PartialEq)]
+        enum E {
+            A,
+            B(u64),
+        }
+        const ALL: [E; 2] = [E::A, E::B(0)];
+        let mut e = Enc::new();
+        e.variant(&mut E::B(5), &ALL, "e").unwrap();
+        e.variant(&mut E::A, &ALL, "e").unwrap();
+        assert_eq!(e.bytes(), [1, 0]);
+        let mut v = E::A;
+        let mut d = Dec::new(&[1, 0, 2]);
+        d.variant(&mut v, &ALL, "e").unwrap();
+        assert_eq!(v, E::B(0), "fields are the caller's to fill");
+        d.variant(&mut v, &ALL, "e").unwrap();
+        assert_eq!(v, E::A);
+        assert_eq!(
+            d.variant(&mut v, &ALL, "e"),
+            Err(SnapshotError::Corrupt { what: "e" })
+        );
     }
 
     #[test]
     fn truncated_reads_are_typed_errors() {
         let mut d = Dec::new(&[1, 2]);
         assert!(matches!(
-            d.u64(),
+            d.u64(&mut 0),
             Err(SnapshotError::Truncated { need: 8, have: 2 })
         ));
         // the failed read consumed nothing
-        assert_eq!(d.u16().unwrap(), 0x0201);
+        let mut v = 0;
+        d.u16(&mut v).unwrap();
+        assert_eq!(v, 0x0201);
     }
 
     #[test]
     fn bad_bool_is_corrupt() {
         let mut d = Dec::new(&[2]);
-        assert!(matches!(d.bool(), Err(SnapshotError::Corrupt { .. })));
+        assert!(matches!(
+            d.bool(&mut false),
+            Err(SnapshotError::Corrupt { .. })
+        ));
     }
 
     #[test]
@@ -563,20 +848,21 @@ mod tests {
         let mut e = Enc::new();
         e.seq(usize::MAX / 2);
         let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        assert!(matches!(d.len(8), Err(SnapshotError::Corrupt { .. })));
-        let mut d2 = Dec::new(&bytes);
-        assert!(matches!(d2.u64_seq(), Err(SnapshotError::Corrupt { .. })));
+        assert!(matches!(
+            Dec::new(&bytes).len(&mut 0, 8),
+            Err(SnapshotError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            Dec::new(&bytes).vec(&mut Vec::new(), 8, Dec::u64),
+            Err(SnapshotError::Corrupt { .. })
+        ));
     }
 
     #[test]
     fn trailing_bytes_detected() {
-        let mut e = Enc::new();
-        e.u8(1);
-        e.u8(2);
-        let bytes = e.into_bytes();
+        let bytes = [1, 2];
         let mut d = Dec::new(&bytes);
-        d.u8().unwrap();
+        d.u8(&mut 0).unwrap();
         assert!(matches!(
             d.finish(),
             Err(SnapshotError::TrailingBytes { extra: 1 })

@@ -59,7 +59,7 @@ pub trait MmioDevice: std::fmt::Debug + Send {
 }
 
 /// One denied device access, for diagnostics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct DeniedAccess {
     /// Faulting physical address.
     pub pa: u64,
@@ -192,62 +192,32 @@ impl MmioBus {
 /// snapshot of a bus with extra windows restores the standard devices
 /// and leaves the extra devices' state untouched (docs/SNAPSHOT.md).
 impl xt_snapshot::SnapshotState for MmioBus {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.harts);
-        self.clint.save(e);
-        self.plic.save(e);
-        self.uart.save(e);
-        e.seq(self.denied.len());
-        for a in &self.denied {
-            e.u64(a.pa);
-            e.usize(a.size);
-            e.bool(a.is_write);
-            e.str(a.window);
-        }
-        e.u64(self.denied_dropped);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        if d.usize()? != self.harts {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "bus hart count",
-            });
-        }
-        self.clint.restore(d)?;
-        self.plic.restore(d)?;
-        self.uart.restore(d)?;
-        let n = d.len(19)?; // 8 pa + 8 size + 1 is_write + ≥2 window name
-        let mut denied = Vec::with_capacity(n);
-        for _ in 0..n {
-            let pa = d.u64()?;
-            let size = d.usize()?;
-            let is_write = d.bool()?;
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("bus hart count", self.harts)?;
+        self.clint.transfer(s)?;
+        self.plic.transfer(s)?;
+        self.uart.transfer(s)?;
+        // 8 pa + 8 size + 1 is_write + ≥2 window name
+        s.vec(&mut self.denied, 19, |s, a| {
+            s.u64(&mut a.pa)?;
+            s.usize(&mut a.size)?;
+            s.bool(&mut a.is_write)?;
             // window names round-trip through the known static names
             // (standard windows plus any extra windows on the target)
-            let name = d.string()?;
-            let window = match name.as_str() {
-                "clint" => "clint",
-                "plic" => "plic",
-                "uart" => "uart",
-                other => self
-                    .extra
-                    .iter()
-                    .map(|w| w.name)
-                    .find(|n| *n == other)
-                    .ok_or(xt_snapshot::SnapshotError::Corrupt {
-                        what: "denied-access window name",
-                    })?,
-            };
-            denied.push(DeniedAccess {
-                pa,
-                size,
-                is_write,
-                window,
-            });
-        }
-        self.denied = denied;
-        self.denied_dropped = d.u64()?;
-        Ok(())
+            let mut name = a.window.to_string();
+            s.string(&mut name)?;
+            let extra = self.extra.iter().map(|w| w.name);
+            a.window = ["clint", "plic", "uart"]
+                .into_iter()
+                .chain(extra)
+                .find(|n| *n == name)
+                .ok_or(xt_snapshot::SnapshotError::Corrupt {
+                    what: "denied-access window name",
+                })?;
+            Ok(())
+        })?;
+        s.check(self.denied.len() <= MAX_DENIED, "denied-access log length")?;
+        s.u64(&mut self.denied_dropped)
     }
 }
 
@@ -411,6 +381,28 @@ mod tests {
         d.finish().unwrap();
         assert_eq!(r.denied.len(), MAX_DENIED);
         assert_eq!(r.denied_dropped, 50);
+    }
+
+    /// A frame is outside input: a denied-access log longer than the
+    /// bus ever keeps is refused, not restored past its cap.
+    #[test]
+    fn restore_refuses_a_denied_log_over_the_cap() {
+        use xt_snapshot::SnapshotState;
+        let mut forged = MmioBus::new(1);
+        let denial = DeniedAccess {
+            pa: PLIC_BASE + 2,
+            size: 4,
+            is_write: false,
+            window: "plic",
+        };
+        forged.denied = vec![denial; MAX_DENIED + 1];
+        let mut e = xt_snapshot::Enc::new();
+        forged.save(&mut e);
+        let got = MmioBus::new(1).restore(&mut xt_snapshot::Dec::new(e.bytes()));
+        let want = xt_snapshot::SnapshotError::Corrupt {
+            what: "denied-access log length",
+        };
+        assert_eq!(got, Err(want));
     }
 
     #[test]

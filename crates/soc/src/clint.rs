@@ -170,24 +170,13 @@ impl Clint {
 }
 
 impl xt_snapshot::SnapshotState for Clint {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.bool_seq(&self.msip);
-        e.u64_seq(&self.mtimecmp);
-        e.u64(self.mtime);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        let msip = d.bool_seq()?;
-        let mtimecmp = d.u64_seq()?;
-        if msip.len() != self.msip.len() || mtimecmp.len() != self.mtimecmp.len() {
-            return Err(xt_snapshot::SnapshotError::Mismatch {
-                what: "clint hart count",
-            });
-        }
-        self.msip = msip;
-        self.mtimecmp = mtimecmp;
-        self.mtime = d.u64()?;
-        Ok(())
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        let harts = xt_snapshot::SnapshotError::Mismatch {
+            what: "clint hart count",
+        };
+        s.fixed(&mut self.msip, harts, S::bool)?;
+        s.fixed(&mut self.mtimecmp, harts, S::u64)?;
+        s.u64(&mut self.mtime)
     }
 }
 

@@ -37,6 +37,7 @@ use xt_asm::Program;
 use xt_core::{CoreConfig, OooCore, PerfCounters};
 use xt_emu::{ClusterCtl, Emulator, StoreRec, TraceSource, TraceStatus};
 use xt_mem::{MemConfig, MemOp, MemStats, MemSystem, MemTracer};
+use xt_snapshot::{SnapshotState, Stream};
 
 /// Default epoch length in simulated cycles. Long enough to amortize
 /// the serial barrier over thousands of parallel core-steps, short
@@ -176,6 +177,39 @@ impl CoreSlot {
                 TraceStatus::Done => self.done = true,
             }
         }
+    }
+
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        self.trace.transfer(s)?;
+        let bus = bus_of_mut(self.trace.emulator_mut());
+        s.present(bus, "interrupt platform", |s, bus| bus.transfer(s))?;
+        self.core.transfer(s)?;
+        self.mem.transfer(s)?;
+        // all cores' logs, shared with the other slots: the encoder reads
+        // them through the `Arc`, the decoder builds a fresh one
+        let pf = self.mem.config().prefetch;
+        let mut pending = self.pending.is_some();
+        s.bool(&mut pending)?;
+        if S::DECODING {
+            let mut logs: Vec<Vec<MemOp>> = Vec::new();
+            if pending {
+                s.vec(&mut logs, 8, |s, log| {
+                    s.vec(log, 8, |s, op| op.transfer(s, &pf))
+                })?;
+            }
+            self.pending = pending.then(|| Arc::new(logs));
+        } else if let Some(logs) = &self.pending {
+            s.len(&mut logs.len(), 8)?;
+            for log in logs.iter() {
+                s.len(&mut log.len(), 8)?;
+                for mut op in log.iter().copied() {
+                    op.transfer(s, &pf)?;
+                }
+            }
+        }
+        s.bool(&mut self.parked)?;
+        s.bool(&mut self.done)?;
+        s.u64(&mut self.steps)
     }
 }
 
@@ -533,53 +567,13 @@ impl ClusterSim {
     /// replica, pending resync logs, and the master hierarchy — into a
     /// [`xt_snapshot::KIND_CLUSTER`] frame. Valid at any
     /// [`ClusterSim::step_epochs`] boundary. Host-time fields of
-    /// [`EngineStats`] are written as zero (they are measurements, not
+    /// [`EngineStats`] are not written (they are measurements, not
     /// state), so equal simulated states produce equal snapshot bytes.
-    pub fn save(&self) -> Vec<u8> {
-        use xt_snapshot::SnapshotState;
+    /// Encoding changes nothing: the cluster runs on as if it had not
+    /// been saved.
+    pub fn save(&mut self) -> Vec<u8> {
         let mut e = xt_snapshot::Enc::new();
-        e.seq(self.slots.len());
-        e.u64(self.epoch_cycles);
-        e.u64(self.max_insts);
-        e.bool(self.tracing);
-        e.bool(self.finished);
-        e.u64(self.engine.epochs);
-        for s in &self.slots {
-            s.trace.save(&mut e);
-            match bus_of(s.trace.emulator()) {
-                Some(bus) => {
-                    e.bool(true);
-                    bus.save(&mut e);
-                }
-                None => e.bool(false),
-            }
-            s.core.save(&mut e);
-            s.mem.save(&mut e);
-            match &s.pending {
-                Some(logs) => {
-                    e.bool(true);
-                    e.seq(logs.len());
-                    for log in logs.iter() {
-                        e.seq(log.len());
-                        for op in log {
-                            xt_mem::system::save_mem_op(&mut e, op);
-                        }
-                    }
-                }
-                None => e.bool(false),
-            }
-            e.bool(s.parked);
-            e.bool(s.done);
-            e.u64(s.steps);
-        }
-        self.master.save(&mut e);
-        match &self.timeline {
-            Some(tl) => {
-                e.bool(true);
-                tl.save(&mut e);
-            }
-            None => e.bool(false),
-        }
+        self.transfer(&mut e).expect("encoding never fails");
         xt_snapshot::seal(xt_snapshot::KIND_CLUSTER, e.bytes())
     }
 
@@ -592,71 +586,32 @@ impl ClusterSim {
     /// architecturally invisible, so a snapshot taken with the block
     /// cache on restores fine into an instance running with it off.
     pub fn restore(&mut self, bytes: &[u8]) -> xt_snapshot::Result<()> {
-        use xt_snapshot::SnapshotState;
         let payload = xt_snapshot::open(bytes, xt_snapshot::KIND_CLUSTER)?;
         let mut d = xt_snapshot::Dec::new(payload);
-        if d.len(1)? != self.slots.len() {
-            return Err(xt_snapshot::SnapshotError::Mismatch { what: "core count" });
-        }
-        self.epoch_cycles = d.u64()?;
-        if self.epoch_cycles == 0 {
-            return Err(xt_snapshot::SnapshotError::Corrupt {
-                what: "epoch cycles",
-            });
-        }
-        self.max_insts = d.u64()?;
-        self.tracing = d.bool()?;
-        self.finished = d.bool()?;
-        self.engine = EngineStats {
-            epochs: d.u64()?,
-            serial_ns: 0,
-            parallel_ns: 0,
-        };
-        for s in &mut self.slots {
-            s.trace.restore(&mut d)?;
-            let has_bus = d.bool()?;
-            match (has_bus, bus_of_mut(s.trace.emulator_mut())) {
-                (true, Some(bus)) => bus.restore(&mut d)?,
-                (false, None) => {}
-                _ => {
-                    return Err(xt_snapshot::SnapshotError::Mismatch {
-                        what: "interrupt platform",
-                    })
-                }
-            }
-            s.core.restore(&mut d)?;
-            s.mem.restore(&mut d)?;
-            s.pending = if d.bool()? {
-                let pf = &s.mem.config().prefetch;
-                let n_logs = d.len(8)?;
-                let mut logs = Vec::with_capacity(n_logs);
-                for _ in 0..n_logs {
-                    let n_ops = d.len(8)?;
-                    let mut log = Vec::with_capacity(n_ops);
-                    for _ in 0..n_ops {
-                        log.push(xt_mem::system::restore_mem_op(&mut d, pf)?);
-                    }
-                    logs.push(log);
-                }
-                Some(Arc::new(logs))
-            } else {
-                None
-            };
-            s.parked = d.bool()?;
-            s.done = d.bool()?;
-            s.steps = d.u64()?;
-        }
-        self.master.restore(&mut d)?;
-        match (d.bool()?, self.timeline.as_mut()) {
-            (true, Some(tl)) => tl.restore(&mut d)?,
-            (false, None) => {}
-            _ => {
-                return Err(xt_snapshot::SnapshotError::Mismatch {
-                    what: "epoch timeline",
-                })
-            }
-        }
+        self.transfer(&mut d)?;
         d.finish()
+    }
+
+    /// The frame's payload: the engine's position, every slot, the
+    /// master hierarchy, the timeline.
+    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("core count", self.slots.len())?;
+        s.u64(&mut self.epoch_cycles)?;
+        s.check(self.epoch_cycles != 0, "epoch cycles")?;
+        s.u64(&mut self.max_insts)?;
+        s.bool(&mut self.tracing)?;
+        s.bool(&mut self.finished)?;
+        if S::DECODING {
+            self.engine = EngineStats::default();
+        }
+        s.u64(&mut self.engine.epochs)?;
+        for slot in &mut self.slots {
+            slot.transfer(s)?;
+        }
+        self.master.transfer(s)?;
+        s.present(self.timeline.as_mut(), "epoch timeline", |s, tl| {
+            tl.transfer(s)
+        })
     }
 
     /// The serial epoch barrier (see the [module docs](self) for the

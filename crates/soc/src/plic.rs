@@ -314,86 +314,35 @@ impl Plic {
 }
 
 impl xt_snapshot::SnapshotState for Plic {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.seq(self.priority.len());
-        for &p in &self.priority {
-            e.u32(p);
-        }
-        e.bool_seq(&self.pending);
-        e.seq(self.enables.len());
-        for en in &self.enables {
-            e.bool_seq(en);
-        }
-        e.seq(self.threshold.len());
-        for &t in &self.threshold {
-            e.u32(t);
-        }
-        e.seq(self.claimed.len());
-        for &c in &self.claimed {
-            e.opt_u64(c.map(u64::from));
-        }
-        e.seq(self.permission.len());
-        for p in &self.permission {
-            e.bool_seq(p);
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        let mismatch = |what| xt_snapshot::SnapshotError::Mismatch { what };
-        let corrupt = |what| xt_snapshot::SnapshotError::Corrupt { what };
-        let n_prio = d.len(4)?;
-        if n_prio != self.priority.len() {
-            return Err(mismatch("plic source count"));
-        }
-        for p in &mut self.priority {
-            *p = d.u32()?;
-        }
-        let pending = d.bool_seq()?;
-        if pending.len() != self.pending.len() {
-            return Err(mismatch("plic source count"));
-        }
-        self.raised = pending.iter().filter(|&&p| p).count();
-        self.pending = pending;
-        let n_en = d.len(8)?;
-        if n_en != self.enables.len() {
-            return Err(mismatch("plic context count"));
-        }
-        for en in &mut self.enables {
-            let v = d.bool_seq()?;
-            if v.len() != en.len() {
-                return Err(mismatch("plic source count"));
-            }
-            *en = v;
-        }
-        let n_thr = d.len(4)?;
-        if n_thr != self.threshold.len() {
-            return Err(mismatch("plic context count"));
-        }
-        for t in &mut self.threshold {
-            *t = d.u32()?;
-        }
-        let n_cl = d.len(1)?;
-        if n_cl != self.claimed.len() {
-            return Err(mismatch("plic context count"));
-        }
-        for c in &mut self.claimed {
-            *c = match d.opt_u64()? {
-                Some(v) => {
-                    Some(u32::try_from(v).map_err(|_| corrupt("plic claimed source"))?)
-                }
-                None => None,
-            };
-        }
-        let n_perm = d.len(8)?;
-        if n_perm != self.permission.len() {
-            return Err(mismatch("plic context count"));
-        }
-        for p in &mut self.permission {
-            let v = d.bool_seq()?;
-            if v.len() != p.len() {
-                return Err(mismatch("plic source count"));
-            }
-            *p = v;
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        use xt_snapshot::SnapshotError::{Corrupt, Mismatch};
+        let sources = Mismatch {
+            what: "plic source count",
+        };
+        let contexts = Mismatch {
+            what: "plic context count",
+        };
+        s.fixed(&mut self.priority, sources, S::u32)?;
+        s.fixed(&mut self.pending, sources, S::bool)?;
+        s.fixed(&mut self.enables, contexts, |s, en| {
+            s.fixed(en, sources, S::bool)
+        })?;
+        s.fixed(&mut self.threshold, contexts, S::u32)?;
+        s.fixed(&mut self.claimed, contexts, |s, c| {
+            s.opt(c, |s, source| {
+                let mut wide = *source as u64;
+                s.u64(&mut wide)?;
+                *source = u32::try_from(wide).map_err(|_| Corrupt {
+                    what: "plic claimed source",
+                })?;
+                Ok(())
+            })
+        })?;
+        s.fixed(&mut self.permission, contexts, |s, p| {
+            s.fixed(p, sources, S::bool)
+        })?;
+        if S::DECODING {
+            self.raised = self.pending.iter().filter(|&&p| p).count();
         }
         Ok(())
     }

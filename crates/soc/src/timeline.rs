@@ -133,44 +133,24 @@ impl EpochTimeline {
 
 impl xt_snapshot::SnapshotState for EpochTimeline {
     /// Saves the deterministic columns only: host nanoseconds are
-    /// measurements, not state, and are written as zero so equal
-    /// simulated runs produce equal snapshot bytes.
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.usize(self.cores);
-        e.u64(self.epoch_cycles);
-        e.seq(self.epochs.len());
-        for row in &self.epochs {
-            e.u64_seq(&row.cycles);
-            e.u64_seq(&row.steps);
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        use xt_snapshot::SnapshotError;
-        if d.usize()? != self.cores {
-            return Err(SnapshotError::Mismatch {
-                what: "timeline core count",
-            });
-        }
-        self.epoch_cycles = d.u64()?;
-        let n = d.len(2)?;
-        self.epochs.clear();
-        for _ in 0..n {
-            let cycles = d.u64_seq()?;
-            let steps = d.u64_seq()?;
-            if cycles.len() != self.cores || steps.len() != self.cores {
-                return Err(SnapshotError::Mismatch {
-                    what: "timeline row width",
-                });
+    /// measurements, not state, so they are never written and read zero
+    /// after a restore — equal simulated runs produce equal bytes.
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.expect("timeline core count", self.cores)?;
+        s.u64(&mut self.epoch_cycles)?;
+        let (cores, width) = (
+            self.cores,
+            xt_snapshot::SnapshotError::Mismatch {
+                what: "timeline row width",
+            },
+        );
+        s.vec(&mut self.epochs, 16 * (cores + 1), |s, row| {
+            if S::DECODING {
+                (row.cycles, row.steps) = (vec![0; cores], vec![0; cores]);
             }
-            self.epochs.push(EpochSample {
-                cycles,
-                steps,
-                parallel_ns: 0,
-                serial_ns: 0,
-            });
-        }
-        Ok(())
+            s.fixed(&mut row.cycles, width, S::u64)?;
+            s.fixed(&mut row.steps, width, S::u64)
+        })
     }
 }
 
@@ -230,9 +210,10 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_drops_host_time_only() {
-        let tl = sample_timeline();
+        let mut tl = sample_timeline();
         let mut e = xt_snapshot::Enc::new();
         tl.save(&mut e);
+        assert_eq!(tl, sample_timeline(), "encoding leaves host time alone");
         let bytes = e.into_bytes();
         let mut r = EpochTimeline::new(2, 1);
         let mut d = xt_snapshot::Dec::new(&bytes);
@@ -254,7 +235,7 @@ mod tests {
 
     #[test]
     fn wrong_width_row_is_mismatch() {
-        let tl = sample_timeline();
+        let mut tl = sample_timeline();
         let mut e = xt_snapshot::Enc::new();
         tl.save(&mut e);
         let bytes = e.into_bytes();

@@ -48,15 +48,10 @@ impl Uart {
 }
 
 impl xt_snapshot::SnapshotState for Uart {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.bytes_seq(&self.tx);
-        e.u64(self.tx_dropped);
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        self.tx = d.bytes_seq()?.to_vec();
-        self.tx_dropped = d.u64()?;
-        Ok(())
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.bytes(&mut self.tx)?;
+        s.check(self.tx.len() <= MAX_TX, "uart tx length")?;
+        s.u64(&mut self.tx_dropped)
     }
 }
 
@@ -118,6 +113,22 @@ mod tests {
         d.finish().unwrap();
         assert_eq!(r.tx.len(), MAX_TX);
         assert_eq!(r.tx_dropped, 100);
+    }
+
+    /// A frame is outside input: a log longer than any guest could grow
+    /// is refused, not restored into host memory the cap exists to bound.
+    #[test]
+    fn restore_refuses_a_tx_log_over_the_cap() {
+        use xt_snapshot::SnapshotState;
+        let mut forged = Uart::new();
+        forged.tx = vec![b'x'; MAX_TX + 1];
+        let mut e = xt_snapshot::Enc::new();
+        forged.save(&mut e);
+        let got = Uart::new().restore(&mut xt_snapshot::Dec::new(e.bytes()));
+        let want = xt_snapshot::SnapshotError::Corrupt {
+            what: "uart tx length",
+        };
+        assert_eq!(got, Err(want));
     }
 
     #[test]

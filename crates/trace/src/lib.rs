@@ -127,7 +127,7 @@ impl Stage {
 /// instruction *leaves* a stage when it enters the next one; leaving
 /// [`Stage::Rt2`] (cycle [`InstRecord::retired_at`]) is architectural
 /// retirement.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InstRecord {
     /// Commit-order sequence number (0-based).
     pub seq: u64,
@@ -183,10 +183,11 @@ impl InstRecord {
 }
 
 /// Why the pipeline flushed (squashing younger speculative work).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub enum FlushCause {
     /// Branch direction or indirect-target misprediction, corrected at
     /// the branch-jump unit (§III-A).
+    #[default]
     Mispredict,
     /// Memory-order violation: a load speculated past a conflicting
     /// older store (§V-A).
@@ -196,6 +197,13 @@ pub enum FlushCause {
 }
 
 impl FlushCause {
+    /// Every cause, in snapshot tag order.
+    pub const ALL: [FlushCause; 3] = [
+        FlushCause::Mispredict,
+        FlushCause::MemOrder,
+        FlushCause::Exception,
+    ];
+
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -208,7 +216,7 @@ impl FlushCause {
 
 /// A pipeline flush: the squashed wrong-path work of a trace-driven
 /// model, which replays only committed instructions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct FlushEvent {
     /// Cycle the flush was triggered (resolution of the faulting
     /// instruction).
@@ -287,66 +295,20 @@ impl TraceSink for TraceBuffer {
 }
 
 impl xt_snapshot::SnapshotState for TraceBuffer {
-    fn save(&self, e: &mut xt_snapshot::Enc) {
-        e.seq(self.records.len());
-        for r in &self.records {
-            e.u64(r.seq);
-            e.u64(r.pc);
-            e.str(&r.disasm);
-            for &c in &r.enter {
-                e.u64(c);
-            }
-        }
-        e.seq(self.flushes.len());
-        for f in &self.flushes {
-            e.u64(f.cycle);
-            e.u64(f.pc);
-            e.u8(match f.cause {
-                FlushCause::Mispredict => 0,
-                FlushCause::MemOrder => 1,
-                FlushCause::Exception => 2,
-            });
-        }
-    }
-
-    fn restore(&mut self, d: &mut xt_snapshot::Dec) -> xt_snapshot::Result<()> {
-        let n = d.len(24 + 8 * NUM_STAGES)?;
-        self.records.clear();
-        for _ in 0..n {
-            let seq = d.u64()?;
-            let pc = d.u64()?;
-            let disasm = d.string()?;
-            let mut enter = [0u64; NUM_STAGES];
-            for c in &mut enter {
-                *c = d.u64()?;
-            }
-            // bypass InstRecord::new's clamp: the saved record was
-            // already clamped at construction, restore it verbatim
-            self.records.push(InstRecord {
-                seq,
-                pc,
-                disasm,
-                enter,
-            });
-        }
-        let n = d.len(17)?;
-        self.flushes.clear();
-        for _ in 0..n {
-            let cycle = d.u64()?;
-            let pc = d.u64()?;
-            let cause = match d.u8()? {
-                0 => FlushCause::Mispredict,
-                1 => FlushCause::MemOrder,
-                2 => FlushCause::Exception,
-                _ => {
-                    return Err(xt_snapshot::SnapshotError::Corrupt {
-                        what: "flush cause",
-                    })
-                }
-            };
-            self.flushes.push(FlushEvent { cycle, pc, cause });
-        }
-        Ok(())
+    /// Records are restored verbatim, bypassing [`InstRecord::new`]'s
+    /// clamp: they were clamped when they were made.
+    fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        s.vec(&mut self.records, 24 + 8 * NUM_STAGES, |s, r| {
+            s.u64(&mut r.seq)?;
+            s.u64(&mut r.pc)?;
+            s.string(&mut r.disasm)?;
+            r.enter.iter_mut().try_for_each(|c| s.u64(c))
+        })?;
+        s.vec(&mut self.flushes, 17, |s, f| {
+            s.u64(&mut f.cycle)?;
+            s.u64(&mut f.pc)?;
+            s.variant(&mut f.cause, &FlushCause::ALL, "flush cause")
+        })
     }
 }
 

@@ -286,16 +286,31 @@ echo "OK: forged cycle count, forged kernel name and over-nested file refused by
 rm -rf "$fig_dir"
 
 echo "== snapshot/resume identity (docs/SNAPSHOT.md) =="
+# Every SnapshotState impl is one field list, a `transfer` that encodes
+# and decodes (docs/SNAPSHOT.md, "Writing a transfer"): a hand-paired
+# save (through `&self`, or taking an encoder) or a restore taking a
+# decoder must not creep back. A frame-level `save(&mut self)` (Session,
+# ClusterSim) takes no encoder and is not matched.
+paired=$(grep -rnE 'fn save\(&self|fn save\(&mut self, |fn restore\(&mut self, d' \
+    crates/*/src --include='*.rs' | grep -v '^crates/snapshot/' || true)
+if [ -n "$paired" ]; then
+    echo "ERROR: hand-paired save/restore outside xt-snapshot (write a transfer):" >&2
+    echo "$paired" >&2
+    exit 1
+fi
+echo "OK: every snapshotted structure is one transfer"
 # Whole-simulation save/restore: the resume matrix (sessions, clusters,
-# interrupts, tracers, samplers), file-level error paths, and the
-# committed golden frame — a SnapshotState wire-layout change without a
-# deliberate xt_snapshot::VERSION bump fails here. Run under both
-# execution engines: frames must move freely across XT_FASTPATH
-# settings.
+# interrupts, tracers, samplers), file-level error paths, the committed
+# golden frame and the pinned frames it does not reach — a SnapshotState
+# wire-layout change without a deliberate xt_snapshot::VERSION bump fails
+# here — and the re-sealed corruption sweep (no forged frame may panic a
+# restore). Run under both execution engines: frames must move freely
+# across XT_FASTPATH settings.
 for fp in 0 1; do
     echo "-- XT_FASTPATH=$fp --"
     XT_FASTPATH=$fp cargo test -q --offline \
-        --test snapshot_resume --test snapshot_golden --test snapshot_errors
+        --test snapshot_resume --test snapshot_golden --test snapshot_errors \
+        --test snapshot_frames --test snapshot_sweep
 done
 # The xt-report matrix routed through a save/restore cycle every 1000
 # instructions must emit a byte-identical BENCH_pipeline.json; the

@@ -249,7 +249,7 @@ fn forged_counter_table_shape_is_rejected() {
         .to_vec();
     // the table's own encoding is long and unlike anything else in the
     // payload: find it there
-    let stats = s.mem().stats();
+    let mut stats = s.mem().stats();
     let mut e = xt_snapshot::Enc::new();
     stats.save(&mut e);
     let table = e.into_bytes();
@@ -397,7 +397,7 @@ fn forged_core_resources_are_rejected_or_repaired() {
     assert!(lo < hi, "distinct release cycles to swap: {lo} {hi}");
     set_field(&mut p, first, hi);
     set_field(&mut p, last, lo);
-    let repaired = restore_payload(&p).expect("unsorted releases restore");
+    let mut repaired = restore_payload(&p).expect("unsorted releases restore");
     assert_eq!(repaired.save(), frame(), "and are re-sorted");
 }
 

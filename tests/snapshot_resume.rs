@@ -359,7 +359,7 @@ fn sampled_series(prog: &Program, interval: u64, cut: Option<u64>) -> xt_perf::T
         if cut == Some(stepped) {
             let session_frame = s.save();
             let mut e = xt_snapshot::Enc::new();
-            xt_snapshot::SnapshotState::save(&sampler, &mut e);
+            xt_snapshot::SnapshotState::save(&mut sampler, &mut e);
             let sampler_frame = e.into_bytes();
 
             s = OooSession::new(prog, &cfg, MAX_INSTS);
