@@ -247,7 +247,7 @@ mod tests {
         assert!(out.compared > 0);
         selftest(&ARTIFACT, &d, 0.0).expect("gate selftest at tolerance 0");
         selftest(&ARTIFACT, &d, 0.05).expect("gate selftest with a band");
-        let foreign = parse(&js.replace("xt-figures/v1", "xt-stat/v2")).unwrap();
+        let foreign = parse(&js.replace("xt-figures/v1", "xt-stat/v3")).unwrap();
         let err = diff(&ARTIFACT, &d, &foreign, 0.0).expect_err("another tool's document");
         assert!(err.starts_with("candidate: schema"), "{err}");
     }

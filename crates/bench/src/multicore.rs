@@ -1,36 +1,17 @@
 //! Multi-core scaling and coherence experiments (Figs. 2/13, §VI),
-//! plus the `xt-report` multicore section: deterministic STREAM-rate
-//! and producer/consumer cells at 1/2/4 cores, and (outside smoke
-//! mode) the host simulation speed of the epoch-barriered parallel
-//! engine at 1 vs 4 worker threads.
+//! plus the host-speed probes behind the MIPS floors: the functional
+//! emulator, the step driver and an `OooSession` against
+//! `Emulator::run`, and a 4-core `ClusterSim` against one session. The
+//! floors are checked by the release-only `mips_floors` test
+//! (`cargo test --release -p xt-bench -- --ignored mips_floors`).
 
 use crate::figures::{Figure, Row};
 use xt_asm::{Asm, Program};
 use xt_core::CoreConfig;
 use xt_isa::reg::Gpr;
 use xt_mem::MemConfig;
-use xt_soc::{ClusterReport, ClusterSim};
-
-/// A per-core streaming kernel: `passes` summation sweeps over a
-/// private `kib`-KiB array, placed in a disjoint region per core.
-fn stream_core(id: u64, kib: usize, passes: i64) -> Program {
-    let mut a = Asm::new().with_data_base(0x8200_0000 + id * 0x0100_0000);
-    let buf = a.data_zeros("buf", kib * 1024);
-    a.li(Gpr::A6, passes);
-    let outer = a.here();
-    a.la(Gpr::A1, buf);
-    a.li(Gpr::A2, (kib * 1024 / 8) as i64);
-    let top = a.here();
-    a.ld(Gpr::A4, Gpr::A1, 0);
-    a.add(Gpr::A5, Gpr::A5, Gpr::A4);
-    a.addi(Gpr::A1, Gpr::A1, 8);
-    a.addi(Gpr::A2, Gpr::A2, -1);
-    a.bnez(Gpr::A2, top);
-    a.addi(Gpr::A6, Gpr::A6, -1);
-    a.bnez(Gpr::A6, outer);
-    a.halt();
-    a.finish().unwrap()
-}
+use xt_perf::stat::stream_core;
+use xt_soc::ClusterSim;
 
 /// A per-core private working-set kernel (sum over a 256 KiB array).
 fn private_kernel(id: u64) -> Program {
@@ -134,203 +115,6 @@ pub fn snoop_filter() -> Figure {
     }
 }
 
-// ---- xt-report multicore section ----
-
-/// Mailboxes live at the shared default data base; 64-byte stride keeps
-/// each producer/consumer pair on its own cache line.
-const MAILBOX_STRIDE: u64 = 64;
-
-/// Producer half of a pair: publish `data = k`, fence, `flag = k`.
-fn producer(pair: u64, items: i64) -> Program {
-    let mut a = Asm::new();
-    let mb = a.data_zeros("mailboxes", 128) + pair * MAILBOX_STRIDE;
-    a.la(Gpr::A1, mb);
-    a.li(Gpr::A2, 1);
-    a.li(Gpr::A3, items);
-    let top = a.here();
-    a.sd(Gpr::A2, Gpr::A1, 0); // data = k
-    a.fence();
-    a.sd(Gpr::A2, Gpr::A1, 8); // flag = k
-    a.addi(Gpr::A2, Gpr::A2, 1);
-    a.addi(Gpr::A3, Gpr::A3, -1);
-    a.bnez(Gpr::A3, top);
-    a.li(Gpr::A0, 0);
-    a.halt();
-    a.finish().unwrap()
-}
-
-/// Consumer half: spin (with a fence, so the spin parks once per epoch
-/// instead of burning the whole slice) until `flag >= k`, then check
-/// `data >= k`. Exit code counts handshake violations — must be 0.
-fn consumer(pair: u64, items: i64) -> Program {
-    let mut a = Asm::new();
-    let mb = a.data_zeros("mailboxes", 128) + pair * MAILBOX_STRIDE;
-    a.la(Gpr::A1, mb);
-    a.li(Gpr::A2, 1);
-    a.li(Gpr::A3, items);
-    a.li(Gpr::A0, 0);
-    let top = a.here();
-    let spin = a.here();
-    a.ld(Gpr::A4, Gpr::A1, 8); // flag
-    a.fence();
-    a.blt(Gpr::A4, Gpr::A2, spin);
-    a.ld(Gpr::A5, Gpr::A1, 0); // data, program-later than flag
-    a.sltu(Gpr::A6, Gpr::A5, Gpr::A2); // data older than expected?
-    a.or_(Gpr::A0, Gpr::A0, Gpr::A6);
-    a.addi(Gpr::A2, Gpr::A2, 1);
-    a.addi(Gpr::A3, Gpr::A3, -1);
-    a.bnez(Gpr::A3, top);
-    a.halt();
-    a.finish().unwrap()
-}
-
-/// One deterministic cell of the report's multicore section. Every
-/// field is part of the engine's bit-identical contract, so the JSON
-/// these render into is byte-stable across runs and thread counts.
-#[derive(Clone, Debug)]
-pub struct MulticoreCell {
-    /// Workload id (stable, used as the JSON key).
-    pub workload: &'static str,
-    /// Simulated core count.
-    pub cores: usize,
-    /// Slowest core's cycle count.
-    pub makespan: u64,
-    /// Aggregate instructions retired.
-    pub instructions: u64,
-    /// Aggregate IPC over the makespan.
-    pub ipc: f64,
-    /// Snoop probes sent by the master hierarchy.
-    pub snoops_sent: u64,
-    /// Dirty-line cache-to-cache transfers.
-    pub c2c_transfers: u64,
-}
-
-/// Host-side simulation speed of the parallel engine (wall clock — only
-/// measured outside smoke mode, because it is inherently
-/// nondeterministic).
-#[derive(Clone, Debug)]
-pub struct HostSpeed {
-    /// Committed guest MIPS with one worker thread.
-    pub mips_1_thread: f64,
-    /// Committed guest MIPS with four worker threads.
-    pub mips_4_threads: f64,
-    /// `mips_4_threads / mips_1_thread`.
-    pub speedup: f64,
-    /// Single-core functional-emulator MIPS with the decoded-block
-    /// cache enabled (docs/FASTPATH.md).
-    pub emu_mips_fastpath: f64,
-    /// Single-core functional-emulator MIPS decoding every step (the
-    /// seed interpreter).
-    pub emu_mips_slowpath: f64,
-    /// `emu_mips_fastpath / emu_mips_slowpath`.
-    pub emu_speedup: f64,
-}
-
-/// The report's multicore section: deterministic cells plus the
-/// optional host-speed measurement.
-#[derive(Clone, Debug)]
-pub struct MulticoreSection {
-    /// STREAM-rate and producer/consumer cells at 1/2/4 cores.
-    pub cells: Vec<MulticoreCell>,
-    /// Wall-clock engine speed; `None` in smoke mode.
-    pub host: Option<HostSpeed>,
-}
-
-fn run_cluster(progs: &[Program]) -> ClusterReport {
-    let mem = MemConfig {
-        cores: progs.len(),
-        ..MemConfig::default()
-    };
-    ClusterSim::new(progs, &CoreConfig::xt910(), mem, 100_000_000).run()
-}
-
-fn cell(workload: &'static str, r: &ClusterReport) -> MulticoreCell {
-    MulticoreCell {
-        workload,
-        cores: r.cores.len(),
-        makespan: r.makespan(),
-        instructions: r.total_instructions(),
-        ipc: r.throughput_ipc(),
-        snoops_sent: r.mem.snoops_sent,
-        c2c_transfers: r.mem.c2c_transfers,
-    }
-}
-
-/// Builds the producer/consumer program set for `n` cores: pairs share
-/// a mailbox; the 1-core row degenerates to a lone producer (the
-/// uncontended baseline).
-fn producer_consumer_progs(n: usize, items: i64) -> Vec<Program> {
-    match n {
-        1 => vec![producer(0, items)],
-        2 => vec![producer(0, items), consumer(0, items)],
-        4 => vec![
-            producer(0, items),
-            consumer(0, items),
-            producer(1, items),
-            consumer(1, items),
-        ],
-        _ => unreachable!("the memory system supports 1, 2 or 4 cores"),
-    }
-}
-
-/// Runs the multicore report section. `smoke` shrinks the workloads and
-/// skips the (nondeterministic) host-speed measurement so the artifact
-/// stays byte-identical run to run.
-pub fn report_section(smoke: bool) -> MulticoreSection {
-    let kib = if smoke { 32 } else { 256 };
-    let items = if smoke { 32 } else { 200 };
-    let mut cells = Vec::new();
-    for n in [1usize, 2, 4] {
-        let progs: Vec<Program> = (0..n as u64).map(|i| stream_core(i, kib, 1)).collect();
-        cells.push(cell("stream_rate", &run_cluster(&progs)));
-    }
-    for n in [1usize, 2, 4] {
-        let progs = producer_consumer_progs(n, items);
-        let r = run_cluster(&progs);
-        for (i, code) in r.exit_codes.iter().enumerate() {
-            assert_eq!(
-                *code,
-                Some(0),
-                "producer/consumer core {i} failed its handshake at {n} cores"
-            );
-        }
-        cells.push(cell("producer_consumer", &r));
-    }
-    let host = if smoke { None } else { Some(host_speed()) };
-    MulticoreSection { cells, host }
-}
-
-/// Measures the engine's host simulation speed: the same 4-core
-/// streaming workload with 1 vs 4 worker threads. The simulated result
-/// is bit-identical either way; only the wall clock differs.
-pub fn host_speed() -> HostSpeed {
-    let build = || {
-        let progs: Vec<Program> = (0..4u64).map(|i| stream_core(i, 256, 8)).collect();
-        let mem = MemConfig {
-            cores: 4,
-            ..MemConfig::default()
-        };
-        ClusterSim::new(&progs, &CoreConfig::xt910(), mem, 100_000_000)
-    };
-    let mips = |threads: usize| {
-        let t0 = std::time::Instant::now();
-        let r = build().run_threads(threads);
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        r.total_instructions() as f64 / secs / 1e6
-    };
-    let mips_1_thread = mips(1);
-    let mips_4_threads = mips(4);
-    let emu = emu_speed();
-    HostSpeed {
-        mips_1_thread,
-        mips_4_threads,
-        speedup: mips_4_threads / mips_1_thread,
-        emu_mips_fastpath: emu.fastpath,
-        emu_mips_slowpath: emu.slowpath,
-        emu_speedup: emu.fastpath / emu.slowpath,
-    }
-}
-
 /// What [`emu_speed`] measured, in host MIPS.
 #[derive(Clone, Copy, Debug)]
 pub struct EmuSpeed {
@@ -369,8 +153,8 @@ pub const OOO_SESSION_FLOOR: f64 = 0.11;
 /// on a single-core ALU/branch loop with one load and one store: with
 /// the decoded-block cache on and off, drained one borrowed record at a
 /// time, and under the out-of-order timing model. Also used by
-/// `xt-report --mips-sanity`, the CI guard that the cache never makes
-/// the emulator slower, that handing records to a timing model never
+/// `mips_floors`, the CI guard that the cache never makes the emulator
+/// slower, that handing records to a timing model never
 /// costs more than [`STEP_DRIVER_FLOOR`] allows, and that the timing
 /// model itself stays above [`OOO_SESSION_FLOOR`].
 pub fn emu_speed() -> EmuSpeed {
@@ -478,7 +262,7 @@ fn slice_core(id: u64) -> Program {
 /// the same models without it: the private-slice kernel on all four
 /// cores of a `ClusterSim` at one host thread, and on one `OooSession`.
 /// Construction is outside the clock; each side runs six times.
-/// Used by `xt-report --mips-sanity` ([`CLUSTER4_FLOOR`]).
+/// Used by `mips_floors` ([`CLUSTER4_FLOOR`]).
 pub fn cluster_speed() -> ClusterSpeed {
     const REPS: u32 = 6;
     let cfg = CoreConfig::xt910();
@@ -524,36 +308,58 @@ mod tests {
         assert!(s4 > 2.0, "4 cores should scale well past 2x: {s4:.2}");
     }
 
+    /// The four host-speed floors, in release only: the decoded-block
+    /// cache never slower than per-step decode, the step driver above
+    /// [`STEP_DRIVER_FLOOR`] and an `OooSession` above
+    /// [`OOO_SESSION_FLOOR`] of `Emulator::run`, and the 4-core cluster
+    /// above [`CLUSTER4_FLOOR`] of one session.
     #[test]
-    fn multicore_section_is_deterministic() {
-        let a = report_section(true);
-        let b = report_section(true);
-        assert_eq!(a.cells.len(), 6, "stream + producer/consumer at 1/2/4");
-        assert!(a.host.is_none(), "smoke mode skips wall-clock numbers");
-        for (ca, cb) in a.cells.iter().zip(&b.cells) {
-            assert_eq!(ca.makespan, cb.makespan, "{}", ca.workload);
-            assert_eq!(ca.instructions, cb.instructions);
-            assert_eq!(ca.snoops_sent, cb.snoops_sent);
-            assert_eq!(ca.c2c_transfers, cb.c2c_transfers);
+    #[ignore = "host-speed floors, release only: cargo test --release -p xt-bench -- --ignored mips_floors"]
+    fn mips_floors() {
+        if cfg!(debug_assertions) {
+            panic!("the floors are release-build ratios; run with --release");
         }
-    }
-
-    #[test]
-    fn producer_consumer_contends_more_than_stream() {
-        let s = report_section(true);
-        let pc4 = s
-            .cells
-            .iter()
-            .find(|c| c.workload == "producer_consumer" && c.cores == 4)
-            .unwrap();
-        let st4 = s
-            .cells
-            .iter()
-            .find(|c| c.workload == "stream_rate" && c.cores == 4)
-            .unwrap();
+        let s = emu_speed();
+        let (fast, slow) = (s.fastpath, s.slowpath);
+        println!(
+            "emulator speed: {fast:.2} MIPS with the decoded-block cache, \
+             {slow:.2} MIPS per-step decode ({:.2}x)",
+            fast / slow
+        );
+        assert!(fast >= slow, "fast path slower than per-step decode");
+        let ratio = s.step_driver / fast;
+        println!(
+            "step driver: {:.2} MIPS through TraceSource by reference, \
+             {ratio:.2} of Emulator::run (floor {STEP_DRIVER_FLOOR})",
+            s.step_driver
+        );
         assert!(
-            pc4.c2c_transfers > st4.c2c_transfers,
-            "mailbox handoffs move dirty lines core to core"
+            ratio >= STEP_DRIVER_FLOOR,
+            "stepping costs more than {:.1}x Emulator::run",
+            1.0 / STEP_DRIVER_FLOOR
+        );
+        let ooo_ratio = s.ooo_session / fast;
+        println!(
+            "timing model: {:.2} MIPS through an OooSession, \
+             {ooo_ratio:.3} of Emulator::run (floor {OOO_SESSION_FLOOR})",
+            s.ooo_session
+        );
+        assert!(
+            ooo_ratio >= OOO_SESSION_FLOOR,
+            "the OoO model costs more than {:.0}x Emulator::run",
+            1.0 / OOO_SESSION_FLOOR
+        );
+        let c = cluster_speed();
+        let cluster_ratio = c.cluster4 / c.one_session;
+        println!(
+            "cluster engine: {:.2} MIPS on four private slices at one host thread, \
+             {cluster_ratio:.2} of one slice's {:.2} under an OooSession (floor {CLUSTER4_FLOOR})",
+            c.cluster4, c.one_session
+        );
+        assert!(
+            cluster_ratio >= CLUSTER4_FLOOR,
+            "a guest instruction costs more than {:.1}x in the 4-core cluster what it costs alone",
+            1.0 / CLUSTER4_FLOOR
         );
     }
 }

@@ -1808,4 +1808,23 @@ mod tests {
         emu.load(&p);
         assert_eq!(emu.run(1000).unwrap(), 5);
     }
+
+    /// `vill` travels with a frame: a restored emulator keeps refusing
+    /// vector instructions rather than running them at e8/m1.
+    #[test]
+    fn vill_survives_save_restore() {
+        use xt_snapshot::SnapshotState;
+        let mut emu = Emulator::new();
+        emu.cpu.vtype = xt_isa::vector::VType {
+            vill: true,
+            ..Default::default()
+        };
+        let mut e = xt_snapshot::Enc::new();
+        emu.save(&mut e);
+        let mut back = Emulator::new();
+        let mut d = xt_snapshot::Dec::new(e.bytes());
+        back.restore(&mut d).and_then(|()| d.finish()).expect("restore");
+        assert!(back.cpu.vtype.vill, "a vill vtype restores as vill");
+        assert_eq!(back.cpu.vtype, emu.cpu.vtype);
+    }
 }

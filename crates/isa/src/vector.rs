@@ -78,17 +78,20 @@ impl Default for VType {
 }
 
 impl VType {
-    /// Decodes the 0.7.1 `vtype` bit layout (`vlmul` bits 1:0, `vsew` 4:2).
+    /// Decodes the 0.7.1 `vtype` bit layout (`vlmul` bits 1:0, `vsew`
+    /// 4:2, `vill` bit XLEN-1). A set `vill` bit, like an unsupported
+    /// `vsew`, decodes to the one illegal value [`VType::to_bits`]
+    /// writes back.
     pub fn from_bits(bits: u64) -> VType {
         let lmul = 1u8 << (bits & 0x3);
         let sew = Sew::decode(((bits >> 2) & 0x7) as u32);
         match sew {
-            Some(sew) => VType {
+            Some(sew) if bits >> 63 == 0 => VType {
                 sew,
                 lmul,
                 vill: false,
             },
-            None => VType {
+            _ => VType {
                 sew: Sew::E8,
                 lmul: 1,
                 vill: true,
@@ -144,6 +147,12 @@ mod tests {
                 assert_eq!(VType::from_bits(v.to_bits()), v);
             }
         }
+        let illegal = VType {
+            vill: true,
+            ..VType::default()
+        };
+        assert_eq!(VType::from_bits(illegal.to_bits()), illegal);
+        assert_eq!(VType::from_bits(1 << 63 | vtypei(Sew::E32, 2) as u64), illegal);
     }
 
     #[test]

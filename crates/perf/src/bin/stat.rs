@@ -1,14 +1,17 @@
-//! `xt-stat` — performance dashboard and benchmark regression gate.
+//! `xt-stat` — the observability report and benchmark regression gate.
 //!
 //! Subcommands:
 //!
 //! * `xt-stat [--smoke]` — run the sampled workload matrix and write,
-//!   to the current directory, `BENCH_perf.json` (totals + top-down
-//!   buckets + interval time-series + memory block — miss-class mix
-//!   and prefetch scorecard — per (workload, machine), plus the
-//!   cluster section with per-cell snoop matrices; schema `xt-stat/v2`)
-//!   and `REPORT_perf.md` (the sparkline dashboard). `--smoke` shrinks
-//!   every workload to CI-gate size; smoke output is
+//!   to the current directory, `BENCH_perf.json` (totals with per-cause
+//!   stall attribution and top-down buckets + interval time-series +
+//!   memory block — miss-class mix and prefetch scorecard — per
+//!   (workload, machine), plus the cluster section with per-cell
+//!   coherence traffic and snoop matrices; schema `xt-stat/v3`),
+//!   `REPORT_perf.md` (the dashboard), and the dependency-chain
+//!   microbench's pipeline trace as `TRACE_depchain.kanata` (Konata)
+//!   and `TRACE_depchain_chrome.json` (chrome://tracing). `--smoke`
+//!   shrinks every workload to CI-gate size; smoke output is
 //!   byte-deterministic (the full run's `cluster.engine` block reports
 //!   measured host time and is the one non-deterministic field).
 //! * `xt-stat diff <baseline.json> <candidate.json> [--tolerance T]`
@@ -16,10 +19,12 @@
 //!   artifact gate, [`xt_perf::gate`] (which documents what is compared
 //!   and the exit codes), told about this document by
 //!   [`stat::ARTIFACT`]: the `engine` block is host time and not
-//!   compared; both sides must pass the memory conservation laws
-//!   (`validate_memory`), and `selftest` forges a miss-class count and
-//!   a snoop count that those laws must refuse.
+//!   compared; both sides must pass the cycle identities and the memory
+//!   conservation laws, and `selftest` forges a miss-class count, a
+//!   snoop count, an unattributed count and a top-down bucket that
+//!   those laws must refuse.
 
+use xt_core::{CoreConfig, OooSession};
 use xt_perf::{gate, stat};
 
 fn cmd_generate(smoke: bool) {
@@ -51,6 +56,17 @@ fn cmd_generate(smoke: bool) {
             r.series.samples.len()
         );
     }
+
+    let depchain = stat::depchain(if smoke { 20 } else { 200 });
+    let (_, trace) = OooSession::new(&depchain, &CoreConfig::xt910(), 500_000_000).run_traced();
+    std::fs::write("TRACE_depchain.kanata", trace.to_konata())
+        .expect("write TRACE_depchain.kanata");
+    std::fs::write("TRACE_depchain_chrome.json", trace.to_chrome_json())
+        .expect("write TRACE_depchain_chrome.json");
+    println!(
+        "wrote TRACE_depchain.kanata and TRACE_depchain_chrome.json ({} records)",
+        trace.records().len()
+    );
 }
 
 fn main() {

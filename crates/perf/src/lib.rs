@@ -11,9 +11,10 @@
 //! * [`topdown`] — TMA-style top-down cycle accounting (frontend /
 //!   bad-speculation / backend-core / backend-memory / retiring)
 //!   derived from the frontier-based stall attribution,
-//! * [`stat`] — the `xt-stat` binary: a Markdown dashboard with
-//!   sparkline time-series and the `BENCH_perf.json` artifact (schema
-//!   `xt-stat/v2`),
+//! * [`stat`] — the `xt-stat` binary, the one observability report: a
+//!   Markdown dashboard with stall attribution and sparkline
+//!   time-series, and the `BENCH_perf.json` artifact (schema
+//!   `xt-stat/v3`),
 //! * [`gate`] — the one schema-agnostic `diff` / `selftest` and their
 //!   command line, which CI uses as the regression gate for every
 //!   committed JSON baseline (`xt-stat`'s and `xt-figures`'),
@@ -42,12 +43,27 @@ use xt_mem::MemConfig;
 /// the report is identical to [`Session::run_to_end`]'s.
 pub fn run_sampled<C: CoreModel>(session: &mut Session<C>, interval: u64) -> (RunReport, TimeSeries) {
     let mut sampler = Sampler::new(0, interval);
-    while session.step() {
+    sample_insts(session, &mut sampler, u64::MAX);
+    seal(session, sampler)
+}
+
+/// Steps `session` by at most `n` instructions with `sampler` watching;
+/// returns how many retired (fewer than `n` only at the end of the
+/// trace).
+fn sample_insts<C: CoreModel>(session: &mut Session<C>, sampler: &mut Sampler, n: u64) -> u64 {
+    let mut done = 0;
+    while done < n && session.step() {
+        done += 1;
         let cycle = session.cycles();
         if sampler.due(cycle) {
             sampler.observe(cycle, session.core().counters(), &session.mem().stats());
         }
     }
+    done
+}
+
+/// Seals a sampled run into its final report and time-series.
+fn seal<C: CoreModel>(session: &mut Session<C>, sampler: Sampler) -> (RunReport, TimeSeries) {
     let report = session.finish_report();
     let series = sampler.finish(report.perf.cycles, &report.perf, &report.mem);
     (report, series)

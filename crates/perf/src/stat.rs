@@ -1,15 +1,18 @@
-//! The `xt-stat` dashboard and regression gate.
+//! The `xt-stat` observability report and regression gate.
 //!
-//! `run_all` runs the observability workload matrix with interval
-//! sampling, `render_json` emits the `BENCH_perf.json` artifact
-//! (schema `xt-stat/v2`: v1 plus a per-run `memory` block — miss-class
-//! mix, prefetch scorecard — and per-core-pair snoop matrices on the
-//! cluster cells), `render_markdown` the sparkline dashboard, and
-//! [`ARTIFACT`] describes the document to [`crate::gate`], whose
-//! `diff` / `selftest` are the CI gate that compares a candidate run
-//! against a committed baseline. Part of that description is the
-//! memory block's internal conservation laws ([`validate_memory`]), so
-//! a fabricated count mismatch fails CI.
+//! `run_all` runs the single-core workload matrix with interval
+//! sampling and `run_cluster` the multicore cells; `render_json` emits
+//! the `BENCH_perf.json` artifact (schema `xt-stat/v3`: per run, totals
+//! with the per-cause stall attribution and the top-down buckets, the
+//! interval time-series and a `memory` block — miss-class mix, prefetch
+//! scorecard; per cluster cell, coherence traffic and a per-core-pair
+//! snoop matrix), `render_markdown` the dashboard, and [`ARTIFACT`]
+//! describes the document to [`crate::gate`], whose `diff` /
+//! `selftest` are the CI gate that compares a candidate run against a
+//! committed baseline. Part of that description is the document's
+//! internal conservation laws (the cycle identities of every run's
+//! totals and [`validate_memory`]), so a fabricated count mismatch
+//! fails CI.
 //!
 //! Everything except the full-mode `engine` block (measured host time,
 //! explicitly informational) is deterministic: same binary, same
@@ -19,15 +22,22 @@
 
 use crate::gate::{expect_schema, Artifact};
 use crate::json::{json_f64, Value};
-use crate::run_sampled;
 use crate::sampler::TimeSeries;
 use crate::topdown::TopDown;
+use crate::{sample_insts, seal, Sampler};
 use xt_asm::{Asm, Program};
-use xt_core::{CoreConfig, InOrderSession, OooSession, RunReport};
+use xt_core::session::CoreModel;
+use xt_core::{
+    CoreConfig, InOrderCore, OooCore, PerfCounters, RunReport, Session, StallCause,
+};
 use xt_isa::reg::Gpr;
 use xt_mem::{MemConfig, PrefetchConfig};
-use xt_soc::ClusterSim;
+use xt_snapshot::SnapshotState;
+use xt_soc::{ClusterReport, ClusterSim};
 use xt_workloads::stream::{stream, STREAM_ELEMS};
+
+/// The schema tag of the document [`render_json`] writes.
+const SCHEMA: &str = "xt-stat/v3";
 
 /// Dynamic-instruction budget per run.
 const MAX_INSTS: u64 = 500_000_000;
@@ -69,6 +79,8 @@ pub struct ClusterCell {
     pub ipc: f64,
     /// Snoop probes sent.
     pub snoops_sent: u64,
+    /// Dirty-line cache-to-cache transfers.
+    pub c2c_transfers: u64,
     /// Coherence transitions (invalidations + downgrades + upgrades).
     pub coh_transitions: u64,
     /// Requester-major snoop matrix (`cores * cores` entries; sums to
@@ -97,6 +109,51 @@ pub struct ClusterSection {
     /// Host-time block (`None` in smoke mode → `"engine": null`).
     pub engine: Option<EngineSection>,
 }
+
+/// One line per workload, for the dashboard's notes.
+const NOTES: &[(&str, &str)] = &[
+    (
+        "stream_pf_off",
+        "STREAM copy/scale/add/triad (Fig. 21), hardware prefetch disabled — every array \
+         access pays the memory latency; DCacheMiss should dominate the stall breakdown.",
+    ),
+    (
+        "stream_pf_on",
+        "Same STREAM pass with the §V-C multi-stream prefetcher enabled — the prefetch-hit \
+         counter and the shrunken DCacheMiss share are the paper's Fig. 21 story.",
+    ),
+    (
+        "depchain",
+        "A loop body of 16 serially dependent ALU ops: IPC pins near 1 regardless of width, \
+         and the 48-entry issue queue fills behind the chain (IqFull attribution; the \
+         192-entry ROB never backs up because dispatch is IQ-limited first).",
+    ),
+    (
+        "branchy",
+        "An LCG-parity data-dependent branch per iteration (essentially unpredictable): \
+         mispredict flushes dominate (MispredictFlush attribution, §III-A penalty).",
+    ),
+    (
+        "phased",
+        "ALU → pointer-chase → branchy phases: the time-series shows three regimes the \
+         aggregate averages away.",
+    ),
+    (
+        "stream4",
+        "Four cores each summing a private 64 KiB array: multicore throughput plus the \
+         engine's epoch and host-time statistics.",
+    ),
+    (
+        "stream_rate",
+        "One summation pass per core over a private array at 1/2/4 cores: private \
+         working sets, so the snoop filter keeps coherence traffic near zero.",
+    ),
+    (
+        "producer_consumer",
+        "Mailbox pairs (data, fence, flag) at 1/2/4 cores; the 1-core row is a lone \
+         producer. Every handoff moves a dirty line core to core.",
+    ),
+];
 
 /// Dependency-chain microbench: one long serial ALU chain per
 /// iteration, so IPC pins near 1 and the issue queue fills behind it.
@@ -188,7 +245,7 @@ fn phased(alu_iters: i64, chase_iters: i64, branchy_iters: i64, chain_len: u64) 
     a.finish().expect("phased assembles")
 }
 
-/// Per-core private streaming kernel for the cluster section.
+/// Per-core private streaming kernel for the `stream4` cell.
 fn cluster_kernel(id: u64, loads: i64) -> Program {
     let mut a = Asm::new().with_data_base(0x8100_0000 + id * 0x0010_0000);
     let buf = a.data_zeros("buf", 64 * 1024);
@@ -204,17 +261,139 @@ fn cluster_kernel(id: u64, loads: i64) -> Program {
     a.finish().expect("cluster kernel assembles")
 }
 
+/// A per-core streaming kernel: `passes` summation sweeps over a
+/// private `kib`-KiB array, placed in a disjoint region per core.
+pub fn stream_core(id: u64, kib: usize, passes: i64) -> Program {
+    let mut a = Asm::new().with_data_base(0x8200_0000 + id * 0x0100_0000);
+    let buf = a.data_zeros("buf", kib * 1024);
+    a.li(Gpr::A6, passes);
+    let outer = a.here();
+    a.la(Gpr::A1, buf);
+    a.li(Gpr::A2, (kib * 1024 / 8) as i64);
+    let top = a.here();
+    a.ld(Gpr::A4, Gpr::A1, 0);
+    a.add(Gpr::A5, Gpr::A5, Gpr::A4);
+    a.addi(Gpr::A1, Gpr::A1, 8);
+    a.addi(Gpr::A2, Gpr::A2, -1);
+    a.bnez(Gpr::A2, top);
+    a.addi(Gpr::A6, Gpr::A6, -1);
+    a.bnez(Gpr::A6, outer);
+    a.halt();
+    a.finish().expect("stream kernel assembles")
+}
+
+/// Mailboxes live at the shared default data base; 64-byte stride keeps
+/// each producer/consumer pair on its own cache line.
+const MAILBOX_STRIDE: u64 = 64;
+
+/// Producer half of a pair: publish `data = k`, fence, `flag = k`.
+fn producer(pair: u64, items: i64) -> Program {
+    let mut a = Asm::new();
+    let mb = a.data_zeros("mailboxes", 128) + pair * MAILBOX_STRIDE;
+    a.la(Gpr::A1, mb);
+    a.li(Gpr::A2, 1);
+    a.li(Gpr::A3, items);
+    let top = a.here();
+    a.sd(Gpr::A2, Gpr::A1, 0); // data = k
+    a.fence();
+    a.sd(Gpr::A2, Gpr::A1, 8); // flag = k
+    a.addi(Gpr::A2, Gpr::A2, 1);
+    a.addi(Gpr::A3, Gpr::A3, -1);
+    a.bnez(Gpr::A3, top);
+    a.li(Gpr::A0, 0);
+    a.halt();
+    a.finish().expect("producer assembles")
+}
+
+/// Consumer half: spin (with a fence, so the spin parks once per epoch
+/// instead of burning the whole slice) until `flag >= k`, then check
+/// `data >= k`. Exit code counts handshake violations — must be 0.
+fn consumer(pair: u64, items: i64) -> Program {
+    let mut a = Asm::new();
+    let mb = a.data_zeros("mailboxes", 128) + pair * MAILBOX_STRIDE;
+    a.la(Gpr::A1, mb);
+    a.li(Gpr::A2, 1);
+    a.li(Gpr::A3, items);
+    a.li(Gpr::A0, 0);
+    let top = a.here();
+    let spin = a.here();
+    a.ld(Gpr::A4, Gpr::A1, 8); // flag
+    a.fence();
+    a.blt(Gpr::A4, Gpr::A2, spin);
+    a.ld(Gpr::A5, Gpr::A1, 0); // data, program-later than flag
+    a.sltu(Gpr::A6, Gpr::A5, Gpr::A2); // data older than expected?
+    a.or_(Gpr::A0, Gpr::A0, Gpr::A6);
+    a.addi(Gpr::A2, Gpr::A2, 1);
+    a.addi(Gpr::A3, Gpr::A3, -1);
+    a.bnez(Gpr::A3, top);
+    a.halt();
+    a.finish().expect("consumer assembles")
+}
+
+/// The producer/consumer program set for `n` cores: pairs share a
+/// mailbox; the 1-core row degenerates to a lone producer (the
+/// uncontended baseline).
+fn producer_consumer_progs(n: usize, items: i64) -> Vec<Program> {
+    match n {
+        1 => vec![producer(0, items)],
+        2 => vec![producer(0, items), consumer(0, items)],
+        4 => vec![
+            producer(0, items),
+            consumer(0, items),
+            producer(1, items),
+            consumer(1, items),
+        ],
+        _ => unreachable!("the memory system supports 1, 2 or 4 cores"),
+    }
+}
+
 /// The default memory system with `prefetch` swapped in.
-pub fn mem_cfg(prefetch: PrefetchConfig) -> MemConfig {
+fn mem_cfg(prefetch: PrefetchConfig) -> MemConfig {
     MemConfig {
         prefetch,
         ..MemConfig::default()
     }
 }
 
+/// Runs a session built by `fresh` with a [`Sampler`] attached. With
+/// `snapshot_every`, the session and the sampler both cross a
+/// save/restore frame every that many retired instructions, into a
+/// fresh session and sampler that carry the run on; the result must be
+/// bit-identical to the uninterrupted run's (docs/SNAPSHOT.md).
+fn run_cell<C: CoreModel>(
+    fresh: impl Fn() -> Session<C>,
+    interval: u64,
+    snapshot_every: Option<u64>,
+) -> (RunReport, TimeSeries) {
+    let every = snapshot_every.unwrap_or(u64::MAX);
+    let mut s = fresh();
+    let mut sampler = Sampler::new(0, interval);
+    while sample_insts(&mut s, &mut sampler, every) == every {
+        let frame = s.save();
+        let mut e = xt_snapshot::Enc::new();
+        sampler.save(&mut e);
+        s = fresh();
+        s.restore(&frame)
+            .expect("a session restores into an identically built one");
+        sampler = Sampler::new(0, interval);
+        let mut d = xt_snapshot::Dec::new(e.bytes());
+        sampler
+            .restore(&mut d)
+            .and_then(|()| d.finish())
+            .expect("a sampler restores into an identically built one");
+    }
+    seal(&mut s, sampler)
+}
+
 /// Runs the sampled workload matrix. `smoke` shrinks every workload so
 /// the matrix finishes in seconds (the CI gate size).
 pub fn run_all(smoke: bool) -> Vec<StatRun> {
+    run_matrix(smoke, None)
+}
+
+/// [`run_all`], each run optionally cut by a save/restore frame every
+/// `snapshot_every` retired instructions (see `run_cell`).
+fn run_matrix(smoke: bool, snapshot_every: Option<u64>) -> Vec<StatRun> {
     let interval = sampling_interval(smoke);
     let stream_elems = if smoke { 2048 } else { STREAM_ELEMS };
     let depchain_iters = if smoke { 200 } else { 5000 };
@@ -239,14 +418,16 @@ pub fn run_all(smoke: bool) -> Vec<StatRun> {
         series,
     };
     let ooo = |workload, prog: &Program, mc: MemConfig| {
-        let mut s = OooSession::with_mem(prog, &xt910, mc, MAX_INSTS);
-        cell(workload, run_sampled(&mut s, interval))
+        let fresh = || Session::<OooCore>::with_mem(prog, &xt910, mc, MAX_INSTS);
+        cell(workload, run_cell(fresh, interval, snapshot_every))
     };
     let ino = |workload, prog: &Program, mc: MemConfig| {
-        let mut s = InOrderSession::with_mem(prog, &u74, mc, MAX_INSTS);
-        cell(workload, run_sampled(&mut s, interval))
+        let fresh = || Session::<InOrderCore>::with_mem(prog, &u74, mc, MAX_INSTS);
+        cell(workload, run_cell(fresh, interval, snapshot_every))
     };
 
+    // the first six runs keep their positions in the committed
+    // baselines; new runs are appended
     vec![
         ooo("stream_pf_off", &stream_k.program, mem_cfg(PrefetchConfig::off())),
         ooo("stream_pf_on", &stream_k.program, mem_cfg(PrefetchConfig::all_large())),
@@ -254,40 +435,66 @@ pub fn run_all(smoke: bool) -> Vec<StatRun> {
         ino("depchain", &dep, u74.mem),
         ooo("branchy", &brn, xt910.mem),
         ooo("phased", &phs, xt910.mem),
+        ino("stream_pf_off", &stream_k.program, mem_cfg(PrefetchConfig::off())),
+        ino("stream_pf_on", &stream_k.program, mem_cfg(PrefetchConfig::all_large())),
+        ino("branchy", &brn, u74.mem),
     ]
 }
 
-/// Runs the 4-core cluster cell. Simulated-cycle results are
-/// deterministic for any thread count; host time is only reported in
-/// full mode.
-pub fn run_cluster(smoke: bool) -> ClusterSection {
-    let loads = if smoke { 512 } else { 8192 };
-    let progs: Vec<Program> = (0..4u64).map(|i| cluster_kernel(i, loads)).collect();
+/// Runs `progs` on an XT-910 cluster of as many cores. Simulated-cycle
+/// results are deterministic for any thread count.
+fn cluster(progs: &[Program]) -> ClusterReport {
     let mc = MemConfig {
-        cores: 4,
+        cores: progs.len(),
         ..MemConfig::default()
     };
-    let r = ClusterSim::new(&progs, &CoreConfig::xt910(), mc, MAX_INSTS).run_threads(4);
-    let cells = vec![ClusterCell {
-        workload: "stream4",
-        cores: 4,
+    ClusterSim::new(progs, &CoreConfig::xt910(), mc, MAX_INSTS).run_threads(4)
+}
+
+fn cluster_cell(workload: &'static str, r: &ClusterReport) -> ClusterCell {
+    ClusterCell {
+        workload,
+        cores: r.cores.len(),
         makespan: r.makespan(),
         instructions: r.total_instructions(),
         ipc: r.throughput_ipc(),
         snoops_sent: r.mem.snoops_sent,
+        c2c_transfers: r.mem.c2c_transfers,
         coh_transitions: r.mem.coh_transitions(),
         snoop_matrix: r.mem.snoop_matrix.clone(),
-    }];
-    let engine = if smoke {
-        None
-    } else {
-        Some(EngineSection {
-            epochs: r.engine.epochs,
-            serial_ns: r.engine.serial_ns,
-            parallel_ns: r.engine.parallel_ns,
-            serial_share: r.engine.serial_share(),
-        })
-    };
+    }
+}
+
+/// Runs the cluster cells: the 4-core `stream4`, then STREAM-rate and
+/// producer/consumer at 1/2/4 cores. Host time is only reported in full
+/// mode, for `stream4`.
+pub fn run_cluster(smoke: bool) -> ClusterSection {
+    let loads = if smoke { 512 } else { 8192 };
+    let kib = if smoke { 32 } else { 256 };
+    let items = if smoke { 32 } else { 200 };
+    let r = cluster(&(0..4u64).map(|i| cluster_kernel(i, loads)).collect::<Vec<_>>());
+    let engine = (!smoke).then(|| EngineSection {
+        epochs: r.engine.epochs,
+        serial_ns: r.engine.serial_ns,
+        parallel_ns: r.engine.parallel_ns,
+        serial_share: r.engine.serial_share(),
+    });
+    let mut cells = vec![cluster_cell("stream4", &r)];
+    for n in [1u64, 2, 4] {
+        let progs: Vec<Program> = (0..n).map(|i| stream_core(i, kib, 1)).collect();
+        cells.push(cluster_cell("stream_rate", &cluster(&progs)));
+    }
+    for n in [1usize, 2, 4] {
+        let r = cluster(&producer_consumer_progs(n, items));
+        for (i, code) in r.exit_codes.iter().enumerate() {
+            assert_eq!(
+                *code,
+                Some(0),
+                "producer/consumer core {i} failed its handshake at {n} cores"
+            );
+        }
+        cells.push(cluster_cell("producer_consumer", &r));
+    }
     ClusterSection { cells, engine }
 }
 
@@ -297,6 +504,15 @@ fn topdown_json(td: &TopDown, indent: &str) -> String {
          \"backend_core\": {}, \"backend_memory\": {}, \"vector\": {}, \"retiring\": {} }}",
         td.frontend, td.bad_speculation, td.backend_core, td.backend_memory, td.vector, td.retiring
     )
+}
+
+/// The per-cause stall attribution, in [`StallCause::ALL`] order.
+fn stalls_json(p: &PerfCounters, indent: &str) -> String {
+    let causes: Vec<String> = StallCause::ALL
+        .iter()
+        .map(|c| format!("\"{}\": {}", c.name(), p.stall(*c)))
+        .collect();
+    format!("{indent}\"stalls\": {{ {} }}", causes.join(", "))
 }
 
 fn num_array<T: std::fmt::Display>(items: impl Iterator<Item = T>) -> String {
@@ -357,11 +573,11 @@ fn memory_json(mem: &xt_mem::MemStats, indent: &str) -> String {
     s
 }
 
-/// Renders the `BENCH_perf.json` document (schema `xt-stat/v2`).
+/// Renders the `BENCH_perf.json` document (schema `xt-stat/v3`).
 pub fn render_json(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"xt-stat/v2\",\n");
+    s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str(&format!("  \"smoke\": {smoke},\n"));
     s.push_str(&format!(
         "  \"interval\": {},\n",
@@ -380,6 +596,11 @@ pub fn render_json(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) -> S
         s.push_str(&format!("        \"instructions\": {},\n", p.instructions));
         s.push_str(&format!("        \"ipc\": {},\n", json_f64(p.ipc())));
         s.push_str(&format!(
+            "        \"branch_accuracy\": {},\n",
+            json_f64(p.branch_accuracy())
+        ));
+        s.push_str(&format!("        \"prefetch_hits\": {},\n", p.prefetch_hits));
+        s.push_str(&format!(
             "        \"pf_accuracy\": {},\n",
             json_f64(tm.pf_accuracy())
         ));
@@ -394,6 +615,12 @@ pub fn render_json(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) -> S
         s.push_str(&format!(
             "        \"coh_transitions\": {},\n",
             tm.coh_transitions
+        ));
+        s.push_str(&stalls_json(p, "        "));
+        s.push_str(",\n");
+        s.push_str(&format!(
+            "        \"unattributed\": {},\n",
+            p.cycles - p.attributed_stall_cycles()
         ));
         s.push_str(&topdown_json(&td, "        "));
         s.push('\n');
@@ -437,13 +664,14 @@ pub fn render_json(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) -> S
         s.push_str(&format!(
             "      {{ \"workload\": \"{}\", \"cores\": {}, \"makespan\": {}, \
              \"instructions\": {}, \"ipc\": {}, \"snoops_sent\": {}, \
-             \"coh_transitions\": {}, \"snoop_matrix\": {} }}{}\n",
+             \"c2c_transfers\": {}, \"coh_transitions\": {}, \"snoop_matrix\": {} }}{}\n",
             c.workload,
             c.cores,
             c.makespan,
             c.instructions,
             json_f64(c.ipc),
             c.snoops_sent,
+            c.c2c_transfers,
             c.coh_transitions,
             num_array(c.snoop_matrix.iter()),
             comma
@@ -546,6 +774,34 @@ pub fn render_markdown(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) 
         ));
     }
 
+    s.push_str("\n## Stall attribution (frontier-based; sums ≤ cycles)\n\n");
+    s.push_str("| workload | machine | br-acc | pf-hits |");
+    for cause in StallCause::ALL {
+        s.push_str(&format!(" {} |", cause.name()));
+    }
+    s.push_str(" unattributed |\n|---|---|---:|---:|");
+    for _ in 0..StallCause::ALL.len() + 1 {
+        s.push_str("---:|");
+    }
+    s.push('\n');
+    for r in runs {
+        let p = &r.report.perf;
+        s.push_str(&format!(
+            "| {} | {} | {:.1}% | {} |",
+            r.workload,
+            r.machine,
+            p.branch_accuracy() * 100.0,
+            p.prefetch_hits
+        ));
+        for cause in StallCause::ALL {
+            s.push_str(&format!(" {} |", p.stall(cause)));
+        }
+        s.push_str(&format!(
+            " {} |\n",
+            p.cycles - p.attributed_stall_cycles()
+        ));
+    }
+
     s.push_str("\n## Time series\n\n");
     s.push_str(
         "Per-interval sparklines, each scaled to its own maximum \
@@ -613,13 +869,20 @@ pub fn render_markdown(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) 
     }
     s.push('\n');
 
-    s.push_str("## Multicore (epoch-barriered cluster engine)\n\n");
-    s.push_str("| workload | cores | makespan | insts | IPC | snoops | coh-transitions |\n");
-    s.push_str("|---|---:|---:|---:|---:|---:|---:|\n");
+    s.push_str("## Multicore (epoch-barriered cluster engine, docs/CLUSTER.md)\n\n");
+    s.push_str("| workload | cores | makespan | insts | IPC | snoops | c2c | coh-transitions |\n");
+    s.push_str("|---|---:|---:|---:|---:|---:|---:|---:|\n");
     for c in &cluster.cells {
         s.push_str(&format!(
-            "| {} | {} | {} | {} | {:.3} | {} | {} |\n",
-            c.workload, c.cores, c.makespan, c.instructions, c.ipc, c.snoops_sent, c.coh_transitions
+            "| {} | {} | {} | {} | {:.3} | {} | {} | {} |\n",
+            c.workload,
+            c.cores,
+            c.makespan,
+            c.instructions,
+            c.ipc,
+            c.snoops_sent,
+            c.c2c_transfers,
+            c.coh_transitions
         ));
     }
     for c in &cluster.cells {
@@ -627,8 +890,8 @@ pub fn render_markdown(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) 
             continue;
         }
         s.push_str(&format!(
-            "\nSnoop matrix for {} (rows = requester, columns = holder):\n\n",
-            c.workload
+            "\nSnoop matrix for {} at {} cores (rows = requester, columns = holder):\n\n",
+            c.workload, c.cores
         ));
         s.push_str("```text\n");
         for r in 0..c.cores {
@@ -651,17 +914,78 @@ pub fn render_markdown(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) 
         )),
         None => s.push_str("\nEngine host time: not measured in smoke mode.\n"),
     }
+
+    s.push_str("\n## Workloads\n\n");
+    for (workload, note) in NOTES {
+        s.push_str(&format!("- **{workload}** — {note}\n"));
+    }
     s
 }
 
 // ---- what the gate needs to know (crate::gate does the rest) ----
 
 /// Reads a required numeric field out of `obj`, for the conservation
-/// checks in [`validate_memory`].
+/// checks.
 fn req_num(obj: &Value, ctx: &str, key: &str) -> Result<f64, String> {
     obj.get(key)
         .and_then(Value::as_num)
         .ok_or_else(|| format!("{ctx}: missing numeric \"{key}\""))
+}
+
+/// Sums the numbers of the object stored under `key` in `obj`.
+fn req_sum(obj: &Value, ctx: &str, key: &str) -> Result<f64, String> {
+    match obj.get(key) {
+        Some(Value::Obj(fields)) => fields
+            .iter()
+            .map(|(k, v)| {
+                v.as_num()
+                    .ok_or_else(|| format!("{ctx}: \"{key}.{k}\" is not a number"))
+            })
+            .sum(),
+        _ => Err(format!("{ctx}: missing object \"{key}\"")),
+    }
+}
+
+/// The document's runs, each with its `workload@machine` name.
+fn named_runs(doc: &Value) -> Result<impl Iterator<Item = (String, &Value)>, String> {
+    let runs = doc.get("runs").and_then(Value::as_arr).ok_or("no runs array")?;
+    Ok(runs.iter().map(|r| {
+        let field = |k| r.get(k).and_then(Value::as_str).unwrap_or("?");
+        (format!("{}@{}", field("workload"), field("machine")), r)
+    }))
+}
+
+/// Validates the two cycle identities of every run's `totals`, both
+/// exact in the counters they are rendered from:
+///
+/// * `unattributed == cycles − Σ stalls` — the frontier attribution
+///   charges each cycle to at most one cause
+///   (`PerfCounters::stalls_conserved`);
+/// * `Σ topdown == cycles` — the six buckets, `retiring` being the
+///   signed residue.
+fn validate_cycles(doc: &Value) -> Result<(), String> {
+    for (name, r) in named_runs(doc)? {
+        let ctx = format!("{name} totals");
+        let t = r
+            .get("totals")
+            .ok_or_else(|| format!("{ctx}: missing totals block"))?;
+        let cycles = req_num(t, &ctx, "cycles")?;
+        let stalls = req_sum(t, &ctx, "stalls")?;
+        let unattributed = req_num(t, &ctx, "unattributed")?;
+        if unattributed != cycles - stalls {
+            return Err(format!(
+                "{ctx}: unattributed = {unattributed}, but cycles − Σ stalls = {}",
+                cycles - stalls
+            ));
+        }
+        let buckets = req_sum(t, &ctx, "topdown")?;
+        if buckets != cycles {
+            return Err(format!(
+                "{ctx}: top-down buckets sum to {buckets}, but cycles = {cycles}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Validates the memory-observability conservation laws inside one
@@ -677,11 +1001,8 @@ fn req_num(obj: &Value, ctx: &str, key: &str) -> Result<f64, String> {
 /// event-count accounting fails the CI gate even when every number
 /// matches.
 pub fn validate_memory(doc: &Value) -> Result<(), String> {
-    let runs = doc.get("runs").and_then(Value::as_arr).ok_or("no runs array")?;
-    for r in runs {
-        let w = r.get("workload").and_then(Value::as_str).unwrap_or("?");
-        let m = r.get("machine").and_then(Value::as_str).unwrap_or("?");
-        let ctx = format!("{w}@{m} memory");
+    for (name, r) in named_runs(doc)? {
+        let ctx = format!("{name} memory");
         let mem = r
             .get("memory")
             .ok_or_else(|| format!("{ctx}: missing memory block"))?;
@@ -724,20 +1045,22 @@ pub fn validate_memory(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// An `xt-stat/v2` document that conserves.
+/// An `xt-stat/v3` document that conserves.
 fn validate(doc: &Value) -> Result<(), String> {
-    expect_schema(doc, "xt-stat/v2")?;
+    expect_schema(doc, SCHEMA)?;
+    validate_cycles(doc)?;
     validate_memory(doc)
 }
 
 /// `BENCH_perf.json` as [`crate::gate`] sees it: the `engine` block is
-/// measured host time; a miss class or a snoop count bumped on its own
-/// breaks a conservation law and must be refused.
+/// measured host time; a miss class, a snoop count, an unattributed
+/// count or a top-down bucket bumped on its own breaks a conservation
+/// law and must be refused.
 pub const ARTIFACT: Artifact = Artifact {
     tool: "xt-stat",
     validate,
     host_keys: &["engine"],
-    forgeries: &["compulsory", "snoops_sent"],
+    forgeries: &["compulsory", "snoops_sent", "unattributed", "retiring"],
 };
 
 #[cfg(test)]
@@ -750,6 +1073,12 @@ mod tests {
         (run_all(true), run_cluster(true))
     }
 
+    fn find<'a>(runs: &'a [StatRun], workload: &str, machine: &str) -> &'a StatRun {
+        runs.iter()
+            .find(|r| r.workload == workload && r.machine == machine)
+            .unwrap_or_else(|| panic!("{workload}@{machine} is in the matrix"))
+    }
+
     #[test]
     fn smoke_is_deterministic_and_conserved() {
         let (r1, c1) = smoke_artifacts();
@@ -760,7 +1089,9 @@ mod tests {
             "byte-identical JSON"
         );
         assert_eq!(render_markdown(&r1, &c1, true), render_markdown(&r2, &c2, true));
+        assert_eq!(r1.len(), 9, "six sampled runs, then the three in-order ones");
         for r in &r1 {
+            assert!(r.report.perf.stalls_conserved(), "{}@{}", r.workload, r.machine);
             r.series
                 .conserves(&r.report.perf, &r.report.mem, 0)
                 .unwrap_or_else(|e| panic!("{}@{}: {e}", r.workload, r.machine));
@@ -768,10 +1099,20 @@ mod tests {
     }
 
     #[test]
+    fn snapshotted_matrix_matches_uninterrupted() {
+        let cluster = run_cluster(true);
+        assert_eq!(
+            render_json(&run_all(true), &cluster, true),
+            render_json(&run_matrix(true, Some(777)), &cluster, true),
+            "save/restore of session and sampler every 777 insts must not change BENCH_perf.json"
+        );
+    }
+
+    #[test]
     fn smoke_json_parses_and_diffs_clean_against_itself() {
         let (runs, cluster) = smoke_artifacts();
         let doc = parse(&render_json(&runs, &cluster, true)).expect("own JSON parses");
-        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("xt-stat/v2"));
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some(SCHEMA));
         assert!(doc.get("cluster").and_then(|c| c.get("engine")) == Some(&Value::Null));
         let out = diff(&ARTIFACT, &doc, &doc, 0.0).expect("comparable");
         assert!(out.issues.is_empty());
@@ -810,6 +1151,18 @@ mod tests {
     }
 
     #[test]
+    fn forged_cycle_identities_are_refused() {
+        let (runs, cluster) = smoke_artifacts();
+        let doc = parse(&render_json(&runs, &cluster, true)).unwrap();
+        validate_cycles(&doc).expect("generated artifact conserves");
+        for (key, law) in [("unattributed", "Σ stalls"), ("retiring", "top-down")] {
+            let forged = map_key(&doc, key, &|n| n + 1.0);
+            let err = diff(&ARTIFACT, &doc, &forged, 0.5).expect_err("diff refuses forged candidate");
+            assert!(err.starts_with("candidate:") && err.contains(law), "{key}: {err}");
+        }
+    }
+
+    #[test]
     fn phased_workload_shows_distinct_regimes() {
         let (runs, _) = smoke_artifacts();
         let phased = runs
@@ -829,24 +1182,46 @@ mod tests {
     #[test]
     fn prefetch_story_visible_in_totals() {
         let (runs, _) = smoke_artifacts();
-        let cyc = |w: &str| {
-            runs.iter()
-                .find(|r| r.workload == w && r.machine == "XT-910")
-                .map(|r| r.report.perf.cycles)
-                .expect("cell exists")
+        for machine in ["XT-910", "U74-like in-order"] {
+            let on = find(&runs, "stream_pf_on", machine);
+            let off = find(&runs, "stream_pf_off", machine);
+            assert!(on.report.perf.cycles < off.report.perf.cycles, "{machine}");
+            let on = on.series.total_mem();
+            assert!(on.pf_issued > 0, "prefetcher ran on {machine}");
+            assert!(on.pf_useful > 0, "some prefetched lines were demanded on {machine}");
+            assert!(on.pf_streams > 0, "STREAM confirms prefetch streams on {machine}");
+            assert_eq!(off.series.total_mem().pf_issued, 0, "ablation actually off");
+        }
+    }
+
+    #[test]
+    fn multicore_section_is_deterministic() {
+        let a = run_cluster(true);
+        let b = run_cluster(true);
+        assert_eq!(a.cells.len(), 7, "stream4, then stream + producer/consumer at 1/2/4");
+        assert!(a.engine.is_none(), "smoke mode skips wall-clock numbers");
+        for (ca, cb) in a.cells.iter().zip(&b.cells) {
+            assert_eq!(ca.makespan, cb.makespan, "{}", ca.workload);
+            assert_eq!(ca.instructions, cb.instructions);
+            assert_eq!(ca.snoops_sent, cb.snoops_sent);
+            assert_eq!(ca.c2c_transfers, cb.c2c_transfers);
+            assert_eq!(ca.snoop_matrix, cb.snoop_matrix);
+        }
+    }
+
+    #[test]
+    fn producer_consumer_contends_more_than_stream() {
+        let s = run_cluster(true);
+        let at4 = |w: &str| {
+            s.cells
+                .iter()
+                .find(|c| c.workload == w && c.cores == 4)
+                .unwrap()
         };
-        assert!(cyc("stream_pf_on") < cyc("stream_pf_off"));
-        let tm = |w: &str| {
-            runs.iter()
-                .find(|r| r.workload == w && r.machine == "XT-910")
-                .map(|r| r.series.total_mem())
-                .expect("cell exists")
-        };
-        let on = tm("stream_pf_on");
-        assert!(on.pf_issued > 0, "prefetcher ran");
-        assert!(on.pf_useful > 0, "some prefetched lines were demanded");
-        assert!(on.pf_streams > 0, "STREAM confirms prefetch streams");
-        assert_eq!(tm("stream_pf_off").pf_issued, 0, "ablation actually off");
+        assert!(
+            at4("producer_consumer").c2c_transfers > at4("stream_rate").c2c_transfers,
+            "mailbox handoffs move dirty lines core to core"
+        );
     }
 
     #[test]

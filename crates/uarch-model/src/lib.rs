@@ -111,80 +111,6 @@ pub fn evaluate(p: &UarchParams, corner: Corner) -> Ppa {
     }
 }
 
-impl Corner {
-    /// Stable string name used in JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Corner::LvtNominal => "lvt_nominal",
-            Corner::UlvtBoost => "ulvt_boost",
-            Corner::N7 => "n7",
-        }
-    }
-}
-
-/// Formats an f64 for JSON: finite, shortest round-trippable form.
-/// Non-finite values (not producible by the model) map to `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        if !s.contains('.') && !s.contains('e') {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
-impl UarchParams {
-    /// Hand-rolled JSON emission (no serde — the workspace is
-    /// dependency-free by policy).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"l1i_kib\":{},\"l1d_kib\":{},\"rob_entries\":{},\"phys_regs\":{},\
-             \"decode_width\":{},\"issue_width\":{},\"vlen_bits\":{}}}",
-            self.l1i_kib,
-            self.l1d_kib,
-            self.rob_entries,
-            self.phys_regs,
-            self.decode_width,
-            self.issue_width,
-            self.vlen_bits
-        )
-    }
-}
-
-impl Ppa {
-    /// Hand-rolled JSON emission.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"freq_ghz\":{},\"area_mm2\":{},\"uw_per_mhz\":{}}}",
-            json_f64(self.freq_ghz),
-            json_f64(self.area_mm2),
-            json_f64(self.uw_per_mhz)
-        )
-    }
-}
-
-/// Machine-readable Table II: every corner evaluated for the shipping
-/// configuration (with and without the vector unit), as a JSON array.
-pub fn table2_json() -> String {
-    let mut rows = Vec::new();
-    for vector in [false, true] {
-        let p = UarchParams::xt910(vector);
-        for corner in [Corner::LvtNominal, Corner::UlvtBoost, Corner::N7] {
-            rows.push(format!(
-                "{{\"corner\":\"{}\",\"vector\":{},\"params\":{},\"ppa\":{}}}",
-                corner.name(),
-                vector,
-                p.to_json(),
-                evaluate(&p, corner).to_json()
-            ));
-        }
-    }
-    format!("[{}]", rows.join(","))
-}
-
 /// Renders the Table II rows from the model.
 pub fn table2() -> String {
     let with_vec = evaluate(&UarchParams::xt910(true), Corner::LvtNominal);
@@ -248,30 +174,5 @@ mod tests {
         let t = table2();
         assert!(t.contains("GHz"));
         assert!(t.contains("analytical model"));
-    }
-
-    /// Structural check of the hand-rolled JSON without a JSON parser:
-    /// balanced braces, expected keys, and numeric formatting.
-    #[test]
-    fn json_emission_is_well_formed() {
-        let j = table2_json();
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches("\"corner\"").count(), 6, "2 configs x 3 corners");
-        assert_eq!(j.matches("\"vector\":true").count(), 3);
-        for key in ["freq_ghz", "area_mm2", "uw_per_mhz", "rob_entries"] {
-            assert!(j.contains(&format!("\"{key}\":")), "missing {key}");
-        }
-        assert!(!j.contains("null"), "model outputs are always finite");
-        // floats keep a decimal point so downstream parsers see numbers
-        let ppa = evaluate(&UarchParams::xt910(true), Corner::LvtNominal);
-        assert!(ppa.to_json().contains("\"freq_ghz\":2.0"));
-    }
-
-    #[test]
-    fn json_f64_formats() {
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(0.8125), "0.8125");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 }
