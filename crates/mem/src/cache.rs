@@ -53,23 +53,92 @@ impl LineState {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    state: LineState,
+/// One way of a set: the line's byte address, with its MOSEI state and
+/// prefetched mark packed into the low bits every line address leaves
+/// free (lines are at least 16 bytes, [`crate::MemConfig::validate`]),
+/// and its LRU stamp. At 16 bytes a 16-way set is four host cache lines.
+///
+/// The word is `addr | code(state) << 1 | prefetched`, with `Invalid`
+/// coded 0: the probe `holds` is one subtract and compare, and an
+/// invalidated way keeps its stale address as the model always has
+/// (snapshots write it).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Way {
+    word: u64,
     /// LRU stamp: larger = more recently used.
     lru: u64,
-    /// Set for lines installed by the prefetcher and not yet demanded
-    /// (tracks prefetch accuracy).
-    prefetched: bool,
 }
 
-const INVALID: Line = Line {
-    tag: 0,
-    state: LineState::Invalid,
-    lru: 0,
-    prefetched: false,
-};
+/// The low bits of a way's word that are not the line's address.
+const FLAGS: u64 = 0xF;
+/// The prefetched mark: set for lines installed by the prefetcher and
+/// not yet demanded (tracks prefetch accuracy).
+const PREFETCHED: u64 = 1;
+/// The state's three bits.
+const STATE: u64 = 0xE;
+
+/// The states by their code in a way's word (codes 5–7 are never
+/// written).
+const STATES: [LineState; 8] = [
+    LineState::Invalid,
+    LineState::Modified,
+    LineState::Owned,
+    LineState::Exclusive,
+    LineState::Shared,
+    LineState::Invalid,
+    LineState::Invalid,
+    LineState::Invalid,
+];
+
+/// `state`'s bits in a way's word.
+fn code(state: LineState) -> u64 {
+    let code = match state {
+        LineState::Invalid => 0,
+        LineState::Modified => 1,
+        LineState::Owned => 2,
+        LineState::Exclusive => 3,
+        LineState::Shared => 4,
+    };
+    code << 1
+}
+
+impl Way {
+    const INVALID: Way = Way { word: 0, lru: 0 };
+
+    fn new(addr: u64, state: LineState, prefetched: bool, lru: u64) -> Way {
+        Way {
+            word: addr | code(state) | prefetched as u64,
+            lru,
+        }
+    }
+
+    /// Whether this is the valid way of the line at byte address `key`:
+    /// the address bits equal and the state not `Invalid`.
+    #[inline(always)]
+    fn holds(self, key: u64) -> bool {
+        (self.word ^ key).wrapping_sub(2) < FLAGS - 1
+    }
+
+    fn is_valid(self) -> bool {
+        self.word & STATE != 0
+    }
+
+    fn addr(self) -> u64 {
+        self.word & !FLAGS
+    }
+
+    fn state(self) -> LineState {
+        STATES[((self.word & STATE) >> 1) as usize]
+    }
+
+    fn prefetched(self) -> bool {
+        self.word & PREFETCHED != 0
+    }
+
+    fn set_state(&mut self, state: LineState) {
+        self.word = self.word & !STATE | code(state);
+    }
+}
 
 /// Result of a cache probe-and-update.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -111,7 +180,7 @@ pub struct Cache {
     sets: usize,
     ways: usize,
     line_bits: u32,
-    lines: Vec<Line>,
+    lines: Vec<Way>,
     stamp: u64,
 }
 
@@ -121,8 +190,10 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if geometry is not a power-of-two arrangement.
+    /// Panics if geometry is not a power-of-two arrangement or the lines
+    /// are shorter than 16 bytes.
     pub fn new(name: &'static str, size_kib: u32, ways: u32, line_bytes: u32) -> Self {
+        assert!(line_bytes >= 16, "cache lines must be at least 16 bytes");
         let total_lines = size_kib as usize * 1024 / line_bytes as usize;
         let sets = total_lines / ways as usize;
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
@@ -131,7 +202,7 @@ impl Cache {
             sets,
             ways: ways as usize,
             line_bits: line_bytes.trailing_zeros(),
-            lines: vec![INVALID; total_lines],
+            lines: vec![Way::INVALID; total_lines],
             stamp: 0,
         }
     }
@@ -146,145 +217,136 @@ impl Cache {
         addr >> self.line_bits
     }
 
-    fn set_of(&self, line_addr: u64) -> usize {
-        (line_addr as usize) & (self.sets - 1)
+    /// The ways of the set `addr` maps to, and the key its line is held
+    /// under (its byte address).
+    #[inline(always)]
+    fn set_of(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let set = (self.line_addr(addr) as usize) & (self.sets - 1);
+        let key = addr & !((1u64 << self.line_bits) - 1);
+        (set * self.ways..(set + 1) * self.ways, key)
     }
 
-    fn slot_range(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.ways..(set + 1) * self.ways
+    /// The valid way holding `addr`'s line, if any.
+    fn find(&self, addr: u64) -> Option<&Way> {
+        let (ways, key) = self.set_of(addr);
+        self.lines[ways].iter().find(|w| w.holds(key))
     }
 
     /// Probes for `addr` and updates LRU; a first demand touch clears the
     /// line's prefetched mark.
     /// `is_store` reports `UpgradeNeeded` for hits in non-writable states.
     pub fn access(&mut self, addr: u64, is_store: bool) -> ProbeResult {
-        let la = self.line_addr(addr);
-        let set = self.set_of(la);
+        let (ways, key) = self.set_of(addr);
         self.stamp += 1;
-        for i in self.slot_range(set) {
-            let line = &mut self.lines[i];
-            if line.state.is_valid() && line.tag == la {
-                line.lru = self.stamp;
-                let was_prefetched = line.prefetched;
-                line.prefetched = false;
-                if is_store && !line.state.is_writable() {
-                    return ProbeResult::UpgradeNeeded { was_prefetched };
-                }
-                if is_store {
-                    line.state = LineState::Modified;
-                }
-                return ProbeResult::Hit { was_prefetched };
-            }
+        let stamp = self.stamp;
+        let Some(way) = self.lines[ways].iter_mut().find(|w| w.holds(key)) else {
+            return ProbeResult::Miss;
+        };
+        way.lru = stamp;
+        let was_prefetched = way.prefetched();
+        way.word &= !PREFETCHED;
+        if is_store && !way.state().is_writable() {
+            return ProbeResult::UpgradeNeeded { was_prefetched };
         }
-        ProbeResult::Miss
+        if is_store {
+            way.set_state(LineState::Modified);
+        }
+        ProbeResult::Hit { was_prefetched }
     }
 
     /// Peeks without updating replacement state.
     pub fn contains(&self, addr: u64) -> bool {
-        let la = self.line_addr(addr);
-        let set = self.set_of(la);
-        self.slot_range(set)
-            .any(|i| self.lines[i].state.is_valid() && self.lines[i].tag == la)
+        self.find(addr).is_some()
     }
 
     /// Current state of the line containing `addr`.
     pub fn state_of(&self, addr: u64) -> LineState {
-        let la = self.line_addr(addr);
-        let set = self.set_of(la);
-        for i in self.slot_range(set) {
-            if self.lines[i].state.is_valid() && self.lines[i].tag == la {
-                return self.lines[i].state;
-            }
-        }
-        LineState::Invalid
+        self.find(addr).map_or(LineState::Invalid, |w| w.state())
     }
 
     /// Installs the line containing `addr` in `state`; returns the victim
     /// if a valid line was evicted. `prefetched` marks prefetcher fills.
     pub fn fill(&mut self, addr: u64, state: LineState, prefetched: bool) -> Option<Victim> {
-        let la = self.line_addr(addr);
-        let set = self.set_of(la);
+        let (ways, key) = self.set_of(addr);
         self.stamp += 1;
+        let stamp = self.stamp;
+        let set = &mut self.lines[ways];
         // Already present? Just upgrade the state.
-        for i in self.slot_range(set) {
-            let line = &mut self.lines[i];
-            if line.state.is_valid() && line.tag == la {
-                line.state = state;
-                line.lru = self.stamp;
-                return None;
-            }
+        if let Some(way) = set.iter_mut().find(|w| w.holds(key)) {
+            way.set_state(state);
+            way.lru = stamp;
+            return None;
         }
         // Choose victim: an invalid way, else true-LRU.
-        let mut victim_i = set * self.ways;
+        let mut victim_i = 0;
         let mut best = u64::MAX;
-        for i in self.slot_range(set) {
-            if !self.lines[i].state.is_valid() {
+        for (i, way) in set.iter().enumerate() {
+            if !way.is_valid() {
                 victim_i = i;
                 break;
             }
-            if self.lines[i].lru < best {
-                best = self.lines[i].lru;
+            if way.lru < best {
+                best = way.lru;
                 victim_i = i;
             }
         }
-        let old = self.lines[victim_i];
-        let victim = old.state.is_valid().then(|| Victim {
-            addr: old.tag << self.line_bits,
-            state: old.state,
-            wasted_prefetch: old.prefetched,
-        });
-        self.lines[victim_i] = Line {
-            tag: la,
-            state,
-            lru: self.stamp,
-            prefetched,
-        };
-        victim
+        let old = set[victim_i];
+        set[victim_i] = Way::new(key, state, prefetched, stamp);
+        old.is_valid().then(|| Victim {
+            addr: old.addr(),
+            state: old.state(),
+            wasted_prefetch: old.prefetched(),
+        })
     }
 
     /// Changes the state of a resident line (coherence action). Returns
     /// the previous state if the line was present.
     pub fn set_state(&mut self, addr: u64, state: LineState) -> Option<LineState> {
-        let la = self.line_addr(addr);
-        let set = self.set_of(la);
-        for i in self.slot_range(set) {
-            let line = &mut self.lines[i];
-            if line.state.is_valid() && line.tag == la {
-                let old = line.state;
-                line.state = state;
-                if state == LineState::Invalid {
-                    line.prefetched = false;
-                }
-                return Some(old);
-            }
+        let (ways, key) = self.set_of(addr);
+        let way = self.lines[ways].iter_mut().find(|w| w.holds(key))?;
+        let old = way.state();
+        way.set_state(state);
+        if state == LineState::Invalid {
+            way.word &= !PREFETCHED;
         }
-        None
+        Some(old)
     }
 
     /// Invalidates every line (e.g., `x.dcache.call`); returns how many
     /// dirty lines would have been written back.
     pub fn invalidate_all(&mut self) -> u64 {
         let mut dirty = 0;
-        for line in &mut self.lines {
-            if line.state.is_dirty() {
+        for way in &mut self.lines {
+            if way.state().is_dirty() {
                 dirty += 1;
             }
-            *line = INVALID;
+            *way = Way::INVALID;
         }
         dirty
     }
 }
 
 impl xt_snapshot::SnapshotState for Cache {
+    /// Each way as `tag` (the line address), state, LRU stamp and
+    /// prefetched mark — the frame layout, not the packed word. A tag
+    /// whose byte address does not fit in 64 bits is `Corrupt`.
     fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
         s.expect("cache geometry", self.sets)?;
         s.expect("cache geometry", self.ways)?;
         s.expect("cache geometry", self.line_bits)?;
-        for line in &mut self.lines {
-            s.u64(&mut line.tag)?;
-            s.variant(&mut line.state, &LineState::ALL, "line state")?;
-            s.u64(&mut line.lru)?;
-            s.bool(&mut line.prefetched)?;
+        let line_bits = self.line_bits;
+        for way in &mut self.lines {
+            let mut tag = way.addr() >> line_bits;
+            let mut state = way.state();
+            let mut prefetched = way.prefetched();
+            s.u64(&mut tag)?;
+            s.check(tag >> (64 - line_bits) == 0, "cache tag")?;
+            s.variant(&mut state, &LineState::ALL, "line state")?;
+            s.u64(&mut way.lru)?;
+            s.bool(&mut prefetched)?;
+            if S::DECODING {
+                *way = Way::new(tag << line_bits, state, prefetched, way.lru);
+            }
         }
         s.u64(&mut self.stamp)
     }
@@ -393,5 +455,256 @@ mod tests {
         c.fill(0x040, LineState::Shared, false);
         assert_eq!(c.invalidate_all(), 1);
         assert!(!c.contains(0x000));
+    }
+
+    // ---- the 24-byte `Line` cache the packed ways replaced ----
+
+    #[derive(Clone, Copy, Debug)]
+    struct Line {
+        tag: u64,
+        state: LineState,
+        lru: u64,
+        prefetched: bool,
+    }
+
+    const INVALID: Line = Line {
+        tag: 0,
+        state: LineState::Invalid,
+        lru: 0,
+        prefetched: false,
+    };
+
+    /// The array-of-`Line` cache, kept as the reference the packed one
+    /// must agree with call for call and byte for byte.
+    struct LineCache {
+        sets: usize,
+        ways: usize,
+        line_bits: u32,
+        lines: Vec<Line>,
+        stamp: u64,
+    }
+
+    impl LineCache {
+        fn new(size_kib: u32, ways: u32, line_bytes: u32) -> Self {
+            let total_lines = size_kib as usize * 1024 / line_bytes as usize;
+            LineCache {
+                sets: total_lines / ways as usize,
+                ways: ways as usize,
+                line_bits: line_bytes.trailing_zeros(),
+                lines: vec![INVALID; total_lines],
+                stamp: 0,
+            }
+        }
+
+        fn slots(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+            let la = addr >> self.line_bits;
+            let set = (la as usize) & (self.sets - 1);
+            (set * self.ways..(set + 1) * self.ways, la)
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let (slots, la) = self.slots(addr);
+            slots
+                .into_iter()
+                .find(|&i| self.lines[i].state.is_valid() && self.lines[i].tag == la)
+        }
+
+        fn access(&mut self, addr: u64, is_store: bool) -> ProbeResult {
+            self.stamp += 1;
+            let Some(i) = self.find(addr) else {
+                return ProbeResult::Miss;
+            };
+            let line = &mut self.lines[i];
+            line.lru = self.stamp;
+            let was_prefetched = line.prefetched;
+            line.prefetched = false;
+            if is_store && !line.state.is_writable() {
+                return ProbeResult::UpgradeNeeded { was_prefetched };
+            }
+            if is_store {
+                line.state = LineState::Modified;
+            }
+            ProbeResult::Hit { was_prefetched }
+        }
+
+        fn state_of(&self, addr: u64) -> LineState {
+            self.find(addr)
+                .map_or(LineState::Invalid, |i| self.lines[i].state)
+        }
+
+        fn fill(&mut self, addr: u64, state: LineState, prefetched: bool) -> Option<Victim> {
+            self.stamp += 1;
+            if let Some(i) = self.find(addr) {
+                self.lines[i].state = state;
+                self.lines[i].lru = self.stamp;
+                return None;
+            }
+            let (slots, la) = self.slots(addr);
+            let mut victim_i = slots.start;
+            let mut best = u64::MAX;
+            for i in slots {
+                if !self.lines[i].state.is_valid() {
+                    victim_i = i;
+                    break;
+                }
+                if self.lines[i].lru < best {
+                    best = self.lines[i].lru;
+                    victim_i = i;
+                }
+            }
+            let old = self.lines[victim_i];
+            self.lines[victim_i] = Line {
+                tag: la,
+                state,
+                lru: self.stamp,
+                prefetched,
+            };
+            old.state.is_valid().then(|| Victim {
+                addr: old.tag << self.line_bits,
+                state: old.state,
+                wasted_prefetch: old.prefetched,
+            })
+        }
+
+        fn set_state(&mut self, addr: u64, state: LineState) -> Option<LineState> {
+            let i = self.find(addr)?;
+            let line = &mut self.lines[i];
+            let old = line.state;
+            line.state = state;
+            if state == LineState::Invalid {
+                line.prefetched = false;
+            }
+            Some(old)
+        }
+
+        fn invalidate_all(&mut self) -> u64 {
+            let dirty = self.lines.iter().filter(|l| l.state.is_dirty()).count();
+            self.lines.fill(INVALID);
+            dirty as u64
+        }
+    }
+
+    impl xt_snapshot::SnapshotState for LineCache {
+        fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+            s.expect("cache geometry", self.sets)?;
+            s.expect("cache geometry", self.ways)?;
+            s.expect("cache geometry", self.line_bits)?;
+            for line in &mut self.lines {
+                s.u64(&mut line.tag)?;
+                s.variant(&mut line.state, &LineState::ALL, "line state")?;
+                s.u64(&mut line.lru)?;
+                s.bool(&mut line.prefetched)?;
+            }
+            s.u64(&mut self.stamp)
+        }
+    }
+
+    fn frame(c: &mut impl xt_snapshot::SnapshotState) -> Vec<u8> {
+        let mut e = xt_snapshot::Enc::new();
+        c.save(&mut e);
+        e.into_bytes()
+    }
+
+    /// Random `access`/`fill`/`set_state`/`invalidate_all` sequences on a
+    /// 1 KiB 2-way cache and on a 16-way one in 16-byte lines, over a few
+    /// sets at the bottom, the middle and the top of the address space:
+    /// every return value and the `save()` bytes after every call equal
+    /// the `Line` cache's, and the packed cache restores from the
+    /// reference's frame.
+    #[test]
+    fn packed_ways_agree_with_the_line_cache() {
+        use xt_harness::gen::{choose, ints, vec_of};
+        use xt_harness::prop::{check_with, Config};
+        use xt_snapshot::SnapshotState;
+        const GEOMETRIES: [(u32, u32, u32); 2] = [(1, 2, 64), (4, 16, 16)];
+        const BASES: [u64; 4] = [0, 0x8000_0000, 1 << 63, u64::MAX - 0xFFFF];
+        let gen = (
+            choose(&GEOMETRIES),
+            vec_of(
+                (
+                    ints(0u32..16),
+                    ints(0usize..BASES.len()),
+                    ints(0u64..1024),
+                    ints(0usize..LineState::ALL.len()),
+                    ints(0u8..2),
+                    ints(0u64..16),
+                ),
+                1..300,
+            ),
+        );
+        check_with(
+            &Config::seeded_cases(0x0910_0029_0001, 64),
+            "packed_ways_agree_with_the_line_cache",
+            &gen,
+            |((kib, ways, line_bytes), ops)| {
+                let mut packed = Cache::new("t", *kib, *ways, *line_bytes);
+                let mut reference = LineCache::new(*kib, *ways, *line_bytes);
+                let sets = reference.sets as u64;
+                for &(kind, base, pick, state, flag, offset) in ops {
+                    // three sets, each with four more lines than ways
+                    let (set, tag) = (pick % 3, pick / 3 % (*ways as u64 + 4));
+                    let line = (tag * sets + set) * *line_bytes as u64;
+                    let addr = BASES[base].wrapping_add(line + offset);
+                    let (state, flag) = (LineState::ALL[state], flag == 1);
+                    let what = format!("{kind} at {addr:#x}");
+                    match kind {
+                        0..=7 => assert_eq!(
+                            packed.access(addr, flag),
+                            reference.access(addr, flag),
+                            "{what}"
+                        ),
+                        8..=10 => assert_eq!(
+                            packed.fill(addr, state, flag),
+                            reference.fill(addr, state, flag),
+                            "{what}"
+                        ),
+                        11..=13 => assert_eq!(
+                            packed.set_state(addr, state),
+                            reference.set_state(addr, state),
+                            "{what}"
+                        ),
+                        14 => {
+                            assert_eq!(packed.state_of(addr), reference.state_of(addr));
+                            assert_eq!(packed.contains(addr), reference.find(addr).is_some());
+                        }
+                        _ => assert_eq!(packed.invalidate_all(), reference.invalidate_all()),
+                    }
+                    assert_eq!(frame(&mut packed), frame(&mut reference), "{what}");
+                }
+                let bytes = frame(&mut reference);
+                let mut restored = Cache::new("t", *kib, *ways, *line_bytes);
+                let mut d = xt_snapshot::Dec::new(&bytes);
+                restored
+                    .restore(&mut d)
+                    .expect("the reference's frame restores");
+                d.finish().expect("fully consumed");
+                assert_eq!(frame(&mut restored), bytes);
+            },
+        );
+    }
+
+    /// A tag whose byte address would not fit in 64 bits has no packed
+    /// form: `Corrupt`, not a silently truncated address.
+    #[test]
+    fn a_tag_past_the_address_space_is_corrupt() {
+        use xt_snapshot::SnapshotState;
+        let mut reference = LineCache::new(1, 2, 64);
+        reference.lines[3] = Line {
+            tag: 1 << 58,
+            state: LineState::Shared,
+            lru: 1,
+            prefetched: false,
+        };
+        let bytes = frame(&mut reference);
+        assert_eq!(
+            small().restore(&mut xt_snapshot::Dec::new(&bytes)),
+            Err(xt_snapshot::SnapshotError::Corrupt { what: "cache tag" })
+        );
+        reference.lines[3].tag = (1 << 58) - 1;
+        let bytes = frame(&mut reference);
+        let mut c = small();
+        c.restore(&mut xt_snapshot::Dec::new(&bytes))
+            .expect("the top tag fits");
+        assert_eq!(frame(&mut c), bytes);
     }
 }

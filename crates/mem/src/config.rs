@@ -191,6 +191,22 @@ impl MemConfig {
         if !self.line_bytes.is_power_of_two() {
             return Err("line size must be a power of two".into());
         }
+        // a cache way packs state and prefetch mark into the four low
+        // bits of its line's address
+        if self.line_bytes < 16 {
+            return Err(format!(
+                "lines must be at least 16 bytes (got {})",
+                self.line_bytes
+            ));
+        }
+        // a recorded access counts its prefetch burst in 8 bits
+        if self.prefetch.max_depth > u8::MAX as u64 {
+            return Err(format!(
+                "prefetch depth must be at most {} lines (got {})",
+                u8::MAX,
+                self.prefetch.max_depth
+            ));
+        }
         // a recorded access names its stream slot in 16 bits
         if self.prefetch.max_streams >= u16::MAX as usize {
             return Err(format!(
@@ -229,6 +245,21 @@ mod tests {
         assert!(c.validate().is_ok());
         c.prefetch.max_streams = u16::MAX as usize;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn packed_records_bound_lines_and_depth() {
+        let mut c = MemConfig {
+            line_bytes: 16,
+            ..MemConfig::default()
+        };
+        c.prefetch.max_depth = u8::MAX as u64;
+        assert!(c.validate().is_ok());
+        c.line_bytes = 8;
+        assert!(c.validate().is_err(), "no free bits for the state");
+        c.line_bytes = 16;
+        c.prefetch.max_depth += 1;
+        assert!(c.validate().is_err(), "a burst count past 8 bits");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   (`tracing_does_not_change_timing` below).
 
 use crate::cache::{Cache, LineState, ProbeResult};
-use crate::config::{MemConfig, PrefetchConfig};
+use crate::config::MemConfig;
 use crate::dram::Dram;
 use crate::linemap::LineMap;
 use crate::missclass::{MissClass, MissClassifier};
@@ -49,23 +49,26 @@ const NO_SLOT: u16 = u16::MAX;
 /// lies behind it.
 ///
 /// The prefetch requests of one [`Prefetcher::on_access`] call are an
-/// arithmetic run issued by a single stream slot, at most `max_depth`
-/// long, so the burst is four numbers rather than a list
-/// (`front_reproduces_the_request_list` pins that).
+/// arithmetic run of lines issued by a single stream slot, at most
+/// `max_depth` long (≤ 255, [`MemConfig::validate`]), starting within
+/// `16 × max_depth` lines of the access and stepping by the stream's
+/// stride, which is at most 16 lines either way. So the burst is three
+/// small numbers relative to the access's line, and a `Front` is 10
+/// bytes (`front_reproduces_the_request_list` pins both). Frames carry
+/// it absolute, as they always have ([`MemOp::transfer`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Front {
-    /// Virtual address of the burst's first prefetch request.
-    pf_va: u64,
-    /// Byte distance from one request to the next (wrapping; a
-    /// descending stream's step is the two's complement).
-    pf_step: u64,
-    /// Requests in the burst.
-    pf_count: u16,
+    /// Line of the burst's first request minus the access's line.
+    pf_line: i16,
     /// Stream-table slot that issued the burst.
     pf_slot: u16,
     /// Slot that crossed the confirmation threshold on this access, or
     /// [`NO_SLOT`].
     confirmed: u16,
+    /// Lines from one request to the next (0 below two requests).
+    pf_stride: i8,
+    /// Requests in the burst.
+    pf_count: u8,
     /// 0 = µTLB hit, 1–3 = jTLB hit after that many probes,
     /// [`Front::WALK`] = miss everywhere.
     tlb: u8,
@@ -76,49 +79,105 @@ impl Front {
     const WALK: u8 = 4;
 
     /// Packs a TLB outcome, the confirmed slot and the request list of
-    /// one [`Prefetcher::on_access`] call.
-    fn new(tlb: u8, confirmed: Option<usize>, reqs: &[PrefetchReq]) -> Front {
-        let (pf_va, pf_slot) = reqs.first().map_or((0, 0), |r| (r.va, r.stream));
-        let pf_step = reqs.get(1).map_or(0, |r| r.va.wrapping_sub(pf_va));
-        debug_assert!(reqs.iter().enumerate().all(|(k, r)| r.stream == pf_slot
-            && r.va == pf_va.wrapping_add(pf_step.wrapping_mul(k as u64))));
-        Front {
-            pf_va,
-            pf_step,
-            pf_count: reqs.len() as u16,
+    /// one [`Prefetcher::on_access`] call for the access at `va`, in
+    /// lines of `1 << line_bits` bytes.
+    fn new(
+        tlb: u8,
+        confirmed: Option<usize>,
+        reqs: &[PrefetchReq],
+        va: u64,
+        line_bits: u32,
+    ) -> Front {
+        let lines = |from: u64, to: u64| lines_between(from, to, line_bits);
+        let (first, pf_slot) = reqs.first().map_or((0, 0), |r| (lines(va, r.va), r.stream));
+        let stride = match reqs {
+            [a, b, ..] => lines(a.va, b.va),
+            _ => 0,
+        };
+        let front = Front {
+            pf_line: first as i16,
             pf_slot: pf_slot as u16,
             confirmed: confirmed.map_or(NO_SLOT, |s| s as u16),
+            pf_stride: stride as i8,
+            pf_count: reqs.len() as u8,
             tlb,
-        }
+        };
+        debug_assert!(front.requests(va, line_bits).eq(reqs.iter().copied()));
+        front
     }
 
-    /// The prefetch requests of the access, in issue order.
-    fn requests(&self) -> impl Iterator<Item = PrefetchReq> {
-        let (step, stream) = (self.pf_step, self.pf_slot as usize);
-        let mut va = self.pf_va;
+    /// The prefetch requests of the access at `va`, in issue order.
+    fn requests(&self, va: u64, line_bits: u32) -> impl Iterator<Item = PrefetchReq> {
+        let lines = |n: i64| (n as u64) << line_bits;
+        let step = lines(self.pf_stride as i64);
+        let stream = self.pf_slot as usize;
+        let mut addr = line_base(va, line_bits).wrapping_add(lines(self.pf_line as i64));
         (0..self.pf_count).map(move |_| {
-            let req = PrefetchReq { va, stream };
-            va = va.wrapping_add(step);
+            let req = PrefetchReq { va: addr, stream };
+            addr = addr.wrapping_add(step);
             req
         })
     }
 
-    /// The record, for an instance configured with `pf`: a frame is
-    /// outside input, and the slots index that instance's scorecard.
-    fn transfer<S: Stream>(&mut self, s: &mut S, pf: &PrefetchConfig) -> xt_snapshot::Result<()> {
-        s.u64(&mut self.pf_va)?;
-        s.u64(&mut self.pf_step)?;
-        s.u16(&mut self.pf_count)?;
+    /// The record for the access at `va`, for an instance configured
+    /// with `cfg`: a frame is outside input, the slots index that
+    /// instance's scorecard, and a burst the relative form cannot hold is
+    /// `Corrupt` rather than truncated. The frame holds the burst
+    /// absolute: the first request's address (0 for none) and the byte
+    /// step (0 below two requests).
+    fn transfer<S: Stream>(
+        &mut self,
+        s: &mut S,
+        va: u64,
+        cfg: &MemConfig,
+    ) -> xt_snapshot::Result<()> {
+        let line_bits = cfg.line_bytes.trailing_zeros();
+        let mut pf_va = self.requests(va, line_bits).next().map_or(0, |r| r.va);
+        let mut pf_step = (self.pf_stride as u64) << line_bits;
+        let mut count = self.pf_count as u16;
+        s.u64(&mut pf_va)?;
+        s.u64(&mut pf_step)?;
+        s.u16(&mut count)?;
         s.u16(&mut self.pf_slot)?;
         s.u16(&mut self.confirmed)?;
         s.u8(&mut self.tlb)?;
-        let slot_ok = |s: u16| (s as usize) < pf.max_streams;
+        let slot_ok = |s: u16| (s as usize) < cfg.prefetch.max_streams;
         let ok = self.tlb <= Front::WALK
-            && self.pf_count as u64 <= pf.max_depth
-            && (self.pf_count == 0 || slot_ok(self.pf_slot))
+            && count as u64 <= cfg.prefetch.max_depth
+            && (count == 0 || slot_ok(self.pf_slot))
             && (self.confirmed == NO_SLOT || slot_ok(self.confirmed));
-        s.check(ok, "mem op front")
+        // the relative form: whole lines, within an `i16` of the access
+        // and an `i8` apart; an empty burst is written at address 0
+        let aligned = |x: u64| line_base(x, line_bits) == x;
+        let first = match count {
+            0 => (pf_va == 0).then_some(0),
+            _ => aligned(pf_va)
+                .then(|| i16::try_from(lines_between(va, pf_va, line_bits)).ok())
+                .flatten(),
+        };
+        let stride = aligned(pf_step)
+            .then(|| i8::try_from(pf_step as i64 >> line_bits).ok())
+            .flatten();
+        let (Some(first), Some(stride), Ok(count)) = (first, stride, u8::try_from(count)) else {
+            return s.check(false, "mem op front");
+        };
+        s.check(ok, "mem op front")?;
+        self.pf_line = first;
+        self.pf_stride = stride;
+        self.pf_count = count;
+        Ok(())
     }
+}
+
+/// The address of the line holding `addr`.
+fn line_base(addr: u64, line_bits: u32) -> u64 {
+    addr & !((1 << line_bits) - 1)
+}
+
+/// Signed lines from the line of `from` to the line of `to`, wrapping
+/// at the top of the address space as line addresses do.
+fn lines_between(from: u64, to: u64, line_bits: u32) -> i64 {
+    (line_base(to, line_bits).wrapping_sub(line_base(from, line_bits)) as i64) >> line_bits
 }
 
 /// One access through a [`MemSystem`] entry point, recorded for epoch
@@ -179,19 +238,15 @@ pub enum MemOp {
 
 impl MemOp {
     /// One record of a recorded log — its tag, then its fields — for an
-    /// instance whose prefetcher is configured as `pf`: a [`Front`] no
-    /// such instance could have recorded is `Corrupt`.
-    pub fn transfer<S: Stream>(
-        &mut self,
-        s: &mut S,
-        pf: &PrefetchConfig,
-    ) -> xt_snapshot::Result<()> {
+    /// instance configured as `cfg`: a [`Front`] no such instance could
+    /// have recorded is `Corrupt`.
+    pub fn transfer<S: Stream>(&mut self, s: &mut S, cfg: &MemConfig) -> xt_snapshot::Result<()> {
         const BLANK: Front = Front {
-            pf_va: 0,
-            pf_step: 0,
-            pf_count: 0,
+            pf_line: 0,
             pf_slot: 0,
             confirmed: NO_SLOT,
+            pf_stride: 0,
+            pf_count: 0,
             tlb: 0,
         };
         const OPS: [MemOp; 4] = [
@@ -231,7 +286,7 @@ impl MemOp {
                 s.u64(cycle)?;
                 s.u64(va)?;
                 s.u64(pa)?;
-                front.transfer(s, pf)
+                front.transfer(s, *va, cfg)
             }
             MemOp::FlushAll => Ok(()),
         }
@@ -831,10 +886,11 @@ impl MemSystem {
                 Front::WALK
             }
         };
+        let line_bits = self.line_bytes.trailing_zeros();
         let pf = &mut self.pfs[core];
         let pf_cfg = *pf.config();
         if !pf_cfg.enabled() {
-            return Front::new(outcome, None, &[]);
+            return Front::new(outcome, None, &[], va, line_bits);
         }
         let confirmed = pf.on_access(va);
         if pf_cfg.tlb {
@@ -851,7 +907,7 @@ impl MemSystem {
                 }
             }
         }
-        Front::new(outcome, confirmed, pf.requests())
+        Front::new(outcome, confirmed, pf.requests(), va, line_bits)
     }
 
     /// Hardware page walk: three dependent PTE reads. The walker fetches
@@ -1086,7 +1142,7 @@ impl MemSystem {
         // a second engine runs the same stream further ahead into L2 only.
         let pf_cfg = self.cfg.prefetch;
         let l1_reach = pf_cfg.distance.lines() * self.line_bytes;
-        for req in front.requests() {
+        for req in front.requests(va, self.line_bytes.trailing_zeros()) {
             let delta = req.va.wrapping_sub(va);
             let req_pa = pa.wrapping_add(delta);
             let line = self.line_of(req_pa);
@@ -1189,6 +1245,11 @@ impl MemSystem {
         &self.l1d[core]
     }
 
+    /// Direct access to a core's TLB (tests).
+    pub fn tlb(&self, core: usize) -> &Tlb {
+        &self.tlbs[core]
+    }
+
     /// Shared L2 (tests).
     pub fn l2(&self) -> &Cache {
         &self.l2
@@ -1225,9 +1286,9 @@ impl xt_snapshot::SnapshotState for MemSystem {
         self.dram.transfer(s)?;
         s.map(&mut self.inflight, 16, S::u64)?;
         self.stats.transfer(s)?;
-        let pf = self.cfg.prefetch;
+        let cfg = self.cfg;
         s.opt(&mut self.recorder, |s, log| {
-            s.vec(log, 1, |s, op| op.transfer(s, &pf))
+            s.vec(log, 1, |s, op| op.transfer(s, &cfg))
         })?;
         let cores = SnapshotError::Mismatch {
             what: "prefetch owner core count",
@@ -1975,11 +2036,11 @@ mod tests {
                     let log = replicas[core].take_log();
                     assert_eq!(log.len(), 1, "one op per public access");
                     let mut e = xt_snapshot::Enc::new();
-                    log[0].clone().transfer(&mut e, &cfg.prefetch).unwrap();
+                    log[0].clone().transfer(&mut e, &cfg).unwrap();
                     let bytes = e.into_bytes();
                     let mut d = xt_snapshot::Dec::new(&bytes);
                     let mut op = MemOp::default();
-                    op.transfer(&mut d, &cfg.prefetch).expect("own op decodes");
+                    op.transfer(&mut d, &cfg).expect("own op decodes");
                     d.finish().expect("op fully consumed");
                     assert_eq!(op, log[0]);
                     for (j, r) in replicas.iter_mut().enumerate() {
@@ -2045,26 +2106,32 @@ mod tests {
         );
     }
 
-    /// `Front` carries a request list as `first, step, count, slot`:
-    /// over descending, page-crossing and near-zero streams, at both
-    /// depth limits, the list rebuilt from those four numbers is the
-    /// list, no longer than `max_depth`.
+    /// `Front` carries a request list as `first, stride, count, slot`,
+    /// relative to the access: over descending, page-crossing, near-zero
+    /// and top-of-address-space streams, at both depth limits and three
+    /// line sizes, the list rebuilt from those numbers is the list, no
+    /// longer than `max_depth`, and its frame decodes to the same record.
+    /// The records it rides in are pinned here too.
     #[test]
     fn front_reproduces_the_request_list() {
-        assert_eq!(std::mem::size_of::<Front>(), 24);
-        assert_eq!(std::mem::size_of::<MemOp>(), 56);
+        assert_eq!(std::mem::size_of::<crate::cache::Way>(), 16);
+        assert!(std::mem::size_of::<Front>() <= 16);
+        assert!(std::mem::size_of::<MemOp>() <= 40);
         let gen = (
-            choose(&[(8usize, 32u64), (1, 64), (8, 64), (2, 3)]),
+            (
+                choose(&[(8usize, 32u64), (1, 64), (8, 64), (2, 3)]),
+                choose(&[16u32, 64, 256]),
+            ),
             choose(&[false, true]),
-            vec_of((ints(0usize..3), ints(0u32..8)), 1..400),
-            vec_of(choose(&STRIDES), 3..4),
+            vec_of((ints(0usize..4), ints(0u32..8)), 1..400),
+            vec_of(choose(&STRIDES), 4..5),
         );
         check_with(
             &Config::seeded(0x0910_0020_000C),
             "front_reproduces_the_request_list",
             &gen,
-            |((max_streams, max_depth), large, ops, strides)| {
-                let cfg = PrefetchConfig {
+            |(((max_streams, max_depth), line_bytes), large, ops, strides)| {
+                let pf = PrefetchConfig {
                     max_streams: *max_streams,
                     max_depth: *max_depth,
                     ..if *large {
@@ -2073,9 +2140,16 @@ mod tests {
                         PrefetchConfig::all_small()
                     }
                 };
-                let mut p = Prefetcher::new(cfg, 64);
-                // the second stream starts a few lines above address zero
-                let mut cursor = [0x9000_0000u64, 0x300, 1 << 40];
+                let cfg = MemConfig {
+                    line_bytes: *line_bytes,
+                    prefetch: pf,
+                    ..MemConfig::default()
+                };
+                let line_bits = line_bytes.trailing_zeros();
+                let mut p = Prefetcher::new(pf, *line_bytes);
+                // the second stream starts a few lines above address
+                // zero, the fourth a few below the top
+                let mut cursor = [0x9000_0000u64, 0x300, 1 << 40, u64::MAX - 0x2ff];
                 for &(stream, jump) in ops {
                     let va = cursor[stream];
                     let stride = if jump == 0 {
@@ -2085,19 +2159,21 @@ mod tests {
                     };
                     cursor[stream] = va.wrapping_add(stride as u64);
                     let confirmed = p.on_access(va);
-                    let front = Front::new(3, confirmed, p.requests());
-                    let rebuilt: Vec<PrefetchReq> = front.requests().collect();
+                    let front = Front::new(3, confirmed, p.requests(), va, line_bits);
+                    let rebuilt: Vec<PrefetchReq> = front.requests(va, line_bits).collect();
                     assert_eq!(rebuilt, p.requests(), "access at {va:#x}");
-                    assert!(rebuilt.len() as u64 <= cfg.max_depth);
+                    assert!(rebuilt.len() as u64 <= pf.max_depth);
                     assert_eq!(front.confirmed != NO_SLOT, confirmed.is_some());
                     assert_eq!(front.tlb, 3);
                     // what a frame would carry decodes to the same record
                     let mut e = xt_snapshot::Enc::new();
-                    front.clone().transfer(&mut e, &cfg).unwrap();
+                    front.clone().transfer(&mut e, va, &cfg).unwrap();
                     let bytes = e.into_bytes();
-                    let mut decoded = Front::new(0, None, &[]);
+                    let first = rebuilt.first().map_or(0, |r| r.va);
+                    assert_eq!(bytes[..8], first.to_le_bytes(), "absolute first address");
+                    let mut decoded = Front::new(0, None, &[], 0, line_bits);
                     let d = &mut xt_snapshot::Dec::new(&bytes);
-                    decoded.transfer(d, &cfg).expect("own record decodes");
+                    decoded.transfer(d, va, &cfg).expect("own record decodes");
                     assert_eq!(decoded, front);
                 }
             },

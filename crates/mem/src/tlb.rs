@@ -38,7 +38,7 @@ impl PageSize {
     pub const PROBE_ORDER: [PageSize; 3] = [PageSize::P4K, PageSize::P2M, PageSize::P1G];
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Entry {
     vpn: u64,
     ppn: u64,
@@ -94,10 +94,19 @@ pub struct Mapping {
 }
 
 /// The two-level, multi-size TLB.
+///
+/// The entry arrays are allocated by the first [`Tlb::install`] or
+/// [`Tlb::install_prefetch`]; until then every lookup misses, as it
+/// would in arrays of invalid entries, so a TLB nobody installs into —
+/// a peer's in a cluster replica, every one in the master — costs only
+/// its geometry. Snapshots write the arrays either way.
 #[derive(Clone, Debug)]
 pub struct Tlb {
+    /// Empty until the first install, then `micro_entries` entries.
     micro: Vec<Entry>,
+    /// Empty until the first install, then `joint_sets` × 4 entries.
     joint: Vec<Entry>,
+    micro_entries: usize,
     joint_sets: usize,
     stamp: u64,
     /// Current ASID (set by `satp` writes).
@@ -116,11 +125,33 @@ impl Tlb {
     pub fn new(micro_entries: usize, joint_sets: usize) -> Self {
         assert!(joint_sets.is_power_of_two());
         Tlb {
-            micro: vec![INVALID; micro_entries],
-            joint: vec![INVALID; joint_sets * JOINT_WAYS],
+            micro: Vec::new(),
+            joint: Vec::new(),
+            micro_entries,
             joint_sets,
             stamp: 0,
             asid: 0,
+        }
+    }
+
+    /// Whether the entry arrays exist (something was installed).
+    pub fn is_materialized(&self) -> bool {
+        !self.joint.is_empty()
+    }
+
+    /// Allocates the entry arrays, all invalid, if they do not exist.
+    fn materialize(&mut self) {
+        if !self.is_materialized() {
+            self.micro = vec![INVALID; self.micro_entries];
+            self.joint = vec![INVALID; self.joint_sets * JOINT_WAYS];
+        }
+    }
+
+    /// Entry `i` of the µTLB followed by the jTLB, if materialized.
+    fn entry_mut(&mut self, i: usize) -> Option<&mut Entry> {
+        match i.checked_sub(self.micro_entries) {
+            None => self.micro.get_mut(i),
+            Some(j) => self.joint.get_mut(j),
         }
     }
 
@@ -136,12 +167,17 @@ impl Tlb {
     /// Looks up `va` under the current ASID, updating recency.
     pub fn lookup(&mut self, va: u64) -> TlbResult {
         self.stamp += 1;
+        if !self.is_materialized() {
+            return TlbResult::Miss;
+        }
         let asid = self.asid;
         // micro: fully associative
         for e in &mut self.micro {
             if Self::matches(e, va, asid) {
                 e.lru = self.stamp;
-                return TlbResult::MicroHit { pa: Self::pa_of(e, va) };
+                return TlbResult::MicroHit {
+                    pa: Self::pa_of(e, va),
+                };
             }
         }
         // joint: probe per size, 4K -> 2M -> 1G (Fig. 12)
@@ -198,6 +234,7 @@ impl Tlb {
 
     /// Installs a mapping (from the walker); fills jTLB and µTLB.
     pub fn install(&mut self, m: Mapping) {
+        self.materialize();
         self.stamp += 1;
         let e = Entry {
             vpn: m.size.vpn(m.va),
@@ -214,6 +251,7 @@ impl Tlb {
 
     /// Installs a mapping from the TLB-prefetch engine (jTLB only).
     pub fn install_prefetch(&mut self, m: Mapping) {
+        self.materialize();
         self.stamp += 1;
         let e = Entry {
             vpn: m.size.vpn(m.va),
@@ -229,6 +267,9 @@ impl Tlb {
 
     /// Whether `va` would hit (µ or joint) without disturbing state.
     pub fn peek(&self, va: u64) -> bool {
+        if !self.is_materialized() {
+            return false;
+        }
         let asid = self.asid;
         if self.micro.iter().any(|e| Self::matches(e, va, asid)) {
             return true;
@@ -270,10 +311,14 @@ impl Tlb {
 }
 
 impl xt_snapshot::SnapshotState for Tlb {
+    /// Every entry, µTLB first — invalid ones for arrays never
+    /// materialized. Decoding materializes them at the first entry that
+    /// is not the reset one.
     fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
-        s.expect("tlb geometry", self.micro.len())?;
+        s.expect("tlb geometry", self.micro_entries)?;
         s.expect("tlb geometry", self.joint_sets)?;
-        for e in self.micro.iter_mut().chain(&mut self.joint) {
+        for i in 0..self.micro_entries + self.joint_sets * JOINT_WAYS {
+            let mut e = self.entry_mut(i).map_or(INVALID, |e| *e);
             s.u64(&mut e.vpn)?;
             s.u64(&mut e.ppn)?;
             s.u16(&mut e.asid)?;
@@ -282,6 +327,14 @@ impl xt_snapshot::SnapshotState for Tlb {
             s.bool(&mut e.global)?;
             s.u64(&mut e.lru)?;
             s.bool(&mut e.valid)?;
+            if S::DECODING {
+                if e != INVALID {
+                    self.materialize();
+                }
+                if let Some(entry) = self.entry_mut(i) {
+                    *entry = e;
+                }
+            }
         }
         s.u64(&mut self.stamp)?;
         s.u16(&mut self.asid)
@@ -400,5 +453,103 @@ mod tests {
             TlbResult::MicroHit { pa } => assert_eq!(pa, 0x4050_1234),
             other => panic!("{other:?}"),
         }
+    }
+
+    fn frame(t: &mut Tlb) -> Vec<u8> {
+        use xt_snapshot::SnapshotState;
+        let mut e = xt_snapshot::Enc::new();
+        t.save(&mut e);
+        e.into_bytes()
+    }
+
+    /// A TLB that materializes on first install against one that does
+    /// so up front, over random `lookup`/`install`/`install_prefetch`/
+    /// `peek`/`flush_*` sequences (and ASID switches) on a small
+    /// geometry: every result and the `save()` bytes after every call
+    /// agree, and a frame of never-installed arrays restores without
+    /// materializing them.
+    #[test]
+    fn lazy_arrays_agree_with_eager_ones() {
+        use xt_harness::gen::{ints, vec_of};
+        use xt_harness::prop::{check_with, Config};
+        use xt_snapshot::SnapshotState;
+        let gen = vec_of(
+            (
+                ints(0u32..10),
+                ints(0u64..48),
+                ints(0usize..3),
+                ints(0u16..3),
+                ints(0u8..2),
+            ),
+            1..200,
+        );
+        check_with(
+            &Config::seeded_cases(0x0910_0029_0002, 64),
+            "lazy_arrays_agree_with_eager_ones",
+            &gen,
+            |ops| {
+                let mut lazy = Tlb::new(4, 4);
+                let mut eager = Tlb::new(4, 4);
+                eager.materialize();
+                let untouched = frame(&mut lazy);
+                assert_eq!(
+                    untouched,
+                    frame(&mut eager),
+                    "absent arrays save as reset ones"
+                );
+                for &(kind, pick, size, asid, global) in ops {
+                    let size = PageSize::PROBE_ORDER[size];
+                    // a few pages of each size, near zero and near the top
+                    let base = if pick % 2 == 0 { 0 } else { u64::MAX << 40 };
+                    let va = base | ((pick / 2) << size.bits()) | (pick * 8);
+                    let m = Mapping {
+                        va,
+                        pa: va ^ 0x4000_0000,
+                        size,
+                        asid,
+                        global: global == 1,
+                    };
+                    match kind {
+                        0..=2 => assert_eq!(lazy.lookup(va), eager.lookup(va)),
+                        3 => assert_eq!(lazy.peek(va), eager.peek(va)),
+                        4 => {
+                            lazy.install(m);
+                            eager.install(m);
+                        }
+                        5 => {
+                            lazy.install_prefetch(m);
+                            eager.install_prefetch(m);
+                        }
+                        6 => {
+                            lazy.flush_asid(asid);
+                            eager.flush_asid(asid);
+                        }
+                        7 => {
+                            lazy.flush_va(va, asid);
+                            eager.flush_va(va, asid);
+                        }
+                        8 => {
+                            lazy.flush_all();
+                            eager.flush_all();
+                        }
+                        _ => {
+                            lazy.asid = asid;
+                            eager.asid = asid;
+                        }
+                    }
+                    assert_eq!(frame(&mut lazy), frame(&mut eager), "{kind} at {va:#x}");
+                }
+                let mut restored = Tlb::new(4, 4);
+                restored
+                    .restore(&mut xt_snapshot::Dec::new(&untouched))
+                    .expect("a reset frame restores");
+                assert!(!restored.is_materialized(), "reset arrays stay absent");
+                let bytes = frame(&mut eager);
+                restored
+                    .restore(&mut xt_snapshot::Dec::new(&bytes))
+                    .expect("the eager TLB's frame restores");
+                assert_eq!(frame(&mut restored), bytes);
+            },
+        );
     }
 }

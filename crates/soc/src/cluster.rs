@@ -127,19 +127,16 @@ impl ClusterReport {
 }
 
 /// One core's private simulation state. Everything a slice touches
-/// lives here, which is what makes the slice phase thread-safe without
-/// locks: disjoint `&mut CoreSlot`s go to disjoint worker threads.
+/// lives here or in the core's replica of the hierarchy, which is what
+/// makes the slice phase thread-safe without locks: disjoint slots and
+/// replicas go to disjoint worker threads.
 struct CoreSlot {
     /// This core's index (fixes the resync replay order below).
     id: usize,
     core: OooCore,
     trace: TraceSource,
-    /// Private replica of the full memory hierarchy. The core steps
-    /// against it between barriers; the previous barrier's traffic from
-    /// the other cores is cross-applied at the start of the next slice
-    /// (delayed coherence), on this slot's own worker thread.
-    mem: MemSystem,
-    /// All cores' logs from the last barrier, waiting to be resynced.
+    /// All cores' logs from the last barrier, waiting to be resynced
+    /// into this core's replica.
     pending: Option<Arc<Vec<Vec<MemOp>>>>,
     /// Parked in front of a gated (globally visible) instruction.
     parked: bool,
@@ -149,9 +146,29 @@ struct CoreSlot {
 }
 
 impl CoreSlot {
-    /// Runs this core until the epoch boundary, a barrier request, or
-    /// end of trace — no shared state touched.
-    fn run_slice(&mut self, epoch_end: u64, max_insts: u64) {
+    /// Advances the trace by one event: an instruction steps the timing
+    /// core against `mem` and counts toward `max_insts`, a gated one
+    /// parks the core, the end of the trace (or the limit) finishes it.
+    /// The one place a cluster core moves.
+    fn advance(&mut self, mem: &mut MemSystem, max_insts: u64) -> TraceStatus {
+        let status = self.trace.advance();
+        match status {
+            TraceStatus::Inst => {
+                self.core.step(self.trace.current(), mem);
+                self.steps += 1;
+                if self.steps >= max_insts {
+                    self.done = true;
+                }
+            }
+            TraceStatus::Barrier => self.parked = true,
+            TraceStatus::Done => self.done = true,
+        }
+        status
+    }
+
+    /// Runs this core against `mem` until the epoch boundary, a barrier
+    /// request, or end of trace — no shared state touched.
+    fn run_slice(&mut self, mem: &mut MemSystem, epoch_end: u64, max_insts: u64) {
         // resync first: replay the other cores' last-epoch traffic into
         // the private replica, in core-index order (deterministic, and
         // off the serial barrier's critical path)
@@ -159,43 +176,37 @@ impl CoreSlot {
             for (j, log) in logs.iter().enumerate() {
                 if j != self.id {
                     for op in log {
-                        self.mem.apply_op(j, op);
+                        mem.apply_op(j, op);
                     }
                 }
             }
         }
         while !self.done && !self.parked && self.core.cycles() < epoch_end {
-            match self.trace.advance() {
-                TraceStatus::Inst => {
-                    self.core.step(self.trace.current(), &mut self.mem);
-                    self.steps += 1;
-                    if self.steps >= max_insts {
-                        self.done = true;
-                    }
-                }
-                TraceStatus::Barrier => self.parked = true,
-                TraceStatus::Done => self.done = true,
-            }
+            self.advance(mem, max_insts);
         }
     }
 
-    fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+    /// The slot with its replica `mem`, which the frame carries between
+    /// the timing core and the pending logs.
+    fn transfer<S: Stream>(&mut self, s: &mut S, mem: &mut MemSystem) -> xt_snapshot::Result<()> {
         self.trace.transfer(s)?;
         let bus = bus_of_mut(self.trace.emulator_mut());
         s.present(bus, "interrupt platform", |s, bus| bus.transfer(s))?;
         self.core.transfer(s)?;
-        self.mem.transfer(s)?;
+        mem.transfer(s)?;
         // all cores' logs, shared with the other slots: the encoder reads
         // them through the `Arc`, the decoder builds a fresh one
-        let pf = self.mem.config().prefetch;
+        let cfg = *mem.config();
         let mut pending = self.pending.is_some();
         s.bool(&mut pending)?;
         if S::DECODING {
             let mut logs: Vec<Vec<MemOp>> = Vec::new();
             if pending {
                 s.vec(&mut logs, 8, |s, log| {
-                    s.vec(log, 8, |s, op| op.transfer(s, &pf))
+                    s.vec(log, 8, |s, op| op.transfer(s, &cfg))
                 })?;
+                // one log per core, as every barrier drains them
+                s.check(logs.len() == cfg.cores, "pending log count")?;
             }
             self.pending = pending.then(|| Arc::new(logs));
         } else if let Some(logs) = &self.pending {
@@ -203,7 +214,7 @@ impl CoreSlot {
             for log in logs.iter() {
                 s.len(&mut log.len(), 8)?;
                 for mut op in log.iter().copied() {
-                    op.transfer(s, &pf)?;
+                    op.transfer(s, &cfg)?;
                 }
             }
         }
@@ -218,6 +229,11 @@ impl CoreSlot {
 /// [module docs](self)).
 pub struct ClusterSim {
     slots: Vec<CoreSlot>,
+    /// Core `i`'s private replica of the full memory hierarchy. The core
+    /// steps against it between barriers; the previous barrier's traffic
+    /// from the other cores is cross-applied at the start of the next
+    /// slice (delayed coherence), on the slot's own worker thread.
+    replicas: Vec<MemSystem>,
     /// The canonical memory system: replays every core's traffic in
     /// barrier order and supplies the reported [`MemStats`].
     master: MemSystem,
@@ -250,6 +266,7 @@ impl ClusterSim {
             "mem_cfg.cores must match program count"
         );
         let n = programs.len();
+        let mut replicas = Vec::with_capacity(n);
         let slots = programs
             .iter()
             .enumerate()
@@ -267,11 +284,11 @@ impl ClusterSim {
                     });
                     mem.start_recording();
                 }
+                replicas.push(mem);
                 CoreSlot {
                     id: i,
                     core: OooCore::new(core_cfg.clone(), i),
                     trace: TraceSource::new(emu, max_insts),
-                    mem,
                     pending: None,
                     parked: false,
                     done: false,
@@ -281,6 +298,7 @@ impl ClusterSim {
             .collect();
         ClusterSim {
             slots,
+            replicas,
             master: MemSystem::new(mem_cfg),
             max_insts,
             epoch_cycles: DEFAULT_EPOCH_CYCLES,
@@ -378,9 +396,6 @@ impl ClusterSim {
     /// count). Cores are partitioned into contiguous chunks, one scoped
     /// thread per chunk per epoch; the barrier is always serial.
     pub fn run_threads(mut self, threads: usize) -> ClusterReport {
-        if self.slots.len() == 1 {
-            return self.run_single();
-        }
         while !self.step_epochs(1, threads) {}
         self.into_report()
     }
@@ -388,12 +403,8 @@ impl ClusterSim {
     /// Runs the identical epoch/barrier pipeline inline on the calling
     /// thread — the obviously-sequential oracle the determinism tests
     /// compare the threaded runs against.
-    pub fn run_sequential(mut self) -> ClusterReport {
-        if self.slots.len() == 1 {
-            return self.run_single();
-        }
-        while !self.step_epochs(1, 1) {}
-        self.into_report()
+    pub fn run_sequential(self) -> ClusterReport {
+        self.run_threads(1)
     }
 
     /// Whether every core has finished and the final drain has run —
@@ -428,7 +439,7 @@ impl ClusterSim {
 
     /// One epoch: parallel (or inline) slice phase, then the serial
     /// barrier. A single-core cluster steps straight against the master
-    /// hierarchy — no replicas, no barrier — in epoch-sized chunks.
+    /// hierarchy — its replica idles, and there is no barrier.
     fn step_one_epoch(&mut self, threads: usize) {
         let n = self.slots.len();
         let epoch_end = (self.engine.epochs + 1).saturating_mul(self.epoch_cycles);
@@ -436,52 +447,38 @@ impl ClusterSim {
             .timeline
             .as_ref()
             .map(|_| self.slots.iter().map(|s| (s.core.cycles(), s.steps)).collect());
-        if n == 1 {
-            let t0 = Instant::now();
-            let slot = &mut self.slots[0];
-            while !slot.done && slot.core.cycles() < epoch_end {
-                match slot.trace.advance() {
-                    TraceStatus::Inst => {
-                        slot.core.step(slot.trace.current(), &mut self.master);
-                        slot.steps += 1;
-                        if slot.steps >= self.max_insts {
-                            slot.done = true;
-                        }
-                    }
-                    TraceStatus::Done => slot.done = true,
-                    TraceStatus::Barrier => unreachable!("no cluster gating on a single core"),
-                }
-            }
-            let par_ns = t0.elapsed().as_nanos() as u64;
-            self.engine.parallel_ns += par_ns;
-            self.engine.epochs += 1;
-            self.finished = self.slots[0].done;
-            self.record_epoch(progress_before, par_ns, 0);
-            return;
-        }
         let threads = threads.clamp(1, n);
         let max_insts = self.max_insts;
         let t0 = Instant::now();
-        if threads == 1 {
-            for slot in &mut self.slots {
-                slot.run_slice(epoch_end, max_insts);
+        if n == 1 {
+            self.slots[0].run_slice(&mut self.master, epoch_end, max_insts);
+        } else if threads == 1 {
+            for (slot, mem) in self.slots.iter_mut().zip(&mut self.replicas) {
+                slot.run_slice(mem, epoch_end, max_insts);
             }
         } else {
             let chunk = n.div_ceil(threads);
+            let chunks = self
+                .slots
+                .chunks_mut(chunk)
+                .zip(self.replicas.chunks_mut(chunk));
             thread::scope(|scope| {
-                for chunk_slots in self.slots.chunks_mut(chunk) {
+                for (slots, mems) in chunks {
                     scope.spawn(move || {
-                        for slot in chunk_slots {
-                            slot.run_slice(epoch_end, max_insts);
+                        for (slot, mem) in slots.iter_mut().zip(mems) {
+                            slot.run_slice(mem, epoch_end, max_insts);
                         }
                     });
                 }
             });
         }
-        let t1 = Instant::now();
-        self.barrier();
-        let par_ns = (t1 - t0).as_nanos() as u64;
-        let ser_ns = t1.elapsed().as_nanos() as u64;
+        let par_ns = t0.elapsed().as_nanos() as u64;
+        let mut ser_ns = 0;
+        if n > 1 {
+            let t1 = Instant::now();
+            self.barrier();
+            ser_ns = t1.elapsed().as_nanos() as u64;
+        }
         self.engine.parallel_ns += par_ns;
         self.engine.serial_ns += ser_ns;
         self.engine.epochs += 1;
@@ -525,41 +522,10 @@ impl ClusterSim {
         self.finish()
     }
 
-    /// Single-core fast path: no replicas, no epochs — the core steps
-    /// straight against the master hierarchy.
-    fn run_single(mut self) -> ClusterReport {
-        let t0 = Instant::now();
-        let slot = &mut self.slots[0];
-        loop {
-            match slot.trace.advance() {
-                TraceStatus::Inst => {
-                    slot.core.step(slot.trace.current(), &mut self.master);
-                    slot.steps += 1;
-                    if slot.steps >= self.max_insts {
-                        break;
-                    }
-                }
-                TraceStatus::Done => break,
-                TraceStatus::Barrier => unreachable!("no cluster gating on a single core"),
-            }
-        }
-        let par_ns = t0.elapsed().as_nanos() as u64;
-        self.engine.parallel_ns += par_ns;
-        // the single-core fast path has no epochs: the timeline gets one
-        // whole-run row so its totals still match the report
-        if self.timeline.is_some() {
-            let cycles = self.slots[0].core.cycles();
-            let steps = self.slots[0].steps;
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.record(EpochSample {
-                    cycles: vec![cycles],
-                    steps: vec![steps],
-                    parallel_ns: par_ns,
-                    serial_ns: 0,
-                });
-            }
-        }
-        self.finish()
+    /// Core `core`'s private replica of the hierarchy. It keeps no miss
+    /// classifier or scorecard: read statistics from the report.
+    pub fn replica(&self, core: usize) -> &MemSystem {
+        &self.replicas[core]
     }
 
     /// Serializes the whole cluster — every core's emulator (plus its
@@ -605,8 +571,8 @@ impl ClusterSim {
             self.engine = EngineStats::default();
         }
         s.u64(&mut self.engine.epochs)?;
-        for slot in &mut self.slots {
-            slot.transfer(s)?;
+        for (slot, mem) in self.slots.iter_mut().zip(&mut self.replicas) {
+            slot.transfer(s, mem)?;
         }
         self.master.transfer(s)?;
         s.present(self.timeline.as_mut(), "epoch timeline", |s, tl| {
@@ -633,21 +599,16 @@ impl ClusterSim {
         }
         // phase 3: release parked cores' gated instructions, one each
         for i in 0..n {
-            if !self.slots[i].parked {
+            let slot = &mut self.slots[i];
+            if !slot.parked {
                 continue;
             }
-            self.slots[i].parked = false;
-            if let Some(ctl) = self.slots[i].trace.emulator_mut().cluster.as_mut() {
+            slot.parked = false;
+            if let Some(ctl) = slot.trace.emulator_mut().cluster.as_mut() {
                 ctl.release_one = true;
             }
-            match self.slots[i].trace.advance() {
+            match slot.advance(&mut self.replicas[i], self.max_insts) {
                 TraceStatus::Inst => {
-                    let slot = &mut self.slots[i];
-                    slot.core.step(slot.trace.current(), &mut slot.mem);
-                    slot.steps += 1;
-                    if slot.steps >= self.max_insts {
-                        slot.done = true;
-                    }
                     // the released op is globally visible *now*: its
                     // store reaches every core (killing reservations)
                     // before the next core's gated op executes, which is
@@ -655,7 +616,7 @@ impl ClusterSim {
                     let log = self.take_store_log(i);
                     self.propagate_stores(i, &log);
                 }
-                TraceStatus::Done => self.slots[i].done = true,
+                TraceStatus::Done => {}
                 TraceStatus::Barrier => unreachable!("released instruction parked again"),
             }
         }
@@ -687,7 +648,7 @@ impl ClusterSim {
     /// core-index order (the canonical, deterministic arbitration) and
     /// returns the logs for the replicas' parallel resync.
     fn drain_to_master(&mut self) -> Vec<Vec<MemOp>> {
-        let logs: Vec<Vec<MemOp>> = self.slots.iter_mut().map(|s| s.mem.take_log()).collect();
+        let logs: Vec<Vec<MemOp>> = self.replicas.iter_mut().map(MemSystem::take_log).collect();
         for (i, log) in logs.iter().enumerate() {
             for op in log {
                 self.master.apply_op(i, op);
@@ -1028,7 +989,9 @@ mod tests {
         };
         let mut sim = ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000);
         while !sim.step_epochs(64, 1) {}
-        let replicas: Vec<xt_mem::MemStats> = sim.slots.iter().map(|s| s.mem.stats()).collect();
+        let replicas: Vec<xt_mem::MemStats> = sim.replicas.iter().map(MemSystem::stats).collect();
+        // the master replays every core and runs none: no TLB arrays
+        assert!((0..2).all(|c| !sim.master.tlb(c).is_materialized()));
         let r = sim.into_report();
         for (c, own) in replicas.iter().enumerate() {
             assert!(r.mem.l1d[c].1 > 0, "core {c} missed in its L1D");

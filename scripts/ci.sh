@@ -46,6 +46,13 @@ for threads in 1 4; do
         --test determinism --test litmus --test mem_events
 done
 
+echo "== host heap footprint (release) =="
+# What a 4-core replica, ClusterSim::new and a private-slice cluster run
+# hold on the heap, against budgets of the measurement + 10 %
+# (docs/CLUSTER.md, "Footprint"); a peer's TLB that a run materializes
+# fails it too. The breakdown is printed.
+cargo test -q --release --offline --test footprint -- --nocapture
+
 echo "== test matrix: decoded-block fast path on/off =="
 # The block-cache execution engine (docs/FASTPATH.md) must be
 # architecturally invisible; run the SMC/differential/trace-sensitive

@@ -563,3 +563,144 @@ fn forged_mem_op_front_is_rejected() {
         }
     }
 }
+
+/// Frames whose recorded burst has no relative form: a `Front` holds its
+/// first request as whole lines within an `i16` of the access and its
+/// step as whole lines within an `i8`, so an address or step off the
+/// line grid, a burst 40,000 lines from its access, a step of 200 lines
+/// or an empty burst at a non-zero address is `Corrupt` — never a
+/// truncated burst replayed at the next barrier. A burst that does fit
+/// restores and saves back to the same bytes.
+#[test]
+fn forged_front_burst_is_rejected() {
+    let mut sim = stream_cluster();
+    sim.step_epochs(3, 1);
+    let good = xt_snapshot::open(&sim.save(), xt_snapshot::KIND_CLUSTER)
+        .unwrap()
+        .to_vec();
+    let restore_payload = |payload: &[u8]| {
+        let mut sim = stream_cluster();
+        sim.restore(&xt_snapshot::seal(xt_snapshot::KIND_CLUSTER, payload))
+            .map(|()| sim)
+    };
+    let front = burst_fronts(&good)[0];
+    let (va, first) = (field(&good, front - 16), field(&good, front));
+    let forge = |pf_va: u64, pf_step: u64, count: Option<u16>| {
+        let mut p = good.clone();
+        set_field(&mut p, front, pf_va);
+        set_field(&mut p, front + 8, pf_step);
+        if let Some(n) = count {
+            p[front + 16..front + 18].copy_from_slice(&n.to_le_bytes());
+        }
+        p
+    };
+    let line = |n: i64| (n * 64) as u64;
+    let base = va & !63;
+    for (name, payload) in [
+        (
+            "first request off the line grid",
+            forge(first + 8, line(1), None),
+        ),
+        ("step off the line grid", forge(first, line(1) + 8, None)),
+        (
+            "first request 40,000 lines ahead",
+            forge(base + line(40_000), line(1), None),
+        ),
+        (
+            "first request 40,000 lines behind",
+            forge(base.wrapping_sub(line(40_000)), line(1), None),
+        ),
+        ("a step of 200 lines", forge(first, line(200), None)),
+        ("an empty burst at an address", forge(first, 0, Some(0))),
+    ] {
+        match restore_payload(&payload) {
+            Err(SnapshotError::Corrupt {
+                what: "mem op front",
+            }) => {}
+            other => panic!(
+                "{name}: expected Corrupt(mem op front), got {:?}",
+                other.map(|_| ())
+            ),
+        }
+    }
+    for payload in [
+        forge(
+            base.wrapping_sub(line(i16::MAX as i64 + 1)),
+            line(-128),
+            None,
+        ),
+        forge(base + line(i16::MAX as i64), line(127), None),
+        forge(0, 0, Some(0)),
+    ] {
+        let mut sim = restore_payload(&payload).expect("a burst that fits restores");
+        let resaved = sim.save();
+        assert_eq!(
+            xt_snapshot::open(&resaved, xt_snapshot::KIND_CLUSTER).unwrap(),
+            payload,
+            "and saves back byte for byte"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// the packed cache ways
+// ---------------------------------------------------------------------
+
+/// A frame whose cache way names a line past the top of the address
+/// space — a tag with one of its top `line_bits` bits set — has no
+/// packed form (a way keeps the line's byte address): `Corrupt`, never a
+/// truncated tag, and for the stale tag of an invalid way as for a live
+/// one. The L2 is written `sets, ways, line_bits: u32`, then per way
+/// `tag, state: u8, lru, prefetched: u8`; a tag that fits restores and
+/// saves back to the same bytes.
+#[test]
+fn forged_cache_tag_is_rejected() {
+    let cfg = xt_mem::MemConfig::default();
+    let ways = cfg.l2_ways as u64;
+    let sets = cfg.l2_kib as u64 * 1024 / cfg.line_bytes as u64 / ways;
+    let line_bits = cfg.line_bytes.trailing_zeros();
+    let mut header = sets.to_le_bytes().to_vec();
+    header.extend(ways.to_le_bytes());
+    header.extend(line_bits.to_le_bytes());
+    let good = xt_snapshot::open(&frame(), xt_snapshot::KIND_CORE)
+        .unwrap()
+        .to_vec();
+    let l2 = good
+        .windows(header.len())
+        .position(|w| w == header)
+        .expect("the L2's geometry in the payload")
+        + header.len();
+    let restore_payload = |payload: &[u8]| {
+        let mut s = OooSession::new(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+        s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
+            .map(|()| s)
+    };
+    // the first way of the first set holds a line, the last way of the
+    // last set does not
+    let last = l2 + (sets * ways - 1) as usize * 18;
+    assert!(
+        good[l2 + 8] < 4 && good[last + 8] == 4,
+        "a valid and an invalid way"
+    );
+    let top = u64::MAX >> line_bits;
+    for way in [l2, last] {
+        for tag in [top + 1, u64::MAX] {
+            let mut p = good.clone();
+            set_field(&mut p, way, tag);
+            match restore_payload(&p) {
+                Err(SnapshotError::Corrupt { what: "cache tag" }) => {}
+                other => panic!(
+                    "tag {tag:#x}: expected Corrupt(cache tag), got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+        let mut p = good.clone();
+        set_field(&mut p, way, top);
+        let mut s = restore_payload(&p).expect("the topmost line restores");
+        assert_eq!(
+            xt_snapshot::open(&s.save(), xt_snapshot::KIND_CORE).unwrap(),
+            p
+        );
+    }
+}
