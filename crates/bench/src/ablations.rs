@@ -10,7 +10,10 @@ use xt_core::{CoreConfig, OooSession};
 use xt_isa::reg::Gpr;
 
 fn cycles(prog: &Program, cfg: &CoreConfig) -> u64 {
-    OooSession::new(prog, cfg, 100_000_000).run_to_end().perf.cycles
+    OooSession::new(prog, cfg, 100_000_000)
+        .run_to_end()
+        .perf
+        .cycles
 }
 
 fn onoff_row(name: &str, prog: &Program, flip: impl Fn(&mut CoreConfig)) -> Row {
@@ -19,11 +22,7 @@ fn onoff_row(name: &str, prog: &Program, flip: impl Fn(&mut CoreConfig)) -> Row 
     flip(&mut off);
     let c_on = cycles(prog, &on);
     let c_off = cycles(prog, &off);
-    Row {
-        label: name.into(),
-        value: c_off as f64 / c_on as f64,
-        paper: None,
-    }
+    Row::new(name, c_off as f64 / c_on as f64, None)
 }
 
 /// A kernel whose second branch is correlated with the first — exactly
@@ -157,9 +156,11 @@ fn jump_chain() -> Program {
 /// the feature (>1.0 means the feature helps).
 pub fn all() -> Figure {
     let rows = vec![
-        onoff_row("two-level pred buffers (Fig.6)", &correlated_branches(), |c| {
-            c.two_level_buf = false
-        }),
+        onoff_row(
+            "two-level pred buffers (Fig.6)",
+            &correlated_branches(),
+            |c| c.two_level_buf = false,
+        ),
         onoff_row("loop buffer (Fig.7)", &tiny_loop(), |c| {
             c.loop_buffer = false
         }),
@@ -172,30 +173,25 @@ pub fn all() -> Figure {
             on.mem_dep_predict = false;
             let mut off = on.clone();
             off.split_stores = false;
-            Row {
-                label: "pseudo double store (Fig.10)".into(),
-                value: cycles(&prog, &off) as f64 / cycles(&prog, &on) as f64,
-                paper: None,
-            }
+            let slowdown = cycles(&prog, &off) as f64 / cycles(&prog, &on) as f64;
+            Row::new("pseudo double store (Fig.10)", slowdown, None)
         },
-        onoff_row("mem-dependence predictor (SV-A)", &store_load_conflict(), |c| {
-            c.mem_dep_predict = false
-        }),
+        onoff_row(
+            "mem-dependence predictor (SV-A)",
+            &store_load_conflict(),
+            |c| c.mem_dep_predict = false,
+        ),
     ];
-    Figure {
-        title: "Feature ablations".into(),
-        unit: "slowdown when disabled (x)".into(),
-        rows,
-    }
+    Figure::new("Feature ablations", "slowdown when disabled (x)", rows)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::artifact::tests::committed;
 
     #[test]
     fn features_never_hurt() {
-        for row in all().rows {
+        for row in committed("ablations").rows {
             assert!(
                 row.value >= 0.97,
                 "{} should not slow the machine down: {:.3}",
@@ -207,7 +203,7 @@ mod tests {
 
     #[test]
     fn loop_buffer_and_split_store_help() {
-        let f = all();
+        let f = committed("ablations");
         let get = |n: &str| {
             f.rows
                 .iter()

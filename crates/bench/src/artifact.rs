@@ -1,7 +1,7 @@
-//! The `xt-figures` machine-readable artifact (schema `xt-figures/v1`)
-//! and its regression gate.
+//! The `xt-figures` machine-readable artifact (schema `xt-figures/v2`)
+//! and its regression gate: the one place the paper's numbers come from.
 //!
-//! `BENCH_figures.json` packages the vector-pipeline evaluation in one
+//! `BENCH_figures.json` packages every reproduced number in one
 //! deterministic document:
 //!
 //! * `grid` — the `rv64gc|rv64gcv × base|tuned` ablation: every
@@ -14,8 +14,11 @@
 //!   instructions an ISA needs per element).
 //! * `speedup` — per kernel, the `rv64gcv/tuned` over `rv64gc/base`
 //!   element-IPC ratio (the headline vector-uplift series).
-//! * `figures` — Figs. 18, 19 and 20 of the paper, serialized row by
-//!   row with the paper's quoted value where the paper quotes one.
+//! * `figures` — every [`Figure`] the crate builds ([`FIGURES`]), row by
+//!   row with the paper's quoted value where the paper quotes one, and
+//!   the figure's `err` against the paper ([`Figure::err`]; `null` when
+//!   no row quotes the paper). [`ARTIFACT`]'s `validate` recomputes each
+//!   `err` from the written rows, so a forged error is refused.
 //!
 //! Everything is simulated-cycle arithmetic — no host time, no
 //! randomness outside the fixed-seed workload generators — so the
@@ -23,13 +26,15 @@
 //! against `baselines/BENCH_figures_smoke.json` at tolerance **0**
 //! (`xt-figures diff`, which is [`xt_perf::gate`] told about this
 //! document by [`ARTIFACT`]; see docs/VECTOR.md §"The figures
-//! artifact").
+//! artifact"). EXPERIMENTS.md's paper-vs-measured tables quote the
+//! committed baseline, and a test holds them to it.
 
-use crate::figures::{fig18, fig19, fig20, Figure};
-use crate::run_on_xt910;
+use crate::figures::*;
+use crate::{ablations, multicore, run_on_xt910};
 use xt_compiler::CompileOpts;
 use xt_core::StallCause;
 use xt_perf::gate::{expect_schema, Artifact};
+use xt_perf::json::Value;
 use xt_trace::lanes::esc;
 use xt_workloads::vecbench;
 
@@ -112,9 +117,37 @@ pub fn speedups(grid: &[GridRun]) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
+/// The schema tag [`render_json`] writes and [`ARTIFACT`] expects.
+const SCHEMA: &str = "xt-figures/v2";
+
+/// A function that runs the simulations behind one figure.
+pub type Build = fn() -> Figure;
+
+/// Every figure the crate builds, by name, in document order: Figs.
+/// 18–20 first, where schema v1 had them, then the rest.
+pub const FIGURES: [(&str, Build); 13] = [
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20", fig20),
+    ("table2", table2),
+    ("fig17", fig17),
+    ("fig21", fig21),
+    ("specint", specint),
+    ("vector_mac", vector_mac),
+    ("blockchain", blockchain_fig),
+    ("asid", asid_flush),
+    ("ablations", ablations::all),
+    ("multicore", multicore::scaling),
+    ("snoop", multicore::snoop_filter),
+];
+
 fn figure_json(name: &str, f: &Figure, out: &mut String) {
+    let err = match f.err() {
+        Some(e) => format!("{e:.6}"),
+        None => "null".into(),
+    };
     out.push_str(&format!(
-        "    {{\"name\": \"{}\", \"title\": \"{}\", \"unit\": \"{}\", \"rows\": [\n",
+        "    {{\"name\": \"{}\", \"title\": \"{}\", \"unit\": \"{}\", \"err\": {err}, \"rows\": [\n",
         esc(name),
         esc(&f.title),
         esc(&f.unit)
@@ -139,12 +172,11 @@ fn figure_json(name: &str, f: &Figure, out: &mut String) {
     out.push_str("\n    ]}");
 }
 
-/// Renders the full `xt-figures/v1` document. Deterministic: fixed key
+/// Renders the full `xt-figures/v2` document. Deterministic: fixed key
 /// order, fixed float precision, no host-derived values.
-pub fn render_json(grid: &[GridRun], figs: &[(&str, Figure)], smoke: bool) -> String {
+pub fn render_json(grid: &[GridRun], figs: &[(&str, Figure)]) -> String {
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"xt-figures/v1\",\n");
-    s.push_str(&format!("  \"smoke\": {smoke},\n"));
+    s.push_str(&format!("{{\n  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str("  \"vlen\": 128,\n");
     s.push_str("  \"grid\": [\n");
     let cells: Vec<String> = grid
@@ -184,41 +216,117 @@ pub fn render_json(grid: &[GridRun], figs: &[(&str, Figure)], smoke: bool) -> St
     s
 }
 
-/// Runs everything and renders the document (what `xt-figures`
-/// writes), returning the grid it was rendered from as well.
-pub fn generate(smoke: bool) -> (Vec<GridRun>, String) {
-    let grid = run_grid();
-    let figs = [("fig18", fig18()), ("fig19", fig19()), ("fig20", fig20())];
-    let js = render_json(&grid, &figs, smoke);
-    (grid, js)
+/// Builds every figure of [`FIGURES`], each beside its name. The
+/// figures share no state, so each is built on a thread of its own.
+pub fn figures() -> Vec<(&'static str, Figure)> {
+    std::thread::scope(|s| {
+        let runs: Vec<_> = FIGURES
+            .iter()
+            .map(|&(name, build)| (name, s.spawn(build)))
+            .collect();
+        runs.into_iter()
+            .map(|(name, run)| (name, run.join().expect("a figure's run panicked")))
+            .collect()
+    })
+}
+
+/// Reads one `figures[]` object back as [`figure_json`] wrote it.
+fn parse_figure(v: &Value) -> Result<Figure, String> {
+    let text = |v: &Value, k: &str| {
+        v.get(k)
+            .and_then(Value::as_str)
+            .map(String::from)
+            .ok_or(format!("no \"{k}\""))
+    };
+    let rows = v.get("rows").and_then(Value::as_arr).ok_or("no \"rows\"")?;
+    let rows = rows.iter().map(|r| {
+        let value = r
+            .get("value")
+            .and_then(Value::as_num)
+            .ok_or("a row without a value")?;
+        Ok(Row::new(
+            text(r, "label")?,
+            value,
+            r.get("paper").and_then(Value::as_num),
+        ))
+    });
+    Ok(Figure {
+        title: text(v, "title")?,
+        unit: text(v, "unit")?,
+        rows: rows.collect::<Result<_, String>>()?,
+    })
+}
+
+/// The schema tag, and the law that each figure's `err` is the one its
+/// written rows give (to within the rows' six printed decimals).
+fn validate(doc: &Value) -> Result<(), String> {
+    expect_schema(doc, SCHEMA)?;
+    for v in doc
+        .get("figures")
+        .and_then(Value::as_arr)
+        .ok_or("no figures")?
+    {
+        let name = v.get("name").and_then(Value::as_str).unwrap_or("?");
+        let want = parse_figure(v)
+            .map_err(|e| format!("figure {name}: {e}"))?
+            .err();
+        match (want, v.get("err")) {
+            (None, Some(Value::Null)) => {}
+            (Some(w), Some(&Value::Num(got))) if (got - w).abs() <= 1e-5 => {}
+            (_, got) => {
+                return Err(format!(
+                    "figure {name}: err {got:?}, but its rows give {want:?}"
+                ))
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `BENCH_figures.json` as [`xt_perf::gate`] sees it: no host time
-/// anywhere, and no internal law to forge against.
+/// anywhere; a figure's `err` bumped on its own no longer matches its rows,
+/// which `validate` refuses.
 pub const ARTIFACT: Artifact = Artifact {
     tool: "xt-figures",
-    validate: |doc| expect_schema(doc, "xt-figures/v1"),
+    validate,
     host_keys: &[],
-    forgeries: &[],
+    forgeries: &["err"],
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use xt_perf::gate::{diff, selftest};
-    use xt_perf::json::{parse, Value};
+    use xt_perf::gate::{diff, map_key, selftest};
+    use xt_perf::json::parse;
+
+    /// The committed artifact, which the first test below proves equal
+    /// to a fresh generation.
+    const BASELINE: &str = include_str!("../../../baselines/BENCH_figures_smoke.json");
+
+    /// Figure `name` as committed, so a test of a figure's shape reads it
+    /// instead of simulating it again.
+    pub(crate) fn committed(name: &str) -> Figure {
+        let doc = parse(BASELINE).expect("baseline parses");
+        let figs = doc.get("figures").and_then(Value::as_arr).expect("figures");
+        let fig = figs
+            .iter()
+            .find(|f| f.get("name").and_then(Value::as_str) == Some(name));
+        parse_figure(fig.unwrap_or_else(|| panic!("no {name} in the baseline"))).unwrap()
+    }
 
     #[test]
     fn artifact_is_deterministic_gated_and_shows_vector_uplift() {
-        let (grid, js) = generate(true);
+        let (grid, figs) = (run_grid(), figures());
+        let js = render_json(&grid, &figs);
         assert_eq!(grid.len(), 16, "4 kernels x 4 cells");
 
         // headline acceptance: at least one Fig. 18-class kernel shows
         // >= 2x element IPC for rv64gcv/tuned over rv64gc/base
         let sp = speedups(&grid);
-        let best = sp.iter().cloned().fold(("", 0.0f64), |a, b| {
-            if b.1 > a.1 { b } else { a }
-        });
+        let best = sp
+            .iter()
+            .cloned()
+            .fold(("", 0.0f64), |a, b| if b.1 > a.1 { b } else { a });
         assert!(
             best.1 >= 2.0,
             "vector uplift below 2x: best {} at {:.2}x ({sp:?})",
@@ -227,28 +335,95 @@ mod tests {
         );
 
         // vector cells actually exercise the vector pipe
-        assert!(grid
-            .iter()
-            .any(|g| g.isa == "rv64gcv" && g.vec_busy > 0));
+        assert!(grid.iter().any(|g| g.isa == "rv64gcv" && g.vec_busy > 0));
 
-        // byte determinism of a second full generation
-        let (_, js2) = generate(true);
-        assert_eq!(js, js2, "artifact must be byte-identical across runs");
-
-        // parses, self-diffs clean at tolerance 0, and the gate's
-        // selftest flags injected regressions
+        // one generation equals the committed baseline at tolerance 0,
+        // which also makes it the same from run to run
         let d = parse(&js).expect("own JSON parses");
+        let base = parse(BASELINE).expect("baseline parses");
+        let out = diff(&ARTIFACT, &base, &d, 0.0).expect("comparable");
         assert_eq!(
-            d.get("schema").and_then(Value::as_str),
-            Some("xt-figures/v1")
+            out.issues,
+            Vec::<String>::new(),
+            "a fresh generation must equal the committed baseline"
         );
-        let out = diff(&ARTIFACT, &d, &d, 0.0).expect("comparable");
-        assert!(out.issues.is_empty());
-        assert!(out.compared > 0);
+        let names: Vec<&str> = figs.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names[..3],
+            ["fig18", "fig19", "fig20"],
+            "v1 array positions kept"
+        );
+        // Table II's model is its calibration: the paper's values to 1e-4
+        assert!(committed("table2").err().unwrap() < 1e-4);
+
+        // the gate's selftest flags injected regressions and a forged err,
+        // also where a figure quotes no paper value
         selftest(&ARTIFACT, &d, 0.0).expect("gate selftest at tolerance 0");
         selftest(&ARTIFACT, &d, 0.05).expect("gate selftest with a band");
-        let foreign = parse(&js.replace("xt-figures/v1", "xt-stat/v3")).unwrap();
+        let unquoted = js.replacen("\"err\": null", "\"err\": 0.000000", 1);
+        assert!(diff(&ARTIFACT, &d, &parse(&unquoted).unwrap(), 0.5).is_err());
+        let forged = map_key(&d, "err", &|e| e + 1e-4);
+        let err = diff(&ARTIFACT, &d, &forged, 0.5).expect_err("forged err");
+        assert!(err.starts_with("candidate: figure fig18: err"), "{err}");
+        let foreign = parse(&js.replace(SCHEMA, "xt-stat/v3")).unwrap();
         let err = diff(&ARTIFACT, &d, &foreign, 0.0).expect_err("another tool's document");
         assert!(err.starts_with("candidate: schema"), "{err}");
+    }
+
+    /// EXPERIMENTS.md's paper-vs-measured tables quote the committed
+    /// artifact. In the table right after a `<!-- xt-figures: NAME -->`
+    /// line, a row whose first cell is a row label of figure NAME must
+    /// print that row's value as the first number of its last cell,
+    /// rounded to as many decimals as it prints; and every row that
+    /// quotes the paper is in such a table.
+    #[test]
+    fn experiments_md_quotes_the_artifact() {
+        let md = include_str!("../../../EXPERIMENTS.md");
+        let lines: Vec<&str> = md.lines().collect();
+        let mut quoted = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            let Some(name) = line
+                .strip_prefix("<!-- xt-figures: ")
+                .and_then(|l| l.strip_suffix(" -->"))
+            else {
+                continue;
+            };
+            let fig = committed(name);
+            let before = quoted.len();
+            for row in lines[i + 1..].iter().take_while(|l| l.starts_with('|')) {
+                let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+                let Some(r) = fig.rows.iter().find(|r| r.label == cells[0]) else {
+                    continue;
+                };
+                let last = cells[cells.len() - 1];
+                let num: String = last
+                    .chars()
+                    .skip_while(|c| !c.is_ascii_digit())
+                    .take_while(|c| c.is_ascii_digit() || *c == '.')
+                    .collect();
+                let num = num.trim_end_matches('.');
+                let decimals = num.split_once('.').map_or(0, |(_, d)| d.len());
+                let want = format!("{:.*}", decimals, r.value);
+                assert_eq!(
+                    num, want,
+                    "EXPERIMENTS.md, {name} row {:?}: {last:?}",
+                    r.label
+                );
+                quoted.push((name, r.label.clone()));
+            }
+            assert!(
+                quoted.len() > before,
+                "the {name} table quotes none of its rows"
+            );
+        }
+        for (name, _) in FIGURES {
+            for r in committed(name).rows.iter().filter(|r| r.paper.is_some()) {
+                assert!(
+                    quoted.contains(&(name, r.label.clone())),
+                    "EXPERIMENTS.md has no marked {name} table quoting {:?}",
+                    r.label
+                );
+            }
+        }
     }
 }

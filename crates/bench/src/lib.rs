@@ -1,12 +1,13 @@
 //! # xt-bench — the experiment harness
 //!
 //! One function per table/figure of the paper (see DESIGN.md §4 for the
-//! index). Each returns a structured result whose `Display` prints the
-//! same rows/series the paper reports, side by side with the paper's
-//! numbers. Absolute values are not expected to match (the substrate is
-//! a simulator, not the authors' testbed); the *shape* — who wins, by
-//! roughly what factor — is the reproduction target (EXPERIMENTS.md
-//! records both).
+//! index), each returning a [`Figure`] whose `Display` prints the same
+//! rows/series the paper reports, side by side with the paper's
+//! numbers. [`artifact::FIGURES`] lists them all; `xt-figures` prints
+//! them and writes them to its gated artifact. Absolute values are not
+//! expected to match (the substrate is a simulator, not the authors'
+//! testbed); the *shape* — who wins, by roughly what factor — is the
+//! reproduction target (EXPERIMENTS.md records both).
 
 pub mod ablations;
 pub mod artifact;

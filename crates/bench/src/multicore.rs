@@ -34,32 +34,16 @@ pub fn scaling() -> Figure {
     let one = run(1);
     let two = run(2);
     let four = run(4);
-    Figure {
-        title: "Multi-core throughput scaling (private sets)".into(),
-        unit: "aggregate IPC (and scaling vs 1 core)".into(),
-        rows: vec![
-            Row {
-                label: "1 core".into(),
-                value: one,
-                paper: None,
-            },
-            Row {
-                label: "2 cores".into(),
-                value: two,
-                paper: None,
-            },
-            Row {
-                label: "4 cores".into(),
-                value: four,
-                paper: None,
-            },
-            Row {
-                label: "4-core scaling".into(),
-                value: four / one,
-                paper: None,
-            },
+    Figure::new(
+        "Multi-core throughput scaling (private sets)",
+        "aggregate IPC (and scaling vs 1 core)",
+        vec![
+            Row::new("1 core", one, None),
+            Row::new("2 cores", two, None),
+            Row::new("4 cores", four, None),
+            Row::new("4-core scaling", four / one, None),
         ],
-    }
+    )
 }
 
 /// Snoop-filter effectiveness: private vs shared-line traffic (§VI:
@@ -69,13 +53,13 @@ pub fn snoop_filter() -> Figure {
     let shared = |iters: i64| -> Program {
         let mut a = Asm::new();
         let cell = a.data_u64("cell", &[0]);
-        a.la(xt_isa::reg::Gpr::A1, cell);
-        a.li(xt_isa::reg::Gpr::A2, iters);
-        a.li(xt_isa::reg::Gpr::A3, 1);
+        a.la(Gpr::A1, cell);
+        a.li(Gpr::A2, iters);
+        a.li(Gpr::A3, 1);
         let top = a.here();
-        a.amoadd_d(xt_isa::reg::Gpr::A4, xt_isa::reg::Gpr::A3, xt_isa::reg::Gpr::A1);
-        a.addi(xt_isa::reg::Gpr::A2, xt_isa::reg::Gpr::A2, -1);
-        a.bnez(xt_isa::reg::Gpr::A2, top);
+        a.amoadd_d(Gpr::A4, Gpr::A3, Gpr::A1);
+        a.addi(Gpr::A2, Gpr::A2, -1);
+        a.bnez(Gpr::A2, top);
         a.halt();
         a.finish().unwrap()
     };
@@ -87,32 +71,24 @@ pub fn snoop_filter() -> Figure {
     let rp = ClusterSim::new(&private, &CoreConfig::xt910(), mem(), 100_000_000).run();
     let sharing: Vec<Program> = (0..4).map(|_| shared(400)).collect();
     let rs = ClusterSim::new(&sharing, &CoreConfig::xt910(), mem(), 100_000_000).run();
-    Figure {
-        title: "Snoop filter (4 cores)".into(),
-        unit: "snoop probes sent".into(),
-        rows: vec![
-            Row {
-                label: "private sets: filtered".into(),
-                value: rp.mem.snoops_filtered as f64,
-                paper: None,
-            },
-            Row {
-                label: "private sets: sent".into(),
-                value: rp.mem.snoops_sent as f64,
-                paper: None,
-            },
-            Row {
-                label: "shared counter: sent".into(),
-                value: rs.mem.snoops_sent as f64,
-                paper: None,
-            },
-            Row {
-                label: "shared counter: c2c transfers".into(),
-                value: rs.mem.c2c_transfers as f64,
-                paper: None,
-            },
+    Figure::new(
+        "Snoop filter (4 cores)",
+        "snoop probes sent",
+        vec![
+            Row::new(
+                "private sets: filtered",
+                rp.mem.snoops_filtered as f64,
+                None,
+            ),
+            Row::new("private sets: sent", rp.mem.snoops_sent as f64, None),
+            Row::new("shared counter: sent", rs.mem.snoops_sent as f64, None),
+            Row::new(
+                "shared counter: c2c transfers",
+                rs.mem.c2c_transfers as f64,
+                None,
+            ),
         ],
-    }
+    )
 }
 
 /// What [`emu_speed`] measured, in host MIPS.
@@ -198,7 +174,10 @@ pub fn emu_speed() -> EmuSpeed {
         taken += trace.current().is_taken_branch() as u64;
     }
     let step_driver = mips(trace.retired(), t0);
-    assert!(trace.exit_code.is_some() && taken >= 1_499_999, "bench loop ran");
+    assert!(
+        trace.exit_code.is_some() && taken >= 1_499_999,
+        "bench loop ran"
+    );
     let cfg = xt_core::CoreConfig::xt910();
     let mut session = xt_core::OooSession::new(&p, &cfg, 100_000_000);
     let t0 = std::time::Instant::now();
@@ -303,7 +282,7 @@ mod tests {
 
     #[test]
     fn scaling_is_meaningful() {
-        let f = scaling();
+        let f = crate::artifact::tests::committed("multicore");
         let s4 = f.rows.last().unwrap().value;
         assert!(s4 > 2.0, "4 cores should scale well past 2x: {s4:.2}");
     }

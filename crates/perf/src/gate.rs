@@ -313,7 +313,7 @@ mod tests {
         selftest(&stat::ARTIFACT, &perf, 0.0).expect("xt-stat gate is healthy");
         let figures = parse(FIGURES_SMOKE).unwrap();
         let out = diff(&ANY, &figures, &figures, 0.0).unwrap();
-        assert_eq!((out.compared, out.issues.len()), (128, 0));
+        assert_eq!((out.compared, out.issues.len()), (192, 0));
         selftest(&ANY, &figures, 0.05).expect("a cycles scaling is flagged");
     }
 

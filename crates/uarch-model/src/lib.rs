@@ -7,9 +7,9 @@
 //! documented, structure-driven *analytical* model: per-block area and
 //! power densities calibrated so the XT-910 configuration lands on the
 //! published numbers, with the structure scaling (SRAM bits, physical
-//! registers, issue width) driving everything else. The bench harness
-//! prints Table II from this model and labels it as modeled, not
-//! measured.
+//! registers, issue width) driving everything else. `xt-bench` builds
+//! the Table II figure of the `xt-figures` artifact from this model and
+//! labels it as modeled, not measured.
 
 /// Operating condition (Table II footnotes a/b).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -111,21 +111,6 @@ pub fn evaluate(p: &UarchParams, corner: Corner) -> Ppa {
     }
 }
 
-/// Renders the Table II rows from the model.
-pub fn table2() -> String {
-    let with_vec = evaluate(&UarchParams::xt910(true), Corner::LvtNominal);
-    let no_vec = evaluate(&UarchParams::xt910(false), Corner::LvtNominal);
-    let boost = evaluate(&UarchParams::xt910(true), Corner::UlvtBoost);
-    format!(
-        "Operating frequency   {:.1} GHz(a) ~ {:.1} GHz(b)  (paper: 2.0 ~ 2.5)\n\
-         Silicon area per core {:.2} (no VEC) / {:.2} (VEC) mm2  (paper: 0.6 / 0.8)\n\
-         Dynamic power         ~{:.0} uW/MHz per core  (paper: ~100)\n\
-         (a) LVT cells, ULVT SRAM, 0.8V   (b) 30% ULVT cells, 1.0V\n\
-         [analytical model calibrated to the paper -- not silicon data]",
-        with_vec.freq_ghz, boost.freq_ghz, no_vec.area_mm2, with_vec.area_mm2, with_vec.uw_per_mhz
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,12 +152,5 @@ mod tests {
         let b = evaluate(&big, Corner::LvtNominal);
         assert!(b.area_mm2 > a.area_mm2);
         assert!(b.uw_per_mhz > a.uw_per_mhz);
-    }
-
-    #[test]
-    fn table_renders() {
-        let t = table2();
-        assert!(t.contains("GHz"));
-        assert!(t.contains("analytical model"));
     }
 }

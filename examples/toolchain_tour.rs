@@ -68,6 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
     println!("Fig. 20 in the paper reports ~20% from this toggle across suites;");
-    println!("run `cargo run --release -p xt-bench --bin figures -- fig20` for the sweep.");
+    println!("`cargo run --release -p xt-bench --bin xt-figures` prints the sweep (figure fig20).");
     Ok(())
 }

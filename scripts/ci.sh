@@ -175,20 +175,19 @@ expect_exit 2 "$repo_root/target/release/xt-stat" diff \
 echo "OK: forged event count, forged series point and over-nested file refused by the diff gate"
 rm -rf "$stat_dir"
 
-echo "== xt-figures smoke (vector figure artifact + gate) =="
-# The Figs. 18-20 artifact must run end-to-end, emit parseable JSON with
-# the expected schema and full 4x4 ablation grid, show the headline
-# >=2x rv64gcv/tuned element-IPC uplift, match the committed baseline
-# byte-for-byte at tolerance 0, and prove its own gate flags injected
-# regressions.
+echo "== xt-figures (every paper figure + vector grid, one artifact + gate) =="
+# The figures artifact must run end-to-end, emit parseable JSON with the
+# expected schema, full 4x4 ablation grid and every figure in order, show
+# the headline >=2x rv64gcv/tuned element-IPC uplift, carry a numeric
+# err on every figure that quotes the paper, match the committed baseline
+# at tolerance 0, and prove its own gate flags injected regressions.
 fig_dir=$(mktemp -d)
 repo_root=$(pwd)
-(cd "$fig_dir" && "$repo_root/target/release/xt-figures" --smoke)
+(cd "$fig_dir" && "$repo_root/target/release/xt-figures")
 python3 -c '
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "xt-figures/v1", doc.get("schema")
-assert doc["smoke"] is True
+assert doc["schema"] == "xt-figures/v2", doc.get("schema")
 assert doc["vlen"] == 128
 grid = doc["grid"]
 assert len(grid) == 16, len(grid)
@@ -201,19 +200,25 @@ for g in grid:
         assert g["vec_busy_cycles"] == 0, ("scalar cell charged vector", g)
 sp = {s["kernel"]: s["elem_ipc_ratio"] for s in doc["speedup"]}
 assert len(sp) == 4 and max(sp.values()) >= 2.0, sp
-figs = {f["name"] for f in doc["figures"]}
-assert figs == {"fig18", "fig19", "fig20"}, figs
+names = [f["name"] for f in doc["figures"]]
+assert names == ["fig18", "fig19", "fig20", "table2", "fig17", "fig21", "specint",
+                 "vector_mac", "blockchain", "asid", "ablations", "multicore",
+                 "snoop"], names
 for f in doc["figures"]:
     assert f["rows"], f["name"]
+    quotes = any(r["paper"] is not None for r in f["rows"])
+    assert isinstance(f["err"], float) if quotes else f["err"] is None, (f["name"], f["err"])
 print("OK: BENCH_figures.json parses, 16-cell grid, >=2x vector uplift "
-      "(best %.2fx), figs 18-20 present" % max(sp.values()))
+      "(best %.2fx), %d figures in order, err on each that quotes the paper"
+      % (max(sp.values()), len(names)))
 ' "$fig_dir/BENCH_figures.json"
 "$repo_root/target/release/xt-figures" diff \
     baselines/BENCH_figures_smoke.json "$fig_dir/BENCH_figures.json" --tolerance 0
 "$repo_root/target/release/xt-figures" selftest \
     baselines/BENCH_figures_smoke.json --tolerance 0.05
 # The same refusals as the xt-stat leg: one changed cycle count is out
-# of tolerance (1), one changed kernel name is structural (2), and a
+# of tolerance (1), one changed kernel name is structural (2), a figure
+# err that its rows do not give breaks the artifact law (2), and a
 # hostile nest of objects is a parse error (2).
 python3 -c '
 import json, sys
@@ -224,6 +229,9 @@ json.dump(doc, open(out + "/forged_cycles.json", "w"))
 doc = json.load(open(src))
 doc["grid"][0]["kernel"] += "x"
 json.dump(doc, open(out + "/forged_kernel.json", "w"))
+doc = json.load(open(src))
+doc["figures"][0]["err"] += 1
+json.dump(doc, open(out + "/forged_err.json", "w"))
 open(out + "/deep.json", "w").write("{\"k\":" * 200000 + "1" + "}" * 200000)
 ' "$fig_dir/BENCH_figures.json" "$fig_dir"
 expect_exit 1 "$repo_root/target/release/xt-figures" diff \
@@ -231,8 +239,10 @@ expect_exit 1 "$repo_root/target/release/xt-figures" diff \
 expect_exit 2 "$repo_root/target/release/xt-figures" diff \
     baselines/BENCH_figures_smoke.json "$fig_dir/forged_kernel.json" --tolerance 0.5
 expect_exit 2 "$repo_root/target/release/xt-figures" diff \
+    baselines/BENCH_figures_smoke.json "$fig_dir/forged_err.json" --tolerance 0.5
+expect_exit 2 "$repo_root/target/release/xt-figures" diff \
     "$fig_dir/deep.json" "$fig_dir/deep.json"
-echo "OK: forged cycle count, forged kernel name and over-nested file refused by the diff gate"
+echo "OK: forged cycle count, kernel name, figure err and over-nested file refused by the diff gate"
 rm -rf "$fig_dir"
 
 echo "== snapshot/resume identity (docs/SNAPSHOT.md) =="
