@@ -31,6 +31,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod program;
 

@@ -17,6 +17,8 @@
 //!   and the exit codes), told about this document by
 //!   [`artifact::ARTIFACT`].
 
+#![forbid(unsafe_code)]
+
 use xt_bench::artifact;
 use xt_perf::gate;
 

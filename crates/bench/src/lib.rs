@@ -9,6 +9,8 @@
 //! testbed); the *shape* — who wins, by roughly what factor — is the
 //! reproduction target (EXPERIMENTS.md records both).
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod artifact;
 pub mod figures;

@@ -26,6 +26,8 @@
 //! `XT_HARNESS_SEED=<seed> cargo test -p xt-check` (or the `xt-check`
 //! binary with `--seed`).
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod fastpath;
 pub mod interrupts;

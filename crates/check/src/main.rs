@@ -11,6 +11,8 @@
 //! verifies the checker catches it with a shrunk, seed-replayable
 //! counterexample. Exits non-zero on any failure.
 
+#![forbid(unsafe_code)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 

@@ -59,6 +59,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codegen;
 pub mod ir;

@@ -24,6 +24,12 @@
 //! ([`Cursor`]) carries the slot's epoch at lookup time; invalidation
 //! bumps the epoch, so stale cursors (and stale page-map entries) can
 //! never resurrect freed blocks.
+//!
+//! In front of the page map sits a direct-mapped jump table of the
+//! slots of recent block starts: the next block at a block-to-block
+//! edge is found without hashing. An entry counts only while its slot
+//! holds a live block starting at the pc looked up, so the table needs
+//! no invalidation of its own.
 
 use xt_isa::{ExecClass, Inst, Op};
 
@@ -50,6 +56,19 @@ pub struct DecodedBlock {
     pub base_pa: u64,
     /// The instructions, in fetch order.
     pub entries: Vec<BlockEntry>,
+    /// Whether an entry may write memory (see [`stores`]). A block
+    /// without one can neither halt the guest nor invalidate a block.
+    pub stores: bool,
+}
+
+/// Whether `op` can reach the emulator's store path, the only place
+/// that halts the guest or invalidates a decoded block: scalar and
+/// vector stores, and AMOs (LR too: it shares their class).
+pub fn stores(op: Op) -> bool {
+    matches!(
+        op.exec_class(),
+        ExecClass::Store | ExecClass::VecStore | ExecClass::Amo
+    )
 }
 
 /// A resumption point inside a cached block: "the next instruction to
@@ -93,6 +112,9 @@ struct Slot {
     live: bool,
 }
 
+/// Jump-table entries (a power of two).
+const JUMPS: usize = 1024;
+
 /// The per-emulator decoded-block cache.
 ///
 /// `pages` maps a physical page index to the blocks that *start* on
@@ -101,6 +123,13 @@ struct Slot {
 /// instruction on that page.
 pub struct BlockCache {
     pages: crate::gmem::PageMap<Vec<(u16, u32)>>,
+    /// Slots of recent block starts, direct-mapped by pc. No live block
+    /// shares its start with another, so a slot whose block is live and
+    /// starts at the pc looked up is the answer, whatever the entry held
+    /// before; a dropped block is dead until its slot is reused, and then
+    /// starts elsewhere or is the current block at that pc. Empty until
+    /// the first insert, so only a cache in use pays for it.
+    jumps: Vec<u32>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Blocks ever invalidated: monotone, never reset.
@@ -132,6 +161,7 @@ impl BlockCache {
     pub fn new() -> Self {
         BlockCache {
             pages: Default::default(),
+            jumps: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             invalidations: 0,
@@ -144,21 +174,45 @@ impl BlockCache {
         self.slots.iter().filter(|s| s.live).count()
     }
 
-    /// Looks up a block starting exactly at physical address `pa`.
-    pub fn lookup(&self, pa: u64) -> Option<(u32, u64)> {
+    /// Looks up a block starting exactly at physical address `pa`: the
+    /// jump table first, then the page map, whose hit refills the table.
+    #[inline]
+    pub fn lookup(&mut self, pa: u64) -> Option<(u32, u64)> {
+        if let Some(&slot) = self.jumps.get(jump_index(pa)) {
+            let s = &self.slots[slot as usize];
+            if s.live && s.block.base_pa == pa {
+                return Some((slot, s.epoch));
+            }
+        }
+        self.lookup_page(pa)
+    }
+
+    /// The page-map half of [`Self::lookup`], out of line so that the
+    /// jump-table hit stays small where `lookup` inlines.
+    #[inline(never)]
+    fn lookup_page(&mut self, pa: u64) -> Option<(u32, u64)> {
         let offs = self.pages.get(&(pa >> PAGE_BITS))?;
         let want = (pa & PAGE_MASK) as u16;
-        offs
-            .iter()
-            .find(|(off, _)| *off == want)
-            .map(|&(_, slot)| (slot, self.slots[slot as usize].epoch))
+        let &(_, slot) = offs.iter().find(|(off, _)| *off == want)?;
+        self.remember(pa, slot);
+        Some((slot, self.slots[slot as usize].epoch))
+    }
+
+    /// Points the jump-table entry of `pc` at `slot`.
+    fn remember(&mut self, pc: u64, slot: u32) {
+        if self.jumps.is_empty() {
+            // slot 0 exists from the first insert on
+            self.jumps = vec![0; JUMPS];
+        }
+        self.jumps[jump_index(pc)] = slot;
     }
 
     /// Inserts a freshly built block; returns its `(slot, epoch)`.
     pub fn insert(&mut self, block: DecodedBlock) -> (u32, u64) {
         debug_assert!(!block.entries.is_empty());
-        let page = block.base_pa >> PAGE_BITS;
-        let off = (block.base_pa & PAGE_MASK) as u16;
+        let pa = block.base_pa;
+        let page = pa >> PAGE_BITS;
+        let off = (pa & PAGE_MASK) as u16;
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];
@@ -177,6 +231,7 @@ impl BlockCache {
         };
         self.pages.entry(page).or_default().push((off, slot));
         self.stats.blocks_built += 1;
+        self.remember(pa, slot);
         (slot, self.slots[slot as usize].epoch)
     }
 
@@ -197,6 +252,25 @@ impl BlockCache {
     #[inline]
     pub fn block_len(&self, slot: u32) -> u32 {
         self.slots[slot as usize].block.entries.len() as u32
+    }
+
+    /// Takes `slot`'s entries out, for a caller that runs them without
+    /// touching the cache and then hands them to [`Self::give_back`].
+    #[inline]
+    pub(crate) fn lend(&mut self, slot: u32) -> Vec<BlockEntry> {
+        std::mem::take(&mut self.slots[slot as usize].block.entries)
+    }
+
+    /// Puts back what [`Self::lend`] took.
+    #[inline]
+    pub(crate) fn give_back(&mut self, slot: u32, entries: Vec<BlockEntry>) {
+        self.slots[slot as usize].block.entries = entries;
+    }
+
+    /// Whether `slot`'s block holds an entry that may store.
+    #[inline]
+    pub fn block_stores(&self, slot: u32) -> bool {
+        self.slots[slot as usize].block.stores
     }
 
     /// A number that moves whenever a live block is invalidated.
@@ -249,6 +323,14 @@ impl BlockCache {
     }
 }
 
+/// The jump-table entry of `pc`: instructions are 2-byte aligned, and
+/// folding in the bits above the table's reach spreads the block starts
+/// of code larger than 2 KiB.
+#[inline]
+fn jump_index(pc: u64) -> usize {
+    ((pc >> 1) ^ (pc >> 11)) as usize & (JUMPS - 1)
+}
+
 /// A block never extends past one of these: control flow redirects the
 /// PC, and system/CSR instructions can change privilege or translation
 /// state (the fast path re-checks eligibility on the next step).
@@ -275,6 +357,7 @@ mod tests {
                 };
                 n
             ],
+            stores: false,
         }
     }
 
@@ -328,6 +411,41 @@ mod tests {
         assert!(c.invalidate_span(0xffff_ffff_ffff_fffc, 8));
         assert_eq!(c.live_blocks(), 1, "pages !0 >> 12 and 0, not page 1");
         assert_eq!(c.stats.blocks_invalidated, 2);
+    }
+
+    #[test]
+    fn a_stale_jump_entry_is_never_followed() {
+        let mut c = BlockCache::new();
+        let (slot, epoch) = c.insert(blk(0x8000_0100, 3));
+        assert_eq!(c.lookup(0x8000_0100), Some((slot, epoch)), "a table hit");
+        c.invalidate_span(0x8000_0100, 4);
+        assert_eq!(c.lookup(0x8000_0100), None, "the entry names a dead slot");
+        // the freed slot now holds a block elsewhere
+        let (slot2, epoch2) = c.insert(blk(0x8000_2000, 1));
+        assert_eq!(slot2, slot);
+        assert_eq!(c.lookup(0x8000_0100), None, "the entry's slot holds another block");
+        assert_eq!(c.lookup(0x8000_2000), Some((slot2, epoch2)));
+        // an entry two block starts share evicts the other: the page map
+        // still finds both
+        let far = 0x8000_0100 + (1 << 21);
+        assert_eq!(jump_index(far), jump_index(0x8000_0100));
+        let (a, ea) = c.insert(blk(0x8000_0100, 2));
+        let (b, eb) = c.insert(blk(far, 2));
+        assert_eq!(c.lookup(0x8000_0100), Some((a, ea)));
+        assert_eq!(c.lookup(far), Some((b, eb)));
+    }
+
+    #[test]
+    fn store_classes() {
+        for op in [Op::Sb, Op::Sd, Op::Fsd, Op::XSrw, Op::Vse, Op::Vsxe] {
+            assert!(stores(op), "{op:?}");
+        }
+        for op in [Op::AmoSwapW, Op::AmoAddD, Op::ScW, Op::LrD] {
+            assert!(stores(op), "{op:?} is an AMO");
+        }
+        for op in [Op::Ld, Op::Vle, Op::Add, Op::Fence, Op::Beq] {
+            assert!(!stores(op), "{op:?}");
+        }
     }
 
     #[test]

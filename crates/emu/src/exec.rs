@@ -155,7 +155,8 @@ pub struct Emulator {
     /// instruction (see [`crate::platform`] and docs/INTERRUPTS.md).
     pub platform: Option<Box<dyn Platform>>,
     /// Decoded-block fast path enabled (default: on unless
-    /// `XT_FASTPATH=0`; see [`Emulator::set_fastpath`]).
+    /// `XT_FASTPATH=0`; see [`fastpath_default`] and
+    /// [`Emulator::set_fastpath`]).
     fastpath: bool,
     /// The decoded-block cache (see [`crate::blockcache`]).
     icache: BlockCache,
@@ -169,10 +170,44 @@ impl Default for Emulator {
     }
 }
 
+/// Parses an `XT_FASTPATH` value: unset means on, `1` on and `0` off,
+/// surrounding whitespace ignored. Anything else is an error naming the
+/// value.
+///
+/// # Errors
+///
+/// The one-line diagnostic for a value that is neither `0` nor `1`.
+fn parse_fastpath(value: Option<&str>) -> Result<bool, String> {
+    match value.map(str::trim) {
+        None | Some("1") => Ok(true),
+        Some("0") => Ok(false),
+        Some(_) => Err(format!(
+            "XT_FASTPATH={:?} is neither 0 nor 1; the decoded-block fast path stays on",
+            value.unwrap_or_default()
+        )),
+    }
+}
+
+/// The fast-path setting every [`Emulator::new`] starts from:
+/// `XT_FASTPATH`, read and parsed once per process. A value
+/// [`parse_fastpath`] refuses prints its diagnostic once and keeps the
+/// default.
+fn fastpath_default() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| {
+        let value = std::env::var_os("XT_FASTPATH");
+        let value = value.as_ref().map(|v| v.to_string_lossy());
+        parse_fastpath(value.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            true
+        })
+    })
+}
+
 impl Emulator {
     /// Creates an emulator with empty memory.
     pub fn new() -> Self {
-        let fastpath = std::env::var("XT_FASTPATH").map(|v| v != "0").unwrap_or(true);
+        let fastpath = fastpath_default();
         Emulator {
             cpu: Cpu::new(0),
             mem: GuestMem::new(),
@@ -269,8 +304,6 @@ impl Emulator {
     /// fatal decode/trap error.
     pub fn run(&mut self, fuel: u64) -> Result<u64, ExecError> {
         let mut left = fuel;
-        // last-block memo: (start pa, slot, epoch); pa u64::MAX = none
-        let mut memo = (u64::MAX, 0u32, 0u64);
         let mut rec = DynInst::trap_entry(0, 0);
         while left > 0 {
             if let Some(code) = self.halted {
@@ -286,7 +319,7 @@ impl Emulator {
                 }
                 continue;
             }
-            left = self.run_block(left, &mut memo)?;
+            left = self.run_block(left)?;
         }
         Err(ExecError::OutOfFuel)
     }
@@ -303,34 +336,33 @@ impl Emulator {
     /// Batched fast path for [`Emulator::run`]: executes (up to) one
     /// cached block with `left` fuel remaining, returning the fuel left
     /// over. Caller guarantees eligibility ([`Self::fetch_is_physical`],
-    /// no cluster hooks, not halted), so `pc == fetch_pa`. `memo` caches
-    /// the last block executed so tight loops (branch back to the same
-    /// block) skip the page-map lookup.
-    fn run_block(&mut self, mut left: u64, memo: &mut (u64, u32, u64)) -> Result<u64, ExecError> {
+    /// no cluster hooks, not halted), so `pc == fetch_pa`. A tight loop
+    /// (a branch back to the same block) finds its block in the cache's
+    /// jump table like any other edge.
+    fn run_block(&mut self, mut left: u64) -> Result<u64, ExecError> {
         let pc0 = self.cpu.pc;
-        let (slot, epoch) = if memo.0 == pc0 && self.icache.slot_live(memo.1, memo.2) {
-            (memo.1, memo.2)
-        } else {
-            match self.icache.lookup(pc0) {
-                Some(se) => se,
-                None => {
-                    self.icache.stats.misses += 1;
-                    match self.build_block(pc0) {
-                        Some(se) => se,
-                        // undecodable or page-straddling first instruction:
-                        // one reference step for the exact error/trap shape
-                        None => {
-                            let mut rec = DynInst::trap_entry(0, 0);
-                            if self.step_slow(&mut rec)? == StepStatus::Retired {
-                                left -= 1;
-                            }
-                            return Ok(left);
+        let (slot, epoch) = match self.icache.lookup(pc0) {
+            Some(se) => se,
+            None => {
+                self.icache.stats.misses += 1;
+                match self.build_block(pc0) {
+                    Some(se) => se,
+                    // undecodable or page-straddling first instruction:
+                    // one reference step for the exact error/trap shape
+                    None => {
+                        let mut rec = DynInst::trap_entry(0, 0);
+                        if self.step_slow(&mut rec)? == StepStatus::Retired {
+                            left -= 1;
                         }
+                        return Ok(left);
                     }
                 }
             }
         };
-        *memo = (pc0, slot, epoch);
+        let len = self.icache.block_len(slot);
+        if left >= len as u64 && self.platform.is_none() && !self.icache.block_stores(slot) {
+            return self.run_store_free(slot, len, left);
+        }
         // The entries are read in place, one copy per instruction. A store
         // inside the block may invalidate the very slot that holds it; no
         // block dies without this counter moving, so while it stands still
@@ -339,7 +371,7 @@ impl Emulator {
         let mut pc = pc0;
         let mut executed = 0u64;
         let mut fatal = None;
-        for idx in 0..self.icache.block_len(slot) {
+        for idx in 0..len {
             if left == 0 {
                 break;
             }
@@ -389,6 +421,44 @@ impl Emulator {
         match fatal {
             Some(e) => Err(e),
             None => Ok(left),
+        }
+    }
+
+    /// [`Self::run_block`] for a block with no entry that may store,
+    /// with fuel for all `len` entries and no platform attached. Only
+    /// the store path halts the guest or drops a block, and only a
+    /// platform raises an interrupt, so no entry needs the halt, the
+    /// invalidation or the interrupt check. `instret` and the PC still
+    /// move per entry: a CSR read ending the block reads both.
+    fn run_store_free(&mut self, slot: u32, len: u32, left: u64) -> Result<u64, ExecError> {
+        // nothing here reaches the block cache: its entries can be lent out
+        let entries = self.icache.lend(slot);
+        let mut pc = self.cpu.pc;
+        let mut done = Ok(());
+        for (idx, e) in entries.iter().enumerate() {
+            match self.exec(pc, e.inst, &mut None) {
+                Ok(next_pc) => {
+                    self.cpu.instret += 1;
+                    pc = next_pc;
+                    self.cpu.pc = pc;
+                }
+                Err(trap) => {
+                    done = Err((idx as u64 + 1, pc, trap));
+                    break;
+                }
+            }
+        }
+        self.icache.give_back(slot, entries);
+        match done {
+            Ok(()) => {
+                self.icache.stats.hits += len as u64;
+                Ok(left - len as u64)
+            }
+            Err((executed, pc, trap)) => {
+                self.icache.stats.hits += executed;
+                self.cpu.pc = self.take_trap(pc, trap)?;
+                Ok(left - executed)
+            }
         }
     }
 
@@ -742,6 +812,7 @@ impl Emulator {
         // last byte of the page (`+ 1` would overflow on the top page)
         let last = pa | (blockcache::PAGE_SIZE - 1);
         let mut entries = Vec::new();
+        let mut stores = false;
         let mut addr = pa;
         loop {
             let lo = self.mem.read_u16(addr);
@@ -762,6 +833,7 @@ impl Emulator {
                     Err(_) => break,
                 }
             };
+            stores |= blockcache::stores(inst.op);
             entries.push(BlockEntry {
                 inst,
                 barrier: is_barrier_op(inst.op),
@@ -777,6 +849,7 @@ impl Emulator {
         Some(self.icache.insert(DecodedBlock {
             base_pa: pa,
             entries,
+            stores,
         }))
     }
 
@@ -1807,6 +1880,18 @@ mod tests {
         let mut emu = Emulator::new();
         emu.load(&p);
         assert_eq!(emu.run(1000).unwrap(), 5);
+    }
+
+    #[test]
+    fn xt_fastpath_accepts_0_and_1_only() {
+        assert_eq!(parse_fastpath(None), Ok(true));
+        assert_eq!(parse_fastpath(Some("1")), Ok(true));
+        assert_eq!(parse_fastpath(Some("0")), Ok(false));
+        assert_eq!(parse_fastpath(Some(" 0\n")), Ok(false), "trimmed");
+        for bad in ["off", "false", "", "00", "2", "O"] {
+            let e = parse_fastpath(Some(bad)).unwrap_err();
+            assert!(e.contains(&format!("{bad:?}")), "{e} names {bad:?}");
+        }
     }
 
     /// `vill` travels with a frame: a restored emulator keeps refusing

@@ -1,5 +1,6 @@
 //! Sparse guest physical memory.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -56,11 +57,39 @@ impl Hasher for PageHasher {
     }
 }
 
+/// One guest page.
+type Frame = Box<[u8; PAGE_SIZE]>;
+
+/// Entries of the page memo (a power of two).
+const MEMO: usize = 256;
+
+/// A memo tag no page index has (a page index is an address >> 12).
+const NO_PAGE: u64 = u64::MAX;
+
 /// Sparse, page-granular guest physical memory supporting unaligned
 /// accesses (the XT-910 LSU supports unaligned data access, paper §II).
-#[derive(Default)]
+///
+/// Pages live in a frame arena; the page map holds frame indices. A
+/// direct-mapped memo of recent `(page, frame)` pairs sits in front of
+/// the map, so a load or store to a recently touched page costs no hash
+/// probe. Frames never move or die except when a snapshot restore
+/// rebuilds the map, and that clears the memo: a memo hit needs no check
+/// beyond its tag.
 pub struct GuestMem {
-    pages: PageMap<Box<[u8; PAGE_SIZE]>>,
+    pages: PageMap<u32>,
+    frames: Vec<Frame>,
+    /// Indexed by the page index's low bits; refilled on a map hit.
+    memo: [Cell<(u64, u32)>; MEMO],
+}
+
+impl Default for GuestMem {
+    fn default() -> Self {
+        GuestMem {
+            pages: PageMap::default(),
+            frames: Vec::new(),
+            memo: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
+        }
+    }
 }
 
 /// The `N` bytes of `page` at `off` (the caller checked they fit).
@@ -88,15 +117,47 @@ impl GuestMem {
         self.pages.len()
     }
 
+    /// The memo entry of `page`.
+    #[inline]
+    fn memo(&self, page: u64) -> &Cell<(u64, u32)> {
+        &self.memo[page as usize & (MEMO - 1)]
+    }
+
+    /// The frame index of `page`, if it is resident: the memo, then the
+    /// map, whose hit refills the memo.
+    #[inline]
+    fn frame_of(&self, page: u64) -> Option<u32> {
+        let (tag, frame) = self.memo(page).get();
+        if tag == page {
+            return Some(frame);
+        }
+        let frame = *self.pages.get(&page)?;
+        self.memo(page).set((page, frame));
+        Some(frame)
+    }
+
+    /// The frame holding `page`, if it is resident.
+    #[inline]
+    fn frame(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
+        self.frame_of(page).map(|f| &*self.frames[f as usize])
+    }
+
+    /// The frame holding the page of `addr`, allocated on demand.
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(addr >> PAGE_BITS)
-            .or_insert_with(|| Box::new([0; PAGE_SIZE]))
+        let page = addr >> PAGE_BITS;
+        let frame = self.frame_of(page).unwrap_or_else(|| {
+            let frame = self.frames.len() as u32;
+            self.frames.push(Box::new([0; PAGE_SIZE]));
+            self.pages.insert(page, frame);
+            self.memo(page).set((page, frame));
+            frame
+        });
+        &mut self.frames[frame as usize]
     }
 
     /// Reads one byte (unmapped memory reads as zero).
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_BITS)) {
+        match self.frame(addr >> PAGE_BITS) {
             Some(p) => p[(addr & (PAGE_SIZE as u64 - 1)) as usize],
             None => 0,
         }
@@ -117,7 +178,7 @@ impl GuestMem {
         debug_assert!(n <= 8);
         let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
         if off + n <= PAGE_SIZE {
-            return match self.pages.get(&(addr >> PAGE_BITS)) {
+            return match self.frame(addr >> PAGE_BITS) {
                 // the widths every load and fetch has: one host load each
                 Some(p) => match n {
                     1 => p[off] as u64,
@@ -212,7 +273,7 @@ impl GuestMem {
         while !rest.is_empty() {
             let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
             let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE - off));
-            if let Some(p) = self.pages.get(&(addr >> PAGE_BITS)) {
+            if let Some(p) = self.frame(addr >> PAGE_BITS) {
                 chunk.copy_from_slice(&p[off..off + chunk.len()]);
             }
             addr += chunk.len() as u64;
@@ -231,8 +292,9 @@ impl GuestMem {
         let mut pages: Vec<(u64, Vec<u8>)> = self
             .pages
             .iter()
+            .map(|(&idx, &frame)| (idx, &self.frames[frame as usize]))
             .filter(|(_, p)| p.iter().any(|&b| b != 0))
-            .map(|(idx, p)| (*idx, p.to_vec()))
+            .map(|(idx, p)| (idx, p.to_vec()))
             .collect();
         pages.sort_by_key(|(idx, _)| *idx);
         pages
@@ -264,10 +326,14 @@ impl xt_snapshot::SnapshotState for GuestMem {
         })?;
         if S::DECODING {
             let page = |data: Vec<u8>| data.into_boxed_slice().try_into().expect("a whole page");
-            self.pages = pages
-                .into_iter()
-                .map(|(idx, data)| (idx, page(data)))
+            self.pages = (0..pages.len() as u32)
+                .map(|frame| (pages[frame as usize].0, frame))
                 .collect();
+            self.frames = pages.into_iter().map(|(_, data)| page(data)).collect();
+            // the memo names frames of the old arena
+            for m in &self.memo {
+                m.set((NO_PAGE, 0));
+            }
         }
         Ok(())
     }

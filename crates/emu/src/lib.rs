@@ -37,6 +37,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod blockcache;
 pub mod cpu;
 pub mod exec;

@@ -42,6 +42,12 @@ fn assert_fast_equals_slow(p: &Program, ctx: &str) -> Emulator {
     let r_slow = slow.run(FUEL);
 
     assert_eq!(r_fast, r_slow, "{ctx}: run outcome");
+    assert_same_state(&fast, &slow, ctx);
+    fast
+}
+
+/// Asserts bit-identical architectural state of two emulators.
+fn assert_same_state(fast: &Emulator, slow: &Emulator, ctx: &str) {
     assert_eq!(fast.halted, slow.halted, "{ctx}: exit code");
     assert_eq!(fast.cpu.pc, slow.cpu.pc, "{ctx}: pc");
     assert_eq!(fast.cpu.x, slow.cpu.x, "{ctx}: integer registers");
@@ -57,7 +63,6 @@ fn assert_fast_equals_slow(p: &Program, ctx: &str) -> Emulator {
         slow.mem.snapshot_nonzero(),
         "{ctx}: guest memory"
     );
-    fast
 }
 
 /// Encodes `addi rd, x0, k` — the patch word the SMC generators store
@@ -458,18 +463,7 @@ fn assert_fast_equals_slow_irq(p: &Program, cmp0: u64, ctx: &str) -> Emulator {
     let (fast, r_fast) = mk(true);
     let (slow, r_slow) = mk(false);
     assert_eq!(r_fast, r_slow, "{ctx}: run outcome");
-    assert_eq!(fast.halted, slow.halted, "{ctx}: exit code");
-    assert_eq!(fast.cpu.pc, slow.cpu.pc, "{ctx}: pc");
-    assert_eq!(fast.cpu.x, slow.cpu.x, "{ctx}: integer registers");
-    assert_eq!(fast.cpu.instret, slow.cpu.instret, "{ctx}: instret");
-    assert_eq!(fast.cpu.mode, slow.cpu.mode, "{ctx}: privilege mode");
-    assert_eq!(fast.cpu.csrs, slow.cpu.csrs, "{ctx}: CSR file");
-    assert_eq!(fast.cpu.satp(), slow.cpu.satp(), "{ctx}: satp");
-    assert_eq!(
-        fast.mem.snapshot_nonzero(),
-        slow.mem.snapshot_nonzero(),
-        "{ctx}: guest memory"
-    );
+    assert_same_state(&fast, &slow, ctx);
     fast
 }
 
@@ -1116,4 +1110,299 @@ fn code_on_the_top_page_executes_from_cached_blocks() {
     let fast = assert_fast_equals_slow(&p, "top page");
     assert_eq!(fast.halted, Some(7));
     assert_drains_agree(|| loaded(&p), "top page");
+}
+
+// ---------------------------------------------------------------------
+// the jump table, the page memo and the store-free loop
+// ---------------------------------------------------------------------
+
+/// An emulator with `p` loaded and the fast path `on` or off.
+fn loaded_with(p: &Program, on: bool) -> Emulator {
+    let mut emu = Emulator::new();
+    emu.set_fastpath(on);
+    emu.load(p);
+    emu
+}
+
+/// Retires up to `n` instructions, one `step` at a time or in one
+/// `run`, stopping early at the halt.
+fn retire_up_to(emu: &mut Emulator, n: u64, by_step: bool) {
+    if by_step {
+        for _ in 0..n {
+            if let StepOutcome::Halted(_) = emu.step().unwrap() {
+                return;
+            }
+        }
+    } else if let Err(e) = emu.run(n) {
+        assert_eq!(e, ExecError::OutOfFuel);
+    }
+}
+
+/// What drops every block on `f`'s page while `f`'s jump-table entry
+/// stays behind.
+#[derive(Clone, Copy, Debug)]
+enum Dropper {
+    /// The loop stores a new `li` over `f`.
+    GuestStore,
+    /// `apply_external_store`, the cluster barrier's path, does.
+    ExternalStore,
+    /// `set_fastpath(false)`, then `true`.
+    Toggle,
+    /// `load` of a second program.
+    Load,
+    /// Restoring a frame of a second program.
+    Restore,
+}
+
+/// `f` (`li a4, k; ret`) shares page 0 with the entry jump only; page 1
+/// holds a sled of 64 `nop`s ending in `ret`, then the main loop. Every
+/// iteration calls `f`, adds `a4` into the exit code, and enters the
+/// sled at a new offset: a block never built before, which takes the
+/// slot a dropped block left free. With `patch`, the loop then stores a
+/// new immediate over `f`'s `li`, so the next call meets `f`'s slot
+/// dead. Returns the program and the address of that `li`.
+fn sled_program(k: i64, patch: bool) -> (Program, u64) {
+    let mut a = Asm::new();
+    let main = a.new_label();
+    a.jump(main);
+    let (f, f_site) = (a.here(), a.pc());
+    a.li(Gpr::A4, k);
+    a.ret();
+    while a.pc() < xt_asm::DEFAULT_TEXT_BASE + 4096 {
+        a.nop();
+    }
+    let sled = a.pc();
+    for _ in 0..64 {
+        a.nop();
+    }
+    a.ret();
+    a.bind(main).unwrap();
+    a.li(Gpr::T2, 40);
+    let top = a.here();
+    a.call(f);
+    a.add(Gpr::A5, Gpr::A5, Gpr::A4);
+    a.slli(Gpr::T0, Gpr::T2, 2);
+    a.li(Gpr::T1, sled as i64);
+    a.add(Gpr::T0, Gpr::T0, Gpr::T1);
+    a.jalr(Gpr::RA, Gpr::T0, 0);
+    if patch {
+        a.li(Gpr::T0, f_site as i64);
+        a.li(Gpr::T1, addi_word(Gpr::A4, 100) as i64);
+        a.slli(Gpr::T3, Gpr::T2, 20);
+        a.add(Gpr::T1, Gpr::T1, Gpr::T3);
+        a.sw(Gpr::T1, Gpr::T0, 0);
+    }
+    a.addi(Gpr::T2, Gpr::T2, -1);
+    a.bnez(Gpr::T2, top);
+    a.mv(Gpr::A0, Gpr::A5);
+    a.halt();
+    (a.finish().unwrap(), f_site)
+}
+
+/// A block in the jump table, dropped mid-loop in each of the five ways
+/// a block dies, must be looked up afresh: a stale entry followed would
+/// run whatever block took its slot, or a dead slot's empty entries.
+/// Driven by `step` (the cursor-miss lookup) and by `run`.
+#[test]
+fn a_dropped_block_never_comes_back_through_the_jump_table() {
+    use xt_snapshot::SnapshotState;
+    for how in [
+        Dropper::GuestStore,
+        Dropper::ExternalStore,
+        Dropper::Toggle,
+        Dropper::Load,
+        Dropper::Restore,
+    ] {
+        let (p, f_site) = sled_program(1, matches!(how, Dropper::GuestStore));
+        let (second, _) = sled_program(2, false);
+        let mut frame = xt_snapshot::Enc::new();
+        loaded(&second).save(&mut frame);
+        for by_step in [true, false] {
+            let ctx = format!("{how:?}, by {}", if by_step { "step" } else { "run" });
+            let mut emus = [true, false].map(|on| loaded_with(&p, on));
+            for emu in &mut emus {
+                for round in 0..3 {
+                    retire_up_to(emu, 150, by_step);
+                    match how {
+                        Dropper::GuestStore => {}
+                        Dropper::ExternalStore => {
+                            let word = addi_word(Gpr::A4, 10 + round);
+                            emu.apply_external_store(f_site, word as u64, 4)
+                        }
+                        Dropper::Toggle => {
+                            if emu.fastpath() {
+                                emu.set_fastpath(false);
+                                emu.set_fastpath(true);
+                            }
+                        }
+                        Dropper::Load => emu.load(&second),
+                        Dropper::Restore => {
+                            let mut d = xt_snapshot::Dec::new(frame.bytes());
+                            emu.restore(&mut d).unwrap();
+                        }
+                    }
+                }
+                retire_up_to(emu, FUEL, by_step);
+            }
+            let [fast, slow] = &emus;
+            assert!(fast.halted.is_some(), "{ctx}: no halt");
+            assert_same_state(fast, slow, &ctx);
+            let stats = fast.cache_stats();
+            assert!(stats.blocks_invalidated >= 3, "{ctx}: every round dropped blocks: {stats:?}");
+        }
+    }
+}
+
+/// Returns the doubleword at the start of its data section, `v`.
+fn data_reader(v: u64) -> Program {
+    let mut a = Asm::new();
+    let cell = a.data_u64("cell", &[v]);
+    a.la(Gpr::A1, cell);
+    a.ld(Gpr::A0, Gpr::A1, 0);
+    a.halt();
+    a.finish().unwrap()
+}
+
+/// A page memo warmed on the data page, then a restore that rebuilds the
+/// frame arena in another order (a page between text and data puts the
+/// data page on another frame) and a `load` that rewrites the page: each
+/// read sees the new bytes.
+#[test]
+fn a_warm_page_memo_reads_restored_and_reloaded_pages() {
+    use xt_snapshot::SnapshotState;
+    let mut other = loaded(&data_reader(0x2222));
+    other.mem.write_u64(xt_asm::DEFAULT_TEXT_BASE + 4096, 0xBAD);
+    let mut frame = xt_snapshot::Enc::new();
+    other.save(&mut frame);
+    for on in [true, false] {
+        let ctx = format!("fast path {on}");
+        let mut warm = loaded_with(&data_reader(0x1111), on);
+        assert_eq!(warm.run(FUEL), Ok(0x1111), "{ctx}");
+        warm.restore(&mut xt_snapshot::Dec::new(frame.bytes())).unwrap();
+        assert_eq!(warm.mem.read_u64(xt_asm::DEFAULT_DATA_BASE), 0x2222, "{ctx}");
+        let mut cold = Emulator::new();
+        cold.set_fastpath(false);
+        cold.restore(&mut xt_snapshot::Dec::new(frame.bytes())).unwrap();
+        assert_eq!(warm.run(FUEL), Ok(0x2222), "{ctx}: restored");
+        assert_eq!(cold.run(FUEL), Ok(0x2222), "{ctx}: restored");
+        assert_same_state(&warm, &cold, &format!("{ctx}, restored"));
+        let third = data_reader(0x3333);
+        for emu in [&mut warm, &mut cold] {
+            emu.load(&third);
+            emu.halted = None;
+        }
+        assert_eq!(warm.run(FUEL), Ok(0x3333), "{ctx}: reloaded");
+        assert_eq!(cold.run(FUEL), Ok(0x3333), "{ctx}: reloaded");
+        assert_same_state(&warm, &cold, &format!("{ctx}, reloaded"));
+    }
+}
+
+/// `run(n)` for every `n` up to past the halt, fast against reference:
+/// the same outcome (`OutOfFuel` or `Halted`) and the same state, so a
+/// block entered with less fuel than it has entries stops on time.
+fn assert_every_fuel_agrees(p: &Program, setup: impl Fn(&mut Emulator), ctx: &str) {
+    let mut whole = loaded_with(p, false);
+    setup(&mut whole);
+    whole.run(FUEL).unwrap();
+    for n in 0..=whole.cpu.instret + 2 {
+        let mut emus = [true, false].map(|on| loaded_with(p, on));
+        emus.iter_mut().for_each(&setup);
+        let [fast, slow] = &mut emus;
+        assert_eq!(fast.run(n), slow.run(n), "{ctx}: run({n})");
+        assert_same_state(fast, slow, &format!("{ctx}: run({n})"));
+    }
+}
+
+/// Store-free blocks of eight ALU ops, looped, then the halt.
+#[test]
+fn run_fuel_ending_inside_a_store_free_block_matches_the_reference() {
+    let mut a = Asm::new();
+    a.li(Gpr::T2, 3);
+    let top = a.here();
+    for k in 1..=8 {
+        a.addi(Gpr::A0, Gpr::A0, k);
+    }
+    a.addi(Gpr::T2, Gpr::T2, -1);
+    a.bnez(Gpr::T2, top);
+    a.halt();
+    let p = a.finish().unwrap();
+    assert_every_fuel_agrees(&p, |_| {}, "ALU loop");
+}
+
+/// A vector load with `vill` set traps in the middle of a store-free
+/// block; the handler counts the trap and returns past the load.
+#[test]
+fn a_load_trapping_inside_a_store_free_block_matches_the_reference() {
+    let mut a = Asm::new();
+    let main = a.new_label();
+    a.jump(main);
+    a.csrr(Gpr::A5, xt_isa::csr::MEPC);
+    a.addi(Gpr::A5, Gpr::A5, 4);
+    a.csrw(xt_isa::csr::MEPC, Gpr::A5);
+    a.addi(Gpr::A6, Gpr::A6, 1);
+    a.mret();
+    a.bind(main).unwrap();
+    a.li(Gpr::T0, xt_asm::DEFAULT_TEXT_BASE as i64 + 4);
+    a.csrw(xt_isa::csr::MTVEC, Gpr::T0);
+    let cell = a.data_zeros("cell", 64);
+    a.la(Gpr::A1, cell);
+    a.li(Gpr::T2, 3);
+    let top = a.here();
+    a.addi(Gpr::A0, Gpr::A0, 1);
+    a.addi(Gpr::A0, Gpr::A0, 2);
+    a.vle(xt_isa::reg::Vr::new(1), Gpr::A1);
+    a.addi(Gpr::A0, Gpr::A0, 3);
+    a.addi(Gpr::A0, Gpr::A0, 4);
+    a.addi(Gpr::T2, Gpr::T2, -1);
+    a.bnez(Gpr::T2, top);
+    a.add(Gpr::A0, Gpr::A0, Gpr::A6);
+    a.halt();
+    let p = a.finish().unwrap();
+    let vill = |emu: &mut Emulator| emu.cpu.vtype.vill = true;
+    assert_every_fuel_agrees(&p, vill, "trapping vle");
+    let mut emu = loaded_with(&p, true);
+    vill(&mut emu);
+    assert_eq!(emu.run(FUEL), Ok(3 * 10 + 3), "three traps taken and returned from");
+}
+
+/// An AMO is the one store an otherwise store-free block can hold. One
+/// that halts the guest and one that rewrites the next instruction must
+/// both end the block where the reference ends it.
+#[test]
+fn an_amo_halts_and_patches_its_own_block_like_any_store() {
+    let mut a = Asm::new();
+    let end = a.new_label();
+    a.li(Gpr::T0, xt_asm::HALT_ADDR as i64);
+    a.li(Gpr::A0, 9);
+    a.amoswap_w(Gpr::ZERO, Gpr::A0, Gpr::T0);
+    a.addi(Gpr::A1, Gpr::A1, 1);
+    a.addi(Gpr::A1, Gpr::A1, 2);
+    a.jump(end);
+    a.bind(end).unwrap();
+    a.halt();
+    let p = a.finish().unwrap();
+    let fast = assert_fast_equals_slow(&p, "halting AMO");
+    assert_eq!((fast.halted, fast.cpu.x[11]), (Some(9), 0), "nothing ran past the halt");
+
+    // the AMO stores to `site`; returns the program and where the
+    // instruction after the AMO landed
+    let patching = |site: u64| {
+        let mut a = Asm::new();
+        let end = a.new_label();
+        a.li(Gpr::T0, site as i64);
+        a.li(Gpr::T1, addi_word(Gpr::A0, 77) as i64);
+        a.amoswap_w(Gpr::ZERO, Gpr::T1, Gpr::T0);
+        let next = a.pc();
+        a.addi(Gpr::A0, Gpr::ZERO, 1);
+        a.jump(end);
+        a.bind(end).unwrap();
+        a.halt();
+        (a.finish().unwrap(), next)
+    };
+    let (_, site) = patching(xt_asm::DEFAULT_TEXT_BASE + 16);
+    let (p, next) = patching(site);
+    assert_eq!(next, site, "the AMO stores over the instruction after it");
+    let fast = assert_fast_equals_slow(&p, "patching AMO");
+    assert_eq!(fast.halted, Some(77), "the patched word ran");
+    assert_drains_agree(|| loaded(&p), "patching AMO");
 }

@@ -36,6 +36,7 @@
 //! | `ProptestConfig::with_cases(n)` | `prop::Config::seeded_cases(seed, n)` |
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod gen;
 pub mod prop;

@@ -37,6 +37,7 @@
 //! events, renderable as chrome://tracing JSON.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod config;

@@ -24,6 +24,8 @@
 //!   snoop count, an unattributed count and a top-down bucket that
 //!   those laws must refuse.
 
+#![forbid(unsafe_code)]
+
 use xt_core::{CoreConfig, OooSession};
 use xt_perf::{gate, stat};
 

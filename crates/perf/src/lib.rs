@@ -23,6 +23,7 @@
 //! See `docs/OBSERVABILITY.md` for the design notes and the schema.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod gate;
 pub mod json;

@@ -35,6 +35,7 @@
 //! header for tooling and error reports without decoding the payload.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::fmt;

@@ -382,12 +382,20 @@ impl ClusterSim {
 
     /// Runs with the host thread count from `XT_THREADS` (default: the
     /// host's available parallelism, capped at the core count). The
-    /// result is bit-identical for every thread count.
+    /// result is bit-identical for every thread count. The variable is
+    /// read once per process; a value that is not a positive integer
+    /// prints one line naming it and keeps the default.
     pub fn run(self) -> ClusterReport {
-        let threads = std::env::var("XT_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
+        static THREADS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+        let threads = THREADS.get_or_init(|| {
+            let value = std::env::var_os("XT_THREADS");
+            let value = value.as_ref().map(|v| v.to_string_lossy());
+            parse_threads(value.as_deref()).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                None
+            })
+        });
+        let threads = threads
             .unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
         self.run_threads(threads)
     }
@@ -751,11 +759,40 @@ impl ClusterSim {
     }
 }
 
+/// Parses an `XT_THREADS` value: unset means the default (`None`), a
+/// positive integer, surrounding whitespace ignored, that many threads.
+///
+/// # Errors
+///
+/// The one-line diagnostic for any other value.
+fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(v) = value else {
+        return Ok(None);
+    };
+    match v.trim().parse::<usize>() {
+        Ok(t) if t >= 1 => Ok(Some(t)),
+        _ => Err(format!(
+            "XT_THREADS={v:?} is not a positive integer; using the host's parallelism"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xt_asm::Asm;
     use xt_isa::reg::Gpr;
+
+    #[test]
+    fn xt_threads_accepts_positive_integers_only() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_threads(Some(" 1\n")), Ok(Some(1)), "trimmed");
+        for bad in ["0", "-1", "four", "", "2.5"] {
+            let e = parse_threads(Some(bad)).unwrap_err();
+            assert!(e.contains(&format!("{bad:?}")), "{e} names {bad:?}");
+        }
+    }
 
     /// A private-working-set kernel: each core sums its own array.
     fn private_kernel(id: u64) -> Program {

@@ -31,6 +31,8 @@
 //! configuration space; inter-cluster coherence timing is out of scope
 //! (DESIGN.md).
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod clint;
 pub mod cluster;

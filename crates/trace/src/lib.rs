@@ -34,6 +34,7 @@
 //! `docs/PIPELINE.md` and in [`Stage`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod chrome;
 mod konata;

@@ -11,6 +11,8 @@
 //! the Table II figure of the `xt-figures` artifact from this model and
 //! labels it as modeled, not measured.
 
+#![forbid(unsafe_code)]
+
 /// Operating condition (Table II footnotes a/b).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Corner {

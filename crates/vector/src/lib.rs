@@ -17,6 +17,7 @@
 //! `docs/VECTOR.md` describes how the pieces compose.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chain;
 pub mod latency;

@@ -33,6 +33,8 @@
 //! toolchain modes ([`xt_compiler::CompileOpts`]), which is what the
 //! Fig. 20 experiment sweeps.
 
+#![forbid(unsafe_code)]
+
 pub mod ai;
 pub mod blockchain;
 pub mod coremark;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Where does an xt-hostbench workload spend its host time?
 #
-#   scripts/profile.sh WORKLOAD [SECONDS] [--lines FN]
+#   scripts/profile.sh WORKLOAD [SECONDS] [--lines FN] [--incl PATTERN]
 #
 # Builds scripts/profile/sigprof.c (a 1 ms SIGPROF sampler, preloaded),
 # builds benchmark/ with line tables into a target directory of its own,
@@ -9,10 +9,14 @@
 # under the sampler with run.sh's allocator settings, and prints self %
 # and inclusive % per function. With --lines FN, also the samples whose
 # innermost frame is in a function matching FN (a grep pattern against
-# the demangled name), per inlined function and source line.
+# the demangled name), per inlined function and source line. With
+# --incl PATTERN, also the inclusive % of every function matching PATTERN
+# (a grep pattern), inlined or not: a sample counts for a function when
+# the function is anywhere on the stack, inlined frames included.
 #
 # A function is the non-inlined function an address belongs to; what was
-# inlined into it counts as its self time and shows up under --lines.
+# inlined into it counts as its self time and shows up under --lines and
+# --incl.
 # Output goes to stdout, the work files to target/profile (ignored by
 # git). Shell, cc, addr2line and awk only.
 set -euo pipefail
@@ -21,15 +25,17 @@ cd "$(dirname "$0")/.."
 workload=""
 seconds=20
 lines=""
+incl=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --lines) lines="$2"; shift 2 ;;
+        --incl) incl="$2"; shift 2 ;;
         -*) echo "profile.sh: unknown argument $1" >&2; exit 2 ;;
         *) if [ -z "$workload" ]; then workload="$1"; else seconds="$1"; fi; shift ;;
     esac
 done
 if [ -z "$workload" ]; then
-    echo "usage: scripts/profile.sh WORKLOAD [SECONDS] [--lines FN]" >&2
+    echo "usage: scripts/profile.sh WORKLOAD [SECONDS] [--lines FN] [--incl PATTERN]" >&2
     exit 2
 fi
 if ! command -v cc >/dev/null 2>&1 || ! command -v addr2line >/dev/null 2>&1; then
@@ -78,12 +84,13 @@ if [ "$samples" -eq 0 ]; then
     exit 1
 fi
 
-# address -> "outermost function<TAB>innermost function<TAB>innermost file:line"
+# address -> "outermost function<TAB>innermost function<TAB>innermost
+# file:line<TAB>every function of the inline chain, each followed by \037"
 tr ' ' '\n' < "$dir/stacks.txt" | sort -u > "$dir/addrs.txt"
 addr2line -a -f -C -i -e "$bin" $(cat "$dir/addrs.txt") | awk '
-    function flush() { if (addr != "") print addr "\t" fn "\t" inner "\t" where }
-    /^0x[0-9a-f]+$/ { flush(); addr = $0; sub(/^0x0*/, "0x", addr); if (addr == "0x") addr = "0x0"; inner = ""; next }
-    { fn = $0; getline loc; sub(/ \(discriminator [0-9]+\)/, "", loc); n = split(loc, p, "/")
+    function flush() { if (addr != "") print addr "\t" fn "\t" inner "\t" where "\t" chain }
+    /^0x[0-9a-f]+$/ { flush(); addr = $0; sub(/^0x0*/, "0x", addr); if (addr == "0x") addr = "0x0"; inner = ""; chain = ""; next }
+    { fn = $0; chain = chain fn "\037"; getline loc; sub(/ \(discriminator [0-9]+\)/, "", loc); n = split(loc, p, "/")
       if (inner == "") { inner = fn; where = (n > 3 ? p[n-3] "/" p[n-2] "/" p[n-1] "/" p[n] : loc) } }
     END { flush() }' > "$dir/symbols.tsv"
 
@@ -107,4 +114,16 @@ if [ -n "$lines" ]; then
         awk -v total="$samples" '{ n = $1; $1 = ""; printf "%6.2f %s\n", 100 * n / total, $0 }'
     echo "-- and samples per source line, top 60 --"
     sort "$dir/lines.tsv" | uniq -c | sort -k1,1nr | awk 'NR <= 60'
+fi
+
+if [ -n "$incl" ]; then
+    echo "-- inclusive % of every function matching '$incl', inlined frames included --"
+    awk -F '\t' -v pat="$incl" -v total="$samples" '
+        NR == FNR { n = split($5, c, "\037"); for (k = 1; k < n; k++) if (c[k] ~ pat) hit[$1] = hit[$1] c[k] "\037"; next }
+        { m = split($0, f, " "); split("", seen)
+          for (k = 1; k <= m; k++) if (f[k] in hit) {
+              n = split(hit[f[k]], c, "\037")
+              for (j = 1; j < n; j++) if (!(c[j] in seen)) { seen[c[j]] = 1; incl[c[j]]++ } } }
+        END { for (fn in incl) printf "%6.2f  %s\n", 100 * incl[fn] / total, fn }
+    ' "$dir/symbols.tsv" FS=' ' "$dir/stacks.txt" | sort -k1,1nr
 fi

@@ -4,6 +4,8 @@
 //! examples can use one import root. See `DESIGN.md` for the system
 //! inventory and `EXPERIMENTS.md` for the paper-reproduction index.
 
+#![forbid(unsafe_code)]
+
 pub use xt_asm as asm;
 pub use xt_compiler as compiler;
 pub use xt_core as core_model;
