@@ -31,20 +31,39 @@
 //! programs, smaller epochs) and replay from a printed seed.
 
 use crate::progen::{ProgGen, ProgSpec};
+use crate::MAX_INSTS;
 use xt_asm::Program;
 use xt_core::CoreConfig;
 use xt_harness::{Gen, Rng};
 use xt_mem::MemConfig;
 use xt_soc::{ClusterReport, ClusterSim};
 
-/// Dynamic instruction budget per cluster run.
-const MAX_INSTS: u64 = 1_000_000;
-
 /// Per-core placement stride: images 16 MiB apart keep every generated
 /// working set (a few hundred bytes) in a private region.
 const TEXT_BASE: u64 = 0x8000_0000;
 const DATA_BASE: u64 = 0x8800_0000;
 const CORE_STRIDE: u64 = 0x0100_0000;
+
+/// One program per core, each in its own region (this phase's and the
+/// snapshot phase's placement).
+pub(crate) fn emit_cores(cores: &[ProgSpec]) -> Vec<Program> {
+    cores
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let at = i as u64 * CORE_STRIDE;
+            spec.emit_at(TEXT_BASE + at, DATA_BASE + at).0
+        })
+        .collect()
+}
+
+/// The default hierarchy for `cores` cores.
+pub(crate) fn mem_cfg(cores: usize) -> MemConfig {
+    MemConfig {
+        cores,
+        ..MemConfig::default()
+    }
+}
 
 /// A generated multi-core workload: one program per core plus the
 /// engine's epoch length.
@@ -55,22 +74,6 @@ pub struct ClusterSpec {
     pub cores: Vec<ProgSpec>,
     /// Epoch length in simulated cycles.
     pub epoch: u64,
-}
-
-impl ClusterSpec {
-    fn emit(&self) -> Vec<Program> {
-        self.cores
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let (prog, _) = spec.emit_at(
-                    TEXT_BASE + i as u64 * CORE_STRIDE,
-                    DATA_BASE + i as u64 * CORE_STRIDE,
-                );
-                prog
-            })
-            .collect()
-    }
 }
 
 /// Generator for [`ClusterSpec`]s.
@@ -127,13 +130,6 @@ impl Gen for ClusterGen {
     }
 }
 
-fn mem_cfg(cores: usize) -> MemConfig {
-    MemConfig {
-        cores,
-        ..MemConfig::default()
-    }
-}
-
 fn run(progs: &[Program], epoch: u64, threads: usize, traced: bool) -> ClusterReport {
     let mut sim = ClusterSim::new(progs, &CoreConfig::xt910(), mem_cfg(progs.len()), MAX_INSTS)
         .with_epoch(epoch);
@@ -146,7 +142,7 @@ fn run(progs: &[Program], epoch: u64, threads: usize, traced: bool) -> ClusterRe
 /// Checks the cluster invariants for one generated spec. The `Err`
 /// carries a human-readable description of the violated law.
 pub fn check_cluster_invariants(spec: &ClusterSpec) -> Result<(), String> {
-    let progs = spec.emit();
+    let progs = emit_cores(&spec.cores);
     let r1 = run(&progs, spec.epoch, 1, false);
 
     // 1. determinism across host thread counts; the traced leg must
@@ -214,16 +210,10 @@ pub fn check_cluster_invariants(spec: &ClusterSpec) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt_harness::{check_with, Config};
 
     #[test]
     fn generated_clusters_satisfy_invariants() {
-        let cfg = Config::seeded_cases(crate::SUITE_SEED ^ 0xC105_7E12, 24);
-        check_with(&cfg, "cluster_invariants", &ClusterGen::default(), |spec| {
-            if let Err(e) = check_cluster_invariants(spec) {
-                panic!("{e}");
-            }
-        });
+        crate::phase("cluster").test();
     }
 
     #[test]

@@ -6,22 +6,19 @@
 //! reference: each generated [`FastSpec`] — a random [`ProgSpec`]
 //! workload followed by a loop that stores a freshly encoded
 //! instruction word over its own body — runs once with the block cache
-//! on and once with it off, and the complete architectural outcome
-//! (registers, PC, instret, CSRs, console, exit code, nonzero memory)
-//! must match bit for bit. Failures shrink through `xt-harness`
+//! on and once with it off, and the complete architectural outcome (the
+//! emulators' snapshot frames: every register file, PC, instret, CSRs,
+//! privilege mode, LR reservation, PMP, console, exit code, nonzero
+//! memory) must match byte for byte. Failures shrink through `xt-harness`
 //! (shorter workloads, fewer patch iterations, no `fence.i`) and
 //! replay from the printed `XT_HARNESS_SEED`.
 
-use crate::disasm_program;
 use crate::progen::{ProgGen, ProgSpec, NSLOTS};
+use crate::{disasm_program, run_engines};
 use xt_asm::{Asm, Program};
-use xt_emu::Emulator;
 use xt_harness::{Gen, Rng};
 use xt_isa::reg::Gpr;
 use xt_isa::{Inst, Op};
-
-/// Dynamic instruction budget per program.
-const MAX_INSTS: u64 = 1_000_000;
 
 /// A fast-path differential case: a generated workload plus a
 /// self-modifying epilogue loop.
@@ -133,81 +130,28 @@ impl Gen for FastGen {
     }
 }
 
-fn run_one(prog: &Program, fastpath: bool) -> Result<Emulator, String> {
-    let mut emu = Emulator::new();
-    emu.set_fastpath(fastpath);
-    emu.load(prog);
-    emu.run(MAX_INSTS)
-        .map_err(|e| format!("emulator error (fastpath={fastpath}): {e:?}"))?;
-    Ok(emu)
-}
-
-/// Runs `spec` with the block cache on and off and compares the final
-/// architectural state field by field. On divergence returns a replay
-/// artifact with the differing fields and the disassembly.
+/// Runs `spec` with the block cache on and off and compares the two
+/// emulators' frames. On divergence returns a replay artifact with the
+/// first differing frame byte and the disassembly.
 pub fn check_fastpath(spec: &FastSpec) -> Result<(), String> {
     let prog = spec.emit();
-    let fast = run_one(&prog, true)?;
-    let slow = run_one(&prog, false)?;
-
-    let mut diffs = Vec::new();
-    if fast.halted != slow.halted {
-        diffs.push(format!(
-            "  exit code: fast {:?} != slow {:?}",
-            fast.halted, slow.halted
-        ));
-    }
-    if fast.cpu.pc != slow.cpu.pc {
-        diffs.push(format!("  pc: fast {:#x} != slow {:#x}", fast.cpu.pc, slow.cpu.pc));
-    }
-    if fast.cpu.instret != slow.cpu.instret {
-        diffs.push(format!(
-            "  instret: fast {} != slow {}",
-            fast.cpu.instret, slow.cpu.instret
-        ));
-    }
-    for i in 0..32 {
-        if fast.cpu.x[i] != slow.cpu.x[i] {
-            diffs.push(format!(
-                "  x{i}: fast {:#x} != slow {:#x}",
-                fast.cpu.x[i], slow.cpu.x[i]
-            ));
-        }
-    }
-    if fast.cpu.csrs != slow.cpu.csrs || fast.cpu.satp() != slow.cpu.satp() {
-        diffs.push("  CSR files differ".to_string());
-    }
-    if fast.console != slow.console {
-        diffs.push("  console output differs".to_string());
-    }
-    if fast.mem.snapshot_nonzero() != slow.mem.snapshot_nonzero() {
-        diffs.push("  guest memory differs".to_string());
-    }
-    if diffs.is_empty() {
-        return Ok(());
-    }
-    Err(format!(
-        "fast path diverges from per-step decode on {spec:?}:\n{}\nprogram:\n{}",
-        diffs.join("\n"),
-        disasm_program(&prog)
-    ))
+    run_engines(&prog, |_| {}).map(drop).map_err(|e| {
+        format!(
+            "fast path diverges from per-step decode on {spec:?}:\n  {e}\nprogram:\n{}",
+            disasm_program(&prog)
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt_harness::prop::{check_with, Config};
 
-    /// Standing differential smoke: the same phase CI runs, at reduced
-    /// case count.
+    /// Standing differential smoke: the binary's phase and seed, at
+    /// reduced case count.
     #[test]
     fn fastpath_differential_holds() {
-        let cfg = Config::seeded_cases(crate::SUITE_SEED ^ 0xFA57, 24);
-        check_with(&cfg, "fastpath_differential", &FastGen::default(), |spec| {
-            if let Err(e) = check_fastpath(spec) {
-                panic!("{e}");
-            }
-        });
+        crate::phase("fastpath").test();
     }
 
     /// The epilogue really self-modifies: iteration 1 sees `orig_imm`,
@@ -221,10 +165,7 @@ mod tests {
             patch_imm: 200,
             fence_i: true,
         };
-        let prog = spec.emit();
-        let emu = run_one(&prog, true).unwrap();
-        assert_eq!(emu.halted, Some(3 + 4 * 200));
-        let emu = run_one(&prog, false).unwrap();
+        let [emu, _] = run_engines(&spec.emit(), |_| {}).unwrap();
         assert_eq!(emu.halted, Some(3 + 4 * 200));
     }
 }

@@ -7,23 +7,19 @@
 //! the middle of a cached block, and `mtime` must advance exactly with
 //! `instret`. Each generated [`IrqSpec`] — a random [`ProgSpec`]
 //! workload under a random quantum, first-compare offset, and vectoring
-//! mode — must retire the identical instruction stream and final state
-//! both ways, and the two runs' device buses must agree (same `mtime`,
-//! same interrupt count, no denied accesses). Failures shrink through
+//! mode — must leave byte-equal emulator frames both ways, and the two
+//! runs' device buses must agree (same `mtime`, no denied accesses). Failures shrink through
 //! `xt-harness` (shorter workloads, direct vectoring, longer quanta)
 //! and replay from the printed `XT_HARNESS_SEED`.
 
-use crate::disasm_program;
 use crate::progen::{ProgGen, ProgSpec, NSLOTS};
+use crate::{disasm_program, run_engines};
 use xt_asm::{Asm, Program};
 use xt_emu::Emulator;
 use xt_harness::{Gen, Rng};
 use xt_isa::csr;
 use xt_isa::reg::Gpr;
 use xt_soc::{attach_bus, bus_of};
-
-/// Dynamic instruction budget per program.
-const MAX_INSTS: u64 = 1_000_000;
 
 /// One interrupt-delivery case: a generated workload preempted by a
 /// timer handler that re-arms itself every `stride` ticks.
@@ -162,73 +158,38 @@ impl Gen for IrqGen {
     }
 }
 
-fn run_one(prog: &Program, fastpath: bool) -> Result<Emulator, String> {
-    let mut emu = Emulator::new();
-    emu.set_fastpath(fastpath);
-    emu.load(prog);
-    attach_bus(&mut emu, 1);
-    emu.run(MAX_INSTS)
-        .map_err(|e| format!("emulator error (fastpath={fastpath}): {e:?}"))?;
-    Ok(emu)
+/// Attaches a one-hart device bus.
+fn with_bus(emu: &mut Emulator) {
+    attach_bus(emu, 1);
 }
 
-/// Runs `spec` with the block cache on and off and compares the final
-/// architectural *and device* state. On divergence returns a replay
-/// artifact with the differing fields and the disassembly.
+/// Runs `spec` with the block cache on and off and compares the two
+/// emulators' frames *and* device buses. On divergence returns a replay
+/// artifact with the first difference and the disassembly.
 pub fn check_interrupts(spec: &IrqSpec) -> Result<(), String> {
     let prog = spec.emit();
-    let fast = run_one(&prog, true)?;
-    let slow = run_one(&prog, false)?;
-
-    let mut diffs = Vec::new();
-    if fast.halted != slow.halted {
-        diffs.push(format!(
-            "  exit code (interrupt count): fast {:?} != slow {:?}",
-            fast.halted, slow.halted
-        ));
-    }
-    if fast.cpu.instret != slow.cpu.instret {
-        diffs.push(format!(
-            "  instret: fast {} != slow {}",
-            fast.cpu.instret, slow.cpu.instret
-        ));
-    }
-    for i in 0..32 {
-        if fast.cpu.x[i] != slow.cpu.x[i] {
-            diffs.push(format!(
-                "  x{i}: fast {:#x} != slow {:#x}",
-                fast.cpu.x[i], slow.cpu.x[i]
-            ));
-        }
-    }
-    if fast.cpu.csrs != slow.cpu.csrs || fast.cpu.satp() != slow.cpu.satp() {
-        diffs.push("  CSR files differ".to_string());
-    }
-    if fast.mem.snapshot_nonzero() != slow.mem.snapshot_nonzero() {
-        diffs.push("  guest memory differs".to_string());
-    }
+    let fail = |e: String| {
+        format!(
+            "interrupt delivery diverges between engines on {spec:?}:\n  {e}\nprogram:\n{}",
+            disasm_program(&prog)
+        )
+    };
+    let [fast, slow] = run_engines(&prog, with_bus).map_err(fail)?;
     let (fb, sb) = (bus_of(&fast).unwrap(), bus_of(&slow).unwrap());
     if fb.clint.mtime() != sb.clint.mtime() {
-        diffs.push(format!(
-            "  mtime: fast {} != slow {}",
+        return Err(fail(format!(
+            "mtime: fast {} != slow {}",
             fb.clint.mtime(),
             sb.clint.mtime()
-        ));
+        )));
     }
     if !fb.denied.is_empty() || !sb.denied.is_empty() {
-        diffs.push(format!(
-            "  denied device accesses: fast {:?} slow {:?}",
+        return Err(fail(format!(
+            "denied device accesses: fast {:?} slow {:?}",
             fb.denied, sb.denied
-        ));
+        )));
     }
-    if diffs.is_empty() {
-        return Ok(());
-    }
-    Err(format!(
-        "interrupt delivery diverges between engines on {spec:?}:\n{}\nprogram:\n{}",
-        diffs.join("\n"),
-        disasm_program(&prog)
-    ))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -238,12 +199,7 @@ mod tests {
 
     #[test]
     fn standing_irq_suite_holds() {
-        let cfg = Config::seeded_cases(crate::SUITE_SEED ^ 0x1297_0001, 24);
-        check_with(&cfg, "standing_irq_suite_holds", &IrqGen::default(), |s| {
-            if let Err(e) = check_interrupts(s) {
-                panic!("{e}");
-            }
-        });
+        crate::phase("interrupts").test();
     }
 
     #[test]
@@ -257,8 +213,7 @@ mod tests {
             "interrupts_actually_fire_in_generated_cases",
             &IrqGen::default(),
             |s| {
-                let prog = s.emit();
-                let emu = run_one(&prog, true).unwrap();
+                let [emu, _] = run_engines(&s.emit(), with_bus).unwrap();
                 if emu.halted.unwrap_or(0) > 0 {
                     fired.set(fired.get() + 1);
                 }

@@ -26,12 +26,10 @@
 //!    candidates).
 
 use crate::progen::ProgSpec;
+use crate::MAX_INSTS;
 use xt_core::{CoreConfig, InOrderSession, OooSession};
 use xt_mem::MemStats;
 use xt_perf::Sampler;
-
-/// Dynamic instruction budget per checked program (specs are tiny).
-const MAX_INSTS: u64 = 1_000_000;
 
 /// Sampling interval for the telemetry-conservation check: short, so
 /// even tiny generated programs cross several boundaries.

@@ -19,12 +19,17 @@
 //! and carry a replay artifact: the failing seed, the disassembled
 //! program, and a per-stage timing summary.
 //!
+//! Each phase is one row of [`PHASES`]: its name, seed salt, case
+//! counts and runner. The `xt-check` binary loops over the table, and
+//! each phase's unit test is [`Phase::test`] on its row, so the two draw
+//! the same cases from the same seed.
+//!
 //! ## Replay workflow
 //!
 //! The fixed suite seed is [`SUITE_SEED`]. Any failure printed by the
 //! harness can be reproduced with
-//! `XT_HARNESS_SEED=<seed> cargo test -p xt-check` (or the `xt-check`
-//! binary with `--seed`).
+//! `XT_HARNESS_SEED=<seed> cargo test -p xt-check <phase>` (or the
+//! `xt-check` binary with `--seed`).
 
 #![forbid(unsafe_code)]
 
@@ -38,15 +43,191 @@ pub mod snapshot;
 pub mod vector;
 
 use oracle::Fault;
-use progen::{ProgSpec, NREGS, NSLOTS, REG_MAP};
+use progen::{ProgGen, ProgSpec, NREGS, NSLOTS, REG_MAP};
 use xt_asm::Program;
 use xt_emu::Emulator;
+use xt_harness::{check_with, Config, Gen};
 
 /// Fixed seed for the standing conformance suite (CI and tests).
 pub const SUITE_SEED: u64 = 0xC8EC_2020_0910_0001;
 
-/// Dynamic instruction budget per program.
+/// Dynamic instruction budget per program, in every phase.
 const MAX_INSTS: u64 = 1_000_000;
+
+/// One phase: generated cases checked against one property.
+pub struct Phase {
+    /// The phase's name: the property's name in a failure's replay line.
+    pub name: &'static str,
+    /// What one case is, for the binary's progress lines.
+    pub cases_of: &'static str,
+    /// What a clean run shows, for the binary's OK line.
+    pub holds: &'static str,
+    /// Xored into the suite seed, so each phase draws its own cases.
+    pub salt: u64,
+    /// Cases the phase's unit test runs.
+    pub test_cases: u32,
+    /// The binary runs `max(cases / divisor, floor)` cases for its
+    /// `--cases`.
+    pub divisor: u32,
+    /// See [`Phase::divisor`].
+    pub floor: u32,
+    /// Checks every case `cfg` draws; panics with the shrunk,
+    /// seed-replayable artifact of the first failure.
+    pub run: fn(cfg: &Config, name: &str),
+}
+
+impl Phase {
+    /// The configuration for `cases` cases from suite seed `seed`
+    /// (`XT_HARNESS_SEED` / `XT_HARNESS_CASES` override both).
+    pub fn config(&self, seed: u64, cases: u32) -> Config {
+        Config::seeded_cases(seed ^ self.salt, cases)
+    }
+
+    /// The binary's case count for its `--cases`.
+    pub fn cli_cases(&self, cases: u32) -> u32 {
+        (cases / self.divisor).max(self.floor)
+    }
+
+    /// The phase's unit test: the binary's seed, [`Phase::test_cases`]
+    /// cases.
+    pub fn test(&self) {
+        (self.run)(&self.config(SUITE_SEED, self.test_cases), self.name);
+    }
+}
+
+/// Every phase, in the order the binary runs them.
+pub const PHASES: [Phase; 6] = [
+    Phase {
+        name: "programs",
+        cases_of: "programs",
+        holds: "zero emulator/oracle divergences, zero invariant violations",
+        salt: 0,
+        test_cases: 64,
+        divisor: 1,
+        floor: 0,
+        run: |cfg, name| {
+            prop(cfg, name, &ProgGen::default(), |s| {
+                check_program(s, Fault::None)
+            })
+        },
+    },
+    Phase {
+        name: "cluster",
+        cases_of: "cluster workloads",
+        holds: "determinism + makespan + snoop conservation hold",
+        salt: 0xC105_7E12,
+        test_cases: 24,
+        divisor: 4,
+        floor: 4,
+        run: |cfg, name| {
+            prop(
+                cfg,
+                name,
+                &cluster::ClusterGen::default(),
+                cluster::check_cluster_invariants,
+            )
+        },
+    },
+    Phase {
+        name: "fastpath",
+        cases_of: "self-modifying programs",
+        holds: "decoded blocks and the reference interpreter leave byte-equal frames",
+        salt: 0xFA57_0B10,
+        test_cases: 24,
+        divisor: 1,
+        floor: 0,
+        run: |cfg, name| {
+            prop(
+                cfg,
+                name,
+                &fastpath::FastGen::default(),
+                fastpath::check_fastpath,
+            )
+        },
+    },
+    Phase {
+        name: "interrupts",
+        cases_of: "timer-preempted programs",
+        holds: "both engines leave byte-equal frames and device buses",
+        salt: 0x1247_0B10,
+        test_cases: 24,
+        divisor: 1,
+        floor: 0,
+        run: |cfg, name| {
+            prop(
+                cfg,
+                name,
+                &interrupts::IrqGen::default(),
+                interrupts::check_interrupts,
+            )
+        },
+    },
+    Phase {
+        name: "vector",
+        cases_of: "vector kernels",
+        holds: "scalar/vector/fast/slow/OoO agree and vector top-down conserves",
+        salt: 0x7EC7_0B10,
+        test_cases: 12,
+        divisor: 2,
+        floor: 8,
+        run: |cfg, name| prop(cfg, name, &vector::VecGen, vector::check_vector),
+    },
+    Phase {
+        name: "snapshot",
+        cases_of: "snapshot/resume workloads",
+        holds: "snapshotted runs resume bit-identically",
+        salt: 0x5A4B_0B10,
+        test_cases: 16,
+        divisor: 4,
+        floor: 4,
+        run: |cfg, name| {
+            prop(
+                cfg,
+                name,
+                &snapshot::SnapGen::default(),
+                snapshot::check_snapshot_identity,
+            )
+        },
+    },
+];
+
+/// The row of [`PHASES`] named `name`.
+///
+/// # Panics
+///
+/// If no phase has that name.
+pub fn phase(name: &str) -> &'static Phase {
+    PHASES
+        .iter()
+        .find(|p| p.name == name)
+        .unwrap_or_else(|| panic!("no xt-check phase {name:?}"))
+}
+
+/// Checks every case `cfg` draws from `gen`, turning the first `Err`
+/// into the harness's shrunk, replayable panic.
+fn prop<G: Gen>(
+    cfg: &Config,
+    name: &str,
+    gen: &G,
+    check: impl Fn(&G::Value) -> Result<(), String>,
+) {
+    check_with(cfg, name, gen, |value| {
+        if let Err(e) = check(value) {
+            panic!("{e}");
+        }
+    });
+}
+
+/// Runs `prog` on both engines ([`xt_emu::run_both_engines`], `setup`
+/// after the load) and requires it to halt: the runner of the fast-path
+/// and interrupt phases.
+fn run_engines(prog: &Program, setup: impl Fn(&mut Emulator)) -> Result<[Emulator; 2], String> {
+    let emus = xt_emu::run_both_engines(prog, MAX_INSTS, setup)?;
+    match emus[0].halted {
+        Some(_) => Ok(emus),
+        None => Err(format!("no halt within {MAX_INSTS} instructions")),
+    }
+}
 
 /// Disassembles a program's text section (one instruction per line,
 /// with addresses) for failure artifacts.
@@ -132,8 +313,18 @@ mod tests {
             ops: vec![
                 SpecOp::Li { rd: 0, imm: -7 },
                 SpecOp::Li { rd: 1, imm: 64 },
-                SpecOp::Alu { op: AluOp::Sll, rd: 2, rs1: 0, rs2: 1 }, // shamt masks to 0
-                SpecOp::Alu { op: AluOp::Divu, rd: 3, rs1: 0, rs2: 4 }, // div by zero
+                SpecOp::Alu {
+                    op: AluOp::Sll,
+                    rd: 2,
+                    rs1: 0,
+                    rs2: 1,
+                }, // shamt masks to 0
+                SpecOp::Alu {
+                    op: AluOp::Divu,
+                    rd: 3,
+                    rs1: 0,
+                    rs2: 4,
+                }, // div by zero
                 SpecOp::Store { rs: 2, slot: 3 },
                 SpecOp::Load { rd: 5, slot: 3 },
             ],
@@ -147,13 +338,21 @@ mod tests {
         let spec = ProgSpec {
             ops: vec![
                 SpecOp::Li { rd: 0, imm: 7 },
-                SpecOp::Alu { op: AluOp::Divu, rd: 1, rs1: 0, rs2: 2 },
+                SpecOp::Alu {
+                    op: AluOp::Divu,
+                    rd: 1,
+                    rs1: 0,
+                    rs2: 2,
+                },
             ],
         };
         let err = check_conformance(&spec, Fault::DivuZeroGivesZero)
             .expect_err("fault must be observable");
         assert!(err.contains("divergence"), "describes the mismatch: {err}");
-        assert!(err.contains("divu"), "artifact disassembles the program: {err}");
+        assert!(
+            err.contains("divu"),
+            "artifact disassembles the program: {err}"
+        );
     }
 
     #[test]

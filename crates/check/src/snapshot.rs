@@ -31,21 +31,13 @@
 //! [`save`]: OooSession::save
 //! [`restore`]: OooSession::restore
 
+use crate::cluster::{emit_cores, mem_cfg};
 use crate::progen::{ProgGen, ProgSpec};
+use crate::MAX_INSTS;
 use xt_asm::Program;
 use xt_core::{CoreConfig, OooSession};
 use xt_harness::{Gen, Rng};
-use xt_mem::MemConfig;
 use xt_soc::ClusterSim;
-
-/// Dynamic instruction budget per run.
-const MAX_INSTS: u64 = 1_000_000;
-
-/// Per-core placement stride (matches the cluster phase): 16 MiB apart
-/// keeps every generated working set in a private region.
-const TEXT_BASE: u64 = 0x8000_0000;
-const DATA_BASE: u64 = 0x8800_0000;
-const CORE_STRIDE: u64 = 0x0100_0000;
 
 /// A generated snapshot scenario: a workload plus a cut-point selector.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -58,22 +50,6 @@ pub struct SnapSpec {
     /// retired-instruction count (single-core) or a small epoch budget
     /// (multi-core), so every value is a valid mid-run cut.
     pub cut: u64,
-}
-
-impl SnapSpec {
-    fn emit(&self) -> Vec<Program> {
-        self.cores
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let (prog, _) = spec.emit_at(
-                    TEXT_BASE + i as u64 * CORE_STRIDE,
-                    DATA_BASE + i as u64 * CORE_STRIDE,
-                );
-                prog
-            })
-            .collect()
-    }
 }
 
 /// Generator for [`SnapSpec`]s.
@@ -134,13 +110,6 @@ impl Gen for SnapGen {
             }
         }
         out
-    }
-}
-
-fn mem_cfg(cores: usize) -> MemConfig {
-    MemConfig {
-        cores,
-        ..MemConfig::default()
     }
 }
 
@@ -245,7 +214,7 @@ fn check_cluster(progs: &[Program], epoch: u64, cut: u64) -> Result<(), String> 
 /// Checks the snapshot/resume identity laws for one generated spec.
 /// The `Err` carries a human-readable description of the violated law.
 pub fn check_snapshot_identity(spec: &SnapSpec) -> Result<(), String> {
-    let progs = spec.emit();
+    let progs = emit_cores(&spec.cores);
     if progs.len() == 1 {
         check_session(&progs[0], spec.cut)
     } else {
@@ -256,16 +225,10 @@ pub fn check_snapshot_identity(spec: &SnapSpec) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt_harness::{check_with, Config};
 
     #[test]
     fn generated_snapshots_resume_identically() {
-        let cfg = Config::seeded_cases(crate::SUITE_SEED ^ 0x5A4B_0B10, 16);
-        check_with(&cfg, "snapshot_identity", &SnapGen::default(), |spec| {
-            if let Err(e) = check_snapshot_identity(spec) {
-                panic!("{e}");
-            }
-        });
+        crate::phase("snapshot").test();
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! 1. **model vs. host** — every cell's emulator run must produce the
 //!    host-computed expected value (the vectorizer may never change a
 //!    kernel's result),
-//! 2. **fast vs. slow** — the `rv64gcv` program must retire the same
-//!    result with the decoded-block engine on and off (vector ops take
-//!    the same architectural path through both engines),
+//! 2. **fast vs. slow** — every cell's program must leave byte-equal
+//!    emulator frames with the decoded-block engine on and off (vector
+//!    ops take the same architectural path through both engines),
 //! 3. **coverage** — `rv64gcv` cells must actually contain `vsetvli`
 //!    strip-mine loops and `rv64gc` cells must not (a silent vectorizer
 //!    rejection would quietly turn this phase into scalar-only noise),
@@ -24,14 +24,11 @@
 //! Failures shrink (fewer elements, LMUL→1, simpler kernel kind) and
 //! replay from the printed `XT_HARNESS_SEED`.
 
+use crate::{run_engines, MAX_INSTS};
 use xt_compiler::{CompileOpts, FuncBuilder, MemWidth, Rval};
 use xt_core::{CoreConfig, OooSession, StallCause, NUM_STALL_CAUSES};
-use xt_emu::Emulator;
 use xt_harness::{Gen, Rng};
 use xt_perf::TopDown;
-
-/// Dynamic instruction budget per generated kernel.
-const MAX_INSTS: u64 = 1_000_000;
 
 /// Kernel shapes the generator draws from, ordered simplest-first so
 /// shrinking walks toward `Sum`.
@@ -230,14 +227,6 @@ impl VecSpec {
     }
 }
 
-fn run_emu(prog: &xt_asm::Program, fastpath: bool) -> Result<u64, String> {
-    let mut emu = Emulator::new();
-    emu.set_fastpath(fastpath);
-    emu.load(prog);
-    emu.run(MAX_INSTS)
-        .map_err(|e| format!("emulator error: {e:?}"))
-}
-
 /// Runs all checks for one spec; `Err` carries the replay artifact.
 pub fn check_vector(spec: &VecSpec) -> Result<(), String> {
     let want = spec.expected();
@@ -256,14 +245,12 @@ pub fn check_vector(spec: &VecSpec) -> Result<(), String> {
                 opts.vector
             ));
         }
-        for fastpath in [false, true] {
-            let got = run_emu(&prog, fastpath)?;
-            if got != want {
-                return Err(format!(
-                    "{cell} (fastpath={fastpath}): wrong result for {spec:?}: \
-                     got {got:#x}, want {want:#x}\n{dis}"
-                ));
-            }
+        let [emu, _] = run_engines(&prog, |_| {}).map_err(|e| format!("{cell}: {e}\n{dis}"))?;
+        if emu.halted != Some(want) {
+            return Err(format!(
+                "{cell}: wrong result for {spec:?}: got {:#x?}, want {want:#x}\n{dis}",
+                emu.halted
+            ));
         }
         if opts.vector && opts.optimize {
             vec_prog = Some(prog);
@@ -407,12 +394,6 @@ mod tests {
 
     #[test]
     fn fixed_suite_passes() {
-        use xt_harness::prop::{check_with, Config};
-        let cfg = Config::seeded_cases(crate::SUITE_SEED ^ 0x7EC7_0B10, 12);
-        check_with(&cfg, "vector_unit_suite", &VecGen, |spec| {
-            if let Err(e) = check_vector(spec) {
-                panic!("{e}");
-            }
-        });
+        crate::phase("vector").test();
     }
 }

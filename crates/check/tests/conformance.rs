@@ -9,20 +9,18 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use xt_check::oracle::Fault;
 use xt_check::progen::ProgGen;
-use xt_check::{check_program, SUITE_SEED};
+use xt_check::{check_program, phase, SUITE_SEED};
 use xt_harness::prop::{check_with, Config};
 
+/// The programs phase's unit-test configuration.
 fn cfg() -> Config {
-    Config::seeded_cases(SUITE_SEED, 64)
+    let p = phase("programs");
+    p.config(SUITE_SEED, p.test_cases)
 }
 
 #[test]
 fn random_programs_conform_and_satisfy_invariants() {
-    check_with(&cfg(), "random_programs_conform", &ProgGen::default(), |spec| {
-        if let Err(e) = check_program(spec, Fault::None) {
-            panic!("{e}");
-        }
-    });
+    phase("programs").test();
 }
 
 #[test]

@@ -154,8 +154,7 @@ pub struct Emulator {
     /// instruction, and its interrupt lines are polled before every
     /// instruction (see [`crate::platform`] and docs/INTERRUPTS.md).
     pub platform: Option<Box<dyn Platform>>,
-    /// Decoded-block fast path enabled (default: on unless
-    /// `XT_FASTPATH=0`; see [`fastpath_default`] and
+    /// Decoded-block fast path enabled (default: on; see
     /// [`Emulator::set_fastpath`]).
     fastpath: bool,
     /// The decoded-block cache (see [`crate::blockcache`]).
@@ -170,44 +169,44 @@ impl Default for Emulator {
     }
 }
 
-/// Parses an `XT_FASTPATH` value: unset means on, `1` on and `0` off,
-/// surrounding whitespace ignored. Anything else is an error naming the
-/// value.
+/// Runs `prog` on both engines from fresh emulators: the decoded blocks
+/// first, the reference interpreter second. Each loads `prog`, gets
+/// `setup` (a device bus, say) and runs at most `max_insts`
+/// instructions; the two must end with the same outcome and byte-equal
+/// [`Emulator::frame`]s. Every engine differential is this function.
 ///
 /// # Errors
 ///
-/// The one-line diagnostic for a value that is neither `0` nor `1`.
-fn parse_fastpath(value: Option<&str>) -> Result<bool, String> {
-    match value.map(str::trim) {
-        None | Some("1") => Ok(true),
-        Some("0") => Ok(false),
-        Some(_) => Err(format!(
-            "XT_FASTPATH={:?} is neither 0 nor 1; the decoded-block fast path stays on",
-            value.unwrap_or_default()
-        )),
+/// The first difference: the two outcomes, or where the frames part.
+pub fn run_both_engines(
+    prog: &Program,
+    max_insts: u64,
+    setup: impl Fn(&mut Emulator),
+) -> Result<[Emulator; 2], String> {
+    let mut emus = [true, false].map(|fastpath| {
+        let mut emu = Emulator::new();
+        emu.set_fastpath(fastpath);
+        emu.load(prog);
+        setup(&mut emu);
+        emu
+    });
+    let [fast, slow] = &mut emus;
+    let (got, want) = (fast.run(max_insts), slow.run(max_insts));
+    if got != want {
+        return Err(format!(
+            "outcome: decoded blocks {got:?}, reference interpreter {want:?}"
+        ));
+    }
+    match xt_snapshot::first_difference(&fast.frame(), &slow.frame()) {
+        Some(d) => Err(format!("decoded blocks vs reference interpreter: {d}")),
+        None => Ok(emus),
     }
 }
 
-/// The fast-path setting every [`Emulator::new`] starts from:
-/// `XT_FASTPATH`, read and parsed once per process. A value
-/// [`parse_fastpath`] refuses prints its diagnostic once and keeps the
-/// default.
-fn fastpath_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        let value = std::env::var_os("XT_FASTPATH");
-        let value = value.as_ref().map(|v| v.to_string_lossy());
-        parse_fastpath(value.as_deref()).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            true
-        })
-    })
-}
-
 impl Emulator {
-    /// Creates an emulator with empty memory.
+    /// Creates an emulator with empty memory, on the decoded-block fast
+    /// path.
     pub fn new() -> Self {
-        let fastpath = fastpath_default();
         Emulator {
             cpu: Cpu::new(0),
             mem: GuestMem::new(),
@@ -216,10 +215,20 @@ impl Emulator {
             pmp: Pmp::new(16),
             cluster: None,
             platform: None,
-            fastpath,
+            fastpath: true,
             icache: BlockCache::new(),
             cursor: None,
         }
+    }
+
+    /// The snapshot frame of the architectural state (registers of every
+    /// file, CSRs, privilege mode, LR reservation, memory, PMP, halt and
+    /// console latches). It holds nothing of the engine, so two engines
+    /// that agree produce the same bytes.
+    pub fn frame(&mut self) -> Vec<u8> {
+        let mut e = xt_snapshot::Enc::new();
+        xt_snapshot::SnapshotState::save(self, &mut e);
+        e.into_bytes()
     }
 
     /// Enables or disables the decoded-block fast path (see
@@ -1630,14 +1639,15 @@ mod tests {
     use xt_asm::Asm;
     use xt_isa::reg::Gpr;
 
+    /// Runs the program `build` writes on both engines and returns the
+    /// decoded-block one.
     fn run_prog(build: impl FnOnce(&mut Asm)) -> Emulator {
         let mut a = Asm::new();
         build(&mut a);
         a.halt();
         let p = a.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
-        emu.run(10_000_000).unwrap();
+        let [emu, _] = run_both_engines(&p, 10_000_000, |_| {}).unwrap_or_else(|e| panic!("{e}"));
+        assert!(emu.halted.is_some(), "halts");
         emu
     }
 
@@ -1737,10 +1747,8 @@ mod tests {
         a.li(Gpr::A0, 1); // skipped by trap
         a.halt();
         let p = a.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
-        let code = emu.run(100_000).unwrap();
-        assert_eq!(code, 77);
+        let [emu, _] = run_both_engines(&p, 100_000, |_| {}).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(emu.halted, Some(77));
     }
 
     #[test]
@@ -1877,21 +1885,8 @@ mod tests {
         }
         a.halt();
         let p = a.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
-        assert_eq!(emu.run(1000).unwrap(), 5);
-    }
-
-    #[test]
-    fn xt_fastpath_accepts_0_and_1_only() {
-        assert_eq!(parse_fastpath(None), Ok(true));
-        assert_eq!(parse_fastpath(Some("1")), Ok(true));
-        assert_eq!(parse_fastpath(Some("0")), Ok(false));
-        assert_eq!(parse_fastpath(Some(" 0\n")), Ok(false), "trimmed");
-        for bad in ["off", "false", "", "00", "2", "O"] {
-            let e = parse_fastpath(Some(bad)).unwrap_err();
-            assert!(e.contains(&format!("{bad:?}")), "{e} names {bad:?}");
-        }
+        let [emu, _] = run_both_engines(&p, 1000, |_| {}).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(emu.halted, Some(5));
     }
 
     /// `vill` travels with a frame: a restored emulator keeps refusing

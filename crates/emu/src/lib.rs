@@ -53,7 +53,9 @@ pub mod vecexec;
 
 pub use blockcache::CacheStats;
 pub use cpu::{Cpu, PrivMode};
-pub use exec::{ClusterCtl, Emulator, ExecError, StepOutcome, StepStatus, StoreRec};
+pub use exec::{
+    run_both_engines, ClusterCtl, Emulator, ExecError, StepOutcome, StepStatus, StoreRec,
+};
 pub use gmem::GuestMem;
 pub use platform::{BusFault, IrqLines, Platform};
 pub use trace::{DynInst, MemAccess, TraceEvent, TraceSource, TraceStatus};

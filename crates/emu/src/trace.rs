@@ -296,8 +296,18 @@ impl Iterator for TraceSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt_asm::Asm;
+    use xt_asm::{Asm, Program};
     use xt_isa::reg::Gpr;
+
+    /// `p` traced on each engine, decoded blocks first.
+    fn traced(p: &Program, limit: u64) -> [TraceSource; 2] {
+        [true, false].map(|fastpath| {
+            let mut emu = Emulator::new();
+            emu.set_fastpath(fastpath);
+            emu.load(p);
+            TraceSource::new(emu, limit)
+        })
+    }
 
     #[test]
     fn trace_records_branches_and_mem() {
@@ -310,18 +320,20 @@ mod tests {
         a.la(Gpr::A1, arr);
         a.ld(Gpr::A2, Gpr::A1, 0);
         a.halt();
-        let p = a.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
-        let trace: Vec<DynInst> = TraceSource::new(emu, 10_000).collect();
-        let taken: Vec<&DynInst> = trace
-            .iter()
-            .filter(|d| d.inst.op == xt_isa::Op::Bne && d.is_taken_branch())
-            .collect();
-        assert_eq!(taken.len(), 1, "loop branch taken once");
-        let loads: Vec<&DynInst> = trace.iter().filter(|d| d.mem.is_some() && !d.mem.unwrap().is_store).collect();
-        assert_eq!(loads.len(), 1);
-        assert_eq!(loads[0].mem.unwrap().vaddr, arr);
+        for src in traced(&a.finish().unwrap(), 10_000) {
+            let trace: Vec<DynInst> = src.collect();
+            let taken: Vec<&DynInst> = trace
+                .iter()
+                .filter(|d| d.inst.op == xt_isa::Op::Bne && d.is_taken_branch())
+                .collect();
+            assert_eq!(taken.len(), 1, "loop branch taken once");
+            let loads: Vec<&DynInst> = trace
+                .iter()
+                .filter(|d| d.mem.is_some() && !d.mem.unwrap().is_store)
+                .collect();
+            assert_eq!(loads.len(), 1);
+            assert_eq!(loads[0].mem.unwrap().vaddr, arr);
+        }
     }
 
     #[test]
@@ -329,13 +341,11 @@ mod tests {
         let mut a = Asm::new();
         a.li(Gpr::A0, 9);
         a.halt();
-        let p = a.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
-        let mut src = TraceSource::new(emu, 1000);
-        let n = src.by_ref().count();
-        assert!(n > 0);
-        assert_eq!(src.exit_code, Some(9));
+        for mut src in traced(&a.finish().unwrap(), 1000) {
+            let n = src.by_ref().count();
+            assert!(n > 0);
+            assert_eq!(src.exit_code, Some(9));
+        }
     }
 
     #[test]
@@ -343,11 +353,9 @@ mod tests {
         let mut a = Asm::new();
         let top = a.here();
         a.jump(top); // infinite loop
-        let p = a.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
-        let mut src = TraceSource::new(emu, 100);
-        assert_eq!(src.by_ref().count(), 100);
-        assert_eq!(src.exit_code, None);
+        for mut src in traced(&a.finish().unwrap(), 100) {
+            assert_eq!(src.by_ref().count(), 100);
+            assert_eq!(src.exit_code, None);
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Differential property tests: random arithmetic programs executed by
-//! the emulator must match the same computation done in host Rust.
+//! the emulator must match the same computation done in host Rust, on
+//! both engines ([`xt_emu::run_both_engines`]).
 //!
 //! Ported from proptest to the in-tree `xt-harness` engine. Default
 //! seed for this suite: `0xD1FF_0001` (fixed); override or replay with
@@ -10,8 +11,8 @@
 
 use xt_harness::gen;
 use xt_harness::prop::{check_with, Config};
-use xt_asm::Asm;
-use xt_emu::Emulator;
+use xt_asm::{Asm, Program};
+use xt_emu::run_both_engines;
 use xt_isa::reg::Gpr;
 
 fn exec_binop(op: &str, a: i64, b: i64) -> u64 {
@@ -45,10 +46,13 @@ fn exec_binop(op: &str, a: i64, b: i64) -> u64 {
         _ => unreachable!(),
     };
     asm.halt();
-    let p = asm.finish().unwrap();
-    let mut emu = Emulator::new();
-    emu.load(&p);
-    emu.run(1000).unwrap()
+    run(&asm.finish().unwrap())
+}
+
+/// Runs `p` on both engines and returns its exit code.
+fn run(p: &Program) -> u64 {
+    let [emu, _] = run_both_engines(p, 1000, |_| {}).unwrap_or_else(|e| panic!("{e}"));
+    emu.halted.expect("halts")
 }
 
 fn host_binop(op: &str, a: i64, b: i64) -> u64 {
@@ -148,9 +152,7 @@ fn li_materializes_exactly() {
         asm.li(Gpr::A0, v);
         asm.halt();
         let p = asm.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
-        assert_eq!(emu.run(1000).unwrap(), v as u64);
+        assert_eq!(run(&p), v as u64);
     });
 }
 
@@ -167,10 +169,8 @@ fn shifts_match_host() {
         asm.xor_(Gpr::A0, Gpr::A0, Gpr::A4);
         asm.halt();
         let p = asm.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
         let expect = ((a as u64) << sh) ^ ((a as u64) >> sh) ^ ((a >> sh) as u64);
-        assert_eq!(emu.run(1000).unwrap(), expect);
+        assert_eq!(run(&p), expect);
     });
 }
 
@@ -193,12 +193,10 @@ fn memory_byte_halfword_sign_extension() {
             asm.add(Gpr::A0, Gpr::A0, Gpr::A5);
             asm.halt();
             let p = asm.finish().unwrap();
-            let mut emu = Emulator::new();
-            emu.load(&p);
             let expect = ((v as i8 as i64 as u64)
                 .wrapping_add(v as u16 as u64))
                 .wrapping_add(v as i32 as i64 as u64);
-            assert_eq!(emu.run(1000).unwrap(), expect);
+            assert_eq!(run(&p), expect);
         },
     );
 }
@@ -217,11 +215,9 @@ fn custom_ext_matches_manual_shift_mask() {
             asm.xextu(Gpr::A0, Gpr::A1, hi, lo);
             asm.halt();
             let p = asm.finish().unwrap();
-            let mut emu = Emulator::new();
-            emu.load(&p);
             let width = hi - lo + 1;
             let mask = if width >= 64 { u64::MAX } else { (1u64 << width) - 1 };
-            assert_eq!(emu.run(1000).unwrap(), (v >> lo) & mask);
+            assert_eq!(run(&p), (v >> lo) & mask);
         },
     );
 }

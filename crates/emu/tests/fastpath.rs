@@ -5,15 +5,16 @@
 //! encoded instruction words over their own loop bodies at random
 //! positions (random invalidation points) — run twice, once with the
 //! block cache enabled and once on the seed interpreter, and the entire
-//! architectural outcome must match: integer/FP registers, PC, instret,
-//! privilege mode, CSR file (trap causes included), LR reservation,
-//! console bytes, exit code, and every nonzero page of guest memory.
+//! architectural outcome must match: the two emulators' snapshot frames
+//! (every register file, PC, instret, privilege mode, CSR file with trap
+//! causes, LR reservation, PMP, console bytes, exit code and every
+//! nonzero page of guest memory) are byte-equal.
 //!
 //! Seed for this suite: `0xFA57_0001`; override/replay with
 //! `XT_HARNESS_SEED=<seed> cargo test`.
 
 use xt_asm::{Asm, Program};
-use xt_emu::{DynInst, Emulator, ExecError, StepOutcome, TraceEvent, TraceSource, TraceStatus};
+use xt_emu::{run_both_engines, DynInst, Emulator, ExecError, StepOutcome, TraceEvent, TraceSource, TraceStatus};
 use xt_harness::gen;
 use xt_harness::prop::{check_with, Config};
 use xt_harness::rng::Rng;
@@ -28,41 +29,20 @@ fn cfg(cases: u32) -> Config {
 }
 
 /// Runs `p` to completion twice — fast path on and off — and asserts
-/// bit-identical architectural state. Returns the fast emulator for
+/// the same outcome and byte-equal frames. Returns the fast emulator for
 /// extra assertions.
 fn assert_fast_equals_slow(p: &Program, ctx: &str) -> Emulator {
-    let mut fast = Emulator::new();
-    fast.set_fastpath(true);
-    fast.load(p);
-    let r_fast = fast.run(FUEL);
-
-    let mut slow = Emulator::new();
-    slow.set_fastpath(false);
-    slow.load(p);
-    let r_slow = slow.run(FUEL);
-
-    assert_eq!(r_fast, r_slow, "{ctx}: run outcome");
-    assert_same_state(&fast, &slow, ctx);
+    let [fast, _] = run_both_engines(p, FUEL, |_| {}).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     fast
 }
 
-/// Asserts bit-identical architectural state of two emulators.
-fn assert_same_state(fast: &Emulator, slow: &Emulator, ctx: &str) {
-    assert_eq!(fast.halted, slow.halted, "{ctx}: exit code");
-    assert_eq!(fast.cpu.pc, slow.cpu.pc, "{ctx}: pc");
-    assert_eq!(fast.cpu.x, slow.cpu.x, "{ctx}: integer registers");
-    assert_eq!(fast.cpu.f, slow.cpu.f, "{ctx}: fp registers");
-    assert_eq!(fast.cpu.instret, slow.cpu.instret, "{ctx}: instret");
-    assert_eq!(fast.cpu.mode, slow.cpu.mode, "{ctx}: privilege mode");
-    assert_eq!(fast.cpu.csrs, slow.cpu.csrs, "{ctx}: CSR file");
-    assert_eq!(fast.cpu.satp(), slow.cpu.satp(), "{ctx}: satp");
-    assert_eq!(fast.cpu.reservation, slow.cpu.reservation, "{ctx}: LR reservation");
-    assert_eq!(fast.console, slow.console, "{ctx}: console bytes");
-    assert_eq!(
-        fast.mem.snapshot_nonzero(),
-        slow.mem.snapshot_nonzero(),
-        "{ctx}: guest memory"
-    );
+/// Asserts byte-equal snapshot frames of two emulators: every register
+/// file, CSRs, privilege mode, LR reservation, PMP, console, exit code
+/// and memory.
+fn assert_same_state(fast: &mut Emulator, slow: &mut Emulator, ctx: &str) {
+    if let Some(d) = xt_snapshot::first_difference(&fast.frame(), &slow.frame()) {
+        panic!("{ctx}: {d}");
+    }
 }
 
 /// Encodes `addi rd, x0, k` — the patch word the SMC generators store
@@ -449,21 +429,13 @@ impl xt_emu::Platform for TimerPlatform {
 /// Like [`assert_fast_equals_slow`], with a fresh [`TimerPlatform`]
 /// attached to each emulator (`cmp0` pre-arms the compare).
 fn assert_fast_equals_slow_irq(p: &Program, cmp0: u64, ctx: &str) -> Emulator {
-    let mk = |on: bool| {
-        let mut emu = Emulator::new();
-        emu.set_fastpath(on);
-        emu.load(p);
+    let timer = |emu: &mut Emulator| {
         emu.attach_platform(Box::new(TimerPlatform {
             mtime: 0,
             mtimecmp: cmp0,
-        }));
-        let r = emu.run(FUEL);
-        (emu, r)
+        }))
     };
-    let (fast, r_fast) = mk(true);
-    let (slow, r_slow) = mk(false);
-    assert_eq!(r_fast, r_slow, "{ctx}: run outcome");
-    assert_same_state(&fast, &slow, ctx);
+    let [fast, _] = run_both_engines(p, FUEL, timer).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     fast
 }
 
@@ -1244,7 +1216,7 @@ fn a_dropped_block_never_comes_back_through_the_jump_table() {
                 }
                 retire_up_to(emu, FUEL, by_step);
             }
-            let [fast, slow] = &emus;
+            let [fast, slow] = &mut emus;
             assert!(fast.halted.is_some(), "{ctx}: no halt");
             assert_same_state(fast, slow, &ctx);
             let stats = fast.cache_stats();
@@ -1285,7 +1257,7 @@ fn a_warm_page_memo_reads_restored_and_reloaded_pages() {
         cold.restore(&mut xt_snapshot::Dec::new(frame.bytes())).unwrap();
         assert_eq!(warm.run(FUEL), Ok(0x2222), "{ctx}: restored");
         assert_eq!(cold.run(FUEL), Ok(0x2222), "{ctx}: restored");
-        assert_same_state(&warm, &cold, &format!("{ctx}, restored"));
+        assert_same_state(&mut warm, &mut cold, &format!("{ctx}, restored"));
         let third = data_reader(0x3333);
         for emu in [&mut warm, &mut cold] {
             emu.load(&third);
@@ -1293,7 +1265,7 @@ fn a_warm_page_memo_reads_restored_and_reloaded_pages() {
         }
         assert_eq!(warm.run(FUEL), Ok(0x3333), "{ctx}: reloaded");
         assert_eq!(cold.run(FUEL), Ok(0x3333), "{ctx}: reloaded");
-        assert_same_state(&warm, &cold, &format!("{ctx}, reloaded"));
+        assert_same_state(&mut warm, &mut cold, &format!("{ctx}, reloaded"));
     }
 }
 

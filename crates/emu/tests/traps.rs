@@ -7,8 +7,8 @@
 //! with a sentinel; the host then inspects `mcause`/`mepc`/`mtval`
 //! directly through the public CSR interface.
 
-use xt_asm::Asm;
-use xt_emu::Emulator;
+use xt_asm::{Asm, Program};
+use xt_emu::{run_both_engines, Emulator};
 use xt_isa::csr;
 use xt_isa::reg::Gpr;
 
@@ -34,10 +34,14 @@ fn run_with_handler(build: impl FnOnce(&mut Asm)) -> Emulator {
     a.csrw(csr::MTVEC, Gpr::T0);
     build(&mut a);
     a.halt();
-    let p = a.finish().unwrap();
-    let mut emu = Emulator::new();
-    emu.load(&p);
-    emu.run(100_000).unwrap();
+    run(&a.finish().unwrap())
+}
+
+/// Runs `p` to its halt on both engines and returns the decoded-block
+/// emulator.
+fn run(p: &Program) -> Emulator {
+    let [emu, _] = run_both_engines(p, 100_000, |_| {}).unwrap_or_else(|e| panic!("{e}"));
+    assert!(emu.halted.is_some(), "halts");
     emu
 }
 
@@ -154,10 +158,8 @@ fn trap_handler_can_mret_past_faulting_amo() {
     a.amoadd_w(Gpr::A3, Gpr::A2, Gpr::A1); // traps, handler skips it
     a.li(Gpr::A0, 123);
     a.halt();
-    let p = a.finish().unwrap();
-    let mut emu = Emulator::new();
-    emu.load(&p);
-    assert_eq!(emu.run(100_000).unwrap(), 123);
+    let emu = run(&a.finish().unwrap());
+    assert_eq!(emu.halted, Some(123));
     assert_eq!(emu.cpu.read_csr(csr::MCAUSE), CAUSE_STORE_MISALIGNED);
 }
 
@@ -235,10 +237,8 @@ fn trap_stacks_mie_and_mret_restores_it() {
     a.ecall();
     a.csrr(Gpr::A0, csr::MSTATUS); // mstatus after the round trip
     a.halt();
-    let p = a.finish().unwrap();
-    let mut emu = Emulator::new();
-    emu.load(&p);
-    let after = emu.run(100_000).unwrap();
+    let emu = run(&a.finish().unwrap());
+    let after = emu.halted.unwrap();
     let inside = emu.cpu.x[12]; // a2
     assert_eq!(inside & mstatus::MIE, 0, "handler runs with MIE clear");
     assert_ne!(inside & mstatus::MPIE, 0, "prior MIE stacked into MPIE");
@@ -266,10 +266,8 @@ fn mret_honors_mpp_user() {
     a.li(Gpr::T0, target as i64);
     a.csrw(csr::MEPC, Gpr::T0);
     a.mret();
-    let p = a.finish().unwrap();
-    let mut emu = Emulator::new();
-    emu.load(&p);
-    assert_eq!(emu.run(100_000).unwrap(), 11);
+    let emu = run(&a.finish().unwrap());
+    assert_eq!(emu.halted, Some(11));
     assert_eq!(emu.cpu.mode, xt_emu::PrivMode::User);
 }
 
@@ -294,10 +292,8 @@ fn sret_returns_to_spp_mode_and_restores_sie() {
         a.li(Gpr::T0, target as i64);
         a.csrw(csr::SEPC, Gpr::T0);
         a.sret();
-        let p = a.finish().unwrap();
-        let mut emu = Emulator::new();
-        emu.load(&p);
-        assert_eq!(emu.run(100_000).unwrap(), 21, "spp={spp:#x}");
+        let emu = run(&a.finish().unwrap());
+        assert_eq!(emu.halted, Some(21), "spp={spp:#x}");
         assert_eq!(emu.cpu.mode, want_mode, "spp={spp:#x}");
         let ss = emu.cpu.read_csr(csr::SSTATUS);
         assert_ne!(ss & mstatus::SIE, 0, "SIE restored from SPIE");

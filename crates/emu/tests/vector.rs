@@ -1,7 +1,7 @@
 //! Integration tests for the RVV 0.7.1 vector subset.
 
 use xt_asm::Asm;
-use xt_emu::Emulator;
+use xt_emu::{run_both_engines, Emulator};
 use xt_isa::reg::{Gpr, Vr};
 use xt_isa::vector::Sew;
 
@@ -10,9 +10,8 @@ fn run(build: impl FnOnce(&mut Asm)) -> Emulator {
     build(&mut a);
     a.halt();
     let p = a.finish().unwrap();
-    let mut emu = Emulator::new();
-    emu.load(&p);
-    emu.run(10_000_000).unwrap();
+    let [emu, _] = run_both_engines(&p, 10_000_000, |_| {}).unwrap_or_else(|e| panic!("{e}"));
+    assert!(emu.halted.is_some(), "halts");
     emu
 }
 

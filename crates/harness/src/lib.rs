@@ -45,3 +45,40 @@ pub mod rng;
 pub use gen::Gen;
 pub use prop::{check, check_with, Config};
 pub use rng::Rng;
+
+/// Whether this run re-blesses golden fixtures instead of comparing
+/// against them: `XT_BLESS=1` re-blesses, an unset variable compares.
+///
+/// # Panics
+///
+/// On any other value (`0`, empty, `yes`, ...), naming it: a value that
+/// looks like "off" must not rewrite a fixture and pass.
+pub fn blessing() -> bool {
+    bless_value(std::env::var_os("XT_BLESS").as_deref())
+}
+
+fn bless_value(value: Option<&std::ffi::OsStr>) -> bool {
+    match value {
+        None => false,
+        Some(v) if v == "1" => true,
+        Some(v) => panic!("XT_BLESS={v:?}: set XT_BLESS=1 to re-bless, or unset it to compare"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bless_value;
+    use std::ffi::OsStr;
+
+    #[test]
+    fn xt_bless_is_1_or_unset() {
+        assert!(!bless_value(None));
+        assert!(bless_value(Some(OsStr::new("1"))));
+        for bad in ["0", "", " 1", "yes"] {
+            let e = std::panic::catch_unwind(|| bless_value(Some(OsStr::new(bad))))
+                .expect_err("refused");
+            let msg = e.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains(&format!("XT_BLESS={bad:?}")), "{msg}");
+        }
+    }
+}

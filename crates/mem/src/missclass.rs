@@ -12,7 +12,8 @@
 //! of the optional tracer), so the attributed classes are independent
 //! of whether a [`crate::trace::MemTracer`] is attached, and replaying a
 //! recorded [`crate::system::MemOp`] log reproduces them exactly — which
-//! is what keeps traced cluster runs bit-identical across `XT_THREADS`.
+//! is what keeps traced cluster runs bit-identical across host thread
+//! counts.
 //! It decides the class and keeps no totals: the class rides in the
 //! `L1DMiss` event and [`crate::MemStats::record`] bumps the miss and
 //! its class in one arm, which is why the law above holds by

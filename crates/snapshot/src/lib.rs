@@ -711,9 +711,41 @@ pub fn describe(bytes: &[u8]) -> String {
     )
 }
 
+/// Where two frames (or payloads) part: `None` when they are
+/// byte-equal, else one line naming the first differing byte offset,
+/// both lengths and up to eight bytes of each side from that offset.
+pub fn first_difference(a: &[u8], b: &[u8]) -> Option<String> {
+    if a == b {
+        return None;
+    }
+    let at = a
+        .iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .unwrap_or(a.len().min(b.len()));
+    let from =
+        |f: &[u8]| -> String { f[at..].iter().take(8).map(|b| format!("{b:02x}")).collect() };
+    Some(format!(
+        "frames differ from byte {at} ({} vs {} bytes): [{}] vs [{}]",
+        a.len(),
+        b.len(),
+        from(a),
+        from(b)
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_difference_names_the_offset() {
+        assert_eq!(first_difference(b"abc", b"abc"), None);
+        let d = first_difference(b"abcd", b"abXd").unwrap();
+        assert!(d.contains("byte 2 (4 vs 4 bytes): [6364] vs [5864]"), "{d}");
+        let d = first_difference(b"ab", b"abc").unwrap();
+        assert!(d.contains("byte 2 (2 vs 3 bytes): [] vs [63]"), "{d}");
+    }
 
     /// Every primitive and helper, encoded and decoded by the same list.
     #[derive(Clone, Debug, Default, PartialEq)]

@@ -24,9 +24,9 @@
 //! state and the barrier runs serially in a fixed order, so the result
 //! — [`PerfCounters`], [`MemStats`], exit codes, pipeline traces — is
 //! bit-identical for any host thread count ([`ClusterSim::run_threads`]
-//! with 1, 2, 4, … threads, or the inline [`ClusterSim::run_sequential`]
-//! oracle). `tests/determinism.rs` and the `xt-check` cluster suite
-//! enforce this; docs/CLUSTER.md derives it.
+//! with 1, 2, 4, … threads; one thread runs the whole pipeline inline,
+//! the obviously-sequential oracle). `tests/determinism.rs` and the
+//! `xt-check` cluster suite enforce this; docs/CLUSTER.md derives it.
 
 use crate::bus::{bus_of, bus_of_mut, MmioBus};
 use crate::timeline::{EpochSample, EpochTimeline};
@@ -342,9 +342,10 @@ impl ClusterSim {
         self
     }
 
-    /// Forces every core's emulator fast path on or off (overriding the
-    /// `XT_FASTPATH` default). Architecturally a no-op either way — the
-    /// determinism suite runs both settings against each other.
+    /// Puts every core's emulator on the decoded-block fast path (the
+    /// default) or on the reference interpreter. Architecturally a no-op
+    /// either way — the determinism suite runs both settings against each
+    /// other.
     pub fn with_fastpath(mut self, on: bool) -> Self {
         for s in &mut self.slots {
             s.trace.emulator_mut().set_fastpath(on);
@@ -380,39 +381,25 @@ impl ClusterSim {
         self
     }
 
-    /// Runs with the host thread count from `XT_THREADS` (default: the
-    /// host's available parallelism, capped at the core count). The
-    /// result is bit-identical for every thread count. The variable is
-    /// read once per process; a value that is not a positive integer
-    /// prints one line naming it and keeps the default.
+    /// Runs with the host's available parallelism as the thread count
+    /// (clamped to the core count). The result is bit-identical for
+    /// every thread count.
     pub fn run(self) -> ClusterReport {
-        static THREADS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        let threads = THREADS.get_or_init(|| {
-            let value = std::env::var_os("XT_THREADS");
-            let value = value.as_ref().map(|v| v.to_string_lossy());
-            parse_threads(value.as_deref()).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                None
-            })
-        });
-        let threads = threads
-            .unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+        let threads = thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         self.run_threads(threads)
     }
 
     /// Runs with an explicit worker-thread count (clamped to the core
     /// count). Cores are partitioned into contiguous chunks, one scoped
-    /// thread per chunk per epoch; the barrier is always serial.
+    /// thread per chunk per epoch; the barrier is always serial. One
+    /// thread runs the identical epoch/barrier pipeline inline on the
+    /// calling thread — the sequential oracle the determinism tests
+    /// compare the threaded runs against.
     pub fn run_threads(mut self, threads: usize) -> ClusterReport {
         while !self.step_epochs(1, threads) {}
         self.into_report()
-    }
-
-    /// Runs the identical epoch/barrier pipeline inline on the calling
-    /// thread — the obviously-sequential oracle the determinism tests
-    /// compare the threaded runs against.
-    pub fn run_sequential(self) -> ClusterReport {
-        self.run_threads(1)
     }
 
     /// Whether every core has finished and the final drain has run —
@@ -759,39 +746,24 @@ impl ClusterSim {
     }
 }
 
-/// Parses an `XT_THREADS` value: unset means the default (`None`), a
-/// positive integer, surrounding whitespace ignored, that many threads.
-///
-/// # Errors
-///
-/// The one-line diagnostic for any other value.
-fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(v) = value else {
-        return Ok(None);
-    };
-    match v.trim().parse::<usize>() {
-        Ok(t) if t >= 1 => Ok(Some(t)),
-        _ => Err(format!(
-            "XT_THREADS={v:?} is not a positive integer; using the host's parallelism"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xt_asm::Asm;
     use xt_isa::reg::Gpr;
 
-    #[test]
-    fn xt_threads_accepts_positive_integers_only() {
-        assert_eq!(parse_threads(None), Ok(None));
-        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
-        assert_eq!(parse_threads(Some(" 1\n")), Ok(Some(1)), "trimmed");
-        for bad in ["0", "-1", "four", "", "2.5"] {
-            let e = parse_threads(Some(bad)).unwrap_err();
-            assert!(e.contains(&format!("{bad:?}")), "{e} names {bad:?}");
-        }
+    /// Runs the cluster `mk` builds at 1 and at 4 host threads, requires
+    /// identical results, and returns the 4-thread report.
+    fn run_at_1_and_4(mk: impl Fn() -> ClusterSim) -> ClusterReport {
+        let one = mk().run_threads(1);
+        let four = mk().run_threads(4);
+        assert_eq!(one.cores, four.cores, "perf counters, 1 vs 4 threads");
+        assert_eq!(one.mem, four.mem, "memory statistics, 1 vs 4 threads");
+        assert_eq!(
+            one.exit_codes, four.exit_codes,
+            "exit codes, 1 vs 4 threads"
+        );
+        four
     }
 
     /// A private-working-set kernel: each core sums its own array.
@@ -849,7 +821,7 @@ mod tests {
                 cores: n,
                 ..MemConfig::default()
             };
-            ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 10_000_000).run()
+            run_at_1_and_4(|| ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 10_000_000))
         };
         let one = mk(1);
         let four = mk(4);
@@ -876,7 +848,8 @@ mod tests {
             cores: 4,
             ..MemConfig::default()
         };
-        let r = ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000).run();
+        let r =
+            run_at_1_and_4(|| ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000));
         assert!(r.mem.snoops_sent > 0, "line ping-pong produces snoops");
         assert!(r.mem.c2c_transfers > 0, "dirty lines move cache-to-cache");
         for code in &r.exit_codes {
@@ -892,9 +865,11 @@ mod tests {
             cores: 2,
             ..MemConfig::default()
         };
-        let rs = ClusterSim::new(&share, &CoreConfig::xt910(), mem2(), 1_000_000).run();
+        let rs =
+            run_at_1_and_4(|| ClusterSim::new(&share, &CoreConfig::xt910(), mem2(), 1_000_000));
         let shared_cpi = rs.makespan() as f64 / rs.total_instructions() as f64;
-        let rp = ClusterSim::new(&priv_, &CoreConfig::xt910(), mem2(), 1_000_000).run();
+        let rp =
+            run_at_1_and_4(|| ClusterSim::new(&priv_, &CoreConfig::xt910(), mem2(), 1_000_000));
         let priv_cpi = rp.makespan() as f64 / rp.total_instructions() as f64;
         assert!(
             shared_cpi > priv_cpi * 1.2,
@@ -912,7 +887,8 @@ mod tests {
             cores: 4,
             ..MemConfig::default()
         };
-        let r = ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000).run();
+        let r =
+            run_at_1_and_4(|| ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000));
         for code in &r.exit_codes {
             assert!(code.is_some(), "all cores halted");
         }
@@ -1066,13 +1042,13 @@ mod tests {
             };
             ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000)
         };
-        let seq = mk().run_sequential();
         let t1 = mk().run_threads(1);
+        let t2 = mk().run_threads(2);
         let t4 = mk().run_threads(4);
-        assert_eq!(seq.cores, t1.cores);
-        assert_eq!(seq.cores, t4.cores);
-        assert_eq!(seq.mem, t1.mem);
-        assert_eq!(seq.mem, t4.mem);
-        assert_eq!(seq.exit_codes, t4.exit_codes);
+        assert_eq!(t1.cores, t2.cores);
+        assert_eq!(t1.cores, t4.cores);
+        assert_eq!(t1.mem, t2.mem);
+        assert_eq!(t1.mem, t4.mem);
+        assert_eq!(t1.exit_codes, t4.exit_codes);
     }
 }

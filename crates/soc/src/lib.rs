@@ -13,7 +13,7 @@
 //!   per core chunk) against private memory-hierarchy replicas, and a
 //!   serial barrier arbitrates the recorded traffic through the shared
 //!   master [`xt_mem::MemSystem`] in core-index order. Results are
-//!   bit-identical for any `XT_THREADS` value (docs/CLUSTER.md);
+//!   bit-identical for any host thread count (docs/CLUSTER.md);
 //! * [`MmioBus`] — the synchronous, strongly-ordered device bus
 //!   implementing [`xt_emu::Platform`]: address-window routing to the
 //!   devices below plus denied-access diagnostics (docs/INTERRUPTS.md);

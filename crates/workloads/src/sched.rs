@@ -18,8 +18,8 @@
 //! Everything about the run — preemption points, context-switch count,
 //! IPI arrival — is a function of the architectural instruction streams,
 //! so exit codes *and retired-instruction counts* are bit-identical
-//! across fast path on/off and any `XT_THREADS` value. The CI smoke leg
-//! pins them.
+//! across fast path on/off and any host thread count.
+//! `tests/interrupts.rs` pins them.
 
 use xt_asm::{Asm, Program};
 use xt_emu::platform::{clint_map, CLINT_BASE, UART_BASE};

@@ -8,111 +8,72 @@
 # used to provide; host speed is measured by benchmark/ (its own leg
 # below), not by `cargo bench`.
 #
+# Every engine and thread-count choice is made in code by the suites
+# themselves (`set_fastpath`, `with_fastpath`, `run_threads`), so each
+# suite runs once. Each leg starts with `leg NAME`; the wall-clock
+# seconds per leg and the total print at the end.
+#
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release, all targets, offline) =="
+timings="" leg_name="" leg_start=$SECONDS
+leg() {
+    if [ -n "$leg_name" ]; then
+        timings+=$(printf '%5d s  %s' $((SECONDS - leg_start)) "$leg_name")$'\n'
+    fi
+    leg_name=$1 leg_start=$SECONDS
+    echo "== $1 =="
+}
+
+leg "build (release, all targets, offline)"
 # --workspace: the report binaries the later legs run (xt-stat,
 # xt-figures) belong to xt-perf and xt-bench, which the root package
 # does not depend on.
 cargo build --release --offline --workspace --all-targets
 
-echo "== test (workspace, offline) =="
+leg "test (workspace, offline)"
 cargo test -q --offline --workspace
 
-echo "== test (xt-mem, release profile) =="
+leg "test (xt-mem, release profile)"
 # benchmark/ and the report binaries run the memory hierarchy only in
 # release, the suites above only in debug; its unit and property tests
 # (counters == fold of the events, live and replayed) must hold in the
 # profile that is measured too.
 cargo test -q --release --offline -p xt-mem
 
-echo "== test (xt-core, release profile) =="
+leg "test (xt-core, release profile)"
 # Likewise the core: the structural-resource differentials
 # (crates/core/src/resources.rs) and the full-window resume test must
 # hold with debug_assert! off and wrapping arithmetic, the profile every
 # host-speed number is measured under.
 cargo test -q --release --offline -p xt-core
 
-echo "== test matrix: cluster engine thread counts =="
-# The epoch-barriered cluster engine promises bit-identical results for
-# any XT_THREADS value; run the multicore-sensitive suites at both ends
-# of the matrix.
-for threads in 1 4; do
-    echo "-- XT_THREADS=$threads --"
-    XT_THREADS=$threads cargo test -q --offline -p xt-soc
-    XT_THREADS=$threads cargo test -q --offline \
-        --test determinism --test litmus --test mem_events
-done
-
-echo "== host heap footprint (release) =="
+leg "host heap footprint (release)"
 # What a 4-core replica, ClusterSim::new and a private-slice cluster run
 # hold on the heap, against budgets of the measurement + 10 %
 # (docs/CLUSTER.md, "Footprint"); a peer's TLB that a run materializes
 # fails it too. The breakdown is printed.
 cargo test -q --release --offline --test footprint -- --nocapture
 
-echo "== test matrix: decoded-block fast path on/off =="
-# The block-cache execution engine (docs/FASTPATH.md) must be
-# architecturally invisible; run the SMC/differential/trace-sensitive
-# suites with it force-disabled and force-enabled.
-for fp in 0 1; do
-    echo "-- XT_FASTPATH=$fp --"
-    XT_FASTPATH=$fp cargo test -q --offline -p xt-emu
-    XT_FASTPATH=$fp cargo test -q --offline \
-        --test smc --test determinism --test golden_trace \
-        --test mem_events --test mem_chrome_golden
-done
-
-echo "== test matrix: interrupt delivery + scheduler smoke =="
-# The asynchronous-interrupt path (docs/INTERRUPTS.md) must deliver at
-# the same retired instruction on every engine: the suite pins the
-# scheduler workload's exit code and retired count, and the cluster
-# identity test compares 1/2/4-core runs across engines. Sweep the
-# full fastpath x thread-count matrix.
-for fp in 0 1; do
-    for threads in 1 4; do
-        echo "-- XT_FASTPATH=$fp XT_THREADS=$threads --"
-        XT_FASTPATH=$fp XT_THREADS=$threads \
-            cargo test -q --offline --test interrupts
-    done
-done
-
-echo "== test matrix: vector pipeline (fastpath x threads) =="
-# The RVV lane-slice model and the auto-vectorizer must be invariant to
-# the execution-engine matrix: vecbench kernels (all four compile cells)
-# and the xt-check vector differential run with the block cache on/off
-# and at both ends of the cluster thread matrix.
-for fp in 0 1; do
-    for threads in 1 4; do
-        echo "-- XT_FASTPATH=$fp XT_THREADS=$threads --"
-        XT_FASTPATH=$fp XT_THREADS=$threads \
-            cargo test -q --offline -p xt-vector
-        XT_FASTPATH=$fp XT_THREADS=$threads \
-            cargo test -q --offline -p xt-workloads vecbench
-        XT_FASTPATH=$fp XT_THREADS=$threads \
-            cargo test -q --offline -p xt-check vector
-    done
-done
-
-echo "== lint (clippy, warnings are errors) =="
+leg "lint (clippy, warnings are errors)"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-echo "== xt-check conformance smoke (fixed suite seed) =="
-# 64 random programs: emulator vs. host oracle conformance plus
-# timing-model invariants, cluster invariants, the fast-path SMC
+leg "xt-check conformance smoke (fixed suite seed)"
+# Every phase of xt_check::PHASES, the rows the unit tests run at fewer
+# cases: 64 random programs (emulator vs. host oracle conformance plus
+# timing-model invariants), cluster invariants, the fast-path SMC
 # differential, the interrupt-delivery differential (random
-# timer-preempted workloads on the real device bus), and the
-# snapshot/resume phase (random workloads cut at random points must
-# resume bit-identically); --self-test additionally injects an oracle
-# fault and requires a shrunk, seed-replayable counterexample.
+# timer-preempted workloads on the real device bus), the vector grid,
+# and the snapshot/resume phase (random workloads cut at random points
+# must resume bit-identically); --self-test additionally injects an
+# oracle fault and requires a shrunk, seed-replayable counterexample.
 cargo run --release --offline -p xt-check -- --cases 64 --self-test
 
-echo "== rustdoc (no-deps, warnings are errors) =="
+leg "rustdoc (no-deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== MIPS floors (release; fast path never slower) =="
+leg "MIPS floors (release; fast path never slower)"
 # Wall-clock guard on the decoded-block engine: the cached emulator must
 # be at least as fast as per-step decode (in practice ~3-10x), and the
 # step driver and an OooSession must each keep their stated fraction of
@@ -121,7 +82,7 @@ echo "== MIPS floors (release; fast path never slower) =="
 # private-slice kernel (multicore::CLUSTER4_FLOOR).
 cargo test -q --release --offline -p xt-bench -- --ignored mips_floors
 
-echo "== xt-stat smoke (telemetry dashboard + regression gate) =="
+leg "xt-stat smoke (telemetry dashboard + regression gate)"
 # The observability report must run end-to-end and match the committed
 # smoke baseline exactly: every number in the file is compared, and both
 # documents must pass the artifact's conservation laws (stall causes plus
@@ -175,7 +136,7 @@ expect_exit 2 "$repo_root/target/release/xt-stat" diff \
 echo "OK: forged event count, forged series point and over-nested file refused by the diff gate"
 rm -rf "$stat_dir"
 
-echo "== xt-figures (every paper figure + vector grid, one artifact + gate) =="
+leg "xt-figures (every paper figure + vector grid, one artifact + gate)"
 # The figures artifact must run end-to-end, emit parseable JSON with the
 # expected schema, full 4x4 ablation grid and every figure in order, show
 # the headline >=2x rv64gcv/tuned element-IPC uplift, carry a numeric
@@ -245,7 +206,7 @@ expect_exit 2 "$repo_root/target/release/xt-figures" diff \
 echo "OK: forged cycle count, kernel name, figure err and over-nested file refused by the diff gate"
 rm -rf "$fig_dir"
 
-echo "== snapshot/resume identity (docs/SNAPSHOT.md) =="
+leg "snapshot/resume identity (docs/SNAPSHOT.md)"
 # Every SnapshotState impl is one field list, a `transfer` that encodes
 # and decodes (docs/SNAPSHOT.md, "Writing a transfer"): a hand-paired
 # save (through `&self`, or taking an encoder) or a restore taking a
@@ -259,25 +220,14 @@ if [ -n "$paired" ]; then
     exit 1
 fi
 echo "OK: every snapshotted structure is one transfer"
-# Whole-simulation save/restore: the resume matrix (sessions, clusters,
-# interrupts, tracers, samplers), file-level error paths, the committed
-# golden frame and the pinned frames it does not reach — a SnapshotState
-# wire-layout change without a deliberate xt_snapshot::VERSION bump fails
-# here — and the re-sealed corruption sweep (no forged frame may panic a
-# restore). Run under both execution engines: frames must move freely
-# across XT_FASTPATH settings.
-for fp in 0 1; do
-    echo "-- XT_FASTPATH=$fp --"
-    XT_FASTPATH=$fp cargo test -q --offline \
-        --test snapshot_resume --test snapshot_golden --test snapshot_errors \
-        --test snapshot_frames --test snapshot_sweep
-done
+# The whole-simulation suites (snapshot_resume, _golden, _errors, _frames,
+# _sweep, both engines chosen in code) run in the workspace test leg.
 # The xt-stat matrix with every session and its sampler crossing a
 # save/restore frame each 777 instructions must render a byte-identical
 # BENCH_perf.json, in the profile the report is generated in.
 cargo test -q --release --offline -p xt-perf snapshotted_matrix_matches_uninterrupted
 
-echo "== xt-hostbench self-test (benchmark/README.md) =="
+leg "xt-hostbench self-test (benchmark/README.md)"
 # The host-speed benchmark is a workspace of its own, so nothing above
 # builds it. Its unit tests cover the estimators and the result
 # contract; --smoke runs shrunken jobs of all four workloads and exits
@@ -287,12 +237,12 @@ echo "== xt-hostbench self-test (benchmark/README.md) =="
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
 
-echo "== scripts/profile.sh parses =="
+leg "scripts/profile.sh parses"
 # The SIGPROF profiler (EXPERIMENTS.md, "Host speed, PR 22") is a
 # measuring tool, not a gate: only its syntax is checked here.
 bash -n scripts/profile.sh
 
-echo "== hermetic dependency check =="
+leg "hermetic dependency check"
 # Workspace-local (path) packages have "source": null in cargo metadata;
 # anything from a registry, git, or vendored source is a policy violation.
 external=$(cargo metadata --format-version 1 --offline |
@@ -309,7 +259,7 @@ if [ -n "$external" ]; then
 fi
 echo "OK: dependency graph contains only workspace-local crates"
 
-echo "== fixtures untouched =="
+leg "fixtures untouched"
 # Every leg above compares against the committed fixtures and baselines;
 # none may rewrite them. A stray XT_BLESS=1 in the environment re-blesses
 # instead of comparing and every gate still passes, so look at the files
@@ -327,4 +277,6 @@ else
     echo "skipped: not a git checkout"
 fi
 
-echo "== ci.sh: all gates green =="
+leg "wall clock per leg"
+printf '%s' "$timings"
+echo "== ci.sh: all gates green in $SECONDS s =="

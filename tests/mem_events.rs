@@ -15,8 +15,9 @@
 //!    `misses == compulsory + capacity + conflict + coherence`, per
 //!    core.
 //!
-//! CI runs this suite at both ends of `XT_THREADS` and `XT_FASTPATH`,
-//! so the contract is pinned across the engine's execution modes.
+//! The suite picks its thread counts and, for the sequential oracle, the
+//! reference interpreter in code, so the contract is pinned across the
+//! engine's execution modes.
 
 use xt_asm::{Asm, Program};
 use xt_core::CoreConfig;
@@ -169,11 +170,12 @@ fn event_stream_is_identical_across_thread_counts() {
     }
 }
 
-/// The sequential oracle produces the same stream as the threaded
-/// engine — the replay path and the oracle agree on observability.
+/// The sequential oracle on the reference interpreter produces the same
+/// stream as the threaded engine on decoded blocks — the replay path and
+/// the oracle agree on observability, whichever engine feeds them.
 #[test]
 fn sequential_oracle_matches_threaded_event_stream() {
-    let seq = build(4, true).run_sequential();
+    let seq = build(4, true).with_fastpath(false).run_threads(1);
     let thr = build(4, true).run_threads(4);
     assert_same_simulation(&seq, &thr, "sequential vs threaded");
     assert!(

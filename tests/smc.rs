@@ -10,7 +10,7 @@
 
 use xt_asm::{Asm, Program};
 use xt_core::CoreConfig;
-use xt_emu::Emulator;
+use xt_emu::run_both_engines;
 use xt_isa::encode::encode;
 use xt_isa::reg::Gpr;
 use xt_isa::{Inst, Op};
@@ -25,27 +25,10 @@ fn addi_word(rd: Gpr, k: i64) -> u32 {
     encode(&Inst::new(Op::Addi).rd(rd.index()).rs1(0).imm(k)).unwrap()
 }
 
-/// Runs `p` with the block cache on and off; asserts identical exit
-/// code, registers, CSRs and memory, then returns the common exit code.
+/// Runs `p` with the block cache on and off; asserts the same outcome
+/// and byte-equal frames, then returns the common exit code.
 fn run_both(p: &Program, ctx: &str) -> u64 {
-    let mut fast = Emulator::new();
-    fast.set_fastpath(true);
-    fast.load(p);
-    let rf = fast.run(FUEL);
-    let mut slow = Emulator::new();
-    slow.set_fastpath(false);
-    slow.load(p);
-    let rs = slow.run(FUEL);
-    assert_eq!(rf, rs, "{ctx}: run outcome");
-    assert_eq!(fast.halted, slow.halted, "{ctx}: exit code");
-    assert_eq!(fast.cpu.x, slow.cpu.x, "{ctx}: registers");
-    assert_eq!(fast.cpu.csrs, slow.cpu.csrs, "{ctx}: CSRs");
-    assert_eq!(fast.cpu.satp(), slow.cpu.satp(), "{ctx}: satp");
-    assert_eq!(
-        fast.mem.snapshot_nonzero(),
-        slow.mem.snapshot_nonzero(),
-        "{ctx}: memory"
-    );
+    let [fast, _] = run_both_engines(p, FUEL, |_| {}).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let stats = fast.cache_stats();
     assert!(stats.blocks_built > 0, "{ctx}: fast path engaged ({stats:?})");
     fast.halted.unwrap_or_else(|| panic!("{ctx}: did not halt"))
@@ -243,7 +226,7 @@ fn cross_core_store_to_code_through_barrier() {
     assert!(sum < ITERS * 101, "loop started before the patch arrived: {sum}");
 
     // determinism is unaffected by caching: threaded == sequential
-    let seq = build(true).run_sequential();
+    let seq = build(true).run_threads(1);
     assert_eq!(seq.exit_codes, fast.exit_codes, "sequential vs threaded (fast)");
     assert_eq!(seq.cores, fast.cores, "sequential vs threaded counters");
 }

@@ -70,16 +70,16 @@ fn pinned() -> BTreeMap<String, (usize, u64)> {
 fn frames() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("inorder_traced", inorder_traced().save()),
-        ("sched_cluster", sched_cluster().save()),
+        ("sched_cluster", sched_cluster(true).save()),
         ("sampler", sampler_frame(&mut sampled_session().1)),
-        ("pmp_emulator", pmp_session().save()),
+        ("pmp_emulator", pmp_session(true).save()),
     ]
 }
 
 #[test]
 fn frames_match_their_pins() {
     let frames = frames();
-    if std::env::var("XT_BLESS").is_ok() {
+    if xt_harness::blessing() {
         let text: String = frames
             .iter()
             .map(|(name, f)| format!("{name} {} {:#018x}\n", f.len(), xt_snapshot::fnv1a(f)))
@@ -145,8 +145,9 @@ fn inorder_traced() -> InOrderSession {
 
 /// The interrupt-driven scheduler on two harts with the device bus, the
 /// epoch timeline and the master's memory-event tracer, cut at an epoch
-/// boundary: the slots' resync logs are pending.
-fn sched_cluster() -> ClusterSim {
+/// boundary: the slots' resync logs are pending. `fastpath` picks the
+/// engine.
+fn sched_cluster(fastpath: bool) -> ClusterSim {
     let progs = sched::cluster_programs(2);
     let mem_cfg = MemConfig {
         cores: 2,
@@ -156,7 +157,8 @@ fn sched_cluster() -> ClusterSim {
         .with_epoch(2048)
         .with_interrupts()
         .with_timeline()
-        .with_mem_tracing();
+        .with_mem_tracing()
+        .with_fastpath(fastpath);
     sim.step_epochs(3, 1);
     assert!(!sim.finished(), "cut mid-run, with resync logs pending");
     sim
@@ -183,8 +185,10 @@ fn sampler_frame(sampler: &mut Sampler) -> Vec<u8> {
 }
 
 /// A session whose emulator has three PMP regions, one locked.
-fn pmp_session() -> OooSession {
+/// `fastpath` picks the engine.
+fn pmp_session(fastpath: bool) -> OooSession {
     let mut emu = Emulator::new();
+    emu.set_fastpath(fastpath);
     emu.load(&branchy_prog());
     let locked = PmpPerms {
         locked: true,
@@ -220,7 +224,7 @@ fn pinned_frames_restore_to_themselves() {
     s.restore(&frame).expect("in-order frame restores");
     assert_eq!(s.save(), frame, "in-order save∘restore∘save");
 
-    let frame = sched_cluster().save();
+    let frame = sched_cluster(true).save();
     let progs = sched::cluster_programs(2);
     let mem_cfg = MemConfig {
         cores: 2,
@@ -240,12 +244,26 @@ fn pinned_frames_restore_to_themselves() {
     d.finish().expect("sampler frame fully consumed");
     assert_eq!(sampler_frame(&mut sampler), frame, "sampler save∘restore∘save");
 
-    let frame = pmp_session().save();
+    let frame = pmp_session(true).save();
     let mut emu = Emulator::new();
     emu.load(&branchy_prog());
     let mut s = plain_session(emu);
     s.restore(&frame).expect("PMP frame restores");
     assert_eq!(s.save(), frame, "PMP save∘restore∘save");
+}
+
+/// The reference interpreter cuts the same emulator-bearing frames: a
+/// frame holds nothing of the engine.
+#[test]
+fn the_reference_engine_cuts_the_same_frames() {
+    assert!(
+        sched_cluster(false).save() == sched_cluster(true).save(),
+        "sched_cluster differs between engines"
+    );
+    assert!(
+        pmp_session(false).save() == pmp_session(true).save(),
+        "pmp_emulator differs between engines"
+    );
 }
 
 // ---- encoding is read-only -------------------------------------------

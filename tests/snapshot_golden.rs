@@ -16,8 +16,10 @@
 //! ```
 
 use xt_asm::{Asm, Program};
-use xt_core::{CoreConfig, OooSession};
+use xt_core::{CoreConfig, OooCore, OooSession, Session};
+use xt_emu::{Emulator, TraceSource};
 use xt_isa::reg::Gpr;
+use xt_mem::MemSystem;
 
 const FIXTURE: &str = "tests/fixtures/golden.xtsnap";
 const MAX_INSTS: u64 = 100_000;
@@ -40,13 +42,26 @@ fn fresh_session() -> OooSession {
     OooSession::new(&golden_prog(), &CoreConfig::xt910(), MAX_INSTS)
 }
 
+/// The same session with its emulator on the reference interpreter.
+fn reference_session() -> OooSession {
+    let cfg = CoreConfig::xt910();
+    let mut emu = Emulator::new();
+    emu.set_fastpath(false);
+    emu.load(&golden_prog());
+    Session::from_parts(
+        TraceSource::new(emu, MAX_INSTS),
+        OooCore::new(cfg.clone(), 0),
+        MemSystem::new(cfg.mem),
+    )
+}
+
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE)
 }
 
 #[test]
 fn golden_fixture_restores_byte_exactly() {
-    if std::env::var("XT_BLESS").is_ok() {
+    if xt_harness::blessing() {
         let mut s = fresh_session();
         s.run_insts(CUT);
         std::fs::write(fixture_path(), s.save()).expect("write fixture");
@@ -95,7 +110,7 @@ fn golden_fixture_restores_byte_exactly() {
 /// same program in every deterministic observable.
 #[test]
 fn golden_fixture_continuation_matches_fresh_run() {
-    if std::env::var("XT_BLESS").is_ok() {
+    if xt_harness::blessing() {
         return;
     }
     let bytes = std::fs::read(fixture_path()).expect("fixture present");
@@ -103,6 +118,30 @@ fn golden_fixture_continuation_matches_fresh_run() {
     let reference = whole.run_to_end();
 
     let mut resumed = fresh_session();
+    resumed.restore(&bytes).expect("fixture restores");
+    let report = resumed.run_to_end();
+    assert_eq!(reference.perf, report.perf);
+    assert_eq!(reference.mem, report.mem);
+    assert_eq!(reference.exit_code, report.exit_code);
+}
+
+/// The reference interpreter cuts the committed frame too, and resumes
+/// from it to the same end: the frame holds nothing of the engine.
+#[test]
+fn golden_fixture_is_the_reference_engines_frame() {
+    if xt_harness::blessing() {
+        return;
+    }
+    let bytes = std::fs::read(fixture_path()).expect("fixture present");
+    let mut cut = reference_session();
+    cut.run_insts(CUT);
+    assert!(
+        cut.save() == bytes,
+        "the reference engine's cut differs from the fixture"
+    );
+
+    let reference = fresh_session().run_to_end();
+    let mut resumed = reference_session();
     resumed.restore(&bytes).expect("fixture restores");
     let report = resumed.run_to_end();
     assert_eq!(reference.perf, report.perf);
