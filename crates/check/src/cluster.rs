@@ -16,12 +16,9 @@
 //!    down, so the cluster makespan (plus bounded slack for the handful
 //!    of unavoidably shared lines: the root page-table line and the
 //!    halt mailbox) is at least the slowest core's standalone runtime.
-//! 3. **Memory-observability conservation** — miss classes sum to the
-//!    L1D miss total per core, each scorecard slot keeps
-//!    `late <= useful`, and the snoop books balance (the matrix sums
-//!    to `snoops_sent`, `snoops_sent + snoops_suppressed ==
-//!    probe_candidates`); see
-//!    [`crate::invariants::check_memory_observability`].
+//! 3. **Memory laws** — the master hierarchy keeps every memory row of
+//!    [`xt_core::laws::LAWS`] ([`xt_core::laws::check_mem`];
+//!    docs/OBSERVABILITY.md, "Conservation laws").
 //! 4. **Completion** — every generated program halts with an exit code.
 //! 5. **Event reconciliation** — the traced leg's replayed event counts
 //!    reconcile exactly with every memory counter
@@ -201,8 +198,8 @@ pub fn check_cluster_invariants(spec: &ClusterSpec) -> Result<(), String> {
         ));
     }
 
-    // 3. memory-observability conservation on the master hierarchy
-    crate::invariants::check_memory_observability(&r1.mem)?;
+    // 3. the memory laws on the master hierarchy
+    xt_core::laws::check_mem(&r1.mem)?;
 
     Ok(())
 }

@@ -6,29 +6,25 @@
 //!
 //! 1. retirement follows program order (the OoO retire cycle is
 //!    monotone across the committed trace),
-//! 2. stall-cycle conservation — the per-cause attributed stall cycles
-//!    (ROB/IQ/LSU-queue/cache-miss/flush) can never sum past total
-//!    cycles,
+//! 2. the `stall_budget` law,
 //! 3. `IPC ≤ issue width` (and the tighter retire-width bound),
 //! 4. on dependency-free straight-line code the in-order baseline is
 //!    never faster than the out-of-order core,
 //! 5. telemetry conservation — an [`xt_perf::Sampler`] riding along the
 //!    OoO replay must produce interval deltas that sum exactly to the
-//!    final counters, with every interval's top-down buckets summing
-//!    (signed) to its cycle delta,
-//! 6. memory-observability conservation — the OoO replay runs with the
+//!    final counters, every interval keeping the `topdown` law,
+//! 6. memory observability — the OoO replay runs with the
 //!    [`xt_mem::MemTracer`] attached; afterwards the replayed event
 //!    counts must reconcile exactly with every [`xt_mem::MemStats`]
-//!    counter, the four attributed miss classes must sum to the L1D
-//!    miss total per core, each stream's late prefetches must not
-//!    exceed its useful ones, and the snoop books must balance
-//!    (the matrix sums to `snoops_sent`, sent + suppressed =
-//!    candidates).
+//!    counter, and both models' hierarchies keep the memory laws
+//!    ([`xt_core::laws::check_mem`]).
+//!
+//! The laws are rows of [`xt_core::laws::LAWS`] (docs/OBSERVABILITY.md,
+//! "Conservation laws").
 
 use crate::progen::ProgSpec;
 use crate::MAX_INSTS;
-use xt_core::{CoreConfig, InOrderSession, OooSession};
-use xt_mem::MemStats;
+use xt_core::{laws, CoreConfig, InOrderSession, OooSession};
 use xt_perf::Sampler;
 
 /// Sampling interval for the telemetry-conservation check: short, so
@@ -64,53 +60,6 @@ impl TimingSummary {
             self.instructions as f64 / self.inorder_cycles.max(1) as f64,
         )
     }
-}
-
-/// Checks the memory-observability conservation laws on a final
-/// [`MemStats`]: per-core miss-class conservation, per-slot scorecard
-/// sanity (`late <= useful`), and the snoop books
-/// (`snoop_matrix` sums to `snoops_sent`,
-/// `snoops_sent + snoops_suppressed == probe_candidates`). Shared by
-/// the single-core invariant replay and the cluster stage.
-pub fn check_memory_observability(mem: &MemStats) -> Result<(), String> {
-    for (c, &(_, misses)) in mem.l1d.iter().enumerate() {
-        let classes = mem.miss_class_sum(c);
-        if classes != misses {
-            return Err(format!(
-                "miss-class conservation violated on core {c}: \
-                 compulsory {} + capacity {} + conflict {} + coherence {} = {classes}, \
-                 but L1D misses = {misses}",
-                mem.miss_compulsory[c],
-                mem.miss_capacity[c],
-                mem.miss_conflict[c],
-                mem.miss_coherence[c],
-            ));
-        }
-    }
-    for (c, per_slot) in mem.pf_scorecard.iter().enumerate() {
-        for (s, score) in per_slot.iter().enumerate() {
-            if score.late > score.useful {
-                return Err(format!(
-                    "prefetch scorecard core {c} slot {s}: late {} > useful {}",
-                    score.late, score.useful
-                ));
-            }
-        }
-    }
-    let matrix_sum: u64 = mem.snoop_matrix.iter().sum();
-    if matrix_sum != mem.snoops_sent {
-        return Err(format!(
-            "snoop matrix sums to {matrix_sum}, but snoops_sent = {}",
-            mem.snoops_sent
-        ));
-    }
-    if mem.snoops_sent + mem.snoops_suppressed != mem.probe_candidates {
-        return Err(format!(
-            "snoop books unbalanced: sent {} + suppressed {} != candidates {}",
-            mem.snoops_sent, mem.snoops_suppressed, mem.probe_candidates
-        ));
-    }
-    Ok(())
 }
 
 /// Replays `spec` through both timing models and checks the structural
@@ -152,24 +101,14 @@ pub fn check_invariants(spec: &ProgSpec) -> Result<TimingSummary, String> {
         ));
     }
 
-    check_memory_observability(&report.mem)?;
+    laws::check_mem(&report.mem)?;
     let tracer = ooo.mem_mut().stop_tracing().expect("tracing was started");
     tracer
         .reconcile(&report.mem)
         .map_err(|e| format!("memory event stream does not reconcile with counters: {e}"))?;
 
-    if perf.attributed_stall_cycles() > cycles {
-        return Err(format!(
-            "stall conservation violated: attributed {} > {} cycles\n{}",
-            perf.attributed_stall_cycles(),
-            cycles,
-            xt_core::perf::StallCause::ALL
-                .iter()
-                .map(|&c| format!("    {}: {}", c.name(), perf.stall(c)))
-                .collect::<Vec<_>>()
-                .join("\n"),
-        ));
-    }
+    laws::check(perf, &[laws::STALL_BUDGET])
+        .map_err(|e| format!("{e}\n{}", report.stall_breakdown()))?;
     // `+ 1`: cycle counting is zero-based, a 1-cycle program reports 0..=1.
     if insts > (cycles + 1) * cfg.issue_width {
         return Err(format!(
@@ -189,8 +128,7 @@ pub fn check_invariants(spec: &ProgSpec) -> Result<TimingSummary, String> {
     let inorder_cycles = report.perf.cycles;
     // the classifier is always-on, so the conservation laws must hold
     // on the in-order core's hierarchy too
-    check_memory_observability(&report.mem)
-        .map_err(|e| format!("in-order baseline: {e}"))?;
+    laws::check_mem(&report.mem).map_err(|e| format!("in-order baseline: {e}"))?;
 
     // On dependency-free straight-line code the OoO core can extract all
     // ILP, so it must not be slower. A small slack absorbs modeling

@@ -16,19 +16,18 @@
 //!    strip-mine loops and `rv64gc` cells must not (a silent vectorizer
 //!    rejection would quietly turn this phase into scalar-only noise),
 //! 4. **vector top-down invariants** — on the XT-910 OoO model the
-//!    vectorized kernel's stall counters must conserve and the
-//!    six-bucket top-down decomposition (including the `vector` bucket)
-//!    must sum (signed) to total cycles, with the `vector` bucket equal
-//!    to the `VecBusy` counter it is defined from.
+//!    vectorized kernel keeps the `stall_budget` and `topdown` laws
+//!    (docs/OBSERVABILITY.md, "Conservation laws"), with the `vector`
+//!    bucket equal to the `VecBusy` counter it is defined from.
 //!
 //! Failures shrink (fewer elements, LMUL→1, simpler kernel kind) and
 //! replay from the printed `XT_HARNESS_SEED`.
 
 use crate::{run_engines, MAX_INSTS};
 use xt_compiler::{CompileOpts, FuncBuilder, MemWidth, Rval};
-use xt_core::{CoreConfig, OooSession, StallCause, NUM_STALL_CAUSES};
+use xt_core::{laws, CoreConfig, OooSession, StallCause};
 use xt_harness::{Gen, Rng};
-use xt_perf::TopDown;
+use xt_perf::{PerfDelta, TopDown};
 
 /// Kernel shapes the generator draws from, ordered simplest-first so
 /// shrinking walks toward `Sum`.
@@ -266,24 +265,9 @@ pub fn check_vector(spec: &VecSpec) -> Result<(), String> {
             r.exit_code
         ));
     }
-    if !r.perf.stalls_conserved() {
-        return Err(format!(
-            "stall conservation violated on {spec:?}: attributed {} > cycles {}",
-            r.perf.attributed_stall_cycles(),
-            r.perf.cycles
-        ));
-    }
-    let mut stalls = [0u64; NUM_STALL_CAUSES];
-    for c in StallCause::ALL {
-        stalls[c as usize] = r.perf.stall(c);
-    }
-    let td = TopDown::from_stalls(r.perf.cycles, &stalls);
-    if !td.sums_to(r.perf.cycles) {
-        return Err(format!(
-            "top-down buckets do not sum to cycles on {spec:?}: {td:?} vs {}",
-            r.perf.cycles
-        ));
-    }
+    let td = TopDown::from_delta(&PerfDelta::snapshot(r.perf.cycles, &r.perf));
+    laws::check(&(&r.perf, &td), &[laws::STALL_BUDGET, laws::TOPDOWN])
+        .map_err(|e| format!("{e} on {spec:?}"))?;
     if td.vector != r.perf.stall(StallCause::VecBusy) {
         return Err(format!(
             "vector bucket {} != VecBusy counter {} on {spec:?}",

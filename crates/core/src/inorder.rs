@@ -10,6 +10,7 @@
 
 use crate::config::CoreConfig;
 use crate::ifu::{FrontEnd, Redirect};
+use crate::laws;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup};
 use xt_emu::DynInst;
@@ -78,12 +79,7 @@ impl InOrderCore {
             .get(self.core_id)
             .copied()
             .unwrap_or(0);
-        debug_assert!(
-            self.perf.stalls_conserved(),
-            "stall counters double-count: attributed {} > cycles {}",
-            self.perf.attributed_stall_cycles(),
-            self.perf.cycles
-        );
+        debug_assert_eq!(laws::check(&self.perf, &[laws::STALL_BUDGET]), Ok(()));
         RunReport {
             machine: self.cfg.name,
             perf: self.perf.clone(),

@@ -54,6 +54,7 @@
 pub mod config;
 pub mod ifu;
 pub mod inorder;
+pub mod laws;
 pub mod lsu;
 pub mod ooo;
 pub mod perf;

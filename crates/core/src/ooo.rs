@@ -12,6 +12,7 @@
 
 use crate::config::CoreConfig;
 use crate::ifu::{FrontEnd, Redirect};
+use crate::laws;
 use crate::lsu::Lsu;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup, RetireWindow, SlotLimiter, Window};
@@ -138,12 +139,7 @@ impl OooCore {
             .get(self.core_id)
             .copied()
             .unwrap_or(0);
-        debug_assert!(
-            self.perf.stalls_conserved(),
-            "stall counters double-count: attributed {} > cycles {}",
-            self.perf.attributed_stall_cycles(),
-            self.perf.cycles
-        );
+        debug_assert_eq!(laws::check(&self.perf, &[laws::STALL_BUDGET]), Ok(()));
         RunReport {
             machine: self.cfg.name,
             perf: self.perf.clone(),
@@ -992,12 +988,7 @@ mod tests {
             p.rob_stall_cycles() > 0,
             "workload must actually exercise ROB back-pressure"
         );
-        assert!(
-            p.stalls_conserved(),
-            "attributed {} must fit in {} cycles",
-            p.attributed_stall_cycles(),
-            p.cycles
-        );
+        assert_eq!(laws::check(p, &[laws::STALL_BUDGET]), Ok(()));
     }
 
     /// A chase whose every hop misses L1 (4 KiB apart), `fill` after each

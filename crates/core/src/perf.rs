@@ -15,10 +15,9 @@
 //! * **conservation** — `sum(stall(c) for c) ≤ cycles` holds for every
 //!   program, provided every charge's `to` endpoint is a cycle some
 //!   instruction is still in flight at (the models only charge
-//!   endpoints bounded by a completion or retirement cycle). The
-//!   predicate is [`PerfCounters::stalls_conserved`], debug-asserted at
-//!   the end of every run and checked by the `xt-check` invariant
-//!   suite on random programs.
+//!   endpoints bounded by a completion or retirement cycle). It is the
+//!   `stall_budget` row of [`crate::laws::LAWS`]; docs/OBSERVABILITY.md
+//!   ("Conservation laws") lists where it is evaluated.
 //! * **under-attribution is possible** — a cause fully shadowed by an
 //!   earlier-charged cause records nothing. The *unattributed* residue
 //!   `cycles - attributed_stall_cycles()` is useful work plus shadowed
@@ -27,9 +26,8 @@
 //! The stall counters are deliberately **not** public fields: arbitrary
 //! writes could violate conservation silently. All mutation funnels
 //! through [`PerfCounters::charge`], which maintains the invariant by
-//! construction; `stalls_conserved` exists so tests and checkers can
-//! still catch bookkeeping regressions (see the unit test that forges a
-//! violating counter through the test-only back door).
+//! construction; the law is still evaluated so that a bookkeeping
+//! regression is caught.
 
 use xt_mem::MemStats;
 
@@ -203,23 +201,6 @@ impl PerfCounters {
     pub fn attributed_stall_cycles(&self) -> u64 {
         self.stall.iter().sum()
     }
-
-    /// Counter conservation: attributed stall cycles can never exceed
-    /// total cycles. Attribution is frontier-based (each wall-clock
-    /// cycle is charged at most once across all causes), so a violation
-    /// means the bookkeeping double-counted.
-    pub fn stalls_conserved(&self) -> bool {
-        self.attributed_stall_cycles() <= self.cycles
-    }
-
-    /// Test-only back door that writes a raw stall counter, bypassing
-    /// the [`Self::charge`] discipline. Exists so tests can prove
-    /// [`Self::stalls_conserved`] actually detects corrupted
-    /// bookkeeping; never call it from model code.
-    #[doc(hidden)]
-    pub fn force_raw_stall_for_tests(&mut self, cause: StallCause, cycles: u64) {
-        self.stall[cause as usize] = cycles;
-    }
 }
 
 impl xt_snapshot::SnapshotState for PerfCounters {
@@ -300,6 +281,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::laws::{check, STALL_BUDGET};
 
     #[test]
     fn rates_handle_zero() {
@@ -324,7 +306,7 @@ mod tests {
         p.charge(StallCause::DCacheMiss, 0, 45);
         assert_eq!(p.stall(StallCause::DCacheMiss), 0);
         assert_eq!(p.attributed_stall_cycles(), 40);
-        assert!(p.stalls_conserved());
+        assert_eq!(check(&p, &[STALL_BUDGET]), Ok(()));
     }
 
     #[test]
@@ -340,22 +322,7 @@ mod tests {
             p.charge(cause, k * 3, k * 3 + 40); // heavily overlapping
         }
         assert!(p.attributed_stall_cycles() <= 200 * 3 + 40);
-        assert!(p.stalls_conserved());
-    }
-
-    #[test]
-    fn conservation_predicate_catches_forged_counters() {
-        // Deliberately violate the invariant through the test-only back
-        // door: the predicate must catch what charge() makes impossible.
-        let mut p = PerfCounters {
-            cycles: 100,
-            ..Default::default()
-        };
-        p.force_raw_stall_for_tests(StallCause::RobFull, 60);
-        p.force_raw_stall_for_tests(StallCause::IqFull, 40);
-        assert!(p.stalls_conserved(), "60+40 fits in 100");
-        p.force_raw_stall_for_tests(StallCause::IqFull, 41);
-        assert!(!p.stalls_conserved(), "101 attributed in 100 cycles");
+        assert_eq!(check(&p, &[STALL_BUDGET]), Ok(()));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::gen::Gen;
 use crate::rng::Rng;
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Default seed for every suite that doesn't pick its own. Arbitrary
@@ -41,8 +42,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            cases: env_u64("XT_HARNESS_CASES").map(|v| v as u32).unwrap_or(DEFAULT_CASES),
-            seed: env_u64("XT_HARNESS_SEED").unwrap_or(DEFAULT_SEED),
+            cases: env_u64("XT_HARNESS_CASES", CASES).map_or(DEFAULT_CASES, |v| v as u32),
+            seed: env_u64("XT_HARNESS_SEED", 0..=u64::MAX).unwrap_or(DEFAULT_SEED),
             max_shrink_steps: 2000,
         }
     }
@@ -53,7 +54,7 @@ impl Config {
     /// by `XT_HARNESS_SEED`).
     pub fn seeded(seed: u64) -> Self {
         Config {
-            seed: env_u64("XT_HARNESS_SEED").unwrap_or(seed),
+            seed: env_u64("XT_HARNESS_SEED", 0..=u64::MAX).unwrap_or(seed),
             ..Config::default()
         }
     }
@@ -61,23 +62,30 @@ impl Config {
     /// Same, with a custom case count (overridden by `XT_HARNESS_CASES`).
     pub fn seeded_cases(seed: u64, cases: u32) -> Self {
         Config {
-            cases: env_u64("XT_HARNESS_CASES").map(|v| v as u32).unwrap_or(cases),
+            cases: env_u64("XT_HARNESS_CASES", CASES).map_or(cases, |v| v as u32),
             ..Config::seeded(seed)
         }
     }
 }
 
-fn env_u64(var: &str) -> Option<u64> {
-    let s = std::env::var(var).ok()?;
+/// What `XT_HARNESS_CASES` may be: zero cases would check nothing.
+const CASES: RangeInclusive<u64> = 1..=u32::MAX as u64;
+
+fn env_u64(var: &str, range: RangeInclusive<u64>) -> Option<u64> {
+    std::env::var(var).ok().map(|s| parse(var, &s, range))
+}
+
+/// `s`, decimal or `0x`-hex, if it lies in `range`; anything else
+/// panics naming `var`.
+fn parse(var: &str, s: &str, range: RangeInclusive<u64>) -> u64 {
     let s = s.trim();
-    let parsed = if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
+    let parsed = match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
     };
     match parsed {
-        Ok(v) => Some(v),
-        Err(_) => panic!("[xt-harness] could not parse {var}={s:?} as u64"),
+        Ok(v) if range.contains(&v) => v,
+        _ => panic!("[xt-harness] could not parse {var}={s:?} as an integer in {range:?}"),
     }
 }
 
@@ -172,6 +180,22 @@ where
 mod tests {
     use super::*;
     use crate::gen::{any, ints, vec_of};
+
+    #[test]
+    fn case_counts_are_positive_and_fit_u32() {
+        let cases = |s: &str| {
+            catch_unwind(|| parse("XT_HARNESS_CASES", s, CASES)).map_err(|e| panic_message(&e))
+        };
+        assert_eq!(cases("1"), Ok(1));
+        assert_eq!(cases(" 0x40 "), Ok(64));
+        assert_eq!(cases("4294967295"), Ok(u32::MAX.into()));
+        for bad in ["0", "0x0", "4294967296", "0x100000000", "-1", "zz", ""] {
+            let err = cases(bad).expect_err(bad);
+            let want = "[xt-harness] could not parse XT_HARNESS_CASES=";
+            assert!(err.starts_with(want), "{err}");
+        }
+        assert_eq!(parse("XT_HARNESS_SEED", "0", 0..=u64::MAX), 0);
+    }
 
     #[test]
     fn passing_property_passes() {

@@ -62,9 +62,8 @@ pub struct MemStats {
     /// Per-core L1D (hits, misses).
     pub l1d: Vec<(u64, u64)>,
     /// Per-core L1D misses attributed *compulsory* (first touch). The
-    /// four `miss_*` vectors satisfy the conservation law
-    /// `l1d misses == compulsory + capacity + conflict + coherence`
-    /// exactly (see `crate::missclass`).
+    /// four `miss_*` vectors keep the `miss_classes` law
+    /// (docs/OBSERVABILITY.md, "Conservation laws"; `crate::missclass`).
     pub miss_compulsory: Vec<u64>,
     /// Per-core L1D misses attributed *capacity*.
     pub miss_capacity: Vec<u64>,
@@ -115,12 +114,11 @@ pub struct MemStats {
     /// (each is either probed or suppressed).
     pub probe_candidates: u64,
     /// Coherence: candidate probes suppressed because the named core had
-    /// already silently dropped the line. Conservation law:
-    /// `snoops_sent + snoops_suppressed == probe_candidates`.
+    /// already silently dropped the line (the `snoop_books` law).
     pub snoops_suppressed: u64,
     /// Snoop-traffic matrix, requester-major (`cores * cores` entries):
-    /// entry `r * cores + h` counts probes core `r` sent to core `h`.
-    /// Conservation law: the matrix sums to [`Self::snoops_sent`].
+    /// entry `r * cores + h` counts probes core `r` sent to core `h`
+    /// (the `snoop_matrix` law).
     pub snoop_matrix: Vec<u64>,
     /// Cache-to-cache transfers.
     pub c2c_transfers: u64,

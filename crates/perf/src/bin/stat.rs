@@ -19,10 +19,8 @@
 //!   artifact gate, [`xt_perf::gate`] (which documents what is compared
 //!   and the exit codes), told about this document by
 //!   [`stat::ARTIFACT`]: the `engine` block is host time and not
-//!   compared; both sides must pass the cycle identities and the memory
-//!   conservation laws, and `selftest` forges a miss-class count, a
-//!   snoop count, an unattributed count and a top-down bucket that
-//!   those laws must refuse.
+//!   compared; both sides must keep the conservation laws they carry,
+//!   and `selftest` forges one term of each of them.
 
 #![forbid(unsafe_code)]
 

@@ -26,7 +26,7 @@
 //! `retiring` residue can be **negative** — the interval's stall deltas
 //! can exceed its nominal cycle width when they include cycles charged
 //! late. The signed per-interval sum still equals the interval's cycle
-//! delta exactly ([`crate::topdown::TopDown::sums_to`]), and the
+//! delta exactly (the `topdown` row of [`xt_core::laws::LAWS`]), and the
 //! aggregate residue over a whole run is non-negative (conservation of
 //! the underlying counters).
 //!
@@ -35,6 +35,7 @@
 //! in the property suite pins that.
 
 use crate::topdown::TopDown;
+use xt_core::laws::{self, Counters};
 use xt_core::{PerfCounters, StallCause, NUM_STALL_CAUSES};
 use xt_mem::MemStats;
 use xt_snapshot::Stream;
@@ -314,15 +315,10 @@ impl TimeSeries {
                 "mem deltas do not sum to final counters:\n  sum   {got_m:?}\n  final {want_m:?}"
             ));
         }
-        for s in &self.samples {
-            if !s.topdown.sums_to(s.perf.cycles) {
-                return Err(format!(
-                    "top-down buckets do not sum to the cycle delta at end_cycle {}: {:?} vs {}",
-                    s.end_cycle, s.topdown, s.perf.cycles
-                ));
-            }
-        }
-        Ok(())
+        self.samples.iter().try_for_each(|s| {
+            laws::check(&(&s.perf, &s.topdown), &[laws::TOPDOWN])
+                .map_err(|e| format!("interval ending at cycle {}: {e}", s.end_cycle))
+        })
     }
 
     /// Aggregate top-down decomposition over the whole run.
@@ -390,10 +386,7 @@ impl Sampler {
         let dp = cur_p.sub(&self.prev_perf);
         let dm = cur_m.sub(&self.prev_mem);
         let td = TopDown::from_delta(&dp);
-        debug_assert!(
-            td.sums_to(dp.cycles),
-            "top-down buckets must sum to the interval's cycle delta"
-        );
+        debug_assert_eq!(laws::check(&(&dp, &td), &[laws::TOPDOWN]), Ok(()));
         self.prev_perf = cur_p;
         self.prev_mem = cur_m;
         self.samples.push(IntervalSample {
@@ -418,6 +411,13 @@ impl Sampler {
             interval: self.interval,
             samples: self.samples,
         }
+    }
+}
+
+/// An interval's `cycles`, for the `topdown` law.
+impl Counters for PerfDelta {
+    fn sum(&self, name: &str) -> Option<i128> {
+        (name == "cycles").then_some(self.cycles.into())
     }
 }
 
@@ -519,7 +519,7 @@ mod tests {
         assert_eq!(second.perf.cycles, 100);
         assert_eq!(second.perf.stalls[StallCause::DCacheMiss as usize], 150);
         assert!(second.topdown.retiring < 0, "late charge overdraws the interval");
-        assert!(second.topdown.sums_to(100));
+        assert_eq!(laws::check(&(&second.perf, &second.topdown), &[laws::TOPDOWN]), Ok(()));
         ts.conserves(&fin, &mem, 0).expect("conservation still exact");
         // aggregate residue is non-negative
         assert!(ts.aggregate_topdown().retiring >= 0);

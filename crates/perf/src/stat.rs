@@ -9,10 +9,9 @@
 //! snoop matrix), `render_markdown` the dashboard, and [`ARTIFACT`]
 //! describes the document to [`crate::gate`], whose `diff` /
 //! `selftest` are the CI gate that compares a candidate run against a
-//! committed baseline. Part of that description is the document's
-//! internal conservation laws (the cycle identities of every run's
-//! totals and [`validate_memory`]), so a fabricated count mismatch
-//! fails CI.
+//! committed baseline. Part of that description is which rows of
+//! [`xt_core::laws::LAWS`] each block of the document carries, so a
+//! fabricated count mismatch fails CI.
 //!
 //! Everything except the full-mode `engine` block (measured host time,
 //! explicitly informational) is deterministic: same binary, same
@@ -26,6 +25,7 @@ use crate::sampler::TimeSeries;
 use crate::topdown::TopDown;
 use crate::{sample_insts, seal, Sampler};
 use xt_asm::{Asm, Program};
+use xt_core::laws::{self, Counters, Law};
 use xt_core::session::CoreModel;
 use xt_core::{
     CoreConfig, InOrderCore, OooCore, PerfCounters, RunReport, Session, StallCause,
@@ -924,102 +924,42 @@ pub fn render_markdown(runs: &[StatRun], cluster: &ClusterSection, smoke: bool) 
 
 // ---- what the gate needs to know (crate::gate does the rest) ----
 
-/// Reads a required numeric field out of `obj`, for the conservation
-/// checks.
-fn req_num(obj: &Value, ctx: &str, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Value::as_num)
-        .ok_or_else(|| format!("{ctx}: missing numeric \"{key}\""))
-}
-
-/// Sums the numbers of the object stored under `key` in `obj`.
-fn req_sum(obj: &Value, ctx: &str, key: &str) -> Result<f64, String> {
-    match obj.get(key) {
-        Some(Value::Obj(fields)) => fields
-            .iter()
-            .map(|(k, v)| {
-                v.as_num()
-                    .ok_or_else(|| format!("{ctx}: \"{key}.{k}\" is not a number"))
-            })
-            .sum(),
-        _ => Err(format!("{ctx}: missing object \"{key}\"")),
+/// The JSON view of a block: a number, or the sum of an array's or an
+/// object's entries, each an integer below 2^53.
+impl Counters for Value {
+    fn sum(&self, name: &str) -> Option<i128> {
+        let int = |v: &Value| match v.as_num() {
+            Some(n) if n.fract() == 0.0 && n.abs() < 2f64.powi(53) => Some(n as i128),
+            _ => None,
+        };
+        match self.get(name)? {
+            Value::Arr(items) => items.iter().map(int).sum(),
+            Value::Obj(fields) => fields.iter().map(|(_, v)| int(v)).sum(),
+            v => int(v),
+        }
     }
 }
 
-/// The document's runs, each with its `workload@machine` name.
-fn named_runs(doc: &Value) -> Result<impl Iterator<Item = (String, &Value)>, String> {
-    let runs = doc.get("runs").and_then(Value::as_arr).ok_or("no runs array")?;
-    Ok(runs.iter().map(|r| {
+/// The laws each run's `totals` and `memory` blocks carry.
+const RUN_LAWS: [(&str, &[Law]); 2] = [
+    ("totals", &[laws::UNATTRIBUTED, laws::TOPDOWN]),
+    ("memory", &[laws::MISS_CLASSES, laws::LATE_LE_USEFUL]),
+];
+
+/// The laws each cluster cell carries.
+const CELL_LAWS: &[Law] = &[laws::SNOOP_MATRIX];
+
+/// An `xt-stat/v3` document that conserves: [`RUN_LAWS`] hold in every
+/// run and [`CELL_LAWS`] in every cluster cell.
+fn validate(doc: &Value) -> Result<(), String> {
+    expect_schema(doc, SCHEMA)?;
+    let runs = doc.get("runs").and_then(Value::as_arr);
+    for r in runs.ok_or("no runs array")? {
         let field = |k| r.get(k).and_then(Value::as_str).unwrap_or("?");
-        (format!("{}@{}", field("workload"), field("machine")), r)
-    }))
-}
-
-/// Validates the two cycle identities of every run's `totals`, both
-/// exact in the counters they are rendered from:
-///
-/// * `unattributed == cycles − Σ stalls` — the frontier attribution
-///   charges each cycle to at most one cause
-///   (`PerfCounters::stalls_conserved`);
-/// * `Σ topdown == cycles` — the six buckets, `retiring` being the
-///   signed residue.
-fn validate_cycles(doc: &Value) -> Result<(), String> {
-    for (name, r) in named_runs(doc)? {
-        let ctx = format!("{name} totals");
-        let t = r
-            .get("totals")
-            .ok_or_else(|| format!("{ctx}: missing totals block"))?;
-        let cycles = req_num(t, &ctx, "cycles")?;
-        let stalls = req_sum(t, &ctx, "stalls")?;
-        let unattributed = req_num(t, &ctx, "unattributed")?;
-        if unattributed != cycles - stalls {
-            return Err(format!(
-                "{ctx}: unattributed = {unattributed}, but cycles − Σ stalls = {}",
-                cycles - stalls
-            ));
-        }
-        let buckets = req_sum(t, &ctx, "topdown")?;
-        if buckets != cycles {
-            return Err(format!(
-                "{ctx}: top-down buckets sum to {buckets}, but cycles = {cycles}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validates the memory-observability conservation laws inside one
-/// xt-stat document:
-///
-/// * per run: `misses == compulsory + capacity + conflict + coherence`
-///   (the miss-classification conservation law) and `pf_late <=
-///   pf_useful` (a late prefetch is by definition also useful);
-/// * per cluster cell: `snoop_matrix` sums to `snoops_sent`.
-///
-/// [`crate::gate::diff`] runs this on both documents (through
-/// [`ARTIFACT`]), so a fabricated or stale artifact that breaks
-/// event-count accounting fails the CI gate even when every number
-/// matches.
-pub fn validate_memory(doc: &Value) -> Result<(), String> {
-    for (name, r) in named_runs(doc)? {
-        let ctx = format!("{name} memory");
-        let mem = r
-            .get("memory")
-            .ok_or_else(|| format!("{ctx}: missing memory block"))?;
-        let misses = req_num(mem, &ctx, "misses")?;
-        let classes = ["compulsory", "capacity", "conflict", "coherence"]
-            .iter()
-            .map(|k| req_num(mem, &ctx, k))
-            .sum::<Result<f64, _>>()?;
-        if misses != classes {
-            return Err(format!(
-                "{ctx}: miss classes sum to {classes}, but misses = {misses} \
-                 (conservation law violated)"
-            ));
-        }
-        let (useful, late) = (req_num(mem, &ctx, "pf_useful")?, req_num(mem, &ctx, "pf_late")?);
-        if late > useful {
-            return Err(format!("{ctx}: pf_late {late} > pf_useful {useful}"));
+        for (block, carried) in RUN_LAWS {
+            let ctx = format!("{}@{} {block}", field("workload"), field("machine"));
+            let b = r.get(block).unwrap_or(&Value::Null);
+            laws::check(b, carried).map_err(|e| format!("{ctx}: {e}"))?;
         }
     }
     let cells = doc
@@ -1029,38 +969,25 @@ pub fn validate_memory(doc: &Value) -> Result<(), String> {
         .ok_or("no cluster cells")?;
     for c in cells {
         let w = c.get("workload").and_then(Value::as_str).unwrap_or("?");
-        let ctx = format!("cluster {w}");
-        let sent = req_num(c, &ctx, "snoops_sent")?;
-        let matrix = c
-            .get("snoop_matrix")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{ctx}: missing snoop_matrix"))?;
-        let sum: f64 = matrix.iter().filter_map(Value::as_num).sum();
-        if sum != sent {
-            return Err(format!(
-                "{ctx}: snoop_matrix sums to {sum}, but snoops_sent = {sent}"
-            ));
-        }
+        laws::check(c, CELL_LAWS).map_err(|e| format!("cluster {w}: {e}"))?;
     }
     Ok(())
 }
 
-/// An `xt-stat/v3` document that conserves.
-fn validate(doc: &Value) -> Result<(), String> {
-    expect_schema(doc, SCHEMA)?;
-    validate_cycles(doc)?;
-    validate_memory(doc)
-}
-
 /// `BENCH_perf.json` as [`crate::gate`] sees it: the `engine` block is
-/// measured host time; a miss class, a snoop count, an unattributed
-/// count or a top-down bucket bumped on its own breaks a conservation
-/// law and must be refused.
+/// measured host time; each forgery bumps one term of one law the
+/// document carries, which must then be refused.
 pub const ARTIFACT: Artifact = Artifact {
     tool: "xt-stat",
     validate,
     host_keys: &["engine"],
-    forgeries: &["compulsory", "snoops_sent", "unattributed", "retiring"],
+    forgeries: &[
+        "compulsory",
+        "snoops_sent",
+        "unattributed",
+        "retiring",
+        "pf_late",
+    ],
 };
 
 #[cfg(test)]
@@ -1091,7 +1018,8 @@ mod tests {
         assert_eq!(render_markdown(&r1, &c1, true), render_markdown(&r2, &c2, true));
         assert_eq!(r1.len(), 9, "six sampled runs, then the three in-order ones");
         for r in &r1 {
-            assert!(r.report.perf.stalls_conserved(), "{}@{}", r.workload, r.machine);
+            laws::check(&r.report.perf, &[laws::STALL_BUDGET])
+                .unwrap_or_else(|e| panic!("{}@{}: {e}", r.workload, r.machine));
             r.series
                 .conserves(&r.report.perf, &r.report.mem, 0)
                 .unwrap_or_else(|e| panic!("{}@{}: {e}", r.workload, r.machine));
@@ -1142,24 +1070,48 @@ mod tests {
     fn forged_event_counts_fail_the_conservation_gate() {
         let (runs, cluster) = smoke_artifacts();
         let doc = parse(&render_json(&runs, &cluster, true)).unwrap();
-        validate_memory(&doc).expect("generated artifact conserves");
-        let forged = map_key(&doc, "compulsory", &|n| n + 1.0);
-        let err = validate_memory(&forged).expect_err("forged counts rejected");
-        assert!(err.contains("conservation"), "got: {err}");
-        let err = diff(&ARTIFACT, &doc, &forged, 0.5).expect_err("diff refuses forged candidate");
-        assert!(err.starts_with("candidate:"), "got: {err}");
+        validate(&doc).expect("generated artifact conserves");
+        for (key, law) in [
+            ("compulsory", "miss_classes"),
+            ("pf_late", "late_le_useful"),
+            ("snoops_sent", "snoop_matrix"),
+        ] {
+            let forged = map_key(&doc, key, &|n| n + 1.0);
+            let err = validate(&forged).expect_err("forged counts rejected");
+            assert!(err.contains(&format!("law {law} broken")), "{key}: {err}");
+            let err = diff(&ARTIFACT, &doc, &forged, 0.5).expect_err("diff refuses forged candidate");
+            assert!(err.starts_with("candidate:"), "{key}: {err}");
+        }
     }
 
     #[test]
     fn forged_cycle_identities_are_refused() {
         let (runs, cluster) = smoke_artifacts();
         let doc = parse(&render_json(&runs, &cluster, true)).unwrap();
-        validate_cycles(&doc).expect("generated artifact conserves");
-        for (key, law) in [("unattributed", "Σ stalls"), ("retiring", "top-down")] {
+        validate(&doc).expect("generated artifact conserves");
+        for (key, law) in [("unattributed", "unattributed"), ("retiring", "topdown")] {
             let forged = map_key(&doc, key, &|n| n + 1.0);
             let err = diff(&ARTIFACT, &doc, &forged, 0.5).expect_err("diff refuses forged candidate");
-            assert!(err.starts_with("candidate:") && err.contains(law), "{key}: {err}");
+            assert!(err.starts_with("candidate:"), "{key}: {err}");
+            assert!(err.contains(&format!("law {law} broken")), "{key}: {err}");
         }
+    }
+
+    #[test]
+    fn every_carried_law_has_a_refused_forgery() {
+        let (runs, cluster) = smoke_artifacts();
+        let doc = parse(&render_json(&runs, &cluster, true)).unwrap();
+        validate(&doc).expect("generated artifact conserves");
+        let carried = RUN_LAWS.iter().flat_map(|(_, l)| l.iter()).chain(CELL_LAWS);
+        let mut unforged: Vec<&str> = carried.map(|l| l.name).collect();
+        for key in ARTIFACT.forgeries {
+            let forged = map_key(&doc, key, &|n| n + 1.0);
+            let err = diff(&ARTIFACT, &doc, &forged, 0.5).expect_err("diff refuses forged candidate");
+            assert!(err.starts_with("candidate:"), "{key}: {err}");
+            unforged.retain(|law| !err.contains(&format!("law {law} broken")));
+        }
+        assert!(unforged.is_empty(), "no forgery breaks {unforged:?}");
+        selftest(&ARTIFACT, &doc, 0.0).expect("selftest refuses every forgery");
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //! multi-interval wait in one call at charge time, so a single
 //! interval's stall deltas can exceed its nominal cycle width (the
 //! residue goes negative there and is repaid by neighbouring
-//! intervals). The signed identity `sum(buckets) == cycles` holds
-//! exactly for every interval, and the whole-run residue is
-//! non-negative because the underlying counters conserve
-//! ([`xt_core::PerfCounters::stalls_conserved`]).
+//! intervals). The signed identity is the `topdown` row of
+//! [`xt_core::laws::LAWS`]; it holds exactly for every interval, and the
+//! whole-run residue is non-negative because the underlying counters
+//! keep `stall_budget`.
 
 use crate::sampler::PerfDelta;
+use xt_core::laws::Counters;
 use xt_core::StallCause;
 
 /// One top-down decomposition: six buckets that sum (signed) to the
@@ -48,9 +49,9 @@ pub struct TopDown {
 }
 
 impl TopDown {
-    /// Decomposes a cycle count given the per-cause stall array.
-    pub fn from_stalls(cycles: u64, stalls: &[u64; xt_core::perf::NUM_STALL_CAUSES]) -> Self {
-        let s = |c: StallCause| stalls[c as usize];
+    /// Decomposes an interval delta, or a whole run's snapshot.
+    pub fn from_delta(d: &PerfDelta) -> Self {
+        let s = |c: StallCause| d.stalls[c as usize];
         let frontend = s(StallCause::ICacheMiss);
         let bad_speculation = s(StallCause::MispredictFlush) + s(StallCause::OrderFlush);
         let backend_core = s(StallCause::RobFull) + s(StallCause::IqFull);
@@ -63,25 +64,8 @@ impl TopDown {
             backend_core,
             backend_memory,
             vector,
-            retiring: cycles as i64 - attributed as i64,
+            retiring: d.cycles as i64 - attributed as i64,
         }
-    }
-
-    /// Decomposes one interval delta.
-    pub fn from_delta(d: &PerfDelta) -> Self {
-        Self::from_stalls(d.cycles, &d.stalls)
-    }
-
-    /// The defining identity: the signed bucket sum equals the cycle
-    /// count being decomposed.
-    pub fn sums_to(&self, cycles: u64) -> bool {
-        self.frontend as i64
-            + self.bad_speculation as i64
-            + self.backend_core as i64
-            + self.backend_memory as i64
-            + self.vector as i64
-            + self.retiring
-            == cycles as i64
     }
 
     /// Bucket shares of `cycles`, in the order frontend,
@@ -100,10 +84,39 @@ impl TopDown {
     }
 }
 
+/// `topdown` is the signed sum of the six buckets.
+impl Counters for TopDown {
+    fn sum(&self, name: &str) -> Option<i128> {
+        let stalls = self.frontend
+            + self.bad_speculation
+            + self.backend_core
+            + self.backend_memory
+            + self.vector;
+        (name == "topdown").then(|| i128::from(stalls) + i128::from(self.retiring))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xt_core::laws::{check, TOPDOWN};
     use xt_core::perf::NUM_STALL_CAUSES;
+
+    fn from_stalls(cycles: u64, stalls: &[u64; NUM_STALL_CAUSES]) -> TopDown {
+        TopDown::from_delta(&PerfDelta {
+            cycles,
+            stalls: *stalls,
+            ..Default::default()
+        })
+    }
+
+    fn keeps_topdown(td: &TopDown, cycles: u64) -> bool {
+        let delta = PerfDelta {
+            cycles,
+            ..Default::default()
+        };
+        check(&(td, &delta), &[TOPDOWN]).is_ok()
+    }
 
     #[test]
     fn buckets_partition_cycles() {
@@ -116,23 +129,23 @@ mod tests {
         stalls[StallCause::DCacheMiss as usize] = 20;
         stalls[StallCause::LsuQueueFull as usize] = 1;
         stalls[StallCause::VecBusy as usize] = 4;
-        let td = TopDown::from_stalls(100, &stalls);
+        let td = from_stalls(100, &stalls);
         assert_eq!(td.frontend, 10);
         assert_eq!(td.bad_speculation, 7);
         assert_eq!(td.backend_core, 10);
         assert_eq!(td.backend_memory, 21);
         assert_eq!(td.vector, 4);
         assert_eq!(td.retiring, 48);
-        assert!(td.sums_to(100));
+        assert!(keeps_topdown(&td, 100));
     }
 
     #[test]
     fn overdrawn_interval_goes_negative_and_still_sums() {
         let mut stalls = [0u64; NUM_STALL_CAUSES];
         stalls[StallCause::DCacheMiss as usize] = 150;
-        let td = TopDown::from_stalls(100, &stalls);
+        let td = from_stalls(100, &stalls);
         assert_eq!(td.retiring, -50);
-        assert!(td.sums_to(100));
+        assert!(keeps_topdown(&td, 100));
         let sh = td.shares(100);
         assert_eq!(sh[5], 0.0, "display share clamps at zero");
         assert!((sh[3] - 1.5).abs() < 1e-12);
@@ -140,8 +153,8 @@ mod tests {
 
     #[test]
     fn zero_cycles_decompose_to_zero() {
-        let td = TopDown::from_stalls(0, &[0; NUM_STALL_CAUSES]);
+        let td = from_stalls(0, &[0; NUM_STALL_CAUSES]);
         assert_eq!(td, TopDown::default());
-        assert!(td.sums_to(0));
+        assert!(keeps_topdown(&td, 0));
     }
 }

@@ -85,10 +85,9 @@ cargo test -q --release --offline -p xt-bench -- --ignored mips_floors
 leg "xt-stat smoke (telemetry dashboard + regression gate)"
 # The observability report must run end-to-end and match the committed
 # smoke baseline exactly: every number in the file is compared, and both
-# documents must pass the artifact's conservation laws (stall causes plus
-# unattributed and the signed top-down buckets each sum to cycles, miss
-# classes to misses, snoop matrices to snoops_sent). The gate must prove
-# it catches injected regressions, including fabricated event counts,
+# documents must keep the conservation laws they carry (the table in
+# docs/OBSERVABILITY.md, "Conservation laws"). The gate must prove it
+# catches injected regressions, including a forged term of each law,
 # which the selftest injects and must see rejected. The smoke run embeds
 # no host time, and writes the depchain pipeline trace.
 stat_dir=$(mktemp -d)

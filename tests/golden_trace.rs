@@ -17,7 +17,7 @@
 //! way to DRAM (200-cycle latency plus L1/L2 probe and transfer).
 
 use xt_asm::Asm;
-use xt_core::{CoreConfig, InOrderSession, OooSession};
+use xt_core::{laws, CoreConfig, InOrderSession, OooSession};
 use xt_isa::reg::Gpr;
 use xt_trace::{InstRecord, NUM_STAGES};
 
@@ -115,7 +115,7 @@ fn golden_ooo_stage_table() {
     let (report, trace) = OooSession::new(&p, &CoreConfig::xt910(), 1000).run_traced();
     assert_eq!(report.perf.instructions, 10);
     assert_eq!(report.perf.cycles, 227);
-    assert!(report.perf.stalls_conserved());
+    assert_eq!(laws::check(&report.perf, &[laws::STALL_BUDGET]), Ok(()));
     assert_eq!(report.perf.store_forwards, 1, "the reload is forwarded");
     assert_table(trace.records(), &GOLDEN_OOO, "ooo");
     assert!(trace.flushes().is_empty(), "straight-line code never flushes");
@@ -127,7 +127,7 @@ fn golden_inorder_stage_table() {
     let (report, trace) = InOrderSession::new(&p, &CoreConfig::u74_like(), 1000).run_traced();
     assert_eq!(report.perf.instructions, 10);
     assert_eq!(report.perf.cycles, 1088);
-    assert!(report.perf.stalls_conserved());
+    assert_eq!(laws::check(&report.perf, &[laws::STALL_BUDGET]), Ok(()));
     assert_table(trace.records(), &GOLDEN_INORDER, "inorder");
 }
 

@@ -14,7 +14,7 @@
 
 use xt_asm::{Asm, Program};
 use xt_core::CoreConfig;
-use xt_harness::Rng;
+use xt_harness::{Config, Rng};
 use xt_isa::reg::Gpr;
 use xt_mem::MemConfig;
 use xt_soc::ClusterSim;
@@ -25,11 +25,7 @@ const MAX_INSTS: u64 = 2_000_000;
 /// round-robin through the default) plus seeded draws. `XT_HARNESS_SEED`
 /// replays a failing sweep.
 fn epoch_sweep() -> Vec<u64> {
-    let seed = std::env::var("XT_HARNESS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(0x1EAF_5EED);
-    let mut rng = Rng::new(seed);
+    let mut rng = Rng::new(Config::seeded(0x1EAF_5EED).seed);
     let mut epochs = vec![2, 64, 1024, 8192];
     for _ in 0..4 {
         epochs.push(rng.gen_range_u64(1, 12_288));
