@@ -370,12 +370,21 @@ pub(crate) mod tests {
         assert!(err.starts_with("candidate: schema"), "{err}");
     }
 
+    /// The percentage in parentheses in `cell`, as printed, with an
+    /// ASCII sign: `"4.89× (−0.1%)"` gives `"-0.1"`.
+    fn quoted_percent(cell: &str) -> Option<String> {
+        let inner = cell.split_once('(')?.1.split_once("%)")?.0;
+        Some(inner.replace('−', "-").trim_start_matches('+').to_string())
+    }
+
     /// EXPERIMENTS.md's paper-vs-measured tables quote the committed
     /// artifact. In the table right after a `<!-- xt-figures: NAME -->`
     /// line, a row whose first cell is a row label of figure NAME must
     /// print that row's value as the first number of its last cell,
     /// rounded to as many decimals as it prints; and every row that
-    /// quotes the paper is in such a table.
+    /// quotes the paper is in such a table. In the fig21 table, a
+    /// percentage in parentheses in that cell is the row against row
+    /// (c), rounded as printed.
     #[test]
     fn experiments_md_quotes_the_artifact() {
         let md = include_str!("../../../EXPERIMENTS.md");
@@ -409,6 +418,22 @@ pub(crate) mod tests {
                     "EXPERIMENTS.md, {name} row {:?}: {last:?}",
                     r.label
                 );
+                if let Some(pct) = quoted_percent(last).filter(|_| name == "fig21") {
+                    let c = fig.rows.iter().find(|r| r.label.starts_with("c)"));
+                    let c = c.expect("fig21 has a row (c)").value;
+                    let decimals = pct.split_once('.').map_or(0, |(_, d)| d.len());
+                    let want = format!("{:.*}", decimals, (r.value / c - 1.0) * 100.0);
+                    // a rounded zero prints without a sign
+                    let want = match want.strip_prefix('-') {
+                        Some(z) if z.chars().all(|c| c == '0' || c == '.') => z.to_string(),
+                        _ => want,
+                    };
+                    assert_eq!(
+                        pct, want,
+                        "EXPERIMENTS.md, fig21 row {:?} against row (c): {last:?}",
+                        r.label
+                    );
+                }
                 quoted.push((name, r.label.clone()));
             }
             assert!(

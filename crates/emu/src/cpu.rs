@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use xt_isa::csr;
-use xt_isa::vector::VType;
+use xt_isa::vector::{Sew, VType};
 use xt_snapshot::Stream;
 
 /// Privilege mode (paper Fig. 1: U/S/M).
@@ -19,19 +19,29 @@ pub enum PrivMode {
 /// Default vector register length in bits (two 64-bit slices, §VII).
 pub const DEFAULT_VLEN: u32 = 128;
 
+/// A zeroed vector register file for `vlen_bits`: 32 registers.
+fn vector_file(vlen_bits: u32) -> Box<[u8]> {
+    vec![0u8; 32 * (vlen_bits / 8) as usize].into_boxed_slice()
+}
+
 /// Complete architectural state of one hart.
 #[derive(Clone, Debug)]
 pub struct Cpu {
     /// Program counter.
     pub pc: u64,
-    /// Integer registers (`x[0]` reads as 0; writes are discarded by the
-    /// accessors).
+    /// Integer registers. `x[0]` holds 0: [`Cpu::wx`] discards writes to
+    /// it and a restore zeroes it, so [`Cpu::rx`] reads it without a
+    /// branch. Write the array only through `wx`.
     pub x: [u64; 32],
     /// Floating-point registers (raw bits; doubles stored directly,
     /// singles NaN-boxed in the low 32 bits).
     pub f: [u64; 32],
-    /// Vector registers, `vlen_bits/8` bytes each.
-    pub v: Vec<Vec<u8>>,
+    /// The vector register file, flat: 32 registers of VLENB =
+    /// `vlen_bits/8` bytes, `vN` at bytes `N·VLENB..(N+1)·VLENB`, each
+    /// element little-endian. A register group runs on into the
+    /// registers after its base and wraps past `v31` to `v0`; see
+    /// [`Cpu::read_elem`].
+    pub(crate) v: Box<[u8]>,
     /// Vector length register.
     pub vl: u64,
     /// Decoded vector type register.
@@ -67,7 +77,7 @@ impl Cpu {
             pc: 0,
             x: [0; 32],
             f: [0; 32],
-            v: vec![vec![0u8; (DEFAULT_VLEN / 8) as usize]; 32],
+            v: vector_file(DEFAULT_VLEN),
             vl: 0,
             vtype: VType::default(),
             vlen_bits: DEFAULT_VLEN,
@@ -91,18 +101,15 @@ impl Cpu {
             "VLEN must be a power of two in 64..=1024"
         );
         self.vlen_bits = vlen_bits;
-        self.v = vec![vec![0u8; (vlen_bits / 8) as usize]; 32];
+        self.v = vector_file(vlen_bits);
         self.vl = 0;
     }
 
     /// Reads integer register `r` (x0 reads 0).
     #[inline]
     pub fn rx(&self, r: u8) -> u64 {
-        if r == 0 {
-            0
-        } else {
-            self.x[r as usize]
-        }
+        debug_assert_eq!(self.x[0], 0, "x0 was written around `wx`");
+        self.x[r as usize]
     }
 
     /// Writes integer register `r` (writes to x0 discarded).
@@ -147,6 +154,41 @@ impl Cpu {
     #[inline]
     pub fn wf_s(&mut self, r: u8, v: f32) {
         self.f[r as usize] = 0xffff_ffff_0000_0000 | v.to_bits() as u64;
+    }
+
+    /// Byte offset of element `idx`, `sew` wide, of the register group
+    /// based at `v{base}`: `(base·VLENB + idx·SEW/8) mod 32·VLENB`. Both
+    /// terms are shifts, and the modulus is a mask, because VLENB and
+    /// the element size are powers of two. The result is a multiple of
+    /// the element size, so the element lies inside the file.
+    #[inline]
+    fn elem_offset(&self, base: u8, idx: u64, sew: Sew) -> usize {
+        let vlenb_log2 = self.vlen_bits.trailing_zeros() - 3;
+        let at = ((base as u64) << vlenb_log2).wrapping_add(idx << sew.bytes().trailing_zeros());
+        (at & (self.v.len() as u64 - 1)) as usize
+    }
+
+    /// Reads element `idx`, `sew` wide, of the register group based at
+    /// `v{base}`, zero-extended.
+    #[inline]
+    pub fn read_elem(&self, base: u8, idx: u64, sew: Sew) -> u64 {
+        let at = self.elem_offset(base, idx, sew);
+        let e = &self.v[at..];
+        match sew {
+            Sew::E8 => e[0] as u64,
+            Sew::E16 => u16::from_le_bytes([e[0], e[1]]) as u64,
+            Sew::E32 => u32::from_le_bytes([e[0], e[1], e[2], e[3]]) as u64,
+            Sew::E64 => u64::from_le_bytes(e[..8].try_into().expect("8 bytes")),
+        }
+    }
+
+    /// Writes the low `sew` bits of `val` to element `idx` of the
+    /// register group based at `v{base}`.
+    #[inline]
+    pub fn write_elem(&mut self, base: u8, idx: u64, sew: Sew, val: u64) {
+        let at = self.elem_offset(base, idx, sew);
+        let n = sew.bytes() as usize;
+        self.v[at..at + n].copy_from_slice(&val.to_le_bytes()[..n]);
     }
 
     /// Reads a CSR, synthesizing the live counters and vector CSRs.
@@ -231,7 +273,9 @@ impl xt_snapshot::SnapshotState for Cpu {
         if vlen != self.vlen_bits {
             self.set_vlen(vlen);
         }
-        for vr in &mut self.v {
+        // one length-prefixed chunk per register
+        let vlenb = (self.vlen_bits / 8) as usize;
+        for vr in self.v.chunks_mut(vlenb) {
             s.fixed_bytes(
                 vr,
                 Corrupt {
@@ -302,7 +346,104 @@ mod tests {
     fn vlen_reconfig() {
         let mut c = Cpu::new(0);
         c.set_vlen(256);
-        assert_eq!(c.v[0].len(), 32);
+        assert_eq!(c.v.len(), 32 * 32);
+    }
+
+    /// The per-register layout the flat file replaced: one vector per
+    /// register, an element found by a division and a remainder, moved a
+    /// byte at a time. Kept as the reference the flat accessors must
+    /// match.
+    fn ref_read_elem(v: &[Vec<u8>], vlen_bits: u32, base: u8, idx: u64, sew: Sew) -> u64 {
+        let bytes = sew.bytes() as u64;
+        let per_reg = vlen_bits as u64 / sew.bits() as u64;
+        let reg = (base as u64 + idx / per_reg) % 32;
+        let off = ((idx % per_reg) * bytes) as usize;
+        let data = &v[reg as usize];
+        let mut val = 0u64;
+        for k in 0..bytes as usize {
+            val |= (data[off + k] as u64) << (8 * k);
+        }
+        val
+    }
+
+    /// See [`ref_read_elem`].
+    fn ref_write_elem(v: &mut [Vec<u8>], vlen_bits: u32, base: u8, idx: u64, sew: Sew, val: u64) {
+        let bytes = sew.bytes() as u64;
+        let per_reg = vlen_bits as u64 / sew.bits() as u64;
+        let reg = (base as u64 + idx / per_reg) % 32;
+        let off = ((idx % per_reg) * bytes) as usize;
+        let data = &mut v[reg as usize];
+        for k in 0..bytes as usize {
+            data[off + k] = (val >> (8 * k)) as u8;
+        }
+    }
+
+    /// The flat file reads and writes what the per-register layout did,
+    /// at every VLEN and SEW, from every base register, for groups of up
+    /// to eight registers that wrap past `v31`; and a frame of it is the
+    /// frame the per-register layout saved.
+    #[test]
+    fn flat_vector_file_matches_the_per_register_layout() {
+        use xt_harness::gen;
+        use xt_harness::prop::{check_with, Config};
+        use xt_snapshot::SnapshotState;
+        const VLENS: [u32; 5] = [64, 128, 256, 512, 1024];
+        const SEWS: [Sew; 4] = [Sew::E8, Sew::E16, Sew::E32, Sew::E64];
+        let access = (
+            gen::ints(0u8..32),
+            gen::any::<u64>(),
+            gen::ints(0usize..4),
+            gen::any::<u64>(),
+        );
+        let g = (gen::ints(0usize..VLENS.len()), gen::vec_of(access, 1..64));
+        check_with(
+            &Config::seeded_cases(0xF1A7_0001, 64),
+            "flat_vector_file_matches_the_per_register_layout",
+            &g,
+            |(vi, accesses)| {
+                let vlen = VLENS[*vi];
+                let mut cpu = Cpu::new(0);
+                cpu.set_vlen(vlen);
+                let mut reference = vec![vec![0u8; (vlen / 8) as usize]; 32];
+                for &(base, idx, si, val) in accesses {
+                    let sew = SEWS[si];
+                    // an element of a group of up to eight registers
+                    let idx = idx % (8 * (vlen / sew.bits()) as u64);
+                    cpu.write_elem(base, idx, sew, val);
+                    ref_write_elem(&mut reference, vlen, base, idx, sew, val);
+                    // every width reads the bytes just written, from the
+                    // group's base and from the register they landed in
+                    for rsew in SEWS {
+                        let ridx = idx * sew.bytes() as u64 / rsew.bytes() as u64;
+                        assert_eq!(
+                            cpu.read_elem(base, ridx, rsew),
+                            ref_read_elem(&reference, vlen, base, ridx, rsew),
+                            "VLEN {vlen}: v{base}[{ridx}] at {rsew:?} after a write at {sew:?}"
+                        );
+                    }
+                }
+                assert_eq!(cpu.v[..], reference.concat()[..], "VLEN {vlen}: the file");
+                // the frame holds the registers where the per-register
+                // layout put them: after pc, x, f and vlen_bits, each
+                // register length-prefixed
+                let mut e = xt_snapshot::Enc::new();
+                cpu.clone().save(&mut e);
+                let frame = e.into_bytes();
+                let mut old = xt_snapshot::Enc::new();
+                for vr in &mut reference {
+                    let what = "vector register length";
+                    old.fixed_bytes(vr, xt_snapshot::SnapshotError::Corrupt { what })
+                        .expect("encodes");
+                }
+                let old = old.into_bytes();
+                let at = 8 + 64 * 8 + 4;
+                assert_eq!(&frame[at..at + old.len()], &old[..], "VLEN {vlen}: frame");
+                let mut back = Cpu::new(0);
+                back.restore(&mut xt_snapshot::Dec::new(&frame))
+                    .expect("restore");
+                assert_eq!(back.v, cpu.v, "VLEN {vlen}: restored file");
+            },
+        );
     }
 
     #[test]

@@ -17,13 +17,22 @@ use xt_isa::{csr, decode, decode_compressed, ExecClass, Inst, Op};
 pub const CONSOLE_ADDR: u64 = HALT_ADDR + 8;
 
 /// A trap condition raised during execution.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct Trap {
     /// RISC-V exception cause code.
     pub cause: u64,
     /// Trap value (faulting address or instruction bits).
     pub tval: u64,
 }
+
+/// The error of the emulator's per-instruction execute: a trap was
+/// raised, and the [`Trap`] waits in the emulator's trap scratch field
+/// until the caller's trap path reads it, straight after the call. Being
+/// empty, it keeps the execute's `Result<u64, Raised>` to 16 bytes, which
+/// come back in two registers; a `Result<u64, Trap>` is 24 bytes and
+/// comes back through memory (docs/FASTPATH.md, "Step driver").
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Raised;
 
 /// Outcome of a single [`Emulator::step`].
 #[derive(Clone, Debug)]
@@ -161,6 +170,10 @@ pub struct Emulator {
     icache: BlockCache,
     /// Resumption point inside the block being executed, if any.
     cursor: Option<Cursor>,
+    /// Scratch: the trap behind the last [`Raised`], read by the trap
+    /// path right after the execute that raised it. Not architectural
+    /// state, so not part of any frame.
+    trap: Trap,
 }
 
 impl Default for Emulator {
@@ -218,6 +231,7 @@ impl Emulator {
             fastpath: true,
             icache: BlockCache::new(),
             cursor: None,
+            trap: Trap::default(),
         }
     }
 
@@ -415,10 +429,10 @@ impl Emulator {
                         break;
                     }
                 }
-                Err(trap) => {
+                Err(Raised) => {
                     left -= 1;
                     executed += 1;
-                    match self.take_trap(pc, trap) {
+                    match self.take_trap(pc, self.trap) {
                         Ok(target) => self.cpu.pc = target,
                         Err(e) => fatal = Some(e),
                     }
@@ -451,8 +465,8 @@ impl Emulator {
                     pc = next_pc;
                     self.cpu.pc = pc;
                 }
-                Err(trap) => {
-                    done = Err((idx as u64 + 1, pc, trap));
+                Err(Raised) => {
+                    done = Err((idx as u64 + 1, pc, self.trap));
                     break;
                 }
             }
@@ -684,6 +698,7 @@ impl Emulator {
     /// # Errors
     ///
     /// Fatal errors only; architectural traps are delivered to the guest.
+    #[inline]
     pub fn step_into(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
         if self.halted.is_some() {
             return Ok(StepStatus::Halted);
@@ -698,6 +713,7 @@ impl Emulator {
     /// The decoded-block fast path. Eligibility (untranslated fetch, no
     /// PMP) was checked by [`Emulator::step_into`], so `pc == fetch_pa`
     /// and the fetch can neither fault nor be translated.
+    #[inline]
     fn step_cached(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
         if self.platform.is_some() {
             if let Some(d) = self.poll_interrupt() {
@@ -780,7 +796,7 @@ impl Emulator {
         pc: u64,
         fetch_pa: u64,
         inst: Inst,
-        done: Result<u64, Trap>,
+        done: Result<u64, Raised>,
     ) -> Result<(), ExecError> {
         match done {
             Ok(next_pc) => {
@@ -801,8 +817,8 @@ impl Emulator {
                     (0, 0)
                 };
             }
-            Err(trap) => {
-                let target = self.take_trap(pc, trap)?;
+            Err(Raised) => {
+                let target = self.take_trap(pc, self.trap)?;
                 self.cpu.pc = target;
                 *rec = DynInst {
                     fetch_pa,
@@ -907,10 +923,20 @@ impl Emulator {
         Ok(StepStatus::Retired)
     }
 
+    /// Stores `trap` in the trap scratch field for the caller's trap path.
+    pub(crate) fn raise(&mut self, trap: Trap) -> Raised {
+        self.trap = trap;
+        Raised
+    }
+
     /// Executes a decoded instruction at `pc`; returns the architectural
     /// next PC and writes the data access it made (or `None`) to `mem`,
-    /// which the step bodies point at the caller's record.
-    fn exec(&mut self, pc: u64, inst: Inst, mem: &mut Option<MemAccess>) -> Result<u64, Trap> {
+    /// which the step bodies point at the caller's record. A trap comes
+    /// back as [`Raised`], the trap itself in `self.trap`. One body for
+    /// both engines, kept out of line: its callers are the engines'
+    /// loops, and what it returns fits in two registers.
+    #[inline(never)]
+    fn exec(&mut self, pc: u64, inst: Inst, mem: &mut Option<MemAccess>) -> Result<u64, Raised> {
         use Op::*;
 
         let step = pc.wrapping_add(inst.len as u64);
@@ -929,7 +955,7 @@ impl Emulator {
         macro_rules! load {
             ($va:expr, $n:expr, $sext:expr) => {{
                 let va = $va;
-                let (raw, pa) = self.load_mem(va, $n)?;
+                let (raw, pa) = self.load_mem(va, $n).map_err(|t| self.raise(t))?;
                 *mem = Some(MemAccess::load(va, pa, $n as u16));
                 if $sext {
                     let sh = 64 - 8 * $n as u32;
@@ -943,7 +969,7 @@ impl Emulator {
             ($va:expr, $v:expr, $n:expr) => {{
                 let va = $va;
                 let v = $v;
-                let pa = self.store_mem(va, v, $n)?;
+                let pa = self.store_mem(va, v, $n).map_err(|t| self.raise(t))?;
                 *mem = Some(MemAccess::store(va, pa, $n as u16));
             }};
         }
@@ -1005,16 +1031,14 @@ impl Emulator {
             And => wd!(rs1 & rs2),
             Fence | FenceI | SfenceVma | XSync => {}
             Ecall => {
-                return Err(Trap {
-                    cause: match self.cpu.mode {
-                        PrivMode::User => 8,
-                        PrivMode::Supervisor => 9,
-                        PrivMode::Machine => 11,
-                    },
-                    tval: 0,
-                })
+                let cause = match self.cpu.mode {
+                    PrivMode::User => 8,
+                    PrivMode::Supervisor => 9,
+                    PrivMode::Machine => 11,
+                };
+                return Err(self.raise(Trap { cause, tval: 0 }));
             }
-            Ebreak => return Err(Trap { cause: 3, tval: pc }),
+            Ebreak => return Err(self.raise(Trap { cause: 3, tval: pc })),
             Addiw => wd!(sext32(rs1.wrapping_add(imm as u64))),
             Slliw => wd!(sext32(rs1 << (imm & 31))),
             Srliw => wd!(sext32(((rs1 as u32) >> (imm & 31)) as u64)),
@@ -1051,20 +1075,20 @@ impl Emulator {
                 })
             }
             LrW => {
-                check_aligned(rs1, 4, CAUSE_LOAD_MISALIGNED)?;
+                check_aligned(rs1, 4, CAUSE_LOAD_MISALIGNED).map_err(|t| self.raise(t))?;
                 let v = load!(rs1, 4, true);
                 self.cpu.reservation = Some(rs1);
                 wd!(v);
             }
             LrD => {
-                check_aligned(rs1, 8, CAUSE_LOAD_MISALIGNED)?;
+                check_aligned(rs1, 8, CAUSE_LOAD_MISALIGNED).map_err(|t| self.raise(t))?;
                 let v = load!(rs1, 8, false);
                 self.cpu.reservation = Some(rs1);
                 wd!(v);
             }
             ScW | ScD => {
                 let size = if inst.op == ScW { 4 } else { 8 };
-                check_aligned(rs1, size, CAUSE_STORE_MISALIGNED)?;
+                check_aligned(rs1, size, CAUSE_STORE_MISALIGNED).map_err(|t| self.raise(t))?;
                 if self.cpu.reservation == Some(rs1) {
                     store!(rs1, rs2, size as usize);
                     self.cpu.reservation = None;
@@ -1075,9 +1099,9 @@ impl Emulator {
             }
             AmoSwapW | AmoAddW | AmoXorW | AmoAndW | AmoOrW | AmoMinW | AmoMaxW | AmoMinuW
             | AmoMaxuW => {
-                check_aligned(rs1, 4, CAUSE_STORE_MISALIGNED)?;
+                check_aligned(rs1, 4, CAUSE_STORE_MISALIGNED).map_err(|t| self.raise(t))?;
                 let old = {
-                    let (raw, _pa) = self.load_mem(rs1, 4)?;
+                    let (raw, _pa) = self.load_mem(rs1, 4).map_err(|t| self.raise(t))?;
                     sext32(raw)
                 };
                 let new = amo_op(inst.op, old, rs2, true);
@@ -1086,9 +1110,9 @@ impl Emulator {
             }
             AmoSwapD | AmoAddD | AmoXorD | AmoAndD | AmoOrD | AmoMinD | AmoMaxD | AmoMinuD
             | AmoMaxuD => {
-                check_aligned(rs1, 8, CAUSE_STORE_MISALIGNED)?;
+                check_aligned(rs1, 8, CAUSE_STORE_MISALIGNED).map_err(|t| self.raise(t))?;
                 let old = {
-                    let (raw, _pa) = self.load_mem(rs1, 8)?;
+                    let (raw, _pa) = self.load_mem(rs1, 8).map_err(|t| self.raise(t))?;
                     raw
                 };
                 let new = amo_op(inst.op, old, rs2, false);
@@ -1359,9 +1383,7 @@ impl Emulator {
                 }
             }
             // ---- vector ----
-            op if op.is_vector() => {
-                *mem = vecexec::exec_vector(self, inst)?;
-            }
+            op if op.is_vector() => vecexec::exec_vector(self, inst, mem)?,
             // ---- XT-910 custom extensions ----
             XLrb | XLrbu | XLrh | XLrhu | XLrw | XLrwu | XLrd => {
                 let va = rs1.wrapping_add(rs2 << (imm & 3));

@@ -1,42 +1,17 @@
 //! Functional execution of the RVV 0.7.1 vector subset.
 //!
 //! Vector state lives in [`crate::cpu::Cpu`]: 32 registers of
-//! `vlen_bits/8` bytes, plus `vl` and `vtype`. Elements are stored
-//! little-endian. Register groups (`LMUL > 1`) and widening destinations
-//! index elements across consecutive registers, as the spec requires.
+//! `vlen_bits/8` bytes in one flat array, plus `vl` and `vtype`.
+//! Elements are stored little-endian. Register groups (`LMUL > 1`) and
+//! widening destinations index elements across consecutive registers,
+//! as the spec requires ([`crate::cpu::Cpu::read_elem`]).
 
-use crate::exec::{Emulator, Trap};
+use crate::exec::{Emulator, Raised, Trap};
 use crate::trace::MemAccess;
 use xt_isa::vector::{Sew, VType};
 use xt_isa::{Inst, Op};
 
 const ILLEGAL: Trap = Trap { cause: 2, tval: 0 };
-
-/// Reads element `idx` (width `sew`) from the group starting at `base`.
-fn read_elem(emu: &Emulator, base: u8, idx: u64, sew: Sew) -> u64 {
-    let bytes = sew.bytes() as u64;
-    let per_reg = emu.cpu.vlen_bits as u64 / sew.bits() as u64;
-    let reg = (base as u64 + idx / per_reg) % 32;
-    let off = ((idx % per_reg) * bytes) as usize;
-    let data = &emu.cpu.v[reg as usize];
-    let mut v = 0u64;
-    for k in 0..bytes as usize {
-        v |= (data[off + k] as u64) << (8 * k);
-    }
-    v
-}
-
-/// Writes element `idx` (width `sew`) to the group starting at `base`.
-fn write_elem(emu: &mut Emulator, base: u8, idx: u64, sew: Sew, val: u64) {
-    let bytes = sew.bytes() as u64;
-    let per_reg = emu.cpu.vlen_bits as u64 / sew.bits() as u64;
-    let reg = (base as u64 + idx / per_reg) % 32;
-    let off = ((idx % per_reg) * bytes) as usize;
-    let data = &mut emu.cpu.v[reg as usize];
-    for k in 0..bytes as usize {
-        data[off + k] = (val >> (8 * k)) as u8;
-    }
-}
 
 fn sext_to_64(v: u64, sew: Sew) -> i64 {
     let sh = 64 - sew.bits();
@@ -60,13 +35,24 @@ fn double_sew(sew: Sew) -> Result<Sew, Trap> {
     })
 }
 
-/// Executes one vector instruction. Returns the memory access record for
-/// vector loads/stores.
+/// Executes one vector instruction. A vector load or store writes its
+/// memory access record to `mem`, which [`Emulator`]'s execute has set
+/// to `None` and points at the caller's record; other ops leave it.
 ///
 /// # Errors
 ///
-/// Returns an illegal-instruction or page-fault trap.
-pub fn exec_vector(emu: &mut Emulator, inst: Inst) -> Result<Option<MemAccess>, Trap> {
+/// [`Raised`] for an illegal-instruction or page-fault trap, which waits
+/// in the emulator's trap scratch field, as [`Emulator`]'s own execute
+/// leaves it: the result fits in a register.
+pub fn exec_vector(
+    emu: &mut Emulator,
+    inst: Inst,
+    mem: &mut Option<MemAccess>,
+) -> Result<(), Raised> {
+    exec_op(emu, inst, mem).map_err(|t| emu.raise(t))
+}
+
+fn exec_op(emu: &mut Emulator, inst: Inst, mem: &mut Option<MemAccess>) -> Result<(), Trap> {
     use Op::*;
     match inst.op {
         Vsetvli | Vsetvl => {
@@ -90,18 +76,18 @@ pub fn exec_vector(emu: &mut Emulator, inst: Inst) -> Result<Option<MemAccess>, 
             emu.cpu.vtype = vtype;
             emu.cpu.vl = vl;
             emu.cpu.wx(inst.rd, vl);
-            Ok(None)
+            Ok(())
         }
         _ => {
             if emu.cpu.vtype.vill {
                 return Err(ILLEGAL);
             }
-            exec_data_op(emu, inst)
+            exec_data_op(emu, inst, mem)
         }
     }
 }
 
-fn exec_data_op(emu: &mut Emulator, inst: Inst) -> Result<Option<MemAccess>, Trap> {
+fn exec_data_op(emu: &mut Emulator, inst: Inst, mem: &mut Option<MemAccess>) -> Result<(), Trap> {
     use Op::*;
     let sew = emu.cpu.vtype.sew;
     let vl = emu.cpu.vl;
@@ -114,58 +100,60 @@ fn exec_data_op(emu: &mut Emulator, inst: Inst) -> Result<Option<MemAccess>, Tra
             let mut first_pa = 0;
             for i in 0..vl {
                 let addr = match inst.op {
-                    Vle => base + i * ebytes,
+                    Vle => base.wrapping_add(i * ebytes),
                     Vlse => base.wrapping_add(emu.cpu.rx(inst.rs2).wrapping_mul(i)),
-                    _ => base.wrapping_add(read_elem(emu, inst.rs3, i, sew)),
+                    _ => base.wrapping_add(emu.cpu.read_elem(inst.rs3, i, sew)),
                 };
                 let (raw, pa) = emu.load_mem_pub(addr, ebytes as usize)?;
                 if i == 0 {
                     first_pa = pa;
                 }
-                write_elem(emu, inst.rd, i, sew, raw);
+                emu.cpu.write_elem(inst.rd, i, sew, raw);
             }
-            Ok(Some(MemAccess::load(
+            *mem = Some(MemAccess::load(
                 base,
                 first_pa,
                 (vl * ebytes).min(u16::MAX as u64) as u16,
-            )))
+            ));
+            Ok(())
         }
         Vse | Vsse | Vsxe => {
             let base = emu.cpu.rx(inst.rs1);
             let mut first_pa = 0;
             for i in 0..vl {
                 let addr = match inst.op {
-                    Vse => base + i * ebytes,
+                    Vse => base.wrapping_add(i * ebytes),
                     Vsse => base.wrapping_add(emu.cpu.rx(inst.rs2).wrapping_mul(i)),
-                    _ => base.wrapping_add(read_elem(emu, inst.rs2, i, sew)),
+                    _ => base.wrapping_add(emu.cpu.read_elem(inst.rs2, i, sew)),
                 };
-                let val = read_elem(emu, inst.rs3, i, sew);
+                let val = emu.cpu.read_elem(inst.rs3, i, sew);
                 let pa = emu.store_mem_pub(addr, val, ebytes as usize)?;
                 if i == 0 {
                     first_pa = pa;
                 }
             }
-            Ok(Some(MemAccess::store(
+            *mem = Some(MemAccess::store(
                 base,
                 first_pa,
                 (vl * ebytes).min(u16::MAX as u64) as u16,
-            )))
+            ));
+            Ok(())
         }
         // ---- integer elementwise ----
-        VaddVV | VsubVV | VandVV | VorVV | VxorVV | VsllVV | VsrlVV | VsraVV | VminVV
-        | VminuVV | VmaxVV | VmaxuVV | VmulVV | VmulhVV | VdivVV | VdivuVV | VremVV => {
+        VaddVV | VsubVV | VandVV | VorVV | VxorVV | VsllVV | VsrlVV | VsraVV | VminVV | VminuVV
+        | VmaxVV | VmaxuVV | VmulVV | VmulhVV | VdivVV | VdivuVV | VremVV => {
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew); // vs2
-                let b = read_elem(emu, inst.rs2, i, sew); // vs1
+                let a = emu.cpu.read_elem(inst.rs1, i, sew); // vs2
+                let b = emu.cpu.read_elem(inst.rs2, i, sew); // vs1
                 let v = int_binop(inst.op, a, b, sew);
-                write_elem(emu, inst.rd, i, sew, trunc(v, sew));
+                emu.cpu.write_elem(inst.rd, i, sew, trunc(v, sew));
             }
-            Ok(None)
+            Ok(())
         }
         VaddVX | VsubVX | VrsubVX | VandVX | VorVX | VxorVX | VsllVX | VsrlVX | VsraVX => {
             let s = emu.cpu.rx(inst.rs2);
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew);
+                let a = emu.cpu.read_elem(inst.rs1, i, sew);
                 let v = match inst.op {
                     VaddVX => a.wrapping_add(s),
                     VsubVX => a.wrapping_sub(s),
@@ -177,53 +165,54 @@ fn exec_data_op(emu: &mut Emulator, inst: Inst) -> Result<Option<MemAccess>, Tra
                     VsrlVX => trunc(a, sew) >> (s & (sew.bits() as u64 - 1)),
                     _ => (sext_to_64(a, sew) >> (s & (sew.bits() as u64 - 1))) as u64,
                 };
-                write_elem(emu, inst.rd, i, sew, trunc(v, sew));
+                emu.cpu.write_elem(inst.rd, i, sew, trunc(v, sew));
             }
-            Ok(None)
+            Ok(())
         }
         VaddVI => {
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew);
-                write_elem(emu, inst.rd, i, sew, trunc(a.wrapping_add(inst.imm as u64), sew));
+                let a = emu.cpu.read_elem(inst.rs1, i, sew);
+                emu.cpu
+                    .write_elem(inst.rd, i, sew, trunc(a.wrapping_add(inst.imm as u64), sew));
             }
-            Ok(None)
+            Ok(())
         }
         VmulVX => {
             let s = emu.cpu.rx(inst.rs2);
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew);
-                write_elem(emu, inst.rd, i, sew, trunc(a.wrapping_mul(s), sew));
+                let a = emu.cpu.read_elem(inst.rs1, i, sew);
+                emu.cpu
+                    .write_elem(inst.rd, i, sew, trunc(a.wrapping_mul(s), sew));
             }
-            Ok(None)
+            Ok(())
         }
         VmaccVV | VnmsacVV => {
             for i in 0..vl {
-                let a = sext_to_64(read_elem(emu, inst.rs1, i, sew), sew);
-                let b = sext_to_64(read_elem(emu, inst.rs2, i, sew), sew);
-                let acc = sext_to_64(read_elem(emu, inst.rd, i, sew), sew);
+                let a = sext_to_64(emu.cpu.read_elem(inst.rs1, i, sew), sew);
+                let b = sext_to_64(emu.cpu.read_elem(inst.rs2, i, sew), sew);
+                let acc = sext_to_64(emu.cpu.read_elem(inst.rd, i, sew), sew);
                 let v = if inst.op == VmaccVV {
                     acc.wrapping_add(a.wrapping_mul(b))
                 } else {
                     acc.wrapping_sub(a.wrapping_mul(b))
                 };
-                write_elem(emu, inst.rd, i, sew, trunc(v as u64, sew));
+                emu.cpu.write_elem(inst.rd, i, sew, trunc(v as u64, sew));
             }
-            Ok(None)
+            Ok(())
         }
         VmaccVX => {
             let s = emu.cpu.rx(inst.rs2) as i64;
             for i in 0..vl {
-                let a = sext_to_64(read_elem(emu, inst.rs1, i, sew), sew);
-                let acc = sext_to_64(read_elem(emu, inst.rd, i, sew), sew);
-                write_elem(
-                    emu,
+                let a = sext_to_64(emu.cpu.read_elem(inst.rs1, i, sew), sew);
+                let acc = sext_to_64(emu.cpu.read_elem(inst.rd, i, sew), sew);
+                emu.cpu.write_elem(
                     inst.rd,
                     i,
                     sew,
                     trunc(acc.wrapping_add(a.wrapping_mul(s)) as u64, sew),
                 );
             }
-            Ok(None)
+            Ok(())
         }
         // ---- widening ----
         VwmulVV | VwmuluVV | VwmaccVV | VwmaccuVV => {
@@ -231,142 +220,144 @@ fn exec_data_op(emu: &mut Emulator, inst: Inst) -> Result<Option<MemAccess>, Tra
             for i in 0..vl {
                 let (a, b) = if matches!(inst.op, VwmuluVV | VwmaccuVV) {
                     (
-                        read_elem(emu, inst.rs1, i, sew) as i64,
-                        read_elem(emu, inst.rs2, i, sew) as i64,
+                        emu.cpu.read_elem(inst.rs1, i, sew) as i64,
+                        emu.cpu.read_elem(inst.rs2, i, sew) as i64,
                     )
                 } else {
                     (
-                        sext_to_64(read_elem(emu, inst.rs1, i, sew), sew),
-                        sext_to_64(read_elem(emu, inst.rs2, i, sew), sew),
+                        sext_to_64(emu.cpu.read_elem(inst.rs1, i, sew), sew),
+                        sext_to_64(emu.cpu.read_elem(inst.rs2, i, sew), sew),
                     )
                 };
                 let prod = a.wrapping_mul(b);
                 let v = match inst.op {
                     VwmulVV | VwmuluVV => prod,
                     _ => {
-                        let acc = sext_to_64(read_elem(emu, inst.rd, i, wsew), wsew);
+                        let acc = sext_to_64(emu.cpu.read_elem(inst.rd, i, wsew), wsew);
                         acc.wrapping_add(prod)
                     }
                 };
-                write_elem(emu, inst.rd, i, wsew, trunc(v as u64, wsew));
+                emu.cpu.write_elem(inst.rd, i, wsew, trunc(v as u64, wsew));
             }
-            Ok(None)
+            Ok(())
         }
         // ---- reductions / moves / permutation ----
         VredsumVS | VredmaxVS => {
-            let mut acc = sext_to_64(read_elem(emu, inst.rs2, 0, sew), sew);
+            let mut acc = sext_to_64(emu.cpu.read_elem(inst.rs2, 0, sew), sew);
             for i in 0..vl {
-                let e = sext_to_64(read_elem(emu, inst.rs1, i, sew), sew);
+                let e = sext_to_64(emu.cpu.read_elem(inst.rs1, i, sew), sew);
                 acc = match inst.op {
                     VredsumVS => acc.wrapping_add(e),
                     _ => acc.max(e),
                 };
             }
-            write_elem(emu, inst.rd, 0, sew, trunc(acc as u64, sew));
-            Ok(None)
+            emu.cpu.write_elem(inst.rd, 0, sew, trunc(acc as u64, sew));
+            Ok(())
         }
         VmvVV => {
             for i in 0..vl {
-                let v = read_elem(emu, inst.rs1, i, sew);
-                write_elem(emu, inst.rd, i, sew, v);
+                let v = emu.cpu.read_elem(inst.rs1, i, sew);
+                emu.cpu.write_elem(inst.rd, i, sew, v);
             }
-            Ok(None)
+            Ok(())
         }
         VmvVX => {
             let s = emu.cpu.rx(inst.rs1);
             for i in 0..vl {
-                write_elem(emu, inst.rd, i, sew, trunc(s, sew));
+                emu.cpu.write_elem(inst.rd, i, sew, trunc(s, sew));
             }
-            Ok(None)
+            Ok(())
         }
         VmvVI => {
             for i in 0..vl {
-                write_elem(emu, inst.rd, i, sew, trunc(inst.imm as u64, sew));
+                emu.cpu
+                    .write_elem(inst.rd, i, sew, trunc(inst.imm as u64, sew));
             }
-            Ok(None)
+            Ok(())
         }
         VmvXS => {
-            let v = sext_to_64(read_elem(emu, inst.rs1, 0, sew), sew);
+            let v = sext_to_64(emu.cpu.read_elem(inst.rs1, 0, sew), sew);
             emu.cpu.wx(inst.rd, v as u64);
-            Ok(None)
+            Ok(())
         }
         VmvSX => {
             let s = emu.cpu.rx(inst.rs1);
-            write_elem(emu, inst.rd, 0, sew, trunc(s, sew));
-            Ok(None)
+            emu.cpu.write_elem(inst.rd, 0, sew, trunc(s, sew));
+            Ok(())
         }
         Vslidedown | Vslideup => {
             let off = emu.cpu.rx(inst.rs2);
-            let src: Vec<u64> = (0..vl).map(|i| read_elem(emu, inst.rs1, i, sew)).collect();
+            let src: Vec<u64> = (0..vl)
+                .map(|i| emu.cpu.read_elem(inst.rs1, i, sew))
+                .collect();
             for i in 0..vl {
                 let v = if inst.op == Vslidedown {
-                    let j = i + off;
-                    if j < vl {
-                        src[j as usize]
-                    } else {
-                        0
+                    // a source index past `vl` (or past 2^64) reads 0
+                    match i.checked_add(off) {
+                        Some(j) if j < vl => src[j as usize],
+                        _ => 0,
                     }
                 } else if i >= off {
                     src[(i - off) as usize]
                 } else {
-                    read_elem(emu, inst.rd, i, sew)
+                    emu.cpu.read_elem(inst.rd, i, sew)
                 };
-                write_elem(emu, inst.rd, i, sew, v);
+                emu.cpu.write_elem(inst.rd, i, sew, v);
             }
-            Ok(None)
+            Ok(())
         }
         // ---- floating point ----
         VfaddVV | VfsubVV | VfmulVV | VfdivVV | VfminVV | VfmaxVV => {
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew);
-                let b = read_elem(emu, inst.rs2, i, sew);
+                let a = emu.cpu.read_elem(inst.rs1, i, sew);
+                let b = emu.cpu.read_elem(inst.rs2, i, sew);
                 let v = fp_binop(inst.op, a, b, sew)?;
-                write_elem(emu, inst.rd, i, sew, v);
+                emu.cpu.write_elem(inst.rd, i, sew, v);
             }
-            Ok(None)
+            Ok(())
         }
         VfaddVF | VfmulVF => {
             let s = emu.cpu.rf(inst.rs2);
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew);
+                let a = emu.cpu.read_elem(inst.rs1, i, sew);
                 let op = if inst.op == VfaddVF { VfaddVV } else { VfmulVV };
                 let v = fp_binop(op, a, scalar_to_sew(s, sew), sew)?;
-                write_elem(emu, inst.rd, i, sew, v);
+                emu.cpu.write_elem(inst.rd, i, sew, v);
             }
-            Ok(None)
+            Ok(())
         }
         VfmaccVV | VfnmsacVV => {
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew);
-                let b = read_elem(emu, inst.rs2, i, sew);
-                let acc = read_elem(emu, inst.rd, i, sew);
+                let a = emu.cpu.read_elem(inst.rs1, i, sew);
+                let b = emu.cpu.read_elem(inst.rs2, i, sew);
+                let acc = emu.cpu.read_elem(inst.rd, i, sew);
                 let v = fp_fma(a, b, acc, sew, inst.op == VfnmsacVV)?;
-                write_elem(emu, inst.rd, i, sew, v);
+                emu.cpu.write_elem(inst.rd, i, sew, v);
             }
-            Ok(None)
+            Ok(())
         }
         VfmaccVF => {
             let s = scalar_to_sew(emu.cpu.rf(inst.rs2), sew);
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew);
-                let acc = read_elem(emu, inst.rd, i, sew);
+                let a = emu.cpu.read_elem(inst.rs1, i, sew);
+                let acc = emu.cpu.read_elem(inst.rd, i, sew);
                 let v = fp_fma(a, s, acc, sew, false)?;
-                write_elem(emu, inst.rd, i, sew, v);
+                emu.cpu.write_elem(inst.rd, i, sew, v);
             }
-            Ok(None)
+            Ok(())
         }
         VfredsumVS => {
-            let mut acc = read_elem(emu, inst.rs2, 0, sew);
+            let mut acc = emu.cpu.read_elem(inst.rs2, 0, sew);
             for i in 0..vl {
-                let e = read_elem(emu, inst.rs1, i, sew);
+                let e = emu.cpu.read_elem(inst.rs1, i, sew);
                 acc = fp_binop(VfaddVV, acc, e, sew)?;
             }
-            write_elem(emu, inst.rd, 0, sew, acc);
-            Ok(None)
+            emu.cpu.write_elem(inst.rd, 0, sew, acc);
+            Ok(())
         }
         VfsqrtV => {
             for i in 0..vl {
-                let a = read_elem(emu, inst.rs1, i, sew);
+                let a = emu.cpu.read_elem(inst.rs1, i, sew);
                 let v = match sew {
                     Sew::E32 => (f32::from_bits(a as u32).sqrt()).to_bits() as u64,
                     Sew::E64 => f64::from_bits(a).sqrt().to_bits(),
@@ -375,9 +366,9 @@ fn exec_data_op(emu: &mut Emulator, inst: Inst) -> Result<Option<MemAccess>, Tra
                     }
                     Sew::E8 => return Err(ILLEGAL),
                 };
-                write_elem(emu, inst.rd, i, sew, v);
+                emu.cpu.write_elem(inst.rd, i, sew, v);
             }
-            Ok(None)
+            Ok(())
         }
         _ => Err(ILLEGAL),
     }

@@ -176,3 +176,138 @@ fn vadd_vx_and_vi() {
     });
     assert_eq!(emu.halted, Some(100 + 100 + 5 + 6 - 10));
 }
+
+/// A unit-stride access wraps past the top of the address space, as a
+/// scalar access does: `vse` at `-8` with four 32-bit elements writes
+/// the last two to addresses 0 and 4, and `vle` reads them back.
+#[test]
+fn unit_stride_addresses_wrap_past_the_top() {
+    let emu = run(|a| {
+        let x = a.data_u32("x", &[1, 2, 3, 4]);
+        a.li(Gpr::A1, 4);
+        a.vsetvli(Gpr::A0, Gpr::A1, Sew::E32, 1);
+        a.la(Gpr::A2, x);
+        a.vle(Vr::new(1), Gpr::A2);
+        a.li(Gpr::A3, -8);
+        a.vse(Vr::new(1), Gpr::A3);
+        a.vle(Vr::new(2), Gpr::A3);
+        a.vmv_v_i(Vr::new(3), 0);
+        a.vredsum_vs(Vr::new(4), Vr::new(2), Vr::new(3));
+        a.vmv_x_s(Gpr::A4, Vr::new(4));
+        // the wrapped half, read back by scalar loads from address 0
+        a.lw(Gpr::A5, Gpr::ZERO, 0);
+        a.lw(Gpr::A6, Gpr::ZERO, 4);
+        a.slli(Gpr::A4, Gpr::A4, 8);
+        a.slli(Gpr::A5, Gpr::A5, 4);
+        a.add(Gpr::A0, Gpr::A4, Gpr::A5);
+        a.add(Gpr::A0, Gpr::A0, Gpr::A6);
+    });
+    assert_eq!(emu.halted, Some((10 << 8) + (3 << 4) + 4));
+}
+
+/// `vslidedown.vx` by `-1`: every source index is past `vl` (or past
+/// 2^64), so every element reads 0.
+#[test]
+fn slidedown_past_vl_reads_zero() {
+    let emu = run(|a| {
+        let x = a.data_u32("x", &[1, 2, 3, 4]);
+        a.li(Gpr::A1, 4);
+        a.vsetvli(Gpr::A0, Gpr::A1, Sew::E32, 1);
+        a.la(Gpr::A2, x);
+        a.vle(Vr::new(1), Gpr::A2);
+        a.vmv_v_i(Vr::new(2), 7);
+        a.li(Gpr::A3, -1);
+        a.push(
+            xt_isa::Inst::new(xt_isa::Op::Vslidedown)
+                .rd(2)
+                .rs1(1)
+                .rs2(Gpr::A3.index()),
+        );
+        a.vmv_v_i(Vr::new(3), 0);
+        a.vredsum_vs(Vr::new(4), Vr::new(2), Vr::new(3));
+        a.vmv_x_s(Gpr::A0, Vr::new(4));
+    });
+    assert_eq!(emu.halted, Some(0));
+}
+
+/// A scalar operand a guest might hand a vector op to break it: a base
+/// near 2^64, `-1`, a slide offset at or past `vl`, or anything.
+fn hostile(rng: &mut xt_harness::Rng) -> u64 {
+    const EDGES: [u64; 8] = [0, 1, 4, 7, 8, 100, 1 << 63, 1 << 32];
+    match rng.below(4) {
+        0 => u64::MAX - rng.below(64),
+        1 => *rng.choose(&EDGES),
+        2 => rng.below(512),
+        _ => rng.next_u64(),
+    }
+}
+
+/// `vsetvli` (hostile `avl`, any SEW and LMUL) then one vector op whose
+/// scalar operands are hostile and whose register groups may wrap past
+/// `v31`: no panic in either build profile, and both engines end with
+/// equal frames (whatever the outcome, a trap included).
+#[test]
+fn hostile_scalar_operands_neither_panic_nor_split_the_engines() {
+    use xt_harness::gen;
+    use xt_harness::prop::{check_with, Config};
+    use xt_isa::{Inst, Op};
+    const OPS: [Op; 16] = [
+        Op::Vle,
+        Op::Vse,
+        Op::Vlse,
+        Op::Vsse,
+        Op::Vlxe,
+        Op::Vsxe,
+        Op::Vslidedown,
+        Op::Vslideup,
+        Op::VaddVX,
+        Op::VsllVX,
+        Op::VsraVX,
+        Op::VmulVX,
+        Op::VmaccVX,
+        Op::VmvSX,
+        Op::VmvXS,
+        Op::VwmaccVV,
+    ];
+    const SEWS: [Sew; 4] = [Sew::E8, Sew::E16, Sew::E32, Sew::E64];
+    let g = (
+        gen::ints(0usize..OPS.len()),
+        gen::ints(0usize..SEWS.len()),
+        gen::ints(0u8..4),
+        gen::from_fn(|rng| [hostile(rng), hostile(rng), hostile(rng)]),
+        gen::ints(0u8..32),
+        gen::ints(0u8..32),
+    );
+    check_with(
+        &Config::seeded_cases(0x0DD_BA5E, 128),
+        "hostile_scalar_operands_neither_panic_nor_split_the_engines",
+        &g,
+        |&(opi, si, lmul_log2, [avl, a, b], vd, vs)| {
+            let op = OPS[opi];
+            let mut asm = xt_asm::Asm::new();
+            asm.li(Gpr::A1, avl as i64);
+            asm.vsetvli(Gpr::A0, Gpr::A1, SEWS[si], 1 << lmul_log2);
+            asm.li(Gpr::A2, a as i64);
+            asm.li(Gpr::A3, b as i64);
+            // hostile element values too: indices of vlxe/vsxe, the
+            // source of a slide
+            asm.push(Inst::new(Op::VmvVX).rd(vs).rs1(Gpr::A3.index()));
+            let (rs1, rs2) = (Gpr::A2.index(), Gpr::A3.index());
+            asm.push(match op {
+                Op::Vle | Op::Vlse => Inst::new(op).rd(vd).rs1(rs1).rs2(rs2),
+                Op::Vse | Op::Vsse => Inst::new(op).rs1(rs1).rs2(rs2).rs3(vd),
+                Op::Vlxe => Inst::new(op).rd(vd).rs1(rs1).rs3(vs),
+                Op::Vsxe => Inst::new(op).rs1(rs1).rs2(vs).rs3(vd),
+                Op::VmvSX => Inst::new(op).rd(vd).rs1(rs2),
+                Op::VmvXS => Inst::new(op).rd(Gpr::A0.index()).rs1(vs),
+                Op::VwmaccVV => Inst::new(op).rd(vd).rs1(vs).rs2(vs).rs3(vd),
+                _ => Inst::new(op).rd(vd).rs1(vs).rs2(rs2).rs3(vd),
+            });
+            asm.halt();
+            let p = asm.finish().unwrap();
+            if let Err(e) = run_both_engines(&p, 1000, |_| {}) {
+                panic!("{op:?}: {e}");
+            }
+        },
+    );
+}

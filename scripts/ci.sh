@@ -49,6 +49,13 @@ leg "test (xt-core, release profile)"
 # host-speed number is measured under.
 cargo test -q --release --offline -p xt-core
 
+leg "test (xt-emu, release profile)"
+# And the emulator, whose per-instruction path is what every host-speed
+# number is measured on: guest arithmetic must agree between the two
+# profiles (debug panics on an overflow that release wraps), and its
+# #[inline] step boundaries exist only in release.
+cargo test -q --release --offline -p xt-emu
+
 leg "host heap footprint (release)"
 # What a 4-core replica, ClusterSim::new and a private-slice cluster run
 # hold on the heap, against budgets of the measurement + 10 %
