@@ -1,9 +1,10 @@
 //! Integration tests for the RVV 0.7.1 vector subset.
 
 use xt_asm::Asm;
-use xt_emu::{run_both_engines, Emulator};
+use xt_emu::{run_both_engines, Emulator, ExecError};
 use xt_isa::reg::{Gpr, Vr};
 use xt_isa::vector::Sew;
+use xt_isa::{Inst, Op};
 
 fn run(build: impl FnOnce(&mut Asm)) -> Emulator {
     let mut a = Asm::new();
@@ -175,6 +176,37 @@ fn vadd_vx_and_vi() {
         a.vmv_x_s(Gpr::A0, Vr::new(5));
     });
     assert_eq!(emu.halted, Some(100 + 100 + 5 + 6 - 10));
+}
+
+#[test]
+fn masked_op_v_words_stop_with_a_decode_error() {
+    // The subset is unmasked: an OP-V word with vm = 0 is outside it, and
+    // both engines stop on it rather than run it unmasked.
+    let mut a = Asm::new();
+    a.li(Gpr::A1, 4);
+    a.vsetvli(Gpr::A0, Gpr::A1, Sew::E32, 1);
+    a.vadd_vv(Vr::new(1), Vr::new(2), Vr::new(3));
+    a.halt();
+    let mut p = a.finish().unwrap();
+    let unmasked = xt_isa::encode::encode(&Inst::new(Op::VaddVV).rd(1).rs1(2).rs2(3)).unwrap();
+    let masked = unmasked & !(1 << 25);
+    let at = p
+        .text
+        .windows(4)
+        .position(|b| b == unmasked.to_le_bytes())
+        .expect("vadd.vv emitted");
+    p.text[at..at + 4].copy_from_slice(&masked.to_le_bytes());
+    for fastpath in [true, false] {
+        let mut emu = Emulator::new();
+        emu.set_fastpath(fastpath);
+        emu.load(&p);
+        let pc = p.text_base + at as u64;
+        assert_eq!(
+            emu.run(100),
+            Err(ExecError::Decode { pc, word: masked }),
+            "fast path {fastpath}"
+        );
+    }
 }
 
 /// A unit-stride access wraps past the top of the address space, as a

@@ -1,11 +1,22 @@
-//! Binary instruction decoding — the exact inverse of [`crate::encode`].
+//! Binary instruction decoding, from the op table ([`crate::op`]).
+//!
+//! Which bits the decoder reads: the opcode (bits 6:0) and funct3
+//! (14:12) pick a group of rows; a row matches when the word's bits under
+//! its format's mask equal the row's fixed bits; the operands are the
+//! fields the format names.
+//! Every other bit is ignored, so a word [`crate::encode`] never writes
+//! can decode: `jalr` ignores funct3, `slli`/`srli` (and `x.tst`/`x.srri`)
+//! ignore imm\[11:6\] (`srai` reads bit 30), `slliw`/`srliw` ignore funct7
+//! (`sraiw` needs its exact funct7), `fence`/`fence.i` ignore everything
+//! but opcode and funct3, AMOs ignore aq/rl, fused multiply-adds the
+//! rounding mode, `lr` and `vle.v`/`vse.v` the rs2 field, `sfence.vma`
+//! the rd field, and `vsetvl` bits 30:25. OP-V words must have vm = 1:
+//! the vector subset is unmasked. Decoding the encoder's output gives back
+//! the encoded instruction.
 
-// Binary literals group bits by instruction field (funct5_funct2), not
-// by uniform digit count.
-#![allow(clippy::unusual_byte_groupings)]
-
+use crate::format::{sext, Format};
 use crate::inst::Inst;
-use crate::op::Op;
+use crate::op::{Op, ROWS};
 
 /// Error returned for an unrecognized or malformed encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,484 +33,86 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn sext(v: u32, bits: u32) -> i64 {
-    let shift = 64 - bits;
-    ((v as i64) << shift) >> shift
+/// The bits that pick a decode group: funct3 (14:12) and the major
+/// opcode (6:0), as the group index `funct3 << 7 | opcode`.
+const GROUP_BITS: u32 = 0x707f;
+
+fn group_of(w: u32) -> usize {
+    ((w >> 5 & 0x380) | (w & 0x7f)) as usize
 }
 
-fn fields(w: u32) -> (u8, u8, u8, u32, u32) {
-    let rd = (w >> 7 & 0x1f) as u8;
-    let rs1 = (w >> 15 & 0x1f) as u8;
-    let rs2 = (w >> 20 & 0x1f) as u8;
-    let f3 = w >> 12 & 7;
-    let f7 = w >> 25 & 0x7f;
-    (rd, rs1, rs2, f3, f7)
+/// Whether row `i` can match a word of group `g`: its fixed bits agree
+/// with the group's bits wherever its mask reads them (a row that does
+/// not read funct3 sits in all eight groups of its opcode).
+const fn in_group(i: usize, g: u32) -> bool {
+    let w = (g & 0x7f) | (g >> 7) << 12;
+    (w ^ ROWS[i].bits) & ROWS[i].format.mask & GROUP_BITS == 0
 }
 
-fn i_imm(w: u32) -> i64 {
-    sext(w >> 20, 12)
-}
+/// `GROUPS[g]`: the range of group `g` in [`BY_GROUP`].
+static GROUPS: [(u16, u16); 1024] = {
+    let mut groups = [(0, 0); 1024];
+    let (mut n, mut g) = (0, 0);
+    while g < 1024 {
+        let start = n;
+        let mut i = 0;
+        while i < ROWS.len() {
+            n += in_group(i, g as u32) as usize;
+            i += 1;
+        }
+        groups[g] = (start as u16, n as u16);
+        g += 1;
+    }
+    groups
+};
 
-fn s_imm(w: u32) -> i64 {
-    sext((w >> 25 << 5) | (w >> 7 & 0x1f), 12)
-}
+const ENTRIES: usize = GROUPS[1023].1 as usize;
 
-fn b_imm(w: u32) -> i64 {
-    sext(
-        ((w >> 31) << 12) | ((w >> 7 & 1) << 11) | ((w >> 25 & 0x3f) << 5) | ((w >> 8 & 0xf) << 1),
-        13,
-    )
-}
+/// The op table's rows as `(mask, fixed bits, op, format)`, grouped by
+/// [`group_of`], each group in the order [`decode`] tries them: a row
+/// whose mask reads more bits first (table order among equals), so
+/// `srai` is tried before `srli` and `sraiw` before `srliw`, whose masks
+/// are subsets of theirs.
+static BY_GROUP: [(u32, u32, Op, &Format); ENTRIES] = {
+    let mut out = [(0u32, 0u32, Op::ALL[0], ROWS[0].format); ENTRIES];
+    let (mut n, mut g) = (0, 0);
+    while g < 1024 {
+        let start = n;
+        let mut i = 0;
+        while i < ROWS.len() {
+            if in_group(i, g) {
+                let (mask, bits) = (ROWS[i].format.mask, ROWS[i].bits);
+                // insertion sort by mask size, stable
+                let mut at = n;
+                while at > start && out[at - 1].0.count_ones() < mask.count_ones() {
+                    out[at] = out[at - 1];
+                    at -= 1;
+                }
+                out[at] = (mask, bits, Op::ALL[i], ROWS[i].format);
+                n += 1;
+            }
+            i += 1;
+        }
+        g += 1;
+    }
+    out
+};
 
-fn u_imm(w: u32) -> i64 {
-    sext(w & 0xfffff000, 32)
-}
-
-fn j_imm(w: u32) -> i64 {
-    sext(
-        ((w >> 31) << 20) | ((w >> 12 & 0xff) << 12) | ((w >> 20 & 1) << 11) | ((w >> 21 & 0x3ff) << 1),
-        21,
-    )
-}
-
-/// Decodes a 32-bit instruction word.
+/// Decodes a 32-bit instruction word: the first row of its group whose
+/// masked bits equal the row's fixed bits, with the operands the row's
+/// format reads.
 ///
 /// # Errors
 ///
 /// Returns [`DecodeError`] for encodings outside the implemented ISA.
 pub fn decode(w: u32) -> Result<Inst, DecodeError> {
-    use Op::*;
-    let (rd, rs1, rs2, f3, f7) = fields(w);
-    let err = Err(DecodeError { word: w });
-    let mk = |op: Op| Inst::new(op).rd(rd).rs1(rs1).rs2(rs2);
-    let inst = match w & 0x7f {
-        0x37 => Inst::new(Lui).rd(rd).imm(u_imm(w)),
-        0x17 => Inst::new(Auipc).rd(rd).imm(u_imm(w)),
-        0x6f => Inst::new(Jal).rd(rd).imm(j_imm(w)),
-        0x67 => Inst::new(Jalr).rd(rd).rs1(rs1).imm(i_imm(w)),
-        0x63 => {
-            let op = match f3 {
-                0 => Beq,
-                1 => Bne,
-                4 => Blt,
-                5 => Bge,
-                6 => Bltu,
-                7 => Bgeu,
-                _ => return err,
-            };
-            Inst::new(op).rs1(rs1).rs2(rs2).imm(b_imm(w))
+    let (start, end) = GROUPS[group_of(w)];
+    for &(mask, bits, op, format) in &BY_GROUP[start as usize..end as usize] {
+        if w & mask == bits {
+            return Ok(format.unpack(op, w));
         }
-        0x03 => {
-            let op = match f3 {
-                0 => Lb,
-                1 => Lh,
-                2 => Lw,
-                3 => Ld,
-                4 => Lbu,
-                5 => Lhu,
-                6 => Lwu,
-                _ => return err,
-            };
-            Inst::new(op).rd(rd).rs1(rs1).imm(i_imm(w))
-        }
-        0x23 => {
-            let op = match f3 {
-                0 => Sb,
-                1 => Sh,
-                2 => Sw,
-                3 => Sd,
-                _ => return err,
-            };
-            Inst::new(op).rs1(rs1).rs2(rs2).imm(s_imm(w))
-        }
-        0x13 => match f3 {
-            0 => Inst::new(Addi).rd(rd).rs1(rs1).imm(i_imm(w)),
-            2 => Inst::new(Slti).rd(rd).rs1(rs1).imm(i_imm(w)),
-            3 => Inst::new(Sltiu).rd(rd).rs1(rs1).imm(i_imm(w)),
-            4 => Inst::new(Xori).rd(rd).rs1(rs1).imm(i_imm(w)),
-            6 => Inst::new(Ori).rd(rd).rs1(rs1).imm(i_imm(w)),
-            7 => Inst::new(Andi).rd(rd).rs1(rs1).imm(i_imm(w)),
-            1 => Inst::new(Slli).rd(rd).rs1(rs1).imm((w >> 20 & 0x3f) as i64),
-            5 => {
-                let op = if f7 & 0b0100000 != 0 { Srai } else { Srli };
-                Inst::new(op).rd(rd).rs1(rs1).imm((w >> 20 & 0x3f) as i64)
-            }
-            _ => return err,
-        },
-        0x1b => match f3 {
-            0 => Inst::new(Addiw).rd(rd).rs1(rs1).imm(i_imm(w)),
-            1 => Inst::new(Slliw).rd(rd).rs1(rs1).imm((w >> 20 & 0x1f) as i64),
-            5 => {
-                let op = if f7 == 0b0100000 { Sraiw } else { Srliw };
-                Inst::new(op).rd(rd).rs1(rs1).imm((w >> 20 & 0x1f) as i64)
-            }
-            _ => return err,
-        },
-        0x33 => {
-            let op = match (f7, f3) {
-                (0, 0) => Add,
-                (0b0100000, 0) => Sub,
-                (0, 1) => Sll,
-                (0, 2) => Slt,
-                (0, 3) => Sltu,
-                (0, 4) => Xor,
-                (0, 5) => Srl,
-                (0b0100000, 5) => Sra,
-                (0, 6) => Or,
-                (0, 7) => And,
-                (1, 0) => Mul,
-                (1, 1) => Mulh,
-                (1, 2) => Mulhsu,
-                (1, 3) => Mulhu,
-                (1, 4) => Div,
-                (1, 5) => Divu,
-                (1, 6) => Rem,
-                (1, 7) => Remu,
-                _ => return err,
-            };
-            mk(op)
-        }
-        0x3b => {
-            let op = match (f7, f3) {
-                (0, 0) => Addw,
-                (0b0100000, 0) => Subw,
-                (0, 1) => Sllw,
-                (0, 5) => Srlw,
-                (0b0100000, 5) => Sraw,
-                (1, 0) => Mulw,
-                (1, 4) => Divw,
-                (1, 5) => Divuw,
-                (1, 6) => Remw,
-                (1, 7) => Remuw,
-                _ => return err,
-            };
-            mk(op)
-        }
-        0x0f => match f3 {
-            0 => Inst::new(Fence),
-            1 => Inst::new(FenceI),
-            _ => return err,
-        },
-        0x2f => {
-            let funct5 = w >> 27;
-            let op = match (funct5, f3) {
-                (0b00010, 2) => LrW,
-                (0b00010, 3) => LrD,
-                (0b00011, 2) => ScW,
-                (0b00011, 3) => ScD,
-                (0b00001, 2) => AmoSwapW,
-                (0b00000, 2) => AmoAddW,
-                (0b00100, 2) => AmoXorW,
-                (0b01100, 2) => AmoAndW,
-                (0b01000, 2) => AmoOrW,
-                (0b10000, 2) => AmoMinW,
-                (0b10100, 2) => AmoMaxW,
-                (0b11000, 2) => AmoMinuW,
-                (0b11100, 2) => AmoMaxuW,
-                (0b00001, 3) => AmoSwapD,
-                (0b00000, 3) => AmoAddD,
-                (0b00100, 3) => AmoXorD,
-                (0b01100, 3) => AmoAndD,
-                (0b01000, 3) => AmoOrD,
-                (0b10000, 3) => AmoMinD,
-                (0b10100, 3) => AmoMaxD,
-                (0b11000, 3) => AmoMinuD,
-                (0b11100, 3) => AmoMaxuD,
-                _ => return err,
-            };
-            let mut inst = mk(op);
-            if matches!(op, LrW | LrD) {
-                // LR has no rs2 operand: ignore whatever bits sit there
-                inst.rs2 = 0;
-            }
-            inst
-        }
-        0x07 => match f3 {
-            2 => Inst::new(Flw).rd(rd).rs1(rs1).imm(i_imm(w)),
-            3 => Inst::new(Fld).rd(rd).rs1(rs1).imm(i_imm(w)),
-            7 => {
-                // vector load; mop in funct7 bits 2:1, bit 0 set as marker
-                match f7 {
-                    0b0000001 => Inst::new(Vle).rd(rd).rs1(rs1),
-                    0b0000101 => Inst::new(Vlse).rd(rd).rs1(rs1).rs2(rs2),
-                    0b0000111 => Inst::new(Vlxe).rd(rd).rs1(rs1).rs3(rs2),
-                    _ => return err,
-                }
-            }
-            _ => return err,
-        },
-        0x27 => match f3 {
-            2 => Inst::new(Fsw).rs1(rs1).rs2(rs2).imm(s_imm(w)),
-            3 => Inst::new(Fsd).rs1(rs1).rs2(rs2).imm(s_imm(w)),
-            7 => match f7 {
-                0b0000001 => Inst::new(Vse).rs1(rs1).rs3(rd),
-                0b0000101 => Inst::new(Vsse).rs1(rs1).rs2(rs2).rs3(rd),
-                0b0000111 => Inst::new(Vsxe).rs1(rs1).rs2(rs2).rs3(rd),
-                _ => return err,
-            },
-            _ => return err,
-        },
-        0x43 | 0x47 | 0x4b | 0x4f => {
-            let rs3 = (w >> 27) as u8;
-            let fmt = w >> 25 & 3;
-            let op = match (w & 0x7f, fmt) {
-                (0x43, 0) => FmaddS,
-                (0x47, 0) => FmsubS,
-                (0x4b, 0) => FnmsubS,
-                (0x4f, 0) => FnmaddS,
-                (0x43, 1) => FmaddD,
-                (0x47, 1) => FmsubD,
-                (0x4b, 1) => FnmsubD,
-                (0x4f, 1) => FnmaddD,
-                _ => return err,
-            };
-            Inst::new(op).rd(rd).rs1(rs1).rs2(rs2).rs3(rs3)
-        }
-        0x53 => {
-            let op = match (f7, f3, rs2) {
-                (0b0000000, 7, _) => FaddS,
-                (0b0000100, 7, _) => FsubS,
-                (0b0001000, 7, _) => FmulS,
-                (0b0001100, 7, _) => FdivS,
-                (0b0101100, 7, 0) => FsqrtS,
-                (0b0010000, 0, _) => FsgnjS,
-                (0b0010000, 1, _) => FsgnjnS,
-                (0b0010000, 2, _) => FsgnjxS,
-                (0b0010100, 0, _) => FminS,
-                (0b0010100, 1, _) => FmaxS,
-                (0b1100000, 7, 0) => FcvtWS,
-                (0b1100000, 7, 1) => FcvtWuS,
-                (0b1100000, 7, 2) => FcvtLS,
-                (0b1100000, 7, 3) => FcvtLuS,
-                (0b1110000, 0, 0) => FmvXW,
-                (0b1110000, 1, 0) => FclassS,
-                (0b1010000, 2, _) => FeqS,
-                (0b1010000, 1, _) => FltS,
-                (0b1010000, 0, _) => FleS,
-                (0b1101000, 7, 0) => FcvtSW,
-                (0b1101000, 7, 1) => FcvtSWu,
-                (0b1101000, 7, 2) => FcvtSL,
-                (0b1101000, 7, 3) => FcvtSLu,
-                (0b1111000, 0, 0) => FmvWX,
-                (0b0000001, 7, _) => FaddD,
-                (0b0000101, 7, _) => FsubD,
-                (0b0001001, 7, _) => FmulD,
-                (0b0001101, 7, _) => FdivD,
-                (0b0101101, 7, 0) => FsqrtD,
-                (0b0010001, 0, _) => FsgnjD,
-                (0b0010001, 1, _) => FsgnjnD,
-                (0b0010001, 2, _) => FsgnjxD,
-                (0b0010101, 0, _) => FminD,
-                (0b0010101, 1, _) => FmaxD,
-                (0b0100000, 7, 1) => FcvtSD,
-                (0b0100001, 7, 0) => FcvtDS,
-                (0b1010001, 2, _) => FeqD,
-                (0b1010001, 1, _) => FltD,
-                (0b1010001, 0, _) => FleD,
-                (0b1110001, 1, 0) => FclassD,
-                (0b1100001, 7, 0) => FcvtWD,
-                (0b1100001, 7, 1) => FcvtWuD,
-                (0b1100001, 7, 2) => FcvtLD,
-                (0b1100001, 7, 3) => FcvtLuD,
-                (0b1101001, 7, 0) => FcvtDW,
-                (0b1101001, 7, 1) => FcvtDWu,
-                (0b1101001, 7, 2) => FcvtDL,
-                (0b1101001, 7, 3) => FcvtDLu,
-                (0b1110001, 0, 0) => FmvXD,
-                (0b1111001, 0, 0) => FmvDX,
-                _ => return err,
-            };
-            // Conversions and single-source ops carry a selector in rs2.
-            let keep_rs2 = matches!(
-                op,
-                FaddS | FsubS | FmulS | FdivS | FsgnjS | FsgnjnS | FsgnjxS | FminS | FmaxS
-                    | FeqS | FltS | FleS | FaddD | FsubD | FmulD | FdivD | FsgnjD | FsgnjnD
-                    | FsgnjxD | FminD | FmaxD | FeqD | FltD | FleD
-            );
-            let mut inst = Inst::new(op).rd(rd).rs1(rs1);
-            if keep_rs2 {
-                inst = inst.rs2(rs2);
-            }
-            inst
-        }
-        0x73 => match f3 {
-            0 => match w {
-                0x00000073 => Inst::new(Ecall),
-                0x00100073 => Inst::new(Ebreak),
-                0x30200073 => Inst::new(Mret),
-                0x10200073 => Inst::new(Sret),
-                0x10500073 => Inst::new(Wfi),
-                _ if f7 == 0b0001001 => Inst::new(SfenceVma).rs1(rs1).rs2(rs2),
-                _ => return err,
-            },
-            1 => Inst::new(Csrrw).rd(rd).rs1(rs1).imm((w >> 20) as i64),
-            2 => Inst::new(Csrrs).rd(rd).rs1(rs1).imm((w >> 20) as i64),
-            3 => Inst::new(Csrrc).rd(rd).rs1(rs1).imm((w >> 20) as i64),
-            5 => Inst::new(Csrrwi).rd(rd).rs1(rs1).imm((w >> 20) as i64),
-            6 => Inst::new(Csrrsi).rd(rd).rs1(rs1).imm((w >> 20) as i64),
-            7 => Inst::new(Csrrci).rd(rd).rs1(rs1).imm((w >> 20) as i64),
-            _ => return err,
-        },
-        0x57 => {
-            if f3 == 7 {
-                if f7 & 0b1000000 != 0 {
-                    Inst::new(Vsetvl).rd(rd).rs1(rs1).rs2(rs2)
-                } else {
-                    Inst::new(Vsetvli).rd(rd).rs1(rs1).imm((w >> 20 & 0x7ff) as i64)
-                }
-            } else {
-                let f6 = w >> 26;
-                let op = match decode_vec(f6, f3) {
-                    Some(op) => op,
-                    None => return err,
-                };
-                // encoder layout: vs2 in bits 24:20 -> rs1 slot;
-                //                 vs1/rs1 in bits 19:15 -> rs2 slot.
-                let mut inst = Inst::new(op).rd(rd).rs1(rs2).rs2(rs1);
-                if f3 == 3 {
-                    // immediate form: bits 19:15 are simm5
-                    inst = Inst::new(op).rd(rd).rs1(rs2).imm(sext(w >> 15 & 0x1f, 5));
-                }
-                // MAC-style ops accumulate into vd: expose it as rs3.
-                if matches!(
-                    op,
-                    VmaccVV | VmaccVX | VnmsacVV | VwmaccVV | VwmaccuVV | VfmaccVV | VfmaccVF
-                        | VfnmsacVV
-                ) {
-                    inst = inst.rs3(rd);
-                }
-                inst
-            }
-        }
-        0x0b => {
-            let shift = (f7 & 3) as i64;
-            let base = f7 & !3;
-            let op = match (f3, base, f7) {
-                (0, 0b00000_00, _) => XLrb,
-                (0, 0b00001_00, _) => XLrbu,
-                (0, 0b00010_00, _) => XLrh,
-                (0, 0b00011_00, _) => XLrhu,
-                (0, 0b00100_00, _) => XLrw,
-                (0, 0b00101_00, _) => XLrwu,
-                (0, 0b00110_00, _) => XLrd,
-                (0, 0b00111_00, _) => XLurw,
-                (0, 0b01000_00, _) => XLurd,
-                (1, 0b00000_00, _) => XSrb,
-                (1, 0b00010_00, _) => XSrh,
-                (1, 0b00100_00, _) => XSrw,
-                (1, 0b00110_00, _) => XSrd,
-                (2, 0b01001_00, _) => XAddsl,
-                (2, _, 0b01010_00) => XAdduw,
-                (2, _, 0b01011_00) => XZextw,
-                (2, _, 0b01100_00) => XFf0,
-                (2, _, 0b01101_00) => XFf1,
-                (2, _, 0b01110_00) => XRev,
-                (4, _, 0b00000_00) => XMula,
-                (4, _, 0b00001_00) => XMuls,
-                (4, _, 0b00010_00) => XMulaw,
-                (4, _, 0b00011_00) => XMulsw,
-                (4, _, 0b00100_00) => XMulah,
-                (4, _, 0b00101_00) => XMulsh,
-                (5, _, 0b00000_00) => XDcacheCall,
-                (5, _, 0b00001_00) => XDcacheCva,
-                (5, _, 0b00010_00) => XIcacheIall,
-                (5, _, 0b00011_00) => XTlbBroadcast,
-                (5, _, 0b00100_00) => XSync,
-                (6, _, 0b00000_00) => XMveqz,
-                (6, _, 0b00001_00) => XMvnez,
-                _ => return err,
-            };
-            let mut inst = mk(op);
-            match f3 {
-                0 => inst = inst.imm(shift),
-                1 => {
-                    // store: data register came from the rd slot
-                    inst = Inst::new(op).rs1(rs1).rs2(rs2).rs3(rd).imm(shift);
-                }
-                2 if op == XAddsl => inst = inst.imm(shift),
-                4 | 6 => inst = inst.rs3(rd), // read-modify-write rd
-                _ => {}
-            }
-            inst
-        }
-        0x2b => {
-            let imm12 = (w >> 20) as i64;
-            match f3 {
-                0 => Inst::new(XExt).rd(rd).rs1(rs1).imm(imm12),
-                1 => Inst::new(XExtu).rd(rd).rs1(rs1).imm(imm12),
-                2 => Inst::new(XTst).rd(rd).rs1(rs1).imm(imm12 & 0x3f),
-                3 => Inst::new(XSrri).rd(rd).rs1(rs1).imm(imm12 & 0x3f),
-                _ => return err,
-            }
-        }
-        _ => return err,
-    };
-    Ok(inst)
-}
-
-fn decode_vec(f6: u32, f3: u32) -> Option<Op> {
-    use Op::*;
-    // Mirror of `encode::vec_funct6`.
-    Some(match (f6, f3) {
-        (0b000000, 0) => VaddVV,
-        (0b000010, 0) => VsubVV,
-        (0b001001, 0) => VandVV,
-        (0b001010, 0) => VorVV,
-        (0b001011, 0) => VxorVV,
-        (0b100101, 0) => VsllVV,
-        (0b101000, 0) => VsrlVV,
-        (0b101001, 0) => VsraVV,
-        (0b000100, 0) => VminuVV,
-        (0b000101, 0) => VminVV,
-        (0b000110, 0) => VmaxuVV,
-        (0b000111, 0) => VmaxVV,
-        (0b010111, 0) => VmvVV,
-        (0b000000, 4) => VaddVX,
-        (0b000010, 4) => VsubVX,
-        (0b000011, 4) => VrsubVX,
-        (0b001001, 4) => VandVX,
-        (0b001010, 4) => VorVX,
-        (0b001011, 4) => VxorVX,
-        (0b100101, 4) => VsllVX,
-        (0b101000, 4) => VsrlVX,
-        (0b101001, 4) => VsraVX,
-        (0b010111, 4) => VmvVX,
-        (0b001111, 4) => Vslidedown,
-        (0b001110, 4) => Vslideup,
-        (0b000000, 3) => VaddVI,
-        (0b010111, 3) => VmvVI,
-        (0b100101, 2) => VmulVV,
-        (0b100111, 2) => VmulhVV,
-        (0b101101, 2) => VmaccVV,
-        (0b101111, 2) => VnmsacVV,
-        (0b100000, 2) => VdivuVV,
-        (0b100001, 2) => VdivVV,
-        (0b100011, 2) => VremVV,
-        (0b111000, 2) => VwmuluVV,
-        (0b111011, 2) => VwmulVV,
-        (0b111100, 2) => VwmaccuVV,
-        (0b111101, 2) => VwmaccVV,
-        (0b000000, 2) => VredsumVS,
-        (0b000111, 2) => VredmaxVS,
-        (0b010000, 2) => VmvXS,
-        (0b100101, 6) => VmulVX,
-        (0b101101, 6) => VmaccVX,
-        (0b010000, 6) => VmvSX,
-        (0b000000, 1) => VfaddVV,
-        (0b000010, 1) => VfsubVV,
-        (0b100100, 1) => VfmulVV,
-        (0b100000, 1) => VfdivVV,
-        (0b101100, 1) => VfmaccVV,
-        (0b101110, 1) => VfnmsacVV,
-        (0b000100, 1) => VfminVV,
-        (0b000110, 1) => VfmaxVV,
-        (0b000011, 1) => VfredsumVS,
-        (0b100011, 1) => VfsqrtV,
-        (0b000000, 5) => VfaddVF,
-        (0b100100, 5) => VfmulVF,
-        (0b101100, 5) => VfmaccVF,
-        _ => return None,
-    })
+    }
+    Err(DecodeError { word: w })
 }
 
 /// Decodes a 16-bit compressed instruction into its expanded form
@@ -621,6 +234,26 @@ mod tests {
     use super::*;
     use crate::encode::{encode, encode_compressed};
 
+    /// Two rows of a group that some word matches both of are ordered
+    /// by mask containment, so the first match is the most specific one
+    /// (`srai` before `srli`); and every row sits in some group.
+    #[test]
+    fn overlapping_rows_are_tried_most_specific_first() {
+        for &(start, end) in &GROUPS {
+            let group = &BY_GROUP[start as usize..end as usize];
+            for (k, &(m1, b1, op1, _)) in group.iter().enumerate() {
+                for &(m2, b2, op2, _) in &group[k + 1..] {
+                    if (b1 ^ b2) & m1 & m2 == 0 {
+                        assert!(m1 & m2 == m2 && m1 != m2, "{op1:?} and {op2:?} overlap");
+                    }
+                }
+            }
+        }
+        for &op in Op::ALL {
+            assert!(BY_GROUP.iter().any(|e| e.2 == op), "{op:?} in no group");
+        }
+    }
+
     #[test]
     fn decode_known_addi() {
         let i = decode(0x02A30293).unwrap();
@@ -665,6 +298,22 @@ mod tests {
         let i = Inst::new(Op::VaddVV).rd(1).rs1(2).rs2(3);
         let w = encode(&i).unwrap();
         assert_eq!(decode(w).unwrap(), i);
+    }
+
+    #[test]
+    fn masked_op_v_words_do_not_decode() {
+        // vadd.vv v1, v2, v3 with vm = 1, then vm = 0
+        let i = Inst::new(Op::VaddVV).rd(1).rs1(2).rs2(3);
+        assert_eq!(decode(0x022180d7), Ok(i));
+        assert!(decode(0x002180d7).is_err());
+        // every OP-V arithmetic op
+        for &op in Op::ALL {
+            let w = encode(&Inst::new(op)).unwrap();
+            if w & 0x7f == 0x57 && w >> 12 & 7 != 7 {
+                assert_eq!(w >> 25 & 1, 1, "{op:?} encodes vm = 1");
+                assert!(decode(w & !(1 << 25)).is_err(), "{op:?} with vm = 0");
+            }
+        }
     }
 
     #[test]

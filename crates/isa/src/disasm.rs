@@ -1,7 +1,8 @@
 //! Textual disassembly of decoded instructions.
 
+use crate::format::Imm;
 use crate::inst::Inst;
-use crate::op::{ExecClass, Op, RegFile};
+use crate::op::{ExecClass, RegFile};
 use crate::reg::{FPR_ABI_NAMES, GPR_ABI_NAMES};
 use std::fmt;
 
@@ -14,147 +15,56 @@ fn reg_name(rf: RegFile, idx: u8) -> String {
     }
 }
 
-/// Formats `inst` in a conventional `mnemonic rd, rs1, rs2/imm` style.
+/// Formats `inst` in a conventional `mnemonic rd, rs1, rs2/imm` style,
+/// the operands laid out by the op's row: its class, register files and
+/// format.
 pub fn fmt_inst(inst: &Inst, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let t = inst.op.traits_of();
     let m = inst.op.mnemonic();
     let class = inst.op.exec_class();
+    let (rd, rs1, rs2) = (
+        reg_name(t.rd, inst.rd),
+        reg_name(t.rs1, inst.rs1),
+        reg_name(t.rs2, inst.rs2),
+    );
     match class {
         ExecClass::Load | ExecClass::VecLoad if !inst.op.is_custom() => {
-            if matches!(inst.op, Op::Vlse | Op::Vsse) {
-                write!(
-                    f,
-                    "{m} {}, ({}), {}",
-                    reg_name(t.rd, inst.rd),
-                    reg_name(t.rs1, inst.rs1),
-                    reg_name(t.rs2, inst.rs2)
-                )
+            if t.rs2 != RegFile::None {
+                // strided: the stride register
+                write!(f, "{m} {rd}, ({rs1}), {rs2}")
             } else if class == ExecClass::VecLoad {
-                write!(
-                    f,
-                    "{m} {}, ({})",
-                    reg_name(t.rd, inst.rd),
-                    reg_name(t.rs1, inst.rs1)
-                )
+                write!(f, "{m} {rd}, ({rs1})")
             } else {
-                write!(
-                    f,
-                    "{m} {}, {}({})",
-                    reg_name(t.rd, inst.rd),
-                    inst.imm,
-                    reg_name(t.rs1, inst.rs1)
-                )
+                write!(f, "{m} {rd}, {}({rs1})", inst.imm)
             }
         }
-        ExecClass::Store | ExecClass::VecStore if !inst.op.is_custom() => {
-            if class == ExecClass::VecStore {
-                write!(
-                    f,
-                    "{m} {}, ({})",
-                    reg_name(RegFile::Vec, inst.rs3),
-                    reg_name(t.rs1, inst.rs1)
-                )
-            } else {
-                write!(
-                    f,
-                    "{m} {}, {}({})",
-                    reg_name(t.rs2, inst.rs2),
-                    inst.imm,
-                    reg_name(t.rs1, inst.rs1)
-                )
-            }
-        }
-        ExecClass::Branch => write!(
-            f,
-            "{m} {}, {}, {}",
-            reg_name(t.rs1, inst.rs1),
-            reg_name(t.rs2, inst.rs2),
-            inst.imm
-        ),
-        ExecClass::Jump => write!(f, "{m} {}, {}", reg_name(t.rd, inst.rd), inst.imm),
-        ExecClass::JumpInd => write!(
-            f,
-            "{m} {}, {}({})",
-            reg_name(t.rd, inst.rd),
-            inst.imm,
-            reg_name(t.rs1, inst.rs1)
-        ),
+        ExecClass::VecStore => write!(f, "{m} {}, ({rs1})", reg_name(RegFile::Vec, inst.rs3)),
+        ExecClass::Store if !inst.op.is_custom() => write!(f, "{m} {rs2}, {}({rs1})", inst.imm),
+        ExecClass::Branch => write!(f, "{m} {rs1}, {rs2}, {}", inst.imm),
+        ExecClass::Jump => write!(f, "{m} {rd}, {}", inst.imm),
+        ExecClass::JumpInd => write!(f, "{m} {rd}, {}({rs1})", inst.imm),
         ExecClass::Csr => {
             let csr = crate::csr::name(inst.imm as u16)
                 .map(str::to_owned)
                 .unwrap_or_else(|| format!("{:#x}", inst.imm));
-            write!(
-                f,
-                "{m} {}, {csr}, {}",
-                reg_name(t.rd, inst.rd),
-                reg_name(t.rs1, inst.rs1)
-            )
+            write!(f, "{m} {rd}, {csr}, {rs1}")
         }
         _ => {
             // Generic: mnemonic then any present operands.
             write!(f, "{m}")?;
             let mut sep = " ";
-            if let Some((rf, rd)) = inst.dest() {
-                write!(f, "{sep}{}", reg_name(rf, rd))?;
-                sep = ", ";
-            } else if t.rd != RegFile::None {
-                write!(f, "{sep}zero")?;
-                sep = ", ";
-            }
-            for (rf, idx) in [(t.rs1, inst.rs1), (t.rs2, inst.rs2)] {
+            for (rf, name) in [(t.rd, rd), (t.rs1, rs1), (t.rs2, rs2)] {
                 if rf != RegFile::None {
-                    write!(f, "{sep}{}", reg_name(rf, idx))?;
+                    write!(f, "{sep}{name}")?;
                     sep = ", ";
                 }
             }
-            if uses_imm(inst.op) {
+            if inst.op.format().imm != Imm::None {
                 write!(f, "{sep}{}", inst.imm)?;
             }
             Ok(())
         }
     }
-}
-
-fn uses_imm(op: Op) -> bool {
-    use Op::*;
-    matches!(
-        op,
-        Lui | Auipc
-            | Addi
-            | Slti
-            | Sltiu
-            | Xori
-            | Ori
-            | Andi
-            | Slli
-            | Srli
-            | Srai
-            | Addiw
-            | Slliw
-            | Srliw
-            | Sraiw
-            | Vsetvli
-            | VaddVI
-            | VmvVI
-            | XExt
-            | XExtu
-            | XTst
-            | XSrri
-            | XAddsl
-            | XLrb
-            | XLrbu
-            | XLrh
-            | XLrhu
-            | XLrw
-            | XLrwu
-            | XLrd
-            | XLurw
-            | XLurd
-            | XSrb
-            | XSrh
-            | XSrw
-            | XSrd
-    )
 }
 
 /// Disassembles one instruction to a `String`.
@@ -164,8 +74,8 @@ pub fn disasm(inst: &Inst) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::inst::Inst;
+    use crate::op::Op;
 
     #[test]
     fn formats_common_shapes() {

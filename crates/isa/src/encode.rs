@@ -2,17 +2,13 @@
 //!
 //! Standard RV64IMAFDC instructions use the RISC-V spec's bit layouts. The
 //! vector subset follows the broad OP-V layout of RVV 0.7.1 (funct6 |
-//! vm | vs2 | vs1 | funct3 | vd | 0x57) with a documented funct6 table; the
-//! XT-910 custom extensions live in the custom-0 opcode (0x0B). The decoder
-//! in [`mod@crate::decode`] is the exact inverse — round-trips are
-//! property-tested.
-
-// Binary literals group bits by instruction field (funct5_funct2), not
-// by uniform digit count.
-#![allow(clippy::unusual_byte_groupings)]
+//! vm | vs2 | vs1 | funct3 | vd | 0x57), unmasked only; the XT-910 custom
+//! extensions live in the custom-0 (0x0B) and custom-1 (0x2B) opcodes.
+//! Each op's fixed bits and format are its row of the op table
+//! ([`crate::op`]); [`mod@crate::decode`] reads the same rows.
 
 use crate::inst::Inst;
-use crate::op::Op;
+use crate::op::{Op, ROWS};
 
 /// Error returned when an instruction's operands do not fit its encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,478 +27,20 @@ impl std::fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-fn r(f7: u32, rs2: u32, rs1: u32, f3: u32, rd: u32, opc: u32) -> u32 {
-    (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | opc
-}
-
-fn i(imm: i64, rs1: u32, f3: u32, rd: u32, opc: u32) -> Result<u32, &'static str> {
-    if !(-2048..=2047).contains(&imm) {
-        return Err("I-immediate out of range");
-    }
-    Ok((((imm as u32) & 0xfff) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | opc)
-}
-
-fn s(imm: i64, rs2: u32, rs1: u32, f3: u32, opc: u32) -> Result<u32, &'static str> {
-    if !(-2048..=2047).contains(&imm) {
-        return Err("S-immediate out of range");
-    }
-    let imm = imm as u32;
-    Ok(((imm >> 5 & 0x7f) << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | ((imm & 0x1f) << 7) | opc)
-}
-
-fn b(imm: i64, rs2: u32, rs1: u32, f3: u32) -> Result<u32, &'static str> {
-    if !(-4096..=4094).contains(&imm) || imm & 1 != 0 {
-        return Err("B-immediate out of range or odd");
-    }
-    let imm = imm as u32;
-    Ok(((imm >> 12 & 1) << 31)
-        | ((imm >> 5 & 0x3f) << 25)
-        | (rs2 << 20)
-        | (rs1 << 15)
-        | (f3 << 12)
-        | ((imm >> 1 & 0xf) << 8)
-        | ((imm >> 11 & 1) << 7)
-        | 0x63)
-}
-
-fn u(imm: i64, rd: u32, opc: u32) -> Result<u32, &'static str> {
-    // `imm` is the final (shifted) value: a sign-extended multiple of 4096.
-    if imm & 0xfff != 0 {
-        return Err("U-immediate must be 4 KiB aligned");
-    }
-    let hi = imm >> 12;
-    if !(-(1 << 19)..(1 << 19)).contains(&hi) {
-        return Err("U-immediate out of range");
-    }
-    Ok((((hi as u32) & 0xfffff) << 12) | (rd << 7) | opc)
-}
-
-fn j(imm: i64, rd: u32) -> Result<u32, &'static str> {
-    if !(-(1 << 20)..(1 << 20)).contains(&imm) || imm & 1 != 0 {
-        return Err("J-immediate out of range or odd");
-    }
-    let imm = imm as u32;
-    Ok(((imm >> 20 & 1) << 31)
-        | ((imm >> 1 & 0x3ff) << 21)
-        | ((imm >> 11 & 1) << 20)
-        | ((imm >> 12 & 0xff) << 12)
-        | (rd << 7)
-        | 0x6f)
-}
-
-/// OP-V funct6 assignments (vm bit is always 1 = unmasked in this subset).
-/// funct3: 0=VV(int) 3=VI 4=VX 1=FVV 5=FVF 2=MVV(mul/red/perm) 6=MVX 7=cfg.
-pub(crate) fn vec_funct6(op: Op) -> Option<(u32, u32)> {
-    use Op::*;
-    // (funct6, funct3)
-    Some(match op {
-        VaddVV => (0b000000, 0),
-        VsubVV => (0b000010, 0),
-        VandVV => (0b001001, 0),
-        VorVV => (0b001010, 0),
-        VxorVV => (0b001011, 0),
-        VsllVV => (0b100101, 0),
-        VsrlVV => (0b101000, 0),
-        VsraVV => (0b101001, 0),
-        VminuVV => (0b000100, 0),
-        VminVV => (0b000101, 0),
-        VmaxuVV => (0b000110, 0),
-        VmaxVV => (0b000111, 0),
-        VmvVV => (0b010111, 0),
-        VaddVX => (0b000000, 4),
-        VsubVX => (0b000010, 4),
-        VrsubVX => (0b000011, 4),
-        VandVX => (0b001001, 4),
-        VorVX => (0b001010, 4),
-        VxorVX => (0b001011, 4),
-        VsllVX => (0b100101, 4),
-        VsrlVX => (0b101000, 4),
-        VsraVX => (0b101001, 4),
-        VmvVX => (0b010111, 4),
-        Vslidedown => (0b001111, 4),
-        Vslideup => (0b001110, 4),
-        VaddVI => (0b000000, 3),
-        VmvVI => (0b010111, 3),
-        VmulVV => (0b100101, 2),
-        VmulhVV => (0b100111, 2),
-        VmaccVV => (0b101101, 2),
-        VnmsacVV => (0b101111, 2),
-        VdivuVV => (0b100000, 2),
-        VdivVV => (0b100001, 2),
-        VremVV => (0b100011, 2),
-        VwmuluVV => (0b111000, 2),
-        VwmulVV => (0b111011, 2),
-        VwmaccuVV => (0b111100, 2),
-        VwmaccVV => (0b111101, 2),
-        VredsumVS => (0b000000, 2),
-        VredmaxVS => (0b000111, 2),
-        VmvXS => (0b010000, 2),
-        VmulVX => (0b100101, 6),
-        VmaccVX => (0b101101, 6),
-        VmvSX => (0b010000, 6),
-        VfaddVV => (0b000000, 1),
-        VfsubVV => (0b000010, 1),
-        VfmulVV => (0b100100, 1),
-        VfdivVV => (0b100000, 1),
-        VfmaccVV => (0b101100, 1),
-        VfnmsacVV => (0b101110, 1),
-        VfminVV => (0b000100, 1),
-        VfmaxVV => (0b000110, 1),
-        VfredsumVS => (0b000011, 1),
-        VfsqrtV => (0b100011, 1),
-        VfaddVF => (0b000000, 5),
-        VfmulVF => (0b100100, 5),
-        VfmaccVF => (0b101100, 5),
-        _ => return None,
-    })
-}
-
-/// Custom-0 (0x0B) funct assignments for the XT-910 extensions.
-/// funct3 groups: 0=indexed-load 1=indexed-store 2=alu(bitmanip reg)
-/// 3=bitfield/imm 4=mac 5=cacheop 6=condmove.
-pub(crate) fn custom_funct(op: Op) -> Option<(u32, u32)> {
-    use Op::*;
-    // (funct7 base — low 2 bits reserved for the index shift, funct3)
-    Some(match op {
-        XLrb => (0b00000_00, 0),
-        XLrbu => (0b00001_00, 0),
-        XLrh => (0b00010_00, 0),
-        XLrhu => (0b00011_00, 0),
-        XLrw => (0b00100_00, 0),
-        XLrwu => (0b00101_00, 0),
-        XLrd => (0b00110_00, 0),
-        XLurw => (0b00111_00, 0),
-        XLurd => (0b01000_00, 0),
-        XSrb => (0b00000_00, 1),
-        XSrh => (0b00010_00, 1),
-        XSrw => (0b00100_00, 1),
-        XSrd => (0b00110_00, 1),
-        XAddsl => (0b01001_00, 2),
-        XAdduw => (0b01010_00, 2),
-        XZextw => (0b01011_00, 2),
-        XFf0 => (0b01100_00, 2),
-        XFf1 => (0b01101_00, 2),
-        XRev => (0b01110_00, 2),
-        XMveqz => (0b00000_00, 6),
-        XMvnez => (0b00001_00, 6),
-        XMula => (0b00000_00, 4),
-        XMuls => (0b00001_00, 4),
-        XMulaw => (0b00010_00, 4),
-        XMulsw => (0b00011_00, 4),
-        XMulah => (0b00100_00, 4),
-        XMulsh => (0b00101_00, 4),
-        XDcacheCall => (0b00000_00, 5),
-        XDcacheCva => (0b00001_00, 5),
-        XIcacheIall => (0b00010_00, 5),
-        XTlbBroadcast => (0b00011_00, 5),
-        XSync => (0b00100_00, 5),
-        _ => return None,
-    })
-}
-
-/// Encodes `inst` into its 32-bit binary form.
+/// Encodes `inst` into its 32-bit binary form: the fixed bits of its row
+/// in the op table with the operands packed in by the row's format.
 ///
 /// # Errors
 ///
 /// Returns [`EncodeError`] if an immediate is out of range for the format.
 pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
-    use Op::*;
-    let rd = inst.rd as u32;
-    let rs1 = inst.rs1 as u32;
-    let rs2 = inst.rs2 as u32;
-    let rs3 = inst.rs3 as u32;
-    let imm = inst.imm;
-    let err = |reason| EncodeError { inst: *inst, reason };
-    let word: Result<u32, &'static str> = match inst.op {
-        Lui => u(imm, rd, 0x37),
-        Auipc => u(imm, rd, 0x17),
-        Jal => j(imm, rd),
-        Jalr => i(imm, rs1, 0, rd, 0x67),
-        Beq => b(imm, rs2, rs1, 0),
-        Bne => b(imm, rs2, rs1, 1),
-        Blt => b(imm, rs2, rs1, 4),
-        Bge => b(imm, rs2, rs1, 5),
-        Bltu => b(imm, rs2, rs1, 6),
-        Bgeu => b(imm, rs2, rs1, 7),
-        Lb => i(imm, rs1, 0, rd, 0x03),
-        Lh => i(imm, rs1, 1, rd, 0x03),
-        Lw => i(imm, rs1, 2, rd, 0x03),
-        Ld => i(imm, rs1, 3, rd, 0x03),
-        Lbu => i(imm, rs1, 4, rd, 0x03),
-        Lhu => i(imm, rs1, 5, rd, 0x03),
-        Lwu => i(imm, rs1, 6, rd, 0x03),
-        Sb => s(imm, rs2, rs1, 0, 0x23),
-        Sh => s(imm, rs2, rs1, 1, 0x23),
-        Sw => s(imm, rs2, rs1, 2, 0x23),
-        Sd => s(imm, rs2, rs1, 3, 0x23),
-        Addi => i(imm, rs1, 0, rd, 0x13),
-        Slti => i(imm, rs1, 2, rd, 0x13),
-        Sltiu => i(imm, rs1, 3, rd, 0x13),
-        Xori => i(imm, rs1, 4, rd, 0x13),
-        Ori => i(imm, rs1, 6, rd, 0x13),
-        Andi => i(imm, rs1, 7, rd, 0x13),
-        Slli => {
-            if !(0..64).contains(&imm) {
-                Err("shift amount out of range")
-            } else {
-                Ok(r(0, 0, rs1, 1, rd, 0x13) | ((imm as u32) << 20))
-            }
-        }
-        Srli => {
-            if !(0..64).contains(&imm) {
-                Err("shift amount out of range")
-            } else {
-                Ok(r(0, 0, rs1, 5, rd, 0x13) | ((imm as u32) << 20))
-            }
-        }
-        Srai => {
-            if !(0..64).contains(&imm) {
-                Err("shift amount out of range")
-            } else {
-                Ok(r(0b0100000, 0, rs1, 5, rd, 0x13) | ((imm as u32) << 20))
-            }
-        }
-        Add => Ok(r(0, rs2, rs1, 0, rd, 0x33)),
-        Sub => Ok(r(0b0100000, rs2, rs1, 0, rd, 0x33)),
-        Sll => Ok(r(0, rs2, rs1, 1, rd, 0x33)),
-        Slt => Ok(r(0, rs2, rs1, 2, rd, 0x33)),
-        Sltu => Ok(r(0, rs2, rs1, 3, rd, 0x33)),
-        Xor => Ok(r(0, rs2, rs1, 4, rd, 0x33)),
-        Srl => Ok(r(0, rs2, rs1, 5, rd, 0x33)),
-        Sra => Ok(r(0b0100000, rs2, rs1, 5, rd, 0x33)),
-        Or => Ok(r(0, rs2, rs1, 6, rd, 0x33)),
-        And => Ok(r(0, rs2, rs1, 7, rd, 0x33)),
-        Fence => i(0, 0, 0, 0, 0x0f),
-        FenceI => i(0, 0, 1, 0, 0x0f),
-        Ecall => Ok(0x00000073),
-        Ebreak => Ok(0x00100073),
-        Addiw => i(imm, rs1, 0, rd, 0x1b),
-        Slliw => {
-            if !(0..32).contains(&imm) {
-                Err("shift amount out of range")
-            } else {
-                Ok(r(0, 0, rs1, 1, rd, 0x1b) | ((imm as u32) << 20))
-            }
-        }
-        Srliw => {
-            if !(0..32).contains(&imm) {
-                Err("shift amount out of range")
-            } else {
-                Ok(r(0, 0, rs1, 5, rd, 0x1b) | ((imm as u32) << 20))
-            }
-        }
-        Sraiw => {
-            if !(0..32).contains(&imm) {
-                Err("shift amount out of range")
-            } else {
-                Ok(r(0b0100000, 0, rs1, 5, rd, 0x1b) | ((imm as u32) << 20))
-            }
-        }
-        Addw => Ok(r(0, rs2, rs1, 0, rd, 0x3b)),
-        Subw => Ok(r(0b0100000, rs2, rs1, 0, rd, 0x3b)),
-        Sllw => Ok(r(0, rs2, rs1, 1, rd, 0x3b)),
-        Srlw => Ok(r(0, rs2, rs1, 5, rd, 0x3b)),
-        Sraw => Ok(r(0b0100000, rs2, rs1, 5, rd, 0x3b)),
-        Mul => Ok(r(1, rs2, rs1, 0, rd, 0x33)),
-        Mulh => Ok(r(1, rs2, rs1, 1, rd, 0x33)),
-        Mulhsu => Ok(r(1, rs2, rs1, 2, rd, 0x33)),
-        Mulhu => Ok(r(1, rs2, rs1, 3, rd, 0x33)),
-        Div => Ok(r(1, rs2, rs1, 4, rd, 0x33)),
-        Divu => Ok(r(1, rs2, rs1, 5, rd, 0x33)),
-        Rem => Ok(r(1, rs2, rs1, 6, rd, 0x33)),
-        Remu => Ok(r(1, rs2, rs1, 7, rd, 0x33)),
-        Mulw => Ok(r(1, rs2, rs1, 0, rd, 0x3b)),
-        Divw => Ok(r(1, rs2, rs1, 4, rd, 0x3b)),
-        Divuw => Ok(r(1, rs2, rs1, 5, rd, 0x3b)),
-        Remw => Ok(r(1, rs2, rs1, 6, rd, 0x3b)),
-        Remuw => Ok(r(1, rs2, rs1, 7, rd, 0x3b)),
-        LrW => Ok(r(0, 0, rs1, 2, rd, 0x2f) | (0b00010 << 27)),
-        LrD => Ok(r(0, 0, rs1, 3, rd, 0x2f) | (0b00010 << 27)),
-        ScW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b00011 << 27)),
-        ScD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b00011 << 27)),
-        AmoSwapW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b00001 << 27)),
-        AmoAddW => Ok(r(0, rs2, rs1, 2, rd, 0x2f)),
-        AmoXorW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b00100 << 27)),
-        AmoAndW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b01100 << 27)),
-        AmoOrW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b01000 << 27)),
-        AmoMinW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b10000 << 27)),
-        AmoMaxW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b10100 << 27)),
-        AmoMinuW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b11000 << 27)),
-        AmoMaxuW => Ok(r(0, rs2, rs1, 2, rd, 0x2f) | (0b11100 << 27)),
-        AmoSwapD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b00001 << 27)),
-        AmoAddD => Ok(r(0, rs2, rs1, 3, rd, 0x2f)),
-        AmoXorD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b00100 << 27)),
-        AmoAndD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b01100 << 27)),
-        AmoOrD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b01000 << 27)),
-        AmoMinD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b10000 << 27)),
-        AmoMaxD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b10100 << 27)),
-        AmoMinuD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b11000 << 27)),
-        AmoMaxuD => Ok(r(0, rs2, rs1, 3, rd, 0x2f) | (0b11100 << 27)),
-        Flw => i(imm, rs1, 2, rd, 0x07),
-        Fld => i(imm, rs1, 3, rd, 0x07),
-        Fsw => s(imm, rs2, rs1, 2, 0x27),
-        Fsd => s(imm, rs2, rs1, 3, 0x27),
-        FmaddS => Ok((rs3 << 27) | r(0, rs2, rs1, 0, rd, 0x43)),
-        FmsubS => Ok((rs3 << 27) | r(0, rs2, rs1, 0, rd, 0x47)),
-        FnmsubS => Ok((rs3 << 27) | r(0, rs2, rs1, 0, rd, 0x4b)),
-        FnmaddS => Ok((rs3 << 27) | r(0, rs2, rs1, 0, rd, 0x4f)),
-        FmaddD => Ok((rs3 << 27) | (1 << 25) | r(0, rs2, rs1, 0, rd, 0x43)),
-        FmsubD => Ok((rs3 << 27) | (1 << 25) | r(0, rs2, rs1, 0, rd, 0x47)),
-        FnmsubD => Ok((rs3 << 27) | (1 << 25) | r(0, rs2, rs1, 0, rd, 0x4b)),
-        FnmaddD => Ok((rs3 << 27) | (1 << 25) | r(0, rs2, rs1, 0, rd, 0x4f)),
-        FaddS => Ok(r(0b0000000, rs2, rs1, 7, rd, 0x53)),
-        FsubS => Ok(r(0b0000100, rs2, rs1, 7, rd, 0x53)),
-        FmulS => Ok(r(0b0001000, rs2, rs1, 7, rd, 0x53)),
-        FdivS => Ok(r(0b0001100, rs2, rs1, 7, rd, 0x53)),
-        FsqrtS => Ok(r(0b0101100, 0, rs1, 7, rd, 0x53)),
-        FsgnjS => Ok(r(0b0010000, rs2, rs1, 0, rd, 0x53)),
-        FsgnjnS => Ok(r(0b0010000, rs2, rs1, 1, rd, 0x53)),
-        FsgnjxS => Ok(r(0b0010000, rs2, rs1, 2, rd, 0x53)),
-        FminS => Ok(r(0b0010100, rs2, rs1, 0, rd, 0x53)),
-        FmaxS => Ok(r(0b0010100, rs2, rs1, 1, rd, 0x53)),
-        FcvtWS => Ok(r(0b1100000, 0, rs1, 7, rd, 0x53)),
-        FcvtWuS => Ok(r(0b1100000, 1, rs1, 7, rd, 0x53)),
-        FcvtLS => Ok(r(0b1100000, 2, rs1, 7, rd, 0x53)),
-        FcvtLuS => Ok(r(0b1100000, 3, rs1, 7, rd, 0x53)),
-        FmvXW => Ok(r(0b1110000, 0, rs1, 0, rd, 0x53)),
-        FeqS => Ok(r(0b1010000, rs2, rs1, 2, rd, 0x53)),
-        FltS => Ok(r(0b1010000, rs2, rs1, 1, rd, 0x53)),
-        FleS => Ok(r(0b1010000, rs2, rs1, 0, rd, 0x53)),
-        FclassS => Ok(r(0b1110000, 0, rs1, 1, rd, 0x53)),
-        FcvtSW => Ok(r(0b1101000, 0, rs1, 7, rd, 0x53)),
-        FcvtSWu => Ok(r(0b1101000, 1, rs1, 7, rd, 0x53)),
-        FcvtSL => Ok(r(0b1101000, 2, rs1, 7, rd, 0x53)),
-        FcvtSLu => Ok(r(0b1101000, 3, rs1, 7, rd, 0x53)),
-        FmvWX => Ok(r(0b1111000, 0, rs1, 0, rd, 0x53)),
-        FaddD => Ok(r(0b0000001, rs2, rs1, 7, rd, 0x53)),
-        FsubD => Ok(r(0b0000101, rs2, rs1, 7, rd, 0x53)),
-        FmulD => Ok(r(0b0001001, rs2, rs1, 7, rd, 0x53)),
-        FdivD => Ok(r(0b0001101, rs2, rs1, 7, rd, 0x53)),
-        FsqrtD => Ok(r(0b0101101, 0, rs1, 7, rd, 0x53)),
-        FsgnjD => Ok(r(0b0010001, rs2, rs1, 0, rd, 0x53)),
-        FsgnjnD => Ok(r(0b0010001, rs2, rs1, 1, rd, 0x53)),
-        FsgnjxD => Ok(r(0b0010001, rs2, rs1, 2, rd, 0x53)),
-        FminD => Ok(r(0b0010101, rs2, rs1, 0, rd, 0x53)),
-        FmaxD => Ok(r(0b0010101, rs2, rs1, 1, rd, 0x53)),
-        FcvtSD => Ok(r(0b0100000, 1, rs1, 7, rd, 0x53)),
-        FcvtDS => Ok(r(0b0100001, 0, rs1, 7, rd, 0x53)),
-        FeqD => Ok(r(0b1010001, rs2, rs1, 2, rd, 0x53)),
-        FltD => Ok(r(0b1010001, rs2, rs1, 1, rd, 0x53)),
-        FleD => Ok(r(0b1010001, rs2, rs1, 0, rd, 0x53)),
-        FclassD => Ok(r(0b1110001, 0, rs1, 1, rd, 0x53)),
-        FcvtWD => Ok(r(0b1100001, 0, rs1, 7, rd, 0x53)),
-        FcvtWuD => Ok(r(0b1100001, 1, rs1, 7, rd, 0x53)),
-        FcvtLD => Ok(r(0b1100001, 2, rs1, 7, rd, 0x53)),
-        FcvtLuD => Ok(r(0b1100001, 3, rs1, 7, rd, 0x53)),
-        FcvtDW => Ok(r(0b1101001, 0, rs1, 7, rd, 0x53)),
-        FcvtDWu => Ok(r(0b1101001, 1, rs1, 7, rd, 0x53)),
-        FcvtDL => Ok(r(0b1101001, 2, rs1, 7, rd, 0x53)),
-        FcvtDLu => Ok(r(0b1101001, 3, rs1, 7, rd, 0x53)),
-        FmvXD => Ok(r(0b1110001, 0, rs1, 0, rd, 0x53)),
-        FmvDX => Ok(r(0b1111001, 0, rs1, 0, rd, 0x53)),
-        Csrrw | Csrrs | Csrrc | Csrrwi | Csrrsi | Csrrci => {
-            if !(0..4096).contains(&imm) {
-                Err("CSR address out of range")
-            } else {
-                let f3 = match inst.op {
-                    Csrrw => 1,
-                    Csrrs => 2,
-                    Csrrc => 3,
-                    Csrrwi => 5,
-                    Csrrsi => 6,
-                    _ => 7,
-                };
-                Ok(((imm as u32) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | 0x73)
-            }
-        }
-        Mret => Ok(0x30200073),
-        Sret => Ok(0x10200073),
-        Wfi => Ok(0x10500073),
-        SfenceVma => Ok(r(0b0001001, rs2, rs1, 0, 0, 0x73)),
-        Vsetvli => {
-            if !(0..2048).contains(&imm) {
-                Err("vtypei out of range")
-            } else {
-                Ok(((imm as u32) << 20) | (rs1 << 15) | (7 << 12) | (rd << 7) | 0x57)
-            }
-        }
-        Vsetvl => Ok(r(0b1000000, rs2, rs1, 7, rd, 0x57)),
-        // Vector loads: LOAD-FP opcode, funct3=0b111, mop in bits 27:26.
-        Vle => Ok(r(0b0000001, 0, rs1, 7, rd, 0x07)),
-        Vlse => Ok(r(0b0000001 | (0b10 << 1), rs2, rs1, 7, rd, 0x07)),
-        Vlxe => Ok(r(0b0000001 | (0b11 << 1), rs3, rs1, 7, rd, 0x07)),
-        Vse => Ok(r(0b0000001, 0, rs1, 7, rs3, 0x27)),
-        Vsse => Ok(r(0b0000001 | (0b10 << 1), rs2, rs1, 7, rs3, 0x27)),
-        Vsxe => Ok(r(0b0000001 | (0b11 << 1), rs2, rs1, 7, rs3, 0x27)),
-        VaddVI | VmvVI => {
-            let (f6, f3) = vec_funct6(inst.op).unwrap();
-            if !(-16..16).contains(&imm) {
-                Err("vector immediate out of range")
-            } else {
-                Ok((f6 << 26) | (1 << 25) | (rs1 << 20) | (((imm as u32) & 0x1f) << 15) | (f3 << 12) | (rd << 7) | 0x57)
-            }
-        }
-        op if vec_funct6(op).is_some() => {
-            let (f6, f3) = vec_funct6(op).unwrap();
-            // rs1 field = vs2 (bits 24:20); rs2 field = vs1/rs1 (bits 19:15).
-            Ok((f6 << 26) | (1 << 25) | (rs1 << 20) | (rs2 << 15) | (f3 << 12) | (rd << 7) | 0x57)
-        }
-        op if custom_funct(op).is_some() => {
-            let (f7, f3) = custom_funct(op).unwrap();
-            match f3 {
-                0 => {
-                    // indexed load: shift amount in funct7 low 2 bits
-                    if !(0..4).contains(&imm) {
-                        Err("index shift out of range")
-                    } else {
-                        Ok(r(f7 | imm as u32, rs2, rs1, 0, rd, 0x0b))
-                    }
-                }
-                1 => {
-                    // indexed store: data register rs3 goes in the rd slot
-                    if !(0..4).contains(&imm) {
-                        Err("index shift out of range")
-                    } else {
-                        Ok(r(f7 | imm as u32, rs2, rs1, 1, rs3, 0x0b))
-                    }
-                }
-                2 => {
-                    if op == XAddsl {
-                        if !(0..4).contains(&imm) {
-                            Err("shift out of range")
-                        } else {
-                            Ok(r(f7 | imm as u32, rs2, rs1, 2, rd, 0x0b))
-                        }
-                    } else {
-                        Ok(r(f7, rs2, rs1, 2, rd, 0x0b))
-                    }
-                }
-                4 | 6 => Ok(r(f7, rs2, rs1, f3, rd, 0x0b)),
-                5 => Ok(r(f7, rs2, rs1, 5, rd, 0x0b)),
-                _ => Err("bad custom group"),
-            }
-        }
-        // Custom-1 (0x2B): immediate-form extensions, funct3 selects the op.
-        XExt | XExtu => {
-            // imm12 = msb<<6 | lsb, in bits 31:20.
-            let f3 = if inst.op == Op::XExt { 0 } else { 1 };
-            if !(0..4096).contains(&imm) {
-                Err("bit-field bounds out of range")
-            } else {
-                Ok(((imm as u32) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | 0x2b)
-            }
-        }
-        XTst | XSrri => {
-            if !(0..64).contains(&imm) {
-                Err("shift amount out of range")
-            } else {
-                let f3 = if inst.op == Op::XTst { 2 } else { 3 };
-                Ok((((imm as u32) & 0x3f) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | 0x2b)
-            }
-        }
-        _ => Err("unencodable operation"),
-    };
-    word.map_err(err)
+    let row = &ROWS[inst.op as usize];
+    row.format
+        .pack(row.bits, inst)
+        .map_err(|reason| EncodeError {
+            inst: *inst,
+            reason,
+        })
 }
 
 /// Attempts to compress `inst` into a 16-bit RVC encoding.
@@ -641,6 +179,41 @@ mod tests {
         assert!(encode(&far).is_err());
         let odd = Inst::new(Op::Beq).rs1(1).rs2(2).imm(3);
         assert!(encode(&odd).is_err());
+    }
+
+    /// Each format's range check refuses with its own reason.
+    #[test]
+    fn range_errors_name_their_reason() {
+        let cases = [
+            (Op::Addi, 2048, "I-immediate out of range"),
+            (Op::Sd, -2049, "S-immediate out of range"),
+            (Op::Beq, 3, "B-immediate out of range or odd"),
+            (Op::Lui, 0x123, "U-immediate must be 4 KiB aligned"),
+            (Op::Lui, 1 << 31, "U-immediate out of range"),
+            (Op::Jal, 1 << 20, "J-immediate out of range or odd"),
+            (Op::VaddVI, 16, "vector immediate out of range"),
+            (Op::Slli, 64, "shift amount out of range"),
+            (Op::Sraiw, 32, "shift amount out of range"),
+            (Op::Csrrw, 4096, "CSR address out of range"),
+            (Op::Vsetvli, 2048, "vtypei out of range"),
+            (Op::XSrw, 4, "index shift out of range"),
+            (Op::XAddsl, -1, "shift out of range"),
+            (Op::XExt, 4096, "bit-field bounds out of range"),
+        ];
+        for (op, imm, reason) in cases {
+            let i = Inst::new(op).imm(imm);
+            assert_eq!(encode(&i), Err(EncodeError { inst: i, reason }), "{op:?}");
+        }
+    }
+
+    /// An accumulator is encoded once, as rd: a different rs3 is not
+    /// written into rd's field.
+    #[test]
+    fn accumulator_is_encoded_as_rd() {
+        for op in [Op::VmaccVV, Op::XMula] {
+            let i = Inst::new(op).rd(1).rs1(2).rs2(3);
+            assert_eq!(encode(&i.rs3(30)), encode(&i.rs3(1)), "{op:?}");
+        }
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //!   address generation, bit-manipulation, multiply-accumulate, and
 //!   cache/TLB maintenance hints (see [`op::Op`] variants prefixed `X`).
 //!
-//! The crate provides a decoded-instruction type ([`inst::Inst`]), a binary
-//! decoder ([`mod@decode`]), an encoder used by the `xt-asm` assembler
-//! ([`encode`]), and a disassembler ([`disasm`]).
+//! Each instruction is one row of the op table in [`op`]: its variant,
+//! mnemonic, execution class, operand register files and encoding (a
+//! [`format::Format`] and the fixed bits). The crate provides a
+//! decoded-instruction type ([`inst::Inst`]) and, read from that table,
+//! a binary decoder ([`mod@decode`]), an encoder used by the `xt-asm`
+//! assembler ([`encode`]), and a disassembler ([`disasm`]).
 //!
 //! # Example
 //!
@@ -38,6 +41,7 @@ pub mod csr;
 pub mod decode;
 pub mod disasm;
 pub mod encode;
+pub mod format;
 pub mod inst;
 pub mod op;
 pub mod reg;

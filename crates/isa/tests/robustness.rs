@@ -5,7 +5,9 @@
 //! Ported from proptest to the in-tree `xt-harness` engine. Default
 //! seed for this suite: `0x15A0_0002` (fixed); override or replay with
 //! `XT_HARNESS_SEED=<seed> cargo test`. Runs 2000 cases per property,
-//! matching the original `ProptestConfig::with_cases(2000)`.
+//! matching the original `ProptestConfig::with_cases(2000)`. A
+//! deterministic sweep over every (funct7, funct3, opcode) combination
+//! pins what the decoder accepts and reads.
 
 use xt_harness::gen;
 use xt_harness::prop::{check_with, Config};
@@ -88,5 +90,61 @@ fn reencoding_decoded_words_is_stable() {
                 }
             }
         },
+    );
+}
+
+/// FNV-1a digest of what `decode` makes of every (funct7, funct3, opcode)
+/// combination under a few register-field and rs2-selector patterns: for
+/// each word, whether it decodes and, if it does, the op, every operand
+/// and the disassembly. A change to the accepted set, a decoded field or
+/// the text fails it.
+const DECODE_SWEEP_DIGEST: u64 = 0x28d8_1a85_0294_0d2d;
+
+#[test]
+fn decode_sweep_is_pinned_and_every_accepted_word_reencodes() {
+    const FNV_PRIME: u64 = 0x100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+    };
+    let (mut words, mut accepted) = (0u32, 0u32);
+    for f7 in 0..128u32 {
+        for f3 in 0..8u32 {
+            for opcode in 0..128u32 {
+                for (rd, rs1) in [(0u32, 0u32), (1, 31), (8, 17)] {
+                    for rs2 in [0u32, 1, 2, 3, 5, 26] {
+                        let w = f7 << 25 | rs2 << 20 | rs1 << 15 | f3 << 12 | rd << 7 | opcode;
+                        words += 1;
+                        eat(&w.to_le_bytes());
+                        let Ok(i) = decode(w) else {
+                            eat(&[0xff]);
+                            continue;
+                        };
+                        accepted += 1;
+                        let text = i.to_string();
+                        assert!(!text.is_empty(), "{w:#010x}");
+                        let again =
+                            xt_isa::encode::encode(&i).unwrap_or_else(|e| panic!("{w:#010x}: {e}"));
+                        assert_eq!(
+                            decode(again),
+                            Ok(i),
+                            "{w:#010x} re-encoded as {again:#010x}"
+                        );
+                        eat(&(i.op as u16).to_le_bytes());
+                        eat(&[i.rd, i.rs1, i.rs2, i.rs3, i.len]);
+                        eat(&i.imm.to_le_bytes());
+                        eat(text.as_bytes());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(words, 128 * 8 * 128 * 18);
+    assert!(accepted > 0);
+    assert_eq!(
+        h, DECODE_SWEEP_DIGEST,
+        "decode sweep digest {h:#018x} ({accepted} of {words} words accepted)"
     );
 }

@@ -1,14 +1,19 @@
 //! Property tests: every encodable instruction decodes back to itself.
 //!
+//! Every op of `Op::ALL` is covered: each named test below takes the ops
+//! whose format (`Op::format`) puts them in its part, and draws their
+//! operands from that format.
+//!
 //! Ported from proptest to the in-tree `xt-harness` engine. Default
 //! seed for this suite: `0x15A0_0001` (fixed, so runs are
 //! deterministic); override or replay a failure with
 //! `XT_HARNESS_SEED=<seed> cargo test`.
 
-use xt_harness::gen::{self, Gen};
+use xt_harness::gen;
 use xt_harness::prop::{check_with, Config};
 use xt_isa::encode::{encode, encode_compressed};
-use xt_isa::{decode, decode_compressed, Inst, Op};
+use xt_isa::format::Imm;
+use xt_isa::{decode, decode_compressed, ExecClass, Inst, Op};
 
 const SEED: u64 = 0x15A0_0001;
 
@@ -16,338 +21,206 @@ fn cfg() -> Config {
     Config::seeded(SEED)
 }
 
-fn sel(table: &'static [Op]) -> impl Gen<Value = Op> {
-    gen::choose(table)
+/// Which of the named round-trip tests below covers `op`, from its row's
+/// format (and class): every op falls in exactly one.
+fn part(op: Op) -> &'static str {
+    let f = op.format();
+    let accumulates = f.regs[3] != 0 && f.regs[3] == f.regs[0];
+    match f.imm {
+        Imm::U => "u_type",
+        Imm::J => "j_type",
+        Imm::B => "b_type",
+        Imm::S => "s_type",
+        Imm::I => "i_type",
+        _ if op.exec_class() == ExecClass::Csr => "csr",
+        _ if op.is_vector() && accumulates => "vec_mac",
+        _ if op.is_vector() => "vec_vv",
+        Imm::Uimm { at: 25, .. } => "indexed_mem",
+        Imm::Uimm { limit: 4096, .. } => "bitfield",
+        Imm::Uimm { .. } => "shift",
+        _ if f.regs[3] != 0 => "fma",
+        _ => "r_type",
+    }
 }
 
-/// Ops with plain R-type operand shapes (rd, rs1, rs2).
-const R_OPS: &[Op] = &[
-    Op::Add,
-    Op::Sub,
-    Op::Sll,
-    Op::Slt,
-    Op::Sltu,
-    Op::Xor,
-    Op::Srl,
-    Op::Sra,
-    Op::Or,
-    Op::And,
-    Op::Addw,
-    Op::Subw,
-    Op::Sllw,
-    Op::Srlw,
-    Op::Sraw,
-    Op::Mul,
-    Op::Mulh,
-    Op::Mulhsu,
-    Op::Mulhu,
-    Op::Div,
-    Op::Divu,
-    Op::Rem,
-    Op::Remu,
-    Op::Mulw,
-    Op::Divw,
-    Op::Divuw,
-    Op::Remw,
-    Op::Remuw,
-    Op::ScW,
-    Op::ScD,
-    Op::AmoSwapW,
-    Op::AmoAddW,
-    Op::AmoXorW,
-    Op::AmoAndW,
-    Op::AmoOrW,
-    Op::AmoMinW,
-    Op::AmoMaxW,
-    Op::AmoMinuW,
-    Op::AmoMaxuW,
-    Op::AmoSwapD,
-    Op::AmoAddD,
-    Op::AmoXorD,
-    Op::AmoAndD,
-    Op::AmoOrD,
-    Op::AmoMinD,
-    Op::AmoMaxD,
-    Op::AmoMinuD,
-    Op::AmoMaxuD,
-    Op::FaddS,
-    Op::FsubS,
-    Op::FmulS,
-    Op::FdivS,
-    Op::FsgnjS,
-    Op::FsgnjnS,
-    Op::FsgnjxS,
-    Op::FminS,
-    Op::FmaxS,
-    Op::FeqS,
-    Op::FltS,
-    Op::FleS,
-    Op::FaddD,
-    Op::FsubD,
-    Op::FmulD,
-    Op::FdivD,
-    Op::FsgnjD,
-    Op::FsgnjnD,
-    Op::FsgnjxD,
-    Op::FminD,
-    Op::FmaxD,
-    Op::FeqD,
-    Op::FltD,
-    Op::FleD,
-    Op::XAdduw,
-    Op::XMula,
-    Op::XMuls,
-    Op::XMulaw,
-    Op::XMulsw,
-    Op::XMulah,
-    Op::XMulsh,
-    Op::XMveqz,
-    Op::XMvnez,
+const PARTS: &[&str] = &[
+    "u_type",
+    "j_type",
+    "b_type",
+    "s_type",
+    "i_type",
+    "csr",
+    "vec_mac",
+    "vec_vv",
+    "indexed_mem",
+    "bitfield",
+    "shift",
+    "fma",
+    "r_type",
 ];
 
-/// Ops shaped rd, rs1, imm12.
-const I_OPS: &[Op] = &[
-    Op::Jalr,
-    Op::Lb,
-    Op::Lh,
-    Op::Lw,
-    Op::Ld,
-    Op::Lbu,
-    Op::Lhu,
-    Op::Lwu,
-    Op::Addi,
-    Op::Slti,
-    Op::Sltiu,
-    Op::Xori,
-    Op::Ori,
-    Op::Andi,
-    Op::Addiw,
-    Op::Flw,
-    Op::Fld,
-];
+/// The instruction `op` encodes from drawn operands: a register in each
+/// field its format encodes (an accumulator reads rd), and the immediate
+/// stepped into the format's range.
+fn drawn(op: Op, regs: [u8; 4], imm: u64) -> Inst {
+    let f = op.format();
+    let r = |k: usize| if f.regs[k] == 0 { 0 } else { regs[k] };
+    let mut i = Inst::new(op).rd(r(0)).rs1(r(1)).rs2(r(2)).rs3(r(3));
+    if f.regs[3] != 0 && f.regs[3] == f.regs[0] {
+        i.rs3 = i.rd;
+    }
+    if let Some((lo, hi, step)) = f.imm.range() {
+        let n = ((hi - lo) / step + 1) as u64;
+        i.imm = lo + (imm % n) as i64 * step;
+    }
+    i
+}
 
-const S_OPS: &[Op] = &[Op::Sb, Op::Sh, Op::Sw, Op::Sd, Op::Fsw, Op::Fsd];
+/// Every op of `part` (drawn from `Op::ALL`) decodes back to itself, at
+/// random operands and at both ends of its immediate's range (every
+/// range holds a power of two of values, so 0 and `u64::MAX` step to
+/// its ends).
+fn roundtrip(part_name: &'static str) {
+    let ops: Vec<Op> = Op::ALL
+        .iter()
+        .copied()
+        .filter(|&op| part(op) == part_name)
+        .collect();
+    assert!(!ops.is_empty(), "{part_name}: no op");
+    let g = (
+        [
+            gen::ints(0u8..32),
+            gen::ints(0u8..32),
+            gen::ints(0u8..32),
+            gen::ints(0u8..32),
+        ],
+        gen::any::<u64>(),
+    );
+    check_with(&cfg(), part_name, &g, |&(regs, imm)| {
+        for &op in &ops {
+            for imm in [imm, 0, u64::MAX] {
+                let i = drawn(op, regs, imm);
+                let w = encode(&i).unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(decode(w), Ok(i), "{w:#010x}");
+            }
+        }
+    });
+}
 
-const B_OPS: &[Op] = &[Op::Beq, Op::Bne, Op::Blt, Op::Bge, Op::Bltu, Op::Bgeu];
-
-const VEC_VV: &[Op] = &[
-    Op::VaddVV,
-    Op::VsubVV,
-    Op::VandVV,
-    Op::VorVV,
-    Op::VxorVV,
-    Op::VsllVV,
-    Op::VsrlVV,
-    Op::VsraVV,
-    Op::VminVV,
-    Op::VminuVV,
-    Op::VmaxVV,
-    Op::VmaxuVV,
-    Op::VmulVV,
-    Op::VmulhVV,
-    Op::VdivVV,
-    Op::VdivuVV,
-    Op::VremVV,
-    Op::VwmulVV,
-    Op::VwmuluVV,
-    Op::VredsumVS,
-    Op::VredmaxVS,
-    Op::VfaddVV,
-    Op::VfsubVV,
-    Op::VfmulVV,
-    Op::VfdivVV,
-    Op::VfminVV,
-    Op::VfmaxVV,
-    Op::VfredsumVS,
-];
-
+#[test]
+fn every_op_is_in_one_named_part() {
+    for &op in Op::ALL {
+        assert!(PARTS.contains(&part(op)), "{op:?}");
+    }
+    for name in PARTS {
+        assert!(Op::ALL.iter().any(|&op| part(op) == *name), "{name}: no op");
+    }
+}
 
 #[test]
 fn r_type_roundtrip() {
-    let g = (sel(R_OPS), gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0u8..32));
-    check_with(&cfg(), "r_type_roundtrip", &g, |&(op, rd, rs1, rs2)| {
-        let mut i = Inst::new(op).rd(rd).rs1(rs1).rs2(rs2);
-        // custom read-modify-write ops expose rd as rs3 after decode
-        if matches!(op, Op::XMula | Op::XMuls | Op::XMulaw | Op::XMulsw | Op::XMulah
-            | Op::XMulsh | Op::XMveqz | Op::XMvnez) {
-            i = i.rs3(rd);
-        }
-        let w = encode(&i).unwrap();
-        assert_eq!(decode(w).unwrap(), i);
-    });
+    roundtrip("r_type");
 }
 
 #[test]
 fn i_type_roundtrip() {
-    let g = (sel(I_OPS), gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(-2048i64..2048));
-    check_with(&cfg(), "i_type_roundtrip", &g, |&(op, rd, rs1, imm)| {
-        let i = Inst::new(op).rd(rd).rs1(rs1).imm(imm);
-        let w = encode(&i).unwrap();
-        assert_eq!(decode(w).unwrap(), i);
-    });
+    roundtrip("i_type");
 }
 
 #[test]
 fn s_type_roundtrip() {
-    let g = (sel(S_OPS), gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(-2048i64..2048));
-    check_with(&cfg(), "s_type_roundtrip", &g, |&(op, rs1, rs2, imm)| {
-        let i = Inst::new(op).rs1(rs1).rs2(rs2).imm(imm);
-        let w = encode(&i).unwrap();
-        assert_eq!(decode(w).unwrap(), i);
-    });
+    roundtrip("s_type");
 }
 
 #[test]
 fn b_type_roundtrip() {
-    let g = (sel(B_OPS), gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(-2048i64..2047));
-    check_with(&cfg(), "b_type_roundtrip", &g, |&(op, rs1, rs2, off)| {
-        let i = Inst::new(op).rs1(rs1).rs2(rs2).imm(off * 2);
-        let w = encode(&i).unwrap();
-        assert_eq!(decode(w).unwrap(), i);
-    });
+    roundtrip("b_type");
 }
 
 #[test]
 fn u_type_roundtrip() {
-    let g = (gen::ints(0u8..32), gen::ints(-(1i64 << 19)..(1i64 << 19)));
-    check_with(&cfg(), "u_type_roundtrip", &g, |&(rd, hi)| {
-        for op in [Op::Lui, Op::Auipc] {
-            let i = Inst::new(op).rd(rd).imm(hi << 12);
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-    });
+    roundtrip("u_type");
 }
 
 #[test]
 fn j_type_roundtrip() {
-    let g = (gen::ints(0u8..32), gen::ints(-(1i64 << 19)..(1i64 << 19)));
-    check_with(&cfg(), "j_type_roundtrip", &g, |&(rd, off)| {
-        let i = Inst::new(Op::Jal).rd(rd).imm(off * 2);
-        let w = encode(&i).unwrap();
-        assert_eq!(decode(w).unwrap(), i);
-    });
+    roundtrip("j_type");
 }
 
 #[test]
 fn shift_roundtrip() {
-    let g = (gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0i64..64));
-    check_with(&cfg(), "shift_roundtrip", &g, |&(rd, rs1, sh)| {
-        for op in [Op::Slli, Op::Srli, Op::Srai] {
-            let i = Inst::new(op).rd(rd).rs1(rs1).imm(sh);
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-        for op in [Op::Slliw, Op::Srliw, Op::Sraiw] {
-            let i = Inst::new(op).rd(rd).rs1(rs1).imm(sh % 32);
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-    });
+    roundtrip("shift");
 }
 
 #[test]
 fn fma_roundtrip() {
-    let g = (gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0u8..32));
-    check_with(&cfg(), "fma_roundtrip", &g, |&(rd, rs1, rs2, rs3)| {
-        for op in [Op::FmaddS, Op::FmsubS, Op::FnmsubS, Op::FnmaddS,
-                   Op::FmaddD, Op::FmsubD, Op::FnmsubD, Op::FnmaddD] {
-            let i = Inst::new(op).rd(rd).rs1(rs1).rs2(rs2).rs3(rs3);
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-    });
+    roundtrip("fma");
 }
 
 #[test]
 fn csr_roundtrip() {
-    let g = (gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0i64..4096));
-    check_with(&cfg(), "csr_roundtrip", &g, |&(rd, rs1, addr)| {
-        for op in [Op::Csrrw, Op::Csrrs, Op::Csrrc, Op::Csrrwi, Op::Csrrsi, Op::Csrrci] {
-            let i = Inst::new(op).rd(rd).rs1(rs1).imm(addr);
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-    });
+    roundtrip("csr");
 }
 
 #[test]
 fn vec_vv_roundtrip() {
-    let g = (sel(VEC_VV), gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0u8..32));
-    check_with(&cfg(), "vec_vv_roundtrip", &g, |&(op, vd, vs2, vs1)| {
-        let i = Inst::new(op).rd(vd).rs1(vs2).rs2(vs1);
-        let w = encode(&i).unwrap();
-        assert_eq!(decode(w).unwrap(), i);
-    });
+    roundtrip("vec_vv");
 }
 
 #[test]
 fn vec_mac_roundtrip() {
-    let g = (gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0u8..32));
-    check_with(&cfg(), "vec_mac_roundtrip", &g, |&(vd, vs2, vs1)| {
-        for op in [Op::VmaccVV, Op::VnmsacVV, Op::VwmaccVV, Op::VwmaccuVV,
-                   Op::VfmaccVV, Op::VfnmsacVV] {
-            let i = Inst::new(op).rd(vd).rs1(vs2).rs2(vs1).rs3(vd);
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-    });
+    roundtrip("vec_mac");
 }
 
 #[test]
 fn indexed_mem_roundtrip() {
-    let g = (gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0i64..4));
-    check_with(&cfg(), "indexed_mem_roundtrip", &g, |&(rd, rs1, rs2, sh)| {
-        for op in [Op::XLrb, Op::XLrbu, Op::XLrh, Op::XLrhu, Op::XLrw, Op::XLrwu,
-                   Op::XLrd, Op::XLurw, Op::XLurd] {
-            let i = Inst::new(op).rd(rd).rs1(rs1).rs2(rs2).imm(sh);
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-        for op in [Op::XSrb, Op::XSrh, Op::XSrw, Op::XSrd] {
-            let i = Inst::new(op).rs1(rs1).rs2(rs2).rs3(rd).imm(sh);
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-    });
+    roundtrip("indexed_mem");
 }
 
 #[test]
 fn bitfield_roundtrip() {
-    let g = (gen::ints(0u8..32), gen::ints(0u8..32), gen::ints(0u32..64), gen::ints(0u32..64));
-    check_with(&cfg(), "bitfield_roundtrip", &g, |&(rd, rs1, msb, lsb)| {
-        for op in [Op::XExt, Op::XExtu] {
-            let i = Inst::new(op).rd(rd).rs1(rs1).imm(Inst::pack_ext_bounds(msb, lsb));
-            let w = encode(&i).unwrap();
-            assert_eq!(decode(w).unwrap(), i);
-        }
-    });
+    roundtrip("bitfield");
 }
 
 #[test]
 fn compressed_expansion_matches() {
-    let g = (gen::ints(8u8..16), gen::ints(8u8..16), gen::ints(-32i64..32));
-    check_with(&cfg(), "compressed_expansion_matches", &g, |&(rd, rs1, imm)| {
-        // Any instruction the compressor accepts must expand back to the
-        // identical wide instruction.
-        let candidates = [
-            Inst::new(Op::Addi).rd(rd).rs1(rd).imm(imm),
-            Inst::new(Op::Andi).rd(rd).rs1(rd).imm(imm),
-            Inst::new(Op::Sub).rd(rd).rs1(rd).rs2(rs1),
-            Inst::new(Op::Xor).rd(rd).rs1(rd).rs2(rs1),
-            Inst::new(Op::Or).rd(rd).rs1(rd).rs2(rs1),
-            Inst::new(Op::And).rd(rd).rs1(rd).rs2(rs1),
-            Inst::new(Op::Addw).rd(rd).rs1(rd).rs2(rs1),
-            Inst::new(Op::Subw).rd(rd).rs1(rd).rs2(rs1),
-            Inst::new(Op::Lw).rd(rd).rs1(rs1).imm((imm.rem_euclid(32)) * 4),
-            Inst::new(Op::Ld).rd(rd).rs1(rs1).imm((imm.rem_euclid(32)) * 8),
-            Inst::new(Op::Beq).rs1(rs1).rs2(0).imm(imm * 2),
-        ];
-        for c in candidates {
-            if let Some(h) = encode_compressed(&c) {
-                let d = decode_compressed(h).unwrap();
-                assert_eq!(d.with_len(4), c);
+    let g = (
+        gen::ints(8u8..16),
+        gen::ints(8u8..16),
+        gen::ints(-32i64..32),
+    );
+    check_with(
+        &cfg(),
+        "compressed_expansion_matches",
+        &g,
+        |&(rd, rs1, imm)| {
+            // Any instruction the compressor accepts must expand back to the
+            // identical wide instruction.
+            let candidates = [
+                Inst::new(Op::Addi).rd(rd).rs1(rd).imm(imm),
+                Inst::new(Op::Andi).rd(rd).rs1(rd).imm(imm),
+                Inst::new(Op::Sub).rd(rd).rs1(rd).rs2(rs1),
+                Inst::new(Op::Xor).rd(rd).rs1(rd).rs2(rs1),
+                Inst::new(Op::Or).rd(rd).rs1(rd).rs2(rs1),
+                Inst::new(Op::And).rd(rd).rs1(rd).rs2(rs1),
+                Inst::new(Op::Addw).rd(rd).rs1(rd).rs2(rs1),
+                Inst::new(Op::Subw).rd(rd).rs1(rd).rs2(rs1),
+                Inst::new(Op::Lw)
+                    .rd(rd)
+                    .rs1(rs1)
+                    .imm((imm.rem_euclid(32)) * 4),
+                Inst::new(Op::Ld)
+                    .rd(rd)
+                    .rs1(rs1)
+                    .imm((imm.rem_euclid(32)) * 8),
+                Inst::new(Op::Beq).rs1(rs1).rs2(0).imm(imm * 2),
+            ];
+            for c in candidates {
+                if let Some(h) = encode_compressed(&c) {
+                    let d = decode_compressed(h).unwrap();
+                    assert_eq!(d.with_len(4), c);
+                }
             }
-        }
-    });
+        },
+    );
 }

@@ -10,8 +10,7 @@
 //! | PLIC  | `0x0C00_0000` | [`Plic`] — priorities, claim/complete |
 //! | UART  | `0x1000_0000` | [`Uart`] — TX-only console |
 //!
-//! Extra devices can be added with [`MmioBus::add_device`]. Every
-//! access is synchronous and strongly ordered: the device observes it
+//! Every access is synchronous and strongly ordered: the device observes it
 //! before the next instruction executes, in program order — there is no
 //! posted-write buffering, which is what makes interrupt delivery a
 //! deterministic function of the retired-instruction stream
@@ -71,17 +70,8 @@ pub struct DeniedAccess {
     pub window: &'static str,
 }
 
-/// An extra (non-standard) device window.
-#[derive(Debug)]
-struct ExtraWindow {
-    base: u64,
-    size: u64,
-    name: &'static str,
-    dev: Box<dyn MmioDevice>,
-}
-
-/// The standard XT-910 device bus: CLINT + PLIC + UART, plus any extra
-/// windows. See the [module docs](self).
+/// The standard XT-910 device bus: CLINT + PLIC + UART. See the
+/// [module docs](self).
 #[derive(Debug)]
 pub struct MmioBus {
     /// The core-local interruptor (timer + software interrupts).
@@ -97,7 +87,6 @@ pub struct MmioBus {
     /// Denied accesses dropped after the log filled — the log plus this
     /// counter account for every denial.
     pub denied_dropped: u64,
-    extra: Vec<ExtraWindow>,
     harts: usize,
 }
 
@@ -111,7 +100,6 @@ impl MmioBus {
             uart: Uart::new(),
             denied: Vec::new(),
             denied_dropped: 0,
-            extra: Vec::new(),
             harts,
         }
     }
@@ -119,40 +107,6 @@ impl MmioBus {
     /// Number of harts the bus serves.
     pub fn harts(&self) -> usize {
         self.harts
-    }
-
-    /// Maps an extra device at `[base, base+size)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window overlaps an existing one or guest RAM
-    /// (anything at or above the halt MMIO page).
-    pub fn add_device(
-        &mut self,
-        base: u64,
-        size: u64,
-        name: &'static str,
-        dev: Box<dyn MmioDevice>,
-    ) {
-        assert!(size > 0, "empty device window");
-        assert!(
-            base + size <= xt_asm::HALT_ADDR,
-            "device window collides with the halt page or RAM"
-        );
-        let overlaps = |b: u64, s: u64| base < b + s && b < base + size;
-        assert!(
-            !overlaps(CLINT_BASE, CLINT_SIZE)
-                && !overlaps(PLIC_BASE, PLIC_SIZE)
-                && !overlaps(UART_BASE, UART_SIZE)
-                && !self.extra.iter().any(|w| overlaps(w.base, w.size)),
-            "device window {name} overlaps an existing window"
-        );
-        self.extra.push(ExtraWindow {
-            base,
-            size,
-            name,
-            dev,
-        });
     }
 
     /// Routes `pa` to (window name, window base, device).
@@ -166,10 +120,7 @@ impl MmioBus {
         if (UART_BASE..UART_BASE + UART_SIZE).contains(&pa) {
             return Some(("uart", UART_BASE, &mut self.uart));
         }
-        self.extra
-            .iter_mut()
-            .find(|w| (w.base..w.base + w.size).contains(&pa))
-            .map(|w| (w.name, w.base, &mut *w.dev as &mut dyn MmioDevice))
+        None
     }
 
     fn record_denied(&mut self, pa: u64, size: usize, is_write: bool, window: &'static str) {
@@ -186,11 +137,7 @@ impl MmioBus {
     }
 }
 
-/// Bus snapshots capture the three standard devices and the
-/// denied-access log. Extra windows ([`MmioBus::add_device`]) are
-/// *not* captured — their device state is opaque to the codec; a
-/// snapshot of a bus with extra windows restores the standard devices
-/// and leaves the extra devices' state untouched (docs/SNAPSHOT.md).
+/// Bus snapshots capture the three devices and the denied-access log.
 impl xt_snapshot::SnapshotState for MmioBus {
     fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
         s.expect("bus hart count", self.harts)?;
@@ -203,13 +150,10 @@ impl xt_snapshot::SnapshotState for MmioBus {
             s.usize(&mut a.size)?;
             s.bool(&mut a.is_write)?;
             // window names round-trip through the known static names
-            // (standard windows plus any extra windows on the target)
             let mut name = a.window.to_string();
             s.string(&mut name)?;
-            let extra = self.extra.iter().map(|w| w.name);
             a.window = ["clint", "plic", "uart"]
                 .into_iter()
-                .chain(extra)
                 .find(|n| *n == name)
                 .ok_or(xt_snapshot::SnapshotError::Corrupt {
                     what: "denied-access window name",
@@ -226,10 +170,6 @@ impl Platform for MmioBus {
         (CLINT_BASE..CLINT_BASE + CLINT_SIZE).contains(&pa)
             || (PLIC_BASE..PLIC_BASE + PLIC_SIZE).contains(&pa)
             || (UART_BASE..UART_BASE + UART_SIZE).contains(&pa)
-            || self
-                .extra
-                .iter()
-                .any(|w| (w.base..w.base + w.size).contains(&pa))
     }
 
     fn read(&mut self, pa: u64, size: usize) -> Result<u64, BusFault> {
@@ -403,30 +343,5 @@ mod tests {
             what: "denied-access log length",
         };
         assert_eq!(got, Err(want));
-    }
-
-    #[test]
-    fn extra_windows_route_and_reject_overlap() {
-        #[derive(Debug)]
-        struct Doorbell(u64);
-        impl MmioDevice for Doorbell {
-            fn read(&mut self, _o: u64, _s: usize) -> Result<u64, BusFault> {
-                Ok(self.0)
-            }
-            fn write(&mut self, _o: u64, v: u64, _s: usize) -> Result<(), BusFault> {
-                self.0 = v;
-                Ok(())
-            }
-        }
-        let mut bus = MmioBus::new(1);
-        bus.add_device(0x1100_0000, 0x10, "bell", Box::new(Doorbell(0)));
-        assert!(bus.contains(0x1100_0008));
-        bus.write(0x1100_0000, 42, 8).unwrap();
-        assert_eq!(bus.read(0x1100_0004, 4).unwrap(), 42);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut b = MmioBus::new(1);
-            b.add_device(UART_BASE + 8, 0x10, "bad", Box::new(Doorbell(0)));
-        }));
-        assert!(r.is_err(), "overlap with the UART window must panic");
     }
 }

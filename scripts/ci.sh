@@ -283,6 +283,11 @@ else
     echo "skipped: not a git checkout"
 fi
 
+leg "lines of code (informational)"
+# Non-test lines per crate, raw and rustfmt-formatted: the figure a
+# change that deletes code quotes. It gates nothing.
+bash scripts/loc.sh || true
+
 leg "wall clock per leg"
 printf '%s' "$timings"
 echo "== ci.sh: all gates green in $SECONDS s =="
