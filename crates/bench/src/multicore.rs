@@ -98,10 +98,12 @@ pub struct EmuSpeed {
     pub fastpath: f64,
     /// `Emulator::run` decoding every step (the seed interpreter).
     pub slowpath: f64,
-    /// `TraceSource::advance` + `current`, one record at a time — what
-    /// every timing model pays before its own work starts.
+    /// `TraceSource::advance` + `current`, one record at a time — what a
+    /// cluster core or a `Session::step` loop pays before its timing
+    /// model's own work starts.
     pub step_driver: f64,
-    /// The same records through an `OooSession`: emulator, out-of-order
+    /// The same records through an `OooSession` (`run_to_end`, which
+    /// fills a slice of records a block at a time): emulator, out-of-order
     /// core model and memory hierarchy together.
     pub ooo_session: f64,
 }
@@ -123,6 +125,10 @@ pub const STEP_DRIVER_FLOOR: f64 = 0.39;
 /// measured 0.153 in alternation (9 runs, 0.141-0.176; 17.5 MIPS), and
 /// 0.131 when PR 16 set the floor at 0.087 (EXPERIMENTS.md, "Host speed,
 /// PR 16" and "PR 22").
+/// Re-measured once a session took its records a block at a time, in
+/// alternation on a slow host (`Emulator::run` 45-91 MIPS): 0.137 (10
+/// runs, 0.108-0.259) against the parent's 0.138 (10 runs,
+/// 0.124-0.177). Two thirds of that is under the floor, which stays.
 pub const OOO_SESSION_FLOOR: f64 = 0.11;
 
 /// Measures the functional emulator's raw host MIPS (docs/FASTPATH.md)
@@ -211,7 +217,12 @@ pub struct ClusterSpeed {
 /// EXPERIMENTS.md, "Host speed, PR 20"). Re-measured after PR 22 made
 /// `OooCore::step` cheaper on both sides of the ratio: 0.642 (10 runs,
 /// 0.56-0.73; 8.8 of 14.1 MIPS) against the parent's 0.645 (9 runs,
-/// 0.62-0.67; 8.4 of 12.7) — two thirds is still 0.43.
+/// 0.62-0.67; 8.4 of 12.7) — two thirds is still 0.43. The denominator
+/// gets faster by design once a session fills a slice of records a block
+/// at a time, while the cluster keeps one record per call (a core must
+/// not run ahead of its timing model across an epoch barrier): 0.61
+/// (8 runs, 0.57-0.71) against the parent's 0.65 (10 runs, 0.55-0.68) in
+/// alternation. The floor stays at 0.43.
 pub const CLUSTER4_FLOOR: f64 = 0.43;
 
 /// One core's private STREAM slice: `b[i] = a[0] + ... + a[i]` over 12 Ki

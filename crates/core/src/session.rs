@@ -74,6 +74,10 @@ macro_rules! impl_core_model {
 impl_core_model!(OooCore);
 impl_core_model!(InOrderCore);
 
+/// Records one [`Session::run_insts`] fill holds. Decoded blocks end at
+/// every control transfer, so most fit; a longer one takes several.
+const FILL: usize = 64;
+
 /// A resumable single-core run: emulator trace + timing core + memory
 /// system, with [`save`](Self::save)/[`restore`](Self::restore).
 #[derive(Debug)]
@@ -136,17 +140,33 @@ impl<C: CoreModel> Session<C> {
 
     /// Runs at most `n` further instructions; returns how many actually
     /// retired (less than `n` only at end of trace).
+    ///
+    /// The trace fills a slice on this stack frame a block at a time
+    /// ([`TraceSource::fill`]) and the core steps over it, one hand-off
+    /// per block instead of per instruction. A fill never asks for more
+    /// than is still owed, so the trace and the core agree whenever this
+    /// returns: the session saves the frame that as many
+    /// [`step`](Self::step)s leave.
     pub fn run_insts(&mut self, n: u64) -> u64 {
+        let mut recs = [DynInst::trap_entry(0, 0); FILL];
         let mut done = 0;
-        while done < n && self.step() {
-            done += 1;
+        while done < n {
+            let want = (n - done).min(FILL as u64) as usize;
+            let got = self.trace.fill(&mut recs[..want]);
+            if got == 0 {
+                break;
+            }
+            for d in &recs[..got] {
+                self.core.step_inst(d, &mut self.mem);
+            }
+            done += got as u64;
         }
         done
     }
 
     /// Runs to the end of the trace and produces the report.
     pub fn run_to_end(&mut self) -> RunReport {
-        while self.step() {}
+        self.run_insts(u64::MAX);
         self.finish_report()
     }
 

@@ -687,45 +687,82 @@ impl Emulator {
     }
 
     /// Fetches, decodes and executes one instruction, writing its
-    /// retired record — every field — into the caller's `rec`.
-    ///
-    /// Dispatches to the decoded-block fast path when it is enabled and
-    /// the step is eligible (instruction fetch untranslated — machine
-    /// mode, or bare `satp` — and no PMP regions configured); otherwise takes
-    /// the per-step fetch-decode reference path. Both paths produce
-    /// bit-identical architectural state, retired records and traps.
+    /// retired record — every field — into the caller's `rec`: the
+    /// one-record case of the block step behind
+    /// [`TraceSource::fill`](crate::TraceSource::fill).
     ///
     /// # Errors
     ///
     /// Fatal errors only; architectural traps are delivered to the guest.
     #[inline]
     pub fn step_into(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
+        self.step_slice(std::slice::from_mut(rec)).1
+    }
+
+    /// Retires instructions into the caller's non-empty `recs`, front
+    /// first, and returns how many it wrote with how the call ended.
+    ///
+    /// Dispatches to the decoded-block fast path when it is enabled and
+    /// the step is eligible (instruction fetch untranslated — machine
+    /// mode, or bare `satp` — and no PMP regions configured); otherwise takes
+    /// the per-step fetch-decode reference path. Both paths produce
+    /// bit-identical architectural state, retired records and traps. The
+    /// fast path retires the rest of the current block, up to the slice's
+    /// length, when neither a platform nor cluster hooks are attached;
+    /// every other step retires one record. `Ok(Retired)` comes with at
+    /// least one record, `Ok(Halted)` and `Ok(NeedsBarrier)` with none,
+    /// and a fatal error with the records retired before it.
+    ///
+    /// Forced inline, with the cached step under it, so that `advance`
+    /// and `fill` each branch on the status instead of reading a 32-byte
+    /// return value back from memory: left to the compiler, it stayed a
+    /// call under `fill`, and `advance` took a quarter longer a record.
+    #[inline(always)]
+    pub(crate) fn step_slice(
+        &mut self,
+        recs: &mut [DynInst],
+    ) -> (usize, Result<StepStatus, ExecError>) {
         if self.halted.is_some() {
-            return Ok(StepStatus::Halted);
+            return (0, Ok(StepStatus::Halted));
         }
         if self.fetch_is_physical() {
-            self.step_cached(rec)
-        } else {
-            self.step_slow(rec)
+            if let Some(done) = self.step_cached(recs) {
+                return done;
+            }
         }
+        let status = self.step_slow(&mut recs[0]);
+        (usize::from(status == Ok(StepStatus::Retired)), status)
     }
 
     /// The decoded-block fast path. Eligibility (untranslated fetch, no
-    /// PMP) was checked by [`Emulator::step_into`], so `pc == fetch_pa`
+    /// PMP) was checked by [`Emulator::step_slice`], so `pc == fetch_pa`
     /// and the fetch can neither fault nor be translated.
-    #[inline]
-    fn step_cached(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
+    ///
+    /// It resumes at the cursor or looks the block up (building it on a
+    /// miss), then retires entries into `recs` until the block ends, an
+    /// entry traps, halts the guest, leaves the block or drops it (a
+    /// store over its own code), a cluster gate parks it, or `recs` is
+    /// full. Each of those is where the one-record step would next miss
+    /// its cursor or stop, so the cache sees the same lookups, builds
+    /// and hits whatever the slice's length. `None` when the first
+    /// instruction at the PC is undecodable or straddles the page: the
+    /// caller takes one reference step for the exact error or trap.
+    #[inline(always)]
+    fn step_cached(
+        &mut self,
+        recs: &mut [DynInst],
+    ) -> Option<(usize, Result<StepStatus, ExecError>)> {
         if self.platform.is_some() {
             if let Some(d) = self.poll_interrupt() {
-                *rec = d;
-                return Ok(StepStatus::Retired);
+                recs[0] = d;
+                return Some((1, Ok(StepStatus::Retired)));
             }
         }
-        let pc = self.cpu.pc;
-        // Cursor hit: the previous step retired entry `idx-1` of this
+        let mut pc = self.cpu.pc;
+        // Cursor hit: the previous call retired entry `idx-1` of this
         // block and fell through. Validity is address + epoch based, so
         // branches out of the block and invalidations both miss here.
-        let (slot, epoch, idx) = match self.cursor {
+        let (slot, epoch, mut idx) = match self.cursor {
             Some(c) if c.next_va == pc && self.icache.slot_live(c.slot, c.epoch) => {
                 (c.slot, c.epoch, c.idx)
             }
@@ -735,54 +772,88 @@ impl Emulator {
                     self.icache.stats.misses += 1;
                     match self.build_block(pc) {
                         Some((slot, epoch)) => (slot, epoch, 0),
-                        // First instruction undecodable or page-straddling:
-                        // one-shot reference step (exact error/trap shape).
                         None => {
                             self.cursor = None;
-                            return self.step_slow(rec);
+                            return None;
                         }
                     }
                 }
             },
         };
-        self.icache.stats.hits += 1;
-        let BlockEntry { inst, barrier } = self.icache.entry(slot, idx);
-        // Cluster gating, identical to the reference path but on the
-        // precomputed flag. The cursor is parked *at* the gated entry:
-        // the PC does not advance, and the post-release step re-enters
-        // the block right here.
-        if barrier {
-            if let Some(ctl) = self.cluster.as_mut() {
-                if ctl.gate {
-                    if ctl.release_one {
-                        ctl.release_one = false;
-                    } else {
-                        self.cursor = Some(Cursor {
-                            slot,
-                            epoch,
-                            idx,
-                            next_va: pc,
-                        });
-                        return Ok(StepStatus::NeedsBarrier);
-                    }
+        self.cursor = None;
+        // A platform polls and ticks, and a cluster core must not run
+        // ahead of its gate: one record per call for both.
+        let cap = if self.platform.is_none() && self.cluster.is_none() {
+            recs.len()
+        } else {
+            1
+        };
+        let len = self.icache.block_len(slot);
+        // As in `run_block`: no block dies without this counter moving.
+        let invalidations = self.icache.invalidations();
+        let mut n = 0;
+        loop {
+            let BlockEntry { inst, barrier } = self.icache.entry(slot, idx);
+            // Cluster gating, identical to the reference path but on the
+            // precomputed flag. The cursor is parked *at* the gated entry:
+            // the PC does not advance, and the post-release step re-enters
+            // the block right here. After a record, the next call parks.
+            if barrier && self.gated() {
+                if n == 0 {
+                    self.icache.stats.hits += 1;
+                    self.cursor = Some(Cursor {
+                        slot,
+                        epoch,
+                        idx,
+                        next_va: pc,
+                    });
+                    return Some((0, Ok(StepStatus::NeedsBarrier)));
                 }
+                break;
+            }
+            let rec = &mut recs[n];
+            let done = self.exec(pc, inst, &mut rec.mem);
+            if let Err(e) = self.retire(rec, pc, pc, inst, done) {
+                self.icache.stats.hits += n as u64 + 1;
+                return Some((n, Err(e)));
+            }
+            n += 1;
+            idx += 1;
+            pc = pc.wrapping_add(inst.len as u64);
+            if rec.trapped
+                || rec.next_pc != pc
+                || idx == len
+                || n == cap
+                || self.halted.is_some()
+                || (self.icache.invalidations() != invalidations
+                    && !self.icache.slot_live(slot, epoch))
+            {
+                break;
             }
         }
-        self.cursor = None;
-        let done = self.exec(pc, inst, &mut rec.mem);
-        self.retire(rec, pc, pc, inst, done)?;
-        // Fall-through entries advance the cursor; block ends, traps
-        // (and mid-block stores that bumped the epoch) resolve on the
-        // next step's validity check.
-        if !rec.trapped && idx + 1 < self.icache.block_len(slot) {
+        self.icache.stats.hits += n as u64;
+        // Fall-through entries re-arm the cursor; block ends (and
+        // mid-block stores that bumped the epoch) resolve on the next
+        // call's validity check. A call that breaks retired a record.
+        if idx < len && !recs[n - 1].trapped {
             self.cursor = Some(Cursor {
                 slot,
                 epoch,
-                idx: idx + 1,
-                next_va: pc.wrapping_add(inst.len as u64),
+                idx,
+                next_va: pc,
             });
         }
-        Ok(StepStatus::Retired)
+        Some((n, Ok(StepStatus::Retired)))
+    }
+
+    /// Whether cluster gating parks the core in front of a globally
+    /// visible entry; a pending one-shot grant is used up instead.
+    #[inline]
+    fn gated(&mut self) -> bool {
+        match self.cluster.as_mut() {
+            Some(ctl) if ctl.gate => !std::mem::take(&mut ctl.release_one),
+            _ => false,
+        }
     }
 
     /// Commits what [`Emulator::exec`] returned for `inst` and finishes
@@ -909,14 +980,8 @@ impl Emulator {
             })?
         };
         // Cluster gating: globally visible ops wait for the epoch barrier.
-        if let Some(ctl) = self.cluster.as_mut() {
-            if ctl.gate && is_barrier_op(inst.op) {
-                if ctl.release_one {
-                    ctl.release_one = false;
-                } else {
-                    return Ok(StepStatus::NeedsBarrier);
-                }
-            }
+        if is_barrier_op(inst.op) && self.gated() {
+            return Ok(StepStatus::NeedsBarrier);
         }
         let done = self.exec(pc, inst, &mut rec.mem);
         self.retire(rec, pc, fetch_pa, inst, done)?;

@@ -121,7 +121,8 @@ impl DynInst {
 
 /// Streaming trace source: executes the emulator one instruction per
 /// [`advance`](Self::advance) and holds the committed record for the
-/// consumer to borrow.
+/// consumer to borrow, or up to a decoded block per
+/// [`fill`](Self::fill) into the consumer's slice.
 ///
 /// The timing model pulls instructions as its fetch stage consumes them,
 /// so memory stays bounded regardless of trace length.
@@ -194,6 +195,29 @@ impl TraceSource {
                 TraceStatus::Done
             }
         }
+    }
+
+    /// Retires up to `recs.len()` instructions into `recs`, front first,
+    /// and returns how many: the rest of the current decoded block,
+    /// capped by the slice and the instruction limit, or a single record
+    /// on the reference path or with a platform or cluster hooks
+    /// attached. 0 means the trace ended, as
+    /// [`TraceStatus::Done`] does, or a cluster gate parked the core. A
+    /// fatal error ends the trace after the records retired before it,
+    /// which are counted and returned.
+    pub fn fill(&mut self, recs: &mut [DynInst]) -> usize {
+        let left = self.limit.saturating_sub(self.retired);
+        if self.exit_code.is_some() || self.error.is_some() || left == 0 || recs.is_empty() {
+            return 0;
+        }
+        let cap = left.min(recs.len() as u64) as usize;
+        let (n, status) = self.emu.step_slice(&mut recs[..cap]);
+        self.retired += n as u64;
+        match status {
+            Ok(_) => self.exit_code = self.emu.halted,
+            Err(e) => self.error = Some(e),
+        }
+        n
     }
 
     /// The record the last [`TraceStatus::Inst`] retired. The timing
@@ -345,6 +369,48 @@ mod tests {
             let n = src.by_ref().count();
             assert!(n > 0);
             assert_eq!(src.exit_code, Some(9));
+        }
+    }
+
+    /// Fills of any length retire the records `advance` does, and end
+    /// the trace the same way, on both engines.
+    #[test]
+    fn fill_retires_what_advance_retires() {
+        let mut a = Asm::new();
+        let arr = a.data_u64("arr", &[7, 0]);
+        a.la(Gpr::A1, arr);
+        a.li(Gpr::A0, 20);
+        let top = a.here();
+        a.ld(Gpr::A2, Gpr::A1, 0);
+        a.add(Gpr::A3, Gpr::A3, Gpr::A2);
+        a.sd(Gpr::A3, Gpr::A1, 8);
+        a.addi(Gpr::A0, Gpr::A0, -1);
+        a.bnez(Gpr::A0, top);
+        a.mv(Gpr::A0, Gpr::A3);
+        a.halt();
+        let p = a.finish().unwrap();
+        for limit in [1_000, 37] {
+            for engine in 0..2 {
+                let source = || traced(&p, limit).into_iter().nth(engine).unwrap();
+                let mut by_advance = source();
+                let want: Vec<DynInst> = by_advance.by_ref().collect();
+                for len in [1, 3, 64] {
+                    let mut by_fill = source();
+                    let mut recs = [DynInst::trap_entry(0, 0); 64];
+                    let mut got = Vec::new();
+                    loop {
+                        let n = by_fill.fill(&mut recs[..len]);
+                        if n == 0 {
+                            break;
+                        }
+                        got.extend_from_slice(&recs[..n]);
+                    }
+                    let ctx = format!("engine {engine}, limit {limit}, fills of {len}");
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(by_fill.exit_code, by_advance.exit_code, "{ctx}");
+                    assert_eq!(by_fill.retired(), by_advance.retired(), "{ctx}");
+                }
+            }
         }
     }
 

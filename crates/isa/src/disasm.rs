@@ -28,17 +28,24 @@ pub fn fmt_inst(inst: &Inst, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         reg_name(t.rs2, inst.rs2),
     );
     match class {
-        ExecClass::Load | ExecClass::VecLoad if !inst.op.is_custom() => {
-            if t.rs2 != RegFile::None {
-                // strided: the stride register
-                write!(f, "{m} {rd}, ({rs1}), {rs2}")
-            } else if class == ExecClass::VecLoad {
-                write!(f, "{m} {rd}, ({rs1})")
+        ExecClass::Load if !inst.op.is_custom() => write!(f, "{m} {rd}, {}({rs1})", inst.imm),
+        ExecClass::VecLoad | ExecClass::VecStore => {
+            // the data register, the base, then a stride (rs2) or an index
+            // vector (vs2: rs2 of a store, rs3 of a load) if the op has one
+            let data = if class == ExecClass::VecStore {
+                reg_name(t.rs3, inst.rs3)
             } else {
-                write!(f, "{m} {rd}, {}({rs1})", inst.imm)
+                rd
+            };
+            write!(f, "{m} {data}, ({rs1})")?;
+            if t.rs2 != RegFile::None {
+                write!(f, ", {rs2}")
+            } else if class == ExecClass::VecLoad && t.rs3 != RegFile::None {
+                write!(f, ", {}", reg_name(t.rs3, inst.rs3))
+            } else {
+                Ok(())
             }
         }
-        ExecClass::VecStore => write!(f, "{m} {}, ({rs1})", reg_name(RegFile::Vec, inst.rs3)),
         ExecClass::Store if !inst.op.is_custom() => write!(f, "{m} {rs2}, {}({rs1})", inst.imm),
         ExecClass::Branch => write!(f, "{m} {rs1}, {rs2}, {}", inst.imm),
         ExecClass::Jump => write!(f, "{m} {rd}, {}", inst.imm),
@@ -47,7 +54,12 @@ pub fn fmt_inst(inst: &Inst, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             let csr = crate::csr::name(inst.imm as u16)
                 .map(str::to_owned)
                 .unwrap_or_else(|| format!("{:#x}", inst.imm));
-            write!(f, "{m} {rd}, {csr}, {rs1}")
+            if t.rs1 == RegFile::None {
+                // the immediate forms: a 5-bit uimm in the rs1 field
+                write!(f, "{m} {rd}, {csr}, {}", inst.rs1)
+            } else {
+                write!(f, "{m} {rd}, {csr}, {rs1}")
+            }
         }
         _ => {
             // Generic: mnemonic then any present operands.
@@ -99,6 +111,20 @@ mod tests {
             Inst::new(Op::VaddVV).rd(1).rs1(2).rs2(3).to_string(),
             "vadd.vv v1, v2, v3"
         );
+    }
+
+    /// The operands the layouts once dropped: the uimm of the CSR
+    /// immediate forms, a strided store's stride register and the index
+    /// vector of the indexed load and store.
+    #[test]
+    fn formats_every_operand() {
+        let text = |w: u32| crate::decode(w).unwrap().to_string();
+        assert_eq!(text(0x3001_5573), "csrrwi a0, mstatus, 2");
+        assert_eq!(text(0x3001_6573), "csrrsi a0, mstatus, 2");
+        assert_eq!(text(0x300f_f073), "csrrci zero, mstatus, 31");
+        assert_eq!(text(0x0a20_f027), "vsse.v v0, (ra), sp");
+        assert_eq!(text(0x0e30_f107), "vlxe.v v2, (ra), v3");
+        assert_eq!(text(0x0e30_f127), "vsxe.v v2, (ra), v3");
     }
 
     #[test]

@@ -97,8 +97,11 @@ fn reencoding_decoded_words_is_stable() {
 /// combination under a few register-field and rs2-selector patterns: for
 /// each word, whether it decodes and, if it does, the op, every operand
 /// and the disassembly. A change to the accepted set, a decoded field or
-/// the text fails it.
-const DECODE_SWEEP_DIGEST: u64 = 0x28d8_1a85_0294_0d2d;
+/// the text fails it. Last moved when the disassembler began printing
+/// the uimm of `csrrwi`/`csrrsi`/`csrrci`, the stride of `vsse.v` and the
+/// index vector of `vlxe.v`/`vsxe.v`: a per-word diff of the sweep's text
+/// showed those six ops' text, and nothing else, changed.
+const DECODE_SWEEP_DIGEST: u64 = 0x0b14_96ed_366c_1492;
 
 #[test]
 fn decode_sweep_is_pinned_and_every_accepted_word_reencodes() {

@@ -8,11 +8,14 @@
 # runs one untraced xt-hostbench run of WORKLOAD (seed 910, default 20 s)
 # under the sampler with run.sh's allocator settings, and prints self %
 # and inclusive % per function. With --lines FN, also the samples whose
-# innermost frame is in a function matching FN (a grep pattern against
-# the demangled name), per inlined function and source line. With
-# --incl PATTERN, also the inclusive % of every function matching PATTERN
-# (a grep pattern), inlined or not: a sample counts for a function when
-# the function is anywhere on the stack, inlined frames included.
+# innermost frame is in a function matching FN, per inlined function and
+# source line. With --incl PATTERN, also the inclusive % of every
+# function matching PATTERN, inlined or not: a sample counts for a
+# function when the function is anywhere on the stack, inlined frames
+# included. FN and PATTERN are awk extended regular expressions matched
+# against the demangled name: alternatives are 'a|b' (grep's 'a\|b'
+# matches nothing here). A requested table that no function matches
+# ends the script with "no function matched PATTERN" and exit status 1.
 #
 # A function is the non-inlined function an address belongs to; what was
 # inlined into it counts as its self time and shows up under --lines and
@@ -109,6 +112,10 @@ if [ -n "$lines" ]; then
         NR == FNR { if ($2 ~ pat) line[$1] = $3 "\t" $4; next }
         { split($0, f, " "); if (f[1] in line) print line[f[1]] }
     ' "$dir/symbols.tsv" FS=' ' "$dir/stacks.txt" > "$dir/lines.tsv"
+    if [ ! -s "$dir/lines.tsv" ]; then
+        echo "profile.sh: no function matched $lines" >&2
+        exit 1
+    fi
     echo "-- samples whose innermost frame is in a function matching '$lines': % of all samples per inlined function --"
     cut -f 1 "$dir/lines.tsv" | sort | uniq -c | sort -k1,1nr |
         awk -v total="$samples" '{ n = $1; $1 = ""; printf "%6.2f %s\n", 100 * n / total, $0 }'
@@ -117,7 +124,6 @@ if [ -n "$lines" ]; then
 fi
 
 if [ -n "$incl" ]; then
-    echo "-- inclusive % of every function matching '$incl', inlined frames included --"
     awk -F '\t' -v pat="$incl" -v total="$samples" '
         NR == FNR { n = split($5, c, "\037"); for (k = 1; k < n; k++) if (c[k] ~ pat) hit[$1] = hit[$1] c[k] "\037"; next }
         { m = split($0, f, " "); split("", seen)
@@ -125,5 +131,11 @@ if [ -n "$incl" ]; then
               n = split(hit[f[k]], c, "\037")
               for (j = 1; j < n; j++) if (!(c[j] in seen)) { seen[c[j]] = 1; incl[c[j]]++ } } }
         END { for (fn in incl) printf "%6.2f  %s\n", 100 * incl[fn] / total, fn }
-    ' "$dir/symbols.tsv" FS=' ' "$dir/stacks.txt" | sort -k1,1nr
+    ' "$dir/symbols.tsv" FS=' ' "$dir/stacks.txt" | sort -k1,1nr > "$dir/incl.txt"
+    if [ ! -s "$dir/incl.txt" ]; then
+        echo "profile.sh: no function matched $incl" >&2
+        exit 1
+    fi
+    echo "-- inclusive % of every function matching '$incl', inlined frames included --"
+    cat "$dir/incl.txt"
 fi
