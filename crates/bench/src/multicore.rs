@@ -98,7 +98,7 @@ pub struct EmuSpeed {
     pub fastpath: f64,
     /// `Emulator::run` decoding every step (the seed interpreter).
     pub slowpath: f64,
-    /// `TraceSource::advance` + `current`, one record at a time — what a
+    /// One-record `TraceSource::fill`s into one reused record — what a
     /// cluster core or a `Session::step` loop pays before its timing
     /// model's own work starts.
     pub step_driver: f64,
@@ -174,10 +174,11 @@ pub fn emu_speed() -> EmuSpeed {
     let slowpath = run(false);
     let fastpath = run(true);
     let mut trace = xt_emu::TraceSource::new(loaded(true), 100_000_000);
+    let mut rec = xt_emu::DynInst::trap_entry(0, 0);
     let mut taken = 0u64;
     let t0 = std::time::Instant::now();
-    while trace.advance() == xt_emu::TraceStatus::Inst {
-        taken += trace.current().is_taken_branch() as u64;
+    while trace.fill(std::slice::from_mut(&mut rec)) == 1 {
+        taken += rec.is_taken_branch() as u64;
     }
     let step_driver = mips(trace.retired(), t0);
     assert!(
@@ -319,7 +320,7 @@ mod tests {
         assert!(fast >= slow, "fast path slower than per-step decode");
         let ratio = s.step_driver / fast;
         println!(
-            "step driver: {:.2} MIPS through TraceSource by reference, \
+            "step driver: {:.2} MIPS through one-record TraceSource fills, \
              {ratio:.2} of Emulator::run (floor {STEP_DRIVER_FLOOR})",
             s.step_driver
         );

@@ -14,7 +14,7 @@
 //! replay from the printed `XT_HARNESS_SEED`.
 
 use crate::progen::{ProgGen, ProgSpec, NSLOTS};
-use crate::{disasm_program, run_engines};
+use crate::run_engines;
 use xt_asm::{Asm, Program};
 use xt_harness::{Gen, Rng};
 use xt_isa::reg::Gpr;
@@ -138,7 +138,7 @@ pub fn check_fastpath(spec: &FastSpec) -> Result<(), String> {
     run_engines(&prog, |_| {}).map(drop).map_err(|e| {
         format!(
             "fast path diverges from per-step decode on {spec:?}:\n  {e}\nprogram:\n{}",
-            disasm_program(&prog)
+            prog.disassemble()
         )
     })
 }

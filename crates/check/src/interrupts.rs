@@ -13,7 +13,7 @@
 //! and replay from the printed `XT_HARNESS_SEED`.
 
 use crate::progen::{ProgGen, ProgSpec, NSLOTS};
-use crate::{disasm_program, run_engines};
+use crate::run_engines;
 use xt_asm::{Asm, Program};
 use xt_emu::Emulator;
 use xt_harness::{Gen, Rng};
@@ -171,7 +171,7 @@ pub fn check_interrupts(spec: &IrqSpec) -> Result<(), String> {
     let fail = |e: String| {
         format!(
             "interrupt delivery diverges between engines on {spec:?}:\n  {e}\nprogram:\n{}",
-            disasm_program(&prog)
+            prog.disassemble()
         )
     };
     let [fast, slow] = run_engines(&prog, with_bus).map_err(fail)?;

@@ -24,6 +24,7 @@
 
 use crate::progen::ProgSpec;
 use crate::MAX_INSTS;
+use xt_core::session::CoreModel;
 use xt_core::{laws, CoreConfig, InOrderSession, OooSession};
 use xt_perf::Sampler;
 
@@ -75,16 +76,21 @@ pub fn check_invariants(spec: &ProgSpec) -> Result<TimingSummary, String> {
     let mut sampler = Sampler::new(0, SAMPLE_INTERVAL);
     let mut last_retire = 0u64;
     let mut insts = 0u64;
-    while ooo.step() {
+    loop {
+        // no platform is attached, so the record about to retire is at
+        // the PC: no interrupt entry comes first
+        let pc = ooo.trace().emulator().cpu.pc;
+        if !ooo.step() {
+            break;
+        }
         if sampler.due(ooo.cycles()) {
             sampler.observe(ooo.cycles(), ooo.core().perf(), &ooo.mem().stats());
         }
         let r = ooo.core().last_retire_cycle();
         if r < last_retire {
             return Err(format!(
-                "retirement violates program order: inst {insts} (pc {:#x}) \
-                 retired at cycle {r}, an older instruction at {last_retire}",
-                ooo.trace().current().pc
+                "retirement violates program order: inst {insts} (pc {pc:#x}) \
+                 retired at cycle {r}, an older instruction at {last_retire}"
             ));
         }
         last_retire = r;

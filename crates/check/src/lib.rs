@@ -229,21 +229,6 @@ fn run_engines(prog: &Program, setup: impl Fn(&mut Emulator)) -> Result<[Emulato
     }
 }
 
-/// Disassembles a program's text section (one instruction per line,
-/// with addresses) for failure artifacts.
-pub fn disasm_program(prog: &Program) -> String {
-    let mut out = String::new();
-    for (i, word) in prog.text.chunks_exact(4).enumerate() {
-        let w = u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
-        let pc = prog.text_base + 4 * i as u64;
-        match xt_isa::decode(w) {
-            Ok(inst) => out.push_str(&format!("  {pc:#x}: {}\n", xt_isa::disasm::disasm(&inst))),
-            Err(_) => out.push_str(&format!("  {pc:#x}: .word {w:#010x}\n")),
-        }
-    }
-    out
-}
-
 /// Runs `spec` on the emulator and compares the final architectural
 /// state against the oracle evaluated with `fault` (use
 /// [`Fault::None`] for real checking; other faults self-test the
@@ -282,7 +267,7 @@ pub fn check_conformance(spec: &ProgSpec, fault: Fault) -> Result<(), String> {
     Err(format!(
         "emulator/oracle divergence:\n{}\nprogram:\n{}",
         diffs.join("\n"),
-        disasm_program(&prog)
+        prog.disassemble()
     ))
 }
 
@@ -296,7 +281,7 @@ pub fn check_program(spec: &ProgSpec, fault: Fault) -> Result<(), String> {
             let (prog, _) = spec.emit();
             Err(format!(
                 "timing invariant violated: {e}\nprogram:\n{}",
-                disasm_program(&prog)
+                prog.disassemble()
             ))
         }
     }
@@ -361,8 +346,18 @@ mod tests {
             ops: vec![SpecOp::Li { rd: 0, imm: 1 }],
         };
         let (prog, _) = spec.emit();
-        let txt = disasm_program(&prog);
+        let txt = prog.disassemble();
         assert!(txt.contains("halt") || txt.contains("ecall") || !txt.is_empty());
-        assert_eq!(txt.lines().count(), prog.text.len() / 4);
+        // one line per instruction, the 2-byte ones marked: together
+        // they span the text byte for byte
+        let len = |l: &str| {
+            if l.ends_with("# c") || l.contains(".half") {
+                2
+            } else {
+                4
+            }
+        };
+        let bytes: usize = txt.lines().map(len).sum();
+        assert_eq!(bytes, prog.text.len());
     }
 }

@@ -13,6 +13,7 @@ use crate::ifu::{FrontEnd, Redirect};
 use crate::laws;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup};
+use crate::session::CoreModel;
 use xt_emu::DynInst;
 use xt_isa::ExecClass;
 use xt_mem::MemSystem;
@@ -69,10 +70,23 @@ impl InOrderCore {
         }
     }
 
-    /// Seals the counters after the last [`Self::step`] and produces the
-    /// report (see [`crate::OooCore::finish_report`]).
-    pub fn finish_report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
-        self.perf.cycles = self.max_complete.max(self.last_issue);
+    fn rf_idx(rf: xt_isa::RegFile) -> usize {
+        match rf {
+            xt_isa::RegFile::Int => 0,
+            xt_isa::RegFile::Fp => 1,
+            xt_isa::RegFile::Vec => 2,
+            xt_isa::RegFile::None => 0,
+        }
+    }
+}
+
+impl CoreModel for InOrderCore {
+    fn new_core(cfg: CoreConfig, core_id: usize) -> Self {
+        InOrderCore::new(cfg, core_id)
+    }
+
+    fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
+        self.perf.cycles = self.cycles();
         let mem_stats = mem.stats();
         self.perf.prefetch_hits = mem_stats
             .prefetches_useful
@@ -88,43 +102,23 @@ impl InOrderCore {
         }
     }
 
-    /// Current cycle count (for incremental use).
-    pub fn cycles(&self) -> u64 {
+    fn cycles(&self) -> u64 {
         self.max_complete.max(self.last_issue)
     }
 
-    /// Performance counters (for incremental use).
-    pub fn perf(&self) -> &PerfCounters {
+    fn perf(&self) -> &PerfCounters {
         &self.perf
     }
 
-    /// Attaches a fresh trace buffer: subsequent [`Self::step`] calls
-    /// record one [`InstRecord`] per instruction plus flush events.
-    pub fn attach_tracer(&mut self) {
+    fn attach_tracer(&mut self) {
         self.tracer = Some(TraceBuffer::new());
     }
 
-    /// The attached trace buffer, if any.
-    pub fn tracer(&self) -> Option<&TraceBuffer> {
-        self.tracer.as_ref()
-    }
-
-    /// Detaches and returns the trace buffer (tracing stops).
-    pub fn take_tracer(&mut self) -> Option<TraceBuffer> {
+    fn take_tracer(&mut self) -> Option<TraceBuffer> {
         self.tracer.take()
     }
 
-    fn rf_idx(rf: xt_isa::RegFile) -> usize {
-        match rf {
-            xt_isa::RegFile::Int => 0,
-            xt_isa::RegFile::Fp => 1,
-            xt_isa::RegFile::Vec => 2,
-            xt_isa::RegFile::None => 0,
-        }
-    }
-
-    /// Advances the model by one committed instruction.
-    pub fn step(&mut self, d: &DynInst, mem: &mut MemSystem) {
+    fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem) {
         let traits = d.inst.op.traits_of();
         let class = traits.class;
         let fo = self.fe.observe(d, class, &mut self.perf);
@@ -176,6 +170,17 @@ impl InOrderCore {
             ExecClass::Div => self.mdu.issue(issue, lat.div) + lat.div,
             ExecClass::Branch | ExecClass::Jump | ExecClass::JumpInd => {
                 self.alu.issue(issue, 1) + lat.alu
+            }
+            // a trapped access executed nothing and reached no memory:
+            // its fault resolves at address generation
+            ExecClass::Load
+            | ExecClass::VecLoad
+            | ExecClass::Amo
+            | ExecClass::Store
+            | ExecClass::VecStore
+                if d.mem.is_none() =>
+            {
+                self.agu.issue(issue, 1) + lat.agu
             }
             ExecClass::Load | ExecClass::VecLoad | ExecClass::Amo => {
                 let m = d.mem.expect("load accesses memory");

@@ -16,6 +16,7 @@ use crate::laws;
 use crate::lsu::Lsu;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup, RetireWindow, SlotLimiter, Window};
+use crate::session::CoreModel;
 use xt_emu::DynInst;
 use xt_isa::{ExecClass, Op, RegFile};
 use xt_mem::MemSystem;
@@ -25,8 +26,9 @@ use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
 /// The out-of-order core.
 ///
 /// A [`crate::Session`] drives it over a whole trace; the interface
-/// itself is *bounded-epoch* stepping: call [`Self::step`] instruction by
-/// instruction and watch [`Self::cycles`] to stop at an epoch boundary.
+/// itself is *bounded-epoch* stepping: call [`CoreModel::step_inst`]
+/// instruction by instruction and watch [`CoreModel::cycles`] to stop at
+/// an epoch boundary.
 /// All state is plain data (`Send`, asserted below), so the `xt-soc`
 /// epoch engine can move each core onto a worker thread for a cycle
 /// slice and hand it back at the barrier.
@@ -128,58 +130,12 @@ impl OooCore {
         }
     }
 
-    /// Seals the counters after the last [`Self::step`] and produces the
-    /// report. Its drivers ([`crate::Session`], the `xt-soc` epoch
-    /// engine) call it once the trace is exhausted.
-    pub fn finish_report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
-        self.perf.cycles = self.last_retire.max(self.max_complete);
-        let mem_stats = mem.stats();
-        self.perf.prefetch_hits = mem_stats
-            .prefetches_useful
-            .get(self.core_id)
-            .copied()
-            .unwrap_or(0);
-        debug_assert_eq!(laws::check(&self.perf, &[laws::STALL_BUDGET]), Ok(()));
-        RunReport {
-            machine: self.cfg.name,
-            perf: self.perf.clone(),
-            mem: mem_stats,
-            exit_code,
-        }
-    }
-
-    /// Current cycle count (for incremental use).
-    pub fn cycles(&self) -> u64 {
-        self.last_retire.max(self.max_complete)
-    }
-
-    /// Performance counters (for incremental use).
-    pub fn perf(&self) -> &PerfCounters {
-        &self.perf
-    }
-
     /// Cycle at which the most recently stepped instruction retired.
-    /// Retirement is in-order, so across successive [`Self::step`]
-    /// calls this must never decrease — checkers rely on that.
+    /// Retirement is in-order, so across successive
+    /// [`CoreModel::step_inst`] calls this must never decrease — checkers
+    /// rely on that.
     pub fn last_retire_cycle(&self) -> u64 {
         self.last_retire
-    }
-
-    /// Attaches a fresh trace buffer: subsequent [`Self::step`] calls
-    /// record one [`InstRecord`] per instruction plus flush events.
-    /// Tracing is off (and free) until this is called.
-    pub fn attach_tracer(&mut self) {
-        self.tracer = Some(TraceBuffer::new());
-    }
-
-    /// The attached trace buffer, if any.
-    pub fn tracer(&self) -> Option<&TraceBuffer> {
-        self.tracer.as_ref()
-    }
-
-    /// Detaches and returns the trace buffer (tracing stops).
-    pub fn take_tracer(&mut self) -> Option<TraceBuffer> {
-        self.tracer.take()
     }
 
     /// Records a flush for stall attribution and tracing. Call *before*
@@ -203,8 +159,57 @@ impl OooCore {
         }
     }
 
-    /// Advances the model by one committed instruction.
-    pub fn step(&mut self, d: &DynInst, mem: &mut MemSystem) {
+    fn new_fetch_group(&mut self, bubble: u64) {
+        self.fetch_cycle += 1 + bubble;
+        self.fetch_bytes = 0;
+    }
+
+    fn redirect_fetch(&mut self, at: u64) {
+        self.fetch_cycle = self.fetch_cycle.max(at);
+        self.fetch_bytes = 0;
+        self.cur_fetch_line = u64::MAX;
+    }
+}
+
+impl CoreModel for OooCore {
+    fn new_core(cfg: CoreConfig, core_id: usize) -> Self {
+        OooCore::new(cfg, core_id)
+    }
+
+    fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
+        self.perf.cycles = self.cycles();
+        let mem_stats = mem.stats();
+        self.perf.prefetch_hits = mem_stats
+            .prefetches_useful
+            .get(self.core_id)
+            .copied()
+            .unwrap_or(0);
+        debug_assert_eq!(laws::check(&self.perf, &[laws::STALL_BUDGET]), Ok(()));
+        RunReport {
+            machine: self.cfg.name,
+            perf: self.perf.clone(),
+            mem: mem_stats,
+            exit_code,
+        }
+    }
+
+    fn cycles(&self) -> u64 {
+        self.last_retire.max(self.max_complete)
+    }
+
+    fn perf(&self) -> &PerfCounters {
+        &self.perf
+    }
+
+    fn attach_tracer(&mut self) {
+        self.tracer = Some(TraceBuffer::new());
+    }
+
+    fn take_tracer(&mut self) -> Option<TraceBuffer> {
+        self.tracer.take()
+    }
+
+    fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem) {
         let cfg = &self.cfg;
         let traits = d.inst.op.traits_of();
         let class = traits.class;
@@ -372,6 +377,14 @@ impl OooCore {
                 let start = self.bju.issue(at, 1);
                 exec_start = start;
                 start + lat.alu
+            }
+            // a trapped access executed nothing and reached no memory:
+            // its fault resolves at address generation
+            ExecClass::Load | ExecClass::Store | ExecClass::VecLoad | ExecClass::VecStore
+                if d.mem.is_none() =>
+            {
+                exec_start = at;
+                at + lat.agu
             }
             ExecClass::Load => {
                 let mem_info = d.mem.expect("load has a memory access");
@@ -609,9 +622,10 @@ impl OooCore {
         if let Some((rf, _)) = dest {
             self.phys[Self::src_file_index(rf)].commit(ret);
         }
+        // a trapped access took no queue entry
         match class {
-            ExecClass::Load | ExecClass::VecLoad => self.lsu.lq.commit(ret),
-            ExecClass::Store | ExecClass::VecStore => {
+            ExecClass::Load | ExecClass::VecLoad if d.mem.is_some() => self.lsu.lq.commit(ret),
+            ExecClass::Store | ExecClass::VecStore if d.mem.is_some() => {
                 self.lsu.sq.commit(ret + 1);
                 self.lsu.drain_before(ret);
             }
@@ -688,17 +702,6 @@ impl OooCore {
                 }
             }
         }
-    }
-
-    fn new_fetch_group(&mut self, bubble: u64) {
-        self.fetch_cycle += 1 + bubble;
-        self.fetch_bytes = 0;
-    }
-
-    fn redirect_fetch(&mut self, at: u64) {
-        self.fetch_cycle = self.fetch_cycle.max(at);
-        self.fetch_bytes = 0;
-        self.cur_fetch_line = u64::MAX;
     }
 }
 

@@ -17,62 +17,35 @@ use crate::inorder::InOrderCore;
 use crate::ooo::OooCore;
 use crate::perf::{PerfCounters, RunReport};
 use xt_asm::Program;
-use xt_emu::{DynInst, Emulator, TraceSource, TraceStatus};
+use xt_emu::{DynInst, Emulator, TraceSource};
 use xt_mem::{MemConfig, MemSystem};
 use xt_snapshot::SnapshotState;
 use xt_trace::TraceBuffer;
 
 use crate::config::CoreConfig;
 
-/// The stepping surface shared by the two core models, so [`Session`]
-/// can wrap either.
+/// The stepping surface of a timing core, so [`Session`] and the
+/// cluster engine can drive either model. Each core implements it once,
+/// in its own module; these are its only definitions.
 pub trait CoreModel: SnapshotState + Sized {
     /// Builds the model for core `core_id` of a `cfg` machine.
     fn new_core(cfg: CoreConfig, core_id: usize) -> Self;
     /// Advances the timing model by one committed instruction.
     fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem);
-    /// Seals the counters and produces the run report.
+    /// Seals the counters after the last [`step_inst`](Self::step_inst)
+    /// and produces the run report.
     fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport;
-    /// Attaches a fresh per-instruction pipeline tracer.
-    fn enable_tracer(&mut self);
+    /// Attaches a fresh pipeline tracer: subsequent steps record one
+    /// [`xt_trace::InstRecord`] per instruction plus flush events.
+    /// Tracing is off, and free, until this is called.
+    fn attach_tracer(&mut self);
     /// Detaches and returns the tracer, if one was attached.
-    fn take_tracer_buf(&mut self) -> Option<TraceBuffer>;
+    fn take_tracer(&mut self) -> Option<TraceBuffer>;
     /// Current cycle count.
-    fn cycle(&self) -> u64;
-    /// The live counters (sealed only by [`CoreModel::report`]).
-    fn counters(&self) -> &PerfCounters;
+    fn cycles(&self) -> u64;
+    /// The live counters (sealed only by [`report`](Self::report)).
+    fn perf(&self) -> &PerfCounters;
 }
-
-/// The two cores have the same inherent surface; forward it.
-macro_rules! impl_core_model {
-    ($core:ty) => {
-        impl CoreModel for $core {
-            fn new_core(cfg: CoreConfig, core_id: usize) -> Self {
-                <$core>::new(cfg, core_id)
-            }
-            fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem) {
-                self.step(d, mem);
-            }
-            fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
-                self.finish_report(mem, exit_code)
-            }
-            fn enable_tracer(&mut self) {
-                self.attach_tracer();
-            }
-            fn take_tracer_buf(&mut self) -> Option<TraceBuffer> {
-                self.take_tracer()
-            }
-            fn cycle(&self) -> u64 {
-                self.cycles()
-            }
-            fn counters(&self) -> &PerfCounters {
-                self.perf()
-            }
-        }
-    };
-}
-impl_core_model!(OooCore);
-impl_core_model!(InOrderCore);
 
 /// Records one [`Session::run_insts`] fill holds. Decoded blocks end at
 /// every control transfer, so most fit; a longer one takes several.
@@ -118,22 +91,23 @@ impl<C: CoreModel> Session<C> {
 
     /// Attaches a per-instruction pipeline tracer to the core.
     pub fn attach_tracer(&mut self) {
-        self.core.enable_tracer();
+        self.core.attach_tracer();
     }
 
     /// Detaches and returns the tracer, if attached.
     pub fn take_tracer(&mut self) -> Option<TraceBuffer> {
-        self.core.take_tracer_buf()
+        self.core.take_tracer()
     }
 
-    /// Advances by one committed instruction. Returns `false` once the
-    /// trace is exhausted (halt, error, or instruction limit).
+    /// Advances by one committed instruction, a one-record
+    /// [`TraceSource::fill`] into a local. Returns `false` once the trace
+    /// is exhausted (halt, error, or instruction limit); single-core
+    /// sessions never run gated cluster guests, so nothing parks.
     pub fn step(&mut self) -> bool {
-        // single-core sessions never run gated cluster guests, so a
-        // `Barrier` ends the run like `Done`
-        let retired = self.trace.advance() == TraceStatus::Inst;
+        let mut rec = DynInst::trap_entry(0, 0);
+        let retired = self.trace.fill(std::slice::from_mut(&mut rec)) == 1;
         if retired {
-            self.core.step_inst(self.trace.current(), &mut self.mem);
+            self.core.step_inst(&rec, &mut self.mem);
         }
         retired
     }
@@ -193,7 +167,7 @@ impl<C: CoreModel> Session<C> {
 
     /// Current core cycle.
     pub fn cycles(&self) -> u64 {
-        self.core.cycle()
+        self.core.cycles()
     }
 
     /// Guest exit code, once halted.

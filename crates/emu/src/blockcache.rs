@@ -1,11 +1,11 @@
 //! Per-page decoded basic-block cache — the emulator's fast path.
 //!
 //! The seed interpreter re-translates, re-fetches and re-decodes every
-//! instruction on every [`crate::Emulator::step`]. This module caches
-//! the decode work: straight-line runs of instructions are lowered once
-//! into a [`DecodedBlock`] of ready-to-execute [`xt_isa::Inst`] values
-//! (decode fully resolves the handler arm plus immediates and register
-//! fields) and replayed from the cache until a store touches their page.
+//! instruction on every step. This module caches the decode work:
+//! straight-line runs of instructions are lowered once into a
+//! [`DecodedBlock`] of ready-to-execute [`xt_isa::Inst`] values (decode
+//! fully resolves the handler arm plus immediates and register fields)
+//! and replayed from the cache until a store touches their page.
 //!
 //! Keying and boundaries (see docs/FASTPATH.md):
 //!

@@ -34,30 +34,20 @@ pub struct Trap {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Raised;
 
-/// Outcome of a single [`Emulator::step`].
-#[derive(Clone, Debug)]
-pub enum StepOutcome {
-    /// An instruction retired (possibly a trap entry: `trapped` set).
-    Retired(DynInst),
-    /// The program stored to the halt MMIO address; value is the exit code.
-    Halted(u64),
+/// How one block step ([`Emulator::step_slice`]) ended: the payloads
+/// stay where they already are — the records in the caller's slice, the
+/// exit code in [`Emulator::halted`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum StepStatus {
+    /// At least one instruction retired into the caller's records.
+    Retired,
+    /// The guest has halted; no record was touched.
+    Halted,
     /// Cluster mode only: the next instruction is globally visible (an
     /// AMO, LR/SC, or fence) and must wait for the epoch barrier. The PC
-    /// did not advance; the instruction executes on the step after the
-    /// barrier sets [`ClusterCtl::release_one`].
-    NeedsBarrier,
-}
-
-/// Status of one [`Emulator::step_into`]: [`StepOutcome`] without the
-/// payloads, which stay where they already are — the record in the
-/// caller's [`DynInst`], the exit code in [`Emulator::halted`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StepStatus {
-    /// An instruction retired into the caller's record.
-    Retired,
-    /// The guest has halted; the record was not touched.
-    Halted,
-    /// See [`StepOutcome::NeedsBarrier`]; the record was not touched.
+    /// did not advance and no record was touched; the instruction
+    /// executes on the step after the barrier sets
+    /// [`ClusterCtl::release_one`].
     NeedsBarrier,
 }
 
@@ -78,13 +68,14 @@ pub struct StoreRec {
 ///
 /// While attached, every plain-memory store is appended to `store_log`
 /// (the engine drains and applies it to the other cores' memories at
-/// each barrier), and, when `gate` is set, [`Emulator::step`] parks in
-/// front of globally visible operations — AMOs, LR/SC, fences — by
-/// returning [`StepOutcome::NeedsBarrier`] until the engine grants one
-/// execution via `release_one`. Deferring store visibility to barriers
-/// gives each core an unbounded store buffer; serializing the gated ops
-/// at the barrier in core-index order keeps AMOs globally atomic. Both
-/// are RVWMO-legal (see docs/CLUSTER.md).
+/// each barrier), and, when `gate` is set, the emulator parks in front
+/// of globally visible operations — AMOs, LR/SC, fences — retiring
+/// nothing ([`TraceSource::fill`](crate::TraceSource::fill) returns 0)
+/// until the engine grants one execution via `release_one`. Deferring
+/// store visibility to barriers gives each core an unbounded store
+/// buffer; serializing the gated ops at the barrier in core-index order
+/// keeps AMOs globally atomic. Both are RVWMO-legal (see
+/// docs/CLUSTER.md).
 #[derive(Clone, Debug, Default)]
 pub struct ClusterCtl {
     /// Plain-memory stores since the last drain, in program order.
@@ -318,8 +309,8 @@ impl Emulator {
     ///
     /// When the decoded-block fast path is eligible (and no cluster
     /// hooks are attached), whole cached blocks execute in a batched
-    /// inner loop — the per-step [`StepOutcome`] plumbing is skipped
-    /// entirely. The architectural effect is identical to stepping.
+    /// inner loop that builds no retired record. The architectural
+    /// effect is identical to stepping.
     ///
     /// # Errors
     ///
@@ -333,8 +324,9 @@ impl Emulator {
                 return Ok(code);
             }
             if !self.fetch_is_physical() || self.cluster.is_some() {
-                match self.step_into(&mut rec)? {
-                    StepStatus::Retired => left -= 1,
+                let (n, status) = self.step_slice(std::slice::from_mut(&mut rec));
+                match status? {
+                    StepStatus::Retired => left -= n as u64,
                     StepStatus::Halted => unreachable!("`halted` was checked above"),
                     StepStatus::NeedsBarrier => {
                         unreachable!("Emulator::run is not cluster-aware; clear ClusterCtl::gate")
@@ -668,37 +660,6 @@ impl Emulator {
         Some(DynInst::trap_entry(pc, target))
     }
 
-    /// Fetches, decodes and executes one instruction, by value: a
-    /// convenience over [`Emulator::step_into`] for tests and tools that
-    /// want to own each record. Per-instruction drivers borrow instead —
-    /// copying a freshly written 80-byte record out costs about as much
-    /// as executing the instruction (docs/FASTPATH.md, "Step driver").
-    ///
-    /// # Errors
-    ///
-    /// Fatal errors only; architectural traps are delivered to the guest.
-    pub fn step(&mut self) -> Result<StepOutcome, ExecError> {
-        let mut rec = DynInst::trap_entry(0, 0);
-        Ok(match self.step_into(&mut rec)? {
-            StepStatus::Retired => StepOutcome::Retired(rec),
-            StepStatus::Halted => StepOutcome::Halted(self.halted.expect("halted has a code")),
-            StepStatus::NeedsBarrier => StepOutcome::NeedsBarrier,
-        })
-    }
-
-    /// Fetches, decodes and executes one instruction, writing its
-    /// retired record — every field — into the caller's `rec`: the
-    /// one-record case of the block step behind
-    /// [`TraceSource::fill`](crate::TraceSource::fill).
-    ///
-    /// # Errors
-    ///
-    /// Fatal errors only; architectural traps are delivered to the guest.
-    #[inline]
-    pub fn step_into(&mut self, rec: &mut DynInst) -> Result<StepStatus, ExecError> {
-        self.step_slice(std::slice::from_mut(rec)).1
-    }
-
     /// Retires instructions into the caller's non-empty `recs`, front
     /// first, and returns how many it wrote with how the call ended.
     ///
@@ -713,10 +674,11 @@ impl Emulator {
     /// least one record, `Ok(Halted)` and `Ok(NeedsBarrier)` with none,
     /// and a fatal error with the records retired before it.
     ///
-    /// Forced inline, with the cached step under it, so that `advance`
-    /// and `fill` each branch on the status instead of reading a 32-byte
-    /// return value back from memory: left to the compiler, it stayed a
-    /// call under `fill`, and `advance` took a quarter longer a record.
+    /// Forced inline, with the cached step under it, so that
+    /// [`TraceSource::fill`](crate::TraceSource::fill) branches on the
+    /// status instead of reading a 32-byte return value back from
+    /// memory: left to the compiler, it stayed a call under `fill`, and
+    /// a one-record pull took a quarter longer a record.
     #[inline(always)]
     pub(crate) fn step_slice(
         &mut self,

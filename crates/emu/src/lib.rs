@@ -53,9 +53,7 @@ pub mod vecexec;
 
 pub use blockcache::CacheStats;
 pub use cpu::{Cpu, PrivMode};
-pub use exec::{
-    run_both_engines, ClusterCtl, Emulator, ExecError, StepOutcome, StepStatus, StoreRec,
-};
+pub use exec::{run_both_engines, ClusterCtl, Emulator, ExecError, StoreRec};
 pub use gmem::GuestMem;
 pub use platform::{BusFault, IrqLines, Platform};
-pub use trace::{DynInst, MemAccess, TraceEvent, TraceSource, TraceStatus};
+pub use trace::{DynInst, MemAccess, TraceEvent, TraceSource};

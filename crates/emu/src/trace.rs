@@ -1,7 +1,7 @@
 //! Committed dynamic instruction trace — the interface between the
 //! functional emulator and the `xt-core` timing models.
 
-use crate::exec::{Emulator, ExecError, StepStatus};
+use crate::exec::{Emulator, ExecError};
 use xt_isa::{Inst, Op};
 
 /// One memory access performed by a retired instruction.
@@ -119,10 +119,9 @@ impl DynInst {
     }
 }
 
-/// Streaming trace source: executes the emulator one instruction per
-/// [`advance`](Self::advance) and holds the committed record for the
-/// consumer to borrow, or up to a decoded block per
-/// [`fill`](Self::fill) into the consumer's slice.
+/// Streaming trace source: executes the emulator up to a decoded block
+/// per [`fill`](Self::fill), writing the retired records into the
+/// consumer's slice. `fill` is the one way a record leaves the emulator.
 ///
 /// The timing model pulls instructions as its fetch stage consumes them,
 /// so memory stays bounded regardless of trace length.
@@ -135,10 +134,6 @@ pub struct TraceSource {
     pub error: Option<ExecError>,
     retired: u64,
     limit: u64,
-    /// The record [`advance`](Self::advance) last retired into. Scratch:
-    /// every consumer is done with it before the next `advance`, so it
-    /// is not part of the snapshot.
-    rec: DynInst,
 }
 
 impl TraceSource {
@@ -151,13 +146,20 @@ impl TraceSource {
             error: None,
             retired: 0,
             limit,
-            rec: DynInst::trap_entry(0, 0),
         }
     }
 
     /// Number of instructions retired so far.
     pub fn retired(&self) -> u64 {
         self.retired
+    }
+
+    /// Whether the trace has ended: the guest halted, a fatal error
+    /// stopped it, or the instruction limit was reached. A
+    /// [`fill`](Self::fill) that returns 0 on a trace that has not ended
+    /// found the core parked at a cluster gate.
+    pub fn ended(&self) -> bool {
+        self.exit_code.is_some() || self.error.is_some() || self.retired >= self.limit
     }
 
     /// Access to the underlying emulator (e.g., to inspect memory after
@@ -172,45 +174,19 @@ impl TraceSource {
         &mut self.emu
     }
 
-    /// Advances the trace by one event. On [`TraceStatus::Inst`] the
-    /// retired record is [`current`](Self::current); on the other two
-    /// nothing retired and `current` still holds the previous record.
-    pub fn advance(&mut self) -> TraceStatus {
-        if self.exit_code.is_some() || self.error.is_some() || self.retired >= self.limit {
-            return TraceStatus::Done;
-        }
-        match self.emu.step_into(&mut self.rec) {
-            Ok(StepStatus::Retired) => {
-                self.retired += 1;
-                self.exit_code = self.emu.halted;
-                TraceStatus::Inst
-            }
-            Ok(StepStatus::Halted) => {
-                self.exit_code = self.emu.halted;
-                TraceStatus::Done
-            }
-            Ok(StepStatus::NeedsBarrier) => TraceStatus::Barrier,
-            Err(e) => {
-                self.error = Some(e);
-                TraceStatus::Done
-            }
-        }
-    }
-
     /// Retires up to `recs.len()` instructions into `recs`, front first,
     /// and returns how many: the rest of the current decoded block,
     /// capped by the slice and the instruction limit, or a single record
     /// on the reference path or with a platform or cluster hooks
-    /// attached. 0 means the trace ended, as
-    /// [`TraceStatus::Done`] does, or a cluster gate parked the core. A
-    /// fatal error ends the trace after the records retired before it,
-    /// which are counted and returned.
+    /// attached. 0 means the trace [`ended`](Self::ended) or, if it has
+    /// not, a cluster gate parked the core; either way no record was
+    /// touched. A fatal error ends the trace after the records retired
+    /// before it, which are counted and returned.
     pub fn fill(&mut self, recs: &mut [DynInst]) -> usize {
-        let left = self.limit.saturating_sub(self.retired);
-        if self.exit_code.is_some() || self.error.is_some() || left == 0 || recs.is_empty() {
+        if self.ended() || recs.is_empty() {
             return 0;
         }
-        let cap = left.min(recs.len() as u64) as usize;
+        let cap = (self.limit - self.retired).min(recs.len() as u64) as usize;
         let (n, status) = self.emu.step_slice(&mut recs[..cap]);
         self.retired += n as u64;
         match status {
@@ -220,45 +196,27 @@ impl TraceSource {
         n
     }
 
-    /// The record the last [`TraceStatus::Inst`] retired. The timing
-    /// models borrow it: they read a few fields each, and copying all 80
-    /// bytes out of a just-written record stalls on every one of them.
-    pub fn current(&self) -> &DynInst {
-        &self.rec
-    }
-
-    /// [`advance`](Self::advance) by value, for callers that keep the
-    /// records (tests, trace collectors).
+    /// A one-record [`fill`](Self::fill), by value. It exists only for
+    /// `benchmark/`'s ladder, which ROADMAP item 3 moves onto `Session`.
     pub fn try_next(&mut self) -> TraceEvent {
-        match self.advance() {
-            TraceStatus::Inst => TraceEvent::Inst(self.rec),
-            TraceStatus::Barrier => TraceEvent::Barrier,
-            TraceStatus::Done => TraceEvent::Done,
+        let mut rec = DynInst::trap_entry(0, 0);
+        match self.fill(std::slice::from_mut(&mut rec)) {
+            0 if self.ended() => TraceEvent::Done,
+            0 => TraceEvent::Barrier,
+            _ => TraceEvent::Inst(rec),
         }
     }
 }
 
-/// What one [`TraceSource::advance`] did.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TraceStatus {
-    /// An instruction retired into [`TraceSource::current`].
-    Inst,
-    /// Cluster mode: the core is parked in front of a globally visible
-    /// operation and needs the epoch barrier to proceed.
-    Barrier,
-    /// The trace ended (halt, fatal error, or instruction limit).
-    Done,
-}
-
-/// One event from [`TraceSource::try_next`]: [`TraceStatus`] carrying
-/// the record by value.
+/// One event from [`TraceSource::try_next`].
 #[derive(Clone, Debug)]
 pub enum TraceEvent {
     /// An instruction retired.
     Inst(DynInst),
-    /// See [`TraceStatus::Barrier`].
+    /// Cluster mode: the core is parked in front of a globally visible
+    /// operation and needs the epoch barrier to proceed.
     Barrier,
-    /// See [`TraceStatus::Done`].
+    /// The trace [ended](TraceSource::ended).
     Done,
 }
 
@@ -302,17 +260,20 @@ impl xt_snapshot::SnapshotState for TraceSource {
     }
 }
 
+/// One-record [`TraceSource::fill`]s, by value, to the end of the trace.
+/// Like [`TraceSource::try_next`], it exists only for `benchmark/`'s
+/// ladder, which ROADMAP item 3 moves onto `Session`.
 impl Iterator for TraceSource {
     type Item = DynInst;
 
     fn next(&mut self) -> Option<DynInst> {
-        match self.try_next() {
-            TraceEvent::Inst(d) => Some(d),
-            TraceEvent::Barrier => {
-                debug_assert!(false, "cluster barrier event outside the epoch engine");
+        let mut rec = DynInst::trap_entry(0, 0);
+        match self.fill(std::slice::from_mut(&mut rec)) {
+            0 => {
+                debug_assert!(self.ended(), "a cluster gate parked the core");
                 None
             }
-            TraceEvent::Done => None,
+            _ => Some(rec),
         }
     }
 }
@@ -333,6 +294,19 @@ mod tests {
         })
     }
 
+    /// Every record `src` retires, pulled by fills of `len`.
+    fn drain(src: &mut TraceSource, len: usize) -> Vec<DynInst> {
+        let mut recs = [DynInst::trap_entry(0, 0); 64];
+        let mut got = Vec::new();
+        loop {
+            let n = src.fill(&mut recs[..len]);
+            if n == 0 {
+                return got;
+            }
+            got.extend_from_slice(&recs[..n]);
+        }
+    }
+
     #[test]
     fn trace_records_branches_and_mem() {
         let mut a = Asm::new();
@@ -344,8 +318,8 @@ mod tests {
         a.la(Gpr::A1, arr);
         a.ld(Gpr::A2, Gpr::A1, 0);
         a.halt();
-        for src in traced(&a.finish().unwrap(), 10_000) {
-            let trace: Vec<DynInst> = src.collect();
+        for mut src in traced(&a.finish().unwrap(), 10_000) {
+            let trace = drain(&mut src, 64);
             let taken: Vec<&DynInst> = trace
                 .iter()
                 .filter(|d| d.inst.op == xt_isa::Op::Bne && d.is_taken_branch())
@@ -366,16 +340,15 @@ mod tests {
         a.li(Gpr::A0, 9);
         a.halt();
         for mut src in traced(&a.finish().unwrap(), 1000) {
-            let n = src.by_ref().count();
-            assert!(n > 0);
+            assert!(!drain(&mut src, 64).is_empty());
             assert_eq!(src.exit_code, Some(9));
         }
     }
 
-    /// Fills of any length retire the records `advance` does, and end
-    /// the trace the same way, on both engines.
+    /// Block fills of any length retire the records one-record fills
+    /// do, and end the trace the same way, on both engines.
     #[test]
-    fn fill_retires_what_advance_retires() {
+    fn block_fills_retire_what_one_record_fills_retire() {
         let mut a = Asm::new();
         let arr = a.data_u64("arr", &[7, 0]);
         a.la(Gpr::A1, arr);
@@ -392,23 +365,106 @@ mod tests {
         for limit in [1_000, 37] {
             for engine in 0..2 {
                 let source = || traced(&p, limit).into_iter().nth(engine).unwrap();
-                let mut by_advance = source();
-                let want: Vec<DynInst> = by_advance.by_ref().collect();
-                for len in [1, 3, 64] {
+                let mut by_one = source();
+                let want = drain(&mut by_one, 1);
+                for len in [3, 64] {
                     let mut by_fill = source();
-                    let mut recs = [DynInst::trap_entry(0, 0); 64];
-                    let mut got = Vec::new();
-                    loop {
-                        let n = by_fill.fill(&mut recs[..len]);
-                        if n == 0 {
-                            break;
-                        }
-                        got.extend_from_slice(&recs[..n]);
-                    }
+                    let got = drain(&mut by_fill, len);
                     let ctx = format!("engine {engine}, limit {limit}, fills of {len}");
                     assert_eq!(got, want, "{ctx}");
-                    assert_eq!(by_fill.exit_code, by_advance.exit_code, "{ctx}");
-                    assert_eq!(by_fill.retired(), by_advance.retired(), "{ctx}");
+                    assert_eq!(by_fill.exit_code, by_one.exit_code, "{ctx}");
+                    assert_eq!(by_fill.retired(), by_one.retired(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// After a fill returns 0, exactly one of halted, fatal error, limit
+    /// reached or parked holds, and only parked leaves the trace open:
+    /// `try_next` and the `Iterator` map it to `Barrier` (and `None`,
+    /// which a debug build refuses) and the rest to `Done`.
+    #[test]
+    fn an_empty_fill_is_one_of_four_ends() {
+        #[derive(Debug, PartialEq)]
+        enum End {
+            Halted,
+            Error,
+            Limit,
+            Parked,
+        }
+        let program = |body: fn(&mut Asm)| {
+            let mut a = Asm::new();
+            a.li(Gpr::A0, 5);
+            body(&mut a);
+            a.halt();
+            a.finish().unwrap()
+        };
+        let halts = program(|_| {});
+        // no trap vector is installed, so the `ecall` is fatal
+        let faults = program(|a| {
+            a.ecall();
+        });
+        let gated = program(|a| {
+            a.fence();
+        });
+        let cases = [
+            (End::Halted, &halts, 1_000, false),
+            (End::Error, &faults, 1_000, false),
+            (End::Limit, &halts, 1, false),
+            (End::Parked, &gated, 1_000, true),
+        ];
+        for (end, p, limit, gate) in cases {
+            for [mut by_fill, mut by_event, mut by_iter] in [true, false].map(|fastpath| {
+                [(); 3].map(|_| {
+                    let mut emu = Emulator::new();
+                    emu.set_fastpath(fastpath);
+                    emu.load(p);
+                    if gate {
+                        emu.cluster = Some(crate::ClusterCtl {
+                            gate: true,
+                            ..Default::default()
+                        });
+                    }
+                    TraceSource::new(emu, limit)
+                })
+            }) {
+                let mut rec = DynInst::trap_entry(0, 0);
+                let mut retired = Vec::new();
+                while by_fill.fill(std::slice::from_mut(&mut rec)) == 1 {
+                    retired.push(rec);
+                }
+                let blank = DynInst::trap_entry(0, 0);
+                assert_eq!(
+                    rec,
+                    retired.last().copied().unwrap_or(blank),
+                    "{end:?}: an empty fill wrote"
+                );
+                let held = [
+                    (End::Halted, by_fill.exit_code.is_some()),
+                    (End::Error, by_fill.error.is_some()),
+                    (End::Limit, by_fill.retired() >= limit),
+                    (End::Parked, !by_fill.ended()),
+                ];
+                let held: Vec<&End> = held.iter().filter(|h| h.1).map(|h| &h.0).collect();
+                assert_eq!(held, [&end], "exactly one end holds");
+                let mut events = Vec::new();
+                let last = loop {
+                    match by_event.try_next() {
+                        TraceEvent::Inst(d) => events.push(d),
+                        other => break other,
+                    }
+                };
+                assert_eq!(events, retired, "{end:?}: try_next");
+                match last {
+                    TraceEvent::Barrier => assert_eq!(end, End::Parked),
+                    _ => assert_ne!(end, End::Parked, "a parked trace is not Done"),
+                }
+                if end != End::Parked || !cfg!(debug_assertions) {
+                    assert_eq!(
+                        by_iter.by_ref().collect::<Vec<_>>(),
+                        retired,
+                        "{end:?}: Iterator"
+                    );
                 }
             }
         }
@@ -420,7 +476,7 @@ mod tests {
         let top = a.here();
         a.jump(top); // infinite loop
         for mut src in traced(&a.finish().unwrap(), 100) {
-            assert_eq!(src.by_ref().count(), 100);
+            assert_eq!(drain(&mut src, 64).len(), 100);
             assert_eq!(src.exit_code, None);
         }
     }

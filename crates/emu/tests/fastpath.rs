@@ -14,7 +14,7 @@
 //! `XT_HARNESS_SEED=<seed> cargo test`.
 
 use xt_asm::{Asm, Program};
-use xt_emu::{run_both_engines, DynInst, Emulator, ExecError, StepOutcome, TraceEvent, TraceSource, TraceStatus};
+use xt_emu::{run_both_engines, DynInst, Emulator, ExecError, TraceEvent, TraceSource};
 use xt_harness::gen;
 use xt_harness::prop::{check_with, Config};
 use xt_harness::rng::Rng;
@@ -157,8 +157,8 @@ fn random_smc_programs_state_identical() {
     );
 }
 
-/// The per-step engine (cursor path, used by `TraceSource`) must yield
-/// the same retired-record stream as the reference, record for record.
+/// The per-step engine (cursor path, one-record fills) must yield the
+/// same retired-record stream as the reference, record for record.
 #[test]
 fn stepwise_records_identical() {
     check_with(
@@ -167,28 +167,31 @@ fn stepwise_records_identical() {
         &gen::any::<u64>(),
         |&seed| {
             let p = gen_program(seed, true);
-            let mut fast = Emulator::new();
-            fast.set_fastpath(true);
-            fast.load(&p);
-            let mut slow = Emulator::new();
-            slow.set_fastpath(false);
-            slow.load(&p);
+            let [mut fast, mut slow] =
+                [true, false].map(|on| TraceSource::new(loaded_with(&p, on), FUEL));
             for k in 0..FUEL {
-                let (a, b) = (fast.step(), slow.step());
-                match (&a, &b) {
-                    (Ok(StepOutcome::Retired(da)), Ok(StepOutcome::Retired(db))) => {
+                match (pull(&mut fast), pull(&mut slow)) {
+                    (Some(da), Some(db)) => {
                         assert_eq!(da, db, "seed {seed:#x}: record #{k} diverged")
                     }
-                    (Ok(StepOutcome::Halted(ca)), Ok(StepOutcome::Halted(cb))) => {
-                        assert_eq!(ca, cb, "seed {seed:#x}: exit codes");
+                    (None, None) => {
+                        assert!(fast.exit_code.is_some(), "seed {seed:#x}: {:?}", fast.error);
+                        assert_eq!(fast.exit_code, slow.exit_code, "seed {seed:#x}: exit codes");
                         return;
                     }
-                    _ => panic!("seed {seed:#x}: step #{k} outcome {a:?} vs {b:?}"),
+                    (a, b) => panic!("seed {seed:#x}: pull #{k} retired {a:?} vs {b:?}"),
                 }
             }
             panic!("seed {seed:#x}: program did not halt in {FUEL} steps");
         },
     );
+}
+
+/// A one-record [`TraceSource::fill`]: the record, or `None` when
+/// nothing retired.
+fn pull(trace: &mut TraceSource) -> Option<DynInst> {
+    let mut rec = DynInst::trap_entry(0, 0);
+    (trace.fill(std::slice::from_mut(&mut rec)) == 1).then_some(rec)
 }
 
 /// Trap delivery (cause/tval CSRs, handler redirect) is identical on
@@ -243,16 +246,10 @@ fn cache_stats_observe_smc() {
 #[test]
 fn trace_source_stream_identical() {
     let p = gen_program(0xBEEF, true);
-    let mk = |on: bool| {
-        let mut emu = Emulator::new();
-        emu.set_fastpath(on);
-        emu.load(&p);
-        TraceSource::new(emu, FUEL)
-    };
-    let fast: Vec<_> = mk(true).collect();
-    let slow: Vec<_> = mk(false).collect();
+    let fast = drain(loaded(&p), Drive::Fill);
+    let slow = drain(loaded(&p), Drive::Reference);
     assert_eq!(fast, slow, "retired streams diverge");
-    assert!(!fast.is_empty());
+    assert!(!fast.recs.is_empty());
 }
 
 // ---------------------------------------------------------------------
@@ -319,23 +316,20 @@ fn patching_program(kind: Patch) -> Program {
     a.finish().unwrap()
 }
 
-/// `run` (whole blocks, entries read in place) against `step` (one
-/// cursor step at a time) and the reference interpreter: same registers
+/// `run` (whole blocks, entries read in place) against one-record fills
+/// (one cursor step at a time) and the reference interpreter: same registers
 /// and memory from all three, and from the two block engines the same
 /// hits, misses, builds and invalidations — a `run` that left a block
-/// early, or late, would look up and build blocks `step` does not.
+/// early, or late, would look up and build blocks the fills do not.
 #[test]
 fn run_and_step_agree_on_self_modifying_blocks_stats_included() {
     for kind in [Patch::OwnBlock, Patch::OtherBlockSamePage, Patch::OtherPage] {
         let p = patching_program(kind);
         let ran = assert_fast_equals_slow(&p, &format!("{kind:?}"));
-        let mut stepped = loaded(&p);
-        stepped.set_fastpath(true);
-        let mut steps = 0;
-        while let StepOutcome::Retired(_) = stepped.step().unwrap() {
-            steps += 1;
-            assert!(steps < FUEL, "{kind:?}: no halt");
-        }
+        let mut trace = TraceSource::new(loaded_with(&p, true), FUEL);
+        while pull(&mut trace).is_some() {}
+        assert!(trace.exit_code.is_some(), "{kind:?}: no halt");
+        let stepped = trace.emulator();
         assert_eq!(stepped.halted, ran.halted, "{kind:?}: exit code");
         assert_eq!(stepped.cpu.x, ran.cpu.x, "{kind:?}: integer registers");
         assert_eq!(stepped.cpu.instret, ran.cpu.instret, "{kind:?}: instret");
@@ -669,15 +663,19 @@ fn user_mode_tasks_run_on_decoded_blocks() {
 /// A way of pulling retired records out of a guest.
 #[derive(Clone, Copy, Debug)]
 enum Drive {
-    /// `TraceSource::advance` + `current`: one record, reused.
-    Advance,
-    /// `TraceSource::try_next`: the same, copied out.
+    /// `TraceSource::fill` into a reused slice, a block at a time.
+    Fill,
+    /// `TraceSource::fill` into one reused record.
+    FillOne,
+    /// `TraceSource::try_next`: one fresh record per call, copied out.
     TryNext,
-    /// `Emulator::step`: a fresh record per call, decoded blocks.
-    Step,
-    /// `Emulator::step` on the per-step reference path.
+    /// One-record fills on the per-step reference path.
     Reference,
 }
+
+/// Records a [`Drive::Fill`] asks for: fewer than some blocks hold, so
+/// a fill also ends where the slice does.
+const FILL: usize = 16;
 
 /// Everything a drain observed: the records, every barrier request as
 /// (records retired before it, PC), and how the guest ended.
@@ -689,10 +687,10 @@ struct Drained {
     error: Option<ExecError>,
 }
 
-/// Drains `emu` through `how`. A gated guest is granted every barrier
-/// it asks for at once, after checking that asking retired nothing:
-/// the PC stays on the gated instruction and, by reference, `current()`
-/// still holds the record before it.
+/// Drains `emu` through `how`. A pull that retires nothing must leave
+/// the records as they were; then the trace has ended, or it parked a
+/// gated guest, which is granted every barrier it asks for at once:
+/// the PC stays on the gated instruction.
 fn drain(mut emu: Emulator, how: Drive) -> Drained {
     emu.set_fastpath(!matches!(how, Drive::Reference));
     let mut out = Drained {
@@ -701,66 +699,55 @@ fn drain(mut emu: Emulator, how: Drive) -> Drained {
         exit_code: None,
         error: None,
     };
-    let grant = |emu: &mut Emulator, out: &mut Drained| {
+    let mut trace = TraceSource::new(emu, FUEL + 1);
+    let len = if matches!(how, Drive::Fill) { FILL } else { 1 };
+    let mut recs = [DynInst::trap_entry(0, 0); FILL];
+    while out.recs.len() as u64 <= FUEL {
+        let before = recs;
+        let n = match how {
+            Drive::TryNext => match trace.try_next() {
+                TraceEvent::Inst(d) => {
+                    recs[0] = d;
+                    1
+                }
+                TraceEvent::Barrier => {
+                    assert!(!trace.ended(), "{how:?}: Barrier from an ended trace");
+                    0
+                }
+                TraceEvent::Done => {
+                    assert!(trace.ended(), "{how:?}: Done from an open trace");
+                    0
+                }
+            },
+            _ => trace.fill(&mut recs[..len]),
+        };
+        if n > 0 {
+            out.recs.extend_from_slice(&recs[..n]);
+            assert_eq!(trace.retired(), out.recs.len() as u64);
+            continue;
+        }
+        assert_eq!(recs, before, "{how:?}: an empty pull wrote a record");
+        if trace.ended() {
+            out.exit_code = trace.exit_code;
+            out.error = trace.error.clone();
+            return out;
+        }
+        let emu = trace.emulator_mut();
         out.parked_at.push((out.recs.len(), emu.cpu.pc));
         emu.cluster.as_mut().expect("only gated guests park").release_one = true;
-    };
-    if matches!(how, Drive::Step | Drive::Reference) {
-        while out.recs.len() as u64 <= FUEL {
-            match emu.step() {
-                Ok(StepOutcome::Retired(d)) => out.recs.push(d),
-                Ok(StepOutcome::NeedsBarrier) => grant(&mut emu, &mut out),
-                Ok(StepOutcome::Halted(code)) => {
-                    out.exit_code = Some(code);
-                    return out;
-                }
-                Err(e) => {
-                    out.error = Some(e);
-                    return out;
-                }
-            }
-        }
-        panic!("{how:?}: no halt in {FUEL} steps");
     }
-    let mut trace = TraceSource::new(emu, FUEL + 1);
-    while out.recs.len() as u64 <= FUEL {
-        let before = *trace.current();
-        let event = match how {
-            Drive::Advance => match trace.advance() {
-                TraceStatus::Inst => TraceEvent::Inst(*trace.current()),
-                TraceStatus::Barrier => TraceEvent::Barrier,
-                TraceStatus::Done => TraceEvent::Done,
-            },
-            _ => trace.try_next(),
-        };
-        match event {
-            TraceEvent::Inst(d) => {
-                assert_eq!(trace.retired(), out.recs.len() as u64 + 1);
-                out.recs.push(d);
-            }
-            TraceEvent::Barrier => {
-                assert_eq!(*trace.current(), before, "{how:?}: a barrier request wrote the record");
-                grant(trace.emulator_mut(), &mut out);
-            }
-            TraceEvent::Done => {
-                assert_eq!(*trace.current(), before, "{how:?}: Done wrote the record");
-                out.exit_code = trace.exit_code;
-                out.error = trace.error.clone();
-                return out;
-            }
-        }
-    }
-    panic!("{how:?}: no end of trace in {FUEL} events");
+    panic!("{how:?}: no end of trace in {FUEL} records");
 }
 
 /// The four drains of the guest `mk` builds must agree field for field;
-/// returns what they agreed on. `step()` starts every record from a
-/// blank and `advance()` from the previous instruction's, so a field
-/// the in-place body forgets to write shows up as a difference here.
+/// returns what they agreed on. `try_next()` starts every record from a
+/// blank and the fills from the previous occupant of their slot, so a
+/// field the in-place body forgets to write shows up as a difference
+/// here.
 fn assert_drains_agree(mk: impl Fn() -> Emulator, ctx: &str) -> Drained {
     let want = drain(mk(), Drive::Reference);
     assert!(!want.recs.is_empty(), "{ctx}: nothing retired");
-    for how in [Drive::Step, Drive::TryNext, Drive::Advance] {
+    for how in [Drive::Fill, Drive::FillOne, Drive::TryNext] {
         let got = drain(mk(), how);
         for (k, (g, w)) in got.recs.iter().zip(&want.recs).enumerate() {
             assert_eq!(g, w, "{ctx}: {how:?} record #{k}");
@@ -1096,16 +1083,16 @@ fn loaded_with(p: &Program, on: bool) -> Emulator {
     emu
 }
 
-/// Retires up to `n` instructions, one `step` at a time or in one
-/// `run`, stopping early at the halt.
-fn retire_up_to(emu: &mut Emulator, n: u64, by_step: bool) {
+/// Retires up to `n` instructions, one-record fills or one `run`,
+/// stopping early at the halt.
+fn retire_up_to(trace: &mut TraceSource, n: u64, by_step: bool) {
     if by_step {
         for _ in 0..n {
-            if let StepOutcome::Halted(_) = emu.step().unwrap() {
+            if pull(trace).is_none() {
                 return;
             }
         }
-    } else if let Err(e) = emu.run(n) {
+    } else if let Err(e) = trace.emulator_mut().run(n) {
         assert_eq!(e, ExecError::OutOfFuel);
     }
 }
@@ -1174,7 +1161,7 @@ fn sled_program(k: i64, patch: bool) -> (Program, u64) {
 /// A block in the jump table, dropped mid-loop in each of the five ways
 /// a block dies, must be looked up afresh: a stale entry followed would
 /// run whatever block took its slot, or a dead slot's empty entries.
-/// Driven by `step` (the cursor-miss lookup) and by `run`.
+/// Driven by one-record fills (the cursor-miss lookup) and by `run`.
 #[test]
 fn a_dropped_block_never_comes_back_through_the_jump_table() {
     use xt_snapshot::SnapshotState;
@@ -1191,10 +1178,12 @@ fn a_dropped_block_never_comes_back_through_the_jump_table() {
         loaded(&second).save(&mut frame);
         for by_step in [true, false] {
             let ctx = format!("{how:?}, by {}", if by_step { "step" } else { "run" });
-            let mut emus = [true, false].map(|on| loaded_with(&p, on));
-            for emu in &mut emus {
+            let mut traces =
+                [true, false].map(|on| TraceSource::new(loaded_with(&p, on), u64::MAX));
+            for trace in &mut traces {
                 for round in 0..3 {
-                    retire_up_to(emu, 150, by_step);
+                    retire_up_to(trace, 150, by_step);
+                    let emu = trace.emulator_mut();
                     match how {
                         Dropper::GuestStore => {}
                         Dropper::ExternalStore => {
@@ -1214,9 +1203,9 @@ fn a_dropped_block_never_comes_back_through_the_jump_table() {
                         }
                     }
                 }
-                retire_up_to(emu, FUEL, by_step);
+                retire_up_to(trace, FUEL, by_step);
             }
-            let [fast, slow] = &mut emus;
+            let [fast, slow] = traces.each_mut().map(TraceSource::emulator_mut);
             assert!(fast.halted.is_some(), "{ctx}: no halt");
             assert_same_state(fast, slow, &ctx);
             let stats = fast.cache_stats();

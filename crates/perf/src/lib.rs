@@ -57,7 +57,7 @@ fn sample_insts<C: CoreModel>(session: &mut Session<C>, sampler: &mut Sampler, n
         done += 1;
         let cycle = session.cycles();
         if sampler.due(cycle) {
-            sampler.observe(cycle, session.core().counters(), &session.mem().stats());
+            sampler.observe(cycle, session.core().perf(), &session.mem().stats());
         }
     }
     done

@@ -34,8 +34,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 use xt_asm::Program;
+use xt_core::session::CoreModel;
 use xt_core::{CoreConfig, OooCore, PerfCounters};
-use xt_emu::{ClusterCtl, Emulator, StoreRec, TraceSource, TraceStatus};
+use xt_emu::{ClusterCtl, DynInst, Emulator, StoreRec, TraceSource};
 use xt_mem::{MemConfig, MemOp, MemStats, MemSystem, MemTracer};
 use xt_snapshot::{SnapshotState, Stream};
 
@@ -135,6 +136,10 @@ struct CoreSlot {
     id: usize,
     core: OooCore,
     trace: TraceSource,
+    /// The record each [`CoreSlot::advance`] fills and the core steps
+    /// over. Scratch: the core is done with it before the next fill, so
+    /// no frame carries it.
+    rec: DynInst,
     /// All cores' logs from the last barrier, waiting to be resynced
     /// into this core's replica.
     pending: Option<Arc<Vec<Vec<MemOp>>>>,
@@ -146,24 +151,23 @@ struct CoreSlot {
 }
 
 impl CoreSlot {
-    /// Advances the trace by one event: an instruction steps the timing
-    /// core against `mem` and counts toward `max_insts`, a gated one
-    /// parks the core, the end of the trace (or the limit) finishes it.
-    /// The one place a cluster core moves.
-    fn advance(&mut self, mem: &mut MemSystem, max_insts: u64) -> TraceStatus {
-        let status = self.trace.advance();
-        match status {
-            TraceStatus::Inst => {
-                self.core.step(self.trace.current(), mem);
-                self.steps += 1;
-                if self.steps >= max_insts {
-                    self.done = true;
-                }
-            }
-            TraceStatus::Barrier => self.parked = true,
-            TraceStatus::Done => self.done = true,
+    /// Pulls one record (a one-record [`TraceSource::fill`]) and returns
+    /// whether one retired: it steps the timing core against `mem` and
+    /// counts toward `max_insts`. An empty fill parks the core at a gate,
+    /// or finishes it once the trace has ended. The one place a cluster
+    /// core moves.
+    fn advance(&mut self, mem: &mut MemSystem, max_insts: u64) -> bool {
+        if self.trace.fill(std::slice::from_mut(&mut self.rec)) == 0 {
+            self.done = self.trace.ended();
+            self.parked = !self.done;
+            return false;
         }
-        status
+        self.core.step_inst(&self.rec, mem);
+        self.steps += 1;
+        if self.steps >= max_insts {
+            self.done = true;
+        }
+        true
     }
 
     /// Runs this core against `mem` until the epoch boundary, a barrier
@@ -289,6 +293,7 @@ impl ClusterSim {
                     id: i,
                     core: OooCore::new(core_cfg.clone(), i),
                     trace: TraceSource::new(emu, max_insts),
+                    rec: DynInst::trap_entry(0, 0),
                     pending: None,
                     parked: false,
                     done: false,
@@ -602,17 +607,15 @@ impl ClusterSim {
             if let Some(ctl) = slot.trace.emulator_mut().cluster.as_mut() {
                 ctl.release_one = true;
             }
-            match slot.advance(&mut self.replicas[i], self.max_insts) {
-                TraceStatus::Inst => {
-                    // the released op is globally visible *now*: its
-                    // store reaches every core (killing reservations)
-                    // before the next core's gated op executes, which is
-                    // what serializes cluster-wide atomics
-                    let log = self.take_store_log(i);
-                    self.propagate_stores(i, &log);
-                }
-                TraceStatus::Done => {}
-                TraceStatus::Barrier => unreachable!("released instruction parked again"),
+            if slot.advance(&mut self.replicas[i], self.max_insts) {
+                // the released op is globally visible *now*: its store
+                // reaches every core (killing reservations) before the
+                // next core's gated op executes, which is what
+                // serializes cluster-wide atomics
+                let log = self.take_store_log(i);
+                self.propagate_stores(i, &log);
+            } else {
+                assert!(!slot.parked, "released instruction parked again");
             }
         }
         self.sync_mtime();

@@ -23,7 +23,7 @@
 //! Tracing is **opt-in and zero-cost when disabled**: the core models
 //! hold an `Option<TraceBuffer>` that defaults to `None`, and no record
 //! is constructed unless a buffer is attached (see
-//! `OooCore::attach_tracer` in `xt-core`).
+//! `CoreModel::attach_tracer` in `xt-core`).
 //!
 //! Both emitters are deterministic: the same record stream produces
 //! byte-identical output, which is what lets the golden-trace fixtures

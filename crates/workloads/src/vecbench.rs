@@ -322,11 +322,13 @@ mod tests {
         let count = |k: &Kernel| {
             let mut e = xt_emu::Emulator::new();
             e.load(&k.program);
+            let mut trace = xt_emu::TraceSource::new(e, u64::MAX);
+            let mut recs = [xt_emu::DynInst::trap_entry(0, 0); 64];
             let mut n = 0u64;
             loop {
-                match e.step().unwrap() {
-                    xt_emu::StepOutcome::Halted(_) => break n,
-                    _ => n += 1,
+                match trace.fill(&mut recs) {
+                    0 => break n,
+                    got => n += got as u64,
                 }
             }
         };

@@ -56,6 +56,14 @@ leg "test (xt-emu, release profile)"
 # #[inline] step boundaries exist only in release.
 cargo test -q --release --offline -p xt-emu
 
+leg "test (xt-soc, release profile)"
+# And the cluster: each core pulls one record per TraceSource::fill in
+# its slice and at the barrier release, and cluster4 is measured in
+# release, so the engine's own suites (thread-count agreement, atomics
+# serialised at the barrier, the timeline, the devices) must hold with
+# debug_assert! off too.
+cargo test -q --release --offline -p xt-soc
+
 leg "host heap footprint (release)"
 # What a 4-core replica, ClusterSim::new and a private-slice cluster run
 # hold on the heap, against budgets of the measurement + 10 %
@@ -81,12 +89,14 @@ leg "rustdoc (no-deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 leg "MIPS floors (release; fast path never slower)"
-# Wall-clock guard on the decoded-block engine: the cached emulator must
-# be at least as fast as per-step decode (in practice ~3-10x), and the
-# step driver and an OooSession must each keep their stated fraction of
-# Emulator::run's speed (multicore::STEP_DRIVER_FLOOR, OOO_SESSION_FLOOR),
-# and a 4-core ClusterSim its fraction of one OooSession's on the
-# private-slice kernel (multicore::CLUSTER4_FLOOR).
+# Four wall-clock floors, all ratios of one build's own speeds: the
+# cached emulator at least as fast as per-step decode; the step driver
+# (a loop of one-record TraceSource::fill calls, what a cluster core or
+# a Session::step loop pays before its timing model) and an OooSession
+# (block fills under the out-of-order model) each above their fraction
+# of Emulator::run's MIPS (multicore::STEP_DRIVER_FLOOR,
+# OOO_SESSION_FLOOR); and a 4-core ClusterSim above its fraction of one
+# OooSession's on the private-slice kernel (multicore::CLUSTER4_FLOOR).
 cargo test -q --release --offline -p xt-bench -- --ignored mips_floors
 
 leg "xt-stat smoke (telemetry dashboard + regression gate)"

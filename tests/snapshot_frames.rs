@@ -34,6 +34,7 @@
 use std::collections::BTreeMap;
 use xt_asm::{Asm, Program};
 use xt_compiler::CompileOpts;
+use xt_core::session::CoreModel;
 use xt_core::{CoreConfig, InOrderSession, OooCore, OooSession, Session};
 use xt_emu::pmp::{PmpPerms, PmpRegion};
 use xt_emu::{Emulator, TraceSource};

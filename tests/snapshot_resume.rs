@@ -17,6 +17,7 @@
 //! [`restore`]: xt_core::OooSession::restore
 
 use xt_asm::{Asm, Program};
+use xt_core::session::CoreModel;
 use xt_core::{CoreConfig, OooCore, OooSession, Session};
 use xt_emu::{Emulator, TraceSource};
 use xt_isa::reg::Gpr;

@@ -2,11 +2,14 @@
 //! flushes, branch misprediction costs, memory-ordering violations and
 //! the dependence predictor.
 
-use xt_asm::Asm;
-use xt_core::{CoreConfig, OooSession};
-use xt_emu::{Emulator, StepOutcome};
+use xt_asm::{Asm, Program};
+use xt_core::session::CoreModel;
+use xt_core::{CoreConfig, InOrderCore, OooCore, OooSession, Session};
+use xt_emu::platform::{clint_map, CLINT_BASE};
+use xt_emu::{DynInst, Emulator, TraceSource};
 use xt_isa::csr;
 use xt_isa::reg::Gpr;
+use xt_mem::MemSystem;
 
 /// Fig. 8: an exception retires its instruction, younger speculative
 /// work is flushed, and control transfers to the handler.
@@ -38,6 +41,85 @@ fn exception_flushes_younger_work() {
     assert!(r.perf.exception_flushes >= 1);
 }
 
+/// A trapped load, store or LR executed nothing, so its record carries no
+/// memory access. Both timing cores time it as a fault without one, and
+/// retire what `Emulator::run` retires: a denied byte read of the CLINT's
+/// `mtime` (cause 5), a denied doubleword store to `msip` (cause 7) and a
+/// misaligned `lr.d` (cause 4), each taken three times by a handler
+/// that skips the faulting instruction.
+#[test]
+fn trapped_memory_records_time_without_an_access() {
+    fn timed<C: CoreModel>(p: &Program, cfg: &CoreConfig) -> (Option<u64>, u64, u64) {
+        let mut emu = Emulator::new();
+        emu.load(p);
+        xt_soc::attach_bus(&mut emu, 1);
+        let trace = TraceSource::new(emu, 100_000);
+        let mut s =
+            Session::from_parts(trace, C::new_core(cfg.clone(), 0), MemSystem::new(cfg.mem));
+        let r = s.run_to_end();
+        assert_eq!(r.perf.instructions, s.retired(), "every record was timed");
+        assert_eq!(r.perf.exception_flushes, 3, "each trap flushed");
+        (r.exit_code, s.trace().emulator().cpu.instret, r.perf.cycles)
+    }
+    // the faulting instruction, by the cause it raises
+    let fault = |a: &mut Asm, cause: u64| match cause {
+        5 => {
+            a.la(Gpr::T1, CLINT_BASE + clint_map::MTIME);
+            a.lb(Gpr::T2, Gpr::T1, 0);
+        }
+        7 => {
+            a.la(Gpr::T1, CLINT_BASE + clint_map::MSIP_BASE);
+            a.sd(Gpr::T2, Gpr::T1, 0);
+        }
+        _ => {
+            a.la(Gpr::T1, xt_asm::DEFAULT_DATA_BASE + 4);
+            a.lr_d(Gpr::T2, Gpr::T1);
+        }
+    };
+    for cause in [5, 7, 4] {
+        let mut a = Asm::new();
+        let boot = a.new_label();
+        a.jump(boot);
+        let handler = a.pc();
+        a.addi(Gpr::A6, Gpr::A6, 1);
+        a.csrr(Gpr::A5, csr::MCAUSE);
+        a.csrr(Gpr::T0, csr::MEPC);
+        a.addi(Gpr::T0, Gpr::T0, 4);
+        a.csrw(csr::MEPC, Gpr::T0);
+        a.mret();
+        a.bind(boot).unwrap();
+        a.li(Gpr::T0, handler as i64);
+        a.csrw(csr::MTVEC, Gpr::T0);
+        for _ in 0..3 {
+            fault(&mut a, cause);
+        }
+        // exit code: the last cause, then the trap count
+        a.slli(Gpr::A5, Gpr::A5, 8);
+        a.or_(Gpr::A0, Gpr::A5, Gpr::A6);
+        a.halt();
+        let p = a.finish().unwrap();
+        let mut emu = Emulator::new();
+        emu.load(&p);
+        xt_soc::attach_bus(&mut emu, 1);
+        let code = emu.run(100_000).expect("the handler returns");
+        assert_eq!(code, cause << 8 | 3, "cause {cause}");
+        for (machine, (exit, instret, cycles)) in [
+            ("XT-910", timed::<OooCore>(&p, &CoreConfig::xt910())),
+            (
+                "U74-class",
+                timed::<InOrderCore>(&p, &CoreConfig::u74_like()),
+            ),
+        ] {
+            assert_eq!(exit, Some(code), "cause {cause} on the {machine} core");
+            assert_eq!(
+                instret, emu.cpu.instret,
+                "cause {cause} on the {machine} core"
+            );
+            assert!(cycles > 0);
+        }
+    }
+}
+
 /// Trap entries appear in the committed trace as redirects.
 #[test]
 fn trap_entry_recorded_in_trace() {
@@ -57,21 +139,13 @@ fn trap_entry_recorded_in_trace() {
     let p = a.finish().unwrap();
     let mut emu = Emulator::new();
     emu.load(&p);
+    let mut trace = TraceSource::new(emu, 1_000);
+    let mut rec = DynInst::trap_entry(0, 0);
     let mut saw_trap = false;
-    loop {
-        match emu.step().unwrap() {
-            StepOutcome::Retired(d) => {
-                if d.trapped {
-                    saw_trap = true;
-                }
-            }
-            StepOutcome::Halted(code) => {
-                assert_eq!(code, 3);
-                break;
-            }
-            StepOutcome::NeedsBarrier => unreachable!("no cluster gating here"),
-        }
+    while trace.fill(std::slice::from_mut(&mut rec)) == 1 {
+        saw_trap |= rec.trapped;
     }
+    assert_eq!(trace.exit_code, Some(3));
     assert!(saw_trap, "ecall recorded as a trapping instruction");
 }
 
