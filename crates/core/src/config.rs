@@ -1,5 +1,6 @@
 //! Core timing-model configuration and the paper's machine presets.
 
+use xt_isa::ExecClass;
 use xt_mem::MemConfig;
 
 /// Every structural parameter of the core models. Defaults are the
@@ -62,14 +63,12 @@ pub struct CoreConfig {
     pub split_stores: bool,
     /// Enable the memory-dependence predictor (§V-A). Ablation.
     pub mem_dep_predict: bool,
-    /// Dual-issue LSU: one load + one store per cycle (§V-A). When off,
-    /// a single AGU is shared. Ablation.
-    pub dual_issue_lsu: bool,
     /// Memory-system configuration used by the convenience runners.
     pub mem: MemConfig,
 }
 
-/// Execution latencies in cycles.
+/// Scalar execution latencies in cycles. The vector unit's come from
+/// `xt_vector::latency`, the one §VII table both cores crack with.
 #[derive(Clone, Copy, Debug)]
 pub struct Latencies {
     /// Single-cycle ALU.
@@ -86,17 +85,6 @@ pub struct Latencies {
     pub fdiv: u64,
     /// FP<->int conversions and moves.
     pub fcvt: u64,
-    /// Vector integer ALU (3-4 per §VII; we use 3).
-    pub valu: u64,
-    /// Vector integer multiply / MAC.
-    pub vmul: u64,
-    /// Vector FP multiply ("multiplying single and double precision
-    /// floating point vectors takes 5 clock cycles", §VII).
-    pub vfmul: u64,
-    /// Vector divide, min..max of the 6-25 range; we use the midpoint.
-    pub vdiv: u64,
-    /// Vector permutation / reduction (crosses slices).
-    pub vperm: u64,
     /// CSR access (serializing).
     pub csr: u64,
     /// Address-generation stage of the LSU.
@@ -113,14 +101,35 @@ impl Default for Latencies {
             fmul: 4,
             fdiv: 12,
             fcvt: 2,
-            valu: 3,
-            vmul: 4,
-            vfmul: 5,
-            vdiv: 15,
-            vperm: 4,
             csr: 4,
             agu: 1,
         }
+    }
+}
+
+impl Latencies {
+    /// Occupancy (cycles the execution pipe stays busy) and latency
+    /// (issue to result) of a scalar class: the one table both cores
+    /// read, each on its own choice of pipe. `None` for a class timed
+    /// elsewhere: memory accesses (address generation, then the
+    /// hierarchy), the serialising classes (they wait for the machine
+    /// to drain) and the vector unit (`xt_vector::VecPlan::crack`).
+    pub fn scalar(&self, class: ExecClass) -> Option<(u64, u64)> {
+        Some(match class {
+            ExecClass::Alu
+            | ExecClass::Branch
+            | ExecClass::Jump
+            | ExecClass::JumpInd
+            | ExecClass::VSet => (1, self.alu),
+            ExecClass::Mul => (1, self.mul),
+            // the divider is unpipelined
+            ExecClass::Div => (self.div, self.div),
+            ExecClass::FpAdd => (1, self.fadd),
+            ExecClass::FpMul => (1, self.fmul),
+            ExecClass::FpDiv => (self.fdiv, self.fdiv),
+            ExecClass::FpCvt => (1, self.fcvt),
+            _ => return None,
+        })
     }
 }
 
@@ -154,7 +163,6 @@ impl CoreConfig {
             two_level_buf: true,
             split_stores: true,
             mem_dep_predict: true,
-            dual_issue_lsu: true,
             mem: MemConfig::default(),
         }
     }
@@ -201,7 +209,6 @@ impl CoreConfig {
             two_level_buf: false,
             split_stores: false,
             mem_dep_predict: false,
-            dual_issue_lsu: false,
             ..Self::xt910()
         }
     }
@@ -219,8 +226,6 @@ mod tests {
         assert_eq!(x.issue_width, 8);
         assert_eq!(x.rob_entries, 192);
         assert!(x.mispredict_penalty >= 7, "§III-A: at least 7 cycles");
-        assert_eq!(x.lat.vfmul, 5, "§VII: FP vector multiply 5 cycles");
-        assert!((6..=25).contains(&x.lat.vdiv));
     }
 
     #[test]

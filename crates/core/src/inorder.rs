@@ -2,23 +2,27 @@
 //! the paper compares against in Fig. 17.
 //!
 //! The U74 is an 8-stage, dual-issue, in-order application core. The
-//! model shares the front-end predictors and memory hierarchy with the
-//! OoO model but issues strictly in program order: an instruction cannot
-//! begin execution before its program-order predecessor has issued, and
-//! operand dependencies stall the whole issue stage (scoreboarding, no
-//! renaming, no speculation past unresolved stores).
+//! model shares the front-end predictors, the fetch/redirect shell and
+//! the memory hierarchy with the OoO model but issues strictly in
+//! program order: an instruction cannot begin execution before its
+//! program-order predecessor has issued, and operand dependencies stall
+//! the whole issue stage (scoreboarding, no renaming, no speculation
+//! past unresolved stores).
 
 use crate::config::CoreConfig;
-use crate::ifu::{FrontEnd, Redirect};
-use crate::laws;
+use crate::ifu::FrontEnd;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup};
 use crate::session::CoreModel;
+use crate::shell::{file_index, sew_of, Shell};
 use xt_emu::DynInst;
 use xt_isa::ExecClass;
 use xt_mem::MemSystem;
 use xt_snapshot::Stream;
-use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
+use xt_trace::TraceBuffer;
+
+/// Cycles fetch may run ahead of a stalled issue stage.
+const ISSUE_TO_FETCH: u64 = 8;
 
 /// The in-order core model.
 #[derive(Debug)]
@@ -26,9 +30,7 @@ pub struct InOrderCore {
     cfg: CoreConfig,
     core_id: usize,
     fe: FrontEnd,
-    fetch_cycle: u64,
-    fetch_bytes: u64,
-    cur_fetch_line: u64,
+    shell: Shell,
     issue_bw: Bandwidth,
     alu: PipeGroup,
     mdu: PipeGroup,
@@ -38,12 +40,6 @@ pub struct InOrderCore {
     /// issue must be monotonic (in-order)
     last_issue: u64,
     max_complete: u64,
-    /// Flush bubble awaiting attribution (charged at the next fetch,
-    /// same lazy scheme as the OoO core).
-    pending_flush: Option<(u64, StallCause)>,
-    /// Optional per-instruction pipeline tracer (None = zero overhead).
-    tracer: Option<TraceBuffer>,
-    perf: PerfCounters,
 }
 
 impl InOrderCore {
@@ -51,9 +47,7 @@ impl InOrderCore {
     pub fn new(cfg: CoreConfig, core_id: usize) -> Self {
         InOrderCore {
             fe: FrontEnd::new(&cfg),
-            fetch_cycle: 0,
-            fetch_bytes: 0,
-            cur_fetch_line: u64::MAX,
+            shell: Shell::new(),
             issue_bw: Bandwidth::new(cfg.issue_width),
             alu: PipeGroup::new(2),
             mdu: PipeGroup::new(1),
@@ -62,20 +56,8 @@ impl InOrderCore {
             reg_ready: [[0; 32]; 3],
             last_issue: 0,
             max_complete: 0,
-            pending_flush: None,
-            tracer: None,
-            perf: PerfCounters::default(),
             core_id,
             cfg,
-        }
-    }
-
-    fn rf_idx(rf: xt_isa::RegFile) -> usize {
-        match rf {
-            xt_isa::RegFile::Int => 0,
-            xt_isa::RegFile::Fp => 1,
-            xt_isa::RegFile::Vec => 2,
-            xt_isa::RegFile::None => 0,
         }
     }
 }
@@ -86,20 +68,8 @@ impl CoreModel for InOrderCore {
     }
 
     fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
-        self.perf.cycles = self.cycles();
-        let mem_stats = mem.stats();
-        self.perf.prefetch_hits = mem_stats
-            .prefetches_useful
-            .get(self.core_id)
-            .copied()
-            .unwrap_or(0);
-        debug_assert_eq!(laws::check(&self.perf, &[laws::STALL_BUDGET]), Ok(()));
-        RunReport {
-            machine: self.cfg.name,
-            perf: self.perf.clone(),
-            mem: mem_stats,
-            exit_code,
-        }
+        let cycles = self.cycles();
+        self.shell.report(cycles, mem, self.core_id, self.cfg.name, exit_code)
     }
 
     fn cycles(&self) -> u64 {
@@ -107,70 +77,39 @@ impl CoreModel for InOrderCore {
     }
 
     fn perf(&self) -> &PerfCounters {
-        &self.perf
+        &self.shell.perf
     }
 
     fn attach_tracer(&mut self) {
-        self.tracer = Some(TraceBuffer::new());
+        self.shell.tracer = Some(TraceBuffer::new());
     }
 
     fn take_tracer(&mut self) -> Option<TraceBuffer> {
-        self.tracer.take()
+        self.shell.tracer.take()
     }
 
     fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem) {
         let traits = d.inst.op.traits_of();
         let class = traits.class;
-        let fo = self.fe.observe(d, class, &mut self.perf);
-
-        // charge the flush bubble left by the previous instruction's
-        // redirect (lazy scheme, see the OoO core and `perf` module docs)
-        if let Some((from, cause)) = self.pending_flush.take() {
-            self.perf.charge(cause, from, self.fetch_cycle);
-        }
-
-        // fetch
-        let line = d.fetch_pa >> 6;
-        if line != self.cur_fetch_line {
-            let t = mem.icache_fetch(self.core_id, self.fetch_cycle, d.fetch_pa);
-            if t > self.fetch_cycle {
-                self.perf.charge(StallCause::ICacheMiss, self.fetch_cycle, t);
-                self.fetch_cycle = t;
-                self.fetch_bytes = 0;
-            }
-            self.cur_fetch_line = line;
-        }
-        if self.fetch_bytes + d.inst.len as u64 > self.cfg.fetch_bytes {
-            self.fetch_cycle += 1;
-            self.fetch_bytes = 0;
-        }
-        self.fetch_bytes += d.inst.len as u64;
-        let fetched = self.fetch_cycle;
+        let fo = self.fe.observe(d, class, &mut self.shell.perf);
+        // the baseline has no loop buffer to stream from
+        let fetched = self.shell.fetch(d, mem, self.core_id, self.cfg.fetch_bytes, false);
 
         // in-order issue: operands must be ready, and issue is monotonic
-        let mut ready = self.fetch_cycle + 1;
+        let mut ready = fetched + 1;
         for (rf, idx) in d.inst.sources_of(traits) {
             if rf != xt_isa::RegFile::None {
-                ready = ready.max(self.reg_ready[Self::rf_idx(rf)][idx as usize]);
+                ready = ready.max(self.reg_ready[file_index(rf)][idx as usize]);
             }
         }
         ready = ready.max(self.last_issue);
         let issue = self.issue_bw.take(ready);
         self.last_issue = issue;
         // a stalled issue stage also stalls fetch eventually
-        if issue > self.fetch_cycle + 8 {
-            self.fetch_cycle = issue - 8;
-            self.fetch_bytes = 0;
-        }
+        self.shell.hold_fetch(issue, ISSUE_TO_FETCH);
 
         let lat = self.cfg.lat;
         let complete = match class {
-            ExecClass::Alu => self.alu.issue(issue, 1) + lat.alu,
-            ExecClass::Mul => self.mdu.issue(issue, 1) + lat.mul,
-            ExecClass::Div => self.mdu.issue(issue, lat.div) + lat.div,
-            ExecClass::Branch | ExecClass::Jump | ExecClass::JumpInd => {
-                self.alu.issue(issue, 1) + lat.alu
-            }
             // a trapped access executed nothing and reached no memory:
             // its fault resolves at address generation
             ExecClass::Load
@@ -188,7 +127,7 @@ impl CoreModel for InOrderCore {
                 let t = mem.dload(self.core_id, start, m.vaddr, m.paddr);
                 let hit_by = start + mem.config().l1_hit;
                 if t > hit_by {
-                    self.perf.charge(StallCause::DCacheMiss, hit_by, t);
+                    self.shell.perf.charge(StallCause::DCacheMiss, hit_by, t);
                 }
                 t
             }
@@ -205,96 +144,48 @@ impl CoreModel for InOrderCore {
                 self.last_issue = done;
                 done
             }
-            ExecClass::VSet => self.alu.issue(issue, 1) + lat.alu,
-            ExecClass::VecAlu | ExecClass::VecFAdd => self.fp.issue(issue, 1) + lat.valu,
-            ExecClass::VecMul => self.fp.issue(issue, 1) + lat.vfmul,
-            ExecClass::VecDiv => self.fp.issue(issue, lat.vdiv) + lat.vdiv,
-            ExecClass::VecPerm => self.fp.issue(issue, 2) + lat.vperm,
-            // scalar FP on the single FP pipe
-            ExecClass::FpAdd => self.fp.issue(issue, 1) + lat.fadd,
-            ExecClass::FpMul => self.fp.issue(issue, 1) + lat.fmul,
-            ExecClass::FpDiv => self.fp.issue(issue, lat.fdiv) + lat.fdiv,
-            ExecClass::FpCvt => self.fp.issue(issue, 1) + lat.fcvt,
+            // the XT-910's §VII table on the single FP/vector pipe, at
+            // the default geometry, which this core's frame does not carry
+            ExecClass::VecAlu
+            | ExecClass::VecFAdd
+            | ExecClass::VecMul
+            | ExecClass::VecDiv
+            | ExecClass::VecPerm => {
+                let geometry = xt_vector::VectorConfig::default();
+                let plan = xt_vector::VecPlan::crack(&geometry, d.inst.op, d.vl as u64, sew_of(d));
+                plan.last_done(self.fp.issue(issue, plan.occupancy))
+            }
+            // the rest runs on a scalar pipe, scalar FP on the single FP pipe
+            _ => {
+                let (occupancy, latency) = lat.scalar(class).expect("a scalar pipe class");
+                let pipe = match class {
+                    ExecClass::Mul | ExecClass::Div => &mut self.mdu,
+                    ExecClass::FpAdd | ExecClass::FpMul | ExecClass::FpDiv | ExecClass::FpCvt => {
+                        &mut self.fp
+                    }
+                    _ => &mut self.alu,
+                };
+                pipe.issue(issue, occupancy) + latency
+            }
         };
 
         if let Some((rf, idx)) = d.inst.dest_of(traits) {
-            self.reg_ready[Self::rf_idx(rf)][idx as usize] = complete;
+            self.reg_ready[file_index(rf)][idx as usize] = complete;
         }
         self.max_complete = self.max_complete.max(complete);
-        self.perf.instructions += 1;
-        self.perf.uops += 1;
+        self.shell.perf.instructions += 1;
+        self.shell.perf.uops += 1;
 
-        // trace record (only when a tracer is attached). The U74-class
-        // baseline is 8-deep; the record still uses the 13 XT-910 slots
-        // with the shorter pipe's stages collapsed (docs/PIPELINE.md).
-        if let Some(tracer) = self.tracer.as_mut() {
-            let ex1 = issue;
-            let ex4 = issue.max(complete.saturating_sub(1));
-            let span = ex4 - ex1;
-            let rec = InstRecord::new(
-                self.perf.instructions - 1,
-                d.pc,
-                xt_isa::disasm::disasm(&d.inst),
-                [
-                    fetched,
-                    fetched,
-                    fetched,
-                    fetched + 1,
-                    fetched + 1,
-                    fetched + 1,
-                    ready,
-                    ex1,
-                    ex1 + span / 3,
-                    ex1 + 2 * span / 3,
-                    ex4,
-                    complete,
-                    complete,
-                ],
-            );
-            tracer.record(rec);
-        }
+        // The U74-class baseline is 8-deep; the record still uses the 13
+        // XT-910 slots with the shorter pipe's stages collapsed: ID, IR
+        // and IS one cycle after fetch, retirement at completion
+        // (docs/PIPELINE.md).
+        let id = fetched + 1;
+        self.shell.record(d, [fetched, id, id, id], ready, issue, complete, complete);
 
-        // redirects
-        if d.trapped {
-            self.perf.exception_flushes += 1;
-            self.pending_flush = Some((self.fetch_cycle, StallCause::OrderFlush));
-            if let Some(t) = self.tracer.as_mut() {
-                t.flush_event(FlushEvent {
-                    cycle: complete,
-                    pc: d.pc,
-                    cause: FlushCause::Exception,
-                });
-            }
-            self.fetch_cycle = self.fetch_cycle.max(complete + self.cfg.flush_penalty);
-            self.fetch_bytes = 0;
-            self.cur_fetch_line = u64::MAX;
-        } else {
-            match fo.redirect {
-                Redirect::None => {}
-                Redirect::TakenAtIf => {
-                    self.fetch_cycle += 1;
-                    self.fetch_bytes = 0;
-                    self.issue_bw.break_group();
-                }
-                Redirect::TakenAtIp => {
-                    self.fetch_cycle += 1 + self.cfg.ip_jump_bubble;
-                    self.fetch_bytes = 0;
-                    self.issue_bw.break_group();
-                }
-                Redirect::Mispredict => {
-                    self.pending_flush = Some((self.fetch_cycle, StallCause::MispredictFlush));
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.flush_event(FlushEvent {
-                            cycle: complete,
-                            pc: d.pc,
-                            cause: FlushCause::Mispredict,
-                        });
-                    }
-                    self.fetch_cycle = self.fetch_cycle.max(complete + self.cfg.mispredict_penalty);
-                    self.fetch_bytes = 0;
-                    self.cur_fetch_line = u64::MAX;
-                }
-            }
+        // no load speculates past a store here, and no loop buffer streams
+        if self.shell.redirect(d, complete, &self.cfg, false, fo.redirect, false) {
+            self.issue_bw.break_group();
         }
     }
 }
@@ -306,9 +197,7 @@ impl xt_snapshot::SnapshotState for InOrderCore {
         s.expect("core config name", self.cfg.name.to_string())?;
         s.expect("core id", self.core_id)?;
         self.fe.transfer(s)?;
-        s.u64(&mut self.fetch_cycle)?;
-        s.u64(&mut self.fetch_bytes)?;
-        s.u64(&mut self.cur_fetch_line)?;
+        self.shell.transfer_fetch(s)?;
         self.issue_bw.transfer(s)?;
         for p in [&mut self.alu, &mut self.mdu, &mut self.fp, &mut self.agu] {
             p.transfer(s)?;
@@ -321,12 +210,8 @@ impl xt_snapshot::SnapshotState for InOrderCore {
         }
         s.u64(&mut self.last_issue)?;
         s.u64(&mut self.max_complete)?;
-        s.opt(&mut self.pending_flush, |s, (from, cause)| {
-            s.u64(from)?;
-            s.variant(cause, &StallCause::ALL, "stall cause tag")
-        })?;
-        s.opt(&mut self.tracer, |s, t| t.transfer(s))?;
-        self.perf.transfer(s)
+        self.shell.transfer_flush(s)?;
+        self.shell.perf.transfer(s)
     }
 }
 
@@ -335,6 +220,10 @@ mod tests {
     use super::*;
     use xt_asm::Asm;
     use xt_isa::reg::Gpr;
+    use xt_isa::vector::Sew;
+    use xt_isa::{Inst, Op};
+    use xt_trace::Stage;
+    use xt_vector::{VecPlan, VectorConfig};
 
     fn run(cfg: CoreConfig, build: impl FnOnce(&mut Asm)) -> RunReport {
         let mut a = Asm::new();
@@ -360,6 +249,39 @@ mod tests {
         let ipc = r.perf.ipc();
         assert!(ipc <= 2.05, "dual issue bound: {ipc}");
         assert!(ipc > 1.2, "independent ops should dual-issue: {ipc}");
+    }
+
+    /// A vector op takes the one §VII table on this core too: a divide
+    /// completes at `VecPlan::crack(..).last_done(issue)`, as on the OoO
+    /// core, so its latency follows the element width.
+    #[test]
+    fn vector_divide_follows_the_vector_latency_table() {
+        let widths = [Sew::E8, Sew::E64];
+        let mut a = Asm::new();
+        a.li(Gpr::A1, 2);
+        for sew in widths {
+            a.vsetvli(Gpr::T1, Gpr::A1, sew, 1);
+            // each divide reads the last one's result: the pipe is free
+            a.push(Inst::new(Op::VdivVV).rd(3).rs1(3).rs2(1));
+        }
+        a.halt();
+        let p = a.finish().unwrap();
+        let cfg = CoreConfig::u74_like();
+        let (_, trace) = crate::InOrderSession::new(&p, &cfg, 1000).run_traced();
+        // cycles from issue (EX1) to completion (RT1) of each divide
+        let done: Vec<u64> = trace
+            .records()
+            .iter()
+            .filter(|r| r.disasm.starts_with("vdiv.vv"))
+            .map(|r| r.enter(Stage::Rt1) - r.enter(Stage::Ex1))
+            .collect();
+        assert_eq!(done.len(), widths.len());
+        for (k, sew) in widths.into_iter().enumerate() {
+            // vl = 2 at both widths
+            let plan = VecPlan::crack(&VectorConfig::default(), Op::VdivVV, 2, sew);
+            assert_eq!(done[k], plan.last_done(0), "{sew:?}");
+        }
+        assert_ne!(done[0], done[1], "the divide's latency follows SEW");
     }
 
     #[test]

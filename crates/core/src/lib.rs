@@ -60,6 +60,7 @@ pub mod ooo;
 pub mod perf;
 pub mod resources;
 pub mod session;
+mod shell;
 
 pub use config::CoreConfig;
 pub use inorder::InOrderCore;

@@ -79,7 +79,6 @@ pub struct Lsu {
     sq_track: usize,
     split_stores: bool,
     mem_dep_predict: bool,
-    dual_issue: bool,
     agu: u64,
     /// Loads that received forwarded data.
     pub forwards: u64,
@@ -101,7 +100,6 @@ impl Lsu {
             sq_track: cfg.sq_entries,
             split_stores: cfg.split_stores,
             mem_dep_predict: cfg.mem_dep_predict,
-            dual_issue: cfg.dual_issue_lsu,
             agu: cfg.lat.agu,
             forwards: 0,
             violations: 0,
@@ -128,12 +126,7 @@ impl Lsu {
     ) -> LoadResult {
         let slot = self.lq.alloc(ready);
         let queue_wait = (slot > ready).then_some((ready, slot));
-        let issue = if self.dual_issue {
-            self.load_pipe.issue(slot, 1)
-        } else {
-            // shared single AGU: loads contend with store-address µops
-            self.st_addr_pipe.issue(slot, 1)
-        };
+        let issue = self.load_pipe.issue(slot, 1);
         let mut addr_known = issue + self.agu;
         let (start, end) = (pa, pa + size.max(1));
 

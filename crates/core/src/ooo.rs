@@ -11,17 +11,17 @@
 //! latencies (§VII).
 
 use crate::config::CoreConfig;
-use crate::ifu::{FrontEnd, Redirect};
-use crate::laws;
+use crate::ifu::FrontEnd;
 use crate::lsu::Lsu;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup, RetireWindow, SlotLimiter, Window};
 use crate::session::CoreModel;
+use crate::shell::{file_index, sew_of, Shell};
 use xt_emu::DynInst;
 use xt_isa::{ExecClass, Op, RegFile};
 use xt_mem::MemSystem;
 use xt_snapshot::Stream;
-use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
+use xt_trace::TraceBuffer;
 
 /// The out-of-order core.
 ///
@@ -38,10 +38,7 @@ pub struct OooCore {
     core_id: usize,
     fe: FrontEnd,
     lsu: Lsu,
-    // front-end fetch state
-    fetch_cycle: u64,
-    fetch_bytes: u64,
-    cur_fetch_line: u64,
+    shell: Shell,
     /// Cycles fetch may run ahead of decode: IBUF depth ÷ decode width.
     ibuf_cycles: u64,
     // stage bandwidth
@@ -67,17 +64,10 @@ pub struct OooCore {
     serialize_point: u64,
     max_complete: u64,
     last_retire: u64,
-    /// Flush bubble awaiting attribution: set at a redirect, charged at
-    /// the next instruction's fetch (whose cycle bounds the interval, so
-    /// conservation holds even when the flush is the last event).
-    pending_flush: Option<(u64, StallCause)>,
-    /// Optional per-instruction pipeline tracer (None = zero overhead).
-    tracer: Option<TraceBuffer>,
     vec_cfg: xt_vector::VectorConfig,
     last_vset_imm: Option<i64>,
     /// vsetvl speculation failures (§VII).
     pub vset_spec_fails: u64,
-    perf: PerfCounters,
 }
 
 // The epoch engine hands cores to scoped worker threads; if a non-Send
@@ -95,9 +85,7 @@ impl OooCore {
         OooCore {
             fe: FrontEnd::new(&cfg),
             lsu: Lsu::new(&cfg),
-            fetch_cycle: 0,
-            fetch_bytes: 0,
-            cur_fetch_line: u64::MAX,
+            shell: Shell::new(),
             ibuf_cycles: (cfg.ibuf_entries as u64 / cfg.decode_width).max(1),
             decode_bw: Bandwidth::new(cfg.decode_width),
             rename_bw: Bandwidth::new(cfg.rename_width),
@@ -119,12 +107,9 @@ impl OooCore {
             serialize_point: 0,
             max_complete: 0,
             last_retire: 0,
-            pending_flush: None,
-            tracer: None,
             vec_cfg: xt_vector::VectorConfig::default(),
             last_vset_imm: None,
             vset_spec_fails: 0,
-            perf: PerfCounters::default(),
             core_id,
             cfg,
         }
@@ -137,38 +122,6 @@ impl OooCore {
     pub fn last_retire_cycle(&self) -> u64 {
         self.last_retire
     }
-
-    /// Records a flush for stall attribution and tracing. Call *before*
-    /// the accompanying [`Self::redirect_fetch`]: the stall interval
-    /// starts at the pre-redirect fetch cycle and is charged lazily at
-    /// the next instruction's fetch, whose cycle keeps the charge inside
-    /// the program's run (see the conservation notes in [`crate::perf`]).
-    fn note_flush(&mut self, pc: u64, at: u64, cause: FlushCause, stall: StallCause) {
-        self.pending_flush = Some((self.fetch_cycle, stall));
-        if let Some(t) = self.tracer.as_mut() {
-            t.flush_event(FlushEvent { cycle: at, pc, cause });
-        }
-    }
-
-    fn src_file_index(rf: RegFile) -> usize {
-        match rf {
-            RegFile::Int => 0,
-            RegFile::Fp => 1,
-            RegFile::Vec => 2,
-            RegFile::None => 0,
-        }
-    }
-
-    fn new_fetch_group(&mut self, bubble: u64) {
-        self.fetch_cycle += 1 + bubble;
-        self.fetch_bytes = 0;
-    }
-
-    fn redirect_fetch(&mut self, at: u64) {
-        self.fetch_cycle = self.fetch_cycle.max(at);
-        self.fetch_bytes = 0;
-        self.cur_fetch_line = u64::MAX;
-    }
 }
 
 impl CoreModel for OooCore {
@@ -177,20 +130,8 @@ impl CoreModel for OooCore {
     }
 
     fn report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
-        self.perf.cycles = self.cycles();
-        let mem_stats = mem.stats();
-        self.perf.prefetch_hits = mem_stats
-            .prefetches_useful
-            .get(self.core_id)
-            .copied()
-            .unwrap_or(0);
-        debug_assert_eq!(laws::check(&self.perf, &[laws::STALL_BUDGET]), Ok(()));
-        RunReport {
-            machine: self.cfg.name,
-            perf: self.perf.clone(),
-            mem: mem_stats,
-            exit_code,
-        }
+        let cycles = self.cycles();
+        self.shell.report(cycles, mem, self.core_id, self.cfg.name, exit_code)
     }
 
     fn cycles(&self) -> u64 {
@@ -198,15 +139,15 @@ impl CoreModel for OooCore {
     }
 
     fn perf(&self) -> &PerfCounters {
-        &self.perf
+        &self.shell.perf
     }
 
     fn attach_tracer(&mut self) {
-        self.tracer = Some(TraceBuffer::new());
+        self.shell.tracer = Some(TraceBuffer::new());
     }
 
     fn take_tracer(&mut self) -> Option<TraceBuffer> {
-        self.tracer.take()
+        self.shell.tracer.take()
     }
 
     fn step_inst(&mut self, d: &DynInst, mem: &mut MemSystem) {
@@ -214,44 +155,16 @@ impl CoreModel for OooCore {
         let traits = d.inst.op.traits_of();
         let class = traits.class;
         let dest = d.inst.dest_of(traits);
-        let fo = self.fe.observe(d, class, &mut self.perf);
-
-        // Charge the flush bubble left by the previous instruction's
-        // redirect. The interval ends at this instruction's fetch cycle,
-        // which bounds the charge inside the program's run; a flush on
-        // the very last instruction stays unattributed (conservative).
-        if let Some((from, cause)) = self.pending_flush.take() {
-            self.perf.charge(cause, from, self.fetch_cycle);
-        }
+        let fo = self.fe.observe(d, class, &mut self.shell.perf);
 
         // ---- IF/IP/IB: fetch bandwidth, I-cache, IBUF ----
-        if !fo.from_lbuf {
-            let line = d.fetch_pa >> 6;
-            if line != self.cur_fetch_line {
-                let t = mem.icache_fetch(self.core_id, self.fetch_cycle, d.fetch_pa);
-                if t > self.fetch_cycle {
-                    self.perf.charge(StallCause::ICacheMiss, self.fetch_cycle, t);
-                    self.fetch_cycle = t;
-                    self.fetch_bytes = 0;
-                }
-                self.cur_fetch_line = line;
-            }
-            if self.fetch_bytes + d.inst.len as u64 > cfg.fetch_bytes {
-                self.fetch_cycle += 1;
-                self.fetch_bytes = 0;
-            }
-            self.fetch_bytes += d.inst.len as u64;
-        }
-        let fetched = self.fetch_cycle;
+        let fetched = self.shell.fetch(d, mem, self.core_id, cfg.fetch_bytes, fo.from_lbuf);
 
         // ---- ID: decode (3/cycle) ----
         let dec = self.decode_bw.take(fetched + 1);
         // IBUF back-pressure: fetch cannot run more than the buffer depth
         // ahead of decode.
-        if dec > self.fetch_cycle + self.ibuf_cycles {
-            self.fetch_cycle = dec - self.ibuf_cycles;
-            self.fetch_bytes = 0;
-        }
+        self.shell.hold_fetch(dec, self.ibuf_cycles);
 
         // ---- IR: rename (4 µops/cycle) + physical registers ----
         let uops = if class == ExecClass::Store && cfg.split_stores {
@@ -259,10 +172,10 @@ impl CoreModel for OooCore {
         } else {
             1
         };
-        self.perf.uops += uops;
+        self.shell.perf.uops += uops;
         let mut ren = self.rename_bw.take_n(dec + 1, uops);
         if let Some((rf, _)) = dest {
-            ren = self.phys[Self::src_file_index(rf)].alloc(ren);
+            ren = self.phys[file_index(rf)].alloc(ren);
         }
 
         // ---- IS: dispatch into ROB + issue queue ----
@@ -271,9 +184,9 @@ impl CoreModel for OooCore {
         // full-IQ) cycles, each wall-clock cycle is charged at most once,
         // so the per-cause sums can never exceed total cycles.
         let rob_at = self.rob.alloc(ren + 1);
-        self.perf.charge(StallCause::RobFull, ren + 1, rob_at);
+        self.shell.perf.charge(StallCause::RobFull, ren + 1, rob_at);
         let iq_at = self.iq.alloc(rob_at);
-        self.perf.charge(StallCause::IqFull, rob_at, iq_at);
+        self.shell.perf.charge(StallCause::IqFull, rob_at, iq_at);
         let disp = iq_at;
 
         // ---- RF/EX: operands, issue slots, pipes ----
@@ -282,10 +195,7 @@ impl CoreModel for OooCore {
         // instructions with an operand in the vector file read either.
         let touches_vec = [traits.rd, traits.rs1, traits.rs2, traits.rs3].contains(&RegFile::Vec);
         let (sew, group) = if touches_vec {
-            let sew = xt_isa::vector::Sew::decode(
-                (d.sew_bits.max(8) as u32).trailing_zeros().saturating_sub(3),
-            )
-            .unwrap_or(xt_isa::vector::Sew::E64);
+            let sew = sew_of(d);
             let group = xt_vector::chain::group_regs(&self.vec_cfg, d.vl as u64, sew);
             (sew, group)
         } else {
@@ -303,7 +213,7 @@ impl CoreModel for OooCore {
             (traits.rs3, inst.rs3),
         ] {
             let scalar = matches!(rf, RegFile::Int | RegFile::Fp) as u64;
-            ready = ready.max(scalar * self.reg_ready[Self::src_file_index(rf)][idx as usize % 32]);
+            ready = ready.max(scalar * self.reg_ready[file_index(rf)][idx as usize % 32]);
         }
         if touches_vec {
             for (rf, idx) in inst.sources_of(traits) {
@@ -356,28 +266,6 @@ impl CoreModel for OooCore {
         // cycle the µop won an issue slot and a pipe — EX1 in the trace
         let exec_start;
         let complete = match class {
-            ExecClass::Alu => {
-                let start = self.alu.issue(at, 1);
-                exec_start = start;
-                start + lat.alu
-            }
-            ExecClass::Mul => {
-                // multiplier shares the ALU pipe pair (§II)
-                let start = self.alu.issue(at, 1);
-                exec_start = start;
-                start + lat.mul
-            }
-            ExecClass::Div => {
-                // divider shares the multi-cycle pipe, unpipelined
-                let start = self.mdu.issue(at, lat.div);
-                exec_start = start;
-                start + lat.div
-            }
-            ExecClass::Branch | ExecClass::Jump | ExecClass::JumpInd => {
-                let start = self.bju.issue(at, 1);
-                exec_start = start;
-                start + lat.alu
-            }
             // a trapped access executed nothing and reached no memory:
             // its fault resolves at address generation
             ExecClass::Load | ExecClass::Store | ExecClass::VecLoad | ExecClass::VecStore
@@ -400,13 +288,13 @@ impl CoreModel for OooCore {
                 );
                 violation = r.violation;
                 if r.forwarded {
-                    self.perf.store_forwards += 1;
+                    self.shell.perf.store_forwards += 1;
                 }
                 if let Some((f, t)) = r.queue_wait {
-                    self.perf.charge(StallCause::LsuQueueFull, f, t);
+                    self.shell.perf.charge(StallCause::LsuQueueFull, f, t);
                 }
                 if let Some((f, t)) = r.miss_wait {
-                    self.perf.charge(StallCause::DCacheMiss, f, t);
+                    self.shell.perf.charge(StallCause::DCacheMiss, f, t);
                 }
                 r.complete
             }
@@ -425,7 +313,7 @@ impl CoreModel for OooCore {
                     data_rdy,
                 );
                 if let Some((f, t)) = s.queue_wait {
-                    self.perf.charge(StallCause::LsuQueueFull, f, t);
+                    self.shell.perf.charge(StallCause::LsuQueueFull, f, t);
                 }
                 // the write-allocate / ownership request launches as soon
                 // as the address resolves (pseudo double store, Fig. 10);
@@ -481,7 +369,8 @@ impl CoreModel for OooCore {
             ExecClass::VSet => {
                 // §VII: vector parameters are predicted and vector ops
                 // execute speculatively; failure only when vl changes.
-                let start = self.alu.issue(at, 1);
+                let (occupancy, latency) = lat.scalar(class).expect("vset runs on an ALU");
+                let start = self.alu.issue(at, occupancy);
                 exec_start = start;
                 let imm = d.inst.imm;
                 let fail =
@@ -496,28 +385,8 @@ impl CoreModel for OooCore {
                     self.serialize_point = self.serialize_point.max(done);
                     done
                 } else {
-                    start + lat.alu
+                    start + latency
                 }
-            }
-            ExecClass::FpAdd => {
-                let start = self.fpvec.issue(at, 1);
-                exec_start = start;
-                start + lat.fadd
-            }
-            ExecClass::FpMul => {
-                let start = self.fpvec.issue(at, 1);
-                exec_start = start;
-                start + lat.fmul
-            }
-            ExecClass::FpDiv => {
-                let start = self.fpvec.issue(at, lat.fdiv);
-                exec_start = start;
-                start + lat.fdiv
-            }
-            ExecClass::FpCvt => {
-                let start = self.fpvec.issue(at, 1);
-                exec_start = start;
-                start + lat.fcvt
             }
             ExecClass::VecAlu | ExecClass::VecFAdd | ExecClass::VecMul | ExecClass::VecDiv
             | ExecClass::VecPerm => {
@@ -528,7 +397,7 @@ impl CoreModel for OooCore {
                 let start = self.fpvec.issue(at, plan.occupancy);
                 // a ready vector µop held back by busy vector pipes is a
                 // vector-unit stall, not core back-pressure
-                self.perf.charge(StallCause::VecBusy, at, start);
+                self.shell.perf.charge(StallCause::VecBusy, at, start);
                 exec_start = start;
                 vec_dest = Some(plan.dest_ready(start));
                 plan.last_done(start)
@@ -550,13 +419,13 @@ impl CoreModel for OooCore {
                 );
                 violation = r.violation;
                 if let Some((f, t)) = r.queue_wait {
-                    self.perf.charge(StallCause::LsuQueueFull, f, t);
+                    self.shell.perf.charge(StallCause::LsuQueueFull, f, t);
                 }
                 if let Some((f, t)) = r.miss_wait {
-                    self.perf.charge(StallCause::DCacheMiss, f, t);
+                    self.shell.perf.charge(StallCause::DCacheMiss, f, t);
                 }
                 // extra lines beyond the first
-                let line = 64;
+                let line = mem.config().line_bytes as u64;
                 let first_line = mem_info.paddr & !(line - 1);
                 let last_line = (mem_info.paddr + bytes.max(1) - 1) & !(line - 1);
                 let mut done = r.complete;
@@ -590,10 +459,23 @@ impl CoreModel for OooCore {
                 exec_start = at;
                 let s = self.lsu.store(mem_info.paddr, bytes, at, base_rdy, ready);
                 if let Some((f, t)) = s.queue_wait {
-                    self.perf.charge(StallCause::LsuQueueFull, f, t);
+                    self.shell.perf.charge(StallCause::LsuQueueFull, f, t);
                 }
                 let _ = mem.dstore(self.core_id, s.addr_ready, mem_info.vaddr, mem_info.paddr);
                 s.complete + beats - 1
+            }
+            // the rest runs on a scalar pipe: the multiplier shares the
+            // ALU pipe pair, the divider the multi-cycle pipe (§II)
+            _ => {
+                let (occupancy, latency) = lat.scalar(class).expect("a scalar pipe class");
+                let pipe = match class {
+                    ExecClass::Alu | ExecClass::Mul => &mut self.alu,
+                    ExecClass::Div => &mut self.mdu,
+                    ExecClass::Branch | ExecClass::Jump | ExecClass::JumpInd => &mut self.bju,
+                    _ => &mut self.fpvec,
+                };
+                exec_start = pipe.issue(at, occupancy);
+                exec_start + latency
             }
         };
 
@@ -601,7 +483,7 @@ impl CoreModel for OooCore {
         if let Some((rf, idx)) = dest {
             // the scalar operand read relies on x0's entry staying 0
             debug_assert!(idx != 0 || rf != RegFile::Int, "x0 is never written");
-            self.reg_ready[Self::src_file_index(rf)][idx as usize] = complete;
+            self.reg_ready[file_index(rf)][idx as usize] = complete;
             if rf == RegFile::Vec {
                 // the whole effective-LMUL group becomes ready together;
                 // chain-in points come from the executing arm
@@ -616,11 +498,11 @@ impl CoreModel for OooCore {
         // ---- RT1/RT2: in-order retirement ----
         let ret = self.retire_bw.take((complete + 1).max(self.last_retire));
         self.last_retire = ret;
-        self.perf.instructions += 1;
+        self.shell.perf.instructions += 1;
         self.rob.commit(ret);
         self.iq.commit(complete);
         if let Some((rf, _)) = dest {
-            self.phys[Self::src_file_index(rf)].commit(ret);
+            self.phys[file_index(rf)].commit(ret);
         }
         // a trapped access took no queue entry
         match class {
@@ -633,74 +515,12 @@ impl CoreModel for OooCore {
         }
 
         // ---- trace record (only when a tracer is attached) ----
-        if let Some(tracer) = self.tracer.as_mut() {
-            let ex1 = exec_start;
-            let ex4 = exec_start.max(complete.saturating_sub(1));
-            let span = ex4 - ex1;
-            // IF/IP/IB share the fetch cycle, EX2/EX3 interpolate the
-            // execution span, RT1/RT2 share the retire cycle — see
-            // docs/PIPELINE.md for the modeled-vs-synthesized split.
-            let rec = InstRecord::new(
-                self.perf.instructions - 1,
-                d.pc,
-                xt_isa::disasm::disasm(&d.inst),
-                [
-                    fetched,
-                    fetched,
-                    fetched,
-                    dec,
-                    ren,
-                    rob_at,
-                    ready,
-                    ex1,
-                    ex1 + span / 3,
-                    ex1 + 2 * span / 3,
-                    ex4,
-                    ret,
-                    ret,
-                ],
-            );
-            tracer.record(rec);
-        }
+        self.shell.record(d, [fetched, dec, ren, rob_at], ready, exec_start, complete, ret);
 
         // ---- redirects ----
-        let flush_pen = cfg.flush_penalty;
-        let mispredict_pen = cfg.mispredict_penalty;
-        if d.trapped {
-            // Fig. 8: exception flushes the younger speculative work
-            self.perf.exception_flushes += 1;
-            self.note_flush(d.pc, complete, FlushCause::Exception, StallCause::OrderFlush);
-            self.redirect_fetch(complete + flush_pen);
-        } else if violation {
-            self.perf.mem_order_flushes += 1;
-            self.note_flush(d.pc, complete, FlushCause::MemOrder, StallCause::OrderFlush);
-            self.redirect_fetch(complete + flush_pen);
-        } else {
-            match fo.redirect {
-                Redirect::None => {}
-                Redirect::TakenAtIf => {
-                    if !fo.from_lbuf {
-                        self.new_fetch_group(0);
-                        // a taken branch ends the decode group; only the
-                        // loop buffer can issue the loop-back edge
-                        // together with the next iteration (SIII-C)
-                        self.decode_bw.break_group();
-                    }
-                }
-                Redirect::TakenAtIp => {
-                    self.new_fetch_group(self.cfg.ip_jump_bubble);
-                    self.decode_bw.break_group();
-                }
-                Redirect::Mispredict => {
-                    self.note_flush(
-                        d.pc,
-                        complete,
-                        FlushCause::Mispredict,
-                        StallCause::MispredictFlush,
-                    );
-                    self.redirect_fetch(complete + mispredict_pen)
-                }
-            }
+        if self.shell.redirect(d, complete, cfg, violation, fo.redirect, fo.from_lbuf) {
+            // a taken branch ends the decode group
+            self.decode_bw.break_group();
         }
     }
 }
@@ -718,9 +538,7 @@ impl xt_snapshot::SnapshotState for OooCore {
         s.expect("vector geometry", self.vec_cfg.slen_bits)?;
         self.fe.transfer(s)?;
         self.lsu.transfer(s)?;
-        s.u64(&mut self.fetch_cycle)?;
-        s.u64(&mut self.fetch_bytes)?;
-        s.u64(&mut self.cur_fetch_line)?;
+        self.shell.transfer_fetch(s)?;
         self.decode_bw.transfer(s)?;
         self.rename_bw.transfer(s)?;
         self.retire_bw.transfer(s)?;
@@ -756,20 +574,17 @@ impl xt_snapshot::SnapshotState for OooCore {
         let late = held.any(|w| w.newest_release() > self.last_retire)
             || self.lsu.sq.newest_release() > self.last_retire.saturating_add(1);
         s.check(!late, "window release after the last retirement")?;
-        s.opt(&mut self.pending_flush, |s, (from, cause)| {
-            s.u64(from)?;
-            s.variant(cause, &StallCause::ALL, "stall cause tag")
-        })?;
-        s.opt(&mut self.tracer, |s, t| t.transfer(s))?;
+        self.shell.transfer_flush(s)?;
         s.opt(&mut self.last_vset_imm, S::i64)?;
         s.u64(&mut self.vset_spec_fails)?;
-        self.perf.transfer(s)
+        self.shell.perf.transfer(s)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::laws;
     use xt_asm::Asm;
     use xt_isa::reg::Gpr;
     use xt_mem::{MemConfig, PrefetchConfig};

@@ -49,6 +49,12 @@ leg "test (xt-core, release profile)"
 # host-speed number is measured under.
 cargo test -q --release --offline -p xt-core
 
+leg "test (golden traces + frames, release profile)"
+# Both cores' hand-checked stage tables, their Konata/Chrome renders and
+# the pinned snapshot frames (tests/fixtures), byte for byte, in the
+# profile the benchmark measures: the workspace leg runs them in debug.
+cargo test -q --release --offline --test golden_trace --test snapshot_frames
+
 leg "test (xt-emu, release profile)"
 # And the emulator, whose per-instruction path is what every host-speed
 # number is measured on: guest arithmetic must agree between the two
