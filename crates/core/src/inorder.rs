@@ -140,6 +140,7 @@ impl CoreModel for InOrderCore {
                 start + 1
             }
             ExecClass::Fence | ExecClass::Csr | ExecClass::System | ExecClass::CacheOp => {
+                Shell::cache_op(d, mem, self.core_id);
                 let done = issue.max(self.max_complete) + lat.csr;
                 self.last_issue = done;
                 done
@@ -153,7 +154,11 @@ impl CoreModel for InOrderCore {
             | ExecClass::VecPerm => {
                 let geometry = xt_vector::VectorConfig::default();
                 let plan = xt_vector::VecPlan::crack(&geometry, d.inst.op, d.vl as u64, sew_of(d));
-                plan.last_done(self.fp.issue(issue, plan.occupancy))
+                let start = self.fp.issue(issue, plan.occupancy);
+                // an issued vector op held back by its busy pipe is a
+                // vector-unit stall, as on the OoO core
+                self.shell.perf.charge(StallCause::VecBusy, issue, start);
+                plan.last_done(start)
             }
             // the rest runs on a scalar pipe, scalar FP on the single FP pipe
             _ => {
@@ -282,6 +287,39 @@ mod tests {
             assert_eq!(done[k], plan.last_done(0), "{sew:?}");
         }
         assert_ne!(done[0], done[1], "the divide's latency follows SEW");
+    }
+
+    /// Two independent `vdiv.vv` at e64, back to back: the second waits
+    /// for the one FP/vector pipe the first holds, exactly that wait is
+    /// charged to `VecBusy`, and the stall budget and the memory laws
+    /// still hold.
+    #[test]
+    fn a_vector_op_waiting_for_its_busy_pipe_is_charged_to_vec_busy() {
+        let mut a = Asm::new();
+        a.li(Gpr::A1, 2);
+        a.vsetvli(Gpr::T1, Gpr::A1, Sew::E64, 1);
+        a.push(Inst::new(Op::VdivVV).rd(3).rs1(1).rs2(2));
+        a.push(Inst::new(Op::VdivVV).rd(4).rs1(1).rs2(2));
+        a.halt();
+        let p = a.finish().unwrap();
+        let cfg = CoreConfig::u74_like();
+        let (r, trace) = crate::InOrderSession::new(&p, &cfg, 1000).run_traced();
+        let divides: Vec<(u64, u64)> = trace
+            .records()
+            .iter()
+            .filter(|r| r.disasm.starts_with("vdiv.vv"))
+            .map(|r| (r.enter(Stage::Ex1), r.enter(Stage::Rt1)))
+            .collect();
+        let [(issue0, _), (issue1, done1)] = divides[..] else {
+            panic!("two divides: {divides:?}");
+        };
+        let plan = VecPlan::crack(&VectorConfig::default(), Op::VdivVV, 2, Sew::E64);
+        let wait = (issue0 + plan.occupancy).saturating_sub(issue1);
+        assert!(wait > 0, "the second divide waits for the pipe");
+        assert_eq!(done1 - issue1, wait + plan.last_done(0));
+        assert_eq!(r.perf.stall(StallCause::VecBusy), wait);
+        assert_eq!(crate::laws::check(&r.perf, &[crate::laws::STALL_BUDGET]), Ok(()));
+        assert_eq!(crate::laws::check_mem(&r.mem), Ok(()));
     }
 
     #[test]

@@ -357,9 +357,7 @@ impl CoreModel for OooCore {
                 done
             }
             ExecClass::CacheOp => {
-                if d.inst.op == Op::XDcacheCall {
-                    mem.dcache_flush_all(self.core_id);
-                }
+                Shell::cache_op(d, mem, self.core_id);
                 let start = ready.max(self.max_complete);
                 exec_start = start;
                 let done = start + 8;

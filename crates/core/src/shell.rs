@@ -10,7 +10,7 @@ use crate::laws;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use xt_emu::DynInst;
 use xt_isa::vector::Sew;
-use xt_isa::RegFile;
+use xt_isa::{Op, RegFile};
 use xt_mem::MemSystem;
 use xt_snapshot::{SnapshotState, Stream};
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
@@ -205,6 +205,15 @@ impl Shell {
         false
     }
 
+    /// The memory side of a cache-maintenance op: `x.dcache.call` cleans
+    /// and invalidates `core_id`'s whole L1D (untimed; its
+    /// `CacheFlush` event counts the dirty lines).
+    pub(crate) fn cache_op(d: &DynInst, mem: &mut MemSystem, core_id: usize) {
+        if d.inst.op == Op::XDcacheCall {
+            mem.dcache_flush_all(core_id);
+        }
+    }
+
     /// Seals the counters at `cycles` and produces the run report.
     pub(crate) fn report(
         &mut self,
@@ -254,7 +263,7 @@ mod tests {
     use std::collections::BTreeSet;
     use xt_asm::Asm;
     use xt_isa::reg::Gpr;
-    use xt_mem::MemConfig;
+    use xt_mem::{MemConfig, MemEventKind};
 
     /// A straight-line run on `line_bytes`-byte lines makes one demand
     /// L1I access per line it crosses.
@@ -290,5 +299,43 @@ mod tests {
             fetches_each_line_once::<OooCore>(&CoreConfig::xt910(), line_bytes);
             fetches_each_line_once::<InOrderCore>(&CoreConfig::u74_like(), line_bytes);
         }
+    }
+
+    /// A guest that dirties `LINES` lines and then issues `x.dcache.call`,
+    /// on `C`: the dirty-line counts of its `CacheFlush` events, and
+    /// whether any line it stored to is still in its L1D.
+    fn flush_after_stores<C: CoreModel>(cfg: &CoreConfig) -> (Vec<u64>, bool) {
+        const LINES: u64 = 16;
+        let mut a = Asm::new();
+        let buf = a.data_zeros("buf", (LINES * 64) as usize);
+        a.la(Gpr::S0, buf);
+        for k in 0..LINES {
+            a.sd(Gpr::S0, Gpr::S0, (k * 64) as i64);
+        }
+        a.xdcache_call();
+        a.halt();
+        let p = a.finish().unwrap();
+        let mut s = Session::<C>::new(&p, cfg, 10_000);
+        s.mem_mut().start_tracing();
+        s.run_to_end();
+        let mem = s.mem();
+        let flushes = mem.tracer().expect("tracing").events.iter();
+        let flushes = flushes.filter_map(|e| match e.kind {
+            MemEventKind::CacheFlush { dirty_lines } => Some(dirty_lines),
+            _ => None,
+        });
+        let resident = (0..LINES).any(|k| mem.l1d(0).contains(buf + k * 64));
+        (flushes.collect(), resident)
+    }
+
+    /// `x.dcache.call` cleans and invalidates the L1D on both cores: the
+    /// same guest leaves none of its lines valid and reports the same
+    /// dirty-line count.
+    #[test]
+    fn both_cores_flush_the_l1d_on_x_dcache_call() {
+        let ooo = flush_after_stores::<OooCore>(&CoreConfig::xt910());
+        let inorder = flush_after_stores::<InOrderCore>(&CoreConfig::u74_like());
+        assert_eq!(ooo, (vec![16], false), "out of order");
+        assert_eq!(inorder, ooo, "in order");
     }
 }

@@ -1,5 +1,11 @@
 //! Set-associative cache with MOSEI line states and true-LRU replacement.
 
+mod ways;
+
+pub(crate) use ways::Way;
+use ways::Ways;
+pub use ways::{Chunked, Flat};
+
 /// MOSEI coherence state of a cache line (§VI: "The L2 cache supports
 /// MOSEI coherence protocol").
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,93 +59,6 @@ impl LineState {
     }
 }
 
-/// One way of a set: the line's byte address, with its MOSEI state and
-/// prefetched mark packed into the low bits every line address leaves
-/// free (lines are at least 16 bytes, [`crate::MemConfig::validate`]),
-/// and its LRU stamp. At 16 bytes a 16-way set is four host cache lines.
-///
-/// The word is `addr | code(state) << 1 | prefetched`, with `Invalid`
-/// coded 0: the probe `holds` is one subtract and compare, and an
-/// invalidated way keeps its stale address as the model always has
-/// (snapshots write it).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct Way {
-    word: u64,
-    /// LRU stamp: larger = more recently used.
-    lru: u64,
-}
-
-/// The low bits of a way's word that are not the line's address.
-const FLAGS: u64 = 0xF;
-/// The prefetched mark: set for lines installed by the prefetcher and
-/// not yet demanded (tracks prefetch accuracy).
-const PREFETCHED: u64 = 1;
-/// The state's three bits.
-const STATE: u64 = 0xE;
-
-/// The states by their code in a way's word (codes 5–7 are never
-/// written).
-const STATES: [LineState; 8] = [
-    LineState::Invalid,
-    LineState::Modified,
-    LineState::Owned,
-    LineState::Exclusive,
-    LineState::Shared,
-    LineState::Invalid,
-    LineState::Invalid,
-    LineState::Invalid,
-];
-
-/// `state`'s bits in a way's word.
-fn code(state: LineState) -> u64 {
-    let code = match state {
-        LineState::Invalid => 0,
-        LineState::Modified => 1,
-        LineState::Owned => 2,
-        LineState::Exclusive => 3,
-        LineState::Shared => 4,
-    };
-    code << 1
-}
-
-impl Way {
-    const INVALID: Way = Way { word: 0, lru: 0 };
-
-    fn new(addr: u64, state: LineState, prefetched: bool, lru: u64) -> Way {
-        Way {
-            word: addr | code(state) | prefetched as u64,
-            lru,
-        }
-    }
-
-    /// Whether this is the valid way of the line at byte address `key`:
-    /// the address bits equal and the state not `Invalid`.
-    #[inline(always)]
-    fn holds(self, key: u64) -> bool {
-        (self.word ^ key).wrapping_sub(2) < FLAGS - 1
-    }
-
-    fn is_valid(self) -> bool {
-        self.word & STATE != 0
-    }
-
-    fn addr(self) -> u64 {
-        self.word & !FLAGS
-    }
-
-    fn state(self) -> LineState {
-        STATES[((self.word & STATE) >> 1) as usize]
-    }
-
-    fn prefetched(self) -> bool {
-        self.word & PREFETCHED != 0
-    }
-
-    fn set_state(&mut self, state: LineState) {
-        self.word = self.word & !STATE | code(state);
-    }
-}
-
 /// Result of a cache probe-and-update.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProbeResult {
@@ -173,26 +92,48 @@ pub struct Victim {
 /// A set-associative, write-back, write-allocate cache model.
 ///
 /// Stores tags and MOSEI states only (data values live in the functional
-/// emulator). Addresses are physical.
+/// emulator). Addresses are physical. `W` is where the ways live:
+/// [`Flat`] ([`Cache::new`], the L1s) or [`Chunked`] ([`Cache::sparse`],
+/// the shared L2).
 #[derive(Clone, Debug)]
-pub struct Cache {
+pub struct Cache<W = Flat> {
     name: &'static str,
     sets: usize,
     ways: usize,
     line_bits: u32,
-    lines: Vec<Way>,
+    store: W,
     stamp: u64,
 }
 
 impl Cache {
     /// Creates a cache of `size_kib` KiB with `ways` ways and
-    /// `line_bytes`-byte lines.
+    /// `line_bytes`-byte lines, every way allocated.
     ///
     /// # Panics
     ///
     /// Panics if geometry is not a power-of-two arrangement or the lines
     /// are shorter than 16 bytes.
     pub fn new(name: &'static str, size_kib: u32, ways: u32, line_bytes: u32) -> Self {
+        Self::build(name, size_kib, ways, line_bytes)
+    }
+}
+
+impl Cache<Chunked> {
+    /// Creates the cache [`Cache::new`] does, with its ways allocated in
+    /// 4 KiB chunks of whole sets, each by the first fill into it. Every
+    /// answer, and every snapshot byte, is the flat cache's: a chunk
+    /// never filled reads, and is written, as reset ways.
+    ///
+    /// # Panics
+    ///
+    /// As [`Cache::new`].
+    pub fn sparse(name: &'static str, size_kib: u32, ways: u32, line_bytes: u32) -> Self {
+        Self::build(name, size_kib, ways, line_bytes)
+    }
+}
+
+impl<W: Ways> Cache<W> {
+    fn build(name: &'static str, size_kib: u32, ways: u32, line_bytes: u32) -> Self {
         assert!(line_bytes >= 16, "cache lines must be at least 16 bytes");
         let total_lines = size_kib as usize * 1024 / line_bytes as usize;
         let sets = total_lines / ways as usize;
@@ -202,7 +143,7 @@ impl Cache {
             sets,
             ways: ways as usize,
             line_bits: line_bytes.trailing_zeros(),
-            lines: vec![Way::INVALID; total_lines],
+            store: W::reset(sets, ways as usize),
             stamp: 0,
         }
     }
@@ -217,34 +158,35 @@ impl Cache {
         addr >> self.line_bits
     }
 
-    /// The ways of the set `addr` maps to, and the key its line is held
-    /// under (its byte address).
+    /// The set `addr` maps to, and the key its line is held under (its
+    /// byte address).
     #[inline(always)]
-    fn set_of(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+    fn set_of(&self, addr: u64) -> (usize, u64) {
         let set = (self.line_addr(addr) as usize) & (self.sets - 1);
         let key = addr & !((1u64 << self.line_bits) - 1);
-        (set * self.ways..(set + 1) * self.ways, key)
+        (set, key)
     }
 
     /// The valid way holding `addr`'s line, if any.
     fn find(&self, addr: u64) -> Option<&Way> {
-        let (ways, key) = self.set_of(addr);
-        self.lines[ways].iter().find(|w| w.holds(key))
+        let (set, key) = self.set_of(addr);
+        self.store.set(set, self.ways).iter().find(|w| w.holds(key))
     }
 
     /// Probes for `addr` and updates LRU; a first demand touch clears the
     /// line's prefetched mark.
     /// `is_store` reports `UpgradeNeeded` for hits in non-writable states.
     pub fn access(&mut self, addr: u64, is_store: bool) -> ProbeResult {
-        let (ways, key) = self.set_of(addr);
+        let (set, key) = self.set_of(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let Some(way) = self.lines[ways].iter_mut().find(|w| w.holds(key)) else {
+        let set = self.store.set_mut(set, self.ways);
+        let Some(way) = set.iter_mut().find(|w| w.holds(key)) else {
             return ProbeResult::Miss;
         };
         way.lru = stamp;
         let was_prefetched = way.prefetched();
-        way.word &= !PREFETCHED;
+        way.clear_prefetched();
         if is_store && !way.state().is_writable() {
             return ProbeResult::UpgradeNeeded { was_prefetched };
         }
@@ -267,10 +209,10 @@ impl Cache {
     /// Installs the line containing `addr` in `state`; returns the victim
     /// if a valid line was evicted. `prefetched` marks prefetcher fills.
     pub fn fill(&mut self, addr: u64, state: LineState, prefetched: bool) -> Option<Victim> {
-        let (ways, key) = self.set_of(addr);
+        let (set, key) = self.set_of(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = &mut self.lines[ways];
+        let set = self.store.alloc_set(set, self.ways);
         // Already present? Just upgrade the state.
         if let Some(way) = set.iter_mut().find(|w| w.holds(key)) {
             way.set_state(state);
@@ -302,12 +244,13 @@ impl Cache {
     /// Changes the state of a resident line (coherence action). Returns
     /// the previous state if the line was present.
     pub fn set_state(&mut self, addr: u64, state: LineState) -> Option<LineState> {
-        let (ways, key) = self.set_of(addr);
-        let way = self.lines[ways].iter_mut().find(|w| w.holds(key))?;
+        let (set, key) = self.set_of(addr);
+        let set = self.store.set_mut(set, self.ways);
+        let way = set.iter_mut().find(|w| w.holds(key))?;
         let old = way.state();
         way.set_state(state);
         if state == LineState::Invalid {
-            way.word &= !PREFETCHED;
+            way.clear_prefetched();
         }
         Some(old)
     }
@@ -316,7 +259,7 @@ impl Cache {
     /// dirty lines would have been written back.
     pub fn invalidate_all(&mut self) -> u64 {
         let mut dirty = 0;
-        for way in &mut self.lines {
+        for way in self.store.allocated_mut().flatten() {
             if way.state().is_dirty() {
                 dirty += 1;
             }
@@ -326,26 +269,42 @@ impl Cache {
     }
 }
 
-impl xt_snapshot::SnapshotState for Cache {
+impl<W: Ways> xt_snapshot::SnapshotState for Cache<W> {
     /// Each way as `tag` (the line address), state, LRU stamp and
-    /// prefetched mark — the frame layout, not the packed word. A tag
-    /// whose byte address does not fit in 64 bits is `Corrupt`.
+    /// prefetched mark — the frame layout, not the packed word. A way
+    /// the store never allocated is written as the reset way (tag 0,
+    /// `Invalid`, LRU 0, not prefetched), and decoding allocates only
+    /// for a way that is not the reset way. A tag whose byte address
+    /// does not fit in 64 bits is `Corrupt`.
     fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
         s.expect("cache geometry", self.sets)?;
         s.expect("cache geometry", self.ways)?;
         s.expect("cache geometry", self.line_bits)?;
-        let line_bits = self.line_bits;
-        for way in &mut self.lines {
-            let mut tag = way.addr() >> line_bits;
-            let mut state = way.state();
-            let mut prefetched = way.prefetched();
-            s.u64(&mut tag)?;
-            s.check(tag >> (64 - line_bits) == 0, "cache tag")?;
-            s.variant(&mut state, &LineState::ALL, "line state")?;
-            s.u64(&mut way.lru)?;
-            s.bool(&mut prefetched)?;
-            if S::DECODING {
-                *way = Way::new(tag << line_bits, state, prefetched, way.lru);
+        let (ways, line_bits) = (self.ways, self.line_bits);
+        for set in 0..self.sets {
+            for i in 0..ways {
+                let way = self.store.set(set, ways).get(i).copied();
+                let way = way.unwrap_or(Way::INVALID);
+                let mut tag = way.addr() >> line_bits;
+                let mut state = way.state();
+                let mut lru = way.lru;
+                let mut prefetched = way.prefetched();
+                s.u64(&mut tag)?;
+                s.check(tag >> (64 - line_bits) == 0, "cache tag")?;
+                s.variant(&mut state, &LineState::ALL, "line state")?;
+                s.u64(&mut lru)?;
+                s.bool(&mut prefetched)?;
+                if S::DECODING {
+                    let way = Way::new(tag << line_bits, state, prefetched, lru);
+                    let set = if way == Way::INVALID {
+                        self.store.set_mut(set, ways)
+                    } else {
+                        self.store.alloc_set(set, ways)
+                    };
+                    if let Some(slot) = set.get_mut(i) {
+                        *slot = way;
+                    }
+                }
             }
         }
         s.u64(&mut self.stamp)
@@ -605,82 +564,220 @@ mod tests {
         e.into_bytes()
     }
 
+    /// One generated operation: kind, address base, line pick, state,
+    /// flag and byte offset.
+    type Op = (u32, usize, u64, usize, u8, u64);
+
+    const BASES: [u64; 4] = [0, 0x8000_0000, 1 << 63, u64::MAX - 0xFFFF];
+
+    /// The 16-way, 2 MiB L2 of the default configuration, in 64-byte
+    /// lines: 2,048 sets, 128 chunks of 16 sets.
+    const L2: (u32, u32, u32) = (2048, 16, 64);
+
+    fn line_cache(geometry: (u32, u32, u32)) -> LineCache {
+        LineCache::new(geometry.0, geometry.1, geometry.2)
+    }
+
+    /// Applies `ops` to `flat`, `chunked` and `reference` alike: every
+    /// return value equals the reference's, and so do both frames after
+    /// every call for which `compare(i, kind)` holds and after the last.
+    /// `sets` are the sets the ops touch, each with four more lines than
+    /// ways aliasing into it.
+    fn agree(
+        geometry: (u32, u32, u32),
+        sets: &[u64],
+        ops: &[Op],
+        compare: impl Fn(usize, u32) -> bool,
+    ) {
+        let (kib, ways, line_bytes) = geometry;
+        let mut flat = Cache::new("t", kib, ways, line_bytes);
+        let mut chunked = Cache::sparse("t", kib, ways, line_bytes);
+        let mut reference = line_cache(geometry);
+        let sets_total = reference.sets as u64;
+        for (i, &(kind, base, pick, state, flag, offset)) in ops.iter().enumerate() {
+            let set = sets[pick as usize % sets.len()] % sets_total;
+            let tag = pick / sets.len() as u64 % (ways as u64 + 4);
+            let line = (tag * sets_total + set) * line_bytes as u64;
+            let addr = BASES[base].wrapping_add(line + offset);
+            let (state, flag) = (LineState::ALL[state], flag == 1);
+            let what = format!("{kind} at {addr:#x}");
+            match kind {
+                0..=7 => {
+                    let want = reference.access(addr, flag);
+                    assert_eq!(flat.access(addr, flag), want, "{what}");
+                    assert_eq!(chunked.access(addr, flag), want, "{what}");
+                }
+                8..=10 => {
+                    let want = reference.fill(addr, state, flag);
+                    assert_eq!(flat.fill(addr, state, flag), want, "{what}");
+                    assert_eq!(chunked.fill(addr, state, flag), want, "{what}");
+                }
+                11..=13 => {
+                    let want = reference.set_state(addr, state);
+                    assert_eq!(flat.set_state(addr, state), want, "{what}");
+                    assert_eq!(chunked.set_state(addr, state), want, "{what}");
+                }
+                14 => {
+                    let want = reference.state_of(addr);
+                    assert_eq!(flat.state_of(addr), want, "{what}");
+                    assert_eq!(chunked.state_of(addr), want, "{what}");
+                    let want = reference.find(addr).is_some();
+                    assert_eq!(flat.contains(addr), want, "{what}");
+                    assert_eq!(chunked.contains(addr), want, "{what}");
+                }
+                _ => {
+                    let want = reference.invalidate_all();
+                    assert_eq!(flat.invalidate_all(), want, "{what}");
+                    assert_eq!(chunked.invalidate_all(), want, "{what}");
+                }
+            }
+            if compare(i, kind) || i + 1 == ops.len() {
+                let bytes = frame(&mut reference);
+                assert_eq!(frame(&mut flat), bytes, "flat, {what}");
+                assert_eq!(frame(&mut chunked), bytes, "chunked, {what}");
+            }
+        }
+        let bytes = frame(&mut reference);
+        let mut restored = Cache::new("t", kib, ways, line_bytes);
+        restore(&mut restored, &bytes);
+        assert_eq!(frame(&mut restored), bytes);
+        let mut restored = Cache::sparse("t", kib, ways, line_bytes);
+        restore(&mut restored, &bytes);
+        assert_eq!(frame(&mut restored), bytes);
+        assert_eq!(
+            allocated(&restored),
+            reference.chunks_in_use(restored.store.chunks.len()),
+            "decoding allocates the chunks that hold a non-reset way"
+        );
+    }
+
+    fn restore(c: &mut impl xt_snapshot::SnapshotState, bytes: &[u8]) {
+        let mut d = xt_snapshot::Dec::new(bytes);
+        c.restore(&mut d).expect("the reference's frame restores");
+        d.finish().expect("fully consumed");
+    }
+
+    /// The chunks a chunked cache has allocated.
+    fn allocated(c: &Cache<Chunked>) -> Vec<usize> {
+        let chunks = c.store.chunks.iter().enumerate();
+        chunks.filter(|(_, w)| !w.is_empty()).map(|(k, _)| k).collect()
+    }
+
+    impl LineCache {
+        /// The chunks, of `chunks` equal runs of ways, that hold a way
+        /// other than the reset way.
+        fn chunks_in_use(&self, chunks: usize) -> Vec<usize> {
+            let per_chunk = self.lines.len() / chunks;
+            let reset = |l: &Line| {
+                l.tag == 0 && l.state == LineState::Invalid && l.lru == 0 && !l.prefetched
+            };
+            let runs = self.lines.chunks(per_chunk).enumerate();
+            runs.filter(|(_, run)| !run.iter().all(reset))
+                .map(|(k, _)| k)
+                .collect()
+        }
+    }
+
+    fn ops(len: std::ops::Range<usize>) -> impl xt_harness::gen::Gen<Value = Vec<Op>> {
+        use xt_harness::gen::{ints, vec_of};
+        vec_of(
+            (
+                ints(0u32..16),
+                ints(0usize..BASES.len()),
+                ints(0u64..1024),
+                ints(0usize..LineState::ALL.len()),
+                ints(0u8..2),
+                ints(0u64..16),
+            ),
+            len,
+        )
+    }
+
     /// Random `access`/`fill`/`set_state`/`invalidate_all` sequences on a
     /// 1 KiB 2-way cache and on a 16-way one in 16-byte lines, over a few
     /// sets at the bottom, the middle and the top of the address space:
-    /// every return value and the `save()` bytes after every call equal
-    /// the `Line` cache's, and the packed cache restores from the
-    /// reference's frame.
+    /// every return value of the flat and the chunked cache, and their
+    /// `save()` bytes after every call, equal the `Line` cache's, and
+    /// both restore from the reference's frame.
     #[test]
     fn packed_ways_agree_with_the_line_cache() {
-        use xt_harness::gen::{choose, ints, vec_of};
+        use xt_harness::gen::choose;
         use xt_harness::prop::{check_with, Config};
-        use xt_snapshot::SnapshotState;
         const GEOMETRIES: [(u32, u32, u32); 2] = [(1, 2, 64), (4, 16, 16)];
-        const BASES: [u64; 4] = [0, 0x8000_0000, 1 << 63, u64::MAX - 0xFFFF];
-        let gen = (
-            choose(&GEOMETRIES),
-            vec_of(
-                (
-                    ints(0u32..16),
-                    ints(0usize..BASES.len()),
-                    ints(0u64..1024),
-                    ints(0usize..LineState::ALL.len()),
-                    ints(0u8..2),
-                    ints(0u64..16),
-                ),
-                1..300,
-            ),
-        );
         check_with(
             &Config::seeded_cases(0x0910_0029_0001, 64),
             "packed_ways_agree_with_the_line_cache",
-            &gen,
-            |((kib, ways, line_bytes), ops)| {
-                let mut packed = Cache::new("t", *kib, *ways, *line_bytes);
-                let mut reference = LineCache::new(*kib, *ways, *line_bytes);
-                let sets = reference.sets as u64;
-                for &(kind, base, pick, state, flag, offset) in ops {
-                    // three sets, each with four more lines than ways
-                    let (set, tag) = (pick % 3, pick / 3 % (*ways as u64 + 4));
-                    let line = (tag * sets + set) * *line_bytes as u64;
-                    let addr = BASES[base].wrapping_add(line + offset);
-                    let (state, flag) = (LineState::ALL[state], flag == 1);
-                    let what = format!("{kind} at {addr:#x}");
-                    match kind {
-                        0..=7 => assert_eq!(
-                            packed.access(addr, flag),
-                            reference.access(addr, flag),
-                            "{what}"
-                        ),
-                        8..=10 => assert_eq!(
-                            packed.fill(addr, state, flag),
-                            reference.fill(addr, state, flag),
-                            "{what}"
-                        ),
-                        11..=13 => assert_eq!(
-                            packed.set_state(addr, state),
-                            reference.set_state(addr, state),
-                            "{what}"
-                        ),
-                        14 => {
-                            assert_eq!(packed.state_of(addr), reference.state_of(addr));
-                            assert_eq!(packed.contains(addr), reference.find(addr).is_some());
-                        }
-                        _ => assert_eq!(packed.invalidate_all(), reference.invalidate_all()),
-                    }
-                    assert_eq!(frame(&mut packed), frame(&mut reference), "{what}");
-                }
-                let bytes = frame(&mut reference);
-                let mut restored = Cache::new("t", *kib, *ways, *line_bytes);
-                let mut d = xt_snapshot::Dec::new(&bytes);
-                restored
-                    .restore(&mut d)
-                    .expect("the reference's frame restores");
-                d.finish().expect("fully consumed");
-                assert_eq!(frame(&mut restored), bytes);
-            },
+            &(choose(&GEOMETRIES), ops(1..300)),
+            |(geometry, ops)| agree(*geometry, &[0, 1, 2], ops, |_, _| true),
         );
+    }
+
+    /// The same on the L2's geometry, over three sets anywhere in its
+    /// 2,048 (most cases touch three chunks of 128), with frames
+    /// compared after every `invalidate_all`, every 64th call and the
+    /// last: the chunked cache's frame is the reference's byte for byte,
+    /// and decoding it allocates exactly the chunks that hold a way
+    /// other than the reset way.
+    #[test]
+    fn chunked_l2_agrees_with_the_line_cache() {
+        use xt_harness::gen::{ints, vec_of};
+        use xt_harness::prop::{check_with, Config};
+        check_with(
+            &Config::seeded_cases(0x0910_0042_0001, 12),
+            "chunked_l2_agrees_with_the_line_cache",
+            &(vec_of(ints(0u64..2048), 3..4), ops(1..400)),
+            |(sets, ops)| agree(L2, sets, ops, |i, kind| kind == 15 || i % 64 == 63),
+        );
+    }
+
+    /// A frame whose one non-reset way sits in chunk `k` — first or
+    /// last way of the chunk, valid or a stale invalid way — decodes
+    /// into a chunked L2 that allocates chunk `k` alone, and writes the
+    /// frame back unchanged.
+    #[test]
+    fn decoding_allocates_only_the_chunk_of_a_non_reset_way() {
+        let per_chunk = ways::CHUNK_WAYS;
+        for k in [0, 1, 77, 127] {
+            for (at, line) in [
+                (0, Line { tag: 5, state: LineState::Shared, lru: 3, prefetched: true }),
+                (per_chunk - 1, Line { lru: 1, ..INVALID }),
+                (per_chunk / 2, Line { tag: 1 << 40, ..INVALID }),
+            ] {
+                let mut reference = line_cache(L2);
+                reference.lines[k * per_chunk + at] = line;
+                let bytes = frame(&mut reference);
+                let mut c = Cache::sparse("t", L2.0, L2.1, L2.2);
+                assert!(allocated(&c).is_empty(), "built with no chunk");
+                restore(&mut c, &bytes);
+                assert_eq!(allocated(&c), [k], "way {at} of chunk {k}: {line:?}");
+                assert_eq!(frame(&mut c), bytes);
+            }
+        }
+        // a chunk-sized L2 of all reset ways allocates nothing
+        let bytes = frame(&mut line_cache(L2));
+        let mut c = Cache::sparse("t", L2.0, L2.1, L2.2);
+        restore(&mut c, &bytes);
+        assert!(allocated(&c).is_empty());
+    }
+
+    /// Probes, state changes and `invalidate_all` on a chunk never
+    /// filled answer as an all-invalid set and allocate nothing; a fill
+    /// allocates its chunk alone.
+    #[test]
+    fn only_a_fill_allocates_a_chunk() {
+        let mut c = Cache::sparse("L2", L2.0, L2.1, L2.2);
+        let addr = 0x8000_0000 + 40 * 64; // set 40: chunk 2
+        assert_eq!(c.access(addr, true), ProbeResult::Miss);
+        assert!(!c.contains(addr));
+        assert_eq!(c.state_of(addr), LineState::Invalid);
+        assert_eq!(c.set_state(addr, LineState::Invalid), None);
+        assert_eq!(c.invalidate_all(), 0);
+        assert!(allocated(&c).is_empty());
+        assert_eq!(c.fill(addr, LineState::Modified, false), None);
+        assert_eq!(allocated(&c), [2]);
+        assert_eq!(c.store.chunks[2].len(), ways::CHUNK_WAYS);
+        assert_eq!(c.invalidate_all(), 1);
+        assert_eq!(allocated(&c), [2], "invalidate_all keeps its chunks");
     }
 
     /// A tag whose byte address would not fit in 64 bits has no packed

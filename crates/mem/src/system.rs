@@ -21,7 +21,7 @@
 //!   tracing never changes a returned latency or a counter
 //!   (`tracing_does_not_change_timing` below).
 
-use crate::cache::{Cache, LineState, ProbeResult};
+use crate::cache::{Cache, Chunked, LineState, ProbeResult};
 use crate::config::MemConfig;
 use crate::dram::Dram;
 use crate::linemap::LineMap;
@@ -317,7 +317,7 @@ pub struct MemSystem {
     l1d: Vec<Cache>,
     tlbs: Vec<Tlb>,
     pfs: Vec<Prefetcher>,
-    l2: Cache,
+    l2: Cache<Chunked>,
     /// Snoop filter: L2 line address -> presence bitmask over cores' L1D.
     dir: LineMap<u16>,
     dram: Dram,
@@ -393,7 +393,7 @@ impl MemSystem {
             pfs: (0..cores)
                 .map(|_| Prefetcher::new(cfg.prefetch, cfg.line_bytes))
                 .collect(),
-            l2: Cache::new("L2", cfg.l2_kib, cfg.l2_ways, cfg.line_bytes),
+            l2: Cache::sparse("L2", cfg.l2_kib, cfg.l2_ways, cfg.line_bytes),
             dir: LineMap::default(),
             dram: Dram::new(cfg.dram_latency, cfg.dram_transfer),
             inflight: LineMap::default(),
@@ -1251,7 +1251,7 @@ impl MemSystem {
     }
 
     /// Shared L2 (tests).
-    pub fn l2(&self) -> &Cache {
+    pub fn l2(&self) -> &Cache<Chunked> {
         &self.l2
     }
 

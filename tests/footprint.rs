@@ -1,12 +1,14 @@
 //! Host heap of the memory hierarchy and of the 4-core cluster engine,
 //! counted by a `#[global_allocator]` that tracks live and peak bytes.
 //!
-//! Three budgets are pinned, each this tree's measurement plus 10 %:
-//! one observer-less 4-core `MemSystem::replica`, `ClusterSim::new` on
-//! four private-slice kernels (the `cluster4` benchmark's private job),
-//! and the peak heap of that cluster's run. A replica or a master that
-//! materializes TLB arrays for a core it never runs live fails here, and
-//! `--nocapture` prints where the bytes go:
+//! Four budgets are pinned, each this tree's measurement plus 10 %
+//! (the peak's a little less): a 1-core `MemSystem::new` before any
+//! access, one observer-less 4-core `MemSystem::replica`,
+//! `ClusterSim::new` on four private-slice kernels (the `cluster4`
+//! benchmark's private job), and the peak heap of that cluster's run. A
+//! hierarchy that builds its L2 tag store before a fill, or a replica or
+//! a master that materializes TLB arrays for a core it never runs live,
+//! fails here, and `--nocapture` prints where the bytes go:
 //!
 //! ```sh
 //! cargo test --release --test footprint -- --nocapture
@@ -133,7 +135,12 @@ fn heap_footprint_of_a_replica_and_a_cluster() {
 
     // where one hierarchy's bytes go
     let line = cfg.line_bytes;
-    let (_, l2) = heap_of(|| Cache::new("L2", cfg.l2_kib, cfg.l2_ways, line));
+    let (_, l2) = heap_of(|| Cache::sparse("L2", cfg.l2_kib, cfg.l2_ways, line));
+    let (_, l2_chunk) = heap_of(|| {
+        let mut c = Cache::sparse("L2", cfg.l2_kib, cfg.l2_ways, line);
+        c.fill(0x8000_0000, xt_mem::LineState::Exclusive, false);
+        c
+    });
     let (_, l1) = heap_of(|| Cache::new("L1D", cfg.l1d_kib, cfg.l1_ways, line));
     let (_, tlb_idle) = heap_of(|| Tlb::new(cfg.utlb_entries, cfg.jtlb_sets));
     let (_, tlb_used) = heap_of(|| {
@@ -152,29 +159,41 @@ fn heap_footprint_of_a_replica_and_a_cluster() {
     let l1d_lines = cfg.l1d_kib as usize * 1024 / line as usize;
     let (_, cls) = heap_of(|| MissClassifier::new(l1d_lines));
     println!("per hierarchy (4 cores, default geometry):");
-    println!("  L2 tag store               {:>9.1} KiB", kib(l2));
+    println!("  L2 tag store, never filled {:>9.1} KiB", kib(l2));
+    println!("  L2 tag store, one fill     {:>9.1} KiB", kib(l2_chunk));
     println!("  one L1 (of 8)              {:>9.1} KiB", kib(l1));
     println!("  one TLB, never installed   {:>9.1} KiB", kib(tlb_idle));
     println!("  one TLB, installed         {:>9.1} KiB", kib(tlb_used));
     println!("  one stream table           {:>9.1} KiB", kib(pf));
     println!("  one miss classifier        {:>9.1} KiB", kib(cls));
 
-    // 644.9 KiB; 1,096.9 KiB with 24-byte ways and eager TLB arrays
+    // 35.2 KiB; 545.2 KiB with the L2 tag store built eagerly
+    let one_core = MemConfig {
+        cores: 1,
+        ..cfg
+    };
+    let (mem, mem_bytes) = heap_of(|| MemSystem::new(one_core));
+    within("MemSystem::new, 1 core, no access", mem_bytes, 39 * 1024);
+    drop(mem);
+
+    // 134.9 KiB; 644.9 KiB with an eager L2 tag store, 1,096.9 KiB
+    // with 24-byte ways and eager TLB arrays besides
     let (replica, replica_bytes) = heap_of(|| MemSystem::replica(cfg));
-    within("MemSystem::replica, 4 cores", replica_bytes, 710 * 1024);
+    within("MemSystem::replica, 4 cores", replica_bytes, 149 * 1024);
     drop(replica);
 
     let progs: Vec<Program> = (0..4).map(private_slice).collect();
     let base = LIVE.load(Relaxed);
-    // 4,292.8 KiB; 6,552.6 KiB with 24-byte ways and eager TLB arrays
+    // 1,757.8 KiB; 4,307.8 KiB with eager L2 tag stores, 6,552.6 KiB
+    // with 24-byte ways and eager TLB arrays besides
     let (mut sim, new_bytes) =
         heap_of(|| ClusterSim::new(&progs, &CoreConfig::xt910(), cfg, 10_000_000));
-    within("ClusterSim::new, private slices", new_bytes, 4_725 * 1024);
+    within("ClusterSim::new, private slices", new_bytes, 1_934 * 1024);
 
     PEAK.store(LIVE.load(Relaxed), Relaxed);
     while !sim.step_epochs(1, 1) {}
-    // 8,315.6 KiB; 11,163.7 KiB with 24-byte ways, eager TLB arrays
-    // and 56-byte log records
+    // 8,331.6 KiB (8,348.8 with eager L2 tag stores); 11,163.7 KiB with
+    // 24-byte ways, eager TLB arrays and 56-byte log records
     let peak = PEAK.load(Relaxed) - base;
     within("peak during the run", peak, 9_150 * 1024);
 
