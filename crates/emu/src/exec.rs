@@ -289,20 +289,23 @@ impl Emulator {
     /// decoded-block cache coherent. Cross-core stores MUST come through
     /// here, not `mem.write_bytes`, or stale blocks would keep executing
     /// overwritten code (see docs/FASTPATH.md).
-    pub fn apply_external_store(&mut self, pa: u64, val: u64, size: usize) {
+    /// Returns `false` when a page it touches is left to the shared
+    /// [`crate::PublishedPages`] ([`GuestMem::write_held`]).
+    pub fn apply_external_store(&mut self, pa: u64, val: u64, size: usize) -> bool {
         if let Some(p) = self.platform.as_mut() {
             if p.contains(pa) {
                 // Another core's device store (e.g. an MSIP IPI doorbell)
                 // lands on this core's bus replica. A denied width was
                 // already faulted on the source core; here it only drops.
                 let _ = p.write(pa, val, size);
-                return;
+                return true;
             }
         }
-        self.mem.write_bytes(pa, val, size);
+        let landed = self.mem.write_held(pa, val, size);
         if self.fastpath {
             self.icache.invalidate_span(pa, size);
         }
+        landed
     }
 
     /// Runs until halt, returning the exit code.
@@ -477,12 +480,12 @@ impl Emulator {
         }
     }
 
-    fn translate(&self, va: u64, access: Access) -> Result<u64, Trap> {
+    fn translate(&mut self, va: u64, access: Access) -> Result<u64, Trap> {
         let pa = if !self.cpu.translation_on() {
             va
         } else {
             let root = csr::satp::ppn(self.cpu.satp());
-            mmu::walk(&self.mem, root, va, access)
+            mmu::walk(&mut self.mem, root, va, access)
                 .map(|t| t.pa)
                 .map_err(|f| Trap {
                     cause: f.cause(),

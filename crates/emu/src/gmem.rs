@@ -3,6 +3,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// log2 of the guest page size; shared with the decoded-block cache
 /// ([`crate::blockcache`]), whose invalidation is page-granular.
@@ -66,6 +67,47 @@ const MEMO: usize = 256;
 /// A memo tag no page index has (a page index is an address >> 12).
 const NO_PAGE: u64 = u64::MAX;
 
+/// The pages of a cluster's guest memory that some core lacked when a
+/// peer's store reached it: one layer, shared by every core's
+/// [`GuestMem`] ([`GuestMem::share`]), that holds each such store once
+/// rather than once per core.
+///
+/// A core's view of a page it does not hold is the published page (or
+/// zeros): every store to the page since the cores' memories were built
+/// or restored, in barrier order. The cluster barrier, the only writer,
+/// runs while no core does; the cores lock the layer only on a page-map
+/// miss.
+#[derive(Clone, Default)]
+pub struct PublishedPages(Arc<Mutex<GuestMem>>);
+
+impl PublishedPages {
+    fn lock(&self) -> MutexGuard<'_, GuestMem> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Writes `n <= 8` bytes little-endian, as [`GuestMem::write_bytes`]
+    /// does.
+    pub fn write_bytes(&self, addr: u64, val: u64, n: usize) {
+        self.lock().write_bytes(addr, val, n);
+    }
+
+    /// Drops every page: restoring the cores' memories from a frame, each
+    /// of which is a core's whole view.
+    pub fn clear(&self) {
+        *self.lock() = GuestMem::new();
+    }
+
+    /// Number of pages held.
+    pub fn len(&self) -> usize {
+        self.lock().resident_pages()
+    }
+
+    /// Whether no page is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// Sparse, page-granular guest physical memory supporting unaligned
 /// accesses (the XT-910 LSU supports unaligned data access, paper §II).
 ///
@@ -75,11 +117,17 @@ const NO_PAGE: u64 = u64::MAX;
 /// probe. Frames never move or die except when a snapshot restore
 /// rebuilds the map, and that clears the memo: a memo hit needs no check
 /// beyond its tag.
+///
+/// A cluster core's memory also sees the cluster's [`PublishedPages`]:
+/// the first read, write or fetch of a page it does not hold copies the
+/// published page in, on the page-map miss path.
 pub struct GuestMem {
     pages: PageMap<u32>,
     frames: Vec<Frame>,
     /// Indexed by the page index's low bits; refilled on a map hit.
     memo: [Cell<(u64, u32)>; MEMO],
+    /// The cluster's published pages, if this memory is a cluster core's.
+    published: Option<PublishedPages>,
 }
 
 impl Default for GuestMem {
@@ -88,6 +136,7 @@ impl Default for GuestMem {
             pages: PageMap::default(),
             frames: Vec::new(),
             memo: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
+            published: None,
         }
     }
 }
@@ -117,6 +166,17 @@ impl GuestMem {
         self.pages.len()
     }
 
+    /// Whether the page of `addr` is resident.
+    pub fn is_resident(&self, addr: u64) -> bool {
+        self.pages.contains_key(&(addr >> PAGE_BITS))
+    }
+
+    /// Makes `layer` the published pages this memory reads the pages it
+    /// lacks from (see [`PublishedPages`]).
+    pub fn share(&mut self, layer: PublishedPages) {
+        self.published = Some(layer);
+    }
+
     /// The memo entry of `page`.
     #[inline]
     fn memo(&self, page: u64) -> &Cell<(u64, u32)> {
@@ -136,27 +196,51 @@ impl GuestMem {
         Some(frame)
     }
 
-    /// The frame holding `page`, if it is resident.
+    /// The frame holding `page`, if it is resident or published (then
+    /// copied in).
     #[inline]
-    fn frame(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
-        self.frame_of(page).map(|f| &*self.frames[f as usize])
+    fn frame(&mut self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
+        let frame = self.frame_of(page).or_else(|| self.adopt(page))?;
+        Some(&self.frames[frame as usize])
+    }
+
+    /// The frame holding `page`, if it is resident.
+    fn resident(&self, page: u64) -> Option<&Frame> {
+        self.frame_of(page).map(|f| &self.frames[f as usize])
+    }
+
+    /// Every resident page and its frame.
+    fn held(&self) -> impl Iterator<Item = (u64, &Frame)> {
+        self.pages.iter().map(|(&idx, &f)| (idx, &self.frames[f as usize]))
+    }
+
+    /// The miss path: a copy of `page`'s published page made resident,
+    /// if there is one.
+    #[cold]
+    fn adopt(&mut self, page: u64) -> Option<u32> {
+        let copy = self.published.as_ref()?.lock().resident(page)?.clone();
+        Some(self.insert(page, copy))
+    }
+
+    /// Makes `data` the resident frame of `page`.
+    fn insert(&mut self, page: u64, data: Frame) -> u32 {
+        let frame = self.frames.len() as u32;
+        self.frames.push(data);
+        self.pages.insert(page, frame);
+        self.memo(page).set((page, frame));
+        frame
     }
 
     /// The frame holding the page of `addr`, allocated on demand.
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
         let page = addr >> PAGE_BITS;
-        let frame = self.frame_of(page).unwrap_or_else(|| {
-            let frame = self.frames.len() as u32;
-            self.frames.push(Box::new([0; PAGE_SIZE]));
-            self.pages.insert(page, frame);
-            self.memo(page).set((page, frame));
-            frame
-        });
+        let frame = (self.frame_of(page).or_else(|| self.adopt(page)))
+            .unwrap_or_else(|| self.insert(page, Box::new([0; PAGE_SIZE])));
         &mut self.frames[frame as usize]
     }
 
     /// Reads one byte (unmapped memory reads as zero).
-    pub fn read_u8(&self, addr: u64) -> u8 {
+    pub fn read_u8(&mut self, addr: u64) -> u8 {
         match self.frame(addr >> PAGE_BITS) {
             Some(p) => p[(addr & (PAGE_SIZE as u64 - 1)) as usize],
             None => 0,
@@ -174,7 +258,7 @@ impl GuestMem {
     /// The common same-page case resolves the page once; only accesses
     /// that actually straddle a boundary fall back to per-byte reads,
     /// which wrap from the last byte of the address space to address 0.
-    pub fn read_bytes(&self, addr: u64, n: usize) -> u64 {
+    pub fn read_bytes(&mut self, addr: u64, n: usize) -> u64 {
         debug_assert!(n <= 8);
         let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
         if off + n <= PAGE_SIZE {
@@ -229,18 +313,44 @@ impl GuestMem {
         }
     }
 
+    /// Writes a peer core's `n <= 8`-byte store into the pages this
+    /// memory holds, and returns whether every byte landed. A memory
+    /// that shares [`PublishedPages`] leaves the bytes of a page it does
+    /// not hold to them (the caller writes the store there); any other
+    /// allocates the page, as [`Self::write_bytes`] does.
+    pub fn write_held(&mut self, addr: u64, val: u64, n: usize) -> bool {
+        let held = |m: &Self, at: u64| m.published.is_none() || m.frame_of(at >> PAGE_BITS).is_some();
+        if (addr & (PAGE_SIZE as u64 - 1)) as usize + n <= PAGE_SIZE {
+            let held = held(self, addr);
+            if held {
+                self.write_bytes(addr, val, n);
+            }
+            return held;
+        }
+        let mut all = true;
+        for k in 0..n {
+            let at = addr.wrapping_add(k as u64);
+            if held(self, at) {
+                self.write_u8(at, (val >> (8 * k)) as u8);
+            } else {
+                all = false;
+            }
+        }
+        all
+    }
+
     /// Reads a u16.
-    pub fn read_u16(&self, addr: u64) -> u16 {
+    pub fn read_u16(&mut self, addr: u64) -> u16 {
         self.read_bytes(addr, 2) as u16
     }
 
     /// Reads a u32.
-    pub fn read_u32(&self, addr: u64) -> u32 {
+    pub fn read_u32(&mut self, addr: u64) -> u32 {
         self.read_bytes(addr, 4) as u32
     }
 
     /// Reads a u64.
-    pub fn read_u64(&self, addr: u64) -> u64 {
+    pub fn read_u64(&mut self, addr: u64) -> u64 {
         self.read_bytes(addr, 8)
     }
 
@@ -266,14 +376,18 @@ impl GuestMem {
     }
 
     /// Copies `len` bytes out of memory into a fresh vector, a page at a
-    /// time (unmapped memory reads as zero).
+    /// time (unmapped memory reads as zero). Observes: a published page
+    /// is read where it lies, not copied in.
     pub fn read_vec(&self, mut addr: u64, len: usize) -> Vec<u8> {
+        let published = self.published.as_ref().map(PublishedPages::lock);
         let mut out = vec![0; len];
         let mut rest = out.as_mut_slice();
         while !rest.is_empty() {
             let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
             let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE - off));
-            if let Some(p) = self.frame(addr >> PAGE_BITS) {
+            let page = addr >> PAGE_BITS;
+            let page = self.resident(page).or_else(|| published.as_ref()?.resident(page));
+            if let Some(p) = page {
                 chunk.copy_from_slice(&p[off..off + chunk.len()]);
             }
             addr += chunk.len() as u64;
@@ -283,16 +397,19 @@ impl GuestMem {
     }
 
     /// Sorted `(page index, contents)` snapshot of every page holding a
-    /// nonzero byte. All-zero pages are skipped: they are architecturally
+    /// nonzero byte: the resident pages, and the published pages this
+    /// memory lacks. All-zero pages are skipped: they are architecturally
     /// indistinguishable from unmapped ones (reads return zero either
     /// way), and two executions may differ in which zero pages they
     /// happened to allocate. Used by the fast-path differential suites
     /// to compare whole-memory state.
     pub fn snapshot_nonzero(&self) -> Vec<(u64, Vec<u8>)> {
+        let published = self.published.as_ref().map(PublishedPages::lock);
+        let lacked = published.iter().flat_map(|p| p.held());
+        let lacked = lacked.filter(|(idx, _)| !self.pages.contains_key(idx));
         let mut pages: Vec<(u64, Vec<u8>)> = self
-            .pages
-            .iter()
-            .map(|(&idx, &frame)| (idx, &self.frames[frame as usize]))
+            .held()
+            .chain(lacked)
             .filter(|(_, p)| p.iter().any(|&b| b != 0))
             .map(|(idx, p)| (idx, p.to_vec()))
             .collect();
@@ -345,7 +462,7 @@ mod tests {
 
     #[test]
     fn unmapped_reads_zero() {
-        let m = GuestMem::new();
+        let mut m = GuestMem::new();
         assert_eq!(m.read_u64(0xdead_beef), 0);
     }
 
@@ -472,6 +589,50 @@ mod tests {
     #[should_panic(expected = "u64 page indices only")]
     fn page_hasher_rejects_byte_slices() {
         PageHasher::default().write(&[1, 2, 3]);
+    }
+
+    fn frame(m: &mut GuestMem) -> Vec<u8> {
+        let mut e = xt_snapshot::Enc::new();
+        xt_snapshot::SnapshotState::save(m, &mut e);
+        e.into_bytes()
+    }
+
+    /// A memory sharing published pages sees them as its own before it
+    /// holds them — `read_vec`, `snapshot_nonzero` and the frame equal a
+    /// memory that was written the same bytes — and copies a page in on
+    /// its first read or write, after which publishing no longer
+    /// reaches it. A peer's store lands only in the pages it holds.
+    #[test]
+    fn published_pages_are_seen_unheld_and_copied_on_first_touch() {
+        let layer = PublishedPages::default();
+        let mut m = GuestMem::new();
+        m.share(layer.clone());
+        let mut plain = GuestMem::new();
+        for mem in [&mut m, &mut plain] {
+            mem.write_u64(0x1000, 0xAA);
+        }
+        // straddles pages 4 and 5
+        layer.write_bytes(0x5000 - 4, 0x1122_3344_5566_7788, 8);
+        plain.write_u64(0x5000 - 4, 0x1122_3344_5566_7788);
+        assert_eq!(layer.len(), 2);
+        assert_eq!(m.read_vec(0x4ff0, 32), plain.read_vec(0x4ff0, 32));
+        assert_eq!(m.snapshot_nonzero(), plain.snapshot_nonzero());
+        assert_eq!(frame(&mut m), frame(&mut plain));
+        assert_eq!(m.resident_pages(), 1, "observing copies nothing in");
+
+        assert!(m.write_held(0x1008, 5, 8), "a held page");
+        assert!(!m.write_held(0x9000, 5, 8), "an unheld page");
+        assert!(!m.write_held(0x1ffc, 5, 8), "straddling into an unheld page");
+        assert_eq!(m.read_u64(0x1008), 5);
+        assert!(!m.is_resident(0x9000) && !m.is_resident(0x2000));
+
+        assert_eq!(m.read_u32(0x5000), 0x1122_3344, "the first read");
+        assert!(m.is_resident(0x5000) && !m.is_resident(0x4000));
+        m.write_u8(0x4000, 1);
+        assert_eq!(m.read_u32(0x4ffc), 0x5566_7788, "the first write kept the page");
+        layer.write_bytes(0x5000, 0, 8);
+        layer.clear();
+        assert_eq!(m.read_u64(0x4ffc), 0x1122_3344_5566_7788);
     }
 
     #[test]

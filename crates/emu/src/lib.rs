@@ -54,6 +54,6 @@ pub mod vecexec;
 pub use blockcache::CacheStats;
 pub use cpu::{Cpu, PrivMode};
 pub use exec::{run_both_engines, ClusterCtl, Emulator, ExecError, StoreRec};
-pub use gmem::GuestMem;
+pub use gmem::{GuestMem, PublishedPages};
 pub use platform::{BusFault, IrqLines, Platform};
 pub use trace::{DynInst, MemAccess, TraceEvent, TraceSource};

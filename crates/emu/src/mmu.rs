@@ -95,7 +95,7 @@ impl PageFault {
 ///
 /// Returns a [`PageFault`] on invalid entries, malformed non-leaf
 /// entries, misaligned superpages or permission mismatch.
-pub fn walk(mem: &GuestMem, root_ppn: u64, va: u64, access: Access) -> Result<Translation, PageFault> {
+pub fn walk(mem: &mut GuestMem, root_ppn: u64, va: u64, access: Access) -> Result<Translation, PageFault> {
     let fault = || PageFault { va, access };
     // SV39 requires bits 63:39 to equal bit 38.
     let sext = ((va as i64) << 25) >> 25;
@@ -218,7 +218,7 @@ mod tests {
         let mut mem = GuestMem::new();
         let mut pt = PageTableBuilder::new(&mut mem, 0x10_0000);
         pt.map(&mut mem, 0x8000_0000, 0x8000_0000, 0, pte::R | pte::W | pte::X);
-        let t = walk(&mem, pt.root_ppn(), 0x8000_0123, Access::Load).unwrap();
+        let t = walk(&mut mem, pt.root_ppn(), 0x8000_0123, Access::Load).unwrap();
         assert_eq!(t.pa, 0x8000_0123);
         assert_eq!(t.level, 0);
     }
@@ -229,10 +229,10 @@ mod tests {
         let mut pt = PageTableBuilder::new(&mut mem, 0x10_0000);
         pt.map(&mut mem, 0x4000_0000, 0x8000_0000, 2, pte::R | pte::W);
         pt.map(&mut mem, 0x2020_0000, 0x0120_0000, 1, pte::R);
-        let g = walk(&mem, pt.root_ppn(), 0x4123_4567, Access::Load).unwrap();
+        let g = walk(&mut mem, pt.root_ppn(), 0x4123_4567, Access::Load).unwrap();
         assert_eq!(g.pa, 0x8123_4567);
         assert_eq!(g.page_size(), 1 << 30);
-        let m = walk(&mem, pt.root_ppn(), 0x2021_0042, Access::Load).unwrap();
+        let m = walk(&mut mem, pt.root_ppn(), 0x2021_0042, Access::Load).unwrap();
         assert_eq!(m.pa, 0x0121_0042);
         assert_eq!(m.page_size(), 2 << 20);
     }
@@ -242,21 +242,21 @@ mod tests {
         let mut mem = GuestMem::new();
         let mut pt = PageTableBuilder::new(&mut mem, 0x10_0000);
         pt.map(&mut mem, 0x1000, 0x2000, 0, pte::R);
-        assert!(walk(&mem, pt.root_ppn(), 0x1000, Access::Store).is_err());
-        assert!(walk(&mem, pt.root_ppn(), 0x1000, Access::Fetch).is_err());
-        assert!(walk(&mem, pt.root_ppn(), 0x1000, Access::Load).is_ok());
+        assert!(walk(&mut mem, pt.root_ppn(), 0x1000, Access::Store).is_err());
+        assert!(walk(&mut mem, pt.root_ppn(), 0x1000, Access::Fetch).is_err());
+        assert!(walk(&mut mem, pt.root_ppn(), 0x1000, Access::Load).is_ok());
     }
 
     #[test]
     fn unmapped_faults_with_cause() {
-        let mem = GuestMem::new();
-        let f = walk(&mem, 0x100, 0x5000, Access::Store).unwrap_err();
+        let mut mem = GuestMem::new();
+        let f = walk(&mut mem, 0x100, 0x5000, Access::Store).unwrap_err();
         assert_eq!(f.cause(), 15);
     }
 
     #[test]
     fn non_canonical_va_faults() {
-        let mem = GuestMem::new();
-        assert!(walk(&mem, 0x100, 0x0100_0000_0000_0000, Access::Load).is_err());
+        let mut mem = GuestMem::new();
+        assert!(walk(&mut mem, 0x100, 0x0100_0000_0000_0000, Access::Load).is_err());
     }
 }

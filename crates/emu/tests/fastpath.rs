@@ -1043,7 +1043,7 @@ fn store_straddling_the_top_of_the_address_space_wraps() {
     a.ld(Gpr::A0, Gpr::ZERO, -4);
     a.halt();
     let p = a.finish().unwrap();
-    let fast = assert_fast_equals_slow(&p, "wrapping store");
+    let mut fast = assert_fast_equals_slow(&p, "wrapping store");
     assert_eq!(fast.halted, Some(0x1122_3344_5566_7788));
     assert_eq!(fast.mem.read_u32(0), 0x1122_3344);
     assert_eq!(fast.mem.read_u32(u64::MAX - 3), 0x5566_7788);
@@ -1188,7 +1188,7 @@ fn a_dropped_block_never_comes_back_through_the_jump_table() {
                         Dropper::GuestStore => {}
                         Dropper::ExternalStore => {
                             let word = addi_word(Gpr::A4, 10 + round);
-                            emu.apply_external_store(f_site, word as u64, 4)
+                            assert!(emu.apply_external_store(f_site, word as u64, 4));
                         }
                         Dropper::Toggle => {
                             if emu.fastpath() {

@@ -2,8 +2,7 @@
 
 mod ways;
 
-pub(crate) use ways::Way;
-use ways::Ways;
+use ways::{Ways, Word};
 pub use ways::{Chunked, Flat};
 
 /// MOSEI coherence state of a cache line (§VI: "The L2 cache supports
@@ -94,7 +93,9 @@ pub struct Victim {
 /// Stores tags and MOSEI states only (data values live in the functional
 /// emulator). Addresses are physical. `W` is where the ways live:
 /// [`Flat`] ([`Cache::new`], the L1s) or [`Chunked`] ([`Cache::sparse`],
-/// the shared L2).
+/// the shared L2). LRU stamps are 32 bits wide: if the counter ever
+/// reaches `u32::MAX`, every stamp is renumbered in rank order, which
+/// picks the same victims.
 #[derive(Clone, Debug)]
 pub struct Cache<W = Flat> {
     name: &'static str,
@@ -120,13 +121,13 @@ impl Cache {
 
 impl Cache<Chunked> {
     /// Creates the cache [`Cache::new`] does, with its ways allocated in
-    /// 4 KiB chunks of whole sets, each by the first fill into it. Every
+    /// 3 KiB chunks of whole sets, each by the first fill into it. Every
     /// answer, and every snapshot byte, is the flat cache's: a chunk
     /// never filled reads, and is written, as reset ways.
     ///
     /// # Panics
     ///
-    /// As [`Cache::new`].
+    /// As [`Cache::new`], and if a set has more than 256 ways.
     pub fn sparse(name: &'static str, size_kib: u32, ways: u32, line_bytes: u32) -> Self {
         Self::build(name, size_kib, ways, line_bytes)
     }
@@ -167,10 +168,21 @@ impl<W: Ways> Cache<W> {
         (set, key)
     }
 
-    /// The valid way holding `addr`'s line, if any.
-    fn find(&self, addr: u64) -> Option<&Way> {
+    /// The next LRU stamp; the stamps are renumbered when the counter
+    /// reaches its limit.
+    #[inline(always)]
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp += 1;
+        if self.stamp >= self.store.stamp_limit() {
+            self.stamp = self.store.renumber(self.stamp);
+        }
+        self.stamp as u32
+    }
+
+    /// The tag word of the valid way holding `addr`, if any.
+    fn find(&self, addr: u64) -> Option<Word> {
         let (set, key) = self.set_of(addr);
-        self.store.set(set, self.ways).iter().find(|w| w.holds(key))
+        self.store.words(set, self.ways).find(|w| w.holds(key))
     }
 
     /// Probes for `addr` and updates LRU; a first demand touch clears the
@@ -178,20 +190,19 @@ impl<W: Ways> Cache<W> {
     /// `is_store` reports `UpgradeNeeded` for hits in non-writable states.
     pub fn access(&mut self, addr: u64, is_store: bool) -> ProbeResult {
         let (set, key) = self.set_of(addr);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set = self.store.set_mut(set, self.ways);
-        let Some(way) = set.iter_mut().find(|w| w.holds(key)) else {
+        let stamp = self.next_stamp();
+        let mut set = self.store.set_mut(set, self.ways, false);
+        let Some((word, lru)) = set.find(|(w, _)| w.holds(key)) else {
             return ProbeResult::Miss;
         };
-        way.lru = stamp;
-        let was_prefetched = way.prefetched();
-        way.clear_prefetched();
-        if is_store && !way.state().is_writable() {
+        *lru = stamp;
+        let was_prefetched = word.prefetched();
+        word.clear_prefetched();
+        if is_store && !word.state().is_writable() {
             return ProbeResult::UpgradeNeeded { was_prefetched };
         }
         if is_store {
-            way.set_state(LineState::Modified);
+            word.set_state(LineState::Modified);
         }
         ProbeResult::Hit { was_prefetched }
     }
@@ -210,30 +221,32 @@ impl<W: Ways> Cache<W> {
     /// if a valid line was evicted. `prefetched` marks prefetcher fills.
     pub fn fill(&mut self, addr: u64, state: LineState, prefetched: bool) -> Option<Victim> {
         let (set, key) = self.set_of(addr);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set = self.store.alloc_set(set, self.ways);
+        let stamp = self.next_stamp();
         // Already present? Just upgrade the state.
-        if let Some(way) = set.iter_mut().find(|w| w.holds(key)) {
-            way.set_state(state);
-            way.lru = stamp;
+        let present = self.store.set_mut(set, self.ways, true).find(|(w, _)| w.holds(key));
+        if let Some((word, lru)) = present {
+            word.set_state(state);
+            *lru = stamp;
             return None;
         }
         // Choose victim: an invalid way, else true-LRU.
-        let mut victim_i = 0;
-        let mut best = u64::MAX;
-        for (i, way) in set.iter().enumerate() {
-            if !way.is_valid() {
-                victim_i = i;
+        let mut victim = 0;
+        let mut best = u32::MAX;
+        for (i, (word, lru)) in self.store.set_mut(set, self.ways, true).enumerate() {
+            if !word.is_valid() {
+                victim = i;
                 break;
             }
-            if way.lru < best {
-                best = way.lru;
-                victim_i = i;
+            if *lru < best {
+                best = *lru;
+                victim = i;
             }
         }
-        let old = set[victim_i];
-        set[victim_i] = Way::new(key, state, prefetched, stamp);
+        let mut set = self.store.set_mut(set, self.ways, true);
+        let (word, lru) = set.nth(victim).expect("a set has ways");
+        let old = *word;
+        *word = Word::new(key, state, prefetched);
+        *lru = stamp;
         old.is_valid().then(|| Victim {
             addr: old.addr(),
             state: old.state(),
@@ -245,12 +258,12 @@ impl<W: Ways> Cache<W> {
     /// the previous state if the line was present.
     pub fn set_state(&mut self, addr: u64, state: LineState) -> Option<LineState> {
         let (set, key) = self.set_of(addr);
-        let set = self.store.set_mut(set, self.ways);
-        let way = set.iter_mut().find(|w| w.holds(key))?;
-        let old = way.state();
-        way.set_state(state);
+        let mut set = self.store.set_mut(set, self.ways, false);
+        let (word, _) = set.find(|(w, _)| w.holds(key))?;
+        let old = word.state();
+        word.set_state(state);
         if state == LineState::Invalid {
-            way.clear_prefetched();
+            word.clear_prefetched();
         }
         Some(old)
     }
@@ -259,11 +272,12 @@ impl<W: Ways> Cache<W> {
     /// dirty lines would have been written back.
     pub fn invalidate_all(&mut self) -> u64 {
         let mut dirty = 0;
-        for way in self.store.allocated_mut().flatten() {
-            if way.state().is_dirty() {
+        for (word, lru) in self.store.allocated_mut() {
+            if word.state().is_dirty() {
                 dirty += 1;
             }
-            *way = Way::INVALID;
+            *word = Word::INVALID;
+            *lru = 0;
         }
         dirty
     }
@@ -271,43 +285,48 @@ impl<W: Ways> Cache<W> {
 
 impl<W: Ways> xt_snapshot::SnapshotState for Cache<W> {
     /// Each way as `tag` (the line address), state, LRU stamp and
-    /// prefetched mark — the frame layout, not the packed word. A way
-    /// the store never allocated is written as the reset way (tag 0,
-    /// `Invalid`, LRU 0, not prefetched), and decoding allocates only
-    /// for a way that is not the reset way. A tag whose byte address
-    /// does not fit in 64 bits is `Corrupt`.
+    /// prefetched mark — the frame layout, not the packed word — then
+    /// the stamp counter. A way the store never allocated is written as
+    /// the reset way (tag 0, `Invalid`, LRU 0, not prefetched), and
+    /// decoding allocates only for a set holding a way that is not the
+    /// reset way. A tag whose byte address does not fit in 64 bits is
+    /// `Corrupt`, and so is a stamp or counter past `u32::MAX`: stamps
+    /// are kept in 32 bits and written as `u64`.
     fn transfer<S: xt_snapshot::Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
         s.expect("cache geometry", self.sets)?;
         s.expect("cache geometry", self.ways)?;
         s.expect("cache geometry", self.line_bits)?;
         let (ways, line_bits) = (self.ways, self.line_bits);
+        let fits = |stamp: u64| stamp <= u32::MAX as u64;
+        let reset = (Word::INVALID, 0);
+        let mut held = Vec::with_capacity(ways);
         for set in 0..self.sets {
-            for i in 0..ways {
-                let way = self.store.set(set, ways).get(i).copied();
-                let way = way.unwrap_or(Way::INVALID);
-                let mut tag = way.addr() >> line_bits;
-                let mut state = way.state();
-                let mut lru = way.lru;
-                let mut prefetched = way.prefetched();
+            held.clear();
+            held.extend(self.store.set_mut(set, ways, false).map(|(w, l)| (*w, *l as u64)));
+            held.resize(ways, reset);
+            for (word, lru) in &mut held {
+                let mut tag = word.addr() >> line_bits;
+                let mut state = word.state();
+                let mut prefetched = word.prefetched();
                 s.u64(&mut tag)?;
                 s.check(tag >> (64 - line_bits) == 0, "cache tag")?;
                 s.variant(&mut state, &LineState::ALL, "line state")?;
-                s.u64(&mut lru)?;
+                s.u64(lru)?;
+                s.check(fits(*lru), "cache stamp")?;
                 s.bool(&mut prefetched)?;
-                if S::DECODING {
-                    let way = Way::new(tag << line_bits, state, prefetched, lru);
-                    let set = if way == Way::INVALID {
-                        self.store.set_mut(set, ways)
-                    } else {
-                        self.store.alloc_set(set, ways)
-                    };
-                    if let Some(slot) = set.get_mut(i) {
-                        *slot = way;
-                    }
+                *word = Word::new(tag << line_bits, state, prefetched);
+            }
+            if S::DECODING {
+                let alloc = held.iter().any(|&way| way != reset);
+                let dst = self.store.set_mut(set, ways, alloc);
+                for ((word, lru), &(w, l)) in dst.zip(&held) {
+                    *word = w;
+                    *lru = l as u32;
                 }
             }
         }
-        s.u64(&mut self.stamp)
+        s.u64(&mut self.stamp)?;
+        s.check(fits(self.stamp), "cache stamp")
     }
 }
 
@@ -578,23 +597,30 @@ mod tests {
         LineCache::new(geometry.0, geometry.1, geometry.2)
     }
 
-    /// Applies `ops` to `flat`, `chunked` and `reference` alike: every
-    /// return value equals the reference's, and so do both frames after
-    /// every call for which `compare(i, kind)` holds and after the last.
+    /// Applies `ops` to `flat`, `chunked` (its stamps renumbered at
+    /// `limit`) and `reference` alike: every return value equals the
+    /// reference's, and so do both frames after every call for which
+    /// `compare(i, kind)` holds and after the last — once the chunked
+    /// cache has renumbered, its frame up to the ranks of the stamps.
     /// `sets` are the sets the ops touch, each with four more lines than
-    /// ways aliasing into it.
+    /// ways aliasing into it. Returns how often the chunked cache
+    /// renumbered.
     fn agree(
         geometry: (u32, u32, u32),
+        limit: u64,
         sets: &[u64],
         ops: &[Op],
         compare: impl Fn(usize, u32) -> bool,
-    ) {
+    ) -> usize {
         let (kib, ways, line_bytes) = geometry;
         let mut flat = Cache::new("t", kib, ways, line_bytes);
         let mut chunked = Cache::sparse("t", kib, ways, line_bytes);
+        chunked.store.limit = limit;
+        let mut renumbered = 0;
         let mut reference = line_cache(geometry);
         let sets_total = reference.sets as u64;
         for (i, &(kind, base, pick, state, flag, offset)) in ops.iter().enumerate() {
+            let counter = chunked.stamp;
             let set = sets[pick as usize % sets.len()] % sets_total;
             let tag = pick / sets.len() as u64 % (ways as u64 + 4);
             let line = (tag * sets_total + set) * line_bytes as u64;
@@ -631,10 +657,16 @@ mod tests {
                     assert_eq!(chunked.invalidate_all(), want, "{what}");
                 }
             }
+            renumbered += usize::from(chunked.stamp < counter);
             if compare(i, kind) || i + 1 == ops.len() {
                 let bytes = frame(&mut reference);
                 assert_eq!(frame(&mut flat), bytes, "flat, {what}");
-                assert_eq!(frame(&mut chunked), bytes, "chunked, {what}");
+                if chunked.stamp == reference.stamp {
+                    assert_eq!(frame(&mut chunked), bytes, "chunked, {what}");
+                } else {
+                    let got = ranked(&frame(&mut chunked));
+                    assert!(got == ranked(&bytes), "chunked, renumbered, {what}");
+                }
             }
         }
         let bytes = frame(&mut reference);
@@ -649,6 +681,27 @@ mod tests {
             reference.chunks_in_use(restored.store.chunks.len()),
             "decoding allocates the chunks that hold a non-reset way"
         );
+        renumbered
+    }
+
+    /// A cache frame with each LRU stamp, and the counter, replaced by its
+    /// rank among them: equal for two frames whose stamps compare alike.
+    /// A frame is the geometry (`sets`, `ways`: u64, `line_bits`: u32),
+    /// then per way `tag`, `state`: u8, `lru`, `prefetched`: u8, then
+    /// the counter.
+    fn ranked(frame: &[u8]) -> Vec<u8> {
+        let counter = frame.len() - 8;
+        let at: Vec<usize> = (20 + 9..counter).step_by(18).chain([counter]).collect();
+        let stamp = |k: usize| u64::from_le_bytes(frame[k..k + 8].try_into().unwrap());
+        let mut order: Vec<u64> = at.iter().map(|&k| stamp(k)).collect();
+        order.sort_unstable();
+        order.dedup();
+        let mut out = frame.to_vec();
+        for k in at {
+            let rank = order.binary_search(&stamp(k)).unwrap() as u64;
+            out[k..k + 8].copy_from_slice(&rank.to_le_bytes());
+        }
+        out
     }
 
     fn restore(c: &mut impl xt_snapshot::SnapshotState, bytes: &[u8]) {
@@ -660,7 +713,7 @@ mod tests {
     /// The chunks a chunked cache has allocated.
     fn allocated(c: &Cache<Chunked>) -> Vec<usize> {
         let chunks = c.store.chunks.iter().enumerate();
-        chunks.filter(|(_, w)| !w.is_empty()).map(|(k, _)| k).collect()
+        chunks.filter(|(_, w)| w.is_some()).map(|(k, _)| k).collect()
     }
 
     impl LineCache {
@@ -708,7 +761,9 @@ mod tests {
             &Config::seeded_cases(0x0910_0029_0001, 64),
             "packed_ways_agree_with_the_line_cache",
             &(choose(&GEOMETRIES), ops(1..300)),
-            |(geometry, ops)| agree(*geometry, &[0, 1, 2], ops, |_, _| true),
+            |(geometry, ops)| {
+                agree(*geometry, u32::MAX as u64, &[0, 1, 2], ops, |_, _| true);
+            },
         );
     }
 
@@ -726,7 +781,35 @@ mod tests {
             &Config::seeded_cases(0x0910_0042_0001, 12),
             "chunked_l2_agrees_with_the_line_cache",
             &(vec_of(ints(0u64..2048), 3..4), ops(1..400)),
-            |(sets, ops)| agree(L2, sets, ops, |i, kind| kind == 15 || i % 64 == 63),
+            |(sets, ops)| {
+                agree(L2, u32::MAX as u64, sets, ops, |i, kind| {
+                    kind == 15 || i % 64 == 63
+                });
+            },
+        );
+    }
+
+    /// The same with the stamp limit lowered from `u32::MAX` to 32, under
+    /// the 48 ways three sets hold: the chunked L2 renumbers its stamps
+    /// at least once every 32 stamps drawn, and still answers every probe
+    /// and picks every victim as the `Line` cache does, ties among
+    /// invalid ways included; its frame, compared every 64th call and
+    /// after the last, differs from the reference's only in stamps that
+    /// rank alike.
+    #[test]
+    fn renumbered_stamps_pick_the_line_caches_victims() {
+        use xt_harness::gen::{ints, vec_of};
+        use xt_harness::prop::{check_with, Config};
+        check_with(
+            &Config::seeded_cases(0x0910_0043_0001, 12),
+            "renumbered_stamps_pick_the_line_caches_victims",
+            &(vec_of(ints(0u64..2048), 3..4), ops(200..400)),
+            |(sets, ops)| {
+                let renumbered = agree(L2, 32, sets, ops, |i, _| i % 64 == 63);
+                // `access` and `fill` draw a stamp
+                let draws = ops.iter().filter(|op| op.0 <= 10).count();
+                assert!(renumbered >= draws / 32, "{renumbered} renumberings in {draws} stamps");
+            },
         );
     }
 
@@ -760,6 +843,13 @@ mod tests {
         assert!(allocated(&c).is_empty());
     }
 
+    /// An L1 way is 16 bytes; an L2 chunk is 12 bytes a way.
+    #[test]
+    fn way_and_chunk_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<ways::Way>(), 16);
+        assert_eq!(std::mem::size_of::<ways::Chunk>(), 12 * ways::CHUNK_WAYS);
+    }
+
     /// Probes, state changes and `invalidate_all` on a chunk never
     /// filled answer as an all-invalid set and allocate nothing; a fill
     /// allocates its chunk alone.
@@ -775,7 +865,6 @@ mod tests {
         assert!(allocated(&c).is_empty());
         assert_eq!(c.fill(addr, LineState::Modified, false), None);
         assert_eq!(allocated(&c), [2]);
-        assert_eq!(c.store.chunks[2].len(), ways::CHUNK_WAYS);
         assert_eq!(c.invalidate_all(), 1);
         assert_eq!(allocated(&c), [2], "invalidate_all keeps its chunks");
     }

@@ -1,26 +1,21 @@
-//! Where a [`super::Cache`] keeps its ways: the packed [`Way`], and the
-//! two stores of them — [`Flat`], one array built eagerly (the L1s), and
-//! [`Chunked`], 4 KiB chunks each allocated by the first fill into it
-//! (the shared L2).
+//! Where a [`super::Cache`] keeps its ways — a packed tag [`Word`] and a
+//! 32-bit LRU stamp each: [`Flat`], one array of 16-byte [`Way`]s built
+//! eagerly (the L1s), and [`Chunked`], chunks of tag words, then their
+//! stamps, each allocated by the first fill into it (the shared L2).
 
 use super::LineState;
 use std::fmt::Debug;
 
-/// One way of a set: the line's byte address, with its MOSEI state and
+/// A way's tag word: the line's byte address, with its MOSEI state and
 /// prefetched mark packed into the low bits every line address leaves
-/// free (lines are at least 16 bytes, [`crate::MemConfig::validate`]),
-/// and its LRU stamp. At 16 bytes a 16-way set is four host cache lines.
+/// free (lines are at least 16 bytes, [`crate::MemConfig::validate`]).
 ///
 /// The word is `addr | code(state) << 1 | prefetched`, with `Invalid`
 /// coded 0: the probe `holds` is one subtract and compare, and an
 /// invalidated way keeps its stale address as the model always has
 /// (snapshots write it).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Way {
-    word: u64,
-    /// LRU stamp: larger = more recently used.
-    pub(super) lru: u64,
-}
+pub struct Word(u64);
 
 /// The low bits of a way's word that are not the line's address.
 const FLAGS: u64 = 0xF;
@@ -55,68 +50,102 @@ fn code(state: LineState) -> u64 {
     code << 1
 }
 
-impl Way {
-    /// The reset way: tag 0, `Invalid`, LRU 0, not prefetched. A way no
-    /// store has allocated stands for this one.
-    pub(super) const INVALID: Way = Way { word: 0, lru: 0 };
+impl Word {
+    /// The reset word: tag 0, `Invalid`, not prefetched.
+    pub(super) const INVALID: Word = Word(0);
 
-    pub(super) fn new(addr: u64, state: LineState, prefetched: bool, lru: u64) -> Way {
-        Way {
-            word: addr | code(state) | prefetched as u64,
-            lru,
-        }
+    pub(super) fn new(addr: u64, state: LineState, prefetched: bool) -> Word {
+        Word(addr | code(state) | prefetched as u64)
     }
 
     /// Whether this is the valid way of the line at byte address `key`:
     /// the address bits equal and the state not `Invalid`.
     #[inline(always)]
     pub(super) fn holds(self, key: u64) -> bool {
-        (self.word ^ key).wrapping_sub(2) < FLAGS - 1
+        (self.0 ^ key).wrapping_sub(2) < FLAGS - 1
     }
 
     pub(super) fn is_valid(self) -> bool {
-        self.word & STATE != 0
+        self.0 & STATE != 0
     }
 
     pub(super) fn addr(self) -> u64 {
-        self.word & !FLAGS
+        self.0 & !FLAGS
     }
 
     pub(super) fn state(self) -> LineState {
-        STATES[((self.word & STATE) >> 1) as usize]
+        STATES[((self.0 & STATE) >> 1) as usize]
     }
 
     pub(super) fn prefetched(self) -> bool {
-        self.word & PREFETCHED != 0
+        self.0 & PREFETCHED != 0
     }
 
     pub(super) fn clear_prefetched(&mut self) {
-        self.word &= !PREFETCHED;
+        self.0 &= !PREFETCHED;
     }
 
     pub(super) fn set_state(&mut self, state: LineState) {
-        self.word = self.word & !STATE | code(state);
+        self.0 = self.0 & !STATE | code(state);
     }
 }
 
-/// A store of `sets` × `ways` ways, in set order, all reset when built.
-/// A set whose ways the store has not allocated reads as no ways, which
-/// every probe answers as it would an all-invalid set.
+/// A way of a [`Flat`] store: its tag word and its LRU stamp (larger =
+/// more recently used). At 16 bytes, padding included, a 4-way L1 set
+/// is one host line.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Way {
+    word: Word,
+    lru: u32,
+}
+
+/// A store of `sets` × `ways` ways, in set order, all reset when built:
+/// each way a tag [`Word`] and a 32-bit LRU stamp. A set whose ways the
+/// store has not allocated reads as no ways, which every probe answers
+/// as it would an all-invalid set.
 pub trait Ways: Clone + Debug {
     /// `sets` sets of `ways` reset ways.
     fn reset(sets: usize, ways: usize) -> Self;
 
-    /// The ways of `set`, or none if they were never allocated.
-    fn set(&self, set: usize, ways: usize) -> &[Way];
+    /// The tag words of `set`, none if it was never allocated.
+    fn words(&self, set: usize, ways: usize) -> impl Iterator<Item = Word> + '_;
 
-    /// The ways of `set`, or none if they were never allocated.
-    fn set_mut(&mut self, set: usize, ways: usize) -> &mut [Way];
+    /// The ways of `set`; if it was never allocated, none, or, when
+    /// `alloc` holds, `ways` reset ways allocated now.
+    fn set_mut(
+        &mut self,
+        set: usize,
+        ways: usize,
+        alloc: bool,
+    ) -> impl Iterator<Item = (&mut Word, &mut u32)>;
 
-    /// The ways of `set`, allocated reset if they were not.
-    fn alloc_set(&mut self, set: usize, ways: usize) -> &mut [Way];
+    /// Every allocated way.
+    fn allocated_mut(&mut self) -> impl Iterator<Item = (&mut Word, &mut u32)>;
 
-    /// Every allocated way, a run at a time.
-    fn allocated_mut(&mut self) -> impl Iterator<Item = &mut [Way]>;
+    /// The counter value at which the stamps are renumbered.
+    fn stamp_limit(&self) -> u64 {
+        u32::MAX as u64
+    }
+
+    /// Replaces every stamp and `counter` by its rank among them (0
+    /// stays 0: a reset way stays reset) and returns the counter's: each
+    /// comparison of two stamps at or below the counter, ties included,
+    /// keeps its outcome, so replacement picks the same victims.
+    fn renumber(&mut self, counter: u64) -> u64 {
+        let mut order: Vec<u64> = self.allocated_mut().map(|(_, &mut l)| l as u64).collect();
+        order.push(counter);
+        order.sort_unstable();
+        order.dedup();
+        let rank = |stamp: u64| match order.binary_search(&stamp) {
+            Ok(r) if order[0] == 0 => r as u64,
+            Ok(r) => r as u64 + 1,
+            Err(_) => unreachable!("every stamp is in the order"),
+        };
+        for (_, lru) in self.allocated_mut() {
+            *lru = rank(*lru as u64) as u32;
+        }
+        rank(counter)
+    }
 }
 
 /// One array of every way, allocated when the cache is built: the L1s,
@@ -126,42 +155,59 @@ pub struct Flat(Vec<Way>);
 
 impl Ways for Flat {
     fn reset(sets: usize, ways: usize) -> Self {
-        Flat(vec![Way::INVALID; sets * ways])
+        let reset = Way {
+            word: Word::INVALID,
+            lru: 0,
+        };
+        Flat(vec![reset; sets * ways])
     }
 
     #[inline(always)]
-    fn set(&self, set: usize, ways: usize) -> &[Way] {
-        &self.0[set * ways..(set + 1) * ways]
+    fn words(&self, set: usize, ways: usize) -> impl Iterator<Item = Word> + '_ {
+        self.0[set * ways..(set + 1) * ways].iter().map(|w| w.word)
     }
 
     #[inline(always)]
-    fn set_mut(&mut self, set: usize, ways: usize) -> &mut [Way] {
-        &mut self.0[set * ways..(set + 1) * ways]
+    fn set_mut(
+        &mut self,
+        set: usize,
+        ways: usize,
+        _alloc: bool,
+    ) -> impl Iterator<Item = (&mut Word, &mut u32)> {
+        let set = &mut self.0[set * ways..(set + 1) * ways];
+        set.iter_mut().map(|w| (&mut w.word, &mut w.lru))
     }
 
-    #[inline(always)]
-    fn alloc_set(&mut self, set: usize, ways: usize) -> &mut [Way] {
-        self.set_mut(set, ways)
-    }
-
-    fn allocated_mut(&mut self) -> impl Iterator<Item = &mut [Way]> {
-        std::iter::once(&mut self.0[..])
+    fn allocated_mut(&mut self) -> impl Iterator<Item = (&mut Word, &mut u32)> {
+        self.0.iter_mut().map(|w| (&mut w.word, &mut w.lru))
     }
 }
 
-/// Ways per chunk: 4 KiB of 16-byte ways, 16 sets of a 16-way L2.
+/// Ways per chunk: 16 sets of a 16-way L2.
 pub(super) const CHUNK_WAYS: usize = 256;
 
-/// The ways in chunks of whole sets, 256 ways (4 KiB) where the set
-/// size divides it, each allocated by the first fill into one of its
-/// sets: the shared L2 (256 KiB – 8 MiB of lines, 16 bytes a way) costs
-/// a hierarchy only the chunks a run touches.
+/// One chunk of a [`Chunked`] store: its ways' tag words, then their
+/// stamps, 12 bytes a way (3 KiB), so a 16-way probe reads two host
+/// lines of tags and the stamps only on a hit or a fill.
+#[derive(Clone, Debug)]
+pub(super) struct Chunk {
+    words: [Word; CHUNK_WAYS],
+    lru: [u32; CHUNK_WAYS],
+}
+
+/// The ways in chunks of whole sets, 256 ways where the set size divides
+/// it, each allocated by the first fill into one of its sets: the shared
+/// L2 (256 KiB – 8 MiB of lines, 12 bytes a way) costs a hierarchy only
+/// the chunks a run touches.
 #[derive(Clone, Debug)]
 pub struct Chunked {
-    /// Chunk `k` holds sets `k << shift ..`; empty until its first fill.
-    pub(super) chunks: Vec<Box<[Way]>>,
+    /// Chunk `k` holds sets `k << shift ..`; `None` until its first fill.
+    pub(super) chunks: Vec<Option<Box<Chunk>>>,
     /// log2 of the sets in a chunk.
     shift: u32,
+    /// The counter value at which the stamps are renumbered: `u32::MAX`,
+    /// lowered by the unit tests that cross it.
+    pub(super) limit: u64,
 }
 
 impl Chunked {
@@ -173,42 +219,57 @@ impl Chunked {
 }
 
 impl Ways for Chunked {
+    /// # Panics
+    ///
+    /// Panics if one set has more than [`CHUNK_WAYS`] ways.
     fn reset(sets: usize, ways: usize) -> Self {
-        // a power of two of whole sets, at most CHUNK_WAYS ways unless
-        // one set is larger, and never more sets than the cache has
-        let chunk_sets = (CHUNK_WAYS / ways).max(1);
-        let shift = chunk_sets.ilog2().min(sets.ilog2());
+        assert!(ways <= CHUNK_WAYS, "a chunked cache set has at most {CHUNK_WAYS} ways");
+        // a power of two of whole sets, at most CHUNK_WAYS ways, and
+        // never more sets than the cache has
+        let shift = (CHUNK_WAYS / ways).ilog2().min(sets.ilog2());
         Chunked {
-            chunks: vec![Box::default(); sets >> shift],
+            chunks: vec![None; sets >> shift],
             shift,
+            limit: u32::MAX as u64,
         }
     }
 
     #[inline]
-    fn set(&self, set: usize, ways: usize) -> &[Way] {
+    fn words(&self, set: usize, ways: usize) -> impl Iterator<Item = Word> + '_ {
         let (chunk, at) = self.locate(set, ways);
-        self.chunks[chunk].get(at..at + ways).unwrap_or_default()
+        let words = self.chunks[chunk].as_ref().map(|c| &c.words[at..at + ways]);
+        words.unwrap_or_default().iter().copied()
     }
 
     #[inline]
-    fn set_mut(&mut self, set: usize, ways: usize) -> &mut [Way] {
-        let (chunk, at) = self.locate(set, ways);
-        self.chunks[chunk]
-            .get_mut(at..at + ways)
-            .unwrap_or_default()
-    }
-
-    #[inline]
-    fn alloc_set(&mut self, set: usize, ways: usize) -> &mut [Way] {
+    fn set_mut(
+        &mut self,
+        set: usize,
+        ways: usize,
+        alloc: bool,
+    ) -> impl Iterator<Item = (&mut Word, &mut u32)> {
         let (chunk, at) = self.locate(set, ways);
         let chunk = &mut self.chunks[chunk];
-        if chunk.is_empty() {
-            *chunk = vec![Way::INVALID; ways << self.shift].into_boxed_slice();
+        if alloc && chunk.is_none() {
+            *chunk = Some(Box::new(Chunk {
+                words: [Word::INVALID; CHUNK_WAYS],
+                lru: [0; CHUNK_WAYS],
+            }));
         }
-        &mut chunk[at..at + ways]
+        let (words, lru): (&mut [Word], &mut [u32]) = match chunk {
+            Some(c) => (&mut c.words[at..at + ways], &mut c.lru[at..at + ways]),
+            None => (&mut [], &mut []),
+        };
+        words.iter_mut().zip(lru)
     }
 
-    fn allocated_mut(&mut self) -> impl Iterator<Item = &mut [Way]> {
-        self.chunks.iter_mut().map(|chunk| &mut chunk[..])
+    fn allocated_mut(&mut self) -> impl Iterator<Item = (&mut Word, &mut u32)> {
+        let chunks = self.chunks.iter_mut().flatten();
+        chunks.flat_map(|c| c.words.iter_mut().zip(c.lru.iter_mut()))
+    }
+
+    #[inline(always)]
+    fn stamp_limit(&self) -> u64 {
+        self.limit
     }
 }

@@ -14,7 +14,10 @@
 //!    sees the cluster's traffic (coherence with one-epoch lag);
 //! 2. functional stores buffered by each emulator propagate to the other
 //!    cores' memories in program order (an unbounded store buffer —
-//!    RVWMO-legal) and kill matching LR reservations;
+//!    RVWMO-legal) and kill matching LR reservations; a store to a page
+//!    a core does not hold goes once into the cluster's
+//!    [`PublishedPages`], which that core copies the page from when it
+//!    first touches it;
 //! 3. cores parked in front of a globally visible instruction (AMO,
 //!    LR/SC, fence — see [`xt_emu::ClusterCtl`]) execute exactly one
 //!    such instruction each, its stores propagating immediately, which
@@ -36,7 +39,7 @@ use std::time::Instant;
 use xt_asm::Program;
 use xt_core::session::CoreModel;
 use xt_core::{CoreConfig, OooCore, PerfCounters};
-use xt_emu::{ClusterCtl, DynInst, Emulator, StoreRec, TraceSource};
+use xt_emu::{ClusterCtl, DynInst, Emulator, PublishedPages, StoreRec, TraceSource};
 use xt_mem::{MemConfig, MemOp, MemStats, MemSystem, MemTracer};
 use xt_snapshot::{SnapshotState, Stream};
 
@@ -241,6 +244,9 @@ pub struct ClusterSim {
     /// The canonical memory system: replays every core's traffic in
     /// barrier order and supplies the reported [`MemStats`].
     master: MemSystem,
+    /// Peers' stores to pages some core does not hold, held once for the
+    /// cluster (empty for a single core, which has no peers).
+    published: PublishedPages,
     max_insts: u64,
     epoch_cycles: u64,
     tracing: bool,
@@ -271,6 +277,7 @@ impl ClusterSim {
         );
         let n = programs.len();
         let mut replicas = Vec::with_capacity(n);
+        let published = PublishedPages::default();
         let slots = programs
             .iter()
             .enumerate()
@@ -286,6 +293,7 @@ impl ClusterSim {
                         gate: true,
                         ..ClusterCtl::default()
                     });
+                    emu.mem.share(published.clone());
                     mem.start_recording();
                 }
                 replicas.push(mem);
@@ -305,6 +313,7 @@ impl ClusterSim {
             slots,
             replicas,
             master: MemSystem::new(mem_cfg),
+            published,
             max_insts,
             epoch_cycles: DEFAULT_EPOCH_CYCLES,
             tracing: false,
@@ -528,6 +537,17 @@ impl ClusterSim {
         &self.replicas[core]
     }
 
+    /// Core `core`'s functional emulator.
+    pub fn emulator(&self, core: usize) -> &Emulator {
+        self.slots[core].trace.emulator()
+    }
+
+    /// The guest pages held once for the whole cluster: peers' stores to
+    /// pages some core did not hold (see [`PublishedPages`]).
+    pub fn published(&self) -> &PublishedPages {
+        &self.published
+    }
+
     /// Serializes the whole cluster — every core's emulator (plus its
     /// bus replica when interrupts are attached), timing core, memory
     /// replica, pending resync logs, and the master hierarchy — into a
@@ -559,8 +579,13 @@ impl ClusterSim {
     }
 
     /// The frame's payload: the engine's position, every slot, the
-    /// master hierarchy, the timeline.
+    /// master hierarchy, the timeline. A core's memory is written as the
+    /// pages it holds plus the published pages it lacks, so restoring
+    /// gives every core its whole view and empties the published pages.
     fn transfer<S: Stream>(&mut self, s: &mut S) -> xt_snapshot::Result<()> {
+        if S::DECODING {
+            self.published.clear();
+        }
         s.expect("core count", self.slots.len())?;
         s.u64(&mut self.epoch_cycles)?;
         s.check(self.epoch_cycles != 0, "epoch cycles")?;
@@ -674,16 +699,17 @@ impl ClusterSim {
     /// core-index order: when two cores raced on the same address in
     /// one epoch, re-applying every log in the canonical order leaves
     /// *every* core holding the same winner (the highest-index writer,
-    /// matching [`ClusterSim::drain_to_master`]'s arbitration).
+    /// matching [`ClusterSim::drain_to_master`]'s arbitration). A store
+    /// to a page some core does not hold is written once more, into the
+    /// published pages, which stand for that page in every core that
+    /// lacks it.
     fn propagate_stores(&mut self, src: usize, log: &[StoreRec]) {
-        if log.is_empty() {
-            return;
-        }
         let line_mask = !(RESERVATION_LINE - 1);
-        for j in 0..self.slots.len() {
-            let own = j == src;
-            let emu = self.slots[j].trace.emulator_mut();
-            for s in log {
+        for s in log {
+            let mut lacked = false;
+            for (j, slot) in self.slots.iter_mut().enumerate() {
+                let own = j == src;
+                let emu = slot.trace.emulator_mut();
                 // a device store already took effect on the source
                 // core's own bus replica at execute time; re-applying it
                 // here would double the side effect (MSIP toggles,
@@ -695,7 +721,7 @@ impl ClusterSim {
                 // through the emulator, not raw memory: a cross-core
                 // store to a cached code page must invalidate the
                 // receiving core's decoded blocks (docs/FASTPATH.md)
-                emu.apply_external_store(s.pa, s.val, s.size as usize);
+                lacked |= !emu.apply_external_store(s.pa, s.val, s.size as usize);
                 if own {
                     continue;
                 }
@@ -704,6 +730,9 @@ impl ClusterSim {
                         emu.cpu.reservation = None;
                     }
                 }
+            }
+            if lacked {
+                self.published.write_bytes(s.pa, s.val, s.size as usize);
             }
         }
     }
@@ -1033,6 +1062,109 @@ mod tests {
                 .iter()
                 .all(|s| *s == xt_mem::StreamScore::default()));
         }
+    }
+
+    /// Pages only core 0 stores to, mapped by neither image: core 1
+    /// reads the first, writes and then reads the second, and calls
+    /// code on the third.
+    const PEER_PAGES: [u64; 3] = [0x8800_0000, 0x8800_1000, 0x8800_2000];
+
+    /// Core 0 stores 0x1234 and a flag on the first peer page, 0x5678 on
+    /// the second and `addi a0, a0, 7; ret` on the third, and halts.
+    /// Core 1 spins on the flag, then reads, writes and calls what core 0
+    /// stored, and exits with 0x1234 + 0x5678 + 7.
+    fn peer_page_programs() -> Vec<Program> {
+        use xt_isa::{encode::encode, Inst, Op};
+        let [read, write, code] = PEER_PAGES.map(|p| p as i64);
+        let word = |inst: Inst| encode(&inst).unwrap() as i64;
+        let mut a = Asm::new();
+        for (page, off, val) in [
+            (write, 0, 0x5678),
+            (code, 0, word(Inst::new(Op::Addi).rd(10).rs1(10).imm(7))),
+            (code, 4, word(Inst::new(Op::Jalr).rd(0).rs1(1).imm(0))),
+            (read, 0, 0x1234),
+            (read, 8, 1),
+        ] {
+            a.li(Gpr::T0, val);
+            a.li(Gpr::T1, page);
+            a.sw(Gpr::T0, Gpr::T1, off);
+        }
+        a.li(Gpr::A0, 0);
+        a.halt();
+        let mut b = Asm::new()
+            .with_text_base(0x8010_0000)
+            .with_data_base(0x8410_0000);
+        b.li(Gpr::T1, read);
+        let spin = b.here();
+        b.lw(Gpr::T0, Gpr::T1, 8);
+        b.beqz(Gpr::T0, spin);
+        b.lw(Gpr::A0, Gpr::T1, 0);
+        b.li(Gpr::T1, write);
+        b.sw(Gpr::T1, Gpr::T1, 8);
+        b.lw(Gpr::T2, Gpr::T1, 0);
+        b.add(Gpr::A0, Gpr::A0, Gpr::T2);
+        b.li(Gpr::T1, code);
+        b.jalr(Gpr::RA, Gpr::T1, 0);
+        b.halt();
+        vec![a.finish().unwrap(), b.finish().unwrap()]
+    }
+
+    fn peer_page_cluster(fastpath: bool) -> ClusterSim {
+        let mem_cfg = MemConfig {
+            cores: 2,
+            ..MemConfig::default()
+        };
+        ClusterSim::new(&peer_page_programs(), &CoreConfig::xt910(), mem_cfg, 1_000_000)
+            .with_epoch(2048)
+            .with_fastpath(fastpath)
+    }
+
+    /// Core 1 reads, writes and runs code on pages only core 0 stored
+    /// to: each first touch copies the published page in (the write
+    /// keeps core 0's bytes beside its own), the same with the decoded
+    /// blocks on or off and at one or two host threads.
+    #[test]
+    fn a_core_reads_writes_and_runs_pages_only_a_peer_stored_to() {
+        let want = run_at_1_and_4(|| peer_page_cluster(true));
+        assert_eq!(want.exit_codes, [Some(0), Some(0x1234 + 0x5678 + 7)]);
+        for (fastpath, threads) in [(true, 2), (false, 1), (false, 2)] {
+            let got = peer_page_cluster(fastpath).run_threads(threads);
+            let ctx = format!("fast path {fastpath}, {threads} threads");
+            assert_eq!(got.exit_codes, want.exit_codes, "{ctx}");
+            assert_eq!(got.cores, want.cores, "{ctx}");
+            assert_eq!(got.mem, want.mem, "{ctx}");
+        }
+        let mut sim = peer_page_cluster(true);
+        while !sim.step_epochs(1, 1) {}
+        assert_eq!(sim.published().len(), 3, "each page published once");
+        for page in PEER_PAGES {
+            assert!(sim.emulator(1).mem.is_resident(page), "{page:#x} copied in");
+        }
+    }
+
+    /// Saved while core 1 still lacks the published pages, a frame holds
+    /// them in core 1's memory: restoring it empties the published
+    /// pages, saves back byte for byte and runs on to the same end.
+    #[test]
+    fn a_frame_holds_each_cores_view_of_the_published_pages() {
+        let mut sim = peer_page_cluster(true);
+        while sim.published().is_empty() {
+            sim.step_epochs(1, 1);
+        }
+        let core1 = &sim.emulator(1).mem;
+        assert!(PEER_PAGES.iter().all(|&p| !core1.is_resident(p)));
+        let view = core1.snapshot_nonzero();
+        assert!(PEER_PAGES.iter().all(|&p| view.iter().any(|(i, _)| *i == p >> 12)));
+        let frame = sim.save();
+        let mut restored = peer_page_cluster(false);
+        restored.restore(&frame).expect("restores");
+        assert!(restored.published().is_empty());
+        assert!(PEER_PAGES.iter().all(|&p| restored.emulator(1).mem.is_resident(p)));
+        assert_eq!(restored.save(), frame, "save, restore, save");
+        let (a, b) = (sim.run_threads(1), restored.run_threads(2));
+        assert_eq!(a.exit_codes, b.exit_codes);
+        assert_eq!(a.cores, b.cores);
+        assert_eq!(a.mem, b.mem);
     }
 
     #[test]

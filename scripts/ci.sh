@@ -70,11 +70,20 @@ leg "test (xt-soc, release profile)"
 # debug_assert! off too.
 cargo test -q --release --offline -p xt-soc
 
+leg "test (cluster suites, release profile)"
+# The cluster's integration suites (determinism across thread counts
+# and engines, litmus outcomes, cross-core self-modifying code, memory
+# events, snapshot resume) in the profile cluster4 is measured in, where
+# an arithmetic overflow wraps instead of panicking: the shared L2's
+# 32-bit LRU stamps and the published guest pages run here as there.
+cargo test -q --release --offline --test determinism --test litmus --test smc --test mem_events --test snapshot_resume
+
 leg "host heap footprint (release)"
 # What a 4-core replica, ClusterSim::new and a private-slice cluster run
 # hold on the heap, against budgets of the measurement + 10 %
-# (docs/CLUSTER.md, "Footprint"); a peer's TLB that a run materializes
-# fails it too. The breakdown is printed.
+# (docs/CLUSTER.md, "Footprint"); a peer's TLB that a run materializes,
+# or an emulator holding a peer's slice, fails it too. The breakdown is
+# printed.
 cargo test -q --release --offline --test footprint -- --nocapture
 
 leg "lint (clippy, warnings are errors)"

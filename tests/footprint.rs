@@ -1,14 +1,16 @@
 //! Host heap of the memory hierarchy and of the 4-core cluster engine,
 //! counted by a `#[global_allocator]` that tracks live and peak bytes.
 //!
-//! Four budgets are pinned, each this tree's measurement plus 10 %
-//! (the peak's a little less): a 1-core `MemSystem::new` before any
-//! access, one observer-less 4-core `MemSystem::replica`,
-//! `ClusterSim::new` on four private-slice kernels (the `cluster4`
-//! benchmark's private job), and the peak heap of that cluster's run. A
-//! hierarchy that builds its L2 tag store before a fill, or a replica or
-//! a master that materializes TLB arrays for a core it never runs live,
-//! fails here, and `--nocapture` prints where the bytes go:
+//! Four budgets are pinned, each this tree's measurement plus 10 %: a
+//! 1-core `MemSystem::new` before any access, one observer-less 4-core
+//! `MemSystem::replica`, `ClusterSim::new` on four private-slice kernels
+//! (the `cluster4` benchmark's private job), and the peak heap of that
+//! cluster's run; a fifth, the guest pages the cluster holds for its
+//! barrier's store propagation, is pinned at its page count. A
+//! hierarchy that builds its L2 tag store before a fill, a replica or a
+//! master that materializes TLB arrays for a core it never runs live,
+//! or an emulator that copies a peer's output it never reads, fails
+//! here, and `--nocapture` prints where the bytes go:
 //!
 //! ```sh
 //! cargo test --release --test footprint -- --nocapture
@@ -119,7 +121,7 @@ fn cluster_mem() -> MemConfig {
 /// Fails with the measurement when `bytes` exceeds `budget`.
 fn within(what: &str, bytes: usize, budget: usize) {
     println!(
-        "{what:<40} {:>9.1} KiB (budget {:.1})",
+        "{what:<50} {:>9.1} KiB (budget {:.1})",
         kib(bytes),
         kib(budget)
     );
@@ -167,35 +169,58 @@ fn heap_footprint_of_a_replica_and_a_cluster() {
     println!("  one stream table           {:>9.1} KiB", kib(pf));
     println!("  one miss classifier        {:>9.1} KiB", kib(cls));
 
-    // 35.2 KiB; 545.2 KiB with the L2 tag store built eagerly
+    // 34.2 KiB (35.2 with 16-byte L2 ways); 545.2 KiB with the L2 tag
+    // store built eagerly
     let one_core = MemConfig {
         cores: 1,
         ..cfg
     };
     let (mem, mem_bytes) = heap_of(|| MemSystem::new(one_core));
-    within("MemSystem::new, 1 core, no access", mem_bytes, 39 * 1024);
+    within("MemSystem::new, 1 core, no access", mem_bytes, 38 * 1024);
     drop(mem);
 
-    // 134.9 KiB; 644.9 KiB with an eager L2 tag store, 1,096.9 KiB
-    // with 24-byte ways and eager TLB arrays besides
+    // 133.9 KiB (134.9 with 16-byte L2 ways); 644.9 KiB with an eager
+    // L2 tag store, 1,096.9 KiB with 24-byte ways and eager TLB arrays
+    // besides
     let (replica, replica_bytes) = heap_of(|| MemSystem::replica(cfg));
-    within("MemSystem::replica, 4 cores", replica_bytes, 149 * 1024);
+    within("MemSystem::replica, 4 cores", replica_bytes, 148 * 1024);
     drop(replica);
 
     let progs: Vec<Program> = (0..4).map(private_slice).collect();
     let base = LIVE.load(Relaxed);
-    // 1,757.8 KiB; 4,307.8 KiB with eager L2 tag stores, 6,552.6 KiB
-    // with 24-byte ways and eager TLB arrays besides
+    // 1,757.0 KiB (1,757.8 with 16-byte L2 ways and no published
+    // pages); 4,307.8 KiB with eager L2 tag stores, 6,552.6 KiB with
+    // 24-byte ways and eager TLB arrays besides
     let (mut sim, new_bytes) =
         heap_of(|| ClusterSim::new(&progs, &CoreConfig::xt910(), cfg, 10_000_000));
-    within("ClusterSim::new, private slices", new_bytes, 1_934 * 1024);
+    within("ClusterSim::new, private slices", new_bytes, 1_933 * 1024);
 
     PEAK.store(LIVE.load(Relaxed), Relaxed);
     while !sim.step_epochs(1, 1) {}
-    // 8,331.6 KiB (8,348.8 with eager L2 tag stores); 11,163.7 KiB with
-    // 24-byte ways, eager TLB arrays and 56-byte log records
+    // 6,602.8 KiB; 7,005.9 KiB with logs that double their capacity
+    // when an epoch outgrows the last, 8,331.6 KiB with each emulator
+    // holding its peers' output and 16-byte L2 ways besides (8,348.8
+    // with eager L2 tag stores); 11,163.7 KiB with 24-byte ways, eager
+    // TLB arrays and 56-byte log records
     let peak = PEAK.load(Relaxed) - base;
-    within("peak during the run", peak, 9_150 * 1024);
+    within("peak during the run", peak, 7_264 * 1024);
+
+    // each core's output, published once for the cluster: 96 pages;
+    // each emulator held its peers' 72 (288 KiB) when every barrier
+    // store went into every emulator
+    let published = sim.published().len() * 4096;
+    within("guest pages held for store propagation (cluster)", published, 96 * 4096);
+    // and no emulator holds a page of another core's slice
+    for i in 0..4u64 {
+        for j in (0..4u64).filter(|&j| j != i) {
+            let slice = 0x8200_0000 + j * 0x0100_0000;
+            let held = (slice..slice + 2 * ELEMS * 8)
+                .step_by(4096)
+                .filter(|&page| sim.emulator(i as usize).mem.is_resident(page))
+                .count();
+            assert_eq!(held, 0, "emulator {i} holds {held} pages of core {j}'s slice");
+        }
+    }
 
     // a core's TLB exists only in the replica it runs live on
     for i in 0..4 {

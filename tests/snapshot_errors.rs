@@ -646,15 +646,11 @@ fn forged_front_burst_is_rejected() {
 // the packed cache ways
 // ---------------------------------------------------------------------
 
-/// A frame whose cache way names a line past the top of the address
-/// space — a tag with one of its top `line_bits` bits set — has no
-/// packed form (a way keeps the line's byte address): `Corrupt`, never a
-/// truncated tag, and for the stale tag of an invalid way as for a live
-/// one. The L2 is written `sets, ways, line_bits: u32`, then per way
-/// `tag, state: u8, lru, prefetched: u8`; a tag that fits restores and
-/// saves back to the same bytes.
-#[test]
-fn forged_cache_tag_is_rejected() {
+/// The payload of [`frame`], where its L2's first way starts, and the
+/// L2's way count. The L2 is written `sets, ways, line_bits: u32`, then
+/// per way `tag, state: u8, lru, prefetched: u8` (18 bytes), then the
+/// stamp counter.
+fn l2_in_payload() -> (Vec<u8>, usize, usize) {
     let cfg = xt_mem::MemConfig::default();
     let ways = cfg.l2_ways as u64;
     let sets = cfg.l2_kib as u64 * 1024 / cfg.line_bytes as u64 / ways;
@@ -670,14 +666,27 @@ fn forged_cache_tag_is_rejected() {
         .position(|w| w == header)
         .expect("the L2's geometry in the payload")
         + header.len();
-    let restore_payload = |payload: &[u8]| {
-        let mut s = OooSession::new(&prog(), &CoreConfig::xt910(), MAX_INSTS);
-        s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
-            .map(|()| s)
-    };
+    (good, l2, (sets * ways) as usize)
+}
+
+fn restore_payload(payload: &[u8]) -> Result<OooSession, SnapshotError> {
+    let mut s = OooSession::new(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+    s.restore(&xt_snapshot::seal(xt_snapshot::KIND_CORE, payload))
+        .map(|()| s)
+}
+
+/// A frame whose cache way names a line past the top of the address
+/// space — a tag with one of its top `line_bits` bits set — has no
+/// packed form (a way keeps the line's byte address): `Corrupt`, never a
+/// truncated tag, and for the stale tag of an invalid way as for a live
+/// one. A tag that fits restores and saves back to the same bytes.
+#[test]
+fn forged_cache_tag_is_rejected() {
+    let (good, l2, ways) = l2_in_payload();
+    let line_bits = xt_mem::MemConfig::default().line_bytes.trailing_zeros();
     // the first way of the first set holds a line, the last way of the
     // last set does not
-    let last = l2 + (sets * ways - 1) as usize * 18;
+    let last = l2 + (ways - 1) * 18;
     assert!(
         good[l2 + 8] < 4 && good[last + 8] == 4,
         "a valid and an invalid way"
@@ -698,6 +707,39 @@ fn forged_cache_tag_is_rejected() {
         let mut p = good.clone();
         set_field(&mut p, way, top);
         let mut s = restore_payload(&p).expect("the topmost line restores");
+        assert_eq!(
+            xt_snapshot::open(&s.save(), xt_snapshot::KIND_CORE).unwrap(),
+            p
+        );
+    }
+}
+
+/// A cache keeps its LRU stamps in 32 bits and writes them as `u64`: a
+/// frame whose L2 way stamp or stamp counter exceeds
+/// `u32::MAX` is `Corrupt`, never a truncated stamp, while `u32::MAX`
+/// itself restores and saves back to the same bytes.
+#[test]
+fn forged_l2_stamp_is_rejected() {
+    let (good, l2, ways) = l2_in_payload();
+    let first_stamp = l2 + 9;
+    let last_stamp = l2 + (ways - 1) * 18 + 9;
+    let counter = l2 + ways * 18;
+    assert!(field(&good, first_stamp) > 0, "the first way was filled");
+    for at in [first_stamp, last_stamp, counter] {
+        for stamp in [u32::MAX as u64 + 1, u64::MAX] {
+            let mut p = good.clone();
+            set_field(&mut p, at, stamp);
+            match restore_payload(&p) {
+                Err(SnapshotError::Corrupt { what: "cache stamp" }) => {}
+                other => panic!(
+                    "stamp {stamp:#x} at {at}: expected Corrupt(cache stamp), got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+        let mut p = good.clone();
+        set_field(&mut p, at, u32::MAX as u64);
+        let mut s = restore_payload(&p).expect("the largest stamp restores");
         assert_eq!(
             xt_snapshot::open(&s.save(), xt_snapshot::KIND_CORE).unwrap(),
             p
